@@ -9,7 +9,7 @@ Subcommands emit plot-ready CSV tables or JSON documents:
   verify       stroboscopic-map fixed points and epsilon scaling
 
 Exit codes: 0 success (empty results included), 2 usage error,
-3 numerical non-convergence / unsolvable resonance.
+3 numerical non-convergence / integration failure / unsolvable resonance.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .melnikov import (
     subharmonic_quadrature,
 )
 from .pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, pendulum_system
-from .poincare import IntegratorConfig, find_subharmonic, scaling_band
+from .poincare import IntegrationFailure, IntegratorConfig, find_subharmonic, scaling_band
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -381,6 +381,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"melnikov-lab: non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except IntegrationFailure as exc:
+        print(f"melnikov-lab: integration failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .melnikov import Resonance
-from .pendulum import ForcedSystem, OrbitPoint, orbit_state, wrap_angle
+from .pendulum import INNER, ForcedSystem, OrbitPoint, orbit_state, wrap_angle
 
 __all__ = [
     "IntegrationFailure",
@@ -58,21 +58,7 @@ class FixedPointResult:
     floquet_multipliers: Optional[Tuple[complex, complex]] = None
 
 
-def _flow(
-    sys: ForcedSystem,
-    eps: float,
-    state,
-    duration: float,
-    theta_section: float,
-    config: IntegratorConfig,
-):
-    def rhs(t, y):
-        x1, x2 = y
-        forcing = eps * (
-            sys.beta * math.cos(sys.omega * t + theta_section) - sys.delta * x2
-        )
-        return [x2, -math.sin(x1) + forcing]
-
+def _integrate(rhs, state, duration: float, config: IntegratorConfig):
     sol = solve_ivp(
         rhs,
         (0.0, duration),
@@ -86,6 +72,24 @@ def _flow(
     if not sol.success:
         raise IntegrationFailure(sol.message)
     return sol.y[:, -1]
+
+
+def _flow(
+    sys: ForcedSystem,
+    eps: float,
+    state,
+    duration: float,
+    theta_section: float,
+    config: IntegratorConfig,
+):
+    beta, delta, omega = sys.beta, sys.delta, sys.omega
+
+    def rhs(t, y):
+        x1, x2 = y.tolist()
+        forcing = eps * (beta * math.cos(omega * t + theta_section) - delta * x2)
+        return [x2, -math.sin(x1) + forcing]
+
+    return _integrate(rhs, state, duration, config)
 
 
 def stroboscopic_map(
@@ -106,9 +110,65 @@ def stroboscopic_map(
     return OrbitPoint(float(final[0]), float(final[1]))
 
 
-def _map_residual(sys, eps, m, z, theta_section, config):
+def _winding(r: Resonance) -> np.ndarray:
+    """Advance of (x1, x2) over n periods of the resonant orbit.
+
+    A rotating orbit turns x1 through sign * 2*pi once per period, so its
+    fixed point of the stroboscopic map is fixed only modulo that winding.
+    """
+    turns = 0.0 if r.family_tag == INNER else r.orbit.sign * r.n
+    return np.array([2.0 * math.pi * turns, 0.0])
+
+
+def _map_residual(sys, eps, m, z, theta_section, config, winding):
     out = _flow(sys, eps, z, 2.0 * math.pi * m / sys.omega, theta_section, config)
-    return out - z
+    return out - z - winding
+
+
+def _seed_residuals(sys, eps, m, seeds, theta_section, config, winding):
+    """_map_residual of every row of seeds, from one flow of all of them.
+
+    The step control sees every seed at once, so each residual is as
+    accurate as a solo flow's only up to the spread of the error norm over
+    2N components; it ranks seeds, the Newton verdict uses solo flows.
+    """
+    n = len(seeds)
+    beta, delta, omega = sys.beta, sys.delta, sys.omega
+
+    def rhs(t, y):
+        x1, x2 = y[:n], y[n:]
+        forcing = eps * (beta * math.cos(omega * t + theta_section) - delta * x2)
+        return np.concatenate([x2, -np.sin(x1) + forcing])
+
+    out = _integrate(rhs, seeds.T.ravel(), 2.0 * math.pi * m / sys.omega, config)
+    return out.reshape(2, n).T - seeds - winding
+
+
+def _variational_map(sys, eps, m, z, theta_section, config):
+    """P(z) and DP(z) from one flow of the state and its tangent map.
+
+    Phi' = [[0, 1], [-cos x1, -eps*delta]] Phi with Phi(0) = I, so the
+    final Phi is the Jacobian of the stroboscopic map at z.
+    """
+    beta, delta, omega = sys.beta, sys.delta, sys.omega
+    damping = eps * delta
+
+    def rhs(t, y):
+        x1, x2, p11, p12, p21, p22 = y.tolist()
+        forcing = eps * (beta * math.cos(omega * t + theta_section) - delta * x2)
+        c = math.cos(x1)
+        return [
+            x2,
+            -math.sin(x1) + forcing,
+            p21,
+            p22,
+            -c * p11 - damping * p21,
+            -c * p12 - damping * p22,
+        ]
+
+    y0 = np.array([z[0], z[1], 1.0, 0.0, 0.0, 1.0])
+    out = _integrate(rhs, y0, 2.0 * math.pi * m / sys.omega, config)
+    return out[:2], out[2:].reshape(2, 2)
 
 
 def _distance_to_orbit(z, r: Resonance, n_sample: int = 1024) -> float:
@@ -135,6 +195,39 @@ def _distance_to_orbit(z, r: Resonance, n_sample: int = 1024) -> float:
     return float(min(res.fun, coarse[i]))
 
 
+def _newton(sys, eps, m, z0, theta0, config, winding, newton_max, residual_tol):
+    """Newton on P(z) - z - winding = 0 from z0.
+
+    Each iteration costs one variational flow, which gives f and
+    J = DP - I together.  The variational flow's step control also sees
+    Phi, so its fixed point can sit a few 1e-11 from the plain map's;
+    once its residual is below residual_tol the iteration goes on with
+    the plain flow's f and the last DP, and only the plain residual
+    decides convergence.  Returns (z, plain residual, converged, DP).
+    """
+    eye = np.eye(2)
+    z = np.array(z0, dtype=float)
+    dp = None
+    plain = False
+    for _ in range(newton_max):
+        if not plain:
+            final, dp = _variational_map(sys, eps, m, z, theta0, config)
+            f = final - z - winding
+            plain = bool(np.linalg.norm(f) <= residual_tol)
+        if plain:
+            f = _map_residual(sys, eps, m, z, theta0, config, winding)
+            if np.linalg.norm(f) <= residual_tol:
+                return z, f, True, dp
+        try:
+            step = np.linalg.solve(dp - eye, f)
+        except np.linalg.LinAlgError:
+            break
+        if np.linalg.norm(step) > 2.0:
+            break  # diverging away from the seed neighborhood
+        z = z - step
+    return z, _map_residual(sys, eps, m, z, theta0, config, winding), False, dp
+
+
 def find_subharmonic(
     sys: ForcedSystem,
     eps: float,
@@ -148,58 +241,33 @@ def find_subharmonic(
     """Newton on the stroboscopic fixed-point equation near a resonance.
 
     Seeds on a phase grid along the unperturbed orbit (the Melnikov
-    theory predicts location only up to the phase matching theta0), keeps
-    the best seeds, and reports the converged fixed point together with
-    its distance to the unperturbed orbit for the epsilon-scaling check.
+    theory predicts location only up to the phase matching theta0), scores
+    them all in one flow, runs Newton from the three best, and reports the
+    converged fixed point together with its distance to the unperturbed
+    orbit for the epsilon-scaling check.  The Floquet multipliers are the
+    eigenvalues of DP from the last variational flow, taken within
+    residual_tol of the reported point.
     """
+    winding = _winding(r)
     seeds_t = np.linspace(0.0, r.orbit.period, n_seeds, endpoint=False)
-    seeds = []
-    for t in seeds_t:
-        p = orbit_state(r.orbit, t)
-        seeds.append(np.array([p.x1, p.x2]))
-    scored = sorted(
-        seeds,
-        key=lambda z: float(
-            np.linalg.norm(_map_residual(sys, eps, r.m, z, theta0, config))
-        ),
+    orbit = orbit_state(r.orbit, seeds_t)
+    seeds = np.column_stack([orbit.x1, orbit.x2])
+    scores = np.linalg.norm(
+        _seed_residuals(sys, eps, r.m, seeds, theta0, config, winding), axis=1
     )
 
     best: Optional[FixedPointResult] = None
-    for z0 in scored[:3]:
-        z = z0.copy()
-        jac = None
-        converged = False
-        for _ in range(newton_max):
-            f = _map_residual(sys, eps, r.m, z, theta0, config)
-            if np.linalg.norm(f) <= residual_tol:
-                converged = True
-                break
-            jac = np.zeros((2, 2))
-            h = 1e-6 * (1.0 + np.linalg.norm(z))
-            for j in range(2):
-                dz = np.zeros(2)
-                dz[j] = h
-                fp = _map_residual(sys, eps, r.m, z + dz, theta0, config)
-                fm = _map_residual(sys, eps, r.m, z - dz, theta0, config)
-                jac[:, j] = (fp - fm) / (2.0 * h)
-            try:
-                step = np.linalg.solve(jac, f)
-            except np.linalg.LinAlgError:
-                break
-            if np.linalg.norm(step) > 2.0:
-                break  # diverging away from the seed neighborhood
-            z = z - step
-        residual = float(np.linalg.norm(_map_residual(sys, eps, r.m, z, theta0, config)))
-        multipliers = None
-        if jac is not None:
-            multipliers = tuple(np.linalg.eigvals(jac + np.eye(2)))
+    for i in np.argsort(scores, kind="stable")[:3]:
+        z, f, converged, dp = _newton(
+            sys, eps, r.m, seeds[i], theta0, config, winding, newton_max, residual_tol
+        )
         result = FixedPointResult(
             point=OrbitPoint(float(z[0]), float(z[1])),
             phase=theta0,
-            residual=residual,
+            residual=float(np.linalg.norm(f)),
             distance_to_unperturbed=_distance_to_orbit(z, r),
-            converged=converged and residual <= residual_tol,
-            floquet_multipliers=multipliers,
+            converged=converged,
+            floquet_multipliers=None if dp is None else tuple(np.linalg.eigvals(dp)),
         )
         if result.converged:
             if best is None or result.distance_to_unperturbed < best.distance_to_unperturbed:

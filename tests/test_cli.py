@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -203,6 +204,18 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["theta0"] == pytest.approx(math.pi / 2.0)
+
+    def test_integration_failure_exits_3(self, capsys, monkeypatch):
+        import melnikov_lab.poincare as poincare
+
+        def collapsed(*args, **kwargs):
+            return SimpleNamespace(success=False, message="step size collapsed")
+
+        monkeypatch.setattr(poincare, "solve_ivp", collapsed)
+        code, out, err = run_cli(capsys, ["verify", "--m", "3", "--eps", "1e-3"])
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "integration failure" in err
 
 
 class TestUsageErrors:

@@ -7,6 +7,10 @@ from melnikov_lab.melnikov import solve_resonance
 from melnikov_lab.pendulum import INNER, OrbitPoint, orbit_state, pendulum_system
 from melnikov_lab.poincare import (
     IntegratorConfig,
+    _map_residual,
+    _seed_residuals,
+    _variational_map,
+    _winding,
     find_subharmonic,
     homoclinic_tangle_probe,
     scaling_band,
@@ -75,6 +79,86 @@ class TestFindSubharmonic:
         )
         assert out.x1 == pytest.approx(res.point.x1, abs=1e-9)
         assert out.x2 == pytest.approx(res.point.x2, abs=1e-9)
+
+    def test_newton_gap_rung_converges_in_band(self, system, resonance):
+        # eps = 6.8538506e-4 sat between converging rungs but found no fixed
+        # point with the finite-difference Jacobian
+        eps_list = [1e-3, 6.853850625855076e-4]
+        distances = []
+        for eps in eps_list:
+            res = find_subharmonic(system, eps, resonance, math.pi / 2.0)
+            assert res.converged
+            assert res.residual <= 1e-10
+            distances.append(res.distance_to_unperturbed)
+        ok, ratios = scaling_band(eps_list, distances)
+        assert ok, ratios
+
+    @pytest.mark.parametrize("family", ["rotating+", "rotating-"])
+    def test_rotating_orbit_converges(self, family):
+        # x1 winds by sign * 2*pi per period; the residual must discount it
+        r = solve_resonance(family, 1.0, 1, 1)
+        sys_ = pendulum_system(1.0, 0.0, 1.0)
+        eps_list = [1e-3, 1e-3 / math.sqrt(2.0)]
+        distances = []
+        for eps in eps_list:
+            res = find_subharmonic(sys_, eps, r, math.pi / 2.0)
+            assert res.converged
+            assert res.residual <= 1e-10
+            distances.append(res.distance_to_unperturbed)
+        ok, ratios = scaling_band(eps_list, distances)
+        assert ok, ratios
+        assert all(1e-2 < q < 1e1 for q in ratios)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    def test_multipliers_obey_liouville(self, resonance, delta):
+        # Liouville: the flow contracts area at rate eps * delta, so
+        # det DP = exp(-eps * delta * period)
+        eps = 1e-3
+        sys_ = pendulum_system(1.0, delta, 1.0)
+        res = find_subharmonic(sys_, eps, resonance, math.pi / 2.0)
+        assert res.floquet_multipliers is not None
+        prod = res.floquet_multipliers[0] * res.floquet_multipliers[1]
+        period = 2.0 * math.pi * resonance.m / sys_.omega
+        assert abs(prod - math.exp(-eps * delta * period)) <= 1e-8
+
+
+class TestVariationalEngine:
+    def test_dp_matches_central_difference(self, system, resonance):
+        eps, theta, z = 1e-3, math.pi / 2.0, np.array([0.9, 0.4])
+        final, dp = _variational_map(
+            system, eps, resonance.m, z, theta, IntegratorConfig()
+        )
+
+        def strobe(point):
+            out = stroboscopic_map(system, eps, resonance.m, OrbitPoint(*point), theta)
+            return np.array([out.x1, out.x2])
+
+        h = 1e-5
+        fd = np.zeros((2, 2))
+        for j in range(2):
+            dz = np.zeros(2)
+            dz[j] = h
+            fd[:, j] = (strobe(z + dz) - strobe(z - dz)) / (2.0 * h)
+        assert final == pytest.approx(strobe(z), abs=1e-9)
+        assert np.max(np.abs(dp - fd)) <= 1e-6
+
+    def test_batched_scores_rank_like_solo_flows(self, system, resonance):
+        eps, theta, config = 1e-3, math.pi / 2.0, IntegratorConfig()
+        winding = _winding(resonance)
+        t = np.linspace(0.0, resonance.orbit.period, 32, endpoint=False)
+        orbit = orbit_state(resonance.orbit, t)
+        seeds = np.column_stack([orbit.x1, orbit.x2])
+        batched = np.linalg.norm(
+            _seed_residuals(system, eps, resonance.m, seeds, theta, config, winding),
+            axis=1,
+        )
+        solo = [
+            np.linalg.norm(
+                _map_residual(system, eps, resonance.m, z, theta, config, winding)
+            )
+            for z in seeds
+        ]
+        assert list(np.argsort(batched)) == list(np.argsort(solo))
 
 
 class TestScalingBand:
