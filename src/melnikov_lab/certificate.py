@@ -94,7 +94,6 @@ def build_certificate(
     n_max: int = 2,
     theta_points: int = 64,
     j1_arg: str = "n",
-    hom_phase: str = "omega-t",
     verify: bool = True,
 ) -> dict:
     """Structured applicability verdict for the three nonintegrability criteria.
@@ -114,7 +113,6 @@ def build_certificate(
         curve_records.append(_curve_record(r, beta, delta, j1_arg, do_verify))
 
     hom_plus = closed_form_homoclinic(+1, beta, delta, omega)
-    hom_minus = closed_form_homoclinic(-1, beta, delta, omega)
     homoclinic_nonzero = (
         abs(hom_plus.const_term) > 0 or abs(hom_plus.cos_coeff) > 0
     )
@@ -158,7 +156,7 @@ def build_certificate(
             "omega": omega,
             "eps_note": _EPS_NOTE,
         },
-        "conventions": {"j1_arg": j1_arg, "hom_phase": hom_phase},
+        "conventions": {"j1_arg": j1_arg, "hom_phase": "omega-t"},
         "prop_4a": {
             "applies": applies_4a,
             "status": status(applies_4a, delta > 0),

@@ -19,15 +19,14 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .certificate import build_certificate
 from .contour import contour_integral_closed, contour_kernels, default_contour
 from .melnikov import (
+    IntegrationFailure,
     NonConvergenceError,
     chaos_condition,
     closed_form_homoclinic,
@@ -39,7 +38,6 @@ from .melnikov import (
     subharmonic_quadrature,
 )
 from .pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, pendulum_system
-from .poincare import IntegrationFailure, IntegratorConfig, find_subharmonic, scaling_band
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,23 +52,6 @@ _FAMILIES = {
 
 def _fmt(x) -> str:
     return f"{x:.16e}"
-
-
-def _thread_count(args) -> int:
-    env = os.environ.get("MELNIKOV_LAB_THREADS")
-    if env:
-        return max(1, int(env))
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    return os.cpu_count() or 1
-
-
-def _pool_map(fn, items, args):
-    workers = _thread_count(args)
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(args, header, rows):
@@ -140,8 +121,8 @@ def cmd_melnikov(args) -> int:
     thetas = _theta_grid(args)
     if args.homoclinic:
         closed = closed_form_homoclinic(args.sign, args.beta, args.delta, args.omega)
-        quad_fn = lambda th: homoclinic_quadrature(
-            sys_, args.sign, float(th), phase_convention=args.hom_phase
+        quad_vals = homoclinic_quadrature(
+            sys_, args.sign, thetas, phase_convention=args.hom_phase
         )
     else:
         r = solve_resonance(_FAMILIES[args.family], args.omega, args.m, args.n)
@@ -153,9 +134,8 @@ def cmd_melnikov(args) -> int:
             )
             return EXIT_NUMERIC
         closed = closed_form_subharmonic(r, args.beta, args.delta, j1_arg=args.j1_arg)
-        quad_fn = lambda th: subharmonic_quadrature(sys_, r, float(th))
+        quad_vals = subharmonic_quadrature(sys_, r, thetas)
 
-    quad_vals = _pool_map(quad_fn, thetas, args)
     rows = []
     sup = 0.0
     for th, qv in zip(thetas, quad_vals):
@@ -174,7 +154,7 @@ def cmd_contour(args) -> int:
         return EXIT_NUMERIC
     fractions = (0.05, 0.1, 0.2)
     specs = [default_contour(r, radius_fraction=f) for f in fractions]
-    kernel_sets = _pool_map(lambda s: contour_kernels(r, s), specs, args)
+    kernel_sets = [contour_kernels(r, spec) for spec in specs]
     thetas = _theta_grid(args)
     rows = []
     for th in thetas:
@@ -210,7 +190,6 @@ def cmd_certify(args) -> int:
         n_max=args.n_max,
         theta_points=args.theta_points,
         j1_arg=args.j1_arg,
-        hom_phase=args.hom_phase,
     )
     _emit_json(args, cert)
     chaos = cert["chaos"]
@@ -226,6 +205,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # scipy.integrate costs most of the start-up; only verify needs it
+    from .poincare import IntegratorConfig, find_subharmonic, scaling_band
+
     r = solve_resonance(_FAMILIES[args.family], args.omega, args.m, args.n)
     if r is None:
         print("no resonance for the requested (family, omega, m, n)", file=sys.stderr)
@@ -300,7 +282,6 @@ def _add_common(p):
     p.add_argument("--theta-points", type=int, default=64)
     p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=9)
     p.add_argument("--n-max", type=int, default=2)
     p.add_argument("--j1-arg", choices=("n", "m"), default="n")
-    p.add_argument("--hom-phase", choices=("omega-t", "t"), default="omega-t")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="stroboscopic-map fixed points and scaling")
@@ -356,6 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
+    names = ("omega", "beta", "delta", "k_min", "k_max", "theta0")
+    reals = [getattr(args, name, None) for name in names]
+    reals += getattr(args, "eps", None) or []
+    if not all(math.isfinite(x) for x in reals if x is not None):
+        raise SystemExit(_usage_error("real-valued arguments must be finite"))
     if getattr(args, "omega", 1.0) <= 0:
         raise SystemExit(_usage_error("omega must be positive"))
     if getattr(args, "beta", 0.0) < 0 or getattr(args, "delta", 0.0) < 0:
@@ -366,6 +351,8 @@ def _validate(args) -> None:
         raise SystemExit(_usage_error("m and n must be coprime"))
     if getattr(args, "theta_points", 1) < 1:
         raise SystemExit(_usage_error("theta-points must be positive"))
+    if hasattr(args, "k_min") and not 0.0 < args.k_min < args.k_max < 1.0:
+        raise SystemExit(_usage_error("k window must satisfy 0 < k-min < k-max < 1"))
 
 
 def _usage_error(message: str) -> int:

@@ -17,7 +17,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .elliptic import EllipticModulus, jacobi_complex
-from .melnikov import NonConvergenceError, Resonance
+from .melnikov import Resonance, _trapezoid_doubling
 from .pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, orbit_complex_values
 
 __all__ = [
@@ -116,38 +116,24 @@ def _validate_spec(r: Resonance, spec: ContourSpec):
             )
 
 
-def _circle_sum(f, spec: ContourSpec, tol: float, n_max: int = 2**18) -> complex:
-    """Trapezoid contour integral with node doubling."""
-
-    def value(n):
-        s = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        e = np.exp(1j * s)
-        t = spec.center + spec.radius * e
-        return 2.0 * math.pi * np.mean(f(t) * 1j * spec.radius * e)
-
-    n = spec.nodes
-    prev = value(n)
-    while n < n_max:
-        n *= 2
-        cur = value(n)
-        if abs(cur - prev) <= tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    raise NonConvergenceError(f"contour quadrature not converged at {n} nodes")
-
-
 def contour_kernels(r: Resonance, spec: ContourSpec, tol: float = 1e-9) -> ContourKernels:
-    """Contour integrals of x2*cos(wt), x2*sin(wt) and x2^2."""
+    """Contour integrals of x2*cos(wt), x2*sin(wt) and x2^2 in one pass."""
     _validate_spec(r, spec)
     family = r.orbit
     omega = r.omega
 
-    def x2_of(t):
-        return orbit_complex_values(family, t)[1]
+    def sample_mean(n):
+        e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+        t = spec.center + spec.radius * e
+        x2 = orbit_complex_values(family, t)[1]
+        x2_dt = x2 * 1j * spec.radius * e
+        phase = omega * t
+        cos_k, sin_k = np.mean(x2_dt * np.cos(phase)), np.mean(x2_dt * np.sin(phase))
+        return np.array([cos_k, sin_k, np.mean(x2_dt * x2)])
 
-    cos_k = _circle_sum(lambda t: x2_of(t) * np.cos(omega * t), spec, tol)
-    sin_k = _circle_sum(lambda t: x2_of(t) * np.sin(omega * t), spec, tol)
-    damp_k = _circle_sum(lambda t: x2_of(t) ** 2, spec, tol)
+    cos_k, sin_k, damp_k = _trapezoid_doubling(
+        sample_mean, 2.0 * math.pi, tol, n0=spec.nodes, n_max=2**18
+    )
     return ContourKernels(cos_k, sin_k, damp_k)
 
 

@@ -6,6 +6,11 @@ accurate, the integrands being periodic or exponentially decaying), and
 through the sech / elliptic-integral closed forms.  Every curve has the
 shape const + coeff*cos(theta), so zeros, tangencies and the chaos
 threshold are available in closed form as well.
+
+The defining integral of x2*(beta*cos(omega t + theta) - delta*x2) is
+affine in cos(theta), sin(theta) and delta, so the quadrature integrates
+the three kernels x2*cos(omega t), x2*sin(omega t) and x2^2 in one pass
+and serves a scalar theta or a whole array of them.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .pendulum import (
 
 __all__ = [
     "NonConvergenceError",
+    "IntegrationFailure",
     "Resonance",
     "MelnikovCurve",
     "MelnikovZero",
@@ -49,6 +55,10 @@ _RESONANT_TAGS = (INNER, ROTATING_PLUS, ROTATING_MINUS)
 
 class NonConvergenceError(RuntimeError):
     """Node-doubling quadrature failed to reach its tolerance."""
+
+
+class IntegrationFailure(RuntimeError):
+    """The adaptive integrator failed (step-size collapse or similar)."""
 
 
 @dataclass(frozen=True)
@@ -125,26 +135,40 @@ def solve_resonance(family_tag: str, omega: float, m: int, n: int) -> Optional[R
 
 
 def _trapezoid_doubling(sample_mean, length, tol, n0=64, n_max=2**20):
-    """length * mean(f) with node doubling until successive values agree."""
+    """length * mean(f) with node doubling until successive values agree.
+
+    sample_mean(n) may return an array; every element must agree.
+    """
     n = n0
     prev = length * sample_mean(n)
     while n < n_max:
         n *= 2
         cur = length * sample_mean(n)
-        if abs(cur - prev) <= tol * (1.0 + abs(cur)):
+        if np.all(np.abs(cur - prev) <= tol * (1.0 + np.abs(cur))):
             return cur
         prev = cur
     raise NonConvergenceError(f"quadrature not converged at {n} nodes")
 
 
-def _melnikov_integrand(sys: ForcedSystem, x2, t, theta):
-    # DH . g = x2 * (beta*cos(omega t + theta) - delta*x2)
-    return x2 * (sys.beta * np.cos(sys.omega * t + theta) - sys.delta * x2)
+def _melnikov_values(sys: ForcedSystem, theta, sample_kernels, length, tol, n0=64):
+    """beta*(C cos(theta) - S sin(theta)) - delta*D by node doubling.
+
+    sample_kernels(n) returns the node means (C, S, D) of x2*cos(omega t),
+    x2*sin(omega t) and x2^2.  theta is a scalar (float result) or an
+    array (array result, numpy-style).
+    """
+    theta = np.asarray(theta, dtype=float)
+    cos_th, sin_th = np.cos(theta), np.sin(theta)
+
+    def sample_mean(n):
+        cos_k, sin_k, damp_k = sample_kernels(n)
+        return sys.beta * (cos_k * cos_th - sin_k * sin_th) - sys.delta * damp_k
+
+    value = _trapezoid_doubling(sample_mean, length, tol, n0=n0)
+    return float(value) if theta.ndim == 0 else value
 
 
-def subharmonic_quadrature(
-    sys: ForcedSystem, r: Resonance, theta: float, tol: float = 1e-10
-) -> float:
+def subharmonic_quadrature(sys: ForcedSystem, r: Resonance, theta, tol: float = 1e-10):
     """M^{m/n}(theta) by trapezoid quadrature over [0, 2*pi*m/omega].
 
     The integrand is periodic over the full interval at a resonance, so
@@ -153,12 +177,13 @@ def subharmonic_quadrature(
     family = r.orbit
     length = r.forcing_interval
 
-    def sample_mean(n):
+    def sample_kernels(n):
         t = np.linspace(0.0, length, n, endpoint=False)
         x2 = orbit_state(family, t).x2
-        return float(np.mean(_melnikov_integrand(sys, x2, t, theta)))
+        phase = sys.omega * t
+        return np.mean(x2 * np.cos(phase)), np.mean(x2 * np.sin(phase)), np.mean(x2 * x2)
 
-    return _trapezoid_doubling(sample_mean, length, tol)
+    return _melnikov_values(sys, theta, sample_kernels, length, tol)
 
 
 @dataclass(frozen=True)
@@ -208,14 +233,15 @@ def closed_form_subharmonic(
 def homoclinic_quadrature(
     sys: ForcedSystem,
     sign: int,
-    theta: float,
+    theta,
     tol: float = 1e-10,
     phase_convention: str = "omega-t",
-) -> float:
+):
     """M_+-(theta) by truncated trapezoid quadrature over the separatrix.
 
     The integrand decays like sech(t), so truncation at T leaves a tail
     below 1e-13; node doubling then drives the trapezoid error to tol.
+    theta is a scalar or an array, as for subharmonic_quadrature.
     phase_convention="t" evaluates the forcing at t + theta instead of
     omega*t + theta (audit hook; the closed forms use omega*t + theta).
     """
@@ -225,15 +251,16 @@ def homoclinic_quadrature(
     s = 1.0 if sign >= 0 else -1.0
     half = 40.0 + 5.0 * math.log10(1.0 / tol)
 
-    def sample_mean(n):
+    def sample_kernels(n):
         t = np.linspace(-half, half, n + 1)
         x2 = s * 2.0 / np.cosh(t)
-        f = x2 * (sys.beta * np.cos(rate * t + theta) - sys.delta * x2)
         w = np.ones(n + 1)
         w[0] = w[-1] = 0.5
-        return float(np.sum(w * f) / n)
+        wx2 = w * x2 / n
+        phase = rate * t
+        return np.sum(wx2 * np.cos(phase)), np.sum(wx2 * np.sin(phase)), np.sum(wx2 * x2)
 
-    return _trapezoid_doubling(sample_mean, 2.0 * half, tol, n0=512)
+    return _melnikov_values(sys, theta, sample_kernels, 2.0 * half, tol, n0=512)
 
 
 def closed_form_homoclinic(

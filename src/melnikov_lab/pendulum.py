@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -51,16 +51,13 @@ def wrap_angle(x):
 
 @dataclass(frozen=True)
 class ForcedSystem:
-    """A planar Hamiltonian system with a time-periodic perturbation.
+    """Parameters (omega, beta, delta) of the forced, damped pendulum.
 
-    The Melnikov machinery only touches hamiltonian, grad_h, perturbation
-    and the scalar parameters, so any forced oscillator of this shape can
-    be analyzed; the pendulum instance ships via pendulum_system().
+    The stroboscopic flow and the Melnikov integrands hard-code the
+    pendulum's H and g above; build instances with pendulum_system(),
+    which validates the parameters.
     """
 
-    hamiltonian: Callable[[float, float], float]
-    grad_h: Callable[[float, float], np.ndarray]
-    perturbation: Callable[[float, float, float], np.ndarray]
     omega: float
     beta: float
     delta: float
@@ -71,16 +68,7 @@ def pendulum_system(beta: float, delta: float, omega: float) -> ForcedSystem:
         raise ValueError("omega must be positive")
     if beta < 0 or delta < 0:
         raise ValueError("beta and delta must be nonnegative")
-    return ForcedSystem(
-        hamiltonian=lambda x1, x2: 1.0 - np.cos(x1) + 0.5 * x2**2,
-        grad_h=lambda x1, x2: np.array([np.sin(x1), x2]),
-        perturbation=lambda x1, x2, phase: np.array(
-            [0.0 * np.asarray(x2), beta * np.cos(phase) - delta * x2]
-        ),
-        omega=omega,
-        beta=beta,
-        delta=delta,
-    )
+    return ForcedSystem(omega=omega, beta=beta, delta=delta)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .melnikov import Resonance
+from .melnikov import IntegrationFailure, Resonance
 from .pendulum import INNER, ForcedSystem, OrbitPoint, orbit_state, wrap_angle
 
 __all__ = [
@@ -28,10 +28,6 @@ __all__ = [
     "scaling_band",
     "homoclinic_tangle_probe",
 ]
-
-
-class IntegrationFailure(RuntimeError):
-    """The adaptive integrator failed (step-size collapse or similar)."""
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import melnikov_lab
 from melnikov_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -97,8 +102,7 @@ class TestMelnikovCommand:
         assert code == EXIT_NUMERIC
         assert "no resonance" in err
 
-    def test_single_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MELNIKOV_LAB_THREADS", "1")
+    def test_theta_points_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, ["melnikov", "--m", "3", "--theta-points", "4"]
         )
@@ -227,6 +231,15 @@ class TestUsageErrors:
             ["melnikov", "--m", "2", "--n", "4"],
             ["melnikov", "--m", "0"],
             ["contour", "--theta-points", "0"],
+            ["resonances", "--k-min", "0"],
+            ["resonances", "--k-min", "0.5", "--k-max", "0.2"],
+            ["resonances", "--k-max", "1"],
+            ["melnikov", "--omega", "nan"],
+            ["certify", "--omega", "inf"],
+            ["melnikov", "--beta", "inf", "--m", "3"],
+            ["contour", "--delta", "nan"],
+            ["verify", "--eps", "1e-3", "nan"],
+            ["verify", "--theta0", "inf"],
         ],
     )
     def test_bad_arguments_exit_2(self, capsys, argv):
@@ -239,3 +252,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == EXIT_USAGE
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(melnikov_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, melnikov_lab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
