@@ -9,7 +9,8 @@ Subcommands emit plot-ready CSV tables or JSON documents:
   verify       stroboscopic-map fixed points and epsilon scaling
 
 Exit codes: 0 success (empty results included), 2 usage error,
-3 numerical non-convergence / integration failure / unsolvable resonance.
+3 numerical non-convergence / integration failure / unsolvable or
+out-of-range resonance / argument at a Jacobi pole.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ import numpy as np
 
 from .certificate import build_certificate
 from .contour import contour_integral_closed, contour_kernels, default_contour
+from .elliptic import PoleProximityError
 from .melnikov import (
     IntegrationFailure,
     NonConvergenceError,
-    chaos_condition,
+    ResonanceError,
     closed_form_homoclinic,
     closed_form_subharmonic,
     enumerate_resonances,
@@ -371,6 +373,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except IntegrationFailure as exc:
         print(f"melnikov-lab: integration failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (ResonanceError, PoleProximityError) as exc:
+        print(f"melnikov-lab: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -17,8 +17,8 @@ from typing import List, Tuple
 import numpy as np
 
 from .elliptic import EllipticModulus, jacobi_complex
-from .melnikov import Resonance, _trapezoid_doubling
-from .pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, orbit_complex_values
+from .melnikov import Resonance, _new_nodes, _trapezoid_doubling
+from .pendulum import INNER, ROTATING_MINUS, orbit_complex_values
 
 __all__ = [
     "SingleEnclosureViolation",
@@ -123,7 +123,7 @@ def contour_kernels(r: Resonance, spec: ContourSpec, tol: float = 1e-9) -> Conto
     omega = r.omega
 
     def sample_mean(n):
-        e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+        e = np.exp(1j * (_new_nodes(n, spec.nodes) * (2.0 * math.pi / n)))
         t = spec.center + spec.radius * e
         x2 = orbit_complex_values(family, t)[1]
         x2_dt = x2 * 1j * spec.radius * e

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +83,8 @@ def complete_E(k: float) -> float:
 class EllipticModulus:
     """An elliptic modulus k in (0,1) with its precomputed integrals.
 
-    K, E and K_prime = K(k') are evaluated once at construction so the
+    K, E and K_prime = K(k') are evaluated once at construction, and the
+    Landen chain of the Jacobi functions once on first use, so the
     quadrature loops elsewhere never recompute them.  Construct through
     ``from_k`` or, when k is extremely close to 1, ``from_k_prime`` (the
     complement is then the authoritative value and K keeps full accuracy).
@@ -120,6 +122,21 @@ class EllipticModulus:
             K_prime=_K_from_kprime(k),
         )
 
+    @cached_property
+    def _landen(self):
+        """(2^n a_n, (c_n/a_n, ..., c_1/a_1)) of the descending Landen chain.
+
+        Built on first use rather than in _build: a bisecting resonance
+        solve constructs dozens of moduli that never evaluate a Jacobi
+        function.
+        """
+        a, b, c = 1.0, self.k_prime, self.k
+        ratios = []
+        while abs(c) > 1e-16 * a and len(ratios) < 63:
+            a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+            ratios.append(c / a)
+        return (2.0 ** len(ratios)) * a, tuple(reversed(ratios))
+
     def complement(self) -> "EllipticModulus":
         """The modulus k' with roles of K and K' swapped."""
         return EllipticModulus(
@@ -140,25 +157,13 @@ class JacobiTriple:
     dn: object
 
 
-def _landen_chain(k: float, k_prime: float):
-    a_list = [1.0]
-    c_list = [k]
-    a, b, c = 1.0, k_prime, k
-    while abs(c) > 1e-16 * a and len(a_list) < 64:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        a_list.append(a)
-        c_list.append(c)
-    return a_list, c_list
-
-
 def _amplitude_reduced(t, mod: EllipticModulus):
     """Jacobi amplitude on arguments reduced to [-2K, 2K]."""
-    a_list, c_list = _landen_chain(mod.k, mod.k_prime)
-    n = len(a_list) - 1
-    phi = (2.0**n) * a_list[n] * t
-    for i in range(n, 0, -1):
-        ratio = c_list[i] / a_list[i]
-        phi = 0.5 * (phi + np.arcsin(np.clip(ratio * np.sin(phi), -1.0, 1.0)))
+    scale, ratios = mod._landen
+    phi = scale * t
+    # c_i < a_i, so |ratio * sin(phi)| <= 1 and arcsin needs no clip
+    for ratio in ratios:
+        phi = 0.5 * (phi + np.arcsin(ratio * np.sin(phi)))
     return phi
 
 
@@ -183,6 +188,8 @@ def jacobi_real(t, mod: EllipticModulus) -> JacobiTriple:
 def jacobi_am(t, mod: EllipticModulus):
     """Unwrapped Jacobi amplitude am(t, k); am(t + 2K) = am(t) + pi."""
     t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr)):
+        raise ValueError("jacobi_am requires finite arguments")
     two_K = 2.0 * mod.K
     winding = np.round(t_arr / two_K)
     t_red = t_arr - two_K * winding

@@ -34,6 +34,7 @@ from .pendulum import (
 __all__ = [
     "NonConvergenceError",
     "IntegrationFailure",
+    "ResonanceError",
     "Resonance",
     "MelnikovCurve",
     "MelnikovZero",
@@ -54,11 +55,30 @@ _RESONANT_TAGS = (INNER, ROTATING_PLUS, ROTATING_MINUS)
 
 
 class NonConvergenceError(RuntimeError):
-    """Node-doubling quadrature failed to reach its tolerance."""
+    """Node-doubling quadrature failed to reach its tolerance.
+
+    Carries the node count of the last level, the tolerance and the last
+    max |cur - prev| between successive levels.
+    """
+
+    def __init__(self, nodes: int, tol: float, last_diff: float):
+        super().__init__(
+            f"quadrature not converged at {nodes} nodes: last max |cur - prev| "
+            f"= {last_diff:.3e}, tolerance {tol:.1e} * (1 + |cur|)"
+        )
+        self.nodes, self.tol, self.last_diff = nodes, tol, last_diff
 
 
 class IntegrationFailure(RuntimeError):
     """The adaptive integrator failed (step-size collapse or similar)."""
+
+
+class ResonanceError(RuntimeError):
+    """The resonance condition has no solution among representable moduli."""
+
+
+# Largest |residual| / target that solve_resonance accepts.
+_RESONANCE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -114,7 +134,11 @@ def solve_resonance(family_tag: str, omega: float, m: int, n: int) -> Optional[R
 
     Inner orbits need K(k) = pi*m/(2*n*omega) which is solvable iff
     m/n > omega; returns None in that case (a valid outcome).  Rotating
-    orbits need k*K(k) = pi*m/(n*omega), always solvable.
+    orbits need k*K(k) = pi*m/(n*omega), solvable for every target.
+    Raises ResonanceError when the solved modulus misses the target by
+    more than 1e-10 relative: the bisection on k' in [1e-300, 1) cannot
+    resolve moduli much closer to 1 than k' ~ 1e-52, nor rotating ones
+    much closer to 0 than k ~ 1e-3.
     """
     if family_tag not in _RESONANT_TAGS:
         raise ValueError(f"unsupported resonance family {family_tag!r}")
@@ -131,31 +155,51 @@ def solve_resonance(family_tag: str, omega: float, m: int, n: int) -> Optional[R
         target = math.pi * m / (n * omega)
         # k*K(k) increases from 0 to inf as k' decreases from 1 to 0.
         mod = _bisect_k_prime(lambda mm: mm.k * mm.K, target)
-    return Resonance(family_tag, m, n, mod, omega)
+    r = Resonance(family_tag, m, n, mod, omega)
+    residual = r.residual()
+    if not abs(residual) <= _RESONANCE_RTOL * target:
+        raise ResonanceError(
+            f"{family_tag} {m}/{n} resonance at omega={omega!r} is out of range: "
+            f"residual {residual:.3e} against target {target:.6g} (k' = {mod.k_prime:.3e})"
+        )
+    return r
+
+
+def _new_nodes(n, n0):
+    """Indices j of the grid j/n that level n of _trapezoid_doubling adds."""
+    return np.arange(n) if n == n0 else np.arange(1, n, 2)
 
 
 def _trapezoid_doubling(sample_mean, length, tol, n0=64, n_max=2**20):
-    """length * mean(f) with node doubling until successive values agree.
+    """length * mean(f) with nested node doubling until successive values agree.
 
-    sample_mean(n) may return an array; every element must agree.
+    sample_mean(n) is the mean of f over the nodes that the n-node level
+    adds: all n0 nodes at the first level, after that only the n/2
+    odd-indexed ones, the midpoints of the previous level.  Each node is
+    evaluated once and T_2n = (T_n + M_n) / 2.  sample_mean(n) may return
+    an array; every element must agree.
     """
     n = n0
-    prev = length * sample_mean(n)
+    mean = sample_mean(n)
+    prev = length * mean
+    diff = math.inf
     while n < n_max:
         n *= 2
-        cur = length * sample_mean(n)
-        if np.all(np.abs(cur - prev) <= tol * (1.0 + np.abs(cur))):
+        mean = 0.5 * (mean + sample_mean(n))
+        cur = length * mean
+        diff = np.abs(cur - prev)
+        if np.all(diff <= tol * (1.0 + np.abs(cur))):
             return cur
         prev = cur
-    raise NonConvergenceError(f"quadrature not converged at {n} nodes")
+    raise NonConvergenceError(n, tol, float(np.max(diff)))
 
 
-def _melnikov_values(sys: ForcedSystem, theta, sample_kernels, length, tol, n0=64):
+def _melnikov_values(sys: ForcedSystem, theta, sample_kernels, length, tol, n0):
     """beta*(C cos(theta) - S sin(theta)) - delta*D by node doubling.
 
-    sample_kernels(n) returns the node means (C, S, D) of x2*cos(omega t),
-    x2*sin(omega t) and x2^2.  theta is a scalar (float result) or an
-    array (array result, numpy-style).
+    sample_kernels(n) returns the means (C, S, D) of x2*cos(omega t),
+    x2*sin(omega t) and x2^2 over the nodes that level n adds.  theta is
+    a scalar (float result) or an array (array result, numpy-style).
     """
     theta = np.asarray(theta, dtype=float)
     cos_th, sin_th = np.cos(theta), np.sin(theta)
@@ -176,14 +220,15 @@ def subharmonic_quadrature(sys: ForcedSystem, r: Resonance, theta, tol: float = 
     """
     family = r.orbit
     length = r.forcing_interval
+    n0 = 64
 
     def sample_kernels(n):
-        t = np.linspace(0.0, length, n, endpoint=False)
+        t = _new_nodes(n, n0) * (length / n)
         x2 = orbit_state(family, t).x2
         phase = sys.omega * t
         return np.mean(x2 * np.cos(phase)), np.mean(x2 * np.sin(phase)), np.mean(x2 * x2)
 
-    return _melnikov_values(sys, theta, sample_kernels, length, tol)
+    return _melnikov_values(sys, theta, sample_kernels, length, tol, n0=n0)
 
 
 @dataclass(frozen=True)
@@ -250,17 +295,24 @@ def homoclinic_quadrature(
     rate = sys.omega if phase_convention == "omega-t" else 1.0
     s = 1.0 if sign >= 0 else -1.0
     half = 40.0 + 5.0 * math.log10(1.0 / tol)
+    n0 = 512
 
     def sample_kernels(n):
-        t = np.linspace(-half, half, n + 1)
+        if n == n0:
+            # all n + 1 nodes, endpoints at half weight
+            t = np.linspace(-half, half, n + 1)
+            w = np.full(n + 1, 1.0 / n)
+            w[0] = w[-1] = 0.5 / n
+        else:
+            # the n/2 interior midpoints of the previous level
+            t = -half + _new_nodes(n, n0) * (2.0 * half / n)
+            w = 2.0 / n
         x2 = s * 2.0 / np.cosh(t)
-        w = np.ones(n + 1)
-        w[0] = w[-1] = 0.5
-        wx2 = w * x2 / n
+        wx2 = w * x2
         phase = rate * t
         return np.sum(wx2 * np.cos(phase)), np.sum(wx2 * np.sin(phase)), np.sum(wx2 * x2)
 
-    return _melnikov_values(sys, theta, sample_kernels, 2.0 * half, tol, n0=512)
+    return _melnikov_values(sys, theta, sample_kernels, 2.0 * half, tol, n0=n0)
 
 
 def closed_form_homoclinic(

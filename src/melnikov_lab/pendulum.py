@@ -143,10 +143,11 @@ def orbit_state(family: OrbitFamily, t):
         x2 = 2.0 * mod.k * tri.cn
     elif family.tag in (ROTATING_PLUS, ROTATING_MINUS):
         mod = family.modulus
-        u = t / mod.k
-        tri = jacobi_real(u, mod)
-        x1 = family.sign * 2.0 * jacobi_am(u, mod)
-        x2 = family.sign * (2.0 / mod.k) * tri.dn
+        am = jacobi_am(t / mod.k, mod)
+        x1 = family.sign * 2.0 * am
+        # dn from the amplitude x1 needs anyway: one Landen pass per sample
+        dn = np.sqrt(mod.k_prime**2 + (mod.k * np.cos(am)) ** 2)
+        x2 = family.sign * (2.0 / mod.k) * dn
     else:
         x1 = family.sign * 2.0 * np.arcsin(np.tanh(t))
         x2 = family.sign * 2.0 / np.cosh(t)

@@ -10,7 +10,7 @@ O(epsilon) distance from the unperturbed resonant orbit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

@@ -46,6 +46,16 @@ class TestResonancesCommand:
         _, rows = parse_csv(out)
         assert rows == []
 
+    def test_out_of_range_resonance_exits_3(self, capsys):
+        # k K = 1000 pi needs k' ~ 4 exp(-3142), far below the float range
+        code, out, err = run_cli(
+            capsys,
+            ["resonances", "--family", "rotating+", "--omega", "1e-3", "--m-max", "2"],
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "out of range" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, ["resonances", "--m-max", "3", "--format", "json"]
@@ -102,6 +112,13 @@ class TestMelnikovCommand:
         assert code == EXIT_NUMERIC
         assert "no resonance" in err
 
+    def test_out_of_range_resonance_exits_3(self, capsys):
+        # inner 101/1 at omega = 1 needs k' ~ 1e-69, below what bisection resolves
+        code, out, err = run_cli(capsys, ["melnikov", "--m", "101", "--omega", "1"])
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "out of range" in err
+
     def test_theta_points_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, ["melnikov", "--m", "3", "--theta-points", "4"]
@@ -112,6 +129,19 @@ class TestMelnikovCommand:
 
 
 class TestContourCommand:
+    def test_pole_proximity_exits_3(self, capsys, monkeypatch):
+        import melnikov_lab.cli as cli
+        from melnikov_lab.elliptic import PoleProximityError
+
+        def at_pole(*args, **kwargs):
+            raise PoleProximityError("argument within pole clearance")
+
+        monkeypatch.setattr(cli, "contour_kernels", at_pole)
+        code, out, err = run_cli(capsys, ["contour", "--m", "3"])
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "pole" in err
+
     def test_three_radii_match_closed_form(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -170,6 +170,8 @@ class TestJacobiReal:
         m = EllipticModulus.from_k(0.5)
         with pytest.raises(ValueError):
             jacobi_real(math.nan, m)
+        with pytest.raises(ValueError):
+            jacobi_am(np.array([0.0, math.inf]), m)
 
     def test_amplitude_unwrapped(self):
         m = EllipticModulus.from_k(0.7)

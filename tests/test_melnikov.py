@@ -7,7 +7,10 @@ from scipy.integrate import quad
 from melnikov_lab.elliptic import EllipticModulus
 from melnikov_lab.melnikov import (
     MelnikovCurve,
+    NonConvergenceError,
     Resonance,
+    ResonanceError,
+    _trapezoid_doubling,
     chaos_condition,
     closed_form_homoclinic,
     closed_form_subharmonic,
@@ -46,6 +49,28 @@ class TestSolveResonance:
         r = solve_resonance(INNER, 1.0, 11, 1)
         assert abs(r.residual()) <= 1e-10
         assert r.modulus.k_prime < 1e-6
+
+    @pytest.mark.parametrize(
+        "family, omega, m",
+        [
+            (INNER, 1.0, 101),  # k' = 3.1e-61 with residual -17.9
+            (INNER, 1.0, 81),  # residual -4.8e-7, 3.8e-9 of the target
+            (ROTATING_PLUS, 1e-3, 1),  # k' ~ 4 exp(-3142) underflows
+            (ROTATING_MINUS, 1e-3, 2),
+        ],
+    )
+    def test_out_of_range_raises(self, family, omega, m):
+        with pytest.raises(ResonanceError, match="out of range"):
+            solve_resonance(family, omega, m, 1)
+
+    def test_each_solve_meets_its_target_or_raises(self):
+        # K = ln(4/k') + O(k'^2): m runs k' from 0.1 down past 1e-100
+        for m in range(2, 151):
+            try:
+                r = solve_resonance(INNER, 1.0, m, 1)
+            except ResonanceError:
+                continue
+            assert abs(r.residual()) <= 1e-10 * math.pi * m / 2.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -96,6 +121,18 @@ class TestSubharmonicQuadrature:
         a = subharmonic_quadrature(sys, r, 0.4)
         b = subharmonic_quadrature(sys, r, -0.4)
         assert a == pytest.approx(b, abs=1e-10)
+
+
+class TestNodeDoubling:
+    def test_nonconvergence_reports_tolerance_and_last_difference(self):
+        # level means 64, then (64 + 128) / 2 = 96: the last difference is 32
+        with pytest.raises(NonConvergenceError) as exc:
+            _trapezoid_doubling(float, 1.0, 1e-10, n0=64, n_max=128)
+        err = exc.value
+        assert (err.nodes, err.tol, err.last_diff) == (128, 1e-10, 32.0)
+        assert "128 nodes" in str(err)
+        assert "3.200e+01" in str(err)
+        assert "1.0e-10" in str(err)
 
 
 class TestClosedFormSubharmonic:

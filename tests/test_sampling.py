@@ -1,0 +1,184 @@
+"""Nested node doubling and the one-pass Jacobi amplitude.
+
+A quadrature that stops at N nodes must have sampled the orbit on exactly
+N points, and its value must equal the direct N-node trapezoid rule of the
+three kernels.  The rotating orbit's velocity, now taken from the Jacobi
+amplitude, must match dn from jacobi_real; the Landen descent must stay
+free of NaN without clipping its arcsin argument.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from melnikov_lab import contour, melnikov
+from melnikov_lab.elliptic import EllipticModulus, _amplitude_reduced, jacobi_am, jacobi_real
+from melnikov_lab.pendulum import (
+    INNER,
+    ROTATING_MINUS,
+    ROTATING_PLUS,
+    OrbitFamily,
+    orbit_complex_values,
+    orbit_state,
+    pendulum_system,
+)
+
+THETAS = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+CASES = [
+    (INNER, 1.0, 3, 1),
+    (INNER, 0.9, 5, 2),
+    (INNER, 1.0, 11, 1),
+    (ROTATING_PLUS, 1.2, 1, 1),
+    (ROTATING_MINUS, 0.8, 3, 2),
+    (ROTATING_PLUS, 1.0, 7, 1),
+]
+ALIGNED = [(INNER, 1.0, 3, 1), (INNER, 1.3, 5, 1), (ROTATING_PLUS, 1.0, 2, 1),
+           (ROTATING_MINUS, 0.9, 1, 1)]
+
+
+def _record_levels(monkeypatch, module):
+    """Level sizes n that module's _trapezoid_doubling passes to its sampler."""
+    levels = []
+    original = module._trapezoid_doubling
+
+    def recording(sample_mean, *args, **kwargs):
+        def sample(n):
+            levels.append(n)
+            return sample_mean(n)
+
+        return original(sample, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_trapezoid_doubling", recording)
+    return levels
+
+
+def _count_points(monkeypatch, module, name):
+    """Sizes of the time arrays module passes to its orbit sampler name."""
+    points = []
+    original = getattr(module, name)
+
+    def counting(family, t):
+        points.append(np.size(t))
+        return original(family, t)
+
+    monkeypatch.setattr(module, name, counting)
+    return points
+
+
+def _close(nested, direct):
+    return np.all(np.abs(nested - direct) <= 1e-13 * (1.0 + np.abs(direct)))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_subharmonic_samples_each_node_once(monkeypatch, case):
+    family, omega, m, n = case
+    r = melnikov.solve_resonance(family, omega, m, n)
+    levels = _record_levels(monkeypatch, melnikov)
+    points = _count_points(monkeypatch, melnikov, "orbit_state")
+    melnikov.subharmonic_quadrature(pendulum_system(1.0, 0.5, omega), r, THETAS)
+    assert len(levels) >= 2 and len(points) == len(levels)
+    assert sum(points) == levels[-1]
+
+
+@pytest.mark.parametrize("case", ALIGNED)
+def test_contour_samples_each_node_once(monkeypatch, case):
+    r = melnikov.solve_resonance(*case)
+    spec = contour.default_contour(r)
+    levels = _record_levels(monkeypatch, contour)
+    points = _count_points(monkeypatch, contour, "orbit_complex_values")
+    contour.contour_kernels(r, spec, tol=1e-12)
+    assert len(levels) >= 2 and len(points) == len(levels)
+    assert sum(points) == levels[-1]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_subharmonic_equals_direct_trapezoid(monkeypatch, case):
+    family, omega, m, n = case
+    r = melnikov.solve_resonance(family, omega, m, n)
+    sys = pendulum_system(0.7, 1.3, omega)
+    levels = _record_levels(monkeypatch, melnikov)
+    nested = melnikov.subharmonic_quadrature(sys, r, THETAS)
+
+    length = r.forcing_interval
+    t = np.linspace(0.0, length, levels[-1], endpoint=False)
+    x2 = orbit_state(r.orbit, t).x2
+    c, s, d = (np.mean(x2 * k) for k in (np.cos(omega * t), np.sin(omega * t), x2))
+    direct = length * (sys.beta * (c * np.cos(THETAS) - s * np.sin(THETAS)) - sys.delta * d)
+    assert _close(nested, direct)
+
+
+@pytest.mark.parametrize("sign, omega", [(1, 1.0), (-1, 1.4), (1, 0.6)])
+def test_homoclinic_equals_direct_trapezoid(monkeypatch, sign, omega):
+    sys = pendulum_system(1.1, 0.4, omega)
+    levels = _record_levels(monkeypatch, melnikov)
+    nested = melnikov.homoclinic_quadrature(sys, sign, THETAS)
+
+    tol, n = 1e-10, levels[-1]
+    half = 40.0 + 5.0 * math.log10(1.0 / tol)
+    t = np.linspace(-half, half, n + 1)
+    w = np.full(n + 1, 2.0 * half / n)
+    w[0] = w[-1] = half / n
+    x2 = sign * 2.0 / np.cosh(t)
+    c, s, d = (np.sum(w * x2 * k) for k in (np.cos(omega * t), np.sin(omega * t), x2))
+    direct = sys.beta * (c * np.cos(THETAS) - s * np.sin(THETAS)) - sys.delta * d
+    assert _close(nested, direct)
+
+
+@pytest.mark.parametrize("case", ALIGNED)
+def test_contour_kernels_equal_direct_trapezoid(monkeypatch, case):
+    r = melnikov.solve_resonance(*case)
+    spec = contour.default_contour(r)
+    levels = _record_levels(monkeypatch, contour)
+    ker = contour.contour_kernels(r, spec, tol=1e-12)
+    nested = np.array([ker.cos_kernel, ker.sin_kernel, ker.damping_kernel])
+
+    e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, levels[-1], endpoint=False))
+    t = spec.center + spec.radius * e
+    x2 = orbit_complex_values(r.orbit, t)[1]
+    x2_dt = x2 * 1j * spec.radius * e
+    direct = 2.0 * math.pi * np.array(
+        [np.mean(x2_dt * k) for k in (np.cos(r.omega * t), np.sin(r.omega * t), x2)]
+    )
+    assert _close(nested, direct)
+
+
+@PROPERTY
+@given(
+    st.floats(-100.0, math.log10(0.99)),
+    st.sampled_from((ROTATING_PLUS, ROTATING_MINUS)),
+    st.floats(0.0, 1.0),
+)
+@example(-100.0, ROTATING_PLUS, 0.5)
+@example(math.log10(0.99), ROTATING_MINUS, 0.0)
+def test_rotating_velocity_from_amplitude_matches_dn(log_kp, tag, shift):
+    mod = EllipticModulus.from_k_prime(10.0**log_kp)
+    family = OrbitFamily(tag, mod)
+    span = 20.0 * family.period
+    t = np.linspace(-span, span, 513) + shift * family.period / 513
+    state = orbit_state(family, t)
+    sign = family.sign
+    assert np.array_equal(state.x1, sign * 2.0 * jacobi_am(t / mod.k, mod))
+    reference = sign * (2.0 / mod.k) * jacobi_real(t / mod.k, mod).dn
+    # dn ~ k' near the half period, so the bound is absolute
+    assert np.max(np.abs(state.x2 - reference)) <= 1e-12 * (2.0 / mod.k)
+
+
+@PROPERTY
+@given(st.floats(-300.0, math.log10(1.0 - 1e-16)))
+@example(-300.0)
+@example(math.log10(1.0 - 1e-16))
+def test_landen_descent_without_clip_stays_finite(log_kp):
+    k_prime = 10.0**log_kp
+    assume(0.0 < k_prime < 1.0)
+    mod = EllipticModulus.from_k_prime(k_prime)
+    t = np.linspace(-2.0 * mod.K, 2.0 * mod.K, 2049)
+    phi = _amplitude_reduced(t, mod)
+    assert np.all(np.isfinite(phi))
+    # am runs from -pi at -2K to pi at 2K
+    assert abs(phi[0] + math.pi) <= 1e-9 and abs(phi[-1] - math.pi) <= 1e-9
+    assert np.all(np.abs(phi) <= math.pi + 1e-9)
