@@ -107,10 +107,31 @@ class Resonance:
 
     def residual(self) -> float:
         """Residual of the defining resonance equation."""
-        mod = self.modulus
-        if self.family_tag == INNER:
-            return mod.K - math.pi * self.m / (2.0 * self.n * self.omega)
-        return mod.k * mod.K - math.pi * self.m / (self.n * self.omega)
+        target, period = _resonance_equation(self.family_tag, self.omega, self.m, self.n)
+        return period(self.modulus) - target
+
+
+def _quarter_period(mod: EllipticModulus) -> float:
+    return mod.K
+
+
+def _rotating_period(mod: EllipticModulus) -> float:
+    return mod.k * mod.K
+
+
+def _resonance_equation(family_tag: str, omega: float, m: int, n: int):
+    """(target, period) such that the m/n resonance is period(modulus) = target.
+
+    period increases with k: K(k) for inner orbits, k*K(k) for rotating
+    ones (k*K runs from 0 to inf as k' decreases from 1 to 0).
+    """
+    if family_tag not in _RESONANT_TAGS:
+        raise ValueError(f"unsupported resonance family {family_tag!r}")
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    if family_tag == INNER:
+        return math.pi * m / (2.0 * n * omega), _quarter_period
+    return math.pi * m / (n * omega), _rotating_period
 
 
 def _bisect_k_prime(target_fn, target: float) -> EllipticModulus:
@@ -140,21 +161,12 @@ def solve_resonance(family_tag: str, omega: float, m: int, n: int) -> Optional[R
     resolve moduli much closer to 1 than k' ~ 1e-52, nor rotating ones
     much closer to 0 than k ~ 1e-3.
     """
-    if family_tag not in _RESONANT_TAGS:
-        raise ValueError(f"unsupported resonance family {family_tag!r}")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    target, period = _resonance_equation(family_tag, omega, m, n)
     if m < 1 or n < 1 or math.gcd(m, n) != 1:
         raise ValueError("m, n must be coprime positive integers")
-    if family_tag == INNER:
-        target = math.pi * m / (2.0 * n * omega)
-        if target <= math.pi / 2.0:
-            return None
-        mod = _bisect_k_prime(lambda mm: mm.K, target)
-    else:
-        target = math.pi * m / (n * omega)
-        # k*K(k) increases from 0 to inf as k' decreases from 1 to 0.
-        mod = _bisect_k_prime(lambda mm: mm.k * mm.K, target)
+    if family_tag == INNER and target <= math.pi / 2.0:
+        return None
+    mod = _bisect_k_prime(period, target)
     r = Resonance(family_tag, m, n, mod, omega)
     residual = r.residual()
     if not abs(residual) <= _RESONANCE_RTOL * target:
@@ -298,19 +310,10 @@ def homoclinic_quadrature(
     n0 = 512
 
     def sample_kernels(n):
-        if n == n0:
-            # all n + 1 nodes, endpoints at half weight
-            t = np.linspace(-half, half, n + 1)
-            w = np.full(n + 1, 1.0 / n)
-            w[0] = w[-1] = 0.5 / n
-        else:
-            # the n/2 interior midpoints of the previous level
-            t = -half + _new_nodes(n, n0) * (2.0 * half / n)
-            w = 2.0 / n
+        t = -half + _new_nodes(n, n0) * (2.0 * half / n)
         x2 = s * 2.0 / np.cosh(t)
-        wx2 = w * x2
         phase = rate * t
-        return np.sum(wx2 * np.cos(phase)), np.sum(wx2 * np.sin(phase)), np.sum(wx2 * x2)
+        return np.mean(x2 * np.cos(phase)), np.mean(x2 * np.sin(phase)), np.mean(x2 * x2)
 
     return _melnikov_values(sys, theta, sample_kernels, 2.0 * half, tol, n0=n0)
 
@@ -395,15 +398,24 @@ def enumerate_resonances(
     """All coprime (m, n) resonances whose modulus lies in the window.
 
     Exhibits a finite sample of the key set; with n_max = 1 the inner
-    moduli increase monotonically toward 1 with m.
+    moduli increase monotonically toward 1 with m.  An (m, n) whose
+    resonance target lies outside the targets of the window edges is
+    skipped unsolved, so moduli too close to 0 or 1 to resolve (which
+    solve_resonance reports with ResonanceError) never stop the search.
     """
     k_lo, k_hi = k_window
     if not 0.0 < k_lo < k_hi < 1.0:
         raise ValueError("k window must satisfy 0 < k_lo < k_hi < 1")
+    _, period = _resonance_equation(family_tag, omega, 1, 1)
+    edge_lo = period(EllipticModulus.from_k(k_lo))
+    edge_hi = period(EllipticModulus.from_k(k_hi))
     found = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
             if math.gcd(m, n) != 1:
+                continue
+            target, _ = _resonance_equation(family_tag, omega, m, n)
+            if not edge_lo <= target <= edge_hi:
                 continue
             r = solve_resonance(family_tag, omega, m, n)
             if r is not None and k_lo <= r.modulus.k <= k_hi:

@@ -46,15 +46,22 @@ class TestResonancesCommand:
         _, rows = parse_csv(out)
         assert rows == []
 
-    def test_out_of_range_resonance_exits_3(self, capsys):
-        # k K = 1000 pi needs k' ~ 4 exp(-3142), far below the float range
-        code, out, err = run_cli(
+    def test_out_of_window_resonance_is_skipped(self, capsys):
+        # k K = 1000 pi needs k' ~ 4 exp(-3142): outside every k window
+        code, out, _ = run_cli(
             capsys,
             ["resonances", "--family", "rotating+", "--omega", "1e-3", "--m-max", "2"],
         )
-        assert code == EXIT_NUMERIC
-        assert out == ""
-        assert "out of range" in err
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert rows == []
+
+    def test_unresolvable_moduli_do_not_stop_the_table(self, capsys):
+        # inner m >= 79 at omega = 1 lies beyond what the bisection resolves
+        code, out, _ = run_cli(capsys, ["resonances", "--omega", "1.0", "--m-max", "100"])
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert [int(r[1]) for r in rows] == list(range(2, 12))
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -179,6 +186,12 @@ class TestCertifyCommand:
         assert cert["prop_4c"]["status"] == "applies"
         assert not cert["chaos"]["condition_holds"]
         assert "prop 4a: applies" in err
+
+    def test_unresolvable_moduli_do_not_stop_the_certificate(self, capsys):
+        # rotating 8/1 at omega = 0.2 needs k' ~ 1e-54, beyond the bisection
+        code, out, _ = run_cli(capsys, ["certify", "--omega", "0.2"])
+        assert code == EXIT_OK
+        assert json.loads(out)["prop_4b"]["status"] == "applies"
 
     def test_zero_forcing_is_inconclusive(self, capsys):
         code, out, _ = run_cli(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import melnikov_lab.melnikov as melnikov_module
 from melnikov_lab.elliptic import EllipticModulus
 from melnikov_lab.melnikov import (
     MelnikovCurve,
@@ -269,6 +270,35 @@ class TestEnumerateResonances:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             enumerate_resonances(INNER, 1.0, (0.9, 0.1), 5, 1)
+
+    @pytest.mark.parametrize(
+        "family, omega", [(INNER, 1.0), (ROTATING_PLUS, 0.2), (ROTATING_MINUS, 1e-3)]
+    )
+    def test_skips_out_of_window_targets_unsolved(self, monkeypatch, family, omega):
+        # each case has (m, n) whose moduli solve_resonance cannot resolve
+        window = (0.05, 0.999)
+        in_window = []
+        for m in range(1, 101):
+            for n in range(1, 4):
+                if math.gcd(m, n) != 1:
+                    continue
+                try:
+                    r = solve_resonance(family, omega, m, n)
+                except ResonanceError:
+                    continue
+                if r is not None and window[0] <= r.modulus.k <= window[1]:
+                    in_window.append(r)
+
+        solved = []
+
+        def recording(*args):
+            solved.append(solve_resonance(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(melnikov_module, "solve_resonance", recording)
+        rs = enumerate_resonances(family, omega, window, 100, 3)
+        assert rs == sorted(in_window, key=lambda r: r.modulus.k)
+        assert len(solved) == len(in_window)
 
 
 class TestHomoclinicLimitCheck:
