@@ -18,6 +18,7 @@ import numpy as np
 
 from .contour import contour_integral_closed, contour_integral_numeric, default_contour
 from .melnikov import (
+    K_WINDOW,
     Resonance,
     chaos_condition,
     closed_form_homoclinic,
@@ -37,10 +38,9 @@ _EPS_NOTE = (
 
 
 def _sample_resonances(omega: float, m_max: int, n_max: int) -> List[Resonance]:
-    window = (1e-6, 1.0 - 1e-15)
     out = []
     for tag in (INNER, ROTATING_PLUS, ROTATING_MINUS):
-        out.extend(enumerate_resonances(tag, omega, window, m_max, n_max))
+        out.extend(enumerate_resonances(tag, omega, K_WINDOW, m_max, n_max))
     return out
 
 

@@ -1,12 +1,14 @@
 """Command-line front end: melnikov-lab.
 
-Subcommands emit plot-ready CSV tables or JSON documents:
+Subcommands emit plot-ready CSV/JSON tables or JSON documents:
 
   resonances   solve the resonance condition over an (m, n) range
   melnikov     subharmonic/homoclinic curve, quadrature vs closed form
   contour      complex contour integral, numeric vs residue closed form
   certify      nonintegrability certificate as JSON
-  verify       stroboscopic-map fixed points and epsilon scaling
+  verify       stroboscopic-map fixed points and epsilon scaling, as JSON
+
+Each subcommand takes only the flags it reads.
 
 Exit codes: 0 success (empty results included), 2 usage error,
 3 numerical non-convergence / integration failure / unsolvable or
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -28,6 +31,7 @@ from .certificate import build_certificate
 from .contour import contour_integral_closed, contour_kernels, default_contour
 from .elliptic import PoleProximityError
 from .melnikov import (
+    K_WINDOW,
     IntegrationFailure,
     NonConvergenceError,
     ResonanceError,
@@ -56,22 +60,24 @@ def _fmt(x) -> str:
     return f"{x:.16e}"
 
 
-def _emit(args, header, rows):
-    out = io.StringIO()
-    if args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        records = [dict(zip(header, row)) for row in rows]
-        out.write(json.dumps(records, indent=2))
-        out.write("\n")
-    text = out.getvalue()
+def _write(args, text):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, header, rows):
+    """A table as CSV, or as JSON records under --format json."""
+    if args.format == "json":
+        _emit_json(args, [dict(zip(header, row)) for row in rows])
+        return
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(args, out.getvalue())
 
 
 def _json_default(obj):
@@ -85,16 +91,22 @@ def _json_default(obj):
 
 
 def _emit_json(args, document):
-    text = json.dumps(document, indent=2, default=_json_default) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, json.dumps(document, indent=2, default=_json_default) + "\n")
 
 
 def _theta_grid(args):
     return np.linspace(0.0, 2.0 * math.pi, args.theta_points, endpoint=False)
+
+
+def _resonance(args):
+    """The requested resonance; an inner m/n <= omega has none (exit 3)."""
+    r = solve_resonance(_FAMILIES[args.family], args.omega, args.m, args.n)
+    if r is None:
+        raise ResonanceError(
+            f"no resonance: inner family needs m/n > omega "
+            f"(m={args.m}, n={args.n}, omega={args.omega})"
+        )
+    return r
 
 
 def cmd_resonances(args) -> int:
@@ -127,14 +139,7 @@ def cmd_melnikov(args) -> int:
             sys_, args.sign, thetas, phase_convention=args.hom_phase
         )
     else:
-        r = solve_resonance(_FAMILIES[args.family], args.omega, args.m, args.n)
-        if r is None:
-            print(
-                f"no resonance: inner family needs m/n > omega "
-                f"(m={args.m}, n={args.n}, omega={args.omega})",
-                file=sys.stderr,
-            )
-            return EXIT_NUMERIC
+        r = _resonance(args)
         closed = closed_form_subharmonic(r, args.beta, args.delta, j1_arg=args.j1_arg)
         quad_vals = subharmonic_quadrature(sys_, r, thetas)
 
@@ -150,10 +155,7 @@ def cmd_melnikov(args) -> int:
 
 
 def cmd_contour(args) -> int:
-    r = solve_resonance(_FAMILIES[args.family], args.omega, args.m, args.n)
-    if r is None:
-        print("no resonance for the requested (family, omega, m, n)", file=sys.stderr)
-        return EXIT_NUMERIC
+    r = _resonance(args)
     fractions = (0.05, 0.1, 0.2)
     specs = [default_contour(r, radius_fraction=f) for f in fractions]
     kernel_sets = [contour_kernels(r, spec) for spec in specs]
@@ -162,9 +164,7 @@ def cmd_contour(args) -> int:
     for th in thetas:
         closed = contour_integral_closed(r, float(th), args.beta).value
         for spec, kernels in zip(specs, kernel_sets):
-            numeric = args.beta * (
-                kernels.cos_kernel * math.cos(th) - kernels.sin_kernel * math.sin(th)
-            ) - args.delta * kernels.damping_kernel
+            numeric = kernels.value(th, args.beta, args.delta)
             rows.append(
                 [
                     _fmt(th),
@@ -208,12 +208,9 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     # scipy.integrate costs most of the start-up; only verify needs it
-    from .poincare import IntegratorConfig, find_subharmonic, scaling_band
+    from .poincare import find_subharmonic, scaling_band
 
-    r = solve_resonance(_FAMILIES[args.family], args.omega, args.m, args.n)
-    if r is None:
-        print("no resonance for the requested (family, omega, m, n)", file=sys.stderr)
-        return EXIT_NUMERIC
+    r = _resonance(args)
     sys_ = pendulum_system(args.beta, args.delta, args.omega)
     if args.theta0 is not None:
         theta0 = args.theta0
@@ -224,7 +221,6 @@ def cmd_verify(args) -> int:
         hypothesis_ok = analysis.has_simple_zero
         theta0 = analysis.zeros[0].theta if analysis.zeros else 0.0
 
-    config = IntegratorConfig()
     records = []
     distances, eps_used = [], []
     for eps in args.eps:
@@ -233,7 +229,7 @@ def cmd_verify(args) -> int:
                 {"eps": 0.0, "converged": True, "residual": 0.0, "distance": 0.0}
             )
             continue
-        result = find_subharmonic(sys_, eps, r, theta0, config=config)
+        result = find_subharmonic(sys_, eps, r, theta0)
         rec = {
             "eps": eps,
             "converged": result.converged,
@@ -269,21 +265,26 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--omega", type=float, default=1.0, help="forcing frequency > 0")
-    p.add_argument("--beta", type=float, default=1.0, help="forcing amplitude >= 0")
-    p.add_argument("--delta", type=float, default=0.0, help="damping >= 0")
-    p.add_argument(
-        "--family",
-        choices=sorted(_FAMILIES),
-        default="inner",
-        help="orbit family for resonant computations",
-    )
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--theta-points", type=int, default=64)
-    p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+# Flags that more than one subcommand reads: dest -> add_argument keywords.
+_SHARED_FLAGS = {
+    "omega": dict(type=float, default=1.0, help="forcing frequency > 0"),
+    "beta": dict(type=float, default=1.0, help="forcing amplitude >= 0"),
+    "delta": dict(type=float, default=0.0, help="damping >= 0"),
+    "family": dict(
+        choices=sorted(_FAMILIES), default="inner", help="resonant orbit family"
+    ),
+    "m": dict(type=int, default=3),
+    "n": dict(type=int, default=1),
+    "theta_points": dict(type=int, default=64),
+    "j1_arg": dict(choices=("n", "m"), default="n"),
+    "out": dict(type=str, default=None, help="output path (default stdout)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+}
+
+
+def _add_flags(p, *dests):
+    for dest in dests:
+        p.add_argument("--" + dest.replace("_", "-"), **_SHARED_FLAGS[dest])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,39 +292,39 @@ def build_parser() -> argparse.ArgumentParser:
         prog="melnikov-lab",
         description="Melnikov analysis of the periodically forced damped pendulum",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching, so --m cannot reach --m-max where there is no --m
+    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
+    system = ("omega", "beta", "delta")
+    resonance = ("family", "m", "n")
 
     p = sub.add_parser("resonances", help="enumerate resonant moduli")
-    _add_common(p)
+    _add_flags(p, "omega", "family", "out", "format")
     p.add_argument("--m-max", type=int, default=9)
     p.add_argument("--n-max", type=int, default=1)
-    p.add_argument("--k-min", type=float, default=1e-6)
-    p.add_argument("--k-max", type=float, default=1.0 - 1e-15)
+    p.add_argument("--k-min", type=float, default=K_WINDOW[0])
+    p.add_argument("--k-max", type=float, default=K_WINDOW[1])
     p.set_defaults(func=cmd_resonances)
 
     p = sub.add_parser("melnikov", help="Melnikov curve, quadrature vs closed form")
-    _add_common(p)
+    _add_flags(p, *system, *resonance, "theta_points", "out", "format", "j1_arg")
     p.add_argument("--homoclinic", action="store_true")
     p.add_argument("--sign", type=int, choices=(-1, 1), default=1)
-    p.add_argument("--j1-arg", choices=("n", "m"), default="n")
     p.add_argument("--hom-phase", choices=("omega-t", "t"), default="omega-t")
     p.set_defaults(func=cmd_melnikov)
 
     p = sub.add_parser("contour", help="contour integral, numeric vs closed form")
-    _add_common(p)
+    _add_flags(p, *system, *resonance, "theta_points", "out", "format")
     p.set_defaults(func=cmd_contour)
 
-    p = sub.add_parser("certify", help="emit a nonintegrability certificate")
-    _add_common(p)
-    p.set_defaults(format="json")
+    p = sub.add_parser("certify", help="emit a nonintegrability certificate (JSON)")
+    _add_flags(p, *system, "theta_points", "out", "j1_arg")
     p.add_argument("--m-max", type=int, default=9)
     p.add_argument("--n-max", type=int, default=2)
-    p.add_argument("--j1-arg", choices=("n", "m"), default="n")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("verify", help="stroboscopic-map fixed points and scaling")
-    _add_common(p)
-    p.set_defaults(format="json")
+    p = sub.add_parser("verify", help="stroboscopic-map fixed points and scaling (JSON)")
+    _add_flags(p, *system, *resonance, "out")
     p.add_argument(
         "--eps",
         type=float,

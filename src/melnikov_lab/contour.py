@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+_CONTOUR_N0 = 64  # trapezoid nodes on the first node-doubling level
+_PROBE_NODES = 1024  # trapezoid nodes on each Laurent probe circle
+_SUBSTITUTION_TOL = 1e-10  # quad tolerance of both sides of substitution_check
+
+
 class SingleEnclosureViolation(ValueError):
     """Contour radius too large: more than one pole could be enclosed."""
 
@@ -45,14 +50,11 @@ class ContourSpec:
 
     center: complex
     radius: float
-    nodes: int = 64
     theta: float = 0.0
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if self.nodes < 64:
-            raise ValueError("need at least 64 trapezoid nodes")
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,15 @@ class ContourKernels:
     cos_kernel: complex
     sin_kernel: complex
     damping_kernel: complex
+
+    def value(self, theta, beta: float, delta: float):
+        """beta*(C cos(theta) - S sin(theta)) - delta*D for a scalar or array theta."""
+        if np.ndim(theta) == 0:  # numpy's vector cos/sin may round apart from libm's
+            cos_th, sin_th = math.cos(theta), math.sin(theta)
+        else:
+            cos_th, sin_th = np.cos(theta), np.sin(theta)
+        forcing = self.cos_kernel * cos_th - self.sin_kernel * sin_th
+        return beta * forcing - delta * self.damping_kernel
 
 
 def admissible_radius(family_tag: str, mod: EllipticModulus) -> float:
@@ -123,7 +134,7 @@ def contour_kernels(r: Resonance, spec: ContourSpec, tol: float = 1e-9) -> Conto
     omega = r.omega
 
     def sample_mean(n):
-        e = np.exp(1j * (_new_nodes(n, spec.nodes) * (2.0 * math.pi / n)))
+        e = np.exp(1j * (_new_nodes(n, _CONTOUR_N0) * (2.0 * math.pi / n)))
         t = spec.center + spec.radius * e
         x2 = orbit_complex_values(family, t)[1]
         x2_dt = x2 * 1j * spec.radius * e
@@ -132,7 +143,7 @@ def contour_kernels(r: Resonance, spec: ContourSpec, tol: float = 1e-9) -> Conto
         return np.array([cos_k, sin_k, np.mean(x2_dt * x2)])
 
     cos_k, sin_k, damp_k = _trapezoid_doubling(
-        sample_mean, 2.0 * math.pi, tol, n0=spec.nodes, n_max=2**18
+        sample_mean, 2.0 * math.pi, tol, n0=_CONTOUR_N0, n_max=2**18
     )
     return ContourKernels(cos_k, sin_k, damp_k)
 
@@ -148,11 +159,8 @@ def contour_integral_numeric(
     """Numeric contour integral of DH . g around the enclosed pole."""
     if kernels is None:
         kernels = contour_kernels(r, spec, tol)
-    theta = spec.theta
-    value = beta * (
-        kernels.cos_kernel * math.cos(theta) - kernels.sin_kernel * math.sin(theta)
-    ) - delta * kernels.damping_kernel
-    return ContourValue(complex(value), theta, r.family_tag)
+    value = kernels.value(spec.theta, beta, delta)
+    return ContourValue(complex(value), spec.theta, r.family_tag)
 
 
 def contour_integral_closed(r: Resonance, theta: float, beta: float) -> ContourValue:
@@ -186,7 +194,6 @@ def laurent_probe(
     mod: EllipticModulus,
     radii,
     omega: float = None,
-    nodes: int = 1024,
 ) -> List[Tuple[complex, complex]]:
     """(residue, constant term) of a kernel at its pole, per radius.
 
@@ -229,12 +236,11 @@ def laurent_probe(
             return tri.cn * np.sin(omega * t)
 
     out = []
-    s = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
+    s = np.linspace(0.0, 2.0 * math.pi, _PROBE_NODES, endpoint=False)
     e = np.exp(1j * s)
+    # dn(t/k) has the rotating orbits' pole lattice, the other kernels the inner one
+    bound = admissible_radius(ROTATING_MINUS if kernel == "dn_scaled" else INNER, mod)
     for radius in radii:
-        bound = mod.k * min(mod.K, mod.K_prime) if kernel == "dn_scaled" else min(
-            mod.K, mod.K_prime
-        )
         if not 0.0 < radius < bound:
             raise SingleEnclosureViolation(
                 f"probe radius {radius:g} outside admissible annulus (0, {bound:g})"
@@ -246,9 +252,7 @@ def laurent_probe(
     return out
 
 
-def substitution_check(
-    mod: EllipticModulus, t_lo: float, t_hi: float, tol: float = 1e-10
-) -> float:
+def substitution_check(mod: EllipticModulus, t_lo: float, t_hi: float) -> float:
     """Discrepancy in the substitution s = 1/sn(t) for int cn^2 dt.
 
     Compares int_{t_lo}^{t_hi} cn^2 t dt against
@@ -268,7 +272,7 @@ def substitution_check(
     def cn2(t):
         return jacobi_real(t, mod).cn ** 2
 
-    lhs, _ = quad(cn2, t_lo, t_hi, epsabs=tol, epsrel=tol)
+    lhs, _ = quad(cn2, t_lo, t_hi, epsabs=_SUBSTITUTION_TOL, epsrel=_SUBSTITUTION_TOL)
 
     def s_of(t):
         return 1.0 / jacobi_real(t, mod).sn
@@ -278,6 +282,6 @@ def substitution_check(
         return (1.0 / s**2) * math.sqrt((s**2 - 1.0) / (s**2 - mod.k**2))
 
     s_lo, s_hi = s_of(t_lo), s_of(t_hi)
-    rhs_val, _ = quad(g, s_lo, s_hi, epsabs=tol, epsrel=tol)
+    rhs_val, _ = quad(g, s_lo, s_hi, epsabs=_SUBSTITUTION_TOL, epsrel=_SUBSTITUTION_TOL)
     rhs = -rhs_val
     return abs(lhs - rhs)

@@ -84,10 +84,11 @@ class EllipticModulus:
     """An elliptic modulus k in (0,1) with its precomputed integrals.
 
     K, E and K_prime = K(k') are evaluated once at construction, and the
-    Landen chain of the Jacobi functions once on first use, so the
-    quadrature loops elsewhere never recompute them.  Construct through
-    ``from_k`` or, when k is extremely close to 1, ``from_k_prime`` (the
-    complement is then the authoritative value and K keeps full accuracy).
+    Landen chain of the Jacobi functions and the complementary modulus
+    once on first use, so the quadrature loops elsewhere never recompute
+    them.  Construct through ``from_k`` or, when k is extremely close to
+    1, ``from_k_prime`` (the complement is then the authoritative value
+    and K keeps full accuracy).
     """
 
     k: float
@@ -137,8 +138,8 @@ class EllipticModulus:
             ratios.append(c / a)
         return (2.0 ** len(ratios)) * a, tuple(reversed(ratios))
 
-    def complement(self) -> "EllipticModulus":
-        """The modulus k' with roles of K and K' swapped."""
+    @cached_property
+    def _complement(self) -> "EllipticModulus":
         return EllipticModulus(
             k=self.k_prime,
             k_prime=self.k,
@@ -146,6 +147,10 @@ class EllipticModulus:
             E=_E_from_pair(self.k_prime, self.k),
             K_prime=self.K,
         )
+
+    def complement(self) -> "EllipticModulus":
+        """The modulus k' with roles of K and K' swapped (one object per modulus)."""
+        return self._complement
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .pendulum import (
 )
 
 __all__ = [
+    "K_WINDOW",
     "NonConvergenceError",
     "IntegrationFailure",
     "ResonanceError",
@@ -77,8 +78,11 @@ class ResonanceError(RuntimeError):
     """The resonance condition has no solution among representable moduli."""
 
 
-# Largest |residual| / target that solve_resonance accepts.
-_RESONANCE_RTOL = 1e-10
+_RESONANCE_RTOL = 1e-10  # largest |residual| / target that solve_resonance accepts
+_K_PRIME_RANGE = (1e-300, 1.0 - 1e-16)  # searched by the resonance bisection
+K_WINDOW = (1e-6, 1.0 - 1e-15)  # moduli that resonance tables and certificates list
+_SLOPE_TOL = 1e-10  # simple_zeros: a zero with a larger |slope| is simple,
+_TANGENCY_TOL = 1e-12  # one with | |const| - |coeff| | <= this * scale a tangency
 
 
 @dataclass(frozen=True)
@@ -134,10 +138,19 @@ def _resonance_equation(family_tag: str, omega: float, m: int, n: int):
     return math.pi * m / (n * omega), _rotating_period
 
 
-def _bisect_k_prime(target_fn, target: float) -> EllipticModulus:
-    # target_fn(mod) is strictly decreasing in k'; bisect on k'.
-    lo, hi = 1e-300, 1.0 - 1e-16
-    f_lo = target_fn(EllipticModulus.from_k_prime(lo)) - target
+def _bisect_k_prime(target_fn, target: float, what: str) -> EllipticModulus:
+    # target_fn(mod) is strictly decreasing in k'; a target beyond its range over
+    # _K_PRIME_RANGE (by more than the acceptance tolerance) has no root to bisect for
+    lo, hi = _K_PRIME_RANGE
+    top = target_fn(EllipticModulus.from_k_prime(lo))
+    bottom = target_fn(EllipticModulus.from_k_prime(hi))
+    slack = _RESONANCE_RTOL * target
+    if not bottom - slack <= target <= top + slack:
+        raise ResonanceError(
+            f"{what} is out of range: target {target:.6g} lies outside the "
+            f"periods [{bottom:.6g}, {top:.6g}] reachable for k' in [{lo:g}, {hi!r}]"
+        )
+    f_lo = top - target
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
@@ -155,24 +168,26 @@ def solve_resonance(family_tag: str, omega: float, m: int, n: int) -> Optional[R
 
     Inner orbits need K(k) = pi*m/(2*n*omega) which is solvable iff
     m/n > omega; returns None in that case (a valid outcome).  Rotating
-    orbits need k*K(k) = pi*m/(n*omega), solvable for every target.
-    Raises ResonanceError when the solved modulus misses the target by
-    more than 1e-10 relative: the bisection on k' in [1e-300, 1) cannot
-    resolve moduli much closer to 1 than k' ~ 1e-52, nor rotating ones
-    much closer to 0 than k ~ 1e-3.
+    orbits need k*K(k) = pi*m/(n*omega).
+    Raises ResonanceError, without bisecting, when the target lies
+    outside the periods that k' in [1e-300, 1 - 1e-16] reaches, and when
+    the solved modulus misses the target by more than 1e-10 relative: the
+    bisection cannot resolve moduli much closer to 1 than k' ~ 1e-52, nor
+    rotating ones much closer to 0 than k ~ 1e-3.
     """
     target, period = _resonance_equation(family_tag, omega, m, n)
     if m < 1 or n < 1 or math.gcd(m, n) != 1:
         raise ValueError("m, n must be coprime positive integers")
     if family_tag == INNER and target <= math.pi / 2.0:
         return None
-    mod = _bisect_k_prime(period, target)
+    what = f"{family_tag} {m}/{n} resonance at omega={omega!r}"
+    mod = _bisect_k_prime(period, target, what)
     r = Resonance(family_tag, m, n, mod, omega)
     residual = r.residual()
     if not abs(residual) <= _RESONANCE_RTOL * target:
         raise ResonanceError(
-            f"{family_tag} {m}/{n} resonance at omega={omega!r} is out of range: "
-            f"residual {residual:.3e} against target {target:.6g} (k' = {mod.k_prime:.3e})"
+            f"{what} is out of range: residual {residual:.3e} against target "
+            f"{target:.6g} (k' = {mod.k_prime:.3e})"
         )
     return r
 
@@ -249,7 +264,6 @@ class MelnikovCurve:
 
     const_term: float
     cos_coeff: float
-    source: str = "closed_form"
 
     def evaluate(self, theta):
         return self.const_term + self.cos_coeff * np.cos(theta)
@@ -345,9 +359,7 @@ class ZeroAnalysis:
         return any(z.simple for z in self.zeros)
 
 
-def simple_zeros(
-    curve: MelnikovCurve, slope_tol: float = 1e-10, tangency_tol: float = 1e-12
-) -> ZeroAnalysis:
+def simple_zeros(curve: MelnikovCurve) -> ZeroAnalysis:
     """All zeros of the curve in [0, 2pi) with simplicity flags.
 
     Zeros exist iff |const_term| <= |cos_coeff|; at equality the single
@@ -356,9 +368,9 @@ def simple_zeros(
     """
     c, a = curve.const_term, curve.cos_coeff
     scale = max(abs(c), abs(a), 1.0)
-    if abs(a) <= tangency_tol * scale:
+    if abs(a) <= _TANGENCY_TOL * scale:
         return ZeroAnalysis((), tangency=False)
-    if abs(abs(c) - abs(a)) <= tangency_tol * scale:
+    if abs(abs(c) - abs(a)) <= _TANGENCY_TOL * scale:
         theta0 = 0.0 if c * a < 0 else math.pi
         return ZeroAnalysis((MelnikovZero(theta0, 0.0, False),), tangency=True)
     if abs(c) > abs(a):
@@ -367,7 +379,7 @@ def simple_zeros(
     zeros = []
     for theta in (theta0, 2.0 * math.pi - theta0):
         slope = -a * math.sin(theta)
-        zeros.append(MelnikovZero(theta, slope, abs(slope) > slope_tol))
+        zeros.append(MelnikovZero(theta, slope, abs(slope) > _SLOPE_TOL))
     return ZeroAnalysis(tuple(zeros), tangency=False)
 
 

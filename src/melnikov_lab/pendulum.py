@@ -43,6 +43,9 @@ HOMOCLINIC_MINUS = "homoclinic-"
 _PERIODIC_TAGS = (INNER, ROTATING_PLUS, ROTATING_MINUS)
 _HOMOCLINIC_TAGS = (HOMOCLINIC_PLUS, HOMOCLINIC_MINUS)
 
+_ODE_RESIDUAL_STEP = 1e-3  # step of orbit_ode_residual's difference stencil
+_LIMIT_ORBIT_SAMPLES = 800  # orbit samples in homoclinic_limit_distance
+
 
 def wrap_angle(x):
     """Reduce an angle to the representative interval (-pi, pi]."""
@@ -180,14 +183,14 @@ def orbit_complex_values(family: OrbitFamily, t):
     return sin_x1, x2
 
 
-def orbit_ode_residual(family: OrbitFamily, t_grid, step: float = 1e-3) -> float:
+def orbit_ode_residual(family: OrbitFamily, t_grid) -> float:
     """Max residual of the pendulum ODE along the closed form.
 
     Uses a 4th-order centered difference of the closed-form state against
     the vector field (x2, -sin x1); validates the orbit formulas.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    h = step
+    h = _ODE_RESIDUAL_STEP
     stencil = []
     for offset in (-2.0 * h, -h, h, 2.0 * h):
         stencil.append(orbit_state(family, t_grid + offset))
@@ -210,7 +213,7 @@ def _separatrix_samples(n: int = 4000, t_max: float = 20.0):
     return np.vstack(pts)
 
 
-def homoclinic_limit_distance(family: OrbitFamily, n_orbit: int = 800) -> float:
+def homoclinic_limit_distance(family: OrbitFamily) -> float:
     """Sup distance from a periodic orbit to the homoclinic set Gamma.
 
     Distances are taken on the cylinder (angle differences mod 2pi).
@@ -220,7 +223,7 @@ def homoclinic_limit_distance(family: OrbitFamily, n_orbit: int = 800) -> float:
     if family.tag not in _PERIODIC_TAGS:
         raise ValueError("homoclinic_limit_distance expects a periodic family")
     gamma = _separatrix_samples()
-    t = np.linspace(0.0, family.period, n_orbit, endpoint=False)
+    t = np.linspace(0.0, family.period, _LIMIT_ORBIT_SAMPLES, endpoint=False)
     state = orbit_state(family, t)
     x1 = wrap_angle(state.x1)
     sup = 0.0

@@ -21,7 +21,6 @@ from .pendulum import INNER, ForcedSystem, OrbitPoint, orbit_state, wrap_angle
 
 __all__ = [
     "IntegrationFailure",
-    "IntegratorConfig",
     "FixedPointResult",
     "stroboscopic_map",
     "find_subharmonic",
@@ -30,40 +29,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Adaptive embedded Runge-Kutta settings (order >= 5 contract)."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_step: float = math.inf
-    method: str = "DOP853"
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+# Absolute = relative tolerance of the DOP853 flows (an order >= 5
+# embedded Runge-Kutta pair): maps and fixed points, separation probe.
+_FLOW_TOL = 1e-12
+_PROBE_TOL = 1e-10
+_N_SEEDS = 32  # phase-grid seeds along the unperturbed orbit
+_NEWTON_MAX = 25  # Newton iterations per seed
+_RESIDUAL_TOL = 1e-10  # plain-map residual that counts as a fixed point
+_PROBE_D0 = 1e-8  # separation of each probe pair after renormalizing
+_PROBE_RENORM_STEP = 0.5  # probe time between renormalizations
 
 
 @dataclass(frozen=True)
 class FixedPointResult:
     point: OrbitPoint
-    phase: float
     residual: float
     distance_to_unperturbed: float
     converged: bool
-    floquet_multipliers: Optional[Tuple[complex, complex]] = None
+    floquet_multipliers: Tuple[complex, complex]
 
 
-def _integrate(rhs, state, duration: float, config: IntegratorConfig):
+def _integrate(rhs, state, duration: float, tol: float):
     sol = solve_ivp(
         rhs,
         (0.0, duration),
         np.asarray(state, dtype=float),
-        method=config.method,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        max_step=config.max_step,
-        dense_output=False,
+        method="DOP853",
+        rtol=tol,
+        atol=tol,
     )
     if not sol.success:
         raise IntegrationFailure(sol.message)
@@ -76,7 +69,7 @@ def _flow(
     state,
     duration: float,
     theta_section: float,
-    config: IntegratorConfig,
+    tol: float,
 ):
     beta, delta, omega = sys.beta, sys.delta, sys.omega
 
@@ -85,16 +78,11 @@ def _flow(
         forcing = eps * (beta * math.cos(omega * t + theta_section) - delta * x2)
         return [x2, -math.sin(x1) + forcing]
 
-    return _integrate(rhs, state, duration, config)
+    return _integrate(rhs, state, duration, tol)
 
 
 def stroboscopic_map(
-    sys: ForcedSystem,
-    eps: float,
-    m: int,
-    start: OrbitPoint,
-    theta_section: float = 0.0,
-    config: IntegratorConfig = IntegratorConfig(),
+    sys: ForcedSystem, eps: float, m: int, start: OrbitPoint, theta_section: float = 0.0
 ) -> OrbitPoint:
     """State after m forcing periods, starting at section phase theta.
 
@@ -102,7 +90,7 @@ def stroboscopic_map(
     the mod-2pi representative for reporting.
     """
     duration = 2.0 * math.pi * m / sys.omega
-    final = _flow(sys, eps, (start.x1, start.x2), duration, theta_section, config)
+    final = _flow(sys, eps, (start.x1, start.x2), duration, theta_section, _FLOW_TOL)
     return OrbitPoint(float(final[0]), float(final[1]))
 
 
@@ -116,12 +104,12 @@ def _winding(r: Resonance) -> np.ndarray:
     return np.array([2.0 * math.pi * turns, 0.0])
 
 
-def _map_residual(sys, eps, m, z, theta_section, config, winding):
-    out = _flow(sys, eps, z, 2.0 * math.pi * m / sys.omega, theta_section, config)
+def _map_residual(sys, eps, m, z, theta_section, winding):
+    out = _flow(sys, eps, z, 2.0 * math.pi * m / sys.omega, theta_section, _FLOW_TOL)
     return out - z - winding
 
 
-def _seed_residuals(sys, eps, m, seeds, theta_section, config, winding):
+def _seed_residuals(sys, eps, m, seeds, theta_section, winding):
     """_map_residual of every row of seeds, from one flow of all of them.
 
     The step control sees every seed at once, so each residual is as
@@ -136,11 +124,11 @@ def _seed_residuals(sys, eps, m, seeds, theta_section, config, winding):
         forcing = eps * (beta * math.cos(omega * t + theta_section) - delta * x2)
         return np.concatenate([x2, -np.sin(x1) + forcing])
 
-    out = _integrate(rhs, seeds.T.ravel(), 2.0 * math.pi * m / sys.omega, config)
+    out = _integrate(rhs, seeds.T.ravel(), 2.0 * math.pi * m / sys.omega, _FLOW_TOL)
     return out.reshape(2, n).T - seeds - winding
 
 
-def _variational_map(sys, eps, m, z, theta_section, config):
+def _variational_map(sys, eps, m, z, theta_section):
     """P(z) and DP(z) from one flow of the state and its tangent map.
 
     Phi' = [[0, 1], [-cos x1, -eps*delta]] Phi with Phi(0) = I, so the
@@ -163,7 +151,7 @@ def _variational_map(sys, eps, m, z, theta_section, config):
         ]
 
     y0 = np.array([z[0], z[1], 1.0, 0.0, 0.0, 1.0])
-    out = _integrate(rhs, y0, 2.0 * math.pi * m / sys.omega, config)
+    out = _integrate(rhs, y0, 2.0 * math.pi * m / sys.omega, _FLOW_TOL)
     return out[:2], out[2:].reshape(2, 2)
 
 
@@ -183,7 +171,6 @@ def _distance_to_orbit(z, r: Resonance, n_sample: int = 1024) -> float:
     # refine below the coarse-grid resolution; distances are O(eps)
     res = minimize_scalar(
         lambda tt: float(dist(tt)),
-        bracket=None,
         bounds=(t[i] - h, t[i] + h),
         method="bounded",
         options={"xatol": 1e-12},
@@ -191,28 +178,27 @@ def _distance_to_orbit(z, r: Resonance, n_sample: int = 1024) -> float:
     return float(min(res.fun, coarse[i]))
 
 
-def _newton(sys, eps, m, z0, theta0, config, winding, newton_max, residual_tol):
+def _newton(sys, eps, m, z0, theta0, winding):
     """Newton on P(z) - z - winding = 0 from z0.
 
     Each iteration costs one variational flow, which gives f and
     J = DP - I together.  The variational flow's step control also sees
     Phi, so its fixed point can sit a few 1e-11 from the plain map's;
-    once its residual is below residual_tol the iteration goes on with
+    once its residual is below _RESIDUAL_TOL the iteration goes on with
     the plain flow's f and the last DP, and only the plain residual
     decides convergence.  Returns (z, plain residual, converged, DP).
     """
     eye = np.eye(2)
     z = np.array(z0, dtype=float)
-    dp = None
     plain = False
-    for _ in range(newton_max):
+    for _ in range(_NEWTON_MAX):
         if not plain:
-            final, dp = _variational_map(sys, eps, m, z, theta0, config)
+            final, dp = _variational_map(sys, eps, m, z, theta0)
             f = final - z - winding
-            plain = bool(np.linalg.norm(f) <= residual_tol)
+            plain = bool(np.linalg.norm(f) <= _RESIDUAL_TOL)
         if plain:
-            f = _map_residual(sys, eps, m, z, theta0, config, winding)
-            if np.linalg.norm(f) <= residual_tol:
+            f = _map_residual(sys, eps, m, z, theta0, winding)
+            if np.linalg.norm(f) <= _RESIDUAL_TOL:
                 return z, f, True, dp
         try:
             step = np.linalg.solve(dp - eye, f)
@@ -221,18 +207,11 @@ def _newton(sys, eps, m, z0, theta0, config, winding, newton_max, residual_tol):
         if np.linalg.norm(step) > 2.0:
             break  # diverging away from the seed neighborhood
         z = z - step
-    return z, _map_residual(sys, eps, m, z, theta0, config, winding), False, dp
+    return z, _map_residual(sys, eps, m, z, theta0, winding), False, dp
 
 
 def find_subharmonic(
-    sys: ForcedSystem,
-    eps: float,
-    r: Resonance,
-    theta0: float,
-    config: IntegratorConfig = IntegratorConfig(),
-    n_seeds: int = 32,
-    newton_max: int = 25,
-    residual_tol: float = 1e-10,
+    sys: ForcedSystem, eps: float, r: Resonance, theta0: float
 ) -> FixedPointResult:
     """Newton on the stroboscopic fixed-point equation near a resonance.
 
@@ -242,28 +221,25 @@ def find_subharmonic(
     converged fixed point together with its distance to the unperturbed
     orbit for the epsilon-scaling check.  The Floquet multipliers are the
     eigenvalues of DP from the last variational flow, taken within
-    residual_tol of the reported point.
+    _RESIDUAL_TOL of the reported point.
     """
     winding = _winding(r)
-    seeds_t = np.linspace(0.0, r.orbit.period, n_seeds, endpoint=False)
+    seeds_t = np.linspace(0.0, r.orbit.period, _N_SEEDS, endpoint=False)
     orbit = orbit_state(r.orbit, seeds_t)
     seeds = np.column_stack([orbit.x1, orbit.x2])
     scores = np.linalg.norm(
-        _seed_residuals(sys, eps, r.m, seeds, theta0, config, winding), axis=1
+        _seed_residuals(sys, eps, r.m, seeds, theta0, winding), axis=1
     )
 
     best: Optional[FixedPointResult] = None
     for i in np.argsort(scores, kind="stable")[:3]:
-        z, f, converged, dp = _newton(
-            sys, eps, r.m, seeds[i], theta0, config, winding, newton_max, residual_tol
-        )
+        z, f, converged, dp = _newton(sys, eps, r.m, seeds[i], theta0, winding)
         result = FixedPointResult(
             point=OrbitPoint(float(z[0]), float(z[1])),
-            phase=theta0,
             residual=float(np.linalg.norm(f)),
             distance_to_unperturbed=_distance_to_orbit(z, r),
             converged=converged,
-            floquet_multipliers=None if dp is None else tuple(np.linalg.eigvals(dp)),
+            floquet_multipliers=tuple(np.linalg.eigvals(dp)),
         )
         if result.converged:
             if best is None or result.distance_to_unperturbed < best.distance_to_unperturbed:
@@ -284,18 +260,12 @@ def scaling_band(eps_list, distances, band: float = 2.0) -> Tuple[bool, List[flo
 
 
 def homoclinic_tangle_probe(
-    sys: ForcedSystem,
-    eps: float,
-    horizon: float = 16.0,
-    n_fan: int = 8,
-    d0: float = 1e-8,
-    renorm_step: float = 0.5,
-    config: IntegratorConfig = IntegratorConfig(abs_tol=1e-10, rel_tol=1e-10),
+    sys: ForcedSystem, eps: float, horizon: float = 16.0, n_fan: int = 8
 ) -> dict:
     """Finite-time separation exponents along the separatrix.
 
     Benettin-style: pairs of trajectories launched from a fan of points
-    on the unperturbed separatrix, renormalized every renorm_step, and
+    on the unperturbed separatrix, renormalized every _PROBE_RENORM_STEP, and
     the averaged log separation rate reported.  Larger statistics in the
     chaos regime corroborate (not prove) the Melnikov threshold.
     """
@@ -304,24 +274,24 @@ def homoclinic_tangle_probe(
     orbit = homoclinic_orbit(+1)
     starts = np.linspace(-3.0, 3.0, n_fan)
     exponents = []
-    n_steps = int(round(horizon / renorm_step))
+    n_steps = int(round(horizon / _PROBE_RENORM_STEP))
     for s in starts:
         p = orbit_state(orbit, float(s))
         z = np.array([p.x1, p.x2])
-        w = z + np.array([0.0, d0])
+        w = z + np.array([0.0, _PROBE_D0])
         log_sum = 0.0
         t_elapsed = 0.0
         for i in range(n_steps):
             phase = sys.omega * t_elapsed
-            z = _flow(sys, eps, z, renorm_step, phase, config)
-            w = _flow(sys, eps, w, renorm_step, phase, config)
-            t_elapsed += renorm_step
+            z = _flow(sys, eps, z, _PROBE_RENORM_STEP, phase, _PROBE_TOL)
+            w = _flow(sys, eps, w, _PROBE_RENORM_STEP, phase, _PROBE_TOL)
+            t_elapsed += _PROBE_RENORM_STEP
             sep = np.array([wrap_angle(w[0] - z[0]), w[1] - z[1]])
             d = float(np.linalg.norm(sep))
             if d == 0.0:
-                d = d0
-            log_sum += math.log(d / d0)
-            w = z + sep * (d0 / d)
+                d = _PROBE_D0
+            log_sum += math.log(d / _PROBE_D0)
+            w = z + sep * (_PROBE_D0 / d)
         exponents.append(log_sum / horizon)
     exponents = np.asarray(exponents)
     return {

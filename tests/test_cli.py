@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,8 @@ from types import SimpleNamespace
 import pytest
 
 import melnikov_lab
-from melnikov_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from melnikov_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
+from melnikov_lab.melnikov import K_WINDOW
 
 
 def run_cli(capsys, argv):
@@ -290,6 +292,47 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == EXIT_USAGE
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resonances", "--beta", "1"],
+            ["resonances", "--m", "2", "--n", "4"],
+            ["certify", "--m", "3"],
+            ["certify", "--format", "csv"],
+            ["verify", "--theta-points", "0"],
+        ],
+    )
+    def test_unread_flags_exit_2(self, capsys, argv):
+        # argparse rejects a flag the subcommand does not read, before validation
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        system, resonance = {"omega", "beta", "delta"}, {"family", "m", "n"}
+        expected = {
+            "resonances": {"omega", "family", "out", "format"}
+            | {"m_max", "n_max", "k_min", "k_max"},
+            "melnikov": system | resonance | {"theta_points", "out", "format"}
+            | {"homoclinic", "sign", "j1_arg", "hom_phase"},
+            "contour": system | resonance | {"theta_points", "out", "format"},
+            "certify": system | {"theta_points", "out", "m_max", "n_max", "j1_arg"},
+            "verify": system | resonance | {"out", "eps", "theta0"},
+        }
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        dests = {
+            name: {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+            for name, p in sub.choices.items()
+        }
+        assert dests == expected
+
+    def test_k_window_defaults_are_the_library_window(self):
+        args = build_parser().parse_args(["resonances"])
+        assert (args.k_min, args.k_max) == K_WINDOW
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -33,8 +33,6 @@ class TestContourSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             ContourSpec(center=1j, radius=0.0)
-        with pytest.raises(ValueError):
-            ContourSpec(center=1j, radius=0.1, nodes=16)
 
     def test_radius_bound_enforced(self, inner_res):
         bound = admissible_radius(INNER, inner_res.modulus)
@@ -113,6 +111,18 @@ class TestContourIntegrals:
             num = contour_integral_numeric(inner_res, spec_t, 1.0, 0.0, kernels=ker)
             closed = contour_integral_closed(inner_res, th, 1.0)
             assert abs(num.value - closed.value) <= 1e-9
+
+
+    def test_kernel_value_scalar_and_array(self, inner_res):
+        spec = default_contour(inner_res)
+        ker = contour_kernels(inner_res, spec, tol=1e-10)
+        thetas = np.array([0.0, 0.9, 2.2])
+        scalar = [ker.value(th, 0.7, 0.4) for th in thetas]
+        for th, value in zip(thetas, scalar):
+            spec_t = ContourSpec(spec.center, spec.radius, theta=th)
+            num = contour_integral_numeric(inner_res, spec_t, 0.7, 0.4, kernels=ker)
+            assert num.value == value
+        assert np.allclose(ker.value(thetas, 0.7, 0.4), scalar, rtol=1e-15, atol=0.0)
 
 
 class TestLaurentProbe:

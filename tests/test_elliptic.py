@@ -93,6 +93,13 @@ class TestEllipticModulus:
         assert m.complement().K == m.K_prime
         assert m.complement().K_prime == m.K
 
+    def test_complement_built_once(self):
+        m = EllipticModulus.from_k(0.6)
+        comp = m.complement()
+        assert comp is m.complement()
+        fresh = EllipticModulus.from_k_prime(0.6)
+        assert (comp.K, comp.E, comp.K_prime) == (fresh.K, fresh.E, fresh.K_prime)
+
     def test_from_k_prime_high_modulus(self):
         # k this close to 1 is only representable through its complement
         m = EllipticModulus.from_k_prime(1e-7)

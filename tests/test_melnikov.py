@@ -64,6 +64,26 @@ class TestSolveResonance:
         with pytest.raises(ResonanceError, match="out of range"):
             solve_resonance(family, omega, m, 1)
 
+    @pytest.mark.parametrize("omega", [1e-3, 1e9])
+    def test_unbracketed_target_raises_before_bisecting(self, monkeypatch, omega):
+        # k K = pi / omega lies above k K(k' = 1e-300) = 692 at omega = 1e-3 and
+        # below k K(k' = 1 - 1e-16) = 2.3e-8 at omega = 1e9
+        builds = []
+        build = EllipticModulus._build
+
+        def counting(cls, k, k_prime):
+            builds.append(k_prime)
+            return build(k, k_prime)
+
+        monkeypatch.setattr(EllipticModulus, "_build", classmethod(counting))
+        with pytest.raises(ResonanceError, match="out of range") as exc:
+            solve_resonance(ROTATING_PLUS, omega, 1, 1)
+        assert len(builds) <= 2
+        message = str(exc.value)
+        assert "k' = 1.000e+00" not in message
+        assert f"target {math.pi / omega:.6g}" in message
+        assert "[2.34067e-08, 692.162]" in message
+
     def test_each_solve_meets_its_target_or_raises(self):
         # K = ln(4/k') + O(k'^2): m runs k' from 0.1 down past 1e-100
         for m in range(2, 151):

@@ -6,7 +6,6 @@ import pytest
 from melnikov_lab.melnikov import solve_resonance
 from melnikov_lab.pendulum import INNER, OrbitPoint, orbit_state, pendulum_system
 from melnikov_lab.poincare import (
-    IntegratorConfig,
     _map_residual,
     _seed_residuals,
     _variational_map,
@@ -26,14 +25,6 @@ def resonance():
 @pytest.fixture(scope="module")
 def system():
     return pendulum_system(1.0, 0.0, 1.0)
-
-
-class TestIntegratorConfig:
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(rel_tol=-1.0)
 
 
 class TestStroboscopicMap:
@@ -125,9 +116,7 @@ class TestFindSubharmonic:
 class TestVariationalEngine:
     def test_dp_matches_central_difference(self, system, resonance):
         eps, theta, z = 1e-3, math.pi / 2.0, np.array([0.9, 0.4])
-        final, dp = _variational_map(
-            system, eps, resonance.m, z, theta, IntegratorConfig()
-        )
+        final, dp = _variational_map(system, eps, resonance.m, z, theta)
 
         def strobe(point):
             out = stroboscopic_map(system, eps, resonance.m, OrbitPoint(*point), theta)
@@ -143,19 +132,17 @@ class TestVariationalEngine:
         assert np.max(np.abs(dp - fd)) <= 1e-6
 
     def test_batched_scores_rank_like_solo_flows(self, system, resonance):
-        eps, theta, config = 1e-3, math.pi / 2.0, IntegratorConfig()
+        eps, theta = 1e-3, math.pi / 2.0
         winding = _winding(resonance)
         t = np.linspace(0.0, resonance.orbit.period, 32, endpoint=False)
         orbit = orbit_state(resonance.orbit, t)
         seeds = np.column_stack([orbit.x1, orbit.x2])
         batched = np.linalg.norm(
-            _seed_residuals(system, eps, resonance.m, seeds, theta, config, winding),
+            _seed_residuals(system, eps, resonance.m, seeds, theta, winding),
             axis=1,
         )
         solo = [
-            np.linalg.norm(
-                _map_residual(system, eps, resonance.m, z, theta, config, winding)
-            )
+            np.linalg.norm(_map_residual(system, eps, resonance.m, z, theta, winding))
             for z in seeds
         ]
         assert list(np.argsort(batched)) == list(np.argsort(solo))
