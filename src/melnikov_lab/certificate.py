@@ -60,8 +60,8 @@ def _curve_record(r: Resonance, beta, delta, j1_arg, verify_quadrature):
         sys = pendulum_system(beta, delta, r.omega)
         quad = subharmonic_quadrature(sys, r, 0.0)
         rec["quadrature_at_0"] = quad
-        rec["quadrature_agrees"] = abs(quad - curve.evaluate(0.0)) <= 1e-6 * (
-            1.0 + abs(quad)
+        rec["quadrature_agrees"] = bool(
+            abs(quad - curve.evaluate(0.0)) <= 1e-6 * (1.0 + abs(quad))
         )
     return rec
 

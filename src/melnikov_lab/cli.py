@@ -348,10 +348,12 @@ def _validate(args) -> None:
         raise SystemExit(_usage_error("omega must be positive"))
     if getattr(args, "beta", 0.0) < 0 or getattr(args, "delta", 0.0) < 0:
         raise SystemExit(_usage_error("beta and delta must be nonnegative"))
-    if getattr(args, "m", 1) < 1 or getattr(args, "n", 1) < 1:
-        raise SystemExit(_usage_error("m and n must be positive"))
-    if math.gcd(getattr(args, "m", 1), getattr(args, "n", 1)) != 1:
-        raise SystemExit(_usage_error("m and n must be coprime"))
+    # melnikov --homoclinic reads no resonance
+    if hasattr(args, "m") and not getattr(args, "homoclinic", False):
+        if args.m < 1 or args.n < 1:
+            raise SystemExit(_usage_error("m and n must be positive"))
+        if math.gcd(args.m, args.n) != 1:
+            raise SystemExit(_usage_error("m and n must be coprime"))
     if getattr(args, "theta_points", 1) < 1:
         raise SystemExit(_usage_error("theta-points must be positive"))
     if hasattr(args, "k_min") and not 0.0 < args.k_min < args.k_max < 1.0:

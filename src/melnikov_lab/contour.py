@@ -17,7 +17,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .elliptic import EllipticModulus, jacobi_complex
-from .melnikov import Resonance, _new_nodes, _trapezoid_doubling
+from .melnikov import Resonance, _level_means, _new_nodes, _trapezoid_doubling
 from .pendulum import INNER, ROTATING_MINUS, orbit_complex_values
 
 __all__ = [
@@ -139,8 +139,8 @@ def contour_kernels(r: Resonance, spec: ContourSpec, tol: float = 1e-9) -> Conto
         x2 = orbit_complex_values(family, t)[1]
         x2_dt = x2 * 1j * spec.radius * e
         phase = omega * t
-        cos_k, sin_k = np.mean(x2_dt * np.cos(phase)), np.mean(x2_dt * np.sin(phase))
-        return np.array([cos_k, sin_k, np.mean(x2_dt * x2)])
+        kernels = (x2_dt * np.cos(phase), x2_dt * np.sin(phase), x2_dt * x2)
+        return _level_means(n, _CONTOUR_N0, kernels, lambda *means: np.array(means))
 
     cos_k, sin_k, damp_k = _trapezoid_doubling(
         sample_mean, 2.0 * math.pi, tol, n0=_CONTOUR_N0, n_max=2**18

@@ -163,12 +163,21 @@ class JacobiTriple:
 
 
 def _amplitude_reduced(t, mod: EllipticModulus):
-    """Jacobi amplitude on arguments reduced to [-2K, 2K]."""
+    """Jacobi amplitude on arguments reduced to [-2K, 2K]; t is left unchanged.
+
+    The descent runs in place on one copy of t and one scratch array.
+    """
     scale, ratios = mod._landen
-    phi = scale * t
+    phi = np.array(t, dtype=float)
+    phi *= scale
+    step = np.empty_like(phi)
     # c_i < a_i, so |ratio * sin(phi)| <= 1 and arcsin needs no clip
     for ratio in ratios:
-        phi = 0.5 * (phi + np.arcsin(ratio * np.sin(phi)))
+        np.sin(phi, out=step)
+        step *= ratio
+        np.arcsin(step, out=step)
+        phi += step
+        phi *= 0.5
     return phi
 
 

@@ -193,47 +193,76 @@ def solve_resonance(family_tag: str, omega: float, m: int, n: int) -> Optional[R
 
 
 def _new_nodes(n, n0):
-    """Indices j of the grid j/n that level n of _trapezoid_doubling adds."""
-    return np.arange(n) if n == n0 else np.arange(1, n, 2)
+    """Indices j of the grid j/n that the call sample_mean(n) evaluates.
+
+    The first call, n = 2*n0, takes all 2*n0 nodes: the even ones are the
+    n0-node level, the odd ones its midpoints.  Every later call takes
+    only the n/2 odd-indexed nodes, the midpoints of the previous level.
+    """
+    return np.arange(n) if n == 2 * n0 else np.arange(1, n, 2)
+
+
+_EVEN_ODD = (slice(0, None, 2), slice(1, None, 2))
+
+
+def _level_means(n, n0, kernels, combine):
+    """sample_mean(n) from kernel values at the nodes _new_nodes(n, n0).
+
+    Returns combine(*means of the kernels); at the first call, n = 2*n0,
+    the pair (over the even nodes, over the odd nodes).
+    """
+    if n == 2 * n0:
+        return tuple(
+            combine(*(np.mean(k[half]) for k in kernels)) for half in _EVEN_ODD
+        )
+    return combine(*(np.mean(k) for k in kernels))
 
 
 def _trapezoid_doubling(sample_mean, length, tol, n0=64, n_max=2**20):
     """length * mean(f) with nested node doubling until successive values agree.
 
-    sample_mean(n) is the mean of f over the nodes that the n-node level
-    adds: all n0 nodes at the first level, after that only the n/2
-    odd-indexed ones, the midpoints of the previous level.  Each node is
-    evaluated once and T_2n = (T_n + M_n) / 2.  sample_mean(n) may return
-    an array; every element must agree.
+    No level can be accepted before it is compared with the one before,
+    so the first call sample_mean(2*n0) returns both first levels: the
+    pair (mean of f over the even nodes, mean over the odd nodes) of the
+    2*n0-node grid, the even nodes being the n0-node level.  After that
+    sample_mean(n) is the mean over the n/2 odd-indexed nodes that level
+    n adds, the midpoints of the previous level.  Each node is evaluated
+    once and T_2n = (T_n + M_n) / 2.  sample_mean(n) may return arrays;
+    every element must agree.
     """
-    n = n0
-    mean = sample_mean(n)
-    prev = length * mean
-    diff = math.inf
-    while n < n_max:
-        n *= 2
-        mean = 0.5 * (mean + sample_mean(n))
+    n = 2 * n0
+    mean, mid = sample_mean(n)
+    while True:
+        prev = length * mean
+        mean = 0.5 * (mean + mid)
         cur = length * mean
         diff = np.abs(cur - prev)
         if np.all(diff <= tol * (1.0 + np.abs(cur))):
             return cur
-        prev = cur
-    raise NonConvergenceError(n, tol, float(np.max(diff)))
+        if n >= n_max:
+            raise NonConvergenceError(n, tol, float(np.max(diff)))
+        n *= 2
+        mid = sample_mean(n)
 
 
-def _melnikov_values(sys: ForcedSystem, theta, sample_kernels, length, tol, n0):
+def _melnikov_values(sys: ForcedSystem, theta, sample_orbit, length, tol, n0):
     """beta*(C cos(theta) - S sin(theta)) - delta*D by node doubling.
 
-    sample_kernels(n) returns the means (C, S, D) of x2*cos(omega t),
-    x2*sin(omega t) and x2^2 over the nodes that level n adds.  theta is
-    a scalar (float result) or an array (array result, numpy-style).
+    sample_orbit(n) returns x2 and the forcing phase at the nodes
+    _new_nodes(n, n0); C, S and D are the means of x2*cos(phase),
+    x2*sin(phase) and x2^2.  theta is a scalar (float result) or an
+    array (array result, numpy-style).
     """
     theta = np.asarray(theta, dtype=float)
     cos_th, sin_th = np.cos(theta), np.sin(theta)
 
-    def sample_mean(n):
-        cos_k, sin_k, damp_k = sample_kernels(n)
+    def combine(cos_k, sin_k, damp_k):
         return sys.beta * (cos_k * cos_th - sin_k * sin_th) - sys.delta * damp_k
+
+    def sample_mean(n):
+        x2, phase = sample_orbit(n)
+        kernels = (x2 * np.cos(phase), x2 * np.sin(phase), x2 * x2)
+        return _level_means(n, n0, kernels, combine)
 
     value = _trapezoid_doubling(sample_mean, length, tol, n0=n0)
     return float(value) if theta.ndim == 0 else value
@@ -249,13 +278,11 @@ def subharmonic_quadrature(sys: ForcedSystem, r: Resonance, theta, tol: float = 
     length = r.forcing_interval
     n0 = 64
 
-    def sample_kernels(n):
+    def sample_orbit(n):
         t = _new_nodes(n, n0) * (length / n)
-        x2 = orbit_state(family, t).x2
-        phase = sys.omega * t
-        return np.mean(x2 * np.cos(phase)), np.mean(x2 * np.sin(phase)), np.mean(x2 * x2)
+        return orbit_state(family, t).x2, sys.omega * t
 
-    return _melnikov_values(sys, theta, sample_kernels, length, tol, n0=n0)
+    return _melnikov_values(sys, theta, sample_orbit, length, tol, n0=n0)
 
 
 @dataclass(frozen=True)
@@ -323,13 +350,11 @@ def homoclinic_quadrature(
     half = 40.0 + 5.0 * math.log10(1.0 / tol)
     n0 = 512
 
-    def sample_kernels(n):
+    def sample_orbit(n):
         t = -half + _new_nodes(n, n0) * (2.0 * half / n)
-        x2 = s * 2.0 / np.cosh(t)
-        phase = rate * t
-        return np.mean(x2 * np.cos(phase)), np.mean(x2 * np.sin(phase)), np.mean(x2 * x2)
+        return s * 2.0 / np.cosh(t), rate * t
 
-    return _melnikov_values(sys, theta, sample_kernels, 2.0 * half, tol, n0=n0)
+    return _melnikov_values(sys, theta, sample_orbit, 2.0 * half, tol, n0=n0)
 
 
 def closed_form_homoclinic(

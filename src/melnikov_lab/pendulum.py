@@ -67,6 +67,8 @@ class ForcedSystem:
 
 
 def pendulum_system(beta: float, delta: float, omega: float) -> ForcedSystem:
+    if not all(math.isfinite(x) for x in (beta, delta, omega)):
+        raise ValueError("beta, delta and omega must be finite")
     if omega <= 0:
         raise ValueError("omega must be positive")
     if beta < 0 or delta < 0:

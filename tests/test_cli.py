@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import melnikov_lab
+from melnikov_lab.certificate import build_certificate
 from melnikov_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from melnikov_lab.melnikov import K_WINDOW
 
@@ -114,6 +115,11 @@ class TestMelnikovCommand:
         # sign -1 flips the cosine coefficient: theta = 0 below -8*delta
         assert float(rows[0][2]) < -8.0
 
+    def test_homoclinic_ignores_resonance_flags(self, capsys):
+        code, out, _ = run_cli(capsys, ["melnikov", "--homoclinic", "--m", "2", "--n", "4"])
+        assert code == EXIT_OK
+        assert out == run_cli(capsys, ["melnikov", "--homoclinic"])[1]
+
     def test_unsolvable_resonance_exits_3(self, capsys):
         code, _, err = run_cli(
             capsys, ["melnikov", "--family", "inner", "--m", "1", "--n", "2"]
@@ -188,6 +194,12 @@ class TestCertifyCommand:
         assert cert["prop_4c"]["status"] == "applies"
         assert not cert["chaos"]["condition_holds"]
         assert "prop 4a: applies" in err
+
+    @pytest.mark.parametrize("delta", [1.0, 0.0])
+    def test_certificate_holds_only_json_values(self, delta):
+        # plain json.dumps, without the CLI's numpy fallback
+        cert = build_certificate(1.0, delta, 1.0)
+        assert json.loads(json.dumps(cert)) == cert
 
     def test_unresolvable_moduli_do_not_stop_the_certificate(self, capsys):
         # rotating 8/1 at omega = 0.2 needs k' ~ 1e-54, beyond the bisection

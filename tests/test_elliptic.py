@@ -180,6 +180,15 @@ class TestJacobiReal:
         with pytest.raises(ValueError):
             jacobi_am(np.array([0.0, math.inf]), m)
 
+    @pytest.mark.parametrize("t", [0.7, np.array(0.7), -3.1])
+    def test_scalar_argument_matches_one_element_array(self, t):
+        m = EllipticModulus.from_k_prime(1e-3)
+        tri, one = jacobi_real(t, m), jacobi_real(np.array([float(t)]), m)
+        for got, ref in zip((tri.sn, tri.cn, tri.dn), (one.sn, one.cn, one.dn)):
+            assert type(got) is float and got == ref[0]
+        am = jacobi_am(t, m)
+        assert type(am) is float and am == jacobi_am(np.array([float(t)]), m)[0]
+
     def test_amplitude_unwrapped(self):
         m = EllipticModulus.from_k(0.7)
         # am gains pi per half period and matches arcsin(sn) locally

@@ -147,8 +147,12 @@ class TestSubharmonicQuadrature:
 class TestNodeDoubling:
     def test_nonconvergence_reports_tolerance_and_last_difference(self):
         # level means 64, then (64 + 128) / 2 = 96: the last difference is 32
+        def sample_mean(n):
+            assert n == 128
+            return 64.0, 128.0
+
         with pytest.raises(NonConvergenceError) as exc:
-            _trapezoid_doubling(float, 1.0, 1e-10, n0=64, n_max=128)
+            _trapezoid_doubling(sample_mean, 1.0, 1e-10, n0=64, n_max=128)
         err = exc.value
         assert (err.nodes, err.tol, err.last_diff) == (128, 1e-10, 32.0)
         assert "128 nodes" in str(err)

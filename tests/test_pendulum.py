@@ -32,6 +32,15 @@ class TestForcedSystem:
             pendulum_system(-1.0, 1.0, 1.0)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_nonfinite_parameters_rejected(self, slot, bad):
+        params = [1.0, 0.5, 1.0]  # beta, delta, omega
+        params[slot] = bad
+        with pytest.raises(ValueError):
+            pendulum_system(*params)
+
+
 class TestWrapAngle:
     def test_representative_interval(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)

@@ -81,7 +81,7 @@ def test_subharmonic_samples_each_node_once(monkeypatch, case):
     levels = _record_levels(monkeypatch, melnikov)
     points = _count_points(monkeypatch, melnikov, "orbit_state")
     melnikov.subharmonic_quadrature(pendulum_system(1.0, 0.5, omega), r, THETAS)
-    assert len(levels) >= 2 and len(points) == len(levels)
+    assert levels[0] == 2 * 64 and len(points) == len(levels)
     assert sum(points) == levels[-1]
 
 
@@ -92,8 +92,30 @@ def test_contour_samples_each_node_once(monkeypatch, case):
     levels = _record_levels(monkeypatch, contour)
     points = _count_points(monkeypatch, contour, "orbit_complex_values")
     contour.contour_kernels(r, spec, tol=1e-12)
-    assert len(levels) >= 2 and len(points) == len(levels)
+    assert levels[0] == 2 * 64 and len(points) == len(levels)
     assert sum(points) == levels[-1]
+
+
+def test_subharmonic_stopping_at_two_n0_samples_the_orbit_once(monkeypatch):
+    r = melnikov.solve_resonance(INNER, 1.0, 3, 1)
+    levels = _record_levels(monkeypatch, melnikov)
+    points = _count_points(monkeypatch, melnikov, "orbit_state")
+    melnikov.subharmonic_quadrature(pendulum_system(1.0, 0.5, 1.0), r, THETAS)
+    assert levels == [2 * 64] and points == [2 * 64]
+
+
+def test_homoclinic_stopping_at_two_n0_samples_the_separatrix_once(monkeypatch):
+    levels = _record_levels(monkeypatch, melnikov)
+    melnikov.homoclinic_quadrature(pendulum_system(1.0, 0.5, 1.0), 1, THETAS)
+    assert levels == [2 * 512]
+
+
+def test_contour_stopping_at_two_n0_samples_the_orbit_once(monkeypatch):
+    r = melnikov.solve_resonance(*ALIGNED[0])
+    levels = _record_levels(monkeypatch, contour)
+    points = _count_points(monkeypatch, contour, "orbit_complex_values")
+    contour.contour_kernels(r, contour.default_contour(r))
+    assert levels == [2 * 64] and points == [2 * 64]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -182,3 +204,11 @@ def test_landen_descent_without_clip_stays_finite(log_kp):
     # am runs from -pi at -2K to pi at 2K
     assert abs(phi[0] + math.pi) <= 1e-9 and abs(phi[-1] - math.pi) <= 1e-9
     assert np.all(np.abs(phi) <= math.pi + 1e-9)
+
+
+def test_landen_descent_leaves_its_argument_unchanged():
+    mod = EllipticModulus.from_k_prime(1e-3)
+    t = np.linspace(-2.0 * mod.K, 2.0 * mod.K, 129)
+    before = t.copy()
+    _amplitude_reduced(t, mod)
+    assert np.array_equal(t, before)
