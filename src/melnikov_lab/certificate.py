@@ -45,6 +45,11 @@ def _sample_resonances(omega: float, m_max: int, n_max: int) -> List[Resonance]:
 
 
 def _curve_record(r: Resonance, beta, delta, j1_arg, verify_quadrature):
+    """The closed-form curve; a witness is also checked by quadrature if asked.
+
+    The witness is a nonconstant curve when beta > 0 (prop 4b), otherwise
+    a nonzero one (prop 4a).
+    """
     curve = closed_form_subharmonic(r, beta, delta, j1_arg=j1_arg)
     rec = {
         "family": r.family_tag,
@@ -56,7 +61,7 @@ def _curve_record(r: Resonance, beta, delta, j1_arg, verify_quadrature):
         "nonzero": abs(curve.const_term) > 0 or abs(curve.cos_coeff) > 0,
         "nonconstant": abs(curve.cos_coeff) > 0,
     }
-    if verify_quadrature:
+    if verify_quadrature and rec["nonconstant" if beta > 0 else "nonzero"]:
         sys = pendulum_system(beta, delta, r.omega)
         quad = subharmonic_quadrature(sys, r, 0.0)
         rec["quadrature_at_0"] = quad
@@ -98,9 +103,9 @@ def build_certificate(
 ) -> dict:
     """Structured applicability verdict for the three nonintegrability criteria.
 
-    verify=True cross-checks one curve per family by quadrature and one
-    contour value numerically; the rest use the (themselves test-covered)
-    closed forms.
+    verify=True cross-checks by quadrature, per family, the first witness
+    curve with m <= 5 in k order, and one contour value numerically; the
+    rest use the (themselves test-covered) closed forms.
     """
     resonances = _sample_resonances(omega, m_max, n_max)
 
@@ -108,9 +113,10 @@ def build_certificate(
     curve_records = []
     for r in resonances:
         do_verify = verify and r.family_tag not in verified and r.m <= 5
-        if do_verify:
+        rec = _curve_record(r, beta, delta, j1_arg, do_verify)
+        if "quadrature_agrees" in rec:
             verified.add(r.family_tag)
-        curve_records.append(_curve_record(r, beta, delta, j1_arg, do_verify))
+        curve_records.append(rec)
 
     hom_plus = closed_form_homoclinic(+1, beta, delta, omega)
     homoclinic_nonzero = (

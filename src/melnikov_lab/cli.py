@@ -12,7 +12,8 @@ Each subcommand takes only the flags it reads.
 
 Exit codes: 0 success (empty results included), 2 usage error,
 3 numerical non-convergence / integration failure / unsolvable or
-out-of-range resonance / argument at a Jacobi pole.
+out-of-range resonance / argument at a Jacobi pole / residue closed form
+beyond the float range.
 """
 
 from __future__ import annotations
@@ -28,7 +29,12 @@ import sys
 import numpy as np
 
 from .certificate import build_certificate
-from .contour import contour_integral_closed, contour_kernels, default_contour
+from .contour import (
+    ResidueOverflowError,
+    contour_integral_closed,
+    contour_kernels,
+    default_contour,
+)
 from .elliptic import PoleProximityError
 from .melnikov import (
     K_WINDOW,
@@ -377,7 +383,7 @@ def main(argv=None) -> int:
     except IntegrationFailure as exc:
         print(f"melnikov-lab: integration failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ResonanceError, PoleProximityError) as exc:
+    except (ResonanceError, PoleProximityError, ResidueOverflowError) as exc:
         print(f"melnikov-lab: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -22,6 +22,7 @@ from .pendulum import INNER, ROTATING_MINUS, orbit_complex_values
 
 __all__ = [
     "SingleEnclosureViolation",
+    "ResidueOverflowError",
     "ContourSpec",
     "ContourValue",
     "ContourKernels",
@@ -42,6 +43,10 @@ _SUBSTITUTION_TOL = 1e-10  # quad tolerance of both sides of substitution_check
 
 class SingleEnclosureViolation(ValueError):
     """Contour radius too large: more than one pole could be enclosed."""
+
+
+class ResidueOverflowError(OverflowError):
+    """The residue closed form lies beyond the float range (its cosh overflows)."""
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,12 @@ def contour_kernels(r: Resonance, spec: ContourSpec, tol: float = 1e-9) -> Conto
         x2 = orbit_complex_values(family, t)[1]
         x2_dt = x2 * 1j * spec.radius * e
         phase = omega * t
-        kernels = (x2_dt * np.cos(phase), x2_dt * np.sin(phase), x2_dt * x2)
-        return _level_means(n, _CONTOUR_N0, kernels, lambda *means: np.array(means))
+        block = np.empty((3, t.size), dtype=complex)
+        np.cos(phase, out=block[0])
+        np.sin(phase, out=block[1])
+        np.multiply(x2_dt, block[:2], out=block[:2])
+        np.multiply(x2_dt, x2, out=block[2])
+        return _level_means(n, _CONTOUR_N0, block, lambda means: means)
 
     cos_k, sin_k, damp_k = _trapezoid_doubling(
         sample_mean, 2.0 * math.pi, tol, n0=_CONTOUR_N0, n_max=2**18
@@ -168,7 +177,8 @@ def contour_integral_closed(r: Resonance, theta: float, beta: float) -> ContourV
 
     Inner: 4*pi*beta*(cosh(w K')cos(theta) - i sinh(w K')sin(theta));
     rotating: the same with k*K' and an overall +/- sign.  Nonzero for
-    every theta whenever beta > 0.
+    every theta whenever beta > 0.  Raises ResidueOverflowError where the
+    cosh overflows.
     """
     mod = r.modulus
     if r.family_tag == INNER:
@@ -176,12 +186,15 @@ def contour_integral_closed(r: Resonance, theta: float, beta: float) -> ContourV
     else:
         sign = -1.0 if r.family_tag == ROTATING_MINUS else 1.0
         arg = r.omega * mod.k * mod.K_prime
+    try:
+        cosh, sinh = math.cosh(arg), math.sinh(arg)
+    except OverflowError:
+        raise ResidueOverflowError(
+            f"residue closed form of the {r.family_tag} {r.m}/{r.n} resonance at "
+            f"omega={r.omega!r} overflows: cosh({arg:.6g})"
+        ) from None
     value = (
-        sign
-        * 4.0
-        * math.pi
-        * beta
-        * (math.cosh(arg) * math.cos(theta) - 1j * math.sinh(arg) * math.sin(theta))
+        sign * 4.0 * math.pi * beta * (cosh * math.cos(theta) - 1j * sinh * math.sin(theta))
     )
     return ContourValue(value, theta, r.family_tag)
 

@@ -31,6 +31,12 @@ __all__ = [
 # lost ~9 digits and results are no longer trustworthy.
 POLE_CLEARANCE = 1e-9
 
+# Landen levels: below _NO_OP_RATIO a level leaves phi as it was but for the
+# halving; at or below _ARCSIN_IDENTITY, |ratio * sin(phi)| <= 2^-26, where
+# arcsin(x) rounds to x (its relative correction x^2/6 is under 2^-54).
+_NO_OP_RATIO = 2.0**-54
+_ARCSIN_IDENTITY = 2.0**-26
+
 
 class PoleProximityError(ValueError):
     """Argument too close to a pole of the Jacobi elliptic functions."""
@@ -125,18 +131,23 @@ class EllipticModulus:
 
     @cached_property
     def _landen(self):
-        """(2^n a_n, (c_n/a_n, ..., c_1/a_1)) of the descending Landen chain.
+        """(2^n a_n, n - j, (c_j/a_j, ..., c_1/a_1)) of the descending Landen chain.
 
-        Built on first use rather than in _build: a bisecting resonance
-        solve constructs dozens of moduli that never evaluate a Jacobi
-        function.
+        Levels j+1..n are the trailing ones with |c/a| < 2^-54: there
+        |(c/a) sin(phi)| is below half an ulp of phi, so such a level only
+        halves phi, and the descent just halves phi n - j times.  Built on
+        first use rather than in _build: a bisecting resonance solve
+        constructs dozens of moduli that never evaluate a Jacobi function.
         """
         a, b, c = 1.0, self.k_prime, self.k
         ratios = []
         while abs(c) > 1e-16 * a and len(ratios) < 63:
             a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
             ratios.append(c / a)
-        return (2.0 ** len(ratios)) * a, tuple(reversed(ratios))
+        levels = len(ratios)
+        while ratios and abs(ratios[-1]) < _NO_OP_RATIO:
+            ratios.pop()
+        return (2.0**levels) * a, levels - len(ratios), tuple(reversed(ratios))
 
     @cached_property
     def _complement(self) -> "EllipticModulus":
@@ -165,17 +176,19 @@ class JacobiTriple:
 def _amplitude_reduced(t, mod: EllipticModulus):
     """Jacobi amplitude on arguments reduced to [-2K, 2K]; t is left unchanged.
 
-    The descent runs in place on one copy of t and one scratch array.
+    The descent runs in place on one scaled copy of t and one scratch array.
     """
-    scale, ratios = mod._landen
-    phi = np.array(t, dtype=float)
-    phi *= scale
+    scale, halvings, ratios = mod._landen
+    phi = np.multiply(t, scale, dtype=float)
+    for _ in range(halvings):  # not folded into scale: subnormal phi would round apart
+        phi *= 0.5
     step = np.empty_like(phi)
     # c_i < a_i, so |ratio * sin(phi)| <= 1 and arcsin needs no clip
     for ratio in ratios:
         np.sin(phi, out=step)
         step *= ratio
-        np.arcsin(step, out=step)
+        if abs(ratio) > _ARCSIN_IDENTITY:
+            np.arcsin(step, out=step)
         phi += step
         phi *= 0.5
     return phi
@@ -184,7 +197,7 @@ def _amplitude_reduced(t, mod: EllipticModulus):
 def jacobi_real(t, mod: EllipticModulus) -> JacobiTriple:
     """(sn, cn, dn)(t, k) for real t; accepts scalars or numpy arrays."""
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
+    if not np.isfinite(t_arr).all():
         raise ValueError("jacobi_real requires finite arguments")
     period = 4.0 * mod.K
     t_red = t_arr - period * np.round(t_arr / period)
@@ -202,7 +215,7 @@ def jacobi_real(t, mod: EllipticModulus) -> JacobiTriple:
 def jacobi_am(t, mod: EllipticModulus):
     """Unwrapped Jacobi amplitude am(t, k); am(t + 2K) = am(t) + pi."""
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
+    if not np.isfinite(t_arr).all():
         raise ValueError("jacobi_am requires finite arguments")
     two_K = 2.0 * mod.K
     winding = np.round(t_arr / two_K)

@@ -115,6 +115,18 @@ class Resonance:
         return period(self.modulus) - target
 
 
+def _cosh(x: float) -> float:
+    """math.cosh, or inf where it overflows (|x| beyond ~710.5).
+
+    Dividing by it gives a sech factor that underflows to 0 instead of
+    raising, and is math.cosh's quotient bit for bit wherever that is finite.
+    """
+    try:
+        return math.cosh(x)
+    except OverflowError:
+        return math.inf
+
+
 def _quarter_period(mod: EllipticModulus) -> float:
     return mod.K
 
@@ -202,20 +214,19 @@ def _new_nodes(n, n0):
     return np.arange(n) if n == 2 * n0 else np.arange(1, n, 2)
 
 
-_EVEN_ODD = (slice(0, None, 2), slice(1, None, 2))
+def _level_means(n, n0, block, combine):
+    """sample_mean(n) from a (kernels, nodes) block over the nodes _new_nodes(n, n0).
 
-
-def _level_means(n, n0, kernels, combine):
-    """sample_mean(n) from kernel values at the nodes _new_nodes(n, n0).
-
-    Returns combine(*means of the kernels); at the first call, n = 2*n0,
-    the pair (over the even nodes, over the odd nodes).
+    Returns combine(row means); at the first call, n = 2*n0, the pair
+    (over the even nodes, over the odd nodes).  A row sum divided by the
+    node count is np.mean of that row, bit for bit.
     """
     if n == 2 * n0:
-        return tuple(
-            combine(*(np.mean(k[half]) for k in kernels)) for half in _EVEN_ODD
+        return (
+            combine(block[:, 0::2].sum(axis=1) / n0),
+            combine(block[:, 1::2].sum(axis=1) / n0),
         )
-    return combine(*(np.mean(k) for k in kernels))
+    return combine(block.sum(axis=1) / (n // 2))
 
 
 def _trapezoid_doubling(sample_mean, length, tol, n0=64, n_max=2**20):
@@ -228,7 +239,8 @@ def _trapezoid_doubling(sample_mean, length, tol, n0=64, n_max=2**20):
     sample_mean(n) is the mean over the n/2 odd-indexed nodes that level
     n adds, the midpoints of the previous level.  Each node is evaluated
     once and T_2n = (T_n + M_n) / 2.  sample_mean(n) may return arrays;
-    every element must agree.
+    every element must agree.  A level whose value is not finite raises
+    NonConvergenceError at once.
     """
     n = 2 * n0
     mean, mid = sample_mean(n)
@@ -237,7 +249,9 @@ def _trapezoid_doubling(sample_mean, length, tol, n0=64, n_max=2**20):
         mean = 0.5 * (mean + mid)
         cur = length * mean
         diff = np.abs(cur - prev)
-        if np.all(diff <= tol * (1.0 + np.abs(cur))):
+        if not np.isfinite(cur).all():
+            raise NonConvergenceError(n, tol, float(np.max(diff)))
+        if (diff <= tol * (1.0 + np.abs(cur))).all():
             return cur
         if n >= n_max:
             raise NonConvergenceError(n, tol, float(np.max(diff)))
@@ -253,19 +267,28 @@ def _melnikov_values(sys: ForcedSystem, theta, sample_orbit, length, tol, n0):
     x2*sin(phase) and x2^2.  theta is a scalar (float result) or an
     array (array result, numpy-style).
     """
-    theta = np.asarray(theta, dtype=float)
-    cos_th, sin_th = np.cos(theta), np.sin(theta)
+    scalar = np.ndim(theta) == 0
+    trig = math if scalar else np  # math's cos/sin skip numpy's ufunc dispatch
+    theta = float(theta) if scalar else np.asarray(theta, dtype=float)
+    if not (math.isfinite(theta) if scalar else np.isfinite(theta).all()):
+        raise ValueError("theta must be finite")
+    cos_th, sin_th = trig.cos(theta), trig.sin(theta)
 
-    def combine(cos_k, sin_k, damp_k):
+    def combine(means):
+        cos_k, sin_k, damp_k = means
         return sys.beta * (cos_k * cos_th - sin_k * sin_th) - sys.delta * damp_k
 
     def sample_mean(n):
         x2, phase = sample_orbit(n)
-        kernels = (x2 * np.cos(phase), x2 * np.sin(phase), x2 * x2)
-        return _level_means(n, n0, kernels, combine)
+        block = np.empty((3, x2.size))
+        np.cos(phase, out=block[0])
+        np.sin(phase, out=block[1])
+        block[:2] *= x2
+        np.multiply(x2, x2, out=block[2])
+        return _level_means(n, n0, block, combine)
 
     value = _trapezoid_doubling(sample_mean, length, tol, n0=n0)
-    return float(value) if theta.ndim == 0 else value
+    return float(value) if scalar else value
 
 
 def subharmonic_quadrature(sys: ForcedSystem, r: Resonance, theta, tol: float = 1e-10):
@@ -315,14 +338,14 @@ def closed_form_subharmonic(
     if r.family_tag == INNER:
         j1 = 16.0 * count * (mod.E - mod.k_prime**2 * mod.K)
         if r.n == 1 and r.m % 2 == 1:
-            j2 = 4.0 * math.pi / math.cosh(r.omega * mod.K_prime)
+            j2 = 4.0 * math.pi / _cosh(r.omega * mod.K_prime)
         else:
             j2 = 0.0
         return MelnikovCurve(-delta * j1, beta * j2)
     sign = -1.0 if r.family_tag == ROTATING_MINUS else 1.0
     j1 = 8.0 * count * mod.E / mod.k
     if r.n == 1:
-        j2 = 2.0 * math.pi / math.cosh(mod.k * r.omega * mod.K_prime)
+        j2 = 2.0 * math.pi / _cosh(mod.k * r.omega * mod.K_prime)
     else:
         j2 = 0.0
     return MelnikovCurve(-delta * j1, sign * beta * j2)
@@ -363,7 +386,7 @@ def closed_form_homoclinic(
     """M_+-(theta) = -8 delta +/- 2 pi beta sech(pi omega / 2) cos(theta)."""
     s = 1.0 if sign >= 0 else -1.0
     return MelnikovCurve(
-        -8.0 * delta, s * 2.0 * math.pi * beta / math.cosh(0.5 * math.pi * omega)
+        -8.0 * delta, s * 2.0 * math.pi * beta / _cosh(0.5 * math.pi * omega)
     )
 
 
@@ -416,8 +439,12 @@ class ChaosVerdict:
 
 
 def chaos_condition(beta: float, delta: float, omega: float) -> ChaosVerdict:
-    """beta/delta > (4/pi) cosh(pi omega / 2), with the margin ratio."""
-    threshold = (4.0 / math.pi) * math.cosh(0.5 * math.pi * omega)
+    """beta/delta > (4/pi) cosh(pi omega / 2), with the margin ratio.
+
+    The threshold is inf where cosh overflows (omega beyond ~452): no
+    finite forcing ratio then meets it.
+    """
+    threshold = (4.0 / math.pi) * _cosh(0.5 * math.pi * omega)
     if delta == 0.0:
         ratio = math.inf if beta > 0 else 0.0
         return ChaosVerdict(beta > 0, ratio, threshold)

@@ -143,6 +143,43 @@ class TestMelnikovCommand:
         assert len(rows) == 4
 
 
+class TestLargeOmega:
+    """Past omega ~ 452 the closed forms' cosh overflows; no traceback, no exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["melnikov", "--homoclinic", "--omega", "1000"],
+            ["melnikov", "--m", "501", "--omega", "460", "--theta-points", "2"],
+            ["certify", "--omega", "1000"],
+            ["certify", "--omega", "500", "--beta", "0"],
+        ],
+    )
+    def test_exits_0_or_3(self, capsys, argv):
+        code, out, _ = run_cli(capsys, argv)
+        assert code in (EXIT_OK, EXIT_NUMERIC)
+        if code == EXIT_OK and argv[0] == "certify":
+            assert json.loads(out)["chaos"]["threshold"] == math.inf
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_overflowing_quadrature_exits_3(self, capsys):
+        code, _, err = run_cli(capsys, ["melnikov", "--beta", "1e308", "--delta", "1e308"])
+        assert code == EXIT_NUMERIC
+        assert "128 nodes" in err
+
+    def test_overflowing_residue_exits_3(self, capsys, monkeypatch):
+        from melnikov_lab import cli
+        from melnikov_lab.contour import ContourKernels
+
+        # the numeric kernels fail first at this resonance; skip them to reach the residue
+        monkeypatch.setattr(cli, "contour_kernels", lambda r, spec: ContourKernels(0j, 0j, 0j))
+        code, out, err = run_cli(
+            capsys, ["contour", "--m", "501", "--omega", "460", "--theta-points", "2"]
+        )
+        assert code == EXIT_NUMERIC and out == ""
+        assert "overflows" in err
+
+
 class TestContourCommand:
     def test_pole_proximity_exits_3(self, capsys, monkeypatch):
         import melnikov_lab.cli as cli

@@ -5,6 +5,7 @@ import pytest
 
 from melnikov_lab.contour import (
     ContourSpec,
+    ResidueOverflowError,
     SingleEnclosureViolation,
     admissible_radius,
     contour_integral_closed,
@@ -191,3 +192,9 @@ class TestSubstitutionCheck:
             substitution_check(mod, -0.1, 0.5)
         with pytest.raises(ValueError):
             substitution_check(mod, 0.1, mod.K + 0.1)
+
+
+def test_overflowing_residue_raises_a_typed_error():
+    r = solve_resonance(INNER, 460.0, 501, 1)  # cosh(omega K') overflows
+    with pytest.raises(ResidueOverflowError, match="overflows"):
+        contour_integral_closed(r, 0.0, 1.0)

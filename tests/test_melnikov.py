@@ -159,6 +159,52 @@ class TestNodeDoubling:
         assert "3.200e+01" in str(err)
         assert "1.0e-10" in str(err)
 
+    @pytest.mark.parametrize(
+        "pair",
+        [(math.nan, 1.0), (1.0, math.inf), (np.array([0.0, 1.0]), np.array([0.0, -math.inf]))],
+    )
+    def test_a_level_that_is_not_finite_raises_at_once(self, pair):
+        # an inf level beside a finite one passes |cur - prev| <= tol * (1 + |cur|)
+        calls = []
+
+        def sample_mean(n):
+            calls.append(n)
+            return pair
+
+        with pytest.raises(NonConvergenceError) as exc:
+            _trapezoid_doubling(sample_mean, 1.0, 1e-10, n0=64)
+        assert calls == [128] and exc.value.nodes == 128
+
+    def test_overflowing_parameters_stop_at_the_first_level(self, monkeypatch):
+        r = solve_resonance(INNER, 1.0, 3, 1)
+        calls = []
+        original = melnikov_module.orbit_state
+
+        def counting(family, t):
+            calls.append(np.size(t))
+            return original(family, t)
+
+        monkeypatch.setattr(melnikov_module, "orbit_state", counting)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergenceError):
+                subharmonic_quadrature(pendulum_system(1e308, 1e308, 1.0), r, [0.0, 1.0])
+        assert calls == [128]
+
+
+class TestNonFiniteTheta:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
+    def test_rejected_before_sampling(self, monkeypatch, theta):
+        def no_doubling(*args, **kwargs):
+            raise AssertionError("sampled a non-finite theta")
+
+        monkeypatch.setattr(melnikov_module, "_trapezoid_doubling", no_doubling)
+        sys = pendulum_system(1.0, 0.5, 1.0)
+        r = solve_resonance(INNER, 1.0, 3, 1)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            subharmonic_quadrature(sys, r, theta)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            homoclinic_quadrature(sys, 1, theta)
+
 
 class TestClosedFormSubharmonic:
     def test_inner_values(self):
@@ -275,6 +321,35 @@ class TestChaosCondition:
             verdict = chaos_condition(beta, 1.0, 1.0)
             zeros = simple_zeros(closed_form_homoclinic(+1, beta, 1.0, 1.0))
             assert verdict.holds == zeros.has_simple_zero == (scale > 1.0)
+
+
+class TestLargeOmega:
+    """cosh(omega K') and cosh(pi omega / 2) overflow above ~710.5."""
+
+    def test_sech_factors_underflow_to_zero(self):
+        assert closed_form_homoclinic(+1, 1.0, 1.0, 1000.0) == MelnikovCurve(-8.0, 0.0)
+        r = solve_resonance(INNER, 460.0, 501, 1)  # omega K' > 460 pi / 2 > 722
+        assert closed_form_subharmonic(r, 1.0, 0.5).cos_coeff == 0.0
+        v = chaos_condition(1.0, 1.0, 1000.0)
+        assert v.threshold == math.inf and v.ratio == 0.0 and not v.holds
+        assert chaos_condition(1.0, 0.0, 1000.0).holds
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 1.3, 100.0, 450.0, 451.9])
+    def test_finite_cosh_values_are_unchanged(self, omega):
+        # the last omega puts pi omega / 2 at 709.9, just below the overflow
+        hom = closed_form_homoclinic(-1, 0.7, 0.2, omega)
+        assert hom.cos_coeff == -1.0 * 2.0 * math.pi * 0.7 / math.cosh(0.5 * math.pi * omega)
+        threshold = (4.0 / math.pi) * math.cosh(0.5 * math.pi * omega)
+        assert chaos_condition(1.0, 1.0, omega).threshold == threshold
+
+    def test_finite_cosh_subharmonic_values_are_unchanged(self):
+        for r in (solve_resonance(INNER, 1.0, 3, 1), solve_resonance(ROTATING_MINUS, 1.2, 1, 1)):
+            mod = r.modulus
+            if r.family_tag == INNER:
+                j2 = 4.0 * math.pi / math.cosh(r.omega * mod.K_prime)
+            else:
+                j2 = -2.0 * math.pi / math.cosh(mod.k * r.omega * mod.K_prime)
+            assert closed_form_subharmonic(r, 1.0, 0.0).cos_coeff == j2
 
 
 class TestEnumerateResonances:

@@ -5,6 +5,13 @@ N points, and its value must equal the direct N-node trapezoid rule of the
 three kernels.  The rotating orbit's velocity, now taken from the Jacobi
 amplitude, must match dn from jacobi_real; the Landen descent must stay
 free of NaN without clipping its arcsin argument.
+
+The dispatch cuts are pinned bit for bit by derandomized hypothesis
+properties: the Landen descent without its no-op levels and without
+arcsin where arcsin(x) == x equals the full descent written out here;
+_level_means' row sums over one (3, n) kernel block equal np.mean of each
+kernel over the even and odd nodes; and a scalar theta, which takes
+math.cos/sin, gives the array-theta value at that theta.
 """
 
 import math
@@ -212,3 +219,67 @@ def test_landen_descent_leaves_its_argument_unchanged():
     before = t.copy()
     _amplitude_reduced(t, mod)
     assert np.array_equal(t, before)
+
+
+def _full_descent(t, mod):
+    """am(t) by the whole descending Landen chain, every level with its arcsin."""
+    a, b, c = 1.0, mod.k_prime, mod.k
+    ratios = []
+    while abs(c) > 1e-16 * a and len(ratios) < 63:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        ratios.append(c / a)
+    phi = (2.0 ** len(ratios)) * a * np.asarray(t, dtype=float)
+    for ratio in reversed(ratios):
+        phi = 0.5 * (phi + np.arcsin(ratio * np.sin(phi)))
+    return phi
+
+
+@PROPERTY
+@given(
+    st.floats(-300.0, math.log10(1.0 - 1e-16)),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+)
+@example(-300.0, [1.0, -1.0, 0.0])
+@example(math.log10(1.0 - 1e-16), [1.0, 5e-324])
+@example(math.log10(0.2149), [0.3, -0.7, 1e-310])  # a chain that runs to 63 levels
+def test_landen_descent_without_no_op_levels_is_bit_identical(log_kp, fractions):
+    k_prime = 10.0**log_kp
+    assume(0.0 < k_prime < 1.0)
+    mod = EllipticModulus.from_k_prime(k_prime)
+    t = 4.0 * mod.K * np.array(fractions)
+    assert np.array_equal(_amplitude_reduced(t, mod), _full_descent(t, mod))
+
+
+@PROPERTY
+@given(
+    st.sampled_from((float, complex)),
+    st.sampled_from((64, 512)),
+    st.integers(0, 2**32 - 1),
+    st.floats(-30.0, 30.0),
+)
+def test_level_means_equal_per_kernel_np_mean(dtype, n0, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(3, 2 * n0)) * 10.0**log_scale
+    if dtype is complex:
+        block = block + 1j * rng.normal(size=(3, 2 * n0))
+    first = melnikov._level_means(2 * n0, n0, block, lambda means: means)
+    for means, half in zip(first, (slice(0, None, 2), slice(1, None, 2))):
+        assert np.array_equal(means, [np.mean(kernel[half]) for kernel in block])
+    # a later level: the block holds only the n/2 new nodes
+    later = melnikov._level_means(4 * n0, n0, block, lambda means: means)
+    assert np.array_equal(later, [np.mean(kernel) for kernel in block])
+
+
+@PROPERTY
+@given(st.sampled_from(CASES[:4]), st.floats(-10.0, 10.0))
+@example(CASES[0], 0.0)
+@example(CASES[3], math.pi / 4.0)
+def test_scalar_theta_equals_array_theta(case, theta):
+    family, omega, m, n = case
+    r = melnikov.solve_resonance(family, omega, m, n)
+    sys = pendulum_system(0.8, 1.1, omega)
+    scalar = melnikov.subharmonic_quadrature(sys, r, theta)
+    assert isinstance(scalar, float)
+    assert scalar == melnikov.subharmonic_quadrature(sys, r, np.array([theta]))[0]
+    hom = melnikov.homoclinic_quadrature(sys, 1 if m % 2 else -1, theta)
+    assert hom == melnikov.homoclinic_quadrature(sys, 1 if m % 2 else -1, [theta])[0]
