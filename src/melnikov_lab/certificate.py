@@ -44,13 +44,13 @@ def _sample_resonances(omega: float, m_max: int, n_max: int) -> List[Resonance]:
     return out
 
 
-def _curve_record(r: Resonance, beta, delta, j1_arg, verify_quadrature):
+def _curve_record(r: Resonance, beta, delta, verify_quadrature):
     """The closed-form curve; a witness is also checked by quadrature if asked.
 
     The witness is a nonconstant curve when beta > 0 (prop 4b), otherwise
     a nonzero one (prop 4a).
     """
-    curve = closed_form_subharmonic(r, beta, delta, j1_arg=j1_arg)
+    curve = closed_form_subharmonic(r, beta, delta)
     rec = {
         "family": r.family_tag,
         "m": r.m,
@@ -98,7 +98,6 @@ def build_certificate(
     m_max: int = 9,
     n_max: int = 2,
     theta_points: int = 64,
-    j1_arg: str = "n",
     verify: bool = True,
 ) -> dict:
     """Structured applicability verdict for the three nonintegrability criteria.
@@ -113,7 +112,7 @@ def build_certificate(
     curve_records = []
     for r in resonances:
         do_verify = verify and r.family_tag not in verified and r.m <= 5
-        rec = _curve_record(r, beta, delta, j1_arg, do_verify)
+        rec = _curve_record(r, beta, delta, do_verify)
         if "quadrature_agrees" in rec:
             verified.add(r.family_tag)
         curve_records.append(rec)
@@ -149,11 +148,6 @@ def build_certificate(
 
     chaos = chaos_condition(beta, delta, omega)
 
-    def status(applies, hypothesis_met):
-        if not hypothesis_met:
-            return "inconclusive"
-        return "applies" if applies else "inconclusive"
-
     return {
         "schema": CERT_SCHEMA,
         "parameters": {
@@ -162,10 +156,10 @@ def build_certificate(
             "omega": omega,
             "eps_note": _EPS_NOTE,
         },
-        "conventions": {"j1_arg": j1_arg, "hom_phase": "omega-t"},
+        "conventions": {"j1_arg": "n", "hom_phase": "omega-t"},
         "prop_4a": {
             "applies": applies_4a,
-            "status": status(applies_4a, delta > 0),
+            "status": "applies" if applies_4a else "inconclusive",
             "witness": {
                 "resonances": nonzero_witnesses,
                 "homoclinic_nonzero": homoclinic_nonzero and delta > 0,
@@ -173,12 +167,12 @@ def build_certificate(
         },
         "prop_4b": {
             "applies": applies_4b,
-            "status": status(applies_4b, beta > 0),
+            "status": "applies" if applies_4b else "inconclusive",
             "witness": {"nonconstant_curves": nonconstant_witnesses},
         },
         "prop_4c": {
             "applies": applies_4c,
-            "status": status(applies_4c, beta > 0),
+            "status": "applies" if applies_4c else "inconclusive",
             "witness": {"contour_integrals": contour_records},
         },
         "chaos": {

@@ -197,7 +197,6 @@ def cmd_certify(args) -> int:
         m_max=args.m_max,
         n_max=args.n_max,
         theta_points=args.theta_points,
-        j1_arg=args.j1_arg,
     )
     _emit_json(args, cert)
     chaos = cert["chaos"]
@@ -282,7 +281,6 @@ _SHARED_FLAGS = {
     "m": dict(type=int, default=3),
     "n": dict(type=int, default=1),
     "theta_points": dict(type=int, default=64),
-    "j1_arg": dict(choices=("n", "m"), default="n"),
     "out": dict(type=str, default=None, help="output path (default stdout)"),
     "format": dict(choices=("csv", "json"), default="csv"),
 }
@@ -313,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_resonances)
 
     p = sub.add_parser("melnikov", help="Melnikov curve, quadrature vs closed form")
-    _add_flags(p, *system, *resonance, "theta_points", "out", "format", "j1_arg")
+    _add_flags(p, *system, *resonance, "theta_points", "out", "format")
+    p.add_argument("--j1-arg", choices=("n", "m"), default="n")
     p.add_argument("--homoclinic", action="store_true")
     p.add_argument("--sign", type=int, choices=(-1, 1), default=1)
     p.add_argument("--hom-phase", choices=("omega-t", "t"), default="omega-t")
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("certify", help="emit a nonintegrability certificate (JSON)")
-    _add_flags(p, *system, "theta_points", "out", "j1_arg")
+    _add_flags(p, *system, "theta_points", "out")
     p.add_argument("--m-max", type=int, default=9)
     p.add_argument("--n-max", type=int, default=2)
     p.set_defaults(func=cmd_certify)

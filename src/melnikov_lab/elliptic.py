@@ -31,49 +31,42 @@ __all__ = [
 # lost ~9 digits and results are no longer trustworthy.
 POLE_CLEARANCE = 1e-9
 
-# Landen levels: below _NO_OP_RATIO a level leaves phi as it was but for the
-# halving; at or below _ARCSIN_IDENTITY, |ratio * sin(phi)| <= 2^-26, where
-# arcsin(x) rounds to x (its relative correction x^2/6 is under 2^-54).
-_NO_OP_RATIO = 2.0**-54
+# Landen levels at or below _ARCSIN_IDENTITY have |ratio * sin(phi)| <= 2^-26,
+# where arcsin(x) rounds to x (its relative correction x^2/6 is under 2^-54).
 _ARCSIN_IDENTITY = 2.0**-26
+# The chain from b >= 5e-324 stops within 14 levels; b = 0 would never stop.
+_MAX_LEVELS = 32
 
 
 class PoleProximityError(ValueError):
     """Argument too close to a pole of the Jacobi elliptic functions."""
 
 
-def _agm(a: float, b: float) -> float:
-    for _ in range(64):
-        if abs(a - b) <= 1e-15 * abs(a):
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    # one extra average squares the remaining gap away
-    return 0.5 * (a + b)
+def _descent(b: float, c: float):
+    """The descending AGM (Landen) chain from (a, b, c) = (1, b, c), b^2 + c^2 = 1.
 
-
-def _K_from_kprime(k_prime: float) -> float:
-    return math.pi / (2.0 * _agm(1.0, k_prime))
-
-
-def _E_from_pair(k: float, k_prime: float) -> float:
-    # AGM with the c-sum: E = K * (1 - sum 2^{n-1} c_n^2).
-    a, b, c = 1.0, k_prime, k
-    csum = 0.5 * c * c
-    power = 0.5
-    for _ in range(64):
+    Each level maps (a, b, c) to ((a + b)/2, sqrt(a b), (a - b)/2) until the
+    first level n with |c_n| <= ulp(a_n)/2, where the a and b it averaged
+    were neighbours or equal.  Returns a_n, the c-sum sum_{j=0..n} 2^(j-1)
+    c_j^2 and the ratios [c_1/a_1, ..., c_n/a_n]; for the modulus c,
+    K = pi/(2 a_n) and E = K (1 - c-sum) (Abramowitz & Stegun 17.6).
+    """
+    a, csum, power, ratios = 1.0, 0.5 * c * c, 1.0, []
+    for _ in range(_MAX_LEVELS):
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        power *= 2.0
         csum += power * c * c
-        if power * c * c <= 1e-18 and abs(c) <= 1e-9:
-            break
-    return (math.pi / (2.0 * a)) * (1.0 - csum)
+        ratios.append(c / a)
+        if abs(c) <= 0.5 * math.ulp(a):
+            return a, csum, ratios
+        power *= 2.0
+    raise ArithmeticError(f"AGM descent did not settle in {_MAX_LEVELS} levels")
 
 
 def complete_K(k: float) -> float:
     """K(k), complete elliptic integral of the first kind, 0 <= k < 1."""
     if not 0.0 <= k < 1.0:
         raise ValueError(f"complete_K requires 0 <= k < 1, got {k!r}")
-    return _K_from_kprime(math.sqrt((1.0 - k) * (1.0 + k)))
+    return math.pi / (2.0 * _descent(math.sqrt((1.0 - k) * (1.0 + k)), k)[0])
 
 
 def complete_E(k: float) -> float:
@@ -82,19 +75,22 @@ def complete_E(k: float) -> float:
         raise ValueError(f"complete_E requires 0 <= k <= 1, got {k!r}")
     if k == 1.0:
         return 1.0
-    return _E_from_pair(k, math.sqrt((1.0 - k) * (1.0 + k)))
+    a, csum, _ = _descent(math.sqrt((1.0 - k) * (1.0 + k)), k)
+    return math.pi / (2.0 * a) * (1.0 - csum)
 
 
 @dataclass(frozen=True)
 class EllipticModulus:
     """An elliptic modulus k in (0,1) with its precomputed integrals.
 
-    K, E and K_prime = K(k') are evaluated once at construction, and the
-    Landen chain of the Jacobi functions and the complementary modulus
-    once on first use, so the quadrature loops elsewhere never recompute
-    them.  Construct through ``from_k`` or, when k is extremely close to
-    1, ``from_k_prime`` (the complement is then the authoritative value
-    and K keeps full accuracy).
+    K and E come from one AGM descent from (1, k') and K_prime = K(k')
+    from one from (1, k), both run at construction (see _descent).  The
+    Landen chain of the Jacobi functions, the ratios of the (1, k')
+    descent, and the complementary modulus are built once on first use,
+    so the quadrature loops elsewhere never recompute them.  Construct
+    through ``from_k`` or, when k is extremely close to 1,
+    ``from_k_prime`` (the complement is then the authoritative value and
+    K keeps full accuracy).
     """
 
     k: float
@@ -121,43 +117,29 @@ class EllipticModulus:
 
     @classmethod
     def _build(cls, k: float, k_prime: float) -> "EllipticModulus":
-        return cls(
-            k=k,
-            k_prime=k_prime,
-            K=_K_from_kprime(k_prime),
-            E=_E_from_pair(k, k_prime),
-            K_prime=_K_from_kprime(k),
-        )
+        a, csum, _ = _descent(k_prime, k)
+        K = math.pi / (2.0 * a)
+        K_prime = math.pi / (2.0 * _descent(k, k_prime)[0])
+        return cls(k=k, k_prime=k_prime, K=K, E=K * (1.0 - csum), K_prime=K_prime)
 
     @cached_property
     def _landen(self):
-        """(2^n a_n, n - j, (c_j/a_j, ..., c_1/a_1)) of the descending Landen chain.
+        """(2^n a_n, (c_n/a_n, ..., c_1/a_1)) of the (1, k') descent.
 
-        Levels j+1..n are the trailing ones with |c/a| < 2^-54: there
-        |(c/a) sin(phi)| is below half an ulp of phi, so such a level only
-        halves phi, and the descent just halves phi n - j times.  Built on
-        first use rather than in _build: a bisecting resonance solve
-        constructs dozens of moduli that never evaluate a Jacobi function.
+        am(t) is phi_0, where phi_n = 2^n a_n t and phi_{j-1} = (phi_j +
+        arcsin((c_j/a_j) sin phi_j)) / 2.  The last level, |c_n| <= ulp(a_n)/2,
+        moves phi by at most an ulp besides the halving and runs like the
+        others.  Built on first use rather than in _build: a bisecting
+        resonance solve constructs dozens of moduli that never evaluate a
+        Jacobi function.
         """
-        a, b, c = 1.0, self.k_prime, self.k
-        ratios = []
-        while abs(c) > 1e-16 * a and len(ratios) < 63:
-            a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-            ratios.append(c / a)
-        levels = len(ratios)
-        while ratios and abs(ratios[-1]) < _NO_OP_RATIO:
-            ratios.pop()
-        return (2.0**levels) * a, levels - len(ratios), tuple(reversed(ratios))
+        a, _, ratios = _descent(self.k_prime, self.k)
+        return (2.0 ** len(ratios)) * a, tuple(reversed(ratios))
 
     @cached_property
     def _complement(self) -> "EllipticModulus":
-        return EllipticModulus(
-            k=self.k_prime,
-            k_prime=self.k,
-            K=self.K_prime,
-            E=_E_from_pair(self.k_prime, self.k),
-            K_prime=self.K,
-        )
+        # the same two descents, so K and K' swap bit for bit
+        return EllipticModulus._build(self.k_prime, self.k)
 
     def complement(self) -> "EllipticModulus":
         """The modulus k' with roles of K and K' swapped (one object per modulus)."""
@@ -178,10 +160,8 @@ def _amplitude_reduced(t, mod: EllipticModulus):
 
     The descent runs in place on one scaled copy of t and one scratch array.
     """
-    scale, halvings, ratios = mod._landen
+    scale, ratios = mod._landen
     phi = np.multiply(t, scale, dtype=float)
-    for _ in range(halvings):  # not folded into scale: subnormal phi would round apart
-        phi *= 0.5
     step = np.empty_like(phi)
     # c_i < a_i, so |ratio * sin(phi)| <= 1 and arcsin needs no clip
     for ratio in ratios:

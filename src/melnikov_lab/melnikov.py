@@ -204,6 +204,17 @@ def solve_resonance(family_tag: str, omega: float, m: int, n: int) -> Optional[R
     return r
 
 
+def _first_level(n0, cycles):
+    """The smallest n0 * 2^j above 2 * cycles, the forcing's Nyquist count.
+
+    A coarser first grid aliases the forcing cos(omega t) to a slow
+    oscillation on the first two levels, which then agree on a wrong value.
+    """
+    while n0 <= 2.0 * cycles:
+        n0 *= 2
+    return n0
+
+
 def _new_nodes(n, n0):
     """Indices j of the grid j/n that the call sample_mean(n) evaluates.
 
@@ -240,9 +251,12 @@ def _trapezoid_doubling(sample_mean, length, tol, n0=64, n_max=2**20):
     n adds, the midpoints of the previous level.  Each node is evaluated
     once and T_2n = (T_n + M_n) / 2.  sample_mean(n) may return arrays;
     every element must agree.  A level whose value is not finite raises
-    NonConvergenceError at once.
+    NonConvergenceError at once, as does an n0 beyond n_max / 2, before
+    any sampling.
     """
     n = 2 * n0
+    if n > n_max:
+        raise NonConvergenceError(n, tol, math.inf)
     mean, mid = sample_mean(n)
     while True:
         prev = length * mean
@@ -296,10 +310,14 @@ def subharmonic_quadrature(sys: ForcedSystem, r: Resonance, theta, tol: float = 
 
     The integrand is periodic over the full interval at a resonance, so
     the composite trapezoid rule converges spectrally under doubling.
+    The first level has more than 2m nodes, so the m forcing periods on
+    the interval cannot alias.  sys.omega must be the resonance's omega.
     """
+    if sys.omega != r.omega:
+        raise ValueError(f"system omega {sys.omega!r} != resonance omega {r.omega!r}")
     family = r.orbit
     length = r.forcing_interval
-    n0 = 64
+    n0 = _first_level(64, r.m)
 
     def sample_orbit(n):
         t = _new_nodes(n, n0) * (length / n)
@@ -361,7 +379,8 @@ def homoclinic_quadrature(
     """M_+-(theta) by truncated trapezoid quadrature over the separatrix.
 
     The integrand decays like sech(t), so truncation at T leaves a tail
-    below 1e-13; node doubling then drives the trapezoid error to tol.
+    below 1e-13; node doubling then drives the trapezoid error to tol,
+    from a first level of more than two nodes per forcing period.
     theta is a scalar or an array, as for subharmonic_quadrature.
     phase_convention="t" evaluates the forcing at t + theta instead of
     omega*t + theta (audit hook; the closed forms use omega*t + theta).
@@ -371,7 +390,7 @@ def homoclinic_quadrature(
     rate = sys.omega if phase_convention == "omega-t" else 1.0
     s = 1.0 if sign >= 0 else -1.0
     half = 40.0 + 5.0 * math.log10(1.0 / tol)
-    n0 = 512
+    n0 = _first_level(512, rate * half / math.pi)
 
     def sample_orbit(n):
         t = -half + _new_nodes(n, n0) * (2.0 * half / n)

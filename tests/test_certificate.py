@@ -49,3 +49,20 @@ def test_no_witness_no_verification():
     cert = build_certificate(0.0, 0.0, 1.0)
     assert cert["prop_4a"]["witness"]["resonances"] == []
     assert cert["prop_4b"]["witness"]["nonconstant_curves"] == []
+
+
+def test_certificates_use_the_quadrature_confirmed_damping_count():
+    # quadrature confirms j1 = 16 n (E - k'^2 K); no option writes the other reading
+    assert build_certificate(1.0, 1.0, 1.0, m_max=3)["conventions"]["j1_arg"] == "n"
+    with pytest.raises(TypeError):
+        build_certificate(1.0, 1.0, 1.0, j1_arg="m")
+
+
+@pytest.mark.parametrize("beta, delta", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)])
+def test_status_is_applies_exactly_when_the_proposition_applies(beta, delta):
+    cert = build_certificate(beta, delta, 1.0, m_max=5, verify=False)
+    for prop in ("prop_4a", "prop_4b", "prop_4c"):
+        applies = cert[prop]["applies"]
+        assert cert[prop]["status"] == ("applies" if applies else "inconclusive")
+        hypothesis = delta > 0 if prop == "prop_4a" else beta > 0
+        assert hypothesis or not applies

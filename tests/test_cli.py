@@ -349,6 +349,7 @@ class TestUsageErrors:
             ["resonances", "--m", "2", "--n", "4"],
             ["certify", "--m", "3"],
             ["certify", "--format", "csv"],
+            ["certify", "--j1-arg", "m"],
             ["verify", "--theta-points", "0"],
         ],
     )
@@ -367,7 +368,7 @@ class TestUsageErrors:
             "melnikov": system | resonance | {"theta_points", "out", "format"}
             | {"homoclinic", "sign", "j1_arg", "hom_phase"},
             "contour": system | resonance | {"theta_points", "out", "format"},
-            "certify": system | {"theta_points", "out", "m_max", "n_max", "j1_arg"},
+            "certify": system | {"theta_points", "out", "m_max", "n_max"},
             "verify": system | resonance | {"out", "eps", "theta0"},
         }
         sub = next(

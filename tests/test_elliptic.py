@@ -1,12 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from melnikov_lab.elliptic import (
     EllipticModulus,
     PoleProximityError,
+    _descent,
     complete_E,
     complete_K,
     jacobi_am,
@@ -116,6 +120,62 @@ class TestEllipticModulus:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 EllipticModulus.from_k(bad)
+
+
+# k' from the smallest the resonance solve searches to the largest below 1
+LOG_K_PRIME = st.floats(-300.0, math.log10(1.0 - 1e-16))
+EPS = 2.0**-52
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(LOG_K_PRIME, st.floats(0.0, 4.0))
+@example(math.log10(0.01), 0.3)  # a Landen chain that once ran to its 63-level cap
+@example(-300.0, 0.999)
+@example(math.log10(1.0 - 1e-16), 3.7)
+def test_descent_values_match_mpmath(log_kp, fraction):
+    """K, E, E(k'), cn and am against mpmath at t = fraction * 4K."""
+    k_prime = 10.0**log_kp
+    assume(0.0 < k_prime < 1.0)
+    mod = EllipticModulus.from_k_prime(k_prime)
+    t = fraction * 4.0 * mod.K
+    cn, am = jacobi_real(t, mod).cn, jacobi_am(t, mod)
+    # enough digits to hold the parameter m = 1 - k'^2 itself
+    with mpmath.workdps(30 + 2 * max(0, -math.floor(log_kp))):
+        m = 1 - mpmath.mpf(k_prime) ** 2
+        K, E = mpmath.ellipk(m), mpmath.ellipe(m)
+        E_comp = mpmath.ellipe(mpmath.mpf(k_prime) ** 2)
+        sn_ref = mpmath.ellipfun("sn", mpmath.mpf(t), m=m)
+        cn_ref = mpmath.ellipfun("cn", mpmath.mpf(t), m=m)
+        phase = mpmath.atan2(sn_ref, cn_ref)
+        am_ref = phase + 2 * mpmath.pi * mpmath.nint((am - phase) / (2 * mpmath.pi))
+        errors = [float(abs(x - ref) / ref) for x, ref in
+                  ((mod.K, K), (mod.E, E), (mod.complement().E, E_comp))]
+        cn_err, am_err = float(abs(cn - cn_ref)), float(abs(am - am_ref))
+    assert errors[0] <= 4 * EPS
+    # E = K (1 - c-sum) cancels to about K ulps as k' -> 0
+    assert errors[1] <= 8 * EPS * mod.K
+    assert errors[2] <= 8 * EPS
+    # the arcsin of the Landen step loses about eps / sqrt(k') near the quarter
+    # period, at most sqrt(eps) (ROADMAP item 2)
+    bound = 64 * EPS + min(8 * EPS / math.sqrt(k_prime), math.sqrt(EPS))
+    assert cn_err <= bound and am_err <= bound
+
+
+def test_descent_stops_within_16_levels():
+    grid = np.concatenate(
+        [np.arange(0.01, 0.99, 1e-4), np.logspace(-323, math.log10(1.0 - 1e-16), 2000)]
+    )
+    for k_prime in grid.tolist():
+        k = math.sqrt((1.0 - k_prime) * (1.0 + k_prime))
+        assert len(_descent(k_prime, k)[2]) <= 16
+        assert len(_descent(k, k_prime)[2]) <= 16
+    assert len(EllipticModulus.from_k_prime(5e-324)._landen[1]) <= 16
+
+
+def test_descent_that_cannot_settle_raises():
+    # b = 0 halves a at every level and never meets the stop rule
+    with pytest.raises(ArithmeticError):
+        _descent(0.0, 1.0)
 
 
 def jacobi_ode_oracle(t, k):

@@ -1,9 +1,12 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level private name is referenced somewhere in the package.
 
 An import nothing reads still costs start-up time and hides which layer
 depends on which.  A name counts as used when the module loads it
 anywhere (including as the base of an attribute chain) or lists it in
-``__all__``, which is how the package re-exports names.
+``__all__``, which is how the package re-exports names.  A module-level
+``_name`` that no module loads, imports or reaches as an attribute is dead
+code left behind by a refactor.
 """
 
 import ast
@@ -39,6 +42,35 @@ def _used(tree):
     return used
 
 
+def _private_definitions(tree):
+    """{module-level _name: line}, dunder names excepted."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            bound = []
+        for name in bound:
+            if name.startswith("_") and not name.endswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _references(tree):
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+    return refs
+
+
 def test_scan_sees_every_module():
     assert {p.name for p in MODULES} >= {"cli.py", "contour.py", "poincare.py"}
 
@@ -55,3 +87,25 @@ def test_scan_flags_an_unused_name():
     tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau']\n")
     used = _used(tree)
     assert sorted(n for n in _imported(tree) if n not in used) == ["os", "pi"]
+
+
+def test_no_unreferenced_private_module_names():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    referenced = set().union(*(_references(tree) for tree in trees.values()))
+    dead = {
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in referenced
+    }
+    assert not dead, f"module-level private names referenced nowhere: {sorted(dead)}"
+
+
+def test_private_scan_flags_an_unreferenced_name():
+    tree = ast.parse(
+        "import math\n_A, _B = 1, 2\n_C = _A\n__all__ = []\n"
+        "def _agm(a, b):\n    return a\n"
+        "def _used():\n    return math._private\n_used()\n"
+    )
+    defined = _private_definitions(tree)
+    assert sorted(n for n in defined if n not in _references(tree)) == ["_B", "_C", "_agm"]

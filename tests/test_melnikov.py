@@ -206,6 +206,45 @@ class TestNonFiniteTheta:
             homoclinic_quadrature(sys, 1, theta)
 
 
+class TestAliasing:
+    """The first level holds more than two nodes per forcing period."""
+
+    def test_fast_forcing_homoclinic_matches_closed_form(self):
+        thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+        quad = homoclinic_quadrature(pendulum_system(1.0, 0.0, 1000.0), +1, thetas)
+        closed = closed_form_homoclinic(+1, 1.0, 0.0, 1000.0).evaluate(thetas)
+        assert np.max(np.abs(quad - closed)) <= 1e-10
+
+    def test_many_forcing_periods_subharmonic_matches_closed_form(self):
+        r = solve_resonance(INNER, 460.0, 501, 1)
+        thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+        quad = subharmonic_quadrature(pendulum_system(1.0, 0.0, 460.0), r, thetas)
+        closed = closed_form_subharmonic(r, 1.0, 0.0).evaluate(thetas)
+        assert np.max(np.abs(quad - closed)) <= 1e-10
+
+    @pytest.mark.parametrize("n0, cycles, first", [(64, 3, 64), (64, 32, 128), (64, 501, 1024),
+                                                   (512, 1000 * 90 / math.pi, 65536)])
+    def test_first_level(self, n0, cycles, first):
+        assert melnikov_module._first_level(n0, cycles) == first
+
+    def test_first_level_beyond_n_max_raises_before_sampling(self):
+        def sampler(n):
+            raise AssertionError("sampled a level past n_max")
+
+        with pytest.raises(NonConvergenceError):
+            _trapezoid_doubling(sampler, 1.0, 1e-10, n0=2**20)
+
+
+def test_system_omega_must_be_the_resonance_omega(monkeypatch):
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("sampled the orbit")
+
+    monkeypatch.setattr(melnikov_module, "orbit_state", no_orbit)
+    r = solve_resonance(ROTATING_PLUS, 1.2, 1, 1)
+    with pytest.raises(ValueError, match="omega"):
+        subharmonic_quadrature(pendulum_system(1.0, 0.0, 1.0), r, 0.0)
+
+
 class TestClosedFormSubharmonic:
     def test_inner_values(self):
         r = solve_resonance(INNER, 1.0, 3, 1)
