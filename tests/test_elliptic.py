@@ -127,7 +127,7 @@ LOG_K_PRIME = st.floats(-300.0, math.log10(1.0 - 1e-16))
 EPS = 2.0**-52
 
 
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(LOG_K_PRIME, st.floats(0.0, 4.0))
 @example(math.log10(0.01), 0.3)  # a Landen chain that once ran to its 63-level cap
 @example(-300.0, 0.999)
