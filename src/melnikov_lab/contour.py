@@ -149,9 +149,9 @@ def contour_kernels(r: Resonance, spec: ContourSpec, tol: float = 1e-9) -> Conto
         np.sin(phase, out=block[1])
         np.multiply(x2_dt, block[:2], out=block[:2])
         np.multiply(x2_dt, x2, out=block[2])
-        return _level_means(n, _CONTOUR_N0, block, lambda means: means)
+        return _level_means(n, _CONTOUR_N0, block)
 
-    cos_k, sin_k, damp_k = _trapezoid_doubling(
+    (cos_k, sin_k, damp_k), _, _ = _trapezoid_doubling(
         sample_mean, 2.0 * math.pi, tol, n0=_CONTOUR_N0, n_max=2**18
     )
     return ContourKernels(cos_k, sin_k, damp_k)

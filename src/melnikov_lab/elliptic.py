@@ -34,6 +34,9 @@ POLE_CLEARANCE = 1e-9
 # Landen levels at or below _ARCSIN_IDENTITY have |ratio * sin(phi)| <= 2^-26,
 # where arcsin(x) rounds to x (its relative correction x^2/6 is under 2^-54).
 _ARCSIN_IDENTITY = 2.0**-26
+# Levels at or below _HALVING_ONLY have |ratio * sin(phi)| <= 2^-54 |phi| < ulp(phi)/2,
+# so phi + step rounds to phi and the level only halves phi.
+_HALVING_ONLY = 2.0**-54
 # The chain from b >= 5e-324 stops within 14 levels; b = 0 would never stop.
 _MAX_LEVELS = 32
 
@@ -83,11 +86,12 @@ def complete_E(k: float) -> float:
 class EllipticModulus:
     """An elliptic modulus k in (0,1) with its precomputed integrals.
 
-    K and E come from one AGM descent from (1, k') and K_prime = K(k')
-    from one from (1, k), both run at construction (see _descent).  The
-    Landen chain of the Jacobi functions, the ratios of the (1, k')
-    descent, and the complementary modulus are built once on first use,
-    so the quadrature loops elsewhere never recompute them.  Construct
+    K comes from one AGM descent from (1, k'), K_prime = K(k') and the
+    c-sum of E from one from (1, k), both run at construction (see
+    _descent and _build).  The Landen chain of the Jacobi functions, the
+    ratios of the (1, k') descent, and the complementary modulus are
+    built once on first use, so the quadrature loops elsewhere never
+    recompute them.  Construct
     through ``from_k`` or, when k is extremely close to 1,
     ``from_k_prime`` (the complement is then the authoritative value and
     K keeps full accuracy).
@@ -117,21 +121,24 @@ class EllipticModulus:
 
     @classmethod
     def _build(cls, k: float, k_prime: float) -> "EllipticModulus":
-        a, csum, _ = _descent(k_prime, k)
-        K = math.pi / (2.0 * a)
-        K_prime = math.pi / (2.0 * _descent(k, k_prime)[0])
-        return cls(k=k, k_prime=k_prime, K=K, E=K * (1.0 - csum), K_prime=K_prime)
+        K = math.pi / (2.0 * _descent(k_prime, k)[0])
+        a, csum, _ = _descent(k, k_prime)
+        K_prime = math.pi / (2.0 * a)
+        # Legendre's relation with E' = K' (1 - c-sum'): E = pi/(2K') + K c-sum',
+        # a sum of two positive terms, where K (1 - c-sum) cancels as k' -> 0
+        E = math.pi / (2.0 * K_prime) + K * csum
+        return cls(k=k, k_prime=k_prime, K=K, E=E, K_prime=K_prime)
 
     @cached_property
     def _landen(self):
         """(2^n a_n, (c_n/a_n, ..., c_1/a_1)) of the (1, k') descent.
 
         am(t) is phi_0, where phi_n = 2^n a_n t and phi_{j-1} = (phi_j +
-        arcsin((c_j/a_j) sin phi_j)) / 2.  The last level, |c_n| <= ulp(a_n)/2,
-        moves phi by at most an ulp besides the halving and runs like the
-        others.  Built on first use rather than in _build: a bisecting
-        resonance solve constructs dozens of moduli that never evaluate a
-        Jacobi function.
+        arcsin((c_j/a_j) sin phi_j)) / 2.  A level with |c_j/a_j| <= 2^-54
+        cannot move phi besides the halving, so _amplitude_reduced only
+        halves there.  Built on first use rather than in _build: a
+        bisecting resonance solve constructs dozens of moduli that never
+        evaluate a Jacobi function.
         """
         a, _, ratios = _descent(self.k_prime, self.k)
         return (2.0 ** len(ratios)) * a, tuple(reversed(ratios))
@@ -165,11 +172,12 @@ def _amplitude_reduced(t, mod: EllipticModulus):
     step = np.empty_like(phi)
     # c_i < a_i, so |ratio * sin(phi)| <= 1 and arcsin needs no clip
     for ratio in ratios:
-        np.sin(phi, out=step)
-        step *= ratio
-        if abs(ratio) > _ARCSIN_IDENTITY:
-            np.arcsin(step, out=step)
-        phi += step
+        if abs(ratio) > _HALVING_ONLY:
+            np.sin(phi, out=step)
+            step *= ratio
+            if abs(ratio) > _ARCSIN_IDENTITY:
+                np.arcsin(step, out=step)
+            phi += step
         phi *= 0.5
     return phi
 

@@ -8,15 +8,18 @@ shape const + coeff*cos(theta), so zeros, tangencies and the chaos
 threshold are available in closed form as well.
 
 The defining integral of x2*(beta*cos(omega t + theta) - delta*x2) is
-affine in cos(theta), sin(theta) and delta, so the quadrature integrates
-the three kernels x2*cos(omega t), x2*sin(omega t) and x2^2 in one pass
-and serves a scalar theta or a whole array of them.
+affine in cos(theta), sin(theta) and delta, so one node-doubling pass
+integrates the three kernels x2*cos(omega t), x2*sin(omega t) and x2^2
+into a MelnikovKernels, and MelnikovKernels.value evaluates it for any
+scalar or array theta and any (beta, delta) with plain arithmetic.  A
+Resonance computes its kernels once, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -37,6 +40,7 @@ __all__ = [
     "IntegrationFailure",
     "ResonanceError",
     "Resonance",
+    "MelnikovKernels",
     "MelnikovCurve",
     "MelnikovZero",
     "ZeroAnalysis",
@@ -78,6 +82,10 @@ class ResonanceError(RuntimeError):
     """The resonance condition has no solution among representable moduli."""
 
 
+# Both quadratures stop where every kernel has |cur - prev| <= this * (1 + |cur|).
+_QUADRATURE_TOL = 1e-10
+# The separatrix integrand decays like sech(t); cut at +-this, its tail is below 1e-13.
+_HOMOCLINIC_HALF = 40.0 + 5.0 * math.log10(1.0 / _QUADRATURE_TOL)
 _RESONANCE_RTOL = 1e-10  # largest |residual| / target that solve_resonance accepts
 _K_PRIME_RANGE = (1e-300, 1.0 - 1e-16)  # searched by the resonance bisection
 K_WINDOW = (1e-6, 1.0 - 1e-15)  # moduli that resonance tables and certificates list
@@ -113,6 +121,25 @@ class Resonance:
         """Residual of the defining resonance equation."""
         target, period = _resonance_equation(self.family_tag, self.omega, self.m, self.n)
         return period(self.modulus) - target
+
+    @cached_property
+    def kernels(self) -> "MelnikovKernels":
+        """The orbit's Melnikov kernels over [0, 2*pi*m/omega], integrated on first use.
+
+        The integrand is periodic over the full interval at a resonance, so
+        the composite trapezoid rule converges spectrally under doubling.
+        The first level has more than 2m nodes, so the m forcing periods on
+        the interval cannot alias.
+        """
+        family = self.orbit
+        length = self.forcing_interval
+        n0 = _first_level(64, self.m)
+
+        def sample_orbit(n):
+            t = _new_nodes(n, n0) * (length / n)
+            return orbit_state(family, t).x2, self.omega * t
+
+        return _melnikov_kernels(sample_orbit, length, n0)
 
 
 def _cosh(x: float) -> float:
@@ -225,23 +252,20 @@ def _new_nodes(n, n0):
     return np.arange(n) if n == 2 * n0 else np.arange(1, n, 2)
 
 
-def _level_means(n, n0, block, combine):
+def _level_means(n, n0, block):
     """sample_mean(n) from a (kernels, nodes) block over the nodes _new_nodes(n, n0).
 
-    Returns combine(row means); at the first call, n = 2*n0, the pair
-    (over the even nodes, over the odd nodes).  A row sum divided by the
-    node count is np.mean of that row, bit for bit.
+    Returns the row means; at the first call, n = 2*n0, the pair (over the
+    even nodes, over the odd nodes).  A row sum divided by the node count
+    is np.mean of that row, bit for bit.
     """
     if n == 2 * n0:
-        return (
-            combine(block[:, 0::2].sum(axis=1) / n0),
-            combine(block[:, 1::2].sum(axis=1) / n0),
-        )
-    return combine(block.sum(axis=1) / (n // 2))
+        return block[:, 0::2].sum(axis=1) / n0, block[:, 1::2].sum(axis=1) / n0
+    return block.sum(axis=1) / (n // 2)
 
 
 def _trapezoid_doubling(sample_mean, length, tol, n0=64, n_max=2**20):
-    """length * mean(f) with nested node doubling until successive values agree.
+    """(length * mean(f), nodes, last max |cur - prev|) by nested node doubling.
 
     No level can be accepted before it is compared with the one before,
     so the first call sample_mean(2*n0) returns both first levels: the
@@ -266,31 +290,63 @@ def _trapezoid_doubling(sample_mean, length, tol, n0=64, n_max=2**20):
         if not np.isfinite(cur).all():
             raise NonConvergenceError(n, tol, float(np.max(diff)))
         if (diff <= tol * (1.0 + np.abs(cur))).all():
-            return cur
+            return cur, n, float(np.max(diff))
         if n >= n_max:
             raise NonConvergenceError(n, tol, float(np.max(diff)))
         n *= 2
         mid = sample_mean(n)
 
 
-def _melnikov_values(sys: ForcedSystem, theta, sample_orbit, length, tol, n0):
-    """beta*(C cos(theta) - S sin(theta)) - delta*D by node doubling.
+def _finite_theta(theta):
+    """theta as a float or a float array; ValueError unless every element is finite."""
+    if np.ndim(theta) == 0:
+        theta = float(theta)
+        finite = math.isfinite(theta)
+    else:
+        theta = np.asarray(theta, dtype=float)
+        finite = np.isfinite(theta).all()
+    if not finite:
+        raise ValueError("theta must be finite")
+    return theta
+
+
+@dataclass(frozen=True)
+class MelnikovKernels:
+    """One quadrature pass: integrals of x2*cos(phase), x2*sin(phase) and x2^2.
+
+    nodes is the node count of the accepted level and last_diff the
+    largest |cur - prev| of the three kernels there.
+    """
+
+    cos_kernel: float
+    sin_kernel: float
+    damping_kernel: float
+    nodes: int
+    last_diff: float
+
+    def value(self, theta, beta: float, delta: float):
+        """beta*(C cos(theta) - S sin(theta)) - delta*D for a scalar or array theta.
+
+        A scalar theta gives a float, an array an array.  A value that is
+        not finite (parameters near the float range) raises
+        NonConvergenceError with the kernels' node count.
+        """
+        theta = _finite_theta(theta)
+        scalar = isinstance(theta, float)
+        trig = math if scalar else np  # math's cos/sin skip numpy's ufunc dispatch
+        forcing = self.cos_kernel * trig.cos(theta) - self.sin_kernel * trig.sin(theta)
+        out = beta * forcing - delta * self.damping_kernel
+        if not (math.isfinite(out) if scalar else np.isfinite(out).all()):
+            raise NonConvergenceError(self.nodes, _QUADRATURE_TOL, math.inf)
+        return out
+
+
+def _melnikov_kernels(sample_orbit, length, n0) -> MelnikovKernels:
+    """The three kernels over an interval of this length by node doubling.
 
     sample_orbit(n) returns x2 and the forcing phase at the nodes
-    _new_nodes(n, n0); C, S and D are the means of x2*cos(phase),
-    x2*sin(phase) and x2^2.  theta is a scalar (float result) or an
-    array (array result, numpy-style).
+    _new_nodes(n, n0).  Every kernel must meet the tolerance on its own.
     """
-    scalar = np.ndim(theta) == 0
-    trig = math if scalar else np  # math's cos/sin skip numpy's ufunc dispatch
-    theta = float(theta) if scalar else np.asarray(theta, dtype=float)
-    if not (math.isfinite(theta) if scalar else np.isfinite(theta).all()):
-        raise ValueError("theta must be finite")
-    cos_th, sin_th = trig.cos(theta), trig.sin(theta)
-
-    def combine(means):
-        cos_k, sin_k, damp_k = means
-        return sys.beta * (cos_k * cos_th - sin_k * sin_th) - sys.delta * damp_k
 
     def sample_mean(n):
         x2, phase = sample_orbit(n)
@@ -299,31 +355,25 @@ def _melnikov_values(sys: ForcedSystem, theta, sample_orbit, length, tol, n0):
         np.sin(phase, out=block[1])
         block[:2] *= x2
         np.multiply(x2, x2, out=block[2])
-        return _level_means(n, n0, block, combine)
+        return _level_means(n, n0, block)
 
-    value = _trapezoid_doubling(sample_mean, length, tol, n0=n0)
-    return float(value) if scalar else value
+    kernels, nodes, last_diff = _trapezoid_doubling(
+        sample_mean, length, _QUADRATURE_TOL, n0=n0
+    )
+    return MelnikovKernels(*kernels.tolist(), nodes, last_diff)
 
 
-def subharmonic_quadrature(sys: ForcedSystem, r: Resonance, theta, tol: float = 1e-10):
+def subharmonic_quadrature(sys: ForcedSystem, r: Resonance, theta):
     """M^{m/n}(theta) by trapezoid quadrature over [0, 2*pi*m/omega].
 
-    The integrand is periodic over the full interval at a resonance, so
-    the composite trapezoid rule converges spectrally under doubling.
-    The first level has more than 2m nodes, so the m forcing periods on
-    the interval cannot alias.  sys.omega must be the resonance's omega.
+    The value of r.kernels (see Resonance.kernels), which the first call
+    on r integrates; theta is a scalar (float result) or an array (array
+    result).  sys.omega must be the resonance's omega.
     """
     if sys.omega != r.omega:
         raise ValueError(f"system omega {sys.omega!r} != resonance omega {r.omega!r}")
-    family = r.orbit
-    length = r.forcing_interval
-    n0 = _first_level(64, r.m)
-
-    def sample_orbit(n):
-        t = _new_nodes(n, n0) * (length / n)
-        return orbit_state(family, t).x2, sys.omega * t
-
-    return _melnikov_values(sys, theta, sample_orbit, length, tol, n0=n0)
+    theta = _finite_theta(theta)
+    return r.kernels.value(theta, sys.beta, sys.delta)
 
 
 @dataclass(frozen=True)
@@ -370,33 +420,32 @@ def closed_form_subharmonic(
 
 
 def homoclinic_quadrature(
-    sys: ForcedSystem,
-    sign: int,
-    theta,
-    tol: float = 1e-10,
-    phase_convention: str = "omega-t",
+    sys: ForcedSystem, sign: int, theta, phase_convention: str = "omega-t"
 ):
     """M_+-(theta) by truncated trapezoid quadrature over the separatrix.
 
-    The integrand decays like sech(t), so truncation at T leaves a tail
-    below 1e-13; node doubling then drives the trapezoid error to tol,
-    from a first level of more than two nodes per forcing period.
-    theta is a scalar or an array, as for subharmonic_quadrature.
-    phase_convention="t" evaluates the forcing at t + theta instead of
-    omega*t + theta (audit hook; the closed forms use omega*t + theta).
+    The interval is [-T, T] with T = _HOMOCLINIC_HALF, and node doubling
+    drives the trapezoid error of each kernel below the tolerance, from a
+    first level of more than two nodes per forcing period.  Nothing holds
+    the kernels, so every call integrates them again.  theta is a scalar
+    or an array, as for subharmonic_quadrature.  phase_convention="t" evaluates the forcing at
+    t + theta instead of omega*t + theta (audit hook; the closed forms use
+    omega*t + theta).
     """
     if phase_convention not in ("omega-t", "t"):
         raise ValueError("phase_convention must be 'omega-t' or 't'")
+    theta = _finite_theta(theta)
     rate = sys.omega if phase_convention == "omega-t" else 1.0
     s = 1.0 if sign >= 0 else -1.0
-    half = 40.0 + 5.0 * math.log10(1.0 / tol)
+    half = _HOMOCLINIC_HALF
     n0 = _first_level(512, rate * half / math.pi)
 
     def sample_orbit(n):
         t = -half + _new_nodes(n, n0) * (2.0 * half / n)
         return s * 2.0 / np.cosh(t), rate * t
 
-    return _melnikov_values(sys, theta, sample_orbit, 2.0 * half, tol, n0=n0)
+    kernels = _melnikov_kernels(sample_orbit, 2.0 * half, n0)
+    return kernels.value(theta, sys.beta, sys.delta)
 
 
 def closed_form_homoclinic(

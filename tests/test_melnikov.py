@@ -245,6 +245,69 @@ def test_system_omega_must_be_the_resonance_omega(monkeypatch):
         subharmonic_quadrature(pendulum_system(1.0, 0.0, 1.0), r, 0.0)
 
 
+class TestKernelsOncePerResonance:
+    """A Resonance integrates its kernels on first use; every theta reuses them."""
+
+    def _count_points(self, monkeypatch):
+        points = []
+        original = melnikov_module.orbit_state
+
+        def counting(family, t):
+            points.append(np.size(t))
+            return original(family, t)
+
+        monkeypatch.setattr(melnikov_module, "orbit_state", counting)
+        return points
+
+    @pytest.mark.parametrize("case", [(INNER, 1.0, 3, 1), (ROTATING_MINUS, 0.8, 3, 2)])
+    def test_eight_scalar_thetas_sample_the_orbit_once(self, monkeypatch, case):
+        r = solve_resonance(*case)
+        points = self._count_points(monkeypatch)
+        sys = pendulum_system(0.7, 1.3, r.omega)
+        values = [subharmonic_quadrature(sys, r, th) for th in np.linspace(0.0, 6.0, 8)]
+        assert sum(points) == r.kernels.nodes
+        first_pass = list(points)
+        subharmonic_quadrature(sys, r, np.linspace(0.0, 6.0, 8))
+        assert points == first_pass
+        assert all(isinstance(v, float) for v in values)
+
+    def test_systems_share_one_kernel_triple(self, monkeypatch):
+        r = solve_resonance(INNER, 1.0, 5, 1)
+        ker = r.kernels
+        points = self._count_points(monkeypatch)
+        thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+        for beta, delta in [(1.0, 0.0), (0.0, 1.0), (0.3, 2.5), (1e3, 1e-3)]:
+            sys = pendulum_system(beta, delta, r.omega)
+            expected = (
+                beta * (ker.cos_kernel * np.cos(thetas) - ker.sin_kernel * np.sin(thetas))
+                - delta * ker.damping_kernel
+            )
+            assert np.array_equal(subharmonic_quadrature(sys, r, thetas), expected)
+            closed = closed_form_subharmonic(r, beta, delta).evaluate(thetas)
+            assert np.max(np.abs(expected - closed)) <= 1e-8 * (1.0 + beta + delta)
+        assert points == [] and r.kernels is ker
+
+    def test_other_omega_raises_with_cached_kernels(self, monkeypatch):
+        r = solve_resonance(ROTATING_PLUS, 1.2, 1, 1)
+        subharmonic_quadrature(pendulum_system(1.0, 0.0, 1.2), r, 0.0)
+        assert "kernels" in vars(r)
+        with pytest.raises(ValueError, match="omega"):
+            subharmonic_quadrature(pendulum_system(1.0, 0.0, 1.0), r, 0.0)
+
+    def test_kernels_record_their_level(self):
+        r = solve_resonance(INNER, 1.0, 3, 1)
+        ker = r.kernels
+        assert ker.nodes == 128
+        assert 0.0 <= ker.last_diff <= 1e-10 * (1.0 + abs(ker.damping_kernel))
+
+    def test_value_that_overflows_names_the_node_count(self):
+        ker = solve_resonance(INNER, 1.0, 3, 1).kernels
+        with pytest.raises(NonConvergenceError, match="128 nodes"):
+            ker.value(0.0, 1e308, 1e308)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            ker.value(math.nan, 1.0, 1.0)
+
+
 class TestClosedFormSubharmonic:
     def test_inner_values(self):
         r = solve_resonance(INNER, 1.0, 3, 1)

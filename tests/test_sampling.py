@@ -245,6 +245,8 @@ def _full_descent(t, mod):
 @example(-300.0, [1.0, -1.0, 0.0])
 @example(math.log10(1.0 - 1e-16), [1.0, 5e-324])
 @example(math.log10(0.01), [0.3, -0.7, 1e-310])  # a chain that once ran to 63 levels
+@example(math.log10(0.5), [0.1, -0.45, 0.999])
+@example(-14.0, [0.25, -0.5, 1e-300])  # a chain whose last level only halves
 def test_landen_descent_without_no_op_levels_is_bit_identical(log_kp, fractions):
     k_prime = 10.0**log_kp
     assume(0.0 < k_prime < 1.0)
@@ -265,11 +267,11 @@ def test_level_means_equal_per_kernel_np_mean(dtype, n0, seed, log_scale):
     block = rng.normal(size=(3, 2 * n0)) * 10.0**log_scale
     if dtype is complex:
         block = block + 1j * rng.normal(size=(3, 2 * n0))
-    first = melnikov._level_means(2 * n0, n0, block, lambda means: means)
+    first = melnikov._level_means(2 * n0, n0, block)
     for means, half in zip(first, (slice(0, None, 2), slice(1, None, 2))):
         assert np.array_equal(means, [np.mean(kernel[half]) for kernel in block])
     # a later level: the block holds only the n/2 new nodes
-    later = melnikov._level_means(4 * n0, n0, block, lambda means: means)
+    later = melnikov._level_means(4 * n0, n0, block)
     assert np.array_equal(later, [np.mean(kernel) for kernel in block])
 
 
