@@ -287,7 +287,7 @@ class TestKernelsOncePerResonance:
             assert np.max(np.abs(expected - closed)) <= 1e-8 * (1.0 + beta + delta)
         assert points == [] and r.kernels is ker
 
-    def test_other_omega_raises_with_cached_kernels(self, monkeypatch):
+    def test_other_omega_raises_with_cached_kernels(self):
         r = solve_resonance(ROTATING_PLUS, 1.2, 1, 1)
         subharmonic_quadrature(pendulum_system(1.0, 0.0, 1.2), r, 0.0)
         assert "kernels" in vars(r)
