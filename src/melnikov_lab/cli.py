@@ -286,6 +286,13 @@ _SHARED_FLAGS = {
 }
 
 
+# melnikov flags that only the subharmonic curve reads: dest -> default.
+_SUBHARMONIC_DEFAULTS = {
+    **{dest: _SHARED_FLAGS[dest]["default"] for dest in ("family", "m", "n")},
+    "j1_arg": "n",
+}
+
+
 def _add_flags(p, *dests):
     for dest in dests:
         p.add_argument("--" + dest.replace("_", "-"), **_SHARED_FLAGS[dest])
@@ -312,10 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("melnikov", help="Melnikov curve, quadrature vs closed form")
     _add_flags(p, *system, *resonance, "theta_points", "out", "format")
-    p.add_argument("--j1-arg", choices=("n", "m"), default="n")
+    p.add_argument("--j1-arg", choices=("n", "m"))
     p.add_argument("--homoclinic", action="store_true")
     p.add_argument("--sign", type=int, choices=(-1, 1), default=1)
     p.add_argument("--hom-phase", choices=("omega-t", "t"), default="omega-t")
+    # left unset so _validate can tell a given flag from its default
+    p.set_defaults(**dict.fromkeys(_SUBHARMONIC_DEFAULTS))
     p.set_defaults(func=cmd_melnikov)
 
     p = sub.add_parser("contour", help="contour integral, numeric vs closed form")
@@ -353,7 +362,15 @@ def _validate(args) -> None:
         raise SystemExit(_usage_error("omega must be positive"))
     if getattr(args, "beta", 0.0) < 0 or getattr(args, "delta", 0.0) < 0:
         raise SystemExit(_usage_error("beta and delta must be nonnegative"))
-    # melnikov --homoclinic reads no resonance
+    if getattr(args, "homoclinic", False):
+        given = [d for d in _SUBHARMONIC_DEFAULTS if getattr(args, d) is not None]
+        if given:
+            flags = ", ".join("--" + d.replace("_", "-") for d in given)
+            raise SystemExit(_usage_error(f"melnikov --homoclinic does not read {flags}"))
+    elif args.command == "melnikov":
+        for dest, default in _SUBHARMONIC_DEFAULTS.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
     if hasattr(args, "m") and not getattr(args, "homoclinic", False):
         if args.m < 1 or args.n < 1:
             raise SystemExit(_usage_error("m and n must be positive"))

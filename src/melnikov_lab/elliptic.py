@@ -76,10 +76,11 @@ def complete_E(k: float) -> float:
     """E(k), complete elliptic integral of the second kind, 0 <= k <= 1."""
     if not 0.0 <= k <= 1.0:
         raise ValueError(f"complete_E requires 0 <= k <= 1, got {k!r}")
+    if k == 0.0:
+        return math.pi / 2.0
     if k == 1.0:
         return 1.0
-    a, csum, _ = _descent(math.sqrt((1.0 - k) * (1.0 + k)), k)
-    return math.pi / (2.0 * a) * (1.0 - csum)
+    return EllipticModulus.from_k(k).E
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .melnikov import IntegrationFailure, Resonance
+from .melnikov import (
+    IntegrationFailure,
+    Resonance,
+    closed_form_subharmonic,
+    simple_zeros,
+)
 from .pendulum import INNER, ForcedSystem, OrbitPoint, orbit_state, wrap_angle
 
 __all__ = [
@@ -33,7 +38,6 @@ __all__ = [
 # embedded Runge-Kutta pair): maps and fixed points, separation probe.
 _FLOW_TOL = 1e-12
 _PROBE_TOL = 1e-10
-_N_SEEDS = 32  # phase-grid seeds along the unperturbed orbit
 _NEWTON_MAX = 25  # Newton iterations per seed
 _RESIDUAL_TOL = 1e-10  # plain-map residual that counts as a fixed point
 _PROBE_D0 = 1e-8  # separation of each probe pair after renormalizing
@@ -107,25 +111,6 @@ def _winding(r: Resonance) -> np.ndarray:
 def _map_residual(sys, eps, m, z, theta_section, winding):
     out = _flow(sys, eps, z, 2.0 * math.pi * m / sys.omega, theta_section, _FLOW_TOL)
     return out - z - winding
-
-
-def _seed_residuals(sys, eps, m, seeds, theta_section, winding):
-    """_map_residual of every row of seeds, from one flow of all of them.
-
-    The step control sees every seed at once, so each residual is as
-    accurate as a solo flow's only up to the spread of the error norm over
-    2N components; it ranks seeds, the Newton verdict uses solo flows.
-    """
-    n = len(seeds)
-    beta, delta, omega = sys.beta, sys.delta, sys.omega
-
-    def rhs(t, y):
-        x1, x2 = y[:n], y[n:]
-        forcing = eps * (beta * math.cos(omega * t + theta_section) - delta * x2)
-        return np.concatenate([x2, -np.sin(x1) + forcing])
-
-    out = _integrate(rhs, seeds.T.ravel(), 2.0 * math.pi * m / sys.omega, _FLOW_TOL)
-    return out.reshape(2, n).T - seeds - winding
 
 
 def _variational_map(sys, eps, m, z, theta_section):
@@ -210,30 +195,39 @@ def _newton(sys, eps, m, z0, theta0, winding):
     return z, _map_residual(sys, eps, m, z, theta0, winding), False, dp
 
 
+def _melnikov_seeds(sys: ForcedSystem, r: Resonance, theta0: float) -> List[OrbitPoint]:
+    """Orbit points at which the subharmonic Melnikov theorem predicts fixed points.
+
+    Each zero theta* of M^{m/n}(theta) = const + coeff cos(theta) places a
+    fixed point of the section-theta0 map O(eps) from the orbit point at
+    t0 = (theta0 - theta*)/omega (mod the orbit period).  A curve with no
+    zero (a damped control, or a constant curve) gives the one of
+    theta* = 0, pi where |M| is least.
+    """
+    curve = closed_form_subharmonic(r, sys.beta, sys.delta)
+    thetas = [z.theta for z in simple_zeros(curve).zeros]
+    if not thetas:
+        thetas = [min((0.0, math.pi), key=lambda th: abs(curve.evaluate(th)))]
+    period = r.orbit.period
+    return [orbit_state(r.orbit, ((theta0 - th) / sys.omega) % period) for th in thetas]
+
+
 def find_subharmonic(
     sys: ForcedSystem, eps: float, r: Resonance, theta0: float
 ) -> FixedPointResult:
     """Newton on the stroboscopic fixed-point equation near a resonance.
 
-    Seeds on a phase grid along the unperturbed orbit (the Melnikov
-    theory predicts location only up to the phase matching theta0), scores
-    them all in one flow, runs Newton from the three best, and reports the
-    converged fixed point together with its distance to the unperturbed
-    orbit for the epsilon-scaling check.  The Floquet multipliers are the
-    eigenvalues of DP from the last variational flow, taken within
-    _RESIDUAL_TOL of the reported point.
+    Runs Newton once from each _melnikov_seeds point and reports the
+    converged fixed point nearest the unperturbed orbit, with that
+    distance for the epsilon-scaling check, or else the first seed's
+    unconverged result.  The Floquet multipliers are the eigenvalues of
+    DP from the last variational flow, taken within _RESIDUAL_TOL of the
+    reported point.
     """
     winding = _winding(r)
-    seeds_t = np.linspace(0.0, r.orbit.period, _N_SEEDS, endpoint=False)
-    orbit = orbit_state(r.orbit, seeds_t)
-    seeds = np.column_stack([orbit.x1, orbit.x2])
-    scores = np.linalg.norm(
-        _seed_residuals(sys, eps, r.m, seeds, theta0, winding), axis=1
-    )
-
     best: Optional[FixedPointResult] = None
-    for i in np.argsort(scores, kind="stable")[:3]:
-        z, f, converged, dp = _newton(sys, eps, r.m, seeds[i], theta0, winding)
+    for seed in _melnikov_seeds(sys, r, theta0):
+        z, f, converged, dp = _newton(sys, eps, r.m, (seed.x1, seed.x2), theta0, winding)
         result = FixedPointResult(
             point=OrbitPoint(float(z[0]), float(z[1])),
             residual=float(np.linalg.norm(f)),
@@ -241,10 +235,13 @@ def find_subharmonic(
             converged=converged,
             floquet_multipliers=tuple(np.linalg.eigvals(dp)),
         )
-        if result.converged:
-            if best is None or result.distance_to_unperturbed < best.distance_to_unperturbed:
-                best = result
-        elif best is None:
+        if best is None or (
+            result.converged
+            and (
+                not best.converged
+                or result.distance_to_unperturbed < best.distance_to_unperturbed
+            )
+        ):
             best = result
     return best
 

@@ -68,6 +68,14 @@ class TestCompleteIntegrals:
         assert complete_K(k) == pytest.approx(K_quadrature(k), abs=1e-12)
         assert complete_E(k) == pytest.approx(E_quadrature(k), abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1.0 - 1e-12, 1.0 - 2.0**-52])
+    def test_E_near_one_matches_mpmath(self, k):
+        # K(1 - c-sum) cancels as k -> 1: 16.8 and 11.6 eps off at these k
+        with mpmath.workdps(50):
+            ref = mpmath.ellipe(mpmath.mpf(k) ** 2)
+        err = abs(mpmath.mpf(complete_E(k)) - ref) / ref
+        assert err <= 2.0 * np.finfo(float).eps
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             complete_K(-0.1)

@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from melnikov_lab.melnikov import solve_resonance
-from melnikov_lab.pendulum import INNER, OrbitPoint, orbit_state, pendulum_system
+from melnikov_lab import poincare
+from melnikov_lab.melnikov import closed_form_subharmonic, simple_zeros, solve_resonance
+from melnikov_lab.pendulum import (
+    INNER,
+    OrbitPoint,
+    orbit_state,
+    pendulum_system,
+    wrap_angle,
+)
 from melnikov_lab.poincare import (
-    _map_residual,
-    _seed_residuals,
+    _melnikov_seeds,
+    _newton,
     _variational_map,
     _winding,
     find_subharmonic,
@@ -113,6 +120,50 @@ class TestFindSubharmonic:
         assert abs(prod - math.exp(-eps * delta * period)) <= 1e-8
 
 
+class TestMelnikovSeeds:
+    @pytest.mark.parametrize("family, m", [("inner", 3), ("rotating+", 1), ("rotating-", 1)])
+    def test_newton_converges_within_eps_of_its_seed(self, family, m):
+        # delta puts the zeros at cos(theta*) = +-0.5, so theta* and -theta*
+        # differ and theta0 = 0.3 tells the seed t0 = (theta0 - theta*)/omega
+        # from the mirrored (theta* - theta0)/omega, whose Newton runs end
+        # 1.6e3 to 7.5e3 eps away from their seeds
+        eps, theta0 = 2.5e-4, 0.3
+        r = solve_resonance(family, 1.0, m, 1)
+        coeff = closed_form_subharmonic(r, 1.0, 0.0).cos_coeff
+        delta = 0.5 * abs(coeff) / -closed_form_subharmonic(r, 0.0, 1.0).const_term
+        zeros = simple_zeros(closed_form_subharmonic(r, 1.0, delta)).zeros
+        assert [round(math.cos(z.theta), 12) for z in zeros] == [
+            math.copysign(0.5, coeff)
+        ] * 2
+        sys_ = pendulum_system(1.0, delta, 1.0)
+        seeds = _melnikov_seeds(sys_, r, theta0)
+        assert len(seeds) == 2
+        gaps = []
+        for seed in seeds:
+            z, _, converged, _ = _newton(
+                sys_, eps, m, (seed.x1, seed.x2), theta0, _winding(r)
+            )
+            if converged:
+                gaps.append(math.hypot(wrap_angle(z[0] - seed.x1), z[1] - seed.x2))
+        assert gaps
+        assert max(gaps) <= eps
+
+    def test_positive_control_takes_few_narrow_flows(self, system, resonance, monkeypatch):
+        widths = []
+        integrate = poincare._integrate
+
+        def counted(rhs, state, duration, tol):
+            widths.append(len(state))
+            return integrate(rhs, state, duration, tol)
+
+        monkeypatch.setattr(poincare, "_integrate", counted)
+        res = find_subharmonic(system, 1e-3, resonance, math.pi / 2.0)
+        assert res.converged
+        # one Newton run per Melnikov zero, each flow the state or state + tangent map
+        assert len(widths) <= 10
+        assert max(widths) <= 6
+
+
 class TestVariationalEngine:
     def test_dp_matches_central_difference(self, system, resonance):
         eps, theta, z = 1e-3, math.pi / 2.0, np.array([0.9, 0.4])
@@ -130,22 +181,6 @@ class TestVariationalEngine:
             fd[:, j] = (strobe(z + dz) - strobe(z - dz)) / (2.0 * h)
         assert final == pytest.approx(strobe(z), abs=1e-9)
         assert np.max(np.abs(dp - fd)) <= 1e-6
-
-    def test_batched_scores_rank_like_solo_flows(self, system, resonance):
-        eps, theta = 1e-3, math.pi / 2.0
-        winding = _winding(resonance)
-        t = np.linspace(0.0, resonance.orbit.period, 32, endpoint=False)
-        orbit = orbit_state(resonance.orbit, t)
-        seeds = np.column_stack([orbit.x1, orbit.x2])
-        batched = np.linalg.norm(
-            _seed_residuals(system, eps, resonance.m, seeds, theta, winding),
-            axis=1,
-        )
-        solo = [
-            np.linalg.norm(_map_residual(system, eps, resonance.m, z, theta, winding))
-            for z in seeds
-        ]
-        assert list(np.argsort(batched)) == list(np.argsort(solo))
 
 
 class TestScalingBand:
