@@ -34,18 +34,26 @@ __all__ = [
 ]
 
 
-# Absolute = relative tolerance of the DOP853 flows (an order >= 5
-# embedded Runge-Kutta pair): maps and fixed points, separation probe.
+# Absolute = relative tolerance on (x1, x2) of the DOP853 flows (an
+# order >= 5 embedded Runge-Kutta pair): maps and fixed points, separation
+# probe.  Tangent-map components ride along unchecked (see _integrate).
 _FLOW_TOL = 1e-12
 _PROBE_TOL = 1e-10
 _NEWTON_MAX = 25  # Newton iterations per seed
-_RESIDUAL_TOL = 1e-10  # plain-map residual that counts as a fixed point
+_RESIDUAL_TOL = 1e-10  # map residual that counts as a fixed point
 _PROBE_D0 = 1e-8  # separation of each probe pair after renormalizing
 _PROBE_RENORM_STEP = 0.5  # probe time between renormalizations
+_ORBIT_SAMPLES = 1024  # coarse grid of the distance-to-orbit search
 
 
 @dataclass(frozen=True)
 class FixedPointResult:
+    """A find_subharmonic outcome.
+
+    residual is |P(point) - point - winding| and floquet_multipliers are
+    the eigenvalues of DP(point), both from one variational flow at point.
+    """
+
     point: OrbitPoint
     residual: float
     distance_to_unperturbed: float
@@ -54,13 +62,25 @@ class FixedPointResult:
 
 
 def _integrate(rhs, state, duration: float, tol: float):
+    """Final state of a DOP853 flow whose steps are chosen from (x1, x2) alone.
+
+    Components past the first two (a tangent map) get atol = inf, so they
+    drop out of the error norm.  That norm divides by sqrt(width), so
+    scaling both tolerances by sqrt(2/width) gives back the 2-D flow's
+    norm, and with it the 2-D flow's steps: the state of a wider flow is
+    the stroboscopic map itself.  At width 2 the tolerances are tol.
+    """
+    y0 = np.asarray(state, dtype=float)
+    scaled = tol * math.sqrt(2.0 / y0.size)
+    atol = np.full(y0.size, np.inf)
+    atol[:2] = scaled
     sol = solve_ivp(
         rhs,
         (0.0, duration),
-        np.asarray(state, dtype=float),
+        y0,
         method="DOP853",
-        rtol=tol,
-        atol=tol,
+        rtol=scaled,
+        atol=atol,
     )
     if not sol.success:
         raise IntegrationFailure(sol.message)
@@ -108,16 +128,12 @@ def _winding(r: Resonance) -> np.ndarray:
     return np.array([2.0 * math.pi * turns, 0.0])
 
 
-def _map_residual(sys, eps, m, z, theta_section, winding):
-    out = _flow(sys, eps, z, 2.0 * math.pi * m / sys.omega, theta_section, _FLOW_TOL)
-    return out - z - winding
-
-
 def _variational_map(sys, eps, m, z, theta_section):
     """P(z) and DP(z) from one flow of the state and its tangent map.
 
     Phi' = [[0, 1], [-cos x1, -eps*delta]] Phi with Phi(0) = I, so the
-    final Phi is the Jacobian of the stroboscopic map at z.
+    final Phi is the Jacobian of the stroboscopic map at z.  The steps
+    follow the state alone, so P(z) is stroboscopic_map's to round-off.
     """
     beta, delta, omega = sys.beta, sys.delta, sys.omega
     damping = eps * delta
@@ -140,7 +156,7 @@ def _variational_map(sys, eps, m, z, theta_section):
     return out[:2], out[2:].reshape(2, 2)
 
 
-def _distance_to_orbit(z, r: Resonance, n_sample: int = 1024) -> float:
+def _distance_to_orbit(z, r: Resonance) -> float:
     from scipy.optimize import minimize_scalar
 
     period = r.orbit.period
@@ -149,10 +165,10 @@ def _distance_to_orbit(z, r: Resonance, n_sample: int = 1024) -> float:
         state = orbit_state(r.orbit, t)
         return np.hypot(wrap_angle(z[0] - state.x1), z[1] - state.x2)
 
-    t = np.linspace(0.0, period, n_sample, endpoint=False)
+    t = np.linspace(0.0, period, _ORBIT_SAMPLES, endpoint=False)
     coarse = dist(t)
     i = int(np.argmin(coarse))
-    h = period / n_sample
+    h = period / _ORBIT_SAMPLES
     # refine below the coarse-grid resolution; distances are O(eps)
     res = minimize_scalar(
         lambda tt: float(dist(tt)),
@@ -167,24 +183,18 @@ def _newton(sys, eps, m, z0, theta0, winding):
     """Newton on P(z) - z - winding = 0 from z0.
 
     Each iteration costs one variational flow, which gives f and
-    J = DP - I together.  The variational flow's step control also sees
-    Phi, so its fixed point can sit a few 1e-11 from the plain map's;
-    once its residual is below _RESIDUAL_TOL the iteration goes on with
-    the plain flow's f and the last DP, and only the plain residual
-    decides convergence.  Returns (z, plain residual, converged, DP).
+    J = DP - I together.  Returns (z, f, converged, DP) with f and DP
+    from the variational flow at the returned z: converged once
+    |f| <= _RESIDUAL_TOL, else stopped by a step longer than 2, a
+    singular J or _NEWTON_MAX steps.
     """
     eye = np.eye(2)
     z = np.array(z0, dtype=float)
-    plain = False
     for _ in range(_NEWTON_MAX):
-        if not plain:
-            final, dp = _variational_map(sys, eps, m, z, theta0)
-            f = final - z - winding
-            plain = bool(np.linalg.norm(f) <= _RESIDUAL_TOL)
-        if plain:
-            f = _map_residual(sys, eps, m, z, theta0, winding)
-            if np.linalg.norm(f) <= _RESIDUAL_TOL:
-                return z, f, True, dp
+        final, dp = _variational_map(sys, eps, m, z, theta0)
+        f = final - z - winding
+        if np.linalg.norm(f) <= _RESIDUAL_TOL:
+            return z, f, True, dp
         try:
             step = np.linalg.solve(dp - eye, f)
         except np.linalg.LinAlgError:
@@ -192,7 +202,10 @@ def _newton(sys, eps, m, z0, theta0, winding):
         if np.linalg.norm(step) > 2.0:
             break  # diverging away from the seed neighborhood
         z = z - step
-    return z, _map_residual(sys, eps, m, z, theta0, winding), False, dp
+    else:
+        final, dp = _variational_map(sys, eps, m, z, theta0)
+        f = final - z - winding
+    return z, f, False, dp
 
 
 def _melnikov_seeds(sys: ForcedSystem, r: Resonance, theta0: float) -> List[OrbitPoint]:
@@ -220,9 +233,9 @@ def find_subharmonic(
     Runs Newton once from each _melnikov_seeds point and reports the
     converged fixed point nearest the unperturbed orbit, with that
     distance for the epsilon-scaling check, or else the first seed's
-    unconverged result.  The Floquet multipliers are the eigenvalues of
-    DP from the last variational flow, taken within _RESIDUAL_TOL of the
-    reported point.
+    unconverged result.  The residual and the Floquet multipliers (the
+    eigenvalues of DP) come from the variational flow at the reported
+    point itself; no separate 2-D flow runs.
     """
     winding = _winding(r)
     best: Optional[FixedPointResult] = None

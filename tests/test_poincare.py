@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melnikov_lab import poincare
 from melnikov_lab.melnikov import closed_form_subharmonic, simple_zeros, solve_resonance
@@ -13,6 +15,7 @@ from melnikov_lab.pendulum import (
     wrap_angle,
 )
 from melnikov_lab.poincare import (
+    _RESIDUAL_TOL,
     _melnikov_seeds,
     _newton,
     _variational_map,
@@ -22,6 +25,16 @@ from melnikov_lab.poincare import (
     scaling_band,
     stroboscopic_map,
 )
+
+
+# criterion 8's positive-control ladder on inner 3/1, with the rung that once
+# fell in a Newton gap, and the two rotating 1/1 rungs per direction
+POSITIVE_LADDER = [1e-3 * 2.0 ** (-0.5 * j) for j in range(8)] + [6.853850625855076e-4]
+FIXED_POINT_RUNGS = [("inner", 3, eps) for eps in POSITIVE_LADDER] + [
+    (family, 1, eps)
+    for family in ("rotating+", "rotating-")
+    for eps in (1e-3, 1e-3 / math.sqrt(2.0))
+]
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +120,21 @@ class TestFindSubharmonic:
         assert ok, ratios
         assert all(1e-2 < q < 1e1 for q in ratios)
 
+    @pytest.mark.parametrize("family, m, eps", FIXED_POINT_RUNGS)
+    def test_fixed_point_holds_under_the_plain_map(self, family, m, eps):
+        # Newton judges convergence on the variational flow alone; an
+        # independent 2-D flow from the reported point must agree
+        r = solve_resonance(family, 1.0, m, 1)
+        theta0 = math.pi / 2.0
+        sys_ = pendulum_system(1.0, 0.0, 1.0)
+        res = find_subharmonic(sys_, eps, r, theta0)
+        assert res.converged
+        out = stroboscopic_map(sys_, eps, m, res.point, theta0)
+        gap = np.array([out.x1 - res.point.x1, out.x2 - res.point.x2]) - _winding(r)
+        plain = float(np.linalg.norm(gap))
+        assert plain <= _RESIDUAL_TOL
+        assert abs(res.residual - plain) <= 1e-11
+
     @pytest.mark.parametrize("delta", [0.0, 0.3])
     def test_multipliers_obey_liouville(self, resonance, delta):
         # Liouville: the flow contracts area at rate eps * delta, so
@@ -159,9 +187,9 @@ class TestMelnikovSeeds:
         monkeypatch.setattr(poincare, "_integrate", counted)
         res = find_subharmonic(system, 1e-3, resonance, math.pi / 2.0)
         assert res.converged
-        # one Newton run per Melnikov zero, each flow the state or state + tangent map
-        assert len(widths) <= 10
-        assert max(widths) <= 6
+        # one Newton run per Melnikov zero, one state + tangent-map flow per iteration
+        assert len(widths) <= 6
+        assert set(widths) == {6}
 
 
 class TestVariationalEngine:
@@ -181,6 +209,33 @@ class TestVariationalEngine:
             fd[:, j] = (strobe(z + dz) - strobe(z - dz)) / (2.0 * h)
         assert final == pytest.approx(strobe(z), abs=1e-9)
         assert np.max(np.abs(dp - fd)) <= 1e-6
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([("inner", 3), ("inner", 5), ("rotating+", 1), ("rotating-", 1)]),
+        st.floats(0.0, 1.0),
+        st.tuples(st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3)),
+        st.floats(-5.0, -3.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_state_is_the_stroboscopic_map(self, family, phase, offset, log_eps, delta, theta):
+        # the variational flow steps on (x1, x2) alone, so its state is the
+        # map up to round-off, not up to the flow tolerance
+        tag, m = family
+        r = solve_resonance(tag, 1.0, m, 1)
+        start = orbit_state(r.orbit, phase * r.orbit.period)
+        z = np.array([start.x1, start.x2]) + offset
+        sys_ = pendulum_system(1.0, delta, 1.0)
+        final, dp = _variational_map(sys_, 10.0**log_eps, m, z, theta)
+        out = stroboscopic_map(sys_, 10.0**log_eps, m, OrbitPoint(*z), theta)
+        bound = 1e-11
+        if m == 5:
+            # near the separatrix the map magnifies round-off up to 1e5-fold:
+            # there the 2-D map itself moves by up to 3.5e-9 when its
+            # tolerance changes by four ulps
+            bound += 1e-12 * np.linalg.norm(dp)
+        assert np.max(np.abs(final - np.array([out.x1, out.x2]))) <= bound
 
 
 class TestScalingBand:
