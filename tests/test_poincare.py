@@ -226,9 +226,9 @@ class TestVariationalEngine:
         r = solve_resonance(tag, 1.0, m, 1)
         start = orbit_state(r.orbit, phase * r.orbit.period)
         z = np.array([start.x1, start.x2]) + offset
-        sys_ = pendulum_system(1.0, delta, 1.0)
-        final, dp = _variational_map(sys_, 10.0**log_eps, m, z, theta)
-        out = stroboscopic_map(sys_, 10.0**log_eps, m, OrbitPoint(*z), theta)
+        sys_, eps = pendulum_system(1.0, delta, 1.0), 10.0**log_eps
+        final, dp = _variational_map(sys_, eps, m, z, theta)
+        out = stroboscopic_map(sys_, eps, m, OrbitPoint(*z), theta)
         bound = 1e-11
         if m == 5:
             # near the separatrix the map magnifies round-off up to 1e5-fold:
