@@ -65,11 +65,25 @@ def _descent(b: float, c: float):
     raise ArithmeticError(f"AGM descent did not settle in {_MAX_LEVELS} levels")
 
 
+def _complementary(x: float) -> float:
+    """sqrt(1 - x^2) as sqrt((1 - x)(1 + x)), accurate for x near 1."""
+    return math.sqrt((1.0 - x) * (1.0 + x))
+
+
+def _complete_K(k: float, k_prime: float) -> float:
+    """K(k) from one AGM descent from (1, k'), with no other work.
+
+    Every K of this module is this expression, so a caller that needs
+    only K (a resonance bisection step) gets EllipticModulus.K bit for bit.
+    """
+    return math.pi / (2.0 * _descent(k_prime, k)[0])
+
+
 def complete_K(k: float) -> float:
     """K(k), complete elliptic integral of the first kind, 0 <= k < 1."""
     if not 0.0 <= k < 1.0:
         raise ValueError(f"complete_K requires 0 <= k < 1, got {k!r}")
-    return math.pi / (2.0 * _descent(math.sqrt((1.0 - k) * (1.0 + k)), k)[0])
+    return _complete_K(k, _complementary(k))
 
 
 def complete_E(k: float) -> float:
@@ -108,8 +122,7 @@ class EllipticModulus:
     def from_k(cls, k: float) -> "EllipticModulus":
         if not 0.0 < k < 1.0:
             raise ValueError(f"elliptic modulus must lie in (0,1), got {k!r}")
-        k_prime = math.sqrt((1.0 - k) * (1.0 + k))
-        return cls._build(k, k_prime)
+        return cls._build(k, _complementary(k))
 
     @classmethod
     def from_k_prime(cls, k_prime: float) -> "EllipticModulus":
@@ -117,12 +130,11 @@ class EllipticModulus:
             raise ValueError(
                 f"complementary modulus must lie in (0,1), got {k_prime!r}"
             )
-        k = math.sqrt((1.0 - k_prime) * (1.0 + k_prime))
-        return cls._build(k, k_prime)
+        return cls._build(_complementary(k_prime), k_prime)
 
     @classmethod
     def _build(cls, k: float, k_prime: float) -> "EllipticModulus":
-        K = math.pi / (2.0 * _descent(k_prime, k)[0])
+        K = _complete_K(k, k_prime)
         a, csum, _ = _descent(k, k_prime)
         K_prime = math.pi / (2.0 * a)
         # Legendre's relation with E' = K' (1 - c-sum'): E = pi/(2K') + K c-sum',
@@ -137,9 +149,10 @@ class EllipticModulus:
         am(t) is phi_0, where phi_n = 2^n a_n t and phi_{j-1} = (phi_j +
         arcsin((c_j/a_j) sin phi_j)) / 2.  A level with |c_j/a_j| <= 2^-54
         cannot move phi besides the halving, so _amplitude_reduced only
-        halves there.  Built on first use rather than in _build: a
-        bisecting resonance solve constructs dozens of moduli that never
-        evaluate a Jacobi function.
+        halves there.  Built on first use rather than in _build, so a
+        modulus whose integrals alone are read (complete_E, for one) costs
+        two descents, not three.  A resonance solve builds one modulus, at
+        its root; its bisection steps evaluate K alone (_complete_K).
         """
         a, _, ratios = _descent(self.k_prime, self.k)
         return (2.0 ** len(ratios)) * a, tuple(reversed(ratios))

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .elliptic import EllipticModulus
+from .elliptic import EllipticModulus, _complementary, _complete_K
 from .pendulum import (
     INNER,
     ROTATING_MINUS,
@@ -120,7 +120,7 @@ class Resonance:
     def residual(self) -> float:
         """Residual of the defining resonance equation."""
         target, period = _resonance_equation(self.family_tag, self.omega, self.m, self.n)
-        return period(self.modulus) - target
+        return period(self.modulus.k, self.modulus.k_prime) - target
 
     @cached_property
     def kernels(self) -> "MelnikovKernels":
@@ -154,22 +154,25 @@ def _cosh(x: float) -> float:
         return math.inf
 
 
-def _quarter_period(mod: EllipticModulus) -> float:
-    return mod.K
+def _quarter_period(k: float, k_prime: float) -> float:
+    return _complete_K(k, k_prime)
 
 
-def _rotating_period(mod: EllipticModulus) -> float:
-    return mod.k * mod.K
+def _rotating_period(k: float, k_prime: float) -> float:
+    return k * _complete_K(k, k_prime)
 
 
 def _resonance_equation(family_tag: str, omega: float, m: int, n: int):
-    """(target, period) such that the m/n resonance is period(modulus) = target.
+    """(target, period) such that the m/n resonance is period(k, k') = target.
 
     period increases with k: K(k) for inner orbits, k*K(k) for rotating
-    ones (k*K runs from 0 to inf as k' decreases from 1 to 0).
+    ones (k*K runs from 0 to inf as k' decreases from 1 to 0).  It equals
+    the EllipticModulus expression (mod.K or mod.k * mod.K) bit for bit.
     """
     if family_tag not in _RESONANT_TAGS:
         raise ValueError(f"unsupported resonance family {family_tag!r}")
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
     if omega <= 0:
         raise ValueError("omega must be positive")
     if family_tag == INNER:
@@ -177,12 +180,22 @@ def _resonance_equation(family_tag: str, omega: float, m: int, n: int):
     return math.pi * m / (n * omega), _rotating_period
 
 
-def _bisect_k_prime(target_fn, target: float, what: str) -> EllipticModulus:
-    # target_fn(mod) is strictly decreasing in k'; a target beyond its range over
-    # _K_PRIME_RANGE (by more than the acceptance tolerance) has no root to bisect for
+def _bisect_k_prime(period, target: float, what: str) -> EllipticModulus:
+    """The modulus at the bisected root of period(k, k') = target in k'.
+
+    period is strictly decreasing in k'; a target beyond its range over
+    _K_PRIME_RANGE (by more than the acceptance tolerance) has no root to
+    bisect for.  Each step costs one AGM descent (period at k = sqrt((1 - k')
+    (1 + k')), as from_k_prime forms it) and builds no modulus; the one
+    EllipticModulus is built at the returned midpoint.
+    """
+
+    def period_at(k_prime):
+        return period(_complementary(k_prime), k_prime)
+
     lo, hi = _K_PRIME_RANGE
-    top = target_fn(EllipticModulus.from_k_prime(lo))
-    bottom = target_fn(EllipticModulus.from_k_prime(hi))
+    top = period_at(lo)
+    bottom = period_at(hi)
     slack = _RESONANCE_RTOL * target
     if not bottom - slack <= target <= top + slack:
         raise ResonanceError(
@@ -194,7 +207,7 @@ def _bisect_k_prime(target_fn, target: float, what: str) -> EllipticModulus:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        f_mid = target_fn(EllipticModulus.from_k_prime(mid)) - target
+        f_mid = period_at(mid) - target
         if f_lo * f_mid <= 0:
             hi = mid
         else:
@@ -208,6 +221,8 @@ def solve_resonance(family_tag: str, omega: float, m: int, n: int) -> Optional[R
     Inner orbits need K(k) = pi*m/(2*n*omega) which is solvable iff
     m/n > omega; returns None in that case (a valid outcome).  Rotating
     orbits need k*K(k) = pi*m/(n*omega).
+    The bisection in k' runs one AGM descent per step and builds one
+    EllipticModulus, at the root.
     Raises ResonanceError, without bisecting, when the target lies
     outside the periods that k' in [1e-300, 1 - 1e-16] reaches, and when
     the solved modulus misses the target by more than 1e-10 relative: the
@@ -539,8 +554,8 @@ def enumerate_resonances(
     if not 0.0 < k_lo < k_hi < 1.0:
         raise ValueError("k window must satisfy 0 < k_lo < k_hi < 1")
     _, period = _resonance_equation(family_tag, omega, 1, 1)
-    edge_lo = period(EllipticModulus.from_k(k_lo))
-    edge_hi = period(EllipticModulus.from_k(k_hi))
+    edge_lo = period(k_lo, _complementary(k_lo))
+    edge_hi = period(k_hi, _complementary(k_hi))
     found = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):

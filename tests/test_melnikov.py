@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import melnikov_lab.elliptic as elliptic_module
 import melnikov_lab.melnikov as melnikov_module
 from melnikov_lab.elliptic import EllipticModulus
 from melnikov_lab.melnikov import (
@@ -11,6 +14,9 @@ from melnikov_lab.melnikov import (
     NonConvergenceError,
     Resonance,
     ResonanceError,
+    K_WINDOW,
+    _quarter_period,
+    _rotating_period,
     _trapezoid_doubling,
     chaos_condition,
     closed_form_homoclinic,
@@ -23,6 +29,26 @@ from melnikov_lab.melnikov import (
     subharmonic_quadrature,
 )
 from melnikov_lab.pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, pendulum_system
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _count_work(monkeypatch):
+    """Record the k' of every EllipticModulus._build and count every AGM descent."""
+    builds, descents = [], []
+    build, descent = EllipticModulus._build, elliptic_module._descent
+
+    def counting_build(cls, k, k_prime):
+        builds.append(k_prime)
+        return build(k, k_prime)
+
+    def counting_descent(b, c):
+        descents.append(b)
+        return descent(b, c)
+
+    monkeypatch.setattr(EllipticModulus, "_build", classmethod(counting_build))
+    monkeypatch.setattr(elliptic_module, "_descent", counting_descent)
+    return builds, descents
 
 
 class TestSolveResonance:
@@ -68,17 +94,12 @@ class TestSolveResonance:
     def test_unbracketed_target_raises_before_bisecting(self, monkeypatch, omega):
         # k K = pi / omega lies above k K(k' = 1e-300) = 692 at omega = 1e-3 and
         # below k K(k' = 1 - 1e-16) = 2.3e-8 at omega = 1e9
-        builds = []
-        build = EllipticModulus._build
-
-        def counting(cls, k, k_prime):
-            builds.append(k_prime)
-            return build(k, k_prime)
-
-        monkeypatch.setattr(EllipticModulus, "_build", classmethod(counting))
+        builds, descents = _count_work(monkeypatch)
         with pytest.raises(ResonanceError, match="out of range") as exc:
             solve_resonance(ROTATING_PLUS, omega, 1, 1)
         assert len(builds) <= 2
+        # one descent per bracket end, and no bisection step
+        assert len(descents) == 2
         message = str(exc.value)
         assert "k' = 1.000e+00" not in message
         assert f"target {math.pi / omega:.6g}" in message
@@ -93,6 +114,22 @@ class TestSolveResonance:
                 continue
             assert abs(r.residual()) <= 1e-10 * math.pi * m / 2.0
 
+    @pytest.mark.parametrize("family, m", [(INNER, 3), (ROTATING_PLUS, 1), (ROTATING_MINUS, 1)])
+    def test_one_build_per_solve(self, monkeypatch, family, m):
+        # each bisection step evaluates K alone; the modulus is built at the root
+        builds, descents = _count_work(monkeypatch)
+        r = solve_resonance(family, 1.0, m, 1)
+        assert builds == [r.modulus.k_prime]
+        assert len(descents) <= 64
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", [INNER, ROTATING_PLUS, ROTATING_MINUS])
+    def test_non_finite_omega_is_a_usage_error(self, family, omega):
+        with pytest.raises(ValueError, match="omega must be"):
+            solve_resonance(family, omega, 3, 1)
+        with pytest.raises(ValueError, match="omega must be"):
+            enumerate_resonances(family, omega, K_WINDOW, 5, 2)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             solve_resonance(INNER, -1.0, 3, 1)
@@ -100,6 +137,30 @@ class TestSolveResonance:
             solve_resonance(INNER, 1.0, 2, 4)  # not coprime
         with pytest.raises(ValueError):
             solve_resonance("separatrix", 1.0, 3, 1)
+
+    @PROPERTY
+    @given(st.floats(-300.0, math.log10(1.0 - 1e-16)))
+    def test_period_functions_are_the_modulus_bit_for_bit(self, log_kp):
+        k_prime = min(10.0**log_kp, 1.0 - 1e-16)
+        mod = EllipticModulus.from_k_prime(k_prime)
+        assert _quarter_period(mod.k, mod.k_prime) == mod.K
+        assert _rotating_period(mod.k, mod.k_prime) == mod.k * mod.K
+
+    @PROPERTY
+    @given(
+        st.sampled_from((INNER, ROTATING_PLUS, ROTATING_MINUS)),
+        st.floats(-2.0, 2.0),
+        st.integers(1, 40),
+        st.integers(1, 5),
+    )
+    def test_solved_modulus_is_the_one_built_from_its_k_prime(self, family, log_omega, m, n):
+        assume(math.gcd(m, n) == 1)
+        try:
+            r = solve_resonance(family, 10.0**log_omega, m, n)
+        except ResonanceError:
+            return
+        if r is not None:
+            assert r.modulus == EllipticModulus.from_k_prime(r.modulus.k_prime)
 
     def test_resonance_constructor_validation(self):
         mod = EllipticModulus.from_k(0.5)
