@@ -151,8 +151,7 @@ class EllipticModulus:
         cannot move phi besides the halving, so _amplitude_reduced only
         halves there.  Built on first use rather than in _build, so a
         modulus whose integrals alone are read (complete_E, for one) costs
-        two descents, not three.  A resonance solve builds one modulus, at
-        its root; its bisection steps evaluate K alone (_complete_K).
+        two descents, not three.
         """
         a, _, ratios = _descent(self.k_prime, self.k)
         return (2.0 ** len(ratios)) * a, tuple(reversed(ratios))
