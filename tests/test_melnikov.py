@@ -10,11 +10,11 @@ import melnikov_lab.elliptic as elliptic_module
 import melnikov_lab.melnikov as melnikov_module
 from melnikov_lab.elliptic import EllipticModulus
 from melnikov_lab.melnikov import (
+    K_WINDOW,
     MelnikovCurve,
     NonConvergenceError,
     Resonance,
     ResonanceError,
-    K_WINDOW,
     _quarter_period,
     _rotating_period,
     _trapezoid_doubling,
