@@ -14,9 +14,12 @@ from __future__ import annotations
 import math
 from typing import List
 
-import numpy as np
-
-from .contour import contour_integral_closed, contour_integral_numeric, default_contour
+from .contour import (
+    contour_integral_closed,
+    contour_integral_numeric,
+    default_contour,
+    residue_terms,
+)
 from .melnikov import (
     K_WINDOW,
     Resonance,
@@ -35,6 +38,9 @@ CERT_SCHEMA = "melnikov-cert/1"
 _EPS_NOTE = (
     "certificate concerns the perturbed system for sufficiently small eps != 0"
 )
+# A witness curve is checked where cos(theta) = 1 and where sin(theta) = 1, so
+# both the cos and the sin kernel of its quadrature enter the check.
+_WITNESS_THETAS = (0.0, 0.5 * math.pi)
 
 
 def _sample_resonances(omega: float, m_max: int, n_max: int) -> List[Resonance]:
@@ -48,7 +54,8 @@ def _curve_record(r: Resonance, beta, delta, verify_quadrature):
     """The closed-form curve; a witness is also checked by quadrature if asked.
 
     The witness is a nonconstant curve when beta > 0 (prop 4b), otherwise
-    a nonzero one (prop 4a).
+    a nonzero one (prop 4a).  Its quadrature must match the closed curve
+    at theta = 0 and at theta = pi/2.
     """
     curve = closed_form_subharmonic(r, beta, delta)
     rec = {
@@ -63,25 +70,25 @@ def _curve_record(r: Resonance, beta, delta, verify_quadrature):
     }
     if verify_quadrature and rec["nonconstant" if beta > 0 else "nonzero"]:
         sys = pendulum_system(beta, delta, r.omega)
-        quad = subharmonic_quadrature(sys, r, 0.0)
-        rec["quadrature_at_0"] = quad
-        rec["quadrature_agrees"] = bool(
-            abs(quad - curve.evaluate(0.0)) <= 1e-6 * (1.0 + abs(quad))
-        )
+        quad = subharmonic_quadrature(sys, r, _WITNESS_THETAS)
+        closed = curve.evaluate(_WITNESS_THETAS)
+        rec["quadrature_at_0"] = float(quad[0])
+        rec["quadrature_agrees"] = all(abs(quad - closed) <= 1e-6 * (1.0 + abs(quad)))
     return rec
 
 
-def _contour_record(r: Resonance, beta, theta_points, verify_numeric):
-    thetas = np.linspace(0.0, 2.0 * math.pi, theta_points, endpoint=False)
-    min_abs = min(
-        abs(contour_integral_closed(r, float(th), beta).value) for th in thetas
-    )
+def _contour_record(r: Resonance, beta, verify_numeric):
+    """The least |contour integral| over theta, 4*pi*|beta|*sinh x (at theta = pi/2).
+
+    One aligned resonance per family is also integrated numerically if asked.
+    """
+    _, _, sinh = residue_terms(r)
     rec = {
         "family": r.family_tag,
         "m": r.m,
         "n": r.n,
         "k": r.modulus.k,
-        "min_abs_integral": min_abs,
+        "min_abs_integral": 4.0 * math.pi * abs(beta) * sinh,
     }
     if verify_numeric:
         spec = default_contour(r)
@@ -97,7 +104,6 @@ def build_certificate(
     omega: float,
     m_max: int = 9,
     n_max: int = 2,
-    theta_points: int = 64,
     verify: bool = True,
 ) -> dict:
     """Structured applicability verdict for the three nonintegrability criteria.
@@ -139,9 +145,7 @@ def build_certificate(
             do_verify = verify and aligned and r.family_tag not in verified_c
             if do_verify:
                 verified_c.add(r.family_tag)
-            contour_records.append(
-                _contour_record(r, beta, theta_points, do_verify)
-            )
+            contour_records.append(_contour_record(r, beta, do_verify))
         applies_4c = applies_4c and all(
             rec["min_abs_integral"] > 0 for rec in contour_records
         )

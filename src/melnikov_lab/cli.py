@@ -191,12 +191,7 @@ def cmd_contour(args) -> int:
 
 def cmd_certify(args) -> int:
     cert = build_certificate(
-        args.beta,
-        args.delta,
-        args.omega,
-        m_max=args.m_max,
-        n_max=args.n_max,
-        theta_points=args.theta_points,
+        args.beta, args.delta, args.omega, m_max=args.m_max, n_max=args.n_max
     )
     _emit_json(args, cert)
     chaos = cert["chaos"]
@@ -332,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("certify", help="emit a nonintegrability certificate (JSON)")
-    _add_flags(p, *system, "theta_points", "out")
+    _add_flags(p, *system, "out")
     p.add_argument("--m-max", type=int, default=9)
     p.add_argument("--n-max", type=int, default=2)
     p.set_defaults(func=cmd_certify)

@@ -4,8 +4,9 @@ The resonant-orbit integral is evaluated on a small circle around one
 pole of the complexified orbit velocity and cross-checked against the
 residue closed forms 4*pi*beta*(cosh(.)cos(theta) - i sinh(.)sin(theta)).
 The damping kernel contributes zero residue, so the value is independent
-of delta; theta enters only through the cos/sin kernels, which are
-integrated once per resonance.
+of delta; theta enters only through the cos/sin kernels, which one
+node-doubling pass integrates into a complex MelnikovKernels, the type of
+the real quadratures.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .elliptic import EllipticModulus, jacobi_complex
-from .melnikov import Resonance, _level_means, _new_nodes, _trapezoid_doubling
+from .melnikov import MelnikovKernels, Resonance, _melnikov_kernels, _new_nodes
 from .pendulum import INNER, ROTATING_MINUS, orbit_complex_values
 
 __all__ = [
@@ -25,12 +26,12 @@ __all__ = [
     "ResidueOverflowError",
     "ContourSpec",
     "ContourValue",
-    "ContourKernels",
     "admissible_radius",
     "default_contour",
     "contour_kernels",
     "contour_integral_numeric",
     "contour_integral_closed",
+    "residue_terms",
     "laurent_probe",
     "substitution_check",
 ]
@@ -67,24 +68,6 @@ class ContourValue:
     value: complex
     theta: float
     family_tag: str
-
-
-@dataclass(frozen=True)
-class ContourKernels:
-    """One contour sweep: cos / sin forcing kernels and damping kernel."""
-
-    cos_kernel: complex
-    sin_kernel: complex
-    damping_kernel: complex
-
-    def value(self, theta, beta: float, delta: float):
-        """beta*(C cos(theta) - S sin(theta)) - delta*D for a scalar or array theta."""
-        if np.ndim(theta) == 0:  # numpy's vector cos/sin may round apart from libm's
-            cos_th, sin_th = math.cos(theta), math.sin(theta)
-        else:
-            cos_th, sin_th = np.cos(theta), np.sin(theta)
-        forcing = self.cos_kernel * cos_th - self.sin_kernel * sin_th
-        return beta * forcing - delta * self.damping_kernel
 
 
 def admissible_radius(family_tag: str, mod: EllipticModulus) -> float:
@@ -132,29 +115,22 @@ def _validate_spec(r: Resonance, spec: ContourSpec):
             )
 
 
-def contour_kernels(r: Resonance, spec: ContourSpec, tol: float = 1e-9) -> ContourKernels:
-    """Contour integrals of x2*cos(wt), x2*sin(wt) and x2^2 in one pass."""
+def contour_kernels(r: Resonance, spec: ContourSpec, tol: float = 1e-9) -> MelnikovKernels:
+    """Contour integrals of x2*cos(wt), x2*sin(wt) and x2^2 dt in one pass.
+
+    The circle t = center + radius*e^{is} is integrated over s in [0, 2 pi],
+    where dt/ds = i*radius*e^{is}.
+    """
     _validate_spec(r, spec)
     family = r.orbit
-    omega = r.omega
 
-    def sample_mean(n):
+    def sample_orbit(n):
         e = np.exp(1j * (_new_nodes(n, _CONTOUR_N0) * (2.0 * math.pi / n)))
         t = spec.center + spec.radius * e
         x2 = orbit_complex_values(family, t)[1]
-        x2_dt = x2 * 1j * spec.radius * e
-        phase = omega * t
-        block = np.empty((3, t.size), dtype=complex)
-        np.cos(phase, out=block[0])
-        np.sin(phase, out=block[1])
-        np.multiply(x2_dt, block[:2], out=block[:2])
-        np.multiply(x2_dt, x2, out=block[2])
-        return _level_means(n, _CONTOUR_N0, block)
+        return x2 * 1j * spec.radius * e, x2, r.omega * t
 
-    (cos_k, sin_k, damp_k), _, _ = _trapezoid_doubling(
-        sample_mean, 2.0 * math.pi, tol, n0=_CONTOUR_N0, n_max=2**18
-    )
-    return ContourKernels(cos_k, sin_k, damp_k)
+    return _melnikov_kernels(sample_orbit, 2.0 * math.pi, _CONTOUR_N0, tol, n_max=2**18)
 
 
 def contour_integral_numeric(
@@ -163,7 +139,7 @@ def contour_integral_numeric(
     beta: float,
     delta: float,
     tol: float = 1e-9,
-    kernels: ContourKernels = None,
+    kernels: MelnikovKernels = None,
 ) -> ContourValue:
     """Numeric contour integral of DH . g around the enclosed pole."""
     if kernels is None:
@@ -172,13 +148,12 @@ def contour_integral_numeric(
     return ContourValue(complex(value), spec.theta, r.family_tag)
 
 
-def contour_integral_closed(r: Resonance, theta: float, beta: float) -> ContourValue:
-    """Residue closed form of the contour integral.
+def residue_terms(r: Resonance) -> Tuple[float, float, float]:
+    """(sign, cosh x, sinh x) of the residue closed form of r's contour integral.
 
-    Inner: 4*pi*beta*(cosh(w K')cos(theta) - i sinh(w K')sin(theta));
-    rotating: the same with k*K' and an overall +/- sign.  Nonzero for
-    every theta whenever beta > 0.  Raises ResidueOverflowError where the
-    cosh overflows.
+    x = omega*K' for inner orbits and omega*k*K' for rotating ones; sign is
+    -1 on the rotating- family, else +1.  Raises ResidueOverflowError
+    where cosh x lies beyond the float range.
     """
     mod = r.modulus
     if r.family_tag == INNER:
@@ -187,12 +162,24 @@ def contour_integral_closed(r: Resonance, theta: float, beta: float) -> ContourV
         sign = -1.0 if r.family_tag == ROTATING_MINUS else 1.0
         arg = r.omega * mod.k * mod.K_prime
     try:
-        cosh, sinh = math.cosh(arg), math.sinh(arg)
+        return sign, math.cosh(arg), math.sinh(arg)
     except OverflowError:
         raise ResidueOverflowError(
             f"residue closed form of the {r.family_tag} {r.m}/{r.n} resonance at "
             f"omega={r.omega!r} overflows: cosh({arg:.6g})"
         ) from None
+
+
+def contour_integral_closed(r: Resonance, theta: float, beta: float) -> ContourValue:
+    """Residue closed form of the contour integral.
+
+    Inner: 4*pi*beta*(cosh(w K')cos(theta) - i sinh(w K')sin(theta));
+    rotating: the same with k*K' and an overall +/- sign.  Its modulus
+    squared is (4*pi*beta)^2 (sinh^2 + cos^2(theta)), least at theta = pi/2,
+    where it is 4*pi*|beta|*sinh: nonzero for every theta whenever beta > 0.
+    Raises ResidueOverflowError where the cosh overflows.
+    """
+    sign, cosh, sinh = residue_terms(r)
     value = (
         sign * 4.0 * math.pi * beta * (cosh * math.cos(theta) - 1j * sinh * math.sin(theta))
     )

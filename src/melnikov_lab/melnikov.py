@@ -12,11 +12,13 @@ affine in cos(theta), sin(theta) and delta, so one node-doubling pass
 integrates the three kernels x2*cos(omega t), x2*sin(omega t) and x2^2
 into a MelnikovKernels, and MelnikovKernels.value evaluates it for any
 scalar or array theta and any (beta, delta) with plain arithmetic.  A
-Resonance computes its kernels once, on first use.
+Resonance computes its kernels once, on first use.  The contour module's
+complex-time integrals are MelnikovKernels of the same pass.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -137,7 +139,8 @@ class Resonance:
 
         def sample_orbit(n):
             t = _new_nodes(n, n0) * (length / n)
-            return orbit_state(family, t).x2, self.omega * t
+            x2 = orbit_state(family, t).x2
+            return x2, x2, self.omega * t
 
         return _melnikov_kernels(sample_orbit, length, n0)
 
@@ -327,54 +330,58 @@ def _finite_theta(theta):
 
 @dataclass(frozen=True)
 class MelnikovKernels:
-    """One quadrature pass: integrals of x2*cos(phase), x2*sin(phase) and x2^2.
+    """One node-doubling pass: integrals of x2*cos(phase), x2*sin(phase) and x2^2 dt.
 
-    nodes is the node count of the accepted level and last_diff the
-    largest |cur - prev| of the three kernels there.
+    Real on a real time interval, complex on a contour.  nodes is the
+    node count of the accepted level and last_diff the largest
+    |cur - prev| of the three kernels there.
     """
 
-    cos_kernel: float
-    sin_kernel: float
-    damping_kernel: float
+    cos_kernel: complex
+    sin_kernel: complex
+    damping_kernel: complex
     nodes: int
     last_diff: float
 
     def value(self, theta, beta: float, delta: float):
         """beta*(C cos(theta) - S sin(theta)) - delta*D for a scalar or array theta.
 
-        A scalar theta gives a float, an array an array.  A value that is
-        not finite (parameters near the float range) raises
-        NonConvergenceError with the kernels' node count.
+        A scalar theta gives a scalar (float or complex, as the kernels
+        are), an array an array.  A value that is not finite (parameters
+        near the float range) raises NonConvergenceError with the
+        kernels' node count.
         """
         theta = _finite_theta(theta)
         scalar = isinstance(theta, float)
         trig = math if scalar else np  # math's cos/sin skip numpy's ufunc dispatch
         forcing = self.cos_kernel * trig.cos(theta) - self.sin_kernel * trig.sin(theta)
         out = beta * forcing - delta * self.damping_kernel
-        if not (math.isfinite(out) if scalar else np.isfinite(out).all()):
+        if not (cmath.isfinite(out) if scalar else np.isfinite(out).all()):
             raise NonConvergenceError(self.nodes, _QUADRATURE_TOL, math.inf)
         return out
 
 
-def _melnikov_kernels(sample_orbit, length, n0) -> MelnikovKernels:
-    """The three kernels over an interval of this length by node doubling.
+def _melnikov_kernels(
+    sample_orbit, length, n0, tol=_QUADRATURE_TOL, n_max=2**20
+) -> MelnikovKernels:
+    """The three kernels over a parameter interval of this length by node doubling.
 
-    sample_orbit(n) returns x2 and the forcing phase at the nodes
-    _new_nodes(n, n0).  Every kernel must meet the tolerance on its own.
+    sample_orbit(n) returns (w, x2, phase) at the nodes _new_nodes(n, n0),
+    where w = x2 * dt/ds is x2 times the derivative of time along the
+    parameter s (x2 itself on a real time interval).  Every kernel must
+    meet the tolerance on its own.
     """
 
     def sample_mean(n):
-        x2, phase = sample_orbit(n)
-        block = np.empty((3, x2.size))
+        w, x2, phase = sample_orbit(n)
+        block = np.empty((3, x2.size), dtype=w.dtype)
         np.cos(phase, out=block[0])
         np.sin(phase, out=block[1])
-        block[:2] *= x2
-        np.multiply(x2, x2, out=block[2])
+        np.multiply(w, block[:2], out=block[:2])
+        np.multiply(w, x2, out=block[2])
         return _level_means(n, n0, block)
 
-    kernels, nodes, last_diff = _trapezoid_doubling(
-        sample_mean, length, _QUADRATURE_TOL, n0=n0
-    )
+    kernels, nodes, last_diff = _trapezoid_doubling(sample_mean, length, tol, n0, n_max)
     return MelnikovKernels(*kernels.tolist(), nodes, last_diff)
 
 
@@ -457,7 +464,8 @@ def homoclinic_quadrature(
 
     def sample_orbit(n):
         t = -half + _new_nodes(n, n0) * (2.0 * half / n)
-        return s * 2.0 / np.cosh(t), rate * t
+        x2 = s * 2.0 / np.cosh(t)
+        return x2, x2, rate * t
 
     kernels = _melnikov_kernels(sample_orbit, 2.0 * half, n0)
     return kernels.value(theta, sys.beta, sys.delta)

@@ -335,9 +335,7 @@ def test_criterion_9_certificate_pattern():
         (1.0, 0.0): ("inconclusive", "applies", "applies", True),
     }
     for (beta, delta), want in expected.items():
-        cert = build_certificate(
-            beta, delta, 1.0, m_max=5, n_max=2, theta_points=32, verify=True
-        )
+        cert = build_certificate(beta, delta, 1.0, m_max=5, n_max=2, verify=True)
         got = (
             cert["prop_4a"]["status"],
             cert["prop_4b"]["status"],

@@ -4,11 +4,18 @@ Per family, the first curve with m <= 5 that witnesses a proposition is
 verified: a nonconstant curve when beta > 0 (prop 4b), otherwise a nonzero
 one (prop 4a).  A curve whose cosine coefficient is exactly 0 witnesses
 nothing under forcing, so verifying it would leave prop 4b unchecked.
+The check compares quadrature and closed curve at theta = 0 and pi/2, so
+a wrong sin kernel fails it as a wrong cos kernel does.
 """
+
+import dataclasses
 
 import pytest
 
-from melnikov_lab.certificate import build_certificate
+from melnikov_lab.certificate import _contour_record, _curve_record, build_certificate
+from melnikov_lab.contour import ResidueOverflowError
+from melnikov_lab.melnikov import solve_resonance
+from melnikov_lab.pendulum import INNER, ROTATING_PLUS
 
 
 def _witnesses(cert, beta):
@@ -66,3 +73,27 @@ def test_status_is_applies_exactly_when_the_proposition_applies(beta, delta):
         assert cert[prop]["status"] == ("applies" if applies else "inconclusive")
         hypothesis = delta > 0 if prop == "prop_4a" else beta > 0
         assert hypothesis or not applies
+
+
+@pytest.mark.parametrize("family, m", [(INNER, 3), (ROTATING_PLUS, 1)])
+@pytest.mark.parametrize("kernel", ["cos_kernel", "sin_kernel"])
+def test_a_perturbed_kernel_fails_the_quadrature_check(family, m, kernel):
+    r = solve_resonance(family, 1.0, m, 1)
+    assert _curve_record(r, 1.0, 1.0, True)["quadrature_agrees"]
+    perturbed = getattr(r.kernels, kernel) + 1e-3
+    # Resonance.kernels is a cached_property: replace the cached pass
+    r.__dict__["kernels"] = dataclasses.replace(r.kernels, **{kernel: perturbed})
+    assert _curve_record(r, 1.0, 1.0, True)["quadrature_agrees"] is False
+
+
+def test_quadrature_at_0_is_the_scalar_quadrature():
+    r = solve_resonance(INNER, 1.0, 3, 1)
+    rec = _curve_record(r, 0.7, 1.3, True)
+    assert rec["quadrature_at_0"] == r.kernels.value(0.0, 0.7, 1.3)
+
+
+def test_overflowing_residue_raises_residue_overflow_error():
+    # x = omega K' ~ 720 at inner 501/1, omega = 460: cosh and sinh overflow
+    r = solve_resonance(INNER, 460.0, 501, 1)
+    with pytest.raises(ResidueOverflowError, match="overflows"):
+        _contour_record(r, 1.0, False)

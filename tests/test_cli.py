@@ -177,12 +177,27 @@ class TestLargeOmega:
         assert code == EXIT_NUMERIC
         assert "128 nodes" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_overflowing_contour_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, ["contour", "--beta", "1e308"])
+        assert code == EXIT_NUMERIC and out == ""
+        assert "non-convergence" in err
+
+    def test_overflowing_certificate_residue_exits_3(self, capsys):
+        # inner 461/1 at omega = 460 has omega K' ~ 1733, past cosh's range
+        code, out, err = run_cli(
+            capsys, ["certify", "--omega", "460", "--m-max", "461", "--n-max", "1"]
+        )
+        assert code == EXIT_NUMERIC and out == ""
+        assert "inner 461/1" in err and "overflows" in err
+
     def test_overflowing_residue_exits_3(self, capsys, monkeypatch):
         from melnikov_lab import cli
-        from melnikov_lab.contour import ContourKernels
+        from melnikov_lab.melnikov import MelnikovKernels
 
         # the numeric kernels fail first at this resonance; skip them to reach the residue
-        monkeypatch.setattr(cli, "contour_kernels", lambda r, spec: ContourKernels(0j, 0j, 0j))
+        zero = MelnikovKernels(0j, 0j, 0j, 128, 0.0)
+        monkeypatch.setattr(cli, "contour_kernels", lambda r, spec: zero)
         code, out, err = run_cli(
             capsys, ["contour", "--m", "501", "--omega", "460", "--theta-points", "2"]
         )
@@ -230,7 +245,6 @@ class TestCertifyCommand:
             capsys,
             [
                 "certify", "--beta", "1", "--delta", "1", "--m-max", "5",
-                "--theta-points", "16",
             ],
         )
         assert code == EXIT_OK
@@ -259,7 +273,6 @@ class TestCertifyCommand:
             capsys,
             [
                 "certify", "--beta", "0", "--delta", "1", "--m-max", "5",
-                "--theta-points", "16",
             ],
         )
         assert code == EXIT_OK
@@ -273,7 +286,6 @@ class TestCertifyCommand:
             capsys,
             [
                 "certify", "--beta", "1", "--delta", "0", "--m-max", "5",
-                "--theta-points", "16",
             ],
         )
         assert code == EXIT_OK
@@ -378,7 +390,7 @@ class TestUsageErrors:
             "melnikov": system | resonance | {"theta_points", "out", "format"}
             | {"homoclinic", "sign", "j1_arg", "hom_phase"},
             "contour": system | resonance | {"theta_points", "out", "format"},
-            "certify": system | {"theta_points", "out", "m_max", "n_max"},
+            "certify": system | {"out", "m_max", "n_max"},
             "verify": system | resonance | {"out", "eps", "theta0"},
         }
         sub = next(

@@ -96,7 +96,7 @@ def test_subharmonic_samples_each_node_once(monkeypatch, case):
 def test_contour_samples_each_node_once(monkeypatch, case):
     r = melnikov.solve_resonance(*case)
     spec = contour.default_contour(r)
-    levels = _record_levels(monkeypatch, contour)
+    levels = _record_levels(monkeypatch, melnikov)
     points = _count_points(monkeypatch, contour, "orbit_complex_values")
     contour.contour_kernels(r, spec, tol=1e-12)
     assert levels[0] == 2 * 64 and len(points) == len(levels)
@@ -119,7 +119,7 @@ def test_homoclinic_stopping_at_two_n0_samples_the_separatrix_once(monkeypatch):
 
 def test_contour_stopping_at_two_n0_samples_the_orbit_once(monkeypatch):
     r = melnikov.solve_resonance(*ALIGNED[0])
-    levels = _record_levels(monkeypatch, contour)
+    levels = _record_levels(monkeypatch, melnikov)
     points = _count_points(monkeypatch, contour, "orbit_complex_values")
     contour.contour_kernels(r, contour.default_contour(r))
     assert levels == [2 * 64] and points == [2 * 64]
@@ -162,7 +162,7 @@ def test_homoclinic_equals_direct_trapezoid(monkeypatch, sign, omega):
 def test_contour_kernels_equal_direct_trapezoid(monkeypatch, case):
     r = melnikov.solve_resonance(*case)
     spec = contour.default_contour(r)
-    levels = _record_levels(monkeypatch, contour)
+    levels = _record_levels(monkeypatch, melnikov)
     ker = contour.contour_kernels(r, spec, tol=1e-12)
     nested = np.array([ker.cos_kernel, ker.sin_kernel, ker.damping_kernel])
 

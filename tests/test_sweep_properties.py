@@ -3,15 +3,17 @@
 An array-θ quadrature call must equal the per-θ calls and both must match
 the closed forms; the one-pass contour kernels must match the residue
 closed form on every aligned resonance (n = 1, and odd m on the inner
-family).
+family), and the certificate's least |contour integral| must be the least
+|residue closed form| over theta, attained at theta = pi/2.
 """
 
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from melnikov_lab.certificate import _contour_record
 from melnikov_lab.contour import contour_integral_closed, contour_kernels, default_contour
 from melnikov_lab.melnikov import (
     closed_form_homoclinic,
@@ -78,3 +80,16 @@ def test_one_pass_contour_kernels_match_residue_closed_form(r, beta, delta):
         ) - delta * ker.damping_kernel
         closed = contour_integral_closed(r, float(th), beta).value
         assert abs(numeric - closed) <= 1e-8 * max(1.0, abs(closed))
+
+
+@PROPERTY
+@given(resonances(), st.floats(1e-6, 1e6), st.floats(-10.0, 10.0))
+@example(solve_resonance(INNER, 1.0, 3, 1), 1.0, 1.5 * math.pi)
+def test_certified_contour_minimum_is_the_least_residue(r, beta, theta):
+    assume(r.n == 1 and (r.family_tag != INNER or r.m % 2 == 1))
+    least = _contour_record(r, beta, False)["min_abs_integral"]
+    assert least > 0.0
+    closed = abs(contour_integral_closed(r, theta, beta).value)
+    assert closed >= least * (1.0 - 4.0 * np.finfo(float).eps)
+    at_pi_2 = abs(contour_integral_closed(r, 0.5 * math.pi, beta).value)
+    assert abs(at_pi_2 - least) <= 2.0 * math.ulp(least)
