@@ -242,10 +242,7 @@ class TestContourCommand:
 class TestCertifyCommand:
     def test_certificate_document(self, capsys):
         code, out, err = run_cli(
-            capsys,
-            [
-                "certify", "--beta", "1", "--delta", "1", "--m-max", "5",
-            ],
+            capsys, ["certify", "--beta", "1", "--delta", "1", "--m-max", "5"]
         )
         assert code == EXIT_OK
         cert = json.loads(out)
@@ -270,10 +267,7 @@ class TestCertifyCommand:
 
     def test_zero_forcing_is_inconclusive(self, capsys):
         code, out, _ = run_cli(
-            capsys,
-            [
-                "certify", "--beta", "0", "--delta", "1", "--m-max", "5",
-            ],
+            capsys, ["certify", "--beta", "0", "--delta", "1", "--m-max", "5"]
         )
         assert code == EXIT_OK
         cert = json.loads(out)
@@ -283,10 +277,7 @@ class TestCertifyCommand:
 
     def test_zero_damping_chaos(self, capsys):
         code, out, _ = run_cli(
-            capsys,
-            [
-                "certify", "--beta", "1", "--delta", "0", "--m-max", "5",
-            ],
+            capsys, ["certify", "--beta", "1", "--delta", "0", "--m-max", "5"]
         )
         assert code == EXIT_OK
         cert = json.loads(out)
