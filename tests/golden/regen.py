@@ -28,6 +28,10 @@ CASES = (
     ("contour", "--family", "rotating+", "--m", "2", "--n", "1"),
     ("resonances", "--family", "rotating-", "--omega", "1.2", "--m-max", "7",
      "--n-max", "3", "--format", "json"),
+    ("resonances", "--family", "inner", "--m-max", "9"),
+    ("melnikov", "--family", "inner", "--m", "3", "--n", "1", "--beta", "1",
+     "--delta", "1"),
+    ("melnikov", "--homoclinic", "--sign", "-1", "--beta", "1", "--delta", "1"),
 )
 
 
