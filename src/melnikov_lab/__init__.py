@@ -4,8 +4,6 @@ from .elliptic import (
     EllipticModulus,
     JacobiTriple,
     PoleProximityError,
-    complete_E,
-    complete_K,
     jacobi_complex,
     jacobi_real,
 )
@@ -36,8 +34,6 @@ __all__ = [
     "EllipticModulus",
     "JacobiTriple",
     "PoleProximityError",
-    "complete_E",
-    "complete_K",
     "jacobi_complex",
     "jacobi_real",
     "MelnikovCurve",

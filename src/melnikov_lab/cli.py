@@ -29,17 +29,13 @@ import sys
 import numpy as np
 
 from .certificate import build_certificate
-from .contour import (
-    ResidueOverflowError,
-    contour_integral_closed,
-    contour_kernels,
-    default_contour,
-)
+from .contour import contour_integral_closed, contour_kernels, default_contour
 from .elliptic import PoleProximityError
 from .melnikov import (
     K_WINDOW,
     IntegrationFailure,
     NonConvergenceError,
+    ResidueOverflowError,
     ResonanceError,
     closed_form_homoclinic,
     closed_form_subharmonic,
@@ -141,12 +137,10 @@ def cmd_melnikov(args) -> int:
     thetas = _theta_grid(args)
     if args.homoclinic:
         closed = closed_form_homoclinic(args.sign, args.beta, args.delta, args.omega)
-        quad_vals = homoclinic_quadrature(
-            sys_, args.sign, thetas, phase_convention=args.hom_phase
-        )
+        quad_vals = homoclinic_quadrature(sys_, args.sign, thetas)
     else:
         r = _resonance(args)
-        closed = closed_form_subharmonic(r, args.beta, args.delta, j1_arg=args.j1_arg)
+        closed = closed_form_subharmonic(r, args.beta, args.delta)
         quad_vals = subharmonic_quadrature(sys_, r, thetas)
 
     rows = []
@@ -283,8 +277,7 @@ _SHARED_FLAGS = {
 
 # melnikov flags that only the subharmonic curve reads: dest -> default.
 _SUBHARMONIC_DEFAULTS = {
-    **{dest: _SHARED_FLAGS[dest]["default"] for dest in ("family", "m", "n")},
-    "j1_arg": "n",
+    dest: _SHARED_FLAGS[dest]["default"] for dest in ("family", "m", "n")
 }
 
 
@@ -314,10 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("melnikov", help="Melnikov curve, quadrature vs closed form")
     _add_flags(p, *system, *resonance, "theta_points", "out", "format")
-    p.add_argument("--j1-arg", choices=("n", "m"))
     p.add_argument("--homoclinic", action="store_true")
     p.add_argument("--sign", type=int, choices=(-1, 1), default=1)
-    p.add_argument("--hom-phase", choices=("omega-t", "t"), default="omega-t")
     # left unset so _validate can tell a given flag from its default
     p.set_defaults(**dict.fromkeys(_SUBHARMONIC_DEFAULTS))
     p.set_defaults(func=cmd_melnikov)

@@ -11,6 +11,7 @@ the real quadratures.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -18,7 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .elliptic import EllipticModulus, jacobi_complex
-from .melnikov import MelnikovKernels, Resonance, _melnikov_kernels, _new_nodes
+from .melnikov import MelnikovKernels, Resonance, ResidueOverflowError, _melnikov_kernels
 from .pendulum import INNER, ROTATING_MINUS, orbit_complex_values
 
 __all__ = [
@@ -29,25 +30,18 @@ __all__ = [
     "admissible_radius",
     "default_contour",
     "contour_kernels",
-    "contour_integral_numeric",
     "contour_integral_closed",
     "residue_terms",
     "laurent_probe",
-    "substitution_check",
 ]
 
 
 _CONTOUR_N0 = 64  # trapezoid nodes on the first node-doubling level
 _PROBE_NODES = 1024  # trapezoid nodes on each Laurent probe circle
-_SUBSTITUTION_TOL = 1e-10  # quad tolerance of both sides of substitution_check
 
 
 class SingleEnclosureViolation(ValueError):
     """Contour radius too large: more than one pole could be enclosed."""
-
-
-class ResidueOverflowError(OverflowError):
-    """The residue closed form lies beyond the float range (its cosh overflows)."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,6 @@ class ContourSpec:
 
     center: complex
     radius: float
-    theta: float = 0.0
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -66,8 +59,6 @@ class ContourSpec:
 @dataclass(frozen=True)
 class ContourValue:
     value: complex
-    theta: float
-    family_tag: str
 
 
 def admissible_radius(family_tag: str, mod: EllipticModulus) -> float:
@@ -77,9 +68,7 @@ def admissible_radius(family_tag: str, mod: EllipticModulus) -> float:
     return mod.k * min(mod.K, mod.K_prime)
 
 
-def default_contour(
-    r: Resonance, radius_fraction: float = 0.25, theta: float = 0.0
-) -> ContourSpec:
+def default_contour(r: Resonance, radius_fraction: float = 0.25) -> ContourSpec:
     """Circle around one enclosed pole, clear of the excluded lines.
 
     Inner family: center iK' + 2K (the half-period shift); the residue
@@ -96,7 +85,7 @@ def default_contour(
         center = 4.0 * r.n * mod.k * mod.K + 1j * mod.k * mod.K_prime
     bound = admissible_radius(r.family_tag, mod)
     radius = radius_fraction * bound
-    spec = ContourSpec(center=center, radius=radius, theta=theta)
+    spec = ContourSpec(center=center, radius=radius)
     _validate_spec(r, spec)
     return spec
 
@@ -124,28 +113,13 @@ def contour_kernels(r: Resonance, spec: ContourSpec, tol: float = 1e-9) -> Melni
     _validate_spec(r, spec)
     family = r.orbit
 
-    def sample_orbit(n):
-        e = np.exp(1j * (_new_nodes(n, _CONTOUR_N0) * (2.0 * math.pi / n)))
+    def sample_orbit(s):
+        e = np.exp(1j * s)
         t = spec.center + spec.radius * e
         x2 = orbit_complex_values(family, t)[1]
         return x2 * 1j * spec.radius * e, x2, r.omega * t
 
     return _melnikov_kernels(sample_orbit, 2.0 * math.pi, _CONTOUR_N0, tol, n_max=2**18)
-
-
-def contour_integral_numeric(
-    r: Resonance,
-    spec: ContourSpec,
-    beta: float,
-    delta: float,
-    tol: float = 1e-9,
-    kernels: MelnikovKernels = None,
-) -> ContourValue:
-    """Numeric contour integral of DH . g around the enclosed pole."""
-    if kernels is None:
-        kernels = contour_kernels(r, spec, tol)
-    value = kernels.value(spec.theta, beta, delta)
-    return ContourValue(complex(value), spec.theta, r.family_tag)
 
 
 def residue_terms(r: Resonance) -> Tuple[float, float, float]:
@@ -177,13 +151,18 @@ def contour_integral_closed(r: Resonance, theta: float, beta: float) -> ContourV
     rotating: the same with k*K' and an overall +/- sign.  Its modulus
     squared is (4*pi*beta)^2 (sinh^2 + cos^2(theta)), least at theta = pi/2,
     where it is 4*pi*|beta|*sinh: nonzero for every theta whenever beta > 0.
-    Raises ResidueOverflowError where the cosh overflows.
+    Raises ResidueOverflowError where the cosh or the value overflows.
     """
     sign, cosh, sinh = residue_terms(r)
     value = (
         sign * 4.0 * math.pi * beta * (cosh * math.cos(theta) - 1j * sinh * math.sin(theta))
     )
-    return ContourValue(value, theta, r.family_tag)
+    if not cmath.isfinite(value):
+        raise ResidueOverflowError(
+            f"residue closed form {value!r} of the {r.family_tag} {r.m}/{r.n} resonance "
+            f"at omega={r.omega!r}, theta={theta!r}, beta={beta!r} overflows the float range"
+        )
+    return ContourValue(value)
 
 
 _PROBE_KERNELS = ("cn", "dn", "dn_scaled", "cn2", "cos", "sin", "cos_cn", "sin_cn")
@@ -251,37 +230,3 @@ def laurent_probe(
         out.append((residue, constant))
     return out
 
-
-def substitution_check(mod: EllipticModulus, t_lo: float, t_hi: float) -> float:
-    """Discrepancy in the substitution s = 1/sn(t) for int cn^2 dt.
-
-    Compares int_{t_lo}^{t_hi} cn^2 t dt against
-    -int (1/s^2) sqrt((1-s^2)/(k^2-s^2)) ds over the image interval;
-    both sides by adaptive quadrature.  Requires 0 < t_lo <= t_hi < K,
-    where sn is positive and cn/dn keeps the branch of the square root.
-    """
-    from scipy.integrate import quad
-
-    from .elliptic import jacobi_real
-
-    if t_lo == t_hi:
-        return 0.0
-    if not 0.0 < t_lo < t_hi < mod.K:
-        raise ValueError("path must lie in (0, K)")
-
-    def cn2(t):
-        return jacobi_real(t, mod).cn ** 2
-
-    lhs, _ = quad(cn2, t_lo, t_hi, epsabs=_SUBSTITUTION_TOL, epsrel=_SUBSTITUTION_TOL)
-
-    def s_of(t):
-        return 1.0 / jacobi_real(t, mod).sn
-
-    def g(s):
-        # (1-s^2)/(k^2-s^2) stays positive for |s| > 1
-        return (1.0 / s**2) * math.sqrt((s**2 - 1.0) / (s**2 - mod.k**2))
-
-    s_lo, s_hi = s_of(t_lo), s_of(t_hi)
-    rhs_val, _ = quad(g, s_lo, s_hi, epsabs=_SUBSTITUTION_TOL, epsrel=_SUBSTITUTION_TOL)
-    rhs = -rhs_val
-    return abs(lhs - rhs)

@@ -20,8 +20,6 @@ __all__ = [
     "POLE_CLEARANCE",
     "EllipticModulus",
     "JacobiTriple",
-    "complete_K",
-    "complete_E",
     "jacobi_real",
     "jacobi_am",
     "jacobi_complex",
@@ -79,24 +77,6 @@ def _complete_K(k: float, k_prime: float) -> float:
     return math.pi / (2.0 * _descent(k_prime, k)[0])
 
 
-def complete_K(k: float) -> float:
-    """K(k), complete elliptic integral of the first kind, 0 <= k < 1."""
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"complete_K requires 0 <= k < 1, got {k!r}")
-    return _complete_K(k, _complementary(k))
-
-
-def complete_E(k: float) -> float:
-    """E(k), complete elliptic integral of the second kind, 0 <= k <= 1."""
-    if not 0.0 <= k <= 1.0:
-        raise ValueError(f"complete_E requires 0 <= k <= 1, got {k!r}")
-    if k == 0.0:
-        return math.pi / 2.0
-    if k == 1.0:
-        return 1.0
-    return EllipticModulus.from_k(k).E
-
-
 @dataclass(frozen=True)
 class EllipticModulus:
     """An elliptic modulus k in (0,1) with its precomputed integrals.
@@ -150,8 +130,8 @@ class EllipticModulus:
         arcsin((c_j/a_j) sin phi_j)) / 2.  A level with |c_j/a_j| <= 2^-54
         cannot move phi besides the halving, so _amplitude_reduced only
         halves there.  Built on first use rather than in _build, so a
-        modulus whose integrals alone are read (complete_E, for one) costs
-        two descents, not three.
+        modulus whose integrals alone are read costs two descents, not
+        three.
         """
         a, _, ratios = _descent(self.k_prime, self.k)
         return (2.0 ** len(ratios)) * a, tuple(reversed(ratios))

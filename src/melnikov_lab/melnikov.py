@@ -41,6 +41,7 @@ __all__ = [
     "NonConvergenceError",
     "IntegrationFailure",
     "ResonanceError",
+    "ResidueOverflowError",
     "Resonance",
     "MelnikovKernels",
     "MelnikovCurve",
@@ -55,7 +56,6 @@ __all__ = [
     "simple_zeros",
     "chaos_condition",
     "enumerate_resonances",
-    "homoclinic_limit_check",
 ]
 
 _RESONANT_TAGS = (INNER, ROTATING_PLUS, ROTATING_MINUS)
@@ -82,6 +82,10 @@ class IntegrationFailure(RuntimeError):
 
 class ResonanceError(RuntimeError):
     """The resonance condition has no solution among representable moduli."""
+
+
+class ResidueOverflowError(OverflowError):
+    """A Melnikov or contour value, or a residue closed form, lies beyond the float range."""
 
 
 # Both quadratures stop where every kernel has |cur - prev| <= this * (1 + |cur|).
@@ -121,8 +125,9 @@ class Resonance:
 
     def residual(self) -> float:
         """Residual of the defining resonance equation."""
-        target, period = _resonance_equation(self.family_tag, self.omega, self.m, self.n)
-        return period(self.modulus.k, self.modulus.k_prime) - target
+        target, _ = _resonance_equation(self.family_tag, self.omega, self.m, self.n)
+        mod = self.modulus
+        return (mod.K if self.family_tag == INNER else mod.k * mod.K) - target
 
     @cached_property
     def kernels(self) -> "MelnikovKernels":
@@ -134,15 +139,12 @@ class Resonance:
         the interval cannot alias.
         """
         family = self.orbit
-        length = self.forcing_interval
-        n0 = _first_level(64, self.m)
 
-        def sample_orbit(n):
-            t = _new_nodes(n, n0) * (length / n)
+        def sample_orbit(t):
             x2 = orbit_state(family, t).x2
             return x2, x2, self.omega * t
 
-        return _melnikov_kernels(sample_orbit, length, n0)
+        return _melnikov_kernels(sample_orbit, self.forcing_interval, _first_level(64, self.m))
 
 
 def _cosh(x: float) -> float:
@@ -348,17 +350,27 @@ class MelnikovKernels:
 
         A scalar theta gives a scalar (float or complex, as the kernels
         are), an array an array.  A value that is not finite (parameters
-        near the float range) raises NonConvergenceError with the
-        kernels' node count.
+        near the float range) raises ResidueOverflowError, which names it.
         """
         theta = _finite_theta(theta)
-        scalar = isinstance(theta, float)
-        trig = math if scalar else np  # math's cos/sin skip numpy's ufunc dispatch
-        forcing = self.cos_kernel * trig.cos(theta) - self.sin_kernel * trig.sin(theta)
-        out = beta * forcing - delta * self.damping_kernel
-        if not (cmath.isfinite(out) if scalar else np.isfinite(out).all()):
-            raise NonConvergenceError(self.nodes, _QUADRATURE_TOL, math.inf)
-        return out
+        if isinstance(theta, float):
+            # math's cos/sin skip numpy's ufunc dispatch
+            forcing = self.cos_kernel * math.cos(theta) - self.sin_kernel * math.sin(theta)
+            out = beta * forcing - delta * self.damping_kernel
+            if cmath.isfinite(out):
+                return out
+            bad = out
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                forcing = self.cos_kernel * np.cos(theta) - self.sin_kernel * np.sin(theta)
+                out = beta * forcing - delta * self.damping_kernel
+            finite = np.isfinite(out)
+            if finite.all():
+                return out
+            bad = out[~finite].item(0)
+        raise ResidueOverflowError(
+            f"Melnikov value {bad!r} at beta={beta!r}, delta={delta!r} overflows the float range"
+        )
 
 
 def _melnikov_kernels(
@@ -366,14 +378,14 @@ def _melnikov_kernels(
 ) -> MelnikovKernels:
     """The three kernels over a parameter interval of this length by node doubling.
 
-    sample_orbit(n) returns (w, x2, phase) at the nodes _new_nodes(n, n0),
-    where w = x2 * dt/ds is x2 times the derivative of time along the
-    parameter s (x2 itself on a real time interval).  Every kernel must
-    meet the tolerance on its own.
+    sample_orbit(s) returns (w, x2, phase) at the parameters s of the
+    nodes _new_nodes(n, n0), where w = x2 * dt/ds is x2 times the
+    derivative of time along s (x2 itself on a real time interval).
+    Every kernel must meet the tolerance on its own.
     """
 
     def sample_mean(n):
-        w, x2, phase = sample_orbit(n)
+        w, x2, phase = sample_orbit(_new_nodes(n, n0) * (length / n))
         block = np.empty((3, x2.size), dtype=w.dtype)
         np.cos(phase, out=block[0])
         np.sin(phase, out=block[1])
@@ -458,13 +470,13 @@ def homoclinic_quadrature(
         raise ValueError("phase_convention must be 'omega-t' or 't'")
     theta = _finite_theta(theta)
     rate = sys.omega if phase_convention == "omega-t" else 1.0
-    s = 1.0 if sign >= 0 else -1.0
+    orientation = 1.0 if sign >= 0 else -1.0
     half = _HOMOCLINIC_HALF
     n0 = _first_level(512, rate * half / math.pi)
 
-    def sample_orbit(n):
-        t = -half + _new_nodes(n, n0) * (2.0 * half / n)
-        x2 = s * 2.0 / np.cosh(t)
+    def sample_orbit(s):
+        t = -half + s
+        x2 = orientation * 2.0 / np.cosh(t)
         return x2, x2, rate * t
 
     kernels = _melnikov_kernels(sample_orbit, 2.0 * half, n0)
@@ -578,38 +590,3 @@ def enumerate_resonances(
     found.sort(key=lambda r: r.modulus.k)
     return found
 
-
-def homoclinic_limit_check(
-    family_tag: str,
-    omega: float,
-    beta: float,
-    delta: float,
-    m_list,
-    theta_grid,
-) -> List[float]:
-    """Sup-norm gaps between m/1 subharmonic curves and their limits.
-
-    Inner curves converge to the homoclinic pair traversed half a forcing
-    period apart, M_+(theta) + M_-(theta + pi) for odd m; rotating curves
-    converge to M_+- directly.  The returned gaps decrease to 0 along an
-    increasing m_list.
-    """
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    if family_tag == INNER:
-        plus = closed_form_homoclinic(+1, beta, delta, omega)
-        minus = closed_form_homoclinic(-1, beta, delta, omega)
-        limit = MelnikovCurve(
-            plus.const_term + minus.const_term, plus.cos_coeff - minus.cos_coeff
-        )
-    else:
-        sign = -1 if family_tag == ROTATING_MINUS else +1
-        limit = closed_form_homoclinic(sign, beta, delta, omega)
-    gaps = []
-    for m in m_list:
-        r = solve_resonance(family_tag, omega, m, 1)
-        if r is None:
-            raise ValueError(f"resonance m={m}, n=1 unsolvable at omega={omega}")
-        curve = closed_form_subharmonic(r, beta, delta)
-        gap = np.max(np.abs(curve.evaluate(theta_grid) - limit.evaluate(theta_grid)))
-        gaps.append(float(gap))
-    return gaps

@@ -29,8 +29,6 @@ __all__ = [
     "HOMOCLINIC_MINUS",
     "orbit_state",
     "orbit_complex_values",
-    "orbit_ode_residual",
-    "homoclinic_limit_distance",
     "wrap_angle",
 ]
 
@@ -42,9 +40,6 @@ HOMOCLINIC_MINUS = "homoclinic-"
 
 _PERIODIC_TAGS = (INNER, ROTATING_PLUS, ROTATING_MINUS)
 _HOMOCLINIC_TAGS = (HOMOCLINIC_PLUS, HOMOCLINIC_MINUS)
-
-_ODE_RESIDUAL_STEP = 1e-3  # step of orbit_ode_residual's difference stencil
-_LIMIT_ORBIT_SAMPLES = 800  # orbit samples in homoclinic_limit_distance
 
 
 def wrap_angle(x):
@@ -122,18 +117,6 @@ class OrbitFamily:
         return 2.0
 
 
-def inner_orbit(modulus: EllipticModulus) -> OrbitFamily:
-    return OrbitFamily(INNER, modulus)
-
-
-def rotating_orbit(modulus: EllipticModulus, sign: int = +1) -> OrbitFamily:
-    return OrbitFamily(ROTATING_PLUS if sign >= 0 else ROTATING_MINUS, modulus)
-
-
-def homoclinic_orbit(sign: int = +1) -> OrbitFamily:
-    return OrbitFamily(HOMOCLINIC_PLUS if sign >= 0 else HOMOCLINIC_MINUS)
-
-
 def orbit_state(family: OrbitFamily, t):
     """Closed-form state x(t) for real t; scalars or arrays.
 
@@ -184,53 +167,3 @@ def orbit_complex_values(family: OrbitFamily, t):
         x2 = family.sign * 2.0 / np.cosh(t)
     return sin_x1, x2
 
-
-def orbit_ode_residual(family: OrbitFamily, t_grid) -> float:
-    """Max residual of the pendulum ODE along the closed form.
-
-    Uses a 4th-order centered difference of the closed-form state against
-    the vector field (x2, -sin x1); validates the orbit formulas.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    h = _ODE_RESIDUAL_STEP
-    stencil = []
-    for offset in (-2.0 * h, -h, h, 2.0 * h):
-        stencil.append(orbit_state(family, t_grid + offset))
-    d_x1 = (stencil[0].x1 - 8.0 * stencil[1].x1 + 8.0 * stencil[2].x1 - stencil[3].x1) / (12.0 * h)
-    d_x2 = (stencil[0].x2 - 8.0 * stencil[1].x2 + 8.0 * stencil[2].x2 - stencil[3].x2) / (12.0 * h)
-    state = orbit_state(family, t_grid)
-    res1 = d_x1 - state.x2
-    res2 = d_x2 + np.sin(state.x1)
-    return float(np.max(np.hypot(res1, res2)))
-
-
-def _separatrix_samples(n: int = 4000, t_max: float = 20.0):
-    s = np.linspace(-t_max, t_max, n)
-    pts = []
-    for sign in (+1, -1):
-        orbit = homoclinic_orbit(sign)
-        state = orbit_state(orbit, s)
-        pts.append(np.column_stack([state.x1, state.x2]))
-    pts.append(np.array([[math.pi, 0.0], [-math.pi, 0.0]]))
-    return np.vstack(pts)
-
-
-def homoclinic_limit_distance(family: OrbitFamily) -> float:
-    """Sup distance from a periodic orbit to the homoclinic set Gamma.
-
-    Distances are taken on the cylinder (angle differences mod 2pi).
-    Decreases to 0 along any modulus sequence k -> 1; for small inner
-    orbits it approaches the distance 2 from the origin to Gamma.
-    """
-    if family.tag not in _PERIODIC_TAGS:
-        raise ValueError("homoclinic_limit_distance expects a periodic family")
-    gamma = _separatrix_samples()
-    t = np.linspace(0.0, family.period, _LIMIT_ORBIT_SAMPLES, endpoint=False)
-    state = orbit_state(family, t)
-    x1 = wrap_angle(state.x1)
-    sup = 0.0
-    for p1, p2 in zip(x1, np.atleast_1d(state.x2)):
-        d1 = wrap_angle(p1 - gamma[:, 0])
-        d = np.min(np.hypot(d1, p2 - gamma[:, 1]))
-        sup = max(sup, float(d))
-    return sup

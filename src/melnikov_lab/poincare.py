@@ -279,9 +279,9 @@ def homoclinic_tangle_probe(
     the averaged log separation rate reported.  Larger statistics in the
     chaos regime corroborate (not prove) the Melnikov threshold.
     """
-    from .pendulum import homoclinic_orbit
+    from .pendulum import HOMOCLINIC_PLUS, OrbitFamily
 
-    orbit = homoclinic_orbit(+1)
+    orbit = OrbitFamily(HOMOCLINIC_PLUS)
     starts = np.linspace(-3.0, 3.0, n_fan)
     exponents = []
     n_steps = int(round(horizon / _PROBE_RENORM_STEP))

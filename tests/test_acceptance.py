@@ -22,9 +22,7 @@ import pytest
 
 from melnikov_lab.certificate import build_certificate
 from melnikov_lab.contour import (
-    ContourSpec,
     contour_integral_closed,
-    contour_integral_numeric,
     contour_kernels,
     default_contour,
     laurent_probe,
@@ -34,7 +32,6 @@ from melnikov_lab.melnikov import (
     chaos_condition,
     closed_form_homoclinic,
     closed_form_subharmonic,
-    homoclinic_limit_check,
     homoclinic_quadrature,
     simple_zeros,
     solve_resonance,
@@ -42,6 +39,7 @@ from melnikov_lab.melnikov import (
 )
 from melnikov_lab.pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, pendulum_system
 from melnikov_lab.poincare import find_subharmonic, scaling_band
+from oracles import homoclinic_limit_check
 
 THETA16 = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
@@ -195,15 +193,12 @@ def test_criterion_5_contour_residue_equivalence():
                 ker = contour_kernels(r, spec, tol=1e-10)
                 worst_damp = max(worst_damp, abs(ker.damping_kernel))
                 for th in THETA16:
-                    spec_t = ContourSpec(spec.center, spec.radius, theta=float(th))
-                    num = contour_integral_numeric(r, spec_t, 1.0, 0.3, kernels=ker)
+                    num = ker.value(float(th), 1.0, 0.3)
                     closed = contour_integral_closed(r, float(th), 1.0)
-                    worst_match = max(worst_match, abs(num.value - closed.value))
-                    num0 = contour_integral_numeric(r, spec_t, 1.0, 0.0, kernels=ker)
-                    worst_delta = max(worst_delta, abs(num.value - num0.value))
-                vals_by_radius.append(
-                    contour_integral_numeric(r, spec, 1.0, 0.0, kernels=ker).value
-                )
+                    worst_match = max(worst_match, abs(num - closed.value))
+                    num0 = ker.value(float(th), 1.0, 0.0)
+                    worst_delta = max(worst_delta, abs(num - num0))
+                vals_by_radius.append(ker.value(0.0, 1.0, 0.0))
             worst_radius = max(
                 worst_radius, max(abs(v - vals_by_radius[0]) for v in vals_by_radius)
             )
@@ -268,20 +263,8 @@ def test_criterion_7_contour_lower_bound():
                 else r.omega * mod.k * mod.K_prime
             )
             lower = 4.0 * math.pi * beta * min(1.0, math.sinh(arg))
-            spec = default_contour(r)
-            ker = contour_kernels(r, spec, tol=1e-10)
-            min_abs = min(
-                abs(
-                    contour_integral_numeric(
-                        r,
-                        ContourSpec(spec.center, spec.radius, theta=float(th)),
-                        beta,
-                        0.0,
-                        kernels=ker,
-                    ).value
-                )
-                for th in THETA16
-            )
+            ker = contour_kernels(r, default_contour(r), tol=1e-10)
+            min_abs = min(abs(ker.value(float(th), beta, 0.0)) for th in THETA16)
             assert min_abs > 0.0
             assert min_abs >= lower * (1.0 - 1e-8)
             worst_margin = min(worst_margin, min_abs / lower)

@@ -97,3 +97,9 @@ def test_overflowing_residue_raises_residue_overflow_error():
     r = solve_resonance(INNER, 460.0, 501, 1)
     with pytest.raises(ResidueOverflowError, match="overflows"):
         _contour_record(r, 1.0, False)
+
+
+def test_overflowing_contour_minimum_raises_residue_overflow_error():
+    # sinh(omega K') is finite at inner 3/1, 4 pi beta sinh(omega K') is not
+    with pytest.raises(ResidueOverflowError, match="least contour integral inf"):
+        build_certificate(1e308, 0.0, 1.0, verify=False)

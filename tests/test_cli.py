@@ -117,15 +117,14 @@ class TestMelnikovCommand:
 
     def test_homoclinic_rejects_resonance_flags(self, capsys):
         # the homoclinic curve reads no resonance, even a flag at its default value
-        for flags in (["--m", "2", "--n", "4"], ["--m", "3"], ["--family", "inner"],
-                      ["--j1-arg=n"]):
+        for flags in (["--m", "2", "--n", "4"], ["--m", "3"], ["--family", "inner"]):
             with pytest.raises(SystemExit) as exc:
                 main(["melnikov", "--homoclinic", *flags])
             assert exc.value.code == EXIT_USAGE
             assert "--homoclinic does not read" in capsys.readouterr().err
 
     def test_subharmonic_flags_keep_their_defaults(self, capsys):
-        explicit = ["--family", "inner", "--m", "3", "--n", "1", "--j1-arg", "n"]
+        explicit = ["--family", "inner", "--m", "3", "--n", "1"]
         code, out, _ = run_cli(capsys, ["melnikov", "--theta-points", "4", *explicit])
         assert code == EXIT_OK
         assert out == run_cli(capsys, ["melnikov", "--theta-points", "4"])[1]
@@ -171,17 +170,28 @@ class TestLargeOmega:
         if code == EXIT_OK and argv[0] == "certify":
             assert json.loads(out)["chaos"]["threshold"] == math.inf
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     def test_overflowing_quadrature_exits_3(self, capsys):
         code, _, err = run_cli(capsys, ["melnikov", "--beta", "1e308", "--delta", "1e308"])
         assert code == EXIT_NUMERIC
-        assert "128 nodes" in err
+        assert "Melnikov value nan at beta=1e+308" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     def test_overflowing_contour_exits_3(self, capsys):
         code, out, err = run_cli(capsys, ["contour", "--beta", "1e308"])
         assert code == EXIT_NUMERIC and out == ""
-        assert "non-convergence" in err
+        assert "residue closed form (inf+nanj)" in err
+
+    # a numpy warning would be raised as an exception here, and escape main
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [["contour"], ["melnikov", "--m", "3"], ["certify"]],
+        ids=" ".join,
+    )
+    def test_overflow_prints_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, [*argv, "--beta", "1e308"])
+        assert code == EXIT_NUMERIC and out == ""
+        assert err.startswith("melnikov-lab: ") and err.count("\n") == 1
+        assert "overflows the float range" in err
 
     def test_overflowing_certificate_residue_exits_3(self, capsys):
         # inner 461/1 at omega = 460 has omega K' ~ 1733, past cosh's range
@@ -379,7 +389,7 @@ class TestUsageErrors:
             "resonances": {"omega", "family", "out", "format"}
             | {"m_max", "n_max", "k_min", "k_max"},
             "melnikov": system | resonance | {"theta_points", "out", "format"}
-            | {"homoclinic", "sign", "j1_arg", "hom_phase"},
+            | {"homoclinic", "sign"},
             "contour": system | resonance | {"theta_points", "out", "format"},
             "certify": system | {"out", "m_max", "n_max"},
             "verify": system | resonance | {"out", "eps", "theta0"},

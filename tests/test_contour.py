@@ -9,15 +9,14 @@ from melnikov_lab.contour import (
     SingleEnclosureViolation,
     admissible_radius,
     contour_integral_closed,
-    contour_integral_numeric,
     contour_kernels,
     default_contour,
     laurent_probe,
-    substitution_check,
 )
 from melnikov_lab.elliptic import EllipticModulus
 from melnikov_lab.melnikov import solve_resonance
 from melnikov_lab.pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS
+from oracles import substitution_check
 
 
 @pytest.fixture(scope="module")
@@ -59,16 +58,14 @@ class TestContourSpec:
 
 class TestContourIntegrals:
     def test_inner_matches_closed_form(self, inner_res):
-        spec = default_contour(inner_res, theta=0.4)
-        num = contour_integral_numeric(inner_res, spec, beta=1.0, delta=0.7)
+        num = contour_kernels(inner_res, default_contour(inner_res)).value(0.4, 1.0, 0.7)
         closed = contour_integral_closed(inner_res, 0.4, beta=1.0)
-        assert abs(num.value - closed.value) <= 1e-9
+        assert abs(num - closed.value) <= 1e-9
 
     def test_rotating_matches_closed_form(self, rot_res):
-        spec = default_contour(rot_res, theta=1.1)
-        num = contour_integral_numeric(rot_res, spec, beta=2.0, delta=0.3)
+        num = contour_kernels(rot_res, default_contour(rot_res)).value(1.1, 2.0, 0.3)
         closed = contour_integral_closed(rot_res, 1.1, beta=2.0)
-        assert abs(num.value - closed.value) <= 1e-9
+        assert abs(num - closed.value) <= 1e-9
 
     def test_rotating_minus_flips_sign(self):
         rp = solve_resonance(ROTATING_PLUS, 1.0, 2, 1)
@@ -90,28 +87,24 @@ class TestContourIntegrals:
     def test_radius_independence(self, inner_res):
         vals = []
         for frac in (0.05, 0.2):
-            spec = default_contour(inner_res, radius_fraction=frac, theta=0.8)
-            vals.append(
-                contour_integral_numeric(inner_res, spec, 1.0, 0.0, tol=1e-10).value
-            )
+            spec = default_contour(inner_res, radius_fraction=frac)
+            vals.append(contour_kernels(inner_res, spec, tol=1e-10).value(0.8, 1.0, 0.0))
         assert abs(vals[0] - vals[1]) <= 1e-9
 
     def test_damping_independence(self, inner_res):
-        spec = default_contour(inner_res, theta=0.8)
-        ker = contour_kernels(inner_res, spec, tol=1e-10)
+        ker = contour_kernels(inner_res, default_contour(inner_res), tol=1e-10)
         assert abs(ker.damping_kernel) <= 1e-10
-        a = contour_integral_numeric(inner_res, spec, 1.0, 0.0, kernels=ker)
-        b = contour_integral_numeric(inner_res, spec, 1.0, 5.0, kernels=ker)
-        assert abs(a.value - b.value) <= 1e-9
+        a = ker.value(0.8, 1.0, 0.0)
+        b = ker.value(0.8, 1.0, 5.0)
+        assert abs(a - b) <= 1e-9
 
     def test_kernels_reused_across_theta(self, inner_res):
         spec = default_contour(inner_res)
         ker = contour_kernels(inner_res, spec, tol=1e-10)
         for th in (0.0, 0.9, 2.2):
-            spec_t = ContourSpec(spec.center, spec.radius, theta=th)
-            num = contour_integral_numeric(inner_res, spec_t, 1.0, 0.0, kernels=ker)
+            num = ker.value(th, 1.0, 0.0)
             closed = contour_integral_closed(inner_res, th, 1.0)
-            assert abs(num.value - closed.value) <= 1e-9
+            assert abs(num - closed.value) <= 1e-9
 
 
     def test_kernel_value_scalar_and_array(self, inner_res):
@@ -119,10 +112,6 @@ class TestContourIntegrals:
         ker = contour_kernels(inner_res, spec, tol=1e-10)
         thetas = np.array([0.0, 0.9, 2.2])
         scalar = [ker.value(th, 0.7, 0.4) for th in thetas]
-        for th, value in zip(thetas, scalar):
-            spec_t = ContourSpec(spec.center, spec.radius, theta=th)
-            num = contour_integral_numeric(inner_res, spec_t, 0.7, 0.4, kernels=ker)
-            assert num.value == value
         assert np.allclose(ker.value(thetas, 0.7, 0.4), scalar, rtol=1e-15, atol=0.0)
 
 
@@ -198,3 +187,9 @@ def test_overflowing_residue_raises_a_typed_error():
     r = solve_resonance(INNER, 460.0, 501, 1)  # cosh(omega K') overflows
     with pytest.raises(ResidueOverflowError, match="overflows"):
         contour_integral_closed(r, 0.0, 1.0)
+
+
+def test_overflowing_residue_value_raises_a_typed_error(inner_res):
+    # cosh(omega K') is finite, 4 pi beta cosh(omega K') is not
+    with pytest.raises(ResidueOverflowError, match=r"\(inf\+nanj\)"):
+        contour_integral_closed(inner_res, 0.0, 1e308)

@@ -11,8 +11,6 @@ from melnikov_lab.elliptic import (
     EllipticModulus,
     PoleProximityError,
     _descent,
-    complete_E,
-    complete_K,
     jacobi_am,
     jacobi_complex,
     jacobi_real,
@@ -46,48 +44,43 @@ def E_quadrature(k):
 
 class TestCompleteIntegrals:
     def test_K_at_zero(self):
-        assert complete_K(0.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
+        # the least positive modulus: k^2 underflows to 0
+        assert EllipticModulus.from_k(5e-324).K == pytest.approx(math.pi / 2.0, rel=1e-15)
 
     def test_K_near_zero(self):
-        assert complete_K(1e-8) == pytest.approx(math.pi / 2.0, rel=1e-14)
+        assert EllipticModulus.from_k(1e-8).K == pytest.approx(math.pi / 2.0, rel=1e-14)
 
     def test_K_against_quadrature(self):
-        assert complete_K(0.8) == pytest.approx(K_quadrature(0.8), abs=1e-12)
+        assert EllipticModulus.from_k(0.8).K == pytest.approx(K_quadrature(0.8), abs=1e-12)
 
     def test_E_at_zero(self):
-        assert complete_E(0.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
+        assert EllipticModulus.from_k(5e-324).E == pytest.approx(math.pi / 2.0, rel=1e-15)
 
     def test_E_at_one(self):
-        assert complete_E(1.0) == 1.0
+        # the least positive complement: k rounds to 1
+        assert EllipticModulus.from_k_prime(5e-324).E == 1.0
 
     def test_E_against_quadrature(self):
-        assert complete_E(0.8) == pytest.approx(E_quadrature(0.8), abs=1e-12)
+        assert EllipticModulus.from_k(0.8).E == pytest.approx(E_quadrature(0.8), abs=1e-12)
 
     @pytest.mark.parametrize("k", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
     def test_KE_against_quadrature_grid(self, k):
-        assert complete_K(k) == pytest.approx(K_quadrature(k), abs=1e-12)
-        assert complete_E(k) == pytest.approx(E_quadrature(k), abs=1e-12)
+        mod = EllipticModulus.from_k(k)
+        assert mod.K == pytest.approx(K_quadrature(k), abs=1e-12)
+        assert mod.E == pytest.approx(E_quadrature(k), abs=1e-12)
 
     @pytest.mark.parametrize("k", [1.0 - 1e-12, 1.0 - 2.0**-52])
     def test_E_near_one_matches_mpmath(self, k):
         # K(1 - c-sum) cancels as k -> 1: 16.8 and 11.6 eps off at these k
         with mpmath.workdps(50):
             ref = mpmath.ellipe(mpmath.mpf(k) ** 2)
-        err = abs(mpmath.mpf(complete_E(k)) - ref) / ref
+        err = abs(mpmath.mpf(EllipticModulus.from_k(k).E) - ref) / ref
         assert err <= 2.0 * np.finfo(float).eps
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            complete_K(-0.1)
-        with pytest.raises(ValueError):
-            complete_K(1.0)
-        with pytest.raises(ValueError):
-            complete_E(1.1)
 
     def test_K_monotone_E_antitone(self):
         ks = np.linspace(0.05, 0.95, 40)
-        Ks = [complete_K(k) for k in ks]
-        Es = [complete_E(k) for k in ks]
+        Ks = [EllipticModulus.from_k(k).K for k in ks]
+        Es = [EllipticModulus.from_k(k).E for k in ks]
         assert all(b > a for a, b in zip(Ks, Ks[1:]))
         assert all(b < a for a, b in zip(Es, Es[1:]))
 

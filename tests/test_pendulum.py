@@ -12,16 +12,12 @@ from melnikov_lab.pendulum import (
     ROTATING_MINUS,
     ROTATING_PLUS,
     OrbitFamily,
-    homoclinic_limit_distance,
-    homoclinic_orbit,
-    inner_orbit,
     orbit_complex_values,
-    orbit_ode_residual,
     orbit_state,
     pendulum_system,
-    rotating_orbit,
     wrap_angle,
 )
+from oracles import homoclinic_limit_distance, orbit_ode_residual
 
 
 class TestForcedSystem:
@@ -63,13 +59,13 @@ class TestOrbitFamilies:
 
     def test_energies_and_periods(self):
         mod = EllipticModulus.from_k(0.5)
-        inner = inner_orbit(mod)
+        inner = OrbitFamily(INNER, mod)
         assert inner.energy == pytest.approx(0.5)
         assert inner.period == pytest.approx(4.0 * mod.K)
-        rot = rotating_orbit(mod, +1)
+        rot = OrbitFamily(ROTATING_PLUS, mod)
         assert rot.energy == pytest.approx(8.0)
         assert rot.period == pytest.approx(2.0 * mod.k * mod.K)
-        hom = homoclinic_orbit(-1)
+        hom = OrbitFamily(HOMOCLINIC_MINUS)
         assert hom.energy == 2.0
         assert hom.period == math.inf
         assert hom.tag == HOMOCLINIC_MINUS
@@ -78,10 +74,10 @@ class TestOrbitFamilies:
     def test_energy_conserved_along_orbits(self):
         mod = EllipticModulus.from_k(0.7)
         for family in (
-            inner_orbit(mod),
-            rotating_orbit(mod, +1),
-            rotating_orbit(mod, -1),
-            homoclinic_orbit(+1),
+            OrbitFamily(INNER, mod),
+            OrbitFamily(ROTATING_PLUS, mod),
+            OrbitFamily(ROTATING_MINUS, mod),
+            OrbitFamily(HOMOCLINIC_PLUS),
         ):
             t = np.linspace(-5.0, 5.0, 200)
             state = orbit_state(family, t)
@@ -89,11 +85,11 @@ class TestOrbitFamilies:
             assert np.max(np.abs(h - family.energy)) <= 1e-12
 
     @pytest.mark.parametrize("tag_builder", [
-        lambda mod: inner_orbit(mod),
-        lambda mod: rotating_orbit(mod, +1),
-        lambda mod: rotating_orbit(mod, -1),
-        lambda mod: homoclinic_orbit(+1),
-        lambda mod: homoclinic_orbit(-1),
+        lambda mod: OrbitFamily(INNER, mod),
+        lambda mod: OrbitFamily(ROTATING_PLUS, mod),
+        lambda mod: OrbitFamily(ROTATING_MINUS, mod),
+        lambda mod: OrbitFamily(HOMOCLINIC_PLUS),
+        lambda mod: OrbitFamily(HOMOCLINIC_MINUS),
     ])
     def test_ode_residual(self, tag_builder):
         mod = EllipticModulus.from_k(0.6)
@@ -103,7 +99,7 @@ class TestOrbitFamilies:
 
     def test_inner_orbit_against_integrator(self):
         mod = EllipticModulus.from_k(0.6)
-        family = inner_orbit(mod)
+        family = OrbitFamily(INNER, mod)
         start = orbit_state(family, 0.0)
         sol = solve_ivp(
             lambda _, y: [y[1], -math.sin(y[0])],
@@ -119,7 +115,7 @@ class TestOrbitFamilies:
 
     def test_rotating_orbit_against_integrator(self):
         mod = EllipticModulus.from_k(0.8)
-        family = rotating_orbit(mod, -1)
+        family = OrbitFamily(ROTATING_MINUS, mod)
         start = orbit_state(family, 0.0)
         sol = solve_ivp(
             lambda _, y: [y[1], -math.sin(y[0])],
@@ -135,7 +131,7 @@ class TestOrbitFamilies:
 
     def test_rotating_angle_unwraps(self):
         mod = EllipticModulus.from_k(0.7)
-        family = rotating_orbit(mod, +1)
+        family = OrbitFamily(ROTATING_PLUS, mod)
         # one period advances the angle by a full turn
         a = orbit_state(family, 0.0)
         b = orbit_state(family, family.period)
@@ -143,7 +139,7 @@ class TestOrbitFamilies:
         assert b.x2 == pytest.approx(a.x2, abs=1e-10)
 
     def test_homoclinic_asymptotics(self):
-        family = homoclinic_orbit(+1)
+        family = OrbitFamily(HOMOCLINIC_PLUS)
         far = orbit_state(family, 30.0)
         assert far.x1 == pytest.approx(math.pi, abs=1e-12)
         assert far.x2 == pytest.approx(0.0, abs=1e-12)
@@ -155,7 +151,11 @@ class TestOrbitFamilies:
 class TestComplexOrbitValues:
     def test_matches_real_axis(self):
         mod = EllipticModulus.from_k(0.6)
-        for family in (inner_orbit(mod), rotating_orbit(mod, +1), homoclinic_orbit(+1)):
+        for family in (
+            OrbitFamily(INNER, mod),
+            OrbitFamily(ROTATING_PLUS, mod),
+            OrbitFamily(HOMOCLINIC_PLUS),
+        ):
             t = 0.9
             state = orbit_state(family, t)
             sin_x1, x2 = orbit_complex_values(family, complex(t, 0.0))
@@ -166,7 +166,7 @@ class TestComplexOrbitValues:
         # (x2^2)/2 + 1 - cos x1 stays equal to the orbit energy; compare
         # through sin^2 = (1-cos)(1+cos) to avoid the multivalued angle
         mod = EllipticModulus.from_k(0.6)
-        family = inner_orbit(mod)
+        family = OrbitFamily(INNER, mod)
         t = complex(0.7, 0.4)
         sin_x1, x2 = orbit_complex_values(family, t)
         one_minus_cos = family.energy - 0.5 * x2**2
@@ -177,7 +177,7 @@ class TestHomoclinicLimitDistance:
     def test_decreases_toward_separatrix(self):
         ks = (0.9, 0.99, 0.999)
         dists = [
-            homoclinic_limit_distance(inner_orbit(EllipticModulus.from_k(k)))
+            homoclinic_limit_distance(OrbitFamily(INNER, EllipticModulus.from_k(k)))
             for k in ks
         ]
         assert all(b < a for a, b in zip(dists, dists[1:]))
@@ -185,9 +185,9 @@ class TestHomoclinicLimitDistance:
 
     def test_small_orbit_far_from_separatrix(self):
         mod = EllipticModulus.from_k(0.01)
-        d = homoclinic_limit_distance(inner_orbit(mod))
+        d = homoclinic_limit_distance(OrbitFamily(INNER, mod))
         assert d == pytest.approx(2.0, abs=0.05)
 
     def test_rejects_homoclinic_family(self):
         with pytest.raises(ValueError):
-            homoclinic_limit_distance(homoclinic_orbit(+1))
+            homoclinic_limit_distance(OrbitFamily(HOMOCLINIC_PLUS))
