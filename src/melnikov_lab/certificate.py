@@ -27,7 +27,7 @@ from .melnikov import (
     enumerate_resonances,
     subharmonic_quadrature,
 )
-from .pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, pendulum_system
+from .pendulum import FAMILIES, INNER, pendulum_system
 
 __all__ = ["CERT_SCHEMA", "build_certificate"]
 
@@ -43,7 +43,7 @@ _WITNESS_THETAS = (0.0, 0.5 * math.pi)
 
 def _sample_resonances(omega: float, m_max: int, n_max: int) -> List[Resonance]:
     out = []
-    for tag in (INNER, ROTATING_PLUS, ROTATING_MINUS):
+    for tag in FAMILIES:
         out.extend(enumerate_resonances(tag, omega, K_WINDOW, m_max, n_max))
     return out
 
@@ -151,7 +151,7 @@ def build_certificate(
             if do_verify:
                 verified_c.add(r.family_tag)
             contour_records.append(_contour_record(r, beta, do_verify))
-        applies_4c = applies_4c and all(
+        applies_4c = len(contour_records) > 0 and all(
             rec["min_abs_integral"] > 0 for rec in contour_records
         )
 

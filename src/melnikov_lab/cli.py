@@ -45,17 +45,11 @@ from .melnikov import (
     solve_resonance,
     subharmonic_quadrature,
 )
-from .pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, pendulum_system
+from .pendulum import FAMILIES, pendulum_system
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-_FAMILIES = {
-    "inner": INNER,
-    "rotating+": ROTATING_PLUS,
-    "rotating-": ROTATING_MINUS,
-}
 
 
 def _fmt(x) -> str:
@@ -82,18 +76,8 @@ def _emit(args, header, rows):
     _write(args, out.getvalue())
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _emit_json(args, document):
-    _write(args, json.dumps(document, indent=2, default=_json_default) + "\n")
+    _write(args, json.dumps(document, indent=2) + "\n")
 
 
 def _theta_grid(args):
@@ -102,7 +86,7 @@ def _theta_grid(args):
 
 def _resonance(args):
     """The requested resonance; an inner m/n <= omega has none (exit 3)."""
-    r = solve_resonance(_FAMILIES[args.family], args.omega, args.m, args.n)
+    r = solve_resonance(args.family, args.omega, args.m, args.n)
     if r is None:
         raise ResonanceError(
             f"no resonance: inner family needs m/n > omega "
@@ -112,9 +96,8 @@ def _resonance(args):
 
 
 def cmd_resonances(args) -> int:
-    family = _FAMILIES[args.family]
     found = enumerate_resonances(
-        family, args.omega, (args.k_min, args.k_max), args.m_max, args.n_max
+        args.family, args.omega, (args.k_min, args.k_max), args.m_max, args.n_max
     )
     rows = []
     for r in found:
@@ -264,9 +247,7 @@ _SHARED_FLAGS = {
     "omega": dict(type=float, default=1.0, help="forcing frequency > 0"),
     "beta": dict(type=float, default=1.0, help="forcing amplitude >= 0"),
     "delta": dict(type=float, default=0.0, help="damping >= 0"),
-    "family": dict(
-        choices=sorted(_FAMILIES), default="inner", help="resonant orbit family"
-    ),
+    "family": dict(choices=FAMILIES, default="inner", help="resonant orbit family"),
     "m": dict(type=int, default=3),
     "n": dict(type=int, default=1),
     "theta_points": dict(type=int, default=64),

@@ -27,14 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .elliptic import EllipticModulus, _complementary, _complete_K
-from .pendulum import (
-    INNER,
-    ROTATING_MINUS,
-    ROTATING_PLUS,
-    ForcedSystem,
-    OrbitFamily,
-    orbit_state,
-)
+from .pendulum import FAMILIES, INNER, ROTATING_MINUS, ForcedSystem, OrbitFamily, orbit_state
 
 __all__ = [
     "K_WINDOW",
@@ -57,8 +50,6 @@ __all__ = [
     "chaos_condition",
     "enumerate_resonances",
 ]
-
-_RESONANT_TAGS = (INNER, ROTATING_PLUS, ROTATING_MINUS)
 
 
 class NonConvergenceError(RuntimeError):
@@ -95,6 +86,10 @@ _HOMOCLINIC_HALF = 40.0 + 5.0 * math.log10(1.0 / _QUADRATURE_TOL)
 _RESONANCE_RTOL = 1e-10  # largest |residual| / target that solve_resonance accepts
 _K_PRIME_RANGE = (1e-300, 1.0 - 1e-16)  # searched by the resonance bisection
 K_WINDOW = (1e-6, 1.0 - 1e-15)  # moduli that resonance tables and certificates list
+# Rotating moduli below this are not listed.  The bisection ends within one
+# float step of k' near 1, which moves k by 2^-53 / k^2 relative: more than
+# _RESONANCE_RTOL below k = 1.054e-3 (the largest failing k found is 1.051e-3).
+_ROTATING_K_MIN = 1.1e-3
 _SLOPE_TOL = 1e-10  # simple_zeros: a zero with a larger |slope| is simple,
 _TANGENCY_TOL = 1e-12  # one with | |const| - |coeff| | <= this * scale a tangency
 
@@ -110,7 +105,7 @@ class Resonance:
     omega: float
 
     def __post_init__(self):
-        if self.family_tag not in _RESONANT_TAGS:
+        if self.family_tag not in FAMILIES:
             raise ValueError(f"unsupported resonance family {self.family_tag!r}")
         if self.m < 1 or self.n < 1 or math.gcd(self.m, self.n) != 1:
             raise ValueError("m, n must be coprime positive integers")
@@ -174,7 +169,7 @@ def _resonance_equation(family_tag: str, omega: float, m: int, n: int):
     ones (k*K runs from 0 to inf as k' decreases from 1 to 0).  It equals
     the EllipticModulus expression (mod.K or mod.k * mod.K) bit for bit.
     """
-    if family_tag not in _RESONANT_TAGS:
+    if family_tag not in FAMILIES:
         raise ValueError(f"unsupported resonance family {family_tag!r}")
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
@@ -567,12 +562,15 @@ def enumerate_resonances(
     Exhibits a finite sample of the key set; with n_max = 1 the inner
     moduli increase monotonically toward 1 with m.  An (m, n) whose
     resonance target lies outside the targets of the window edges is
-    skipped unsolved, so moduli too close to 0 or 1 to resolve (which
+    skipped unsolved, and the rotating window starts no lower than
+    k = 1.1e-3, so moduli too close to 0 or 1 to resolve (which
     solve_resonance reports with ResonanceError) never stop the search.
     """
     k_lo, k_hi = k_window
     if not 0.0 < k_lo < k_hi < 1.0:
         raise ValueError("k window must satisfy 0 < k_lo < k_hi < 1")
+    if family_tag != INNER:
+        k_lo = max(k_lo, _ROTATING_K_MIN)
     _, period = _resonance_equation(family_tag, omega, 1, 1)
     edge_lo = period(k_lo, _complementary(k_lo))
     edge_hi = period(k_hi, _complementary(k_hi))

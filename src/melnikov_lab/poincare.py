@@ -30,19 +30,15 @@ __all__ = [
     "stroboscopic_map",
     "find_subharmonic",
     "scaling_band",
-    "homoclinic_tangle_probe",
 ]
 
 
 # Absolute = relative tolerance on (x1, x2) of the DOP853 flows (an
-# order >= 5 embedded Runge-Kutta pair): maps and fixed points, separation
-# probe.  Tangent-map components ride along unchecked (see _integrate).
+# order >= 5 embedded Runge-Kutta pair) of the maps and fixed points.
+# Tangent-map components ride along unchecked (see _integrate).
 _FLOW_TOL = 1e-12
-_PROBE_TOL = 1e-10
 _NEWTON_MAX = 25  # Newton iterations per seed
 _RESIDUAL_TOL = 1e-10  # map residual that counts as a fixed point
-_PROBE_D0 = 1e-8  # separation of each probe pair after renormalizing
-_PROBE_RENORM_STEP = 0.5  # probe time between renormalizations
 _ORBIT_SAMPLES = 1024  # coarse grid of the distance-to-orbit search
 
 
@@ -87,14 +83,7 @@ def _integrate(rhs, state, duration: float, tol: float):
     return sol.y[:, -1]
 
 
-def _flow(
-    sys: ForcedSystem,
-    eps: float,
-    state,
-    duration: float,
-    theta_section: float,
-    tol: float,
-):
+def _flow(sys: ForcedSystem, eps: float, state, duration: float, theta_section: float):
     beta, delta, omega = sys.beta, sys.delta, sys.omega
 
     def rhs(t, y):
@@ -102,7 +91,7 @@ def _flow(
         forcing = eps * (beta * math.cos(omega * t + theta_section) - delta * x2)
         return [x2, -math.sin(x1) + forcing]
 
-    return _integrate(rhs, state, duration, tol)
+    return _integrate(rhs, state, duration, _FLOW_TOL)
 
 
 def stroboscopic_map(
@@ -114,7 +103,7 @@ def stroboscopic_map(
     the mod-2pi representative for reporting.
     """
     duration = 2.0 * math.pi * m / sys.omega
-    final = _flow(sys, eps, (start.x1, start.x2), duration, theta_section, _FLOW_TOL)
+    final = _flow(sys, eps, (start.x1, start.x2), duration, theta_section)
     return OrbitPoint(float(final[0]), float(final[1]))
 
 
@@ -267,45 +256,3 @@ def scaling_band(eps_list, distances, band: float = 2.0) -> Tuple[bool, List[flo
         return True, ratios
     ok = max(positive) / min(positive) <= band
     return ok, ratios
-
-
-def homoclinic_tangle_probe(
-    sys: ForcedSystem, eps: float, horizon: float = 16.0, n_fan: int = 8
-) -> dict:
-    """Finite-time separation exponents along the separatrix.
-
-    Benettin-style: pairs of trajectories launched from a fan of points
-    on the unperturbed separatrix, renormalized every _PROBE_RENORM_STEP, and
-    the averaged log separation rate reported.  Larger statistics in the
-    chaos regime corroborate (not prove) the Melnikov threshold.
-    """
-    from .pendulum import HOMOCLINIC_PLUS, OrbitFamily
-
-    orbit = OrbitFamily(HOMOCLINIC_PLUS)
-    starts = np.linspace(-3.0, 3.0, n_fan)
-    exponents = []
-    n_steps = int(round(horizon / _PROBE_RENORM_STEP))
-    for s in starts:
-        p = orbit_state(orbit, float(s))
-        z = np.array([p.x1, p.x2])
-        w = z + np.array([0.0, _PROBE_D0])
-        log_sum = 0.0
-        t_elapsed = 0.0
-        for i in range(n_steps):
-            phase = sys.omega * t_elapsed
-            z = _flow(sys, eps, z, _PROBE_RENORM_STEP, phase, _PROBE_TOL)
-            w = _flow(sys, eps, w, _PROBE_RENORM_STEP, phase, _PROBE_TOL)
-            t_elapsed += _PROBE_RENORM_STEP
-            sep = np.array([wrap_angle(w[0] - z[0]), w[1] - z[1]])
-            d = float(np.linalg.norm(sep))
-            if d == 0.0:
-                d = _PROBE_D0
-            log_sum += math.log(d / _PROBE_D0)
-            w = z + sep * (_PROBE_D0 / d)
-        exponents.append(log_sum / horizon)
-    exponents = np.asarray(exponents)
-    return {
-        "exponents": exponents.tolist(),
-        "max": float(np.max(exponents)),
-        "mean": float(np.mean(exponents)),
-    }

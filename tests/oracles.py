@@ -20,15 +20,7 @@ from melnikov_lab.melnikov import (
     closed_form_subharmonic,
     solve_resonance,
 )
-from melnikov_lab.pendulum import (
-    HOMOCLINIC_MINUS,
-    HOMOCLINIC_PLUS,
-    INNER,
-    ROTATING_MINUS,
-    OrbitFamily,
-    orbit_state,
-    wrap_angle,
-)
+from melnikov_lab.pendulum import INNER, ROTATING_MINUS, OrbitFamily, orbit_state, wrap_angle
 
 _SUBSTITUTION_TOL = 1e-10  # quad tolerance of both sides of substitution_check
 _ODE_RESIDUAL_STEP = 1e-3  # step of orbit_ode_residual's difference stencil
@@ -122,11 +114,11 @@ def orbit_ode_residual(family: OrbitFamily, t_grid) -> float:
 
 
 def _separatrix_samples(n: int = 4000, t_max: float = 20.0):
+    """Points of Gamma: the homoclinic pair +-(2 arcsin(tanh s), 2 sech s) and the saddle."""
     s = np.linspace(-t_max, t_max, n)
-    pts = []
-    for tag in (HOMOCLINIC_PLUS, HOMOCLINIC_MINUS):
-        state = orbit_state(OrbitFamily(tag), s)
-        pts.append(np.column_stack([state.x1, state.x2]))
+    x1 = 2.0 * np.arcsin(np.tanh(s))
+    x2 = 2.0 / np.cosh(s)
+    pts = [np.column_stack([sign * x1, sign * x2]) for sign in (1.0, -1.0)]
     pts.append(np.array([[math.pi, 0.0], [-math.pi, 0.0]]))
     return np.vstack(pts)
 
@@ -138,8 +130,6 @@ def homoclinic_limit_distance(family: OrbitFamily) -> float:
     Decreases to 0 along any modulus sequence k -> 1; for small inner
     orbits it approaches the distance 2 from the origin to Gamma.
     """
-    if family.modulus is None:
-        raise ValueError("homoclinic_limit_distance expects a periodic family")
     gamma = _separatrix_samples()
     t = np.linspace(0.0, family.period, _LIMIT_ORBIT_SAMPLES, endpoint=False)
     state = orbit_state(family, t)

@@ -58,6 +58,14 @@ def test_no_witness_no_verification():
     assert cert["prop_4b"]["witness"]["nonconstant_curves"] == []
 
 
+def test_no_contour_record_leaves_prop_4c_inconclusive():
+    # at omega = 0.01 every resonant modulus lies beyond K_WINDOW
+    cert = build_certificate(1.0, 1.0, 0.01)
+    assert cert["prop_4c"]["witness"]["contour_integrals"] == []
+    assert not cert["prop_4c"]["applies"]
+    assert cert["prop_4c"]["status"] == "inconclusive"
+
+
 def test_certificates_use_the_quadrature_confirmed_damping_count():
     # quadrature confirms j1 = 16 n (E - k'^2 K); no option writes the other reading
     assert build_certificate(1.0, 1.0, 1.0, m_max=3)["conventions"]["j1_arg"] == "n"

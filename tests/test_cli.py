@@ -66,6 +66,20 @@ class TestResonancesCommand:
         _, rows = parse_csv(out)
         assert [int(r[1]) for r in rows] == list(range(2, 12))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resonances", "--family", "rotating+", "--omega", "4000", "--m-max", "3"],
+            ["certify", "--beta", "1", "--delta", "1", "--omega", "2500"],
+        ],
+    )
+    def test_unresolvably_small_rotating_moduli_are_skipped(self, capsys, argv):
+        # rotating+ 1/1 at k ~ 5e-4 (omega = 4000) and 1/2 at k ~ 4e-4
+        # (omega = 2500) lie below what the k' bisection resolves
+        code, _, err = run_cli(capsys, argv)
+        assert code == EXIT_OK
+        assert "melnikov-lab:" not in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, ["resonances", "--m-max", "3", "--format", "json"]
@@ -265,7 +279,7 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize("delta", [1.0, 0.0])
     def test_certificate_holds_only_json_values(self, delta):
-        # plain json.dumps, without the CLI's numpy fallback
+        # plain json.dumps, as the CLI writes it
         cert = build_certificate(1.0, delta, 1.0)
         assert json.loads(json.dumps(cert)) == cert
 
@@ -274,6 +288,18 @@ class TestCertifyCommand:
         code, out, _ = run_cli(capsys, ["certify", "--omega", "0.2"])
         assert code == EXIT_OK
         assert json.loads(out)["prop_4b"]["status"] == "applies"
+
+    def test_no_resonance_leaves_every_proposition_inconclusive(self, capsys):
+        # at omega = 0.01 every resonant modulus lies beyond K_WINDOW
+        code, out, err = run_cli(
+            capsys, ["certify", "--beta", "1", "--delta", "1", "--omega", "0.01"]
+        )
+        assert code == EXIT_OK
+        cert = json.loads(out)
+        assert cert["prop_4c"]["witness"]["contour_integrals"] == []
+        for prop in ("prop_4a", "prop_4b", "prop_4c"):
+            assert cert[prop]["status"] == "inconclusive"
+        assert "prop 4c: inconclusive" in err
 
     def test_zero_forcing_is_inconclusive(self, capsys):
         code, out, _ = run_cli(

@@ -1,12 +1,16 @@
-"""Every name a library module imports is used in that module, and every
-module-level private name is referenced somewhere in the package.
+"""Every name a library module imports is used in that module, every
+module-level private name is referenced somewhere in the package, and every
+function a module lists in ``__all__`` is reached by the library or the
+benchmark.
 
 An import nothing reads still costs start-up time and hides which layer
 depends on which.  A name counts as used when the module loads it
 anywhere (including as the base of an attribute chain) or lists it in
 ``__all__``, which is how the package re-exports names.  A module-level
 ``_name`` that no module loads, imports or reaches as an attribute is dead
-code left behind by a refactor.
+code left behind by a refactor.  So is a public function that no library
+module (a re-export in ``__init__`` aside) and no ``perfbench/*.py`` file
+references, unless the tests keep it as a reference (REFERENCE_ONLY).
 """
 
 import ast
@@ -18,6 +22,17 @@ import melnikov_lab
 
 PACKAGE = Path(melnikov_lab.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH_FILES = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+
+# Public functions that only the tests call: independent routes that tests
+# compare the library against.
+REFERENCE_ONLY = {
+    # the plain 2-D flow that checks the variational Newton's P(z)
+    "poincare.stroboscopic_map",
+    # criterion 5's Laurent-coefficient check of the residues; it also keeps
+    # contour's jacobi_complex import bound, which perfbench's tracer wraps
+    "contour.laurent_probe",
+}
 
 
 def _imported(tree):
@@ -33,13 +48,19 @@ def _imported(tree):
     return names
 
 
-def _used(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _exported(tree):
+    """The names listed in the module's __all__."""
+    names = set()
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else []
         if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-            used.update(ast.literal_eval(node.value))
-    return used
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _used(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | _exported(tree)
 
 
 def _private_definitions(tree):
@@ -109,3 +130,54 @@ def test_private_scan_flags_an_unreferenced_name():
     )
     defined = _private_definitions(tree)
     assert sorted(n for n in defined if n not in _references(tree)) == ["_B", "_C", "_agm"]
+
+
+def _unreached_public_functions(trees, outside):
+    """{"module.function"} for the functions in a module's __all__ that nothing references.
+
+    References come from every module of trees but "__init__" (a
+    re-export is not a call), the defining module included, and from
+    every tree of outside.
+    """
+    referenced = set().union(
+        *(_references(tree) for name, tree in trees.items() if name != "__init__"),
+        *(_references(tree) for tree in outside),
+    )
+    return {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in _exported(tree)
+        and node.name not in referenced
+    }
+
+
+def test_every_public_function_is_reached():
+    assert BENCH_FILES, "perfbench/ not found beside the package"
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    bench = [ast.parse(path.read_text(), filename=str(path)) for path in BENCH_FILES]
+    unreached = _unreached_public_functions(trees, bench)
+    assert unreached == REFERENCE_ONLY, (
+        f"public functions nothing in the library or perfbench calls: "
+        f"{sorted(unreached - REFERENCE_ONLY)}; reference-only functions now "
+        f"called or gone: {sorted(REFERENCE_ONLY - unreached)}"
+    )
+
+
+def test_reach_scan_flags_an_unreached_function():
+    trees = {
+        "lib": ast.parse(
+            "__all__ = ['calls', 'helper', 'reexported', 'benched', 'LIMIT']\n"
+            "LIMIT = 1\n"
+            "def calls():\n    return helper()\n"
+            "def helper():\n    return LIMIT\n"
+            "def reexported():\n    pass\n"
+            "def benched():\n    pass\n"
+            "def _private():\n    pass\n"
+        ),
+        "user": ast.parse("from lib import calls\n__all__ = []\ncalls()\n"),
+        "__init__": ast.parse("from .lib import reexported\n"),
+    }
+    bench = [ast.parse("import lib\nlib.benched()\n")]
+    assert _unreached_public_functions(trees, bench) == {"lib.reexported"}

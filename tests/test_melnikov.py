@@ -536,6 +536,16 @@ class TestEnumerateResonances:
         with pytest.raises(ValueError):
             enumerate_resonances(INNER, 1.0, (0.9, 0.1), 5, 1)
 
+    @pytest.mark.parametrize("family", [ROTATING_PLUS, ROTATING_MINUS])
+    def test_small_resolvable_rotating_moduli_are_listed(self, family):
+        # 1/1 at omega = 1500 has k = 1.33e-3, just above the smallest rotating
+        # modulus listed; at omega = 4000 it has k = 5e-4 and only 3/1 is left
+        rs = enumerate_resonances(family, 1500.0, K_WINDOW, 3, 1)
+        assert [(r.m, r.n) for r in rs] == [(1, 1), (2, 1), (3, 1)]
+        assert rs[0].modulus.k == pytest.approx(4e-3 / 3, rel=1e-6)
+        rs = enumerate_resonances(family, 4000.0, K_WINDOW, 3, 1)
+        assert [(r.m, r.n) for r in rs] == [(3, 1)]
+
     @pytest.mark.parametrize(
         "family, omega", [(INNER, 1.0), (ROTATING_PLUS, 0.2), (ROTATING_MINUS, 1e-3)]
     )

@@ -6,8 +6,6 @@ from scipy.integrate import solve_ivp
 
 from melnikov_lab.elliptic import EllipticModulus
 from melnikov_lab.pendulum import (
-    HOMOCLINIC_MINUS,
-    HOMOCLINIC_PLUS,
     INNER,
     ROTATING_MINUS,
     ROTATING_PLUS,
@@ -50,10 +48,10 @@ class TestWrapAngle:
 class TestOrbitFamilies:
     def test_family_validation(self):
         mod = EllipticModulus.from_k(0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             OrbitFamily(INNER)  # modulus required
         with pytest.raises(ValueError):
-            OrbitFamily(HOMOCLINIC_PLUS, mod)  # no modulus allowed
+            OrbitFamily("homoclinic+", mod)  # not an orbit family
         with pytest.raises(ValueError):
             OrbitFamily("saddle", mod)
 
@@ -65,11 +63,6 @@ class TestOrbitFamilies:
         rot = OrbitFamily(ROTATING_PLUS, mod)
         assert rot.energy == pytest.approx(8.0)
         assert rot.period == pytest.approx(2.0 * mod.k * mod.K)
-        hom = OrbitFamily(HOMOCLINIC_MINUS)
-        assert hom.energy == 2.0
-        assert hom.period == math.inf
-        assert hom.tag == HOMOCLINIC_MINUS
-        assert hom.sign == -1.0
 
     def test_energy_conserved_along_orbits(self):
         mod = EllipticModulus.from_k(0.7)
@@ -77,7 +70,6 @@ class TestOrbitFamilies:
             OrbitFamily(INNER, mod),
             OrbitFamily(ROTATING_PLUS, mod),
             OrbitFamily(ROTATING_MINUS, mod),
-            OrbitFamily(HOMOCLINIC_PLUS),
         ):
             t = np.linspace(-5.0, 5.0, 200)
             state = orbit_state(family, t)
@@ -88,8 +80,6 @@ class TestOrbitFamilies:
         lambda mod: OrbitFamily(INNER, mod),
         lambda mod: OrbitFamily(ROTATING_PLUS, mod),
         lambda mod: OrbitFamily(ROTATING_MINUS, mod),
-        lambda mod: OrbitFamily(HOMOCLINIC_PLUS),
-        lambda mod: OrbitFamily(HOMOCLINIC_MINUS),
     ])
     def test_ode_residual(self, tag_builder):
         mod = EllipticModulus.from_k(0.6)
@@ -138,15 +128,6 @@ class TestOrbitFamilies:
         assert b.x1 - a.x1 == pytest.approx(2.0 * math.pi, abs=1e-10)
         assert b.x2 == pytest.approx(a.x2, abs=1e-10)
 
-    def test_homoclinic_asymptotics(self):
-        family = OrbitFamily(HOMOCLINIC_PLUS)
-        far = orbit_state(family, 30.0)
-        assert far.x1 == pytest.approx(math.pi, abs=1e-12)
-        assert far.x2 == pytest.approx(0.0, abs=1e-12)
-        top = orbit_state(family, 0.0)
-        assert top.x1 == pytest.approx(0.0, abs=1e-14)
-        assert top.x2 == pytest.approx(2.0)
-
 
 class TestComplexOrbitValues:
     def test_matches_real_axis(self):
@@ -154,7 +135,6 @@ class TestComplexOrbitValues:
         for family in (
             OrbitFamily(INNER, mod),
             OrbitFamily(ROTATING_PLUS, mod),
-            OrbitFamily(HOMOCLINIC_PLUS),
         ):
             t = 0.9
             state = orbit_state(family, t)
@@ -187,7 +167,3 @@ class TestHomoclinicLimitDistance:
         mod = EllipticModulus.from_k(0.01)
         d = homoclinic_limit_distance(OrbitFamily(INNER, mod))
         assert d == pytest.approx(2.0, abs=0.05)
-
-    def test_rejects_homoclinic_family(self):
-        with pytest.raises(ValueError):
-            homoclinic_limit_distance(OrbitFamily(HOMOCLINIC_PLUS))

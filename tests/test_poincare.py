@@ -21,7 +21,6 @@ from melnikov_lab.poincare import (
     _variational_map,
     _winding,
     find_subharmonic,
-    homoclinic_tangle_probe,
     scaling_band,
     stroboscopic_map,
 )
@@ -251,30 +250,3 @@ class TestScalingBand:
     def test_empty_input(self):
         ok, ratios = scaling_band([], [])
         assert ok and ratios == []
-
-
-class TestTangleProbe:
-    def test_reports_fan_statistics(self):
-        sys = pendulum_system(1.0, 0.0, 1.0)
-        out = homoclinic_tangle_probe(sys, 0.0, horizon=4.0, n_fan=4)
-        assert len(out["exponents"]) == 4
-        assert np.isfinite(out["exponents"]).all()
-        assert out["max"] >= out["mean"]
-
-    def test_conservative_stretching_bounded_by_saddle(self):
-        # the saddle eigenvalue 1 caps the separation rate along the
-        # unperturbed separatrix
-        out = homoclinic_tangle_probe(
-            pendulum_system(0.0, 0.0, 1.0), 0.0, horizon=10.0, n_fan=4
-        )
-        assert 0.0 < out["mean"]
-        assert out["max"] <= 1.05
-
-    def test_strong_damping_contracts(self):
-        free = homoclinic_tangle_probe(
-            pendulum_system(0.0, 1.0, 1.0), 0.0, horizon=10.0, n_fan=4
-        )
-        damped = homoclinic_tangle_probe(
-            pendulum_system(0.0, 1.0, 1.0), 1.0, horizon=10.0, n_fan=4
-        )
-        assert damped["mean"] < free["mean"] - 0.3
