@@ -35,6 +35,14 @@ _ARCSIN_IDENTITY = 2.0**-26
 # Levels at or below _HALVING_ONLY have |ratio * sin(phi)| <= 2^-54 |phi| < ulp(phi)/2,
 # so phi + step rounds to phi and the level only halves phi.
 _HALVING_ONLY = 2.0**-54
+# arcsin(ratio * sin(phi)) scales the rounding of its argument by up to its
+# condition number a/b (at sin(phi) = +-1, where 1 - ratio^2 = (b/a)^2).  Levels
+# with b/a below _ATAN2_STEP, where that exceeds 16, take the step as
+# atan2(ratio sin(phi), sqrt(cos^2(phi) + (b/a)^2 sin^2(phi))) instead, with b/a
+# from the descent, so nothing cancels.  cn and am then stay within 5 eps of
+# mpmath over 160 moduli from k' = 0.5 down to 1e-300 (tests hold them to
+# 16 eps); with the switch at b/a < 2^-8 the arcsin levels still lost 62 eps.
+_ATAN2_STEP = 2.0**-4
 # The chain from b >= 5e-324 stops within 14 levels; b = 0 would never stop.
 _MAX_LEVELS = 32
 
@@ -43,22 +51,25 @@ class PoleProximityError(ValueError):
     """Argument too close to a pole of the Jacobi elliptic functions."""
 
 
-def _descent(b: float, c: float):
+def _descent(b: float, c: float, levels=None):
     """The descending AGM (Landen) chain from (a, b, c) = (1, b, c), b^2 + c^2 = 1.
 
     Each level maps (a, b, c) to ((a + b)/2, sqrt(a b), (a - b)/2) until the
     first level n with |c_n| <= ulp(a_n)/2, where the a and b it averaged
-    were neighbours or equal.  Returns a_n, the c-sum sum_{j=0..n} 2^(j-1)
-    c_j^2 and the ratios [c_1/a_1, ..., c_n/a_n]; for the modulus c,
-    K = pi/(2 a_n) and E = K (1 - c-sum) (Abramowitz & Stegun 17.6).
+    were neighbours or equal.  Returns a_n and the c-sum sum_{j=0..n}
+    2^(j-1) c_j^2; for the modulus c, K = pi/(2 a_n) and E = K (1 - c-sum)
+    (Abramowitz & Stegun 17.6).  A list passed as levels receives (c_j/a_j,
+    b_j/a_j) for j = 1..n, the Landen chain's data; b_j/a_j is taken here
+    because 1 - (c_j/a_j)^2 = (b_j/a_j)^2 rounds to 0 near the separatrix.
     """
-    a, csum, power, ratios = 1.0, 0.5 * c * c, 1.0, []
+    a, csum, power = 1.0, 0.5 * c * c, 1.0
     for _ in range(_MAX_LEVELS):
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         csum += power * c * c
-        ratios.append(c / a)
+        if levels is not None:
+            levels.append((c / a, b / a))
         if abs(c) <= 0.5 * math.ulp(a):
-            return a, csum, ratios
+            return a, csum
         power *= 2.0
     raise ArithmeticError(f"AGM descent did not settle in {_MAX_LEVELS} levels")
 
@@ -84,7 +95,7 @@ class EllipticModulus:
     K comes from one AGM descent from (1, k'), K_prime = K(k') and the
     c-sum of E from one from (1, k), both run at construction (see
     _descent and _build).  The Landen chain of the Jacobi functions, the
-    ratios of the (1, k') descent, and the complementary modulus are
+    level data of the (1, k') descent, and the complementary modulus are
     built once on first use, so the quadrature loops elsewhere never
     recompute them.  Construct
     through ``from_k`` or, when k is extremely close to 1,
@@ -115,7 +126,7 @@ class EllipticModulus:
     @classmethod
     def _build(cls, k: float, k_prime: float) -> "EllipticModulus":
         K = _complete_K(k, k_prime)
-        a, csum, _ = _descent(k, k_prime)
+        a, csum = _descent(k, k_prime)
         K_prime = math.pi / (2.0 * a)
         # Legendre's relation with E' = K' (1 - c-sum'): E = pi/(2K') + K c-sum',
         # a sum of two positive terms, where K (1 - c-sum) cancels as k' -> 0
@@ -124,17 +135,17 @@ class EllipticModulus:
 
     @cached_property
     def _landen(self):
-        """(2^n a_n, (c_n/a_n, ..., c_1/a_1)) of the (1, k') descent.
+        """(2^n a_n, ((c_n/a_n, b_n/a_n), ..., (c_1/a_1, b_1/a_1))) of the (1, k') descent.
 
         am(t) is phi_0, where phi_n = 2^n a_n t and phi_{j-1} = (phi_j +
-        arcsin((c_j/a_j) sin phi_j)) / 2.  A level with |c_j/a_j| <= 2^-54
-        cannot move phi besides the halving, so _amplitude_reduced only
-        halves there.  Built on first use rather than in _build, so a
-        modulus whose integrals alone are read costs two descents, not
-        three.
+        arcsin((c_j/a_j) sin phi_j)) / 2 (see _amplitude_reduced for the
+        forms the step takes).  Built on first use rather than in _build,
+        so a modulus whose integrals alone are read costs two descents,
+        not three.
         """
-        a, _, ratios = _descent(self.k_prime, self.k)
-        return (2.0 ** len(ratios)) * a, tuple(reversed(ratios))
+        levels = []
+        a, _ = _descent(self.k_prime, self.k, levels)
+        return (2.0 ** len(levels)) * a, tuple(reversed(levels))
 
     @cached_property
     def _complement(self) -> "EllipticModulus":
@@ -159,17 +170,23 @@ def _amplitude_reduced(t, mod: EllipticModulus):
     """Jacobi amplitude on arguments reduced to [-2K, 2K]; t is left unchanged.
 
     The descent runs in place on one scaled copy of t and one scratch array.
+    A level with |c_j/a_j| <= 2^-54 cannot move phi besides the halving, so
+    it only halves; one with b_j/a_j < _ATAN2_STEP takes the atan2 form.
     """
-    scale, ratios = mod._landen
+    scale, levels = mod._landen
     phi = np.multiply(t, scale, dtype=float)
     step = np.empty_like(phi)
     # c_i < a_i, so |ratio * sin(phi)| <= 1 and arcsin needs no clip
-    for ratio in ratios:
+    for ratio, b_over_a in levels:
         if abs(ratio) > _HALVING_ONLY:
             np.sin(phi, out=step)
-            step *= ratio
-            if abs(ratio) > _ARCSIN_IDENTITY:
-                np.arcsin(step, out=step)
+            if b_over_a < _ATAN2_STEP:
+                # 1 - ratio^2 sin^2(phi) = cos^2(phi) + (b/a)^2 sin^2(phi)
+                np.arctan2(ratio * step, np.hypot(np.cos(phi), b_over_a * step), out=step)
+            else:
+                step *= ratio
+                if abs(ratio) > _ARCSIN_IDENTITY:
+                    np.arcsin(step, out=step)
             phi += step
         phi *= 0.5
     return phi

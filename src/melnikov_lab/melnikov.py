@@ -81,6 +81,7 @@ class ResidueOverflowError(OverflowError):
 
 # Both quadratures stop where every kernel has |cur - prev| <= this * (1 + |cur|).
 _QUADRATURE_TOL = 1e-10
+_N_MAX = 2**20  # the most nodes a quadrature samples before it gives up
 # The separatrix integrand decays like sech(t); cut at +-this, its tail is below 1e-13.
 _HOMOCLINIC_HALF = 40.0 + 5.0 * math.log10(1.0 / _QUADRATURE_TOL)
 _RESONANCE_RTOL = 1e-10  # largest |residual| / target that solve_resonance accepts
@@ -197,7 +198,8 @@ def _bisect_k_prime(period, target: float, what: str) -> EllipticModulus:
     top = period_at(lo)
     bottom = period_at(hi)
     slack = _RESONANCE_RTOL * target
-    if not bottom - slack <= target <= top + slack:
+    # an infinite target (pi*m/(n*omega) past the float range) meets both bounds
+    if not (math.isfinite(target) and bottom - slack <= target <= top + slack):
         raise ResonanceError(
             f"{what} is out of range: target {target:.6g} lies outside the "
             f"periods [{bottom:.6g}, {top:.6g}] reachable for k' in [{lo:g}, {hi!r}]"
@@ -223,8 +225,8 @@ def solve_resonance(family_tag: str, omega: float, m: int, n: int) -> Optional[R
     orbits need k*K(k) = pi*m/(n*omega).
     The bisection in k' runs one AGM descent per step and builds one
     EllipticModulus, at the root.
-    Raises ResonanceError, without bisecting, when the target lies
-    outside the periods that k' in [1e-300, 1 - 1e-16] reaches, and when
+    Raises ResonanceError, without bisecting, when the target is infinite
+    or lies outside the periods that k' in [1e-300, 1 - 1e-16] reaches, and when
     the solved modulus misses the target by more than 1e-10 relative: the
     bisection cannot resolve moduli much closer to 1 than k' ~ 1e-52, nor
     rotating ones much closer to 0 than k ~ 1e-3.
@@ -251,8 +253,10 @@ def _first_level(n0, cycles):
 
     A coarser first grid aliases the forcing cos(omega t) to a slow
     oscillation on the first two levels, which then agree on a wrong value.
+    The doubling stops at the first n0 * 2^j past _N_MAX, a level that
+    _trapezoid_doubling refuses before sampling, so an infinite count ends.
     """
-    while n0 <= 2.0 * cycles:
+    while n0 <= 2.0 * cycles and n0 <= _N_MAX:
         n0 *= 2
     return n0
 
@@ -279,7 +283,7 @@ def _level_means(n, n0, block):
     return block.sum(axis=1) / (n // 2)
 
 
-def _trapezoid_doubling(sample_mean, length, tol, n0=64, n_max=2**20):
+def _trapezoid_doubling(sample_mean, length, tol, n0=64, n_max=_N_MAX):
     """(length * mean(f), nodes, last max |cur - prev|) by nested node doubling.
 
     No level can be accepted before it is compared with the one before,
@@ -369,7 +373,7 @@ class MelnikovKernels:
 
 
 def _melnikov_kernels(
-    sample_orbit, length, n0, tol=_QUADRATURE_TOL, n_max=2**20
+    sample_orbit, length, n0, tol=_QUADRATURE_TOL, n_max=_N_MAX
 ) -> MelnikovKernels:
     """The three kernels over a parameter interval of this length by node doubling.
 

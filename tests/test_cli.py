@@ -1,20 +1,27 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import melnikov_lab
 from melnikov_lab.certificate import build_certificate
 from melnikov_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from melnikov_lab.melnikov import K_WINDOW
+from melnikov_lab.pendulum import FAMILIES
 
 
 def run_cli(capsys, argv):
@@ -448,3 +455,106 @@ def test_import_leaves_scipy_integrate_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the body once it has run this long, so a hang fails."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _exit_code(argv):
+    """(exit code, stdout, stderr) of one in-process call, usage errors included.
+
+    A warning is raised as an exception here, and escapes main: from a shell
+    it would print lines of its own.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# omega = 5e-324 overflows the resonance target to inf; omega >= 2e306 the
+# homoclinic cycle count, toward which the first level doubled forever
+# (1e306 printed a 309-digit node count)
+EXIT_3_ARGV = [
+    ["melnikov", "--family", "inner", "--m", "5", "--n", "1", "--omega", "5e-324",
+     "--beta", "1", "--delta", "1", "--theta-points", "1"],
+    ["melnikov", "--homoclinic", "--omega", "3e306"],
+    ["melnikov", "--homoclinic", "--omega", "1e306"],
+    ["melnikov", "--homoclinic", "--omega", "1e308"],
+]
+
+
+@pytest.mark.parametrize("argv", EXIT_3_ARGV, ids=" ".join)
+def test_extreme_omega_exits_3_at_once(argv):
+    start = time.perf_counter()
+    with _deadline(5.0):
+        code, out, err = _exit_code(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_NUMERIC and out == ""
+    assert err.startswith("melnikov-lab: ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
+def test_infinite_resonance_target_is_skipped_in_tables(capsys):
+    code, out, _ = run_cli(capsys, ["resonances", "--family", "inner", "--omega", "5e-324"])
+    assert code == EXIT_OK
+    header, rows = parse_csv(out)
+    assert header[0] == "family" and rows == []
+
+
+REAL = st.one_of(
+    st.floats(1e-2, 1e2),  # finite
+    st.floats(5e-324, 2.0**-1022, exclude_max=True),  # subnormal
+    st.floats(1e300, 1.7976931348623157e308),  # huge
+    st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan]),  # edge and non-finite
+)
+
+
+@st.composite
+def _argv(draw, command):
+    """argv for one subcommand; --flag=value keeps '-inf' from reading as a flag."""
+    names = ["omega"] if command == "resonances" else ["omega", "beta", "delta"]
+    argv = [command] + [f"--{name}={draw(REAL)!r}" for name in names]
+    if command == "resonances":
+        return argv + [f"--family={draw(st.sampled_from(FAMILIES))}",
+                       f"--m-max={draw(st.integers(0, 12))}"]
+    if command == "certify":
+        return argv + ["--m-max=5", "--n-max=1"]
+    if command == "melnikov" and draw(st.booleans()):
+        return argv + ["--homoclinic", "--theta-points=2"]
+    # mostly coprime pairs, so that few draws stop at the usage check
+    m, n = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (5, 1), (1, 2), (3, 2), (2, 2), (0, 1)]))
+    return argv + [f"--family={draw(st.sampled_from(FAMILIES))}", f"--m={m}", f"--n={n}",
+                   "--theta-points=2"]
+
+
+@pytest.mark.parametrize("command", ["resonances", "melnikov", "contour", "certify"])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_argv_exits_0_2_or_3(command, data):
+    argv = data.draw(_argv(command), label="argv")
+    with _deadline(5.0):
+        code, _, err = _exit_code(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), (argv, err)
+    if code != EXIT_OK:
+        assert err.startswith("melnikov-lab: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err

@@ -129,16 +129,26 @@ EPS = 2.0**-52
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(LOG_K_PRIME, st.floats(0.0, 4.0))
+@given(LOG_K_PRIME, st.floats(-1.0, 1.0))
 @example(math.log10(0.01), 0.3)  # a Landen chain that once ran to its 63-level cap
+@example(math.log10(0.5), 0.999)
+@example(-4.0, -0.999)
+@example(-14.0, 0.999)
+@example(-20.0, 0.999)
+@example(-30.0, -0.999)
 @example(-300.0, 0.999)
-@example(math.log10(1.0 - 1e-16), 3.7)
+@example(math.log10(1.0 - 1e-16), -0.7)
 def test_descent_values_match_mpmath(log_kp, fraction):
-    """K, E, E(k'), cn and am against mpmath at t = fraction * 4K."""
+    """K, E, E(k'), cn and am against mpmath at t = fraction * K.
+
+    t stays in [-K, K], where neither function reduces its argument by a
+    period: beyond it the reduced argument carries K's rounding times the
+    number of periods (test_periodicity covers the reduction).
+    """
     k_prime = 10.0**log_kp
     assume(0.0 < k_prime < 1.0)
     mod = EllipticModulus.from_k_prime(k_prime)
-    t = fraction * 4.0 * mod.K
+    t = fraction * mod.K
     cn, am = jacobi_real(t, mod).cn, jacobi_am(t, mod)
     # enough digits to hold the parameter m = 1 - k'^2 itself
     with mpmath.workdps(30 + 2 * max(0, -math.floor(log_kp))):
@@ -156,9 +166,34 @@ def test_descent_values_match_mpmath(log_kp, fraction):
     # E = pi/(2K') + K c-sum' adds two positive terms, so nothing cancels
     assert errors[1] <= 2 * EPS
     assert errors[2] <= 2 * EPS
-    # the arcsin of the Landen step loses about eps / sqrt(k') near the quarter
-    # period, at most sqrt(eps) (ROADMAP item 2)
-    bound = 64 * EPS + min(8 * EPS / math.sqrt(k_prime), math.sqrt(EPS))
+    # the Landen steps near the separatrix take their cancellation-free atan2 form
+    assert cn_err <= 16 * EPS and am_err <= 16 * EPS
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(LOG_K_PRIME, st.floats(1.0, 16.0))
+@example(-300.0, 15.99)
+@example(math.log10(1.0 - 1e-16), 14.8)
+def test_reduced_arguments_match_mpmath(log_kp, quarters):
+    """cn and am against mpmath at t = quarters * K, up to four periods.
+
+    Reducing t by a multiple of 4K (2K for am) carries K's rounding, at most
+    4 eps relative, times the number of periods, so the error may grow by a
+    few eps per unit of |t| on top of the 16 eps of the Landen descent.
+    """
+    k_prime = 10.0**log_kp
+    assume(0.0 < k_prime < 1.0)
+    mod = EllipticModulus.from_k_prime(k_prime)
+    t = quarters * mod.K
+    cn, am = jacobi_real(t, mod).cn, jacobi_am(t, mod)
+    with mpmath.workdps(30 + 2 * max(0, -math.floor(log_kp))):
+        m = 1 - mpmath.mpf(k_prime) ** 2
+        sn_ref = mpmath.ellipfun("sn", mpmath.mpf(t), m=m)
+        cn_ref = mpmath.ellipfun("cn", mpmath.mpf(t), m=m)
+        phase = mpmath.atan2(sn_ref, cn_ref)
+        am_ref = phase + 2 * mpmath.pi * mpmath.nint((am - phase) / (2 * mpmath.pi))
+        cn_err, am_err = float(abs(cn - cn_ref)), float(abs(am - am_ref))
+    bound = 16 * EPS + 6 * EPS * t
     assert cn_err <= bound and am_err <= bound
 
 
@@ -168,8 +203,10 @@ def test_descent_stops_within_16_levels():
     )
     for k_prime in grid.tolist():
         k = math.sqrt((1.0 - k_prime) * (1.0 + k_prime))
-        assert len(_descent(k_prime, k)[2]) <= 16
-        assert len(_descent(k, k_prime)[2]) <= 16
+        for b, c in ((k_prime, k), (k, k_prime)):
+            levels = []
+            _descent(b, c, levels)
+            assert len(levels) <= 16
     assert len(EllipticModulus.from_k_prime(5e-324)._landen[1]) <= 16
 
 

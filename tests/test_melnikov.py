@@ -91,6 +91,15 @@ class TestSolveResonance:
         with pytest.raises(ResonanceError, match="out of range"):
             solve_resonance(family, omega, m, 1)
 
+    @pytest.mark.parametrize("family", [INNER, ROTATING_PLUS, ROTATING_MINUS])
+    def test_infinite_target_raises_before_bisecting(self, monkeypatch, family):
+        # pi * m / (2 n omega) overflows at omega = 5e-324; an infinite target
+        # once met both the bracket check and the residual test
+        builds, descents = _count_work(monkeypatch)
+        with pytest.raises(ResonanceError, match="target inf lies outside"):
+            solve_resonance(family, 5e-324, 5, 1)
+        assert builds == [] and len(descents) == 2
+
     @pytest.mark.parametrize("omega", [1e-3, 1e9])
     def test_unbracketed_target_raises_before_bisecting(self, monkeypatch, omega):
         # k K = pi / omega lies above k K(k' = 1e-300) = 692 at omega = 1e-3 and
@@ -191,6 +200,27 @@ class TestSubharmonicQuadrature:
             val, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
             oracle += val
         assert subharmonic_quadrature(sys, r, theta) == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "family, m",
+        [
+            (INNER, 11),  # k' = 1.3e-7; gap 4.3e-13 with the arcsin step on every level
+            (INNER, 15),  # k' = 2.3e-10; 8.5e-12
+            (INNER, 27),  # k' = 1.5e-18; 8.6e-9
+            (INNER, 45),  # k' = 8.0e-31; 3.9e-8
+            (ROTATING_PLUS, 27),  # k' = 5.8e-37; 1.7e-8
+            (ROTATING_MINUS, 27),
+        ],
+    )
+    def test_near_separatrix_matches_closed_form(self, family, m):
+        r = solve_resonance(family, 1.0, m, 1)
+        quad_value = subharmonic_quadrature(pendulum_system(1.0, 0.0, 1.0), r, 0.0)
+        closed = closed_form_subharmonic(r, 1.0, 0.0).evaluate(0.0)
+        assert abs(quad_value - closed) <= 1e-12
+
+    def test_near_separatrix_quadrature_stops_early(self):
+        # a round-off floor in cn once doubled inner 45/1 to 32,768 nodes
+        assert solve_resonance(INNER, 1.0, 45, 1).kernels.nodes <= 2048
 
     def test_pure_damping_theta_independent(self):
         r = solve_resonance(ROTATING_PLUS, 1.0, 2, 1)

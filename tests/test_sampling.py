@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from melnikov_lab import contour, melnikov
+from melnikov_lab import contour, elliptic, melnikov
 from melnikov_lab.elliptic import EllipticModulus, _amplitude_reduced, jacobi_am, jacobi_real
 from melnikov_lab.pendulum import (
     INNER,
@@ -222,18 +222,25 @@ def test_landen_descent_leaves_its_argument_unchanged():
 
 
 def _full_descent(t, mod):
-    """am(t) by the whole descending Landen chain, every level with its arcsin.
+    """am(t) by the whole descending Landen chain, every level with its full step.
 
-    The chain stops at the first level whose |c| <= ulp(a)/2.
+    The chain stops at the first level whose |c| <= ulp(a)/2.  A level with
+    b/a below elliptic._ATAN2_STEP takes atan2(r sin phi, hypot(cos phi,
+    (b/a) sin phi)), every other level arcsin(r sin phi).
     """
     a, b, c = 1.0, mod.k_prime, mod.k
-    ratios = []
-    while not ratios or abs(c) > 0.5 * math.ulp(a):
+    levels = []
+    while not levels or abs(c) > 0.5 * math.ulp(a):
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        ratios.append(c / a)
-    phi = (2.0 ** len(ratios)) * a * np.asarray(t, dtype=float)
-    for ratio in reversed(ratios):
-        phi = 0.5 * (phi + np.arcsin(ratio * np.sin(phi)))
+        levels.append((c / a, b / a))
+    phi = (2.0 ** len(levels)) * a * np.asarray(t, dtype=float)
+    for ratio, b_over_a in reversed(levels):
+        sin = np.sin(phi)
+        if b_over_a < elliptic._ATAN2_STEP:
+            step = np.arctan2(ratio * sin, np.hypot(np.cos(phi), b_over_a * sin))
+        else:
+            step = np.arcsin(ratio * sin)
+        phi = 0.5 * (phi + step)
     return phi
 
 
