@@ -14,7 +14,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import melnikov_lab
@@ -505,7 +505,7 @@ EXIT_3_ARGV = [
 @pytest.mark.parametrize("argv", EXIT_3_ARGV, ids=" ".join)
 def test_extreme_omega_exits_3_at_once(argv):
     start = time.perf_counter()
-    with _deadline(5.0):
+    with _deadline(2.0):
         code, out, err = _exit_code(argv)
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_NUMERIC and out == ""
@@ -547,12 +547,13 @@ def _argv(draw, command):
 
 
 @pytest.mark.parametrize("command", ["resonances", "melnikov", "contour", "certify"])
+# No shrinking: every hanging draw it tried would cost the full alarm.
 @settings(max_examples=8, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          phases=(Phase.explicit, Phase.generate), suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_argv_exits_0_2_or_3(command, data):
     argv = data.draw(_argv(command), label="argv")
-    with _deadline(5.0):
+    with _deadline(2.0):
         code, _, err = _exit_code(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), (argv, err)
     if code != EXIT_OK:
