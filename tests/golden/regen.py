@@ -32,6 +32,7 @@ CASES = (
     ("melnikov", "--family", "inner", "--m", "3", "--n", "1", "--beta", "1",
      "--delta", "1"),
     ("melnikov", "--homoclinic", "--sign", "-1", "--beta", "1", "--delta", "1"),
+    ("verify", "--m", "3", "--eps", "1e-3", "5e-4"),
     # exit 3: an infinite resonance target, and a first level past the node cap
     ("melnikov", "--family", "inner", "--m", "5", "--n", "1", "--omega", "5e-324",
      "--beta", "1", "--delta", "1", "--theta-points", "1"),

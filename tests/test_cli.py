@@ -513,6 +513,19 @@ def test_extreme_omega_exits_3_at_once(argv):
     assert len(err) < 200
 
 
+# epsilon 1e30 shrinks the flow's steps without end (it hung); at 1e300
+# scipy's first-step guess overflows, which printed three numpy warnings
+HUGE_EPS_ARGV = [["verify", "--m", "3", "--eps", eps] for eps in ("1e30", "1e300")]
+
+
+@pytest.mark.parametrize("argv", HUGE_EPS_ARGV, ids=" ".join)
+def test_huge_eps_fails_the_flow_in_one_line(argv):
+    with _deadline(5.0):
+        code, out, err = _exit_code(argv)
+    assert code == EXIT_NUMERIC and out == ""
+    assert err.startswith("melnikov-lab: integration failure: ") and err.count("\n") == 1
+
+
 def test_infinite_resonance_target_is_skipped_in_tables(capsys):
     code, out, _ = run_cli(capsys, ["resonances", "--family", "inner", "--omega", "5e-324"])
     assert code == EXIT_OK

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp import rk
 
 from melnikov_lab import poincare
-from melnikov_lab.melnikov import closed_form_subharmonic, simple_zeros, solve_resonance
+from melnikov_lab.melnikov import (
+    IntegrationFailure,
+    closed_form_subharmonic,
+    simple_zeros,
+    solve_resonance,
+)
 from melnikov_lab.pendulum import (
     INNER,
     OrbitPoint,
@@ -179,9 +186,9 @@ class TestMelnikovSeeds:
         widths = []
         integrate = poincare._integrate
 
-        def counted(rhs, state, duration, tol):
+        def counted(rhs, state, *args):
             widths.append(len(state))
-            return integrate(rhs, state, duration, tol)
+            return integrate(rhs, state, *args)
 
         monkeypatch.setattr(poincare, "_integrate", counted)
         res = find_subharmonic(system, 1e-3, resonance, math.pi / 2.0)
@@ -235,6 +242,88 @@ class TestVariationalEngine:
             # tolerance changes by four ulps
             bound += 1e-12 * np.linalg.norm(dp)
         assert np.max(np.abs(final - np.array([out.x1, out.x2]))) <= bound
+
+
+# Columns of each DOP853.A row that the kernel's stage code reads; B, E5 and
+# E3 it reads at stages 1 and 6-12.  Every other entry must be zero.
+KERNEL_A_COLUMNS = {1: {0}, 2: {0, 1}, 3: {0, 2}, 4: {0, 2, 3}} | {
+    s: {0} | set(range(3, s)) for s in range(5, 12)
+}
+KERNEL_WEIGHTS = {0} | set(range(5, 12))
+
+
+def _library_flows(sys_, eps, m, z, theta):
+    """Run the 2-D map and the 6-D variational flow from z."""
+    stroboscopic_map(sys_, eps, m, OrbitPoint(*z), theta)
+    _variational_map(sys_, eps, m, np.array(z), theta)
+
+
+class TestDOP853Kernel:
+    def test_kernel_reads_every_nonzero_tableau_entry(self):
+        for s, row in enumerate(DOP853.A):
+            assert all(a == 0.0 for j, a in enumerate(row) if j not in KERNEL_A_COLUMNS.get(s, ()))
+        for weights in (DOP853.B, DOP853.E5, DOP853.E3):
+            assert all(w == 0.0 for j, w in enumerate(weights) if j not in KERNEL_WEIGHTS)
+        rule = (poincare._SAFETY, poincare._MIN_FACTOR, poincare._MAX_FACTOR)
+        assert rule == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+
+    # inner 3/1 from the point TestVariationalEngine uses (on its orbit point
+    # the tangent map grows to 290 and magnifies round-off past 1e-13), and
+    # rotating+ 1/1 from its orbit point, both damped
+    @pytest.mark.parametrize("family, m", [("inner", 3), ("rotating+", 1)])
+    def test_kernel_takes_scipys_steps(self, family, m, monkeypatch):
+        pairs = []
+
+        def both(rhs, span, y0, method, max_steps, **tols):
+            sol = solve_ivp(rhs, span, y0, method=method, max_steps=max_steps, **tols)
+            pairs.append((sol, solve_ivp(rhs, span, y0, method="DOP853", **tols)))
+            return sol
+
+        monkeypatch.setattr(poincare, "solve_ivp", both)
+        r = solve_resonance(family, 1.0, m, 1)
+        start = orbit_state(r.orbit, 0.8)
+        z = (0.9, 0.4) if family == INNER else (start.x1, start.x2)
+        _library_flows(pendulum_system(1.0, 0.5, 1.0), 1e-3, m, z, math.pi / 2.0)
+        assert [sol.y.shape[0] for sol, _ in pairs] == [2, 6]
+        for sol, ref in pairs:
+            assert sol.success and len(sol.t) == len(ref.t)
+            assert sol.nfev == ref.nfev
+            # 12 evaluations per attempted step after scipy's two at the start
+            rejected = (sol.nfev - 2) // 12 - (len(sol.t) - 1)
+            assert rejected > 0
+            got, want = sol.y[:, -1], ref.y[:, -1]
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    def test_nfev_is_every_rhs_call(self, system, resonance, monkeypatch):
+        flows = []
+
+        def counted(rhs, span, y0, **options):
+            calls = []
+
+            def counting(t, y):
+                calls.append(t)
+                return rhs(t, y)
+
+            sol = solve_ivp(counting, span, y0, **options)
+            flows.append((len(calls), sol.nfev))
+            return sol
+
+        monkeypatch.setattr(poincare, "solve_ivp", counted)
+        _library_flows(system, 1e-3, resonance.m, (0.9, 0.4), math.pi / 2.0)
+        assert len(flows) == 2
+        assert all(calls == nfev > 0 for calls, nfev in flows)
+
+    def test_spent_step_budget_fails_the_flow(self, system, monkeypatch):
+        monkeypatch.setattr(poincare, "_STEPS_PER_PERIOD", 10)
+        with pytest.raises(IntegrationFailure, match="step budget of 30 spent"):
+            stroboscopic_map(system, 1e-3, 3, OrbitPoint(0.9, 0.4))
+
+    def test_no_dense_output(self):
+        with pytest.raises(NotImplementedError):
+            solve_ivp(
+                lambda t, y: [y[1], -math.sin(y[0])], (0.0, 1.0), [0.9, 0.4],
+                method=poincare._DOP853Kernel, max_steps=100, dense_output=True,
+            )
 
 
 class TestScalingBand:
