@@ -10,10 +10,13 @@ The flows are nearly all of the cost, and a 2-D or 6-D state is too small
 for numpy to pay for itself: scipy's DOP853 spends its time in per-stage
 array calls.  So scipy.integrate.solve_ivp drives _DOP853Kernel, a DOP853
 whose steps run on Python floats with the tableau written out, under
-scipy's step-size rule and error norm.  It takes the steps scipy's DOP853
-takes and counts the RHS evaluations scipy would (sol.nfev), and it gives
-up after _STEPS_PER_PERIOD attempted steps per forcing period, where a
-huge epsilon would otherwise shrink the steps without end.
+scipy's step-size rule and error norm.  It sums each stage left to right
+where scipy's BLAS dot may not, so its states agree with scipy's to
+round-off, and it takes scipy's steps wherever no accept/reject or
+step-size decision rests on that round-off.  It counts its own RHS
+evaluations (sol.nfev), and it gives up after _STEPS_PER_PERIOD attempted
+steps per forcing period, where a huge epsilon would otherwise shrink the
+steps without end.
 """
 
 from __future__ import annotations
@@ -64,10 +67,9 @@ def _dop853_attempt():
     attempt(fun, t, y, k1, h, checked, n), with k1 = fun(t, y), returns
     y_new, f_new = fun(t + h, y_new) and scipy's DOP853 error norm over the
     (index, atol, rtol) components in checked, divided by sqrt(n) as for n
-    components.  Names
-    are Hairer's: stage k1 = f, ..., k12, weights a_ij, b_i, and the
-    fifth- and third-order error weights e5_i, e3_i.  Only the nonzero
-    entries of the tableau appear; an underscore marks a zero.
+    components.  Names are Hairer's: stages k1, ..., k12, weights a_ij and
+    b_i, and the fifth- and third-order error weights e5_i, e3_i.  Only the
+    nonzero entries of the tableau appear; an underscore marks a zero.
     """
     A, B = DOP853.A.tolist(), DOP853.B.tolist()
     E5, E3 = DOP853.E5.tolist(), DOP853.E3.tolist()
