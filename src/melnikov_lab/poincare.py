@@ -285,11 +285,12 @@ def _integrate(rhs, state, duration: float, tol: float, periods: int):
     """Final state of a DOP853 flow whose steps are chosen from (x1, x2) alone.
 
     solve_ivp takes the steps with _DOP853Kernel, which calls rhs with a
-    list of floats and wants a list back.  Components past the first two (a
-    tangent map) get atol = inf, so they drop out of the error norm.  That
-    norm divides by sqrt(width), so scaling both tolerances by
-    sqrt(2/width) gives back the 2-D flow's norm, and with it the 2-D
-    flow's steps: the state of a wider flow is the stroboscopic map itself.
+    list of floats (scipy's set-up: a numpy array) and wants a list back.
+    Components past the first two (a tangent map) get atol = inf, so they
+    drop out of the error norm.  That norm divides by sqrt(width), so
+    scaling both tolerances by sqrt(2/width) gives back the 2-D flow's
+    norm, and with it the 2-D flow's steps: the state of a wider flow is
+    the stroboscopic map itself.
     At width 2 the tolerances are tol.  A flow over this many forcing
     periods gets _STEPS_PER_PERIOD attempted steps per period, then raises
     IntegrationFailure like any failed flow.  scipy's first-step guess
