@@ -14,9 +14,9 @@ scipy's step-size rule and error norm.  It sums each stage left to right
 where scipy's BLAS dot may not, so its states agree with scipy's to
 round-off, and it takes scipy's steps wherever no accept/reject or
 step-size decision rests on that round-off.  It counts its own RHS
-evaluations (sol.nfev), and it gives up after _STEPS_PER_PERIOD attempted
-steps per forcing period, where a huge epsilon would otherwise shrink the
-steps without end.
+evaluations (sol.nfev), and it gives up after _STEPS_PER_UNIT_TIME
+attempted steps per unit of flow time, where a huge epsilon would
+otherwise shrink the steps without end.
 """
 
 from __future__ import annotations
@@ -49,10 +49,11 @@ __all__ = [
 # order >= 5 embedded Runge-Kutta pair) of the maps and fixed points.
 # Tangent-map components ride along unchecked (see _integrate).
 _FLOW_TOL = 1e-12
-# Attempted steps per forcing period before a flow fails: 67x the most (59.3)
-# that any flow of the tests or the stroboscopic benchmark takes, and the
-# bound on how long a flow whose steps keep shrinking (huge epsilon) runs.
-_STEPS_PER_PERIOD = 4000
+# Attempted steps per unit of flow time before a flow fails (a flow shorter
+# than 2*pi gets 2*pi's worth): about 100x the most that any flow of the
+# tests or the stroboscopic benchmark takes, and the bound on how long a flow
+# whose steps keep shrinking (huge epsilon) runs.
+_STEPS_PER_UNIT_TIME = 1000
 _NEWTON_MAX = 25  # Newton iterations per seed
 _RESIDUAL_TOL = 1e-10  # map residual that counts as a fixed point
 _ORBIT_SAMPLES = 1024  # coarse grid of the distance-to-orbit search
@@ -281,7 +282,7 @@ class FixedPointResult:
     floquet_multipliers: Tuple[complex, complex]
 
 
-def _integrate(rhs, state, duration: float, tol: float, periods: int):
+def _integrate(rhs, state, duration: float, tol: float):
     """Final state of a DOP853 flow whose steps are chosen from (x1, x2) alone.
 
     solve_ivp takes the steps with _DOP853Kernel, which calls rhs with a
@@ -291,8 +292,9 @@ def _integrate(rhs, state, duration: float, tol: float, periods: int):
     scaling both tolerances by sqrt(2/width) gives back the 2-D flow's
     norm, and with it the 2-D flow's steps: the state of a wider flow is
     the stroboscopic map itself.
-    At width 2 the tolerances are tol.  A flow over this many forcing
-    periods gets _STEPS_PER_PERIOD attempted steps per period, then raises
+    At width 2 the tolerances are tol.  The flow gets _STEPS_PER_UNIT_TIME
+    attempted steps per unit of its duration, counted as at least 2*pi (a
+    fast forcing still needs a few steps per period), then raises
     IntegrationFailure like any failed flow.  scipy's first-step guess
     overflows at a huge epsilon; the tiny step it then picks fails on its
     own terms, so numpy's floating-point warnings are silenced around it.
@@ -309,7 +311,7 @@ def _integrate(rhs, state, duration: float, tol: float, periods: int):
             method=_DOP853Kernel,
             rtol=scaled,
             atol=atol,
-            max_steps=_STEPS_PER_PERIOD * periods,
+            max_steps=math.ceil(_STEPS_PER_UNIT_TIME * max(duration, 2.0 * math.pi)),
         )
     if not sol.success:
         raise IntegrationFailure(sol.message)
@@ -324,7 +326,7 @@ def _flow(sys: ForcedSystem, eps: float, state, m: int, theta_section: float):
         forcing = eps * (beta * math.cos(omega * t + theta_section) - delta * x2)
         return [x2, -math.sin(x1) + forcing]
 
-    return _integrate(rhs, state, 2.0 * math.pi * m / omega, _FLOW_TOL, m)
+    return _integrate(rhs, state, 2.0 * math.pi * m / omega, _FLOW_TOL)
 
 
 def stroboscopic_map(
@@ -373,7 +375,7 @@ def _variational_map(sys, eps, m, z, theta_section):
         ]
 
     y0 = np.array([z[0], z[1], 1.0, 0.0, 0.0, 1.0])
-    out = _integrate(rhs, y0, 2.0 * math.pi * m / sys.omega, _FLOW_TOL, m)
+    out = _integrate(rhs, y0, 2.0 * math.pi * m / sys.omega, _FLOW_TOL)
     return out[:2], out[2:].reshape(2, 2)
 
 

@@ -526,6 +526,15 @@ def test_huge_eps_fails_the_flow_in_one_line(argv):
     assert err.startswith("melnikov-lab: integration failure: ") and err.count("\n") == 1
 
 
+def test_slowest_inner_resonance_verifies(capsys):
+    # inner 1/1 near the smallest omega it solves at (0.01276): each flow lasts
+    # 491 time units and takes up to 4,032 attempted steps
+    argv = ["verify", "--m", "1", "--omega", "0.0128", "--eps", "1e-3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    assert math.isfinite(json.loads(out)["results"][0]["residual"])
+
+
 def test_infinite_resonance_target_is_skipped_in_tables(capsys):
     code, out, _ = run_cli(capsys, ["resonances", "--family", "inner", "--omega", "5e-324"])
     assert code == EXIT_OK
