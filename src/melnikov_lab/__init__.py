@@ -2,7 +2,6 @@
 
 from .elliptic import (
     EllipticModulus,
-    JacobiTriple,
     PoleProximityError,
     jacobi_complex,
     jacobi_real,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EllipticModulus",
-    "JacobiTriple",
     "PoleProximityError",
     "jacobi_complex",
     "jacobi_real",

@@ -116,7 +116,7 @@ def contour_kernels(r: Resonance, spec: ContourSpec, tol: float = 1e-9) -> Melni
     def sample_orbit(s):
         e = np.exp(1j * s)
         t = spec.center + spec.radius * e
-        x2 = orbit_complex_values(family, t)[1]
+        x2 = orbit_complex_values(family, t)
         return x2 * 1j * spec.radius * e, x2, r.omega * t
 
     return _melnikov_kernels(sample_orbit, 2.0 * math.pi, _CONTOUR_N0, tol, n_max=2**18)

@@ -148,13 +148,10 @@ class EllipticModulus:
         return (2.0 ** len(levels)) * a, tuple(reversed(levels))
 
     @cached_property
-    def _complement(self) -> "EllipticModulus":
-        # the same two descents, so K and K' swap bit for bit
-        return EllipticModulus._build(self.k_prime, self.k)
-
     def complement(self) -> "EllipticModulus":
         """The modulus k' with roles of K and K' swapped (one object per modulus)."""
-        return self._complement
+        # the same two descents, so K and K' swap bit for bit
+        return EllipticModulus._build(self.k_prime, self.k)
 
 
 @dataclass(frozen=True)
@@ -251,7 +248,7 @@ def jacobi_complex(t, mod: EllipticModulus) -> JacobiTriple:
         raise PoleProximityError(
             "argument within pole clearance of the Jacobi pole lattice"
         )
-    comp = mod.complement()
+    comp = mod.complement
     re = jacobi_real(t_arr.real, mod)
     im = jacobi_real(t_arr.imag, comp)
     s, c, d = re.sn, re.cn, re.dn

@@ -155,10 +155,6 @@ def _cosh(x: float) -> float:
         return math.inf
 
 
-def _quarter_period(k: float, k_prime: float) -> float:
-    return _complete_K(k, k_prime)
-
-
 def _rotating_period(k: float, k_prime: float) -> float:
     return k * _complete_K(k, k_prime)
 
@@ -177,7 +173,7 @@ def _resonance_equation(family_tag: str, omega: float, m: int, n: int):
     if omega <= 0:
         raise ValueError("omega must be positive")
     if family_tag == INNER:
-        return math.pi * m / (2.0 * n * omega), _quarter_period
+        return math.pi * m / (2.0 * n * omega), _complete_K
     return math.pi * m / (n * omega), _rotating_period
 
 
@@ -283,7 +279,7 @@ def _level_means(n, n0, block):
     return block.sum(axis=1) / (n // 2)
 
 
-def _trapezoid_doubling(sample_mean, length, tol, n0=64, n_max=_N_MAX):
+def _trapezoid_doubling(sample_mean, length, tol, n0, n_max):
     """(length * mean(f), nodes, last max |cur - prev|) by nested node doubling.
 
     No level can be accepted before it is compared with the one before,
@@ -495,14 +491,12 @@ def closed_form_homoclinic(
 @dataclass(frozen=True)
 class MelnikovZero:
     theta: float
-    slope: float
     simple: bool
 
 
 @dataclass(frozen=True)
 class ZeroAnalysis:
     zeros: Tuple[MelnikovZero, ...]
-    tangency: bool
 
     @property
     def has_simple_zero(self) -> bool:
@@ -513,24 +507,24 @@ def simple_zeros(curve: MelnikovCurve) -> ZeroAnalysis:
     """All zeros of the curve in [0, 2pi) with simplicity flags.
 
     Zeros exist iff |const_term| <= |cos_coeff|; at equality the single
-    zero is a tangency (reported, flagged not simple) rather than
-    dropped, so certificates can tell "no zero" from "degenerate zero".
+    zero is a tangency, reported with simple=False rather than dropped,
+    so certificates can tell "no zero" from "degenerate zero".  Any other
+    zero is simple where its slope -cos_coeff*sin(theta) exceeds
+    _SLOPE_TOL in magnitude.
     """
     c, a = curve.const_term, curve.cos_coeff
     scale = max(abs(c), abs(a), 1.0)
     if abs(a) <= _TANGENCY_TOL * scale:
-        return ZeroAnalysis((), tangency=False)
+        return ZeroAnalysis(())
     if abs(abs(c) - abs(a)) <= _TANGENCY_TOL * scale:
-        theta0 = 0.0 if c * a < 0 else math.pi
-        return ZeroAnalysis((MelnikovZero(theta0, 0.0, False),), tangency=True)
+        return ZeroAnalysis((MelnikovZero(0.0 if c * a < 0 else math.pi, False),))
     if abs(c) > abs(a):
-        return ZeroAnalysis((), tangency=False)
+        return ZeroAnalysis(())
     theta0 = math.acos(-c / a)
-    zeros = []
-    for theta in (theta0, 2.0 * math.pi - theta0):
-        slope = -a * math.sin(theta)
-        zeros.append(MelnikovZero(theta, slope, abs(slope) > _SLOPE_TOL))
-    return ZeroAnalysis(tuple(zeros), tangency=False)
+    return ZeroAnalysis(tuple(
+        MelnikovZero(theta, abs(a * math.sin(theta)) > _SLOPE_TOL)
+        for theta in (theta0, 2.0 * math.pi - theta0)
+    ))
 
 
 @dataclass(frozen=True)

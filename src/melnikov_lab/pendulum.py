@@ -92,12 +92,6 @@ class OrbitFamily:
             return 4.0 * self.modulus.K
         return 2.0 * self.modulus.k * self.modulus.K
 
-    @property
-    def energy(self) -> float:
-        if self.tag == INNER:
-            return 2.0 * self.modulus.k**2
-        return 2.0 / self.modulus.k**2
-
 
 def orbit_state(family: OrbitFamily, t):
     """Closed-form state x(t) for real t; scalars or arrays.
@@ -123,21 +117,14 @@ def orbit_state(family: OrbitFamily, t):
 
 
 def orbit_complex_values(family: OrbitFamily, t):
-    """(sin x1, x2) along the orbit for complex t.
+    """x2 along the orbit for complex t.
 
-    The angle itself is multivalued off the real axis, but every
-    downstream integrand only needs sin x1 and x2, both of which are
-    single-valued elliptic expressions.
+    The angle x1 is multivalued off the real axis; the velocity x2, the
+    one factor of every contour integrand, is a single-valued elliptic
+    expression: 2k cn(t) on inner orbits, +-(2/k) dn(t/k) on rotating ones.
     """
     t = np.asarray(t, dtype=complex)
     mod = family.modulus
     if family.tag == INNER:
-        tri = jacobi_complex(t, mod)
-        sin_x1 = 2.0 * mod.k * tri.sn * tri.dn
-        x2 = 2.0 * mod.k * tri.cn
-    else:
-        tri = jacobi_complex(t / mod.k, mod)
-        sin_x1 = family.sign * 2.0 * tri.sn * tri.cn
-        x2 = family.sign * (2.0 / mod.k) * tri.dn
-    return sin_x1, x2
-
+        return 2.0 * mod.k * jacobi_complex(t, mod).cn
+    return family.sign * (2.0 / mod.k) * jacobi_complex(t / mod.k, mod).dn

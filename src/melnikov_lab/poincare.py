@@ -54,9 +54,10 @@ _FLOW_TOL = 1e-12
 # tests or the stroboscopic benchmark takes, and the bound on how long a flow
 # whose steps keep shrinking (huge epsilon) runs.
 _STEPS_PER_UNIT_TIME = 1000
-_NEWTON_MAX = 25  # Newton iterations per seed
+_NEWTON_MAX = 25  # Newton steps per seed, so at most _NEWTON_MAX + 1 flows
 _RESIDUAL_TOL = 1e-10  # map residual that counts as a fixed point
 _ORBIT_SAMPLES = 1024  # coarse grid of the distance-to-orbit search
+_SCALING_BAND = 2.0  # largest max/min of distance/eps that scaling_band accepts
 
 # scipy's DOP853 step-size rule (scipy/integrate/_ivp/rk.py)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -282,7 +283,7 @@ class FixedPointResult:
     floquet_multipliers: Tuple[complex, complex]
 
 
-def _integrate(rhs, state, duration: float, tol: float):
+def _integrate(rhs, state, duration: float):
     """Final state of a DOP853 flow whose steps are chosen from (x1, x2) alone.
 
     solve_ivp takes the steps with _DOP853Kernel, which calls rhs with a
@@ -292,7 +293,7 @@ def _integrate(rhs, state, duration: float, tol: float):
     scaling both tolerances by sqrt(2/width) gives back the 2-D flow's
     norm, and with it the 2-D flow's steps: the state of a wider flow is
     the stroboscopic map itself.
-    At width 2 the tolerances are tol.  The flow gets _STEPS_PER_UNIT_TIME
+    At width 2 the tolerances are _FLOW_TOL.  The flow gets _STEPS_PER_UNIT_TIME
     attempted steps per unit of its duration, counted as at least 2*pi (a
     fast forcing still needs a few steps per period), then raises
     IntegrationFailure like any failed flow.  scipy's first-step guess
@@ -300,7 +301,7 @@ def _integrate(rhs, state, duration: float, tol: float):
     own terms, so numpy's floating-point warnings are silenced around it.
     """
     y0 = np.asarray(state, dtype=float)
-    scaled = tol * math.sqrt(2.0 / y0.size)
+    scaled = _FLOW_TOL * math.sqrt(2.0 / y0.size)
     atol = np.full(y0.size, np.inf)
     atol[:2] = scaled
     with np.errstate(all="ignore"):
@@ -326,7 +327,7 @@ def _flow(sys: ForcedSystem, eps: float, state, m: int, theta_section: float):
         forcing = eps * (beta * math.cos(omega * t + theta_section) - delta * x2)
         return [x2, -math.sin(x1) + forcing]
 
-    return _integrate(rhs, state, 2.0 * math.pi * m / omega, _FLOW_TOL)
+    return _integrate(rhs, state, 2.0 * math.pi * m / omega)
 
 
 def stroboscopic_map(
@@ -375,7 +376,7 @@ def _variational_map(sys, eps, m, z, theta_section):
         ]
 
     y0 = np.array([z[0], z[1], 1.0, 0.0, 0.0, 1.0])
-    out = _integrate(rhs, y0, 2.0 * math.pi * m / sys.omega, _FLOW_TOL)
+    out = _integrate(rhs, y0, 2.0 * math.pi * m / sys.omega)
     return out[:2], out[2:].reshape(2, 2)
 
 
@@ -406,18 +407,21 @@ def _newton(sys, eps, m, z0, theta0, winding):
     """Newton on P(z) - z - winding = 0 from z0.
 
     Each iteration costs one variational flow, which gives f and
-    J = DP - I together.  Returns (z, f, converged, DP) with f and DP
-    from the variational flow at the returned z: converged once
-    |f| <= _RESIDUAL_TOL, else stopped by a step longer than 2, a
-    singular J or _NEWTON_MAX steps.
+    J = DP - I together, so _NEWTON_MAX steps take _NEWTON_MAX + 1
+    flows, the last one checking the last step.  Returns (z, f,
+    converged, DP) with f and DP from the variational flow at the
+    returned z: converged once |f| <= _RESIDUAL_TOL, else stopped by a
+    step longer than 2, a singular J or _NEWTON_MAX steps.
     """
     eye = np.eye(2)
     z = np.array(z0, dtype=float)
-    for _ in range(_NEWTON_MAX):
+    for steps in range(_NEWTON_MAX + 1):
         final, dp = _variational_map(sys, eps, m, z, theta0)
         f = final - z - winding
         if np.linalg.norm(f) <= _RESIDUAL_TOL:
             return z, f, True, dp
+        if steps == _NEWTON_MAX:
+            break
         try:
             step = np.linalg.solve(dp - eye, f)
         except np.linalg.LinAlgError:
@@ -425,9 +429,6 @@ def _newton(sys, eps, m, z0, theta0, winding):
         if np.linalg.norm(step) > 2.0:
             break  # diverging away from the seed neighborhood
         z = z - step
-    else:
-        final, dp = _variational_map(sys, eps, m, z, theta0)
-        f = final - z - winding
     return z, f, False, dp
 
 
@@ -458,8 +459,11 @@ def find_subharmonic(
     distance for the epsilon-scaling check, or else the first seed's
     unconverged result.  The residual and the Floquet multipliers (the
     eigenvalues of DP) come from the variational flow at the reported
-    point itself; no separate 2-D flow runs.
+    point itself; no separate 2-D flow runs.  sys.omega must be the
+    resonance's omega.
     """
+    if sys.omega != r.omega:
+        raise ValueError(f"system omega {sys.omega!r} != resonance omega {r.omega!r}")
     winding = _winding(r)
     best: Optional[FixedPointResult] = None
     for seed in _melnikov_seeds(sys, r, theta0):
@@ -482,11 +486,11 @@ def find_subharmonic(
     return best
 
 
-def scaling_band(eps_list, distances, band: float = 2.0) -> Tuple[bool, List[float]]:
-    """First-order persistence check: distance/eps within a factor band."""
+def scaling_band(eps_list, distances) -> Tuple[bool, List[float]]:
+    """First-order persistence check: distance/eps within a factor _SCALING_BAND."""
     ratios = [d / e for d, e in zip(distances, eps_list)]
     positive = [r for r in ratios if r > 0]
     if not positive:
         return True, ratios
-    ok = max(positive) / min(positive) <= band
+    ok = max(positive) / min(positive) <= _SCALING_BAND
     return ok, ratios

@@ -86,7 +86,7 @@ def test_criterion_1_special_function_identities():
     worst_leg = 0.0
     for k in np.linspace(0.02, 0.98, 50):
         mod = EllipticModulus.from_k(float(k))
-        comp = mod.complement()
+        comp = mod.complement
         legendre = mod.E * mod.K_prime + comp.E * mod.K - mod.K * mod.K_prime
         worst_leg = max(worst_leg, abs(legendre - math.pi / 2.0))
     assert worst_leg <= 1e-12
@@ -284,7 +284,7 @@ def test_criterion_8_stroboscopic_scaling():
         assert res.converged
         assert res.residual <= 1e-10
         distances.append(res.distance_to_unperturbed)
-    ok, ratios = scaling_band(eps_list, distances, band=2.0)
+    ok, ratios = scaling_band(eps_list, distances)
     assert ok, ratios
 
     # negative control: damping strong enough to remove every zero

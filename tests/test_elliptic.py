@@ -95,13 +95,13 @@ class TestEllipticModulus:
     def test_complement_consistency(self):
         m = EllipticModulus.from_k(0.6)
         assert m.k**2 + m.k_prime**2 == pytest.approx(1.0, abs=1e-14)
-        assert m.complement().K == m.K_prime
-        assert m.complement().K_prime == m.K
+        assert m.complement.K == m.K_prime
+        assert m.complement.K_prime == m.K
 
     def test_complement_built_once(self):
         m = EllipticModulus.from_k(0.6)
-        comp = m.complement()
-        assert comp is m.complement()
+        comp = m.complement
+        assert comp is m.complement
         fresh = EllipticModulus.from_k_prime(0.6)
         assert (comp.K, comp.E, comp.K_prime) == (fresh.K, fresh.E, fresh.K_prime)
 
@@ -113,7 +113,7 @@ class TestEllipticModulus:
     def test_legendre_relation_grid(self):
         for k in np.linspace(0.02, 0.98, 50):
             m = EllipticModulus.from_k(float(k))
-            comp = m.complement()
+            comp = m.complement
             legendre = m.E * m.K_prime + comp.E * m.K - m.K * m.K_prime
             assert legendre == pytest.approx(math.pi / 2.0, abs=1e-12)
 
@@ -160,7 +160,7 @@ def test_descent_values_match_mpmath(log_kp, fraction):
         phase = mpmath.atan2(sn_ref, cn_ref)
         am_ref = phase + 2 * mpmath.pi * mpmath.nint((am - phase) / (2 * mpmath.pi))
         errors = [float(abs(x - ref) / ref) for x, ref in
-                  ((mod.K, K), (mod.E, E), (mod.complement().E, E_comp))]
+                  ((mod.K, K), (mod.E, E), (mod.complement.E, E_comp))]
         cn_err, am_err = float(abs(cn - cn_ref)), float(abs(am - am_ref))
     assert errors[0] <= 4 * EPS
     # E = pi/(2K') + K c-sum' adds two positive terms, so nothing cancels

@@ -1,7 +1,7 @@
 """Every name a library module imports is used in that module, every
 module-level private name is referenced somewhere in the package, and every
-function a module lists in ``__all__`` is reached by the library or the
-benchmark.
+function a module lists in ``__all__`` and every public attribute of a
+public class is reached by the library or the benchmark.
 
 An import nothing reads still costs start-up time and hides which layer
 depends on which.  A name counts as used when the module loads it
@@ -10,7 +10,11 @@ anywhere (including as the base of an attribute chain) or lists it in
 ``_name`` that no module loads, imports or reaches as an attribute is dead
 code left behind by a refactor.  So is a public function that no library
 module (a re-export in ``__init__`` aside) and no ``perfbench/*.py`` file
-references, unless the tests keep it as a reference (REFERENCE_ONLY).
+references, unless the tests keep it as a reference (REFERENCE_ONLY).  The
+same holds for a public dataclass field, property or method that no library
+module and no ``perfbench/*.py`` file reads as an attribute (or, in
+perfbench, names in a string, as its tracer's TARGETS do), unless open work
+is to read it (UNREAD_ATTRIBUTES).
 """
 
 import ast
@@ -32,6 +36,16 @@ REFERENCE_ONLY = {
     # criterion 5's Laurent-coefficient check of the residues; it also keeps
     # contour's jacobi_complex import bound, which perfbench's tracer wraps
     "contour.laurent_probe",
+}
+
+# Public attributes that nothing reads yet, kept for the work that is to read them.
+UNREAD_ATTRIBUTES = {
+    # the eigenvalues of DP at a fixed point, for the stability oracle (ROADMAP item 4)
+    "FixedPointResult.floquet_multipliers",
+    # the evidence of a node-doubling pass, for the library's work counters and
+    # the certificate's provenance (ROADMAP items 10 and 11)
+    "MelnikovKernels.nodes",
+    "MelnikovKernels.last_diff",
 }
 
 
@@ -181,3 +195,84 @@ def test_reach_scan_flags_an_unreached_function():
     }
     bench = [ast.parse("import lib\nlib.benched()\n")]
     assert _unreached_public_functions(trees, bench) == {"lib.reexported"}
+
+
+def _public_attributes(tree):
+    """{"Class.name"} for the public fields, properties and methods of public classes.
+
+    A field is an annotated name in the body of a @dataclass class; every
+    function of a class body is a property or a method.
+    """
+    found = set()
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        is_dataclass = any(
+            getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
+            for dec in node.decorator_list
+        )
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                name = item.name
+            elif is_dataclass and isinstance(item, ast.AnnAssign):
+                name = item.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                found.add(f"{node.name}.{name}")
+    return found
+
+
+def _unread_attributes(trees, outside):
+    """{"Class.name"} for the public attributes of trees whose name nothing reads.
+
+    A read is an attribute load in any tree of trees or outside, or a string
+    constant in a tree of outside.
+    """
+    read = {
+        node.attr
+        for tree in (*trees.values(), *outside)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    } | {
+        node.value
+        for tree in outside
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    return {
+        attr
+        for tree in trees.values()
+        for attr in _public_attributes(tree)
+        if attr.split(".")[1] not in read
+    }
+
+
+def test_every_public_attribute_is_read():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    bench = [ast.parse(path.read_text(), filename=str(path)) for path in BENCH_FILES]
+    unread = _unread_attributes(trees, bench)
+    assert unread == UNREAD_ATTRIBUTES, (
+        f"public attributes nothing in the library or perfbench reads: "
+        f"{sorted(unread - UNREAD_ATTRIBUTES)}; exempt attributes now read or "
+        f"gone: {sorted(UNREAD_ATTRIBUTES - unread)}"
+    )
+
+
+def test_attribute_scan_flags_an_unread_field():
+    trees = {
+        "lib": ast.parse(
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Point:\n"
+            "    x: float\n    y: float\n    spare: float\n    LIMIT = 1\n"
+            "    @property\n    def norm(self):\n        return self.x\n"
+            "    def scaled(self):\n        pass\n"
+            "    def _private(self):\n        pass\n"
+            "class Plain:\n    annotated: int\n    def traced(self):\n        pass\n"
+            "class _Hidden:\n    def loose(self):\n        pass\n"
+            "def use(p):\n    p.y = 2.0\n    return p.norm\n"
+        ),
+    }
+    bench = [ast.parse("TARGETS = (('lib', 'Plain', 'traced'),)\nspare = point.spare\n")]
+    assert _unread_attributes(trees, bench) == {"Point.y", "Point.scaled"}

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 import melnikov_lab.elliptic as elliptic_module
 import melnikov_lab.melnikov as melnikov_module
-from melnikov_lab.elliptic import EllipticModulus
+from melnikov_lab.elliptic import EllipticModulus, _complete_K
 from melnikov_lab.melnikov import (
     K_WINDOW,
     MelnikovCurve,
@@ -16,7 +16,6 @@ from melnikov_lab.melnikov import (
     Resonance,
     ResidueOverflowError,
     ResonanceError,
-    _quarter_period,
     _rotating_period,
     _trapezoid_doubling,
     chaos_condition,
@@ -153,7 +152,7 @@ class TestSolveResonance:
     def test_period_functions_are_the_modulus_bit_for_bit(self, log_kp):
         k_prime = min(10.0**log_kp, 1.0 - 1e-16)
         mod = EllipticModulus.from_k_prime(k_prime)
-        assert _quarter_period(mod.k, mod.k_prime) == mod.K
+        assert _complete_K(mod.k, mod.k_prime) == mod.K
         assert _rotating_period(mod.k, mod.k_prime) == mod.k * mod.K
 
     @PROPERTY
@@ -264,7 +263,7 @@ class TestNodeDoubling:
             return pair
 
         with pytest.raises(NonConvergenceError) as exc:
-            _trapezoid_doubling(sample_mean, 1.0, 1e-10, n0=64)
+            _trapezoid_doubling(sample_mean, 1.0, 1e-10, n0=64, n_max=2**20)
         assert calls == [128] and exc.value.nodes == 128
 
     def test_overflowing_parameters_stop_at_the_first_level(self, monkeypatch):
@@ -324,7 +323,7 @@ class TestAliasing:
             raise AssertionError("sampled a level past n_max")
 
         with pytest.raises(NonConvergenceError):
-            _trapezoid_doubling(sampler, 1.0, 1e-10, n0=2**20)
+            _trapezoid_doubling(sampler, 1.0, 1e-10, n0=2**20, n_max=2**20)
 
 
 def test_system_omega_must_be_the_resonance_omega(monkeypatch):
@@ -477,7 +476,7 @@ class TestSimpleZeros:
         analysis = simple_zeros(MelnikovCurve(-1.0, 2.0))
         assert len(analysis.zeros) == 2
         assert analysis.has_simple_zero
-        assert not analysis.tangency
+        assert all(z.simple for z in analysis.zeros)
         th = analysis.zeros[0].theta
         assert math.cos(th) == pytest.approx(0.5, abs=1e-12)
 
@@ -488,8 +487,8 @@ class TestSimpleZeros:
 
     def test_tangency_detected(self):
         analysis = simple_zeros(MelnikovCurve(-2.0, 2.0))
-        assert analysis.tangency
         assert len(analysis.zeros) == 1
+        assert not analysis.has_simple_zero
         assert not analysis.zeros[0].simple
         assert analysis.zeros[0].theta == pytest.approx(0.0)
 

@@ -97,6 +97,14 @@ class TestFindSubharmonic:
         assert out.x1 == pytest.approx(res.point.x1, abs=1e-9)
         assert out.x2 == pytest.approx(res.point.x2, abs=1e-9)
 
+    def test_system_omega_must_be_the_resonance_omega(self, resonance, monkeypatch):
+        def no_flow(*args):
+            raise AssertionError("flowed a system off the resonance's omega")
+
+        monkeypatch.setattr(poincare, "_integrate", no_flow)
+        with pytest.raises(ValueError, match="omega"):
+            find_subharmonic(pendulum_system(1.0, 0.0, 1.05), 1e-3, resonance, math.pi / 2.0)
+
     def test_newton_gap_rung_converges_in_band(self, system, resonance):
         # eps = 6.8538506e-4 sat between converging rungs but found no fixed
         # point with the finite-difference Jacobian
@@ -182,13 +190,34 @@ class TestMelnikovSeeds:
         assert gaps
         assert max(gaps) <= eps
 
+    def test_last_newton_step_is_checked(self, system, resonance, monkeypatch):
+        # the second seed meets _RESIDUAL_TOL on its 4th flow, after 3 steps:
+        # with _NEWTON_MAX = 3 that flow is the last one Newton runs
+        theta0 = math.pi / 2.0
+        monkeypatch.setattr(poincare, "_NEWTON_MAX", 3)
+        flows = []
+        variational = poincare._variational_map
+
+        def counted(*args):
+            flows.append(args[3])
+            return variational(*args)
+
+        monkeypatch.setattr(poincare, "_variational_map", counted)
+        seed = _melnikov_seeds(system, resonance, theta0)[1]
+        z, f, converged, _ = _newton(
+            system, 1e-3, resonance.m, (seed.x1, seed.x2), theta0, _winding(resonance)
+        )
+        assert len(flows) == 4
+        assert np.linalg.norm(f) <= _RESIDUAL_TOL
+        assert converged
+
     def test_positive_control_takes_few_narrow_flows(self, system, resonance, monkeypatch):
         widths = []
         integrate = poincare._integrate
 
-        def counted(rhs, state, duration, tol):
+        def counted(rhs, state, duration):
             widths.append(len(state))
-            return integrate(rhs, state, duration, tol)
+            return integrate(rhs, state, duration)
 
         monkeypatch.setattr(poincare, "_integrate", counted)
         res = find_subharmonic(system, 1e-3, resonance, math.pi / 2.0)

@@ -168,7 +168,7 @@ def test_contour_kernels_equal_direct_trapezoid(monkeypatch, case):
 
     e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, levels[-1], endpoint=False))
     t = spec.center + spec.radius * e
-    x2 = orbit_complex_values(r.orbit, t)[1]
+    x2 = orbit_complex_values(r.orbit, t)
     x2_dt = x2 * 1j * spec.radius * e
     direct = 2.0 * math.pi * np.array(
         [np.mean(x2_dt * k) for k in (np.cos(r.omega * t), np.sin(r.omega * t), x2)]
