@@ -26,7 +26,7 @@ from .melnikov import (
     enumerate_resonances,
     subharmonic_quadrature,
 )
-from .pendulum import FAMILIES, INNER, pendulum_system
+from .pendulum import FAMILIES, pendulum_system
 
 __all__ = ["CERT_SCHEMA", "build_certificate"]
 
@@ -75,11 +75,11 @@ def _curve_record(r: Resonance, beta, delta, verify_quadrature):
 
 
 def _contour_record(r: Resonance, beta, verify_numeric):
-    """The least |contour integral| over theta, 4*pi*|beta|*sinh x (at theta = pi/2).
+    """The least |contour integral| over theta, 4*pi*|beta|*sinh x.
 
-    One aligned resonance per family is also integrated numerically at
-    theta = 0 if asked.  Raises ResidueOverflowError where the minimum
-    overflows.
+    The integral is also taken numerically at theta = 0 if asked, and
+    compared with its residue closed form.  Raises ResidueOverflowError
+    where the minimum overflows.
     """
     _, _, sinh = contour.residue_terms(r)
     min_abs = 4.0 * math.pi * abs(beta) * sinh
@@ -113,8 +113,8 @@ def build_certificate(
     """Structured applicability verdict for the three nonintegrability criteria.
 
     verify=True cross-checks by quadrature, per family, the first witness
-    curve with m <= 5 in k order, and one contour value numerically; the
-    rest use the (themselves test-covered) closed forms.
+    curve with m <= 5 in k order, and numerically the first contour record
+    per family; the rest use the (themselves test-covered) closed forms.
     """
     resonances = _sample_resonances(omega, m_max, n_max)
 
@@ -136,14 +136,10 @@ def build_certificate(
 
     contour_records = []
     if applies_4c:
-        # contour verification needs the shift-phase alignment: n = 1,
-        # and odd m for the inner family
-        verified_c = set()
+        seen = set()
         for r in resonances:
-            aligned = r.n == 1 and (r.family_tag != INNER or r.m % 2 == 1)
-            do_verify = verify and aligned and r.family_tag not in verified_c
-            if do_verify:
-                verified_c.add(r.family_tag)
+            do_verify = verify and r.family_tag not in seen
+            seen.add(r.family_tag)
             contour_records.append(_contour_record(r, beta, do_verify))
         applies_4c = len(contour_records) > 0 and all(
             rec["min_abs_integral"] > 0 for rec in contour_records

@@ -1,12 +1,12 @@
 """Complex-time contour integrals around the Jacobi pole lattice.
 
-The resonant-orbit integral is evaluated on a small circle around one
-pole of the complexified orbit velocity and cross-checked against the
-residue closed forms 4*pi*beta*(cosh(.)cos(theta) - i sinh(.)sin(theta)).
-The damping kernel contributes zero residue, so the value is independent
-of delta; theta enters only through the cos/sin kernels, which one
-node-doubling pass integrates into a complex MelnikovKernels, the type of
-the real quadratures.
+The resonant-orbit integral is evaluated on a small circle around one pole
+of the complexified orbit velocity and cross-checked against the residue
+closed form 4*pi*beta*(cosh(.)cos(phi) - i sinh(.)sin(phi)), phi = theta +
+a phase set by the pole.  The damping kernel contributes zero residue, so
+the value is independent of delta; theta enters only through the cos/sin
+kernels, which one node-doubling pass integrates into a complex
+MelnikovKernels, the type of the real quadratures.
 """
 
 from __future__ import annotations
@@ -71,12 +71,12 @@ def admissible_radius(family_tag: str, mod: EllipticModulus) -> float:
 def default_contour(r: Resonance, radius_fraction: float = 0.25) -> ContourSpec:
     """Circle around one enclosed pole, clear of the excluded lines.
 
-    Inner family: center iK' + 2K (the half-period shift); the residue
-    closed form then comes out for n = 1, m odd.  Rotating family: the
-    half-period point is a zero of dn, not a pole, so the center sits a
-    whole number of periods along, at i k K' + 4 n k K, which keeps the
-    circle off the lines Re t = 0 and Re t = 2 pi m / omega and leaves
-    the value unchanged by periodicity.
+    Inner family: center iK' + 2K (the half-period shift), where the
+    forcing phase is omega*2K = pi m/n (contour_integral_closed counts it).
+    Rotating family: the half-period point is a zero of dn, not a pole, so
+    the center sits a whole number of periods along, at i k K' + 4 n k K,
+    which keeps the circle off the lines Re t = 0 and Re t = 2 pi m / omega
+    and leaves the value unchanged by periodicity.
     """
     mod = r.modulus
     if r.family_tag == INNER:
@@ -145,15 +145,21 @@ def residue_terms(r: Resonance) -> Tuple[float, float, float]:
 
 
 def contour_integral_closed(r: Resonance, theta: float, beta: float) -> ContourValue:
-    """Residue closed form of the contour integral.
+    """Residue closed form of the contour integral around default_contour's pole.
 
-    Inner: 4*pi*beta*(cosh(w K')cos(theta) - i sinh(w K')sin(theta));
-    rotating: the same with k*K' and an overall +/- sign.  Its modulus
-    squared is (4*pi*beta)^2 (sinh^2 + cos^2(theta)), least at theta = pi/2,
-    where it is 4*pi*|beta|*sinh: nonzero for every theta whenever beta > 0.
+    Inner: 4*pi*beta*(cosh(w K')cos(phi) - i sinh(w K')sin(phi)) with
+    phi = theta + pi ((m - n) mod 2n)/n; rotating: the same with k*K',
+    phi = theta and an overall +/- sign.  The inner shift is the forcing
+    phase pi m/n at the center iK' + 2K less the pi of cn(t + 2K) = -cn(t),
+    so it vanishes for n = 1 and odd m.  Its modulus squared is
+    (4*pi*beta)^2 (sinh^2 + cos^2(phi)), least at phi = pi/2, where it is
+    4*pi*|beta|*sinh: nonzero for every theta whenever beta > 0.
     Raises ResidueOverflowError where the cosh or the value overflows.
     """
     sign, cosh, sinh = residue_terms(r)
+    shift = (r.m - r.n) % (2 * r.n) if r.family_tag == INNER else 0
+    if shift:
+        theta = theta + math.pi * shift / r.n
     value = (
         sign * 4.0 * math.pi * beta * (cosh * math.cos(theta) - 1j * sinh * math.sin(theta))
     )

@@ -10,7 +10,7 @@ the pole lattice t = iK' (mod 2K, 2iK').
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -82,8 +82,8 @@ def _complementary(x: float) -> float:
 def _complete_K(k: float, k_prime: float) -> float:
     """K(k) from one AGM descent from (1, k'), with no other work.
 
-    Every K of this module is this expression, so a caller that needs
-    only K (a resonance bisection step) gets EllipticModulus.K bit for bit.
+    EllipticModulus.K is this expression, so a caller that needs only K
+    (a resonance bisection step) gets it bit for bit.
     """
     return math.pi / (2.0 * _descent(k_prime, k)[0])
 
@@ -92,15 +92,12 @@ def _complete_K(k: float, k_prime: float) -> float:
 class EllipticModulus:
     """An elliptic modulus k in (0,1) with its precomputed integrals.
 
-    K comes from one AGM descent from (1, k'), K_prime = K(k') and the
-    c-sum of E from one from (1, k), both run at construction (see
-    _descent and _build).  The Landen chain of the Jacobi functions, the
-    level data of the (1, k') descent, and the complementary modulus are
-    built once on first use, so the quadrature loops elsewhere never
-    recompute them.  Construct
-    through ``from_k`` or, when k is extremely close to 1,
-    ``from_k_prime`` (the complement is then the authoritative value and
-    K keeps full accuracy).
+    _build runs the two AGM descents, from (1, k') and from (1, k), and keeps
+    their level data: K and the Landen chain of the Jacobi functions at k,
+    K_prime = K(k') and the chain at k', and through the c-sums E and E'.
+    The complement swaps these and runs no descent.  Construct through
+    ``from_k`` or, when k is extremely close to 1, ``from_k_prime`` (the
+    complement is then the authoritative value and K keeps full accuracy).
     """
 
     k: float
@@ -108,6 +105,11 @@ class EllipticModulus:
     K: float
     E: float
     K_prime: float
+    # (2^n a_n, ((c_n/a_n, b_n/a_n), ..., (c_1/a_1, b_1/a_1))) of the (1, k') descent:
+    # am(t) is phi_0, where phi_n = 2^n a_n t and phi_{j-1} = (phi_j +
+    # arcsin((c_j/a_j) sin phi_j)) / 2 (see _amplitude_reduced for the step's forms)
+    _landen: tuple = field(repr=False, compare=False)
+    _dual: tuple = field(repr=False, compare=False)  # (E', the _landen of k')
 
     @classmethod
     def from_k(cls, k: float) -> "EllipticModulus":
@@ -125,33 +127,24 @@ class EllipticModulus:
 
     @classmethod
     def _build(cls, k: float, k_prime: float) -> "EllipticModulus":
-        K = _complete_K(k, k_prime)
-        a, csum = _descent(k, k_prime)
-        K_prime = math.pi / (2.0 * a)
-        # Legendre's relation with E' = K' (1 - c-sum'): E = pi/(2K') + K c-sum',
-        # a sum of two positive terms, where K (1 - c-sum) cancels as k' -> 0
-        E = math.pi / (2.0 * K_prime) + K * csum
-        return cls(k=k, k_prime=k_prime, K=K, E=E, K_prime=K_prime)
-
-    @cached_property
-    def _landen(self):
-        """(2^n a_n, ((c_n/a_n, b_n/a_n), ..., (c_1/a_1, b_1/a_1))) of the (1, k') descent.
-
-        am(t) is phi_0, where phi_n = 2^n a_n t and phi_{j-1} = (phi_j +
-        arcsin((c_j/a_j) sin phi_j)) / 2 (see _amplitude_reduced for the
-        forms the step takes).  Built on first use rather than in _build,
-        so a modulus whose integrals alone are read costs two descents,
-        not three.
-        """
-        levels = []
-        a, _ = _descent(self.k_prime, self.k, levels)
-        return (2.0 ** len(levels)) * a, tuple(reversed(levels))
+        levels, dual_levels = [], []
+        a, csum = _descent(k_prime, k, levels)
+        a_dual, csum_dual = _descent(k, k_prime, dual_levels)
+        K, K_prime = math.pi / (2.0 * a), math.pi / (2.0 * a_dual)
+        # Legendre's relation with E' = K' (1 - c-sum'): E = pi/(2K') + K c-sum', a sum
+        # of two positive terms, where K (1 - c-sum) cancels as k' -> 0; E' likewise
+        E = math.pi / (2.0 * K_prime) + K * csum_dual
+        E_prime = math.pi / (2.0 * K) + K_prime * csum
+        landen = (2.0 ** len(levels)) * a, tuple(reversed(levels))
+        dual_landen = (2.0 ** len(dual_levels)) * a_dual, tuple(reversed(dual_levels))
+        return cls(k, k_prime, K, E, K_prime, landen, (E_prime, dual_landen))
 
     @cached_property
     def complement(self) -> "EllipticModulus":
         """The modulus k' with roles of K and K' swapped (one object per modulus)."""
-        # the same two descents, so K and K' swap bit for bit
-        return EllipticModulus._build(self.k_prime, self.k)
+        E_prime, dual_landen = self._dual
+        return EllipticModulus(self.k_prime, self.k, self.K_prime, E_prime, self.K,
+                               dual_landen, (self.E, self._landen))
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,8 @@ K_WINDOW = (1e-6, 1.0 - 1e-15)  # moduli that resonance tables and certificates 
 # float step of k' near 1, which moves k by 2^-53 / k^2 relative: more than
 # _RESONANCE_RTOL below k = 1.054e-3 (the largest failing k found is 1.051e-3).
 _ROTATING_K_MIN = 1.1e-3
-_SLOPE_TOL = 1e-10  # simple_zeros: a zero with a larger |slope| is simple,
-_TANGENCY_TOL = 1e-12  # one with | |const| - |coeff| | <= this * scale a tangency
+# simple_zeros: a curve with | |const| - |coeff| | <= this * max(|const|, |coeff|) is tangent
+_TANGENCY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -508,12 +508,13 @@ def simple_zeros(curve: MelnikovCurve) -> ZeroAnalysis:
 
     Zeros exist iff |const_term| <= |cos_coeff|; at equality the single
     zero is a tangency, reported with simple=False rather than dropped,
-    so certificates can tell "no zero" from "degenerate zero".  Any other
-    zero is simple where its slope -cos_coeff*sin(theta) exceeds
-    _SLOPE_TOL in magnitude.
+    so certificates can tell "no zero" from "degenerate zero".  Every
+    other zero has |slope| >= 1e-6 |cos_coeff| and is simple.  Both tests
+    are relative to max(|const_term|, |cos_coeff|), so a curve and its
+    scaled copies have the same zeros.
     """
     c, a = curve.const_term, curve.cos_coeff
-    scale = max(abs(c), abs(a), 1.0)
+    scale = max(abs(c), abs(a))
     if abs(a) <= _TANGENCY_TOL * scale:
         return ZeroAnalysis(())
     if abs(abs(c) - abs(a)) <= _TANGENCY_TOL * scale:
@@ -522,8 +523,7 @@ def simple_zeros(curve: MelnikovCurve) -> ZeroAnalysis:
         return ZeroAnalysis(())
     theta0 = math.acos(-c / a)
     return ZeroAnalysis(tuple(
-        MelnikovZero(theta, abs(a * math.sin(theta)) > _SLOPE_TOL)
-        for theta in (theta0, 2.0 * math.pi - theta0)
+        MelnikovZero(theta, True) for theta in (theta0, 2.0 * math.pi - theta0)
     ))
 
 

@@ -57,7 +57,7 @@ _STEPS_PER_UNIT_TIME = 1000
 _NEWTON_MAX = 25  # Newton steps per seed, so at most _NEWTON_MAX + 1 flows
 _RESIDUAL_TOL = 1e-10  # map residual that counts as a fixed point
 _ORBIT_SAMPLES = 1024  # coarse grid of the distance-to-orbit search
-_SCALING_BAND = 2.0  # largest max/min of distance/eps that scaling_band accepts
+_SCALING_BAND = 2.0  # largest max/min of distance/|eps| that scaling_band accepts
 
 # scipy's DOP853 step-size rule (scipy/integrate/_ivp/rk.py)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -487,8 +487,8 @@ def find_subharmonic(
 
 
 def scaling_band(eps_list, distances) -> Tuple[bool, List[float]]:
-    """First-order persistence check: distance/eps within a factor _SCALING_BAND."""
-    ratios = [d / e for d, e in zip(distances, eps_list)]
+    """First-order persistence check: distance/|eps| within a factor _SCALING_BAND."""
+    ratios = [d / abs(e) for d, e in zip(distances, eps_list)]
     positive = [r for r in ratios if r > 0]
     if not positive:
         return True, ratios

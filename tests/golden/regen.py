@@ -26,6 +26,7 @@ CASES = (
     ("melnikov", "--homoclinic", "--omega", "1000"),
     ("contour", "--family", "inner", "--m", "3", "--theta-points", "16"),
     ("contour", "--family", "rotating+", "--m", "2", "--n", "1"),
+    ("contour", "--family", "inner", "--m", "3", "--n", "2", "--theta-points", "4"),
     ("resonances", "--family", "rotating-", "--omega", "1.2", "--m-max", "7",
      "--n-max", "3", "--format", "json"),
     ("resonances", "--family", "inner", "--m-max", "9"),

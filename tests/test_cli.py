@@ -251,23 +251,24 @@ class TestContourCommand:
         assert "pole" in err
 
     def test_three_radii_match_closed_form(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            [
-                "contour", "--family", "rotating+", "--m", "2", "--n", "1",
-                "--theta-points", "4",
-            ],
-        )
-        assert code == EXIT_OK
-        header, rows = parse_csv(out)
-        assert header == [
-            "theta", "radius", "re_numeric", "im_numeric", "re_closed", "im_closed",
-        ]
-        assert len(rows) == 12  # 4 thetas x 3 radii
-        assert len({r[1] for r in rows}) == 3
-        for r in rows:
-            assert abs(float(r[2]) - float(r[4])) <= 1e-8
-            assert abs(float(r[3]) - float(r[5])) <= 1e-8
+        for family in ("rotating+", "inner"):
+            code, out, _ = run_cli(
+                capsys,
+                [
+                    "contour", "--family", family, "--m", "2", "--n", "1",
+                    "--theta-points", "4",
+                ],
+            )
+            assert code == EXIT_OK
+            header, rows = parse_csv(out)
+            assert header == [
+                "theta", "radius", "re_numeric", "im_numeric", "re_closed", "im_closed",
+            ]
+            assert len(rows) == 12  # 4 thetas x 3 radii
+            assert len({r[1] for r in rows}) == 3
+            for r in rows:
+                assert abs(float(r[2]) - float(r[4])) <= 1e-8
+                assert abs(float(r[3]) - float(r[5])) <= 1e-8
 
 
 class TestCertifyCommand:
@@ -358,6 +359,17 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["theta0"] == pytest.approx(math.pi / 2.0)
+
+    def test_small_beta_seeds_at_a_simple_zero(self, capsys):
+        # the beta = 1 curve scaled by 1e-13 has the same simple zeros
+        code, out, _ = run_cli(
+            capsys, ["verify", "--m", "3", "--beta", "1e-13", "--eps", "1e-3", "5e-4"]
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["theta0"] == 0.5 * math.pi
+        assert doc["simple_zero_hypothesis"]
+        assert all(rec["converged"] for rec in doc["results"])
 
     def test_integration_failure_exits_3(self, capsys, monkeypatch):
         import melnikov_lab.poincare as poincare

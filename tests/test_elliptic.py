@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
+import melnikov_lab.elliptic as elliptic_module
 from melnikov_lab.elliptic import (
     EllipticModulus,
     PoleProximityError,
@@ -104,6 +105,20 @@ class TestEllipticModulus:
         assert comp is m.complement
         fresh = EllipticModulus.from_k_prime(0.6)
         assert (comp.K, comp.E, comp.K_prime) == (fresh.K, fresh.E, fresh.K_prime)
+
+    def test_jacobi_functions_and_complement_reuse_the_two_descents(self, monkeypatch):
+        calls = []
+
+        def counting_descent(b, c, levels=None):
+            calls.append(b)
+            return _descent(b, c, levels)
+
+        monkeypatch.setattr(elliptic_module, "_descent", counting_descent)
+        m = EllipticModulus.from_k_prime(0.036)
+        jacobi_real(0.4, m)
+        jacobi_am(0.4, m)
+        jacobi_complex(0.4 + 0.3j, m)
+        assert len(calls) == 2
 
     def test_from_k_prime_high_modulus(self):
         # k this close to 1 is only representable through its complement

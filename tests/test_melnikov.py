@@ -42,9 +42,9 @@ def _count_work(monkeypatch):
         builds.append(k_prime)
         return build(k, k_prime)
 
-    def counting_descent(b, c):
+    def counting_descent(b, c, levels=None):
         descents.append(b)
-        return descent(b, c)
+        return descent(b, c, levels)
 
     monkeypatch.setattr(EllipticModulus, "_build", classmethod(counting_build))
     monkeypatch.setattr(elliptic_module, "_descent", counting_descent)
@@ -494,6 +494,16 @@ class TestSimpleZeros:
 
     def test_constant_curve(self):
         assert simple_zeros(MelnikovCurve(-5.0, 0.0)).zeros == ()
+
+    def test_zeros_do_not_depend_on_the_curve_scale(self):
+        analyses = [simple_zeros(MelnikovCurve(-0.5 * s, s)) for s in (1e-13, 1.0, 1e13)]
+        assert analyses[0] == analyses[1] == analyses[2]
+        assert analyses[0].has_simple_zero
+
+    def test_small_curve_has_two_simple_zeros(self):
+        analysis = simple_zeros(MelnikovCurve(0.0, 1e-13))
+        assert [z.theta for z in analysis.zeros] == [0.5 * math.pi, 1.5 * math.pi]
+        assert all(z.simple for z in analysis.zeros)
 
 
 class TestChaosCondition:

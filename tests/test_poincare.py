@@ -369,8 +369,10 @@ class TestScalingBand:
         assert ratios == pytest.approx([0.3, 0.32])
 
     def test_divergent_ratio_out_of_band(self):
-        ok, _ = scaling_band([1e-3, 5e-4], [1e-4, 3e-4])
-        assert not ok
+        for sign in (1.0, -1.0):
+            ok, ratios = scaling_band([sign * 1e-3, sign * 5e-4], [1e-4, 3e-4])
+            assert not ok
+            assert ratios == pytest.approx([0.1, 0.6])
 
     def test_empty_input(self):
         ok, ratios = scaling_band([], [])

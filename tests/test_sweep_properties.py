@@ -2,9 +2,10 @@
 
 An array-θ quadrature call must equal the per-θ calls and both must match
 the closed forms; the one-pass contour kernels must match the residue
-closed form on every aligned resonance (n = 1, and odd m on the inner
-family), and the certificate's least |contour integral| must be the least
-|residue closed form| over theta, attained at theta = pi/2.
+closed form on every resonance, and the certificate's least |contour
+integral| must be the least |residue closed form| over theta, attained
+where the residue form's phase is pi/2: at theta = pi/2 less the inner
+family's shift pi ((m - n) mod 2n)/n.
 """
 
 import math
@@ -72,7 +73,6 @@ def test_homoclinic_array_call_matches_scalar_calls_and_closed_form(
 @PROPERTY
 @given(resonances(), amplitudes, amplitudes)
 def test_one_pass_contour_kernels_match_residue_closed_form(r, beta, delta):
-    assume(r.n == 1 and (r.family_tag != INNER or r.m % 2 == 1))
     ker = contour_kernels(r, default_contour(r), tol=1e-10)
     for th in THETAS:
         numeric = beta * (
@@ -85,11 +85,12 @@ def test_one_pass_contour_kernels_match_residue_closed_form(r, beta, delta):
 @PROPERTY
 @given(resonances(), st.floats(1e-6, 1e6), st.floats(-10.0, 10.0))
 @example(solve_resonance(INNER, 1.0, 3, 1), 1.0, 1.5 * math.pi)
+@example(solve_resonance(INNER, 1.0, 3, 2), 1.0, 0.0)
 def test_certified_contour_minimum_is_the_least_residue(r, beta, theta):
-    assume(r.n == 1 and (r.family_tag != INNER or r.m % 2 == 1))
     least = _contour_record(r, beta, False)["min_abs_integral"]
     assert least > 0.0
     closed = abs(contour_integral_closed(r, theta, beta).value)
     assert closed >= least * (1.0 - 4.0 * np.finfo(float).eps)
-    at_pi_2 = abs(contour_integral_closed(r, 0.5 * math.pi, beta).value)
+    shift = math.pi * ((r.m - r.n) % (2 * r.n)) / r.n if r.family_tag == INNER else 0.0
+    at_pi_2 = abs(contour_integral_closed(r, 0.5 * math.pi - shift, beta).value)
     assert abs(at_pi_2 - least) <= 2.0 * math.ulp(least)
