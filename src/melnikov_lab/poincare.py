@@ -6,17 +6,19 @@ runs Newton on its fixed-point equation to confirm that simple zeros of
 the subharmonic Melnikov function mark persisting periodic orbits at
 O(epsilon) distance from the unperturbed resonant orbit.
 
-The flows are nearly all of the cost, and a 2-D or 6-D state is too small
+Every flow is one system: the state (x1, x2) and its tangent map, whose
+steps are chosen from the state alone, so stroboscopic_map is its state
+half.  The flows are nearly all of the cost, and a 6-D state is too small
 for numpy to pay for itself: scipy's DOP853 spends its time in per-stage
 array calls.  So scipy.integrate.solve_ivp drives _DOP853Kernel, a DOP853
-whose steps run on Python floats with the tableau written out, under
-scipy's step-size rule and error norm.  It sums each stage left to right
-where scipy's BLAS dot may not, so its states agree with scipy's to
-round-off, and it takes scipy's steps wherever no accept/reject or
-step-size decision rests on that round-off.  It counts its own RHS
-evaluations (sol.nfev), and it gives up after _STEPS_PER_UNIT_TIME
-attempted steps per unit of flow time, where a huge epsilon would
-otherwise shrink the steps without end.
+whose steps run on Python floats with the tableau and the right-hand side
+written out, under scipy's step-size rule and error norm.  It sums each
+stage left to right where scipy's BLAS dot may not, so its states agree
+with scipy's to round-off, and it takes scipy's steps wherever no
+accept/reject or step-size decision rests on that round-off.  It counts
+its own RHS evaluations (sol.nfev), and it gives up after
+_STEPS_PER_UNIT_TIME attempted steps per unit of flow time, where a huge
+epsilon would otherwise shrink the steps without end.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ __all__ = [
 
 # Absolute = relative tolerance on (x1, x2) of the DOP853 flows (an
 # order >= 5 embedded Runge-Kutta pair) of the maps and fixed points.
-# Tangent-map components ride along unchecked (see _integrate).
+# Tangent-map components ride along unchecked (see _variational_map).
 _FLOW_TOL = 1e-12
 # Attempted steps per unit of flow time before a flow fails (a flow shorter
 # than 2*pi gets 2*pi's worth): about 100x the most that any flow of the
@@ -64,15 +66,21 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 def _dop853_attempt():
-    """One DOP853 step attempt on Python floats, scipy's tableau read once.
+    """One DOP853 step attempt of the variational flow, scipy's tableau read once.
 
-    attempt(fun, t, y, k1, h, checked, n), with k1 = fun(t, y), returns
-    y_new, f_new = fun(t + h, y_new) and scipy's DOP853 error norm over the
-    (index, atol, rtol) components in checked, divided by sqrt(n) as for n
-    components.  Names are Hairer's: stages k1, ..., k12, weights a_ij and
-    b_i, and the fifth- and third-order error weights e5_i, e3_i.  Only the
-    nonzero entries of the tableau appear; an underscore marks a zero.
+    attempt(t, y, k1, h, forcing, tol, n) steps y = (x1, x2, p11, p12, p21,
+    p22), the state and its tangent map, with k1 its derivative at t and
+    forcing = (eps, beta, delta, omega, theta).  It returns y_new, its
+    derivative f_new at t + h, and scipy's DOP853 error norm over x1 and x2
+    with tol = (atol1, rtol1, atol2, rtol2), divided by sqrt(n) as for n
+    components.  Each stage evaluates the right-hand side inline with the
+    expressions of _variational_map's rhs, and sums its terms in tableau
+    order.  Names are Hairer's: stages k1, ..., k12 with components ks_1,
+    ..., ks_6, weights a_ij and b_i, and the fifth- and third-order error
+    weights e5_i, e3_i.  Only the nonzero entries of the tableau appear; an
+    underscore marks a zero.
     """
+    cos, sin = math.cos, math.sin
     A, B = DOP853.A.tolist(), DOP853.B.tolist()
     E5, E3 = DOP853.E5.tolist(), DOP853.E3.tolist()
     c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = DOP853.C.tolist()[1:]
@@ -91,110 +99,267 @@ def _dop853_attempt():
     e5_1, _, _, _, _, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12 = E5[:12]
     e3_1, _, _, _, _, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, e3_12 = E3[:12]
 
-    def attempt(fun, t, y, k1, h, checked, n):
-        k2 = fun(t + c2 * h, [x + (a21 * p1) * h for x, p1 in zip(y, k1)])
-        k3 = fun(
-            t + c3 * h,
-            [x + (a31 * p1 + a32 * p2) * h for x, p1, p2 in zip(y, k1, k2)],
+    def attempt(t, y, k1, h, forcing, tol, n):
+        eps, beta, delta, omega, theta = forcing
+        damping = eps * delta
+        y1, y2, y3, y4, y5, y6 = y
+        k1_1, k1_2, k1_3, k1_4, k1_5, k1_6 = k1
+
+        x1 = y1 + (a21 * k1_1) * h
+        x2 = y2 + (a21 * k1_2) * h
+        p11 = y3 + (a21 * k1_3) * h
+        p12 = y4 + (a21 * k1_4) * h
+        p21 = y5 + (a21 * k1_5) * h
+        p22 = y6 + (a21 * k1_6) * h
+        c = cos(x1)
+        k2_1, k2_3, k2_4 = x2, p21, p22
+        k2_2 = -sin(x1) + eps * (beta * cos(omega * (t + c2 * h) + theta) - delta * x2)
+        k2_5 = -c * p11 - damping * p21
+        k2_6 = -c * p12 - damping * p22
+
+        x1 = y1 + (a31 * k1_1 + a32 * k2_1) * h
+        x2 = y2 + (a31 * k1_2 + a32 * k2_2) * h
+        p11 = y3 + (a31 * k1_3 + a32 * k2_3) * h
+        p12 = y4 + (a31 * k1_4 + a32 * k2_4) * h
+        p21 = y5 + (a31 * k1_5 + a32 * k2_5) * h
+        p22 = y6 + (a31 * k1_6 + a32 * k2_6) * h
+        c = cos(x1)
+        k3_1, k3_3, k3_4 = x2, p21, p22
+        k3_2 = -sin(x1) + eps * (beta * cos(omega * (t + c3 * h) + theta) - delta * x2)
+        k3_5 = -c * p11 - damping * p21
+        k3_6 = -c * p12 - damping * p22
+
+        x1 = y1 + (a41 * k1_1 + a43 * k3_1) * h
+        x2 = y2 + (a41 * k1_2 + a43 * k3_2) * h
+        p11 = y3 + (a41 * k1_3 + a43 * k3_3) * h
+        p12 = y4 + (a41 * k1_4 + a43 * k3_4) * h
+        p21 = y5 + (a41 * k1_5 + a43 * k3_5) * h
+        p22 = y6 + (a41 * k1_6 + a43 * k3_6) * h
+        c = cos(x1)
+        k4_1, k4_3, k4_4 = x2, p21, p22
+        k4_2 = -sin(x1) + eps * (beta * cos(omega * (t + c4 * h) + theta) - delta * x2)
+        k4_5 = -c * p11 - damping * p21
+        k4_6 = -c * p12 - damping * p22
+
+        x1 = y1 + (a51 * k1_1 + a53 * k3_1 + a54 * k4_1) * h
+        x2 = y2 + (a51 * k1_2 + a53 * k3_2 + a54 * k4_2) * h
+        p11 = y3 + (a51 * k1_3 + a53 * k3_3 + a54 * k4_3) * h
+        p12 = y4 + (a51 * k1_4 + a53 * k3_4 + a54 * k4_4) * h
+        p21 = y5 + (a51 * k1_5 + a53 * k3_5 + a54 * k4_5) * h
+        p22 = y6 + (a51 * k1_6 + a53 * k3_6 + a54 * k4_6) * h
+        c = cos(x1)
+        k5_1, k5_3, k5_4 = x2, p21, p22
+        k5_2 = -sin(x1) + eps * (beta * cos(omega * (t + c5 * h) + theta) - delta * x2)
+        k5_5 = -c * p11 - damping * p21
+        k5_6 = -c * p12 - damping * p22
+
+        x1 = y1 + (a61 * k1_1 + a64 * k4_1 + a65 * k5_1) * h
+        x2 = y2 + (a61 * k1_2 + a64 * k4_2 + a65 * k5_2) * h
+        p11 = y3 + (a61 * k1_3 + a64 * k4_3 + a65 * k5_3) * h
+        p12 = y4 + (a61 * k1_4 + a64 * k4_4 + a65 * k5_4) * h
+        p21 = y5 + (a61 * k1_5 + a64 * k4_5 + a65 * k5_5) * h
+        p22 = y6 + (a61 * k1_6 + a64 * k4_6 + a65 * k5_6) * h
+        c = cos(x1)
+        k6_1, k6_3, k6_4 = x2, p21, p22
+        k6_2 = -sin(x1) + eps * (beta * cos(omega * (t + c6 * h) + theta) - delta * x2)
+        k6_5 = -c * p11 - damping * p21
+        k6_6 = -c * p12 - damping * p22
+
+        x1 = y1 + (a71 * k1_1 + a74 * k4_1 + a75 * k5_1 + a76 * k6_1) * h
+        x2 = y2 + (a71 * k1_2 + a74 * k4_2 + a75 * k5_2 + a76 * k6_2) * h
+        p11 = y3 + (a71 * k1_3 + a74 * k4_3 + a75 * k5_3 + a76 * k6_3) * h
+        p12 = y4 + (a71 * k1_4 + a74 * k4_4 + a75 * k5_4 + a76 * k6_4) * h
+        p21 = y5 + (a71 * k1_5 + a74 * k4_5 + a75 * k5_5 + a76 * k6_5) * h
+        p22 = y6 + (a71 * k1_6 + a74 * k4_6 + a75 * k5_6 + a76 * k6_6) * h
+        c = cos(x1)
+        k7_1, k7_3, k7_4 = x2, p21, p22
+        k7_2 = -sin(x1) + eps * (beta * cos(omega * (t + c7 * h) + theta) - delta * x2)
+        k7_5 = -c * p11 - damping * p21
+        k7_6 = -c * p12 - damping * p22
+
+        x1 = y1 + (a81 * k1_1 + a84 * k4_1 + a85 * k5_1 + a86 * k6_1 + a87 * k7_1) * h
+        x2 = y2 + (a81 * k1_2 + a84 * k4_2 + a85 * k5_2 + a86 * k6_2 + a87 * k7_2) * h
+        p11 = y3 + (a81 * k1_3 + a84 * k4_3 + a85 * k5_3 + a86 * k6_3 + a87 * k7_3) * h
+        p12 = y4 + (a81 * k1_4 + a84 * k4_4 + a85 * k5_4 + a86 * k6_4 + a87 * k7_4) * h
+        p21 = y5 + (a81 * k1_5 + a84 * k4_5 + a85 * k5_5 + a86 * k6_5 + a87 * k7_5) * h
+        p22 = y6 + (a81 * k1_6 + a84 * k4_6 + a85 * k5_6 + a86 * k6_6 + a87 * k7_6) * h
+        c = cos(x1)
+        k8_1, k8_3, k8_4 = x2, p21, p22
+        k8_2 = -sin(x1) + eps * (beta * cos(omega * (t + c8 * h) + theta) - delta * x2)
+        k8_5 = -c * p11 - damping * p21
+        k8_6 = -c * p12 - damping * p22
+
+        x1 = y1 + (
+            a91 * k1_1 + a94 * k4_1 + a95 * k5_1 + a96 * k6_1 + a97 * k7_1 + a98 * k8_1
+        ) * h
+        x2 = y2 + (
+            a91 * k1_2 + a94 * k4_2 + a95 * k5_2 + a96 * k6_2 + a97 * k7_2 + a98 * k8_2
+        ) * h
+        p11 = y3 + (
+            a91 * k1_3 + a94 * k4_3 + a95 * k5_3 + a96 * k6_3 + a97 * k7_3 + a98 * k8_3
+        ) * h
+        p12 = y4 + (
+            a91 * k1_4 + a94 * k4_4 + a95 * k5_4 + a96 * k6_4 + a97 * k7_4 + a98 * k8_4
+        ) * h
+        p21 = y5 + (
+            a91 * k1_5 + a94 * k4_5 + a95 * k5_5 + a96 * k6_5 + a97 * k7_5 + a98 * k8_5
+        ) * h
+        p22 = y6 + (
+            a91 * k1_6 + a94 * k4_6 + a95 * k5_6 + a96 * k6_6 + a97 * k7_6 + a98 * k8_6
+        ) * h
+        c = cos(x1)
+        k9_1, k9_3, k9_4 = x2, p21, p22
+        k9_2 = -sin(x1) + eps * (beta * cos(omega * (t + c9 * h) + theta) - delta * x2)
+        k9_5 = -c * p11 - damping * p21
+        k9_6 = -c * p12 - damping * p22
+
+        x1 = y1 + (
+            a101 * k1_1 + a104 * k4_1 + a105 * k5_1 + a106 * k6_1 + a107 * k7_1
+            + a108 * k8_1 + a109 * k9_1
+        ) * h
+        x2 = y2 + (
+            a101 * k1_2 + a104 * k4_2 + a105 * k5_2 + a106 * k6_2 + a107 * k7_2
+            + a108 * k8_2 + a109 * k9_2
+        ) * h
+        p11 = y3 + (
+            a101 * k1_3 + a104 * k4_3 + a105 * k5_3 + a106 * k6_3 + a107 * k7_3
+            + a108 * k8_3 + a109 * k9_3
+        ) * h
+        p12 = y4 + (
+            a101 * k1_4 + a104 * k4_4 + a105 * k5_4 + a106 * k6_4 + a107 * k7_4
+            + a108 * k8_4 + a109 * k9_4
+        ) * h
+        p21 = y5 + (
+            a101 * k1_5 + a104 * k4_5 + a105 * k5_5 + a106 * k6_5 + a107 * k7_5
+            + a108 * k8_5 + a109 * k9_5
+        ) * h
+        p22 = y6 + (
+            a101 * k1_6 + a104 * k4_6 + a105 * k5_6 + a106 * k6_6 + a107 * k7_6
+            + a108 * k8_6 + a109 * k9_6
+        ) * h
+        c = cos(x1)
+        k10_1, k10_3, k10_4 = x2, p21, p22
+        k10_2 = -sin(x1) + eps * (beta * cos(omega * (t + c10 * h) + theta) - delta * x2)
+        k10_5 = -c * p11 - damping * p21
+        k10_6 = -c * p12 - damping * p22
+
+        x1 = y1 + (
+            a111 * k1_1 + a114 * k4_1 + a115 * k5_1 + a116 * k6_1 + a117 * k7_1
+            + a118 * k8_1 + a119 * k9_1 + a1110 * k10_1
+        ) * h
+        x2 = y2 + (
+            a111 * k1_2 + a114 * k4_2 + a115 * k5_2 + a116 * k6_2 + a117 * k7_2
+            + a118 * k8_2 + a119 * k9_2 + a1110 * k10_2
+        ) * h
+        p11 = y3 + (
+            a111 * k1_3 + a114 * k4_3 + a115 * k5_3 + a116 * k6_3 + a117 * k7_3
+            + a118 * k8_3 + a119 * k9_3 + a1110 * k10_3
+        ) * h
+        p12 = y4 + (
+            a111 * k1_4 + a114 * k4_4 + a115 * k5_4 + a116 * k6_4 + a117 * k7_4
+            + a118 * k8_4 + a119 * k9_4 + a1110 * k10_4
+        ) * h
+        p21 = y5 + (
+            a111 * k1_5 + a114 * k4_5 + a115 * k5_5 + a116 * k6_5 + a117 * k7_5
+            + a118 * k8_5 + a119 * k9_5 + a1110 * k10_5
+        ) * h
+        p22 = y6 + (
+            a111 * k1_6 + a114 * k4_6 + a115 * k5_6 + a116 * k6_6 + a117 * k7_6
+            + a118 * k8_6 + a119 * k9_6 + a1110 * k10_6
+        ) * h
+        c = cos(x1)
+        k11_1, k11_3, k11_4 = x2, p21, p22
+        k11_2 = -sin(x1) + eps * (beta * cos(omega * (t + c11 * h) + theta) - delta * x2)
+        k11_5 = -c * p11 - damping * p21
+        k11_6 = -c * p12 - damping * p22
+
+        x1 = y1 + (
+            a121 * k1_1 + a124 * k4_1 + a125 * k5_1 + a126 * k6_1 + a127 * k7_1
+            + a128 * k8_1 + a129 * k9_1 + a1210 * k10_1 + a1211 * k11_1
+        ) * h
+        x2 = y2 + (
+            a121 * k1_2 + a124 * k4_2 + a125 * k5_2 + a126 * k6_2 + a127 * k7_2
+            + a128 * k8_2 + a129 * k9_2 + a1210 * k10_2 + a1211 * k11_2
+        ) * h
+        p11 = y3 + (
+            a121 * k1_3 + a124 * k4_3 + a125 * k5_3 + a126 * k6_3 + a127 * k7_3
+            + a128 * k8_3 + a129 * k9_3 + a1210 * k10_3 + a1211 * k11_3
+        ) * h
+        p12 = y4 + (
+            a121 * k1_4 + a124 * k4_4 + a125 * k5_4 + a126 * k6_4 + a127 * k7_4
+            + a128 * k8_4 + a129 * k9_4 + a1210 * k10_4 + a1211 * k11_4
+        ) * h
+        p21 = y5 + (
+            a121 * k1_5 + a124 * k4_5 + a125 * k5_5 + a126 * k6_5 + a127 * k7_5
+            + a128 * k8_5 + a129 * k9_5 + a1210 * k10_5 + a1211 * k11_5
+        ) * h
+        p22 = y6 + (
+            a121 * k1_6 + a124 * k4_6 + a125 * k5_6 + a126 * k6_6 + a127 * k7_6
+            + a128 * k8_6 + a129 * k9_6 + a1210 * k10_6 + a1211 * k11_6
+        ) * h
+        c = cos(x1)
+        k12_1, k12_3, k12_4 = x2, p21, p22
+        k12_2 = -sin(x1) + eps * (beta * cos(omega * (t + c12 * h) + theta) - delta * x2)
+        k12_5 = -c * p11 - damping * p21
+        k12_6 = -c * p12 - damping * p22
+
+        x1 = y1 + h * (
+            b1 * k1_1 + b6 * k6_1 + b7 * k7_1 + b8 * k8_1 + b9 * k9_1 + b10 * k10_1
+            + b11 * k11_1 + b12 * k12_1
         )
-        k4 = fun(
-            t + c4 * h,
-            [x + (a41 * p1 + a43 * p3) * h for x, p1, p3 in zip(y, k1, k3)],
+        x2 = y2 + h * (
+            b1 * k1_2 + b6 * k6_2 + b7 * k7_2 + b8 * k8_2 + b9 * k9_2 + b10 * k10_2
+            + b11 * k11_2 + b12 * k12_2
         )
-        k5 = fun(
-            t + c5 * h,
-            [
-                x + (a51 * p1 + a53 * p3 + a54 * p4) * h
-                for x, p1, p3, p4 in zip(y, k1, k3, k4)
-            ],
+        p11 = y3 + h * (
+            b1 * k1_3 + b6 * k6_3 + b7 * k7_3 + b8 * k8_3 + b9 * k9_3 + b10 * k10_3
+            + b11 * k11_3 + b12 * k12_3
         )
-        k6 = fun(
-            t + c6 * h,
-            [
-                x + (a61 * p1 + a64 * p4 + a65 * p5) * h
-                for x, p1, p4, p5 in zip(y, k1, k4, k5)
-            ],
+        p12 = y4 + h * (
+            b1 * k1_4 + b6 * k6_4 + b7 * k7_4 + b8 * k8_4 + b9 * k9_4 + b10 * k10_4
+            + b11 * k11_4 + b12 * k12_4
         )
-        k7 = fun(
-            t + c7 * h,
-            [
-                x + (a71 * p1 + a74 * p4 + a75 * p5 + a76 * p6) * h
-                for x, p1, p4, p5, p6 in zip(y, k1, k4, k5, k6)
-            ],
+        p21 = y5 + h * (
+            b1 * k1_5 + b6 * k6_5 + b7 * k7_5 + b8 * k8_5 + b9 * k9_5 + b10 * k10_5
+            + b11 * k11_5 + b12 * k12_5
         )
-        k8 = fun(
-            t + c8 * h,
-            [
-                x + (a81 * p1 + a84 * p4 + a85 * p5 + a86 * p6 + a87 * p7) * h
-                for x, p1, p4, p5, p6, p7 in zip(y, k1, k4, k5, k6, k7)
-            ],
+        p22 = y6 + h * (
+            b1 * k1_6 + b6 * k6_6 + b7 * k7_6 + b8 * k8_6 + b9 * k9_6 + b10 * k10_6
+            + b11 * k11_6 + b12 * k12_6
         )
-        k9 = fun(
-            t + c9 * h,
-            [
-                x
-                + (a91 * p1 + a94 * p4 + a95 * p5 + a96 * p6 + a97 * p7 + a98 * p8) * h
-                for x, p1, p4, p5, p6, p7, p8 in zip(y, k1, k4, k5, k6, k7, k8)
-            ],
+        c = cos(x1)
+        y_new = (x1, x2, p11, p12, p21, p22)
+        f_new = (
+            x2,
+            -sin(x1) + eps * (beta * cos(omega * (t + h) + theta) - delta * x2),
+            p21,
+            p22,
+            -c * p11 - damping * p21,
+            -c * p12 - damping * p22,
         )
-        k10 = fun(
-            t + c10 * h,
-            [
-                x
-                + (
-                    a101 * p1 + a104 * p4 + a105 * p5 + a106 * p6 + a107 * p7
-                    + a108 * p8 + a109 * p9
-                ) * h
-                for x, p1, p4, p5, p6, p7, p8, p9 in zip(y, k1, k4, k5, k6, k7, k8, k9)
-            ],
-        )
-        k11 = fun(
-            t + c11 * h,
-            [
-                x
-                + (
-                    a111 * p1 + a114 * p4 + a115 * p5 + a116 * p6 + a117 * p7
-                    + a118 * p8 + a119 * p9 + a1110 * p10
-                ) * h
-                for x, p1, p4, p5, p6, p7, p8, p9, p10
-                in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)
-            ],
-        )
-        k12 = fun(
-            t + c12 * h,
-            [
-                x
-                + (
-                    a121 * p1 + a124 * p4 + a125 * p5 + a126 * p6 + a127 * p7
-                    + a128 * p8 + a129 * p9 + a1210 * p10 + a1211 * p11
-                ) * h
-                for x, p1, p4, p5, p6, p7, p8, p9, p10, p11
-                in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)
-            ],
-        )
-        y_new = [
-            x
-            + h * (
-                b1 * p1 + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10
-                + b11 * p11 + b12 * p12
-            )
-            for x, p1, p6, p7, p8, p9, p10, p11, p12
-            in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)
-        ]
-        f_new = fun(t + h, y_new)
-        sum5 = sum3 = 0.0
-        for i, atol, rtol in checked:
-            scale = atol + max(abs(y[i]), abs(y_new[i])) * rtol
-            err5 = (
-                e5_1 * k1[i] + e5_6 * k6[i] + e5_7 * k7[i] + e5_8 * k8[i]
-                + e5_9 * k9[i] + e5_10 * k10[i] + e5_11 * k11[i] + e5_12 * k12[i]
-            ) / scale
-            err3 = (
-                e3_1 * k1[i] + e3_6 * k6[i] + e3_7 * k7[i] + e3_8 * k8[i]
-                + e3_9 * k9[i] + e3_10 * k10[i] + e3_11 * k11[i] + e3_12 * k12[i]
-            ) / scale
-            sum5 += err5 * err5
-            sum3 += err3 * err3
+
+        atol1, rtol1, atol2, rtol2 = tol
+        scale = atol1 + max(abs(y1), abs(x1)) * rtol1
+        err5 = (
+            e5_1 * k1_1 + e5_6 * k6_1 + e5_7 * k7_1 + e5_8 * k8_1
+            + e5_9 * k9_1 + e5_10 * k10_1 + e5_11 * k11_1 + e5_12 * k12_1
+        ) / scale
+        err3 = (
+            e3_1 * k1_1 + e3_6 * k6_1 + e3_7 * k7_1 + e3_8 * k8_1
+            + e3_9 * k9_1 + e3_10 * k10_1 + e3_11 * k11_1 + e3_12 * k12_1
+        ) / scale
+        sum5, sum3 = err5 * err5, err3 * err3
+        scale = atol2 + max(abs(y2), abs(x2)) * rtol2
+        err5 = (
+            e5_1 * k1_2 + e5_6 * k6_2 + e5_7 * k7_2 + e5_8 * k8_2
+            + e5_9 * k9_2 + e5_10 * k10_2 + e5_11 * k11_2 + e5_12 * k12_2
+        ) / scale
+        err3 = (
+            e3_1 * k1_2 + e3_6 * k6_2 + e3_7 * k7_2 + e3_8 * k8_2
+            + e3_9 * k9_2 + e3_10 * k10_2 + e3_11 * k11_2 + e3_12 * k12_2
+        ) / scale
+        sum5 += err5 * err5
+        sum3 += err3 * err3
         if sum5 == 0.0 and sum3 == 0.0:
             return y_new, f_new, 0.0
         return y_new, f_new, abs(h) * sum5 / math.sqrt((sum5 + 0.01 * sum3) * n)
@@ -206,27 +371,28 @@ _attempt = _dop853_attempt()
 
 
 class _DOP853Kernel(DOP853):
-    """scipy's DOP853 with each step taken on Python floats.
+    """scipy's DOP853 on the pendulum's variational flow, each step on Python floats.
 
-    scipy's own set-up (first RHS call, initial step, tolerances) runs
-    unchanged; the steps then follow rk.py's rule with _attempt in place of
-    its numpy stages, on the caller's RHS called with and returning lists.
-    Components with atol = inf drop out of the error norm, as they do in
-    scipy.  A step counts 12 RHS evaluations in nfev, as scipy's do.  After
-    max_steps attempted steps, accepted or not, the next step fails.  No
-    dense output.
+    solve_ivp(rhs, span, y0, method=_DOP853Kernel, max_steps=..., forcing=...)
+    integrates the state and tangent map y = (x1, x2, p11, p12, p21, p22)
+    under forcing = (eps, beta, delta, omega, theta).  scipy's own set-up
+    (first RHS call, initial step, tolerances) runs unchanged on rhs, which
+    must be that same system; the steps then follow rk.py's rule with
+    _attempt in place of its numpy stages and of rhs.  The error norm reads
+    x1 and x2 alone: the tangent components must have atol = inf, which
+    drops them out of scipy's norm too.  A step counts 12 RHS evaluations in
+    nfev, as scipy's do.  After max_steps attempted steps, accepted or not,
+    the next step fails.  No dense output.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, max_steps, **options):
+    def __init__(self, fun, t0, y0, t_bound, max_steps, forcing, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
-        self._rhs = fun
+        self._forcing = forcing
         self._steps_left = max_steps
         self._max_steps = max_steps
         atol = np.broadcast_to(self.atol, (self.n,)).tolist()
         rtol = np.broadcast_to(self.rtol, (self.n,)).tolist()
-        self._checked = tuple(
-            (i, a, r) for i, (a, r) in enumerate(zip(atol, rtol)) if math.isfinite(a)
-        )
+        self._tol = (atol[0], rtol[0], atol[1], rtol[1])
         self._direction = float(self.direction)
         self.y = self.y.tolist()
         self.f = self.f.tolist()
@@ -249,7 +415,9 @@ class _DOP853Kernel(DOP853):
                 t_new = self.t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, error_norm = _attempt(self._rhs, t, y, self.f, h, self._checked, n)
+            y_new, f_new, error_norm = _attempt(
+                t, y, self.f, h, self._forcing, self._tol, n
+            )
             self.nfev += 12
             if error_norm < 1.0:
                 break
@@ -283,81 +451,24 @@ class FixedPointResult:
     floquet_multipliers: Tuple[complex, complex]
 
 
-def _integrate(rhs, state, duration: float):
-    """Final state of a DOP853 flow whose steps are chosen from (x1, x2) alone.
-
-    solve_ivp takes the steps with _DOP853Kernel, which calls rhs with a
-    list of floats (scipy's set-up: a numpy array) and wants a list back.
-    Components past the first two (a tangent map) get atol = inf, so they
-    drop out of the error norm.  That norm divides by sqrt(width), so
-    scaling both tolerances by sqrt(2/width) gives back the 2-D flow's
-    norm, and with it the 2-D flow's steps: the state of a wider flow is
-    the stroboscopic map itself.
-    At width 2 the tolerances are _FLOW_TOL.  The flow gets _STEPS_PER_UNIT_TIME
-    attempted steps per unit of its duration, counted as at least 2*pi (a
-    fast forcing still needs a few steps per period), then raises
-    IntegrationFailure like any failed flow.  scipy's first-step guess
-    overflows at a huge epsilon; the tiny step it then picks fails on its
-    own terms, so numpy's floating-point warnings are silenced around it.
-    """
-    y0 = np.asarray(state, dtype=float)
-    scaled = _FLOW_TOL * math.sqrt(2.0 / y0.size)
-    atol = np.full(y0.size, np.inf)
-    atol[:2] = scaled
-    with np.errstate(all="ignore"):
-        sol = solve_ivp(
-            rhs,
-            (0.0, duration),
-            y0,
-            method=_DOP853Kernel,
-            rtol=scaled,
-            atol=atol,
-            max_steps=math.ceil(_STEPS_PER_UNIT_TIME * max(duration, 2.0 * math.pi)),
-        )
-    if not sol.success:
-        raise IntegrationFailure(sol.message)
-    return sol.y[:, -1]
-
-
-def _flow(sys: ForcedSystem, eps: float, state, m: int, theta_section: float):
-    beta, delta, omega = sys.beta, sys.delta, sys.omega
-
-    def rhs(t, y):
-        x1, x2 = y
-        forcing = eps * (beta * math.cos(omega * t + theta_section) - delta * x2)
-        return [x2, -math.sin(x1) + forcing]
-
-    return _integrate(rhs, state, 2.0 * math.pi * m / omega)
-
-
-def stroboscopic_map(
-    sys: ForcedSystem, eps: float, m: int, start: OrbitPoint, theta_section: float = 0.0
-) -> OrbitPoint:
-    """State after m forcing periods, starting at section phase theta.
-
-    The returned angle is unwrapped (winding retained); wrap_angle gives
-    the mod-2pi representative for reporting.
-    """
-    final = _flow(sys, eps, (start.x1, start.x2), m, theta_section)
-    return OrbitPoint(float(final[0]), float(final[1]))
-
-
-def _winding(r: Resonance) -> np.ndarray:
-    """Advance of (x1, x2) over n periods of the resonant orbit.
-
-    A rotating orbit turns x1 through sign * 2*pi once per period, so its
-    fixed point of the stroboscopic map is fixed only modulo that winding.
-    """
-    turns = 0.0 if r.family_tag == INNER else r.orbit.sign * r.n
-    return np.array([2.0 * math.pi * turns, 0.0])
-
-
 def _variational_map(sys, eps, m, z, theta_section):
-    """P(z) and DP(z) from one flow of the state and its tangent map.
+    """P(z) and DP(z) from one DOP853 flow of the state and its tangent map.
 
     Phi' = [[0, 1], [-cos x1, -eps*delta]] Phi with Phi(0) = I, so the
-    final Phi is the Jacobian of the stroboscopic map at z.  The steps
-    follow the state alone, so P(z) is stroboscopic_map's to round-off.
+    final Phi is the Jacobian of the stroboscopic map at z.  solve_ivp
+    takes the steps with _DOP853Kernel, which evaluates this system inline
+    from its forcing option; rhs, the same system, serves scipy's set-up
+    (called with a numpy array).  The tangent components get atol = inf,
+    so they drop out of the error norm and the steps are chosen from
+    (x1, x2) alone.  That norm divides by sqrt(6), so scaling both
+    tolerances by sqrt(2/6) gives back the norm, and with it the steps, of
+    a 2-D flow at _FLOW_TOL: P(z) is that flow's map to round-off.
+    The flow gets _STEPS_PER_UNIT_TIME attempted steps per unit of its
+    duration, counted as at least 2*pi (a fast forcing still needs a few
+    steps per period), then raises IntegrationFailure like any failed
+    flow.  scipy's first-step guess overflows at a huge epsilon; the tiny
+    step it then picks fails on its own terms, so numpy's floating-point
+    warnings are silenced around it.
     """
     beta, delta, omega = sys.beta, sys.delta, sys.omega
     damping = eps * delta
@@ -376,8 +487,48 @@ def _variational_map(sys, eps, m, z, theta_section):
         ]
 
     y0 = np.array([z[0], z[1], 1.0, 0.0, 0.0, 1.0])
-    out = _integrate(rhs, y0, 2.0 * math.pi * m / sys.omega)
+    duration = 2.0 * math.pi * m / omega
+    scaled = _FLOW_TOL * math.sqrt(2.0 / y0.size)
+    atol = np.full(y0.size, np.inf)
+    atol[:2] = scaled
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (0.0, duration),
+            y0,
+            method=_DOP853Kernel,
+            rtol=scaled,
+            atol=atol,
+            max_steps=math.ceil(_STEPS_PER_UNIT_TIME * max(duration, 2.0 * math.pi)),
+            forcing=(eps, beta, delta, omega, theta_section),
+        )
+    if not sol.success:
+        raise IntegrationFailure(sol.message)
+    out = sol.y[:, -1]
     return out[:2], out[2:].reshape(2, 2)
+
+
+def stroboscopic_map(
+    sys: ForcedSystem, eps: float, m: int, start: OrbitPoint, theta_section: float = 0.0
+) -> OrbitPoint:
+    """State after m forcing periods, starting at section phase theta.
+
+    The state half of _variational_map's flow.  The returned angle is
+    unwrapped (winding retained); wrap_angle gives the mod-2pi
+    representative for reporting.
+    """
+    final, _ = _variational_map(sys, eps, m, (start.x1, start.x2), theta_section)
+    return OrbitPoint(float(final[0]), float(final[1]))
+
+
+def _winding(r: Resonance) -> np.ndarray:
+    """Advance of (x1, x2) over n periods of the resonant orbit.
+
+    A rotating orbit turns x1 through sign * 2*pi once per period, so its
+    fixed point of the stroboscopic map is fixed only modulo that winding.
+    """
+    turns = 0.0 if r.family_tag == INNER else r.orbit.sign * r.n
+    return np.array([2.0 * math.pi * turns, 0.0])
 
 
 def _distance_to_orbit(z, r: Resonance) -> float:
@@ -459,7 +610,7 @@ def find_subharmonic(
     distance for the epsilon-scaling check, or else the first seed's
     unconverged result.  The residual and the Floquet multipliers (the
     eigenvalues of DP) come from the variational flow at the reported
-    point itself; no separate 2-D flow runs.  sys.omega must be the
+    point itself; no separate flow runs.  sys.omega must be the
     resonance's omega.
     """
     if sys.omega != r.omega:

@@ -28,13 +28,13 @@ PACKAGE = Path(melnikov_lab.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCH_FILES = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
 
-# Public functions that only the tests call: independent routes that tests
-# compare the library against.
+# Public functions that only the tests call.
 REFERENCE_ONLY = {
-    # the plain 2-D flow that checks the variational Newton's P(z)
+    # the map itself, the state half of the variational flow, which the tests
+    # check against scipy's own 2-D DOP853
     "poincare.stroboscopic_map",
-    # criterion 5's Laurent-coefficient check of the residues; it also keeps
-    # contour's jacobi_complex import bound, which perfbench's tracer wraps
+    # criterion 5's independent Laurent-coefficient check of the residues; it also
+    # keeps contour's jacobi_complex import bound, which perfbench's tracer wraps
     "contour.laurent_probe",
 }
 

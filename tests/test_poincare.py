@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import rk
@@ -22,6 +22,7 @@ from melnikov_lab.pendulum import (
     wrap_angle,
 )
 from melnikov_lab.poincare import (
+    _FLOW_TOL,
     _RESIDUAL_TOL,
     _melnikov_seeds,
     _newton,
@@ -41,6 +42,20 @@ FIXED_POINT_RUNGS = [("inner", 3, eps) for eps in POSITIVE_LADDER] + [
     for family in ("rotating+", "rotating-")
     for eps in (1e-3, 1e-3 / math.sqrt(2.0))
 ]
+
+
+def _scipy_map(sys_, eps, m, z, theta):
+    """scipy's own DOP853 on the 2-D forced pendulum from z, at the library's tolerance."""
+    beta, delta, omega = sys_.beta, sys_.delta, sys_.omega
+
+    def rhs(t, y):
+        forcing = eps * (beta * math.cos(omega * t + theta) - delta * y[1])
+        return [y[1], -math.sin(y[0]) + forcing]
+
+    duration = 2.0 * math.pi * m / omega
+    sol = solve_ivp(rhs, (0.0, duration), z, method="DOP853", rtol=_FLOW_TOL, atol=_FLOW_TOL)
+    assert sol.success
+    return sol
 
 
 @pytest.fixture(scope="module")
@@ -98,10 +113,10 @@ class TestFindSubharmonic:
         assert out.x2 == pytest.approx(res.point.x2, abs=1e-9)
 
     def test_system_omega_must_be_the_resonance_omega(self, resonance, monkeypatch):
-        def no_flow(*args):
+        def no_flow(*args, **kwargs):
             raise AssertionError("flowed a system off the resonance's omega")
 
-        monkeypatch.setattr(poincare, "_integrate", no_flow)
+        monkeypatch.setattr(poincare, "solve_ivp", no_flow)
         with pytest.raises(ValueError, match="omega"):
             find_subharmonic(pendulum_system(1.0, 0.0, 1.05), 1e-3, resonance, math.pi / 2.0)
 
@@ -136,15 +151,15 @@ class TestFindSubharmonic:
 
     @pytest.mark.parametrize("family, m, eps", FIXED_POINT_RUNGS)
     def test_fixed_point_holds_under_the_plain_map(self, family, m, eps):
-        # Newton judges convergence on the variational flow alone; an
-        # independent 2-D flow from the reported point must agree
+        # Newton judges convergence on the variational flow alone; scipy's
+        # own 2-D flow from the reported point must agree
         r = solve_resonance(family, 1.0, m, 1)
         theta0 = math.pi / 2.0
         sys_ = pendulum_system(1.0, 0.0, 1.0)
         res = find_subharmonic(sys_, eps, r, theta0)
         assert res.converged
-        out = stroboscopic_map(sys_, eps, m, res.point, theta0)
-        gap = np.array([out.x1 - res.point.x1, out.x2 - res.point.x2]) - _winding(r)
+        z = np.array([res.point.x1, res.point.x2])
+        gap = _scipy_map(sys_, eps, m, z, theta0).y[:, -1] - z - _winding(r)
         plain = float(np.linalg.norm(gap))
         assert plain <= _RESIDUAL_TOL
         assert abs(res.residual - plain) <= 1e-11
@@ -212,19 +227,18 @@ class TestMelnikovSeeds:
         assert converged
 
     def test_positive_control_takes_few_narrow_flows(self, system, resonance, monkeypatch):
-        widths = []
-        integrate = poincare._integrate
+        flows = []
 
-        def counted(rhs, state, duration):
-            widths.append(len(state))
-            return integrate(rhs, state, duration)
+        def counted(rhs, span, y0, **options):
+            flows.append(len(y0))
+            return solve_ivp(rhs, span, y0, **options)
 
-        monkeypatch.setattr(poincare, "_integrate", counted)
+        monkeypatch.setattr(poincare, "solve_ivp", counted)
         res = find_subharmonic(system, 1e-3, resonance, math.pi / 2.0)
         assert res.converged
-        # one Newton run per Melnikov zero, one state + tangent-map flow per iteration
-        assert len(widths) <= 6
-        assert set(widths) == {6}
+        # one Newton run per Melnikov zero, one state + tangent-map flow per
+        # iteration, and no other flow
+        assert len(flows) <= 6
 
 
 class TestVariationalEngine:
@@ -255,8 +269,8 @@ class TestVariationalEngine:
         st.floats(0.0, 2.0 * math.pi),
     )
     def test_state_is_the_stroboscopic_map(self, family, phase, offset, log_eps, delta, theta):
-        # the variational flow steps on (x1, x2) alone, so its state is the
-        # map up to round-off, not up to the flow tolerance
+        # the variational flow steps on (x1, x2) alone, so its state is
+        # scipy's 2-D map up to round-off, not up to the flow tolerance
         tag, m = family
         r = solve_resonance(tag, 1.0, m, 1)
         start = orbit_state(r.orbit, phase * r.orbit.period)
@@ -264,13 +278,15 @@ class TestVariationalEngine:
         sys_, eps = pendulum_system(1.0, delta, 1.0), 10.0**log_eps
         final, dp = _variational_map(sys_, eps, m, z, theta)
         out = stroboscopic_map(sys_, eps, m, OrbitPoint(*z), theta)
+        assert np.array_equal(final, [out.x1, out.x2])
         bound = 1e-11
         if m == 5:
             # near the separatrix the map magnifies round-off up to 1e5-fold:
             # there the 2-D map itself moves by up to 3.5e-9 when its
             # tolerance changes by four ulps
             bound += 1e-12 * np.linalg.norm(dp)
-        assert np.max(np.abs(final - np.array([out.x1, out.x2]))) <= bound
+        want = _scipy_map(sys_, eps, m, z, theta).y[:, -1]
+        assert np.max(np.abs(final - want)) <= bound
 
 
 # Columns of each DOP853.A row that the kernel's stage code reads; B, E5 and
@@ -281,10 +297,23 @@ KERNEL_A_COLUMNS = {1: {0}, 2: {0, 1}, 3: {0, 2}, 4: {0, 2, 3}} | {
 KERNEL_WEIGHTS = {0} | set(range(5, 12))
 
 
-def _library_flows(sys_, eps, m, z, theta):
-    """Run the 2-D map and the 6-D variational flow from z."""
-    stroboscopic_map(sys_, eps, m, OrbitPoint(*z), theta)
-    _variational_map(sys_, eps, m, np.array(z), theta)
+def _kernel_and_scipy(monkeypatch):
+    """Pair each library flow with scipy's own DOP853 on the same rhs and tolerances."""
+    pairs = []
+
+    def both(rhs, span, y0, method, max_steps, forcing, **tols):
+        sol = solve_ivp(
+            rhs, span, y0, method=method, max_steps=max_steps, forcing=forcing, **tols
+        )
+        pairs.append((rhs, sol, solve_ivp(rhs, span, y0, method="DOP853", **tols)))
+        return sol
+
+    monkeypatch.setattr(poincare, "solve_ivp", both)
+    return pairs
+
+
+def _close(got, want, rel):
+    return np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
 
 
 class TestDOP853Kernel:
@@ -307,30 +336,73 @@ class TestDOP853Kernel:
     # with; another BLAS could move one step with no fault in the kernel.
     @pytest.mark.parametrize("family, m", [("inner", 3), ("rotating+", 1)])
     def test_kernel_takes_scipys_steps(self, family, m, monkeypatch):
-        pairs = []
-
-        def both(rhs, span, y0, method, max_steps, **tols):
-            sol = solve_ivp(rhs, span, y0, method=method, max_steps=max_steps, **tols)
-            pairs.append((sol, solve_ivp(rhs, span, y0, method="DOP853", **tols)))
-            return sol
-
-        monkeypatch.setattr(poincare, "solve_ivp", both)
+        pairs = _kernel_and_scipy(monkeypatch)
         r = solve_resonance(family, 1.0, m, 1)
         start = orbit_state(r.orbit, 0.8)
         z = (0.9, 0.4) if family == INNER else (start.x1, start.x2)
-        _library_flows(pendulum_system(1.0, 0.5, 1.0), 1e-3, m, z, math.pi / 2.0)
-        assert [sol.y.shape[0] for sol, _ in pairs] == [2, 6]
-        for sol, ref in pairs:
-            assert sol.success and len(sol.t) == len(ref.t)
-            assert sol.nfev == ref.nfev
-            # 12 evaluations per attempted step after scipy's two at the start
-            rejected = (sol.nfev - 2) // 12 - (len(sol.t) - 1)
-            assert rejected > 0
-            got, want = sol.y[:, -1], ref.y[:, -1]
-            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        sys_, eps, theta = pendulum_system(1.0, 0.5, 1.0), 1e-3, math.pi / 2.0
+        _variational_map(sys_, eps, m, z, theta)
+        ((_, sol, ref),) = pairs
+        assert sol.success and len(sol.t) == len(ref.t)
+        assert sol.nfev == ref.nfev
+        # 12 evaluations per attempted step after scipy's two at the start
+        rejected = (sol.nfev - 2) // 12 - (len(sol.t) - 1)
+        assert rejected > 0
+        assert _close(sol.y[:, -1], ref.y[:, -1], 1e-13)
+        # the state is scipy's 2-D map too
+        assert _close(sol.y[:2, -1], _scipy_map(sys_, eps, m, z, theta).y[:, -1], 1e-13)
+
+    # The benchmark forces at omega = beta = 1 only, where a misplaced omega
+    # or beta in the kernel's inlined forcing would not show.  Over a whole
+    # flow the tangent map magnifies round-off (near the separatrix the final
+    # states differ from scipy's by up to 2.4e-9 relative), so each accepted
+    # step is replayed with scipy's own stage code from the kernel's state.
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(
+            [("inner", 1), ("inner", 3), ("inner", 5), ("rotating+", 1), ("rotating-", 1)]
+        ),
+        st.floats(0.0, 1.0),
+        st.floats(-5.0, -2.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(0.0, 3.0).filter(lambda b: b != 1.0),
+        st.sampled_from([0.5, 2.3]),
+    )
+    def test_inlined_rhs_is_the_closure(self, family, phase, log_eps, delta, theta, beta, omega):
+        tag, m = family
+        r = solve_resonance(tag, omega, m, 1)
+        assume(r is not None)  # inner 1/1 needs omega < 1
+        start = orbit_state(r.orbit, phase * r.orbit.period)
+        with pytest.MonkeyPatch.context() as mp:
+            pairs = _kernel_and_scipy(mp)
+            _variational_map(
+                pendulum_system(beta, delta, omega), 10.0**log_eps, m, (start.x1, start.x2), theta
+            )
+        ((rhs, sol, ref),) = pairs
+        assert sol.success and ref.success
+        assert abs(sol.nfev - ref.nfev) <= 12
+        stages = np.empty((DOP853.n_stages + 1, 6))
+        for i in range(len(sol.t) - 1):
+            t, y, h = sol.t[i], sol.y[:, i], sol.t[i + 1] - sol.t[i]
+            want, _ = rk.rk_step(
+                rhs, t, y, np.asarray(rhs(t, y)), h, DOP853.A, DOP853.B, DOP853.C, stages
+            )
+            got = sol.y[:, i + 1]
+            assert _close(got[:2], want[:2], 1e-12)
+            # the tangent map's round-off scales with its largest entry
+            scale = max(1.0, np.max(np.abs(want[2:])))
+            assert np.max(np.abs(got[2:] - want[2:])) <= 1e-12 * scale
 
     def test_nfev_is_every_rhs_call(self, system, resonance, monkeypatch):
-        flows = []
+        # scipy's set-up calls the RHS twice (first derivative, first-step
+        # guess); each attempted step then evaluates 12 stages inline
+        flows, attempts = [], []
+        attempt = poincare._attempt
+
+        def counted_attempt(*args):
+            attempts.append(args[0])
+            return attempt(*args)
 
         def counted(rhs, span, y0, **options):
             calls = []
@@ -340,13 +412,15 @@ class TestDOP853Kernel:
                 return rhs(t, y)
 
             sol = solve_ivp(counting, span, y0, **options)
-            flows.append((len(calls), sol.nfev))
+            flows.append((sol.nfev, len(calls), len(attempts)))
             return sol
 
+        monkeypatch.setattr(poincare, "_attempt", counted_attempt)
         monkeypatch.setattr(poincare, "solve_ivp", counted)
-        _library_flows(system, 1e-3, resonance.m, (0.9, 0.4), math.pi / 2.0)
-        assert len(flows) == 2
-        assert all(calls == nfev > 0 for calls, nfev in flows)
+        _variational_map(system, 1e-3, resonance.m, (0.9, 0.4), math.pi / 2.0)
+        ((nfev, calls, steps),) = flows
+        assert calls == 2 and steps > 0
+        assert nfev == calls + 12 * steps
 
     def test_spent_step_budget_fails_the_flow(self, system, monkeypatch):
         # one attempt per unit time over 3 periods of 2*pi: ceil(6*pi) = 19
@@ -355,10 +429,15 @@ class TestDOP853Kernel:
             stroboscopic_map(system, 1e-3, 3, OrbitPoint(0.9, 0.4))
 
     def test_no_dense_output(self):
+        def rhs(t, y):
+            c = math.cos(y[0])
+            return [y[1], -math.sin(y[0]), y[4], y[5], -c * y[2], -c * y[3]]
+
         with pytest.raises(NotImplementedError):
             solve_ivp(
-                lambda t, y: [y[1], -math.sin(y[0])], (0.0, 1.0), [0.9, 0.4],
-                method=poincare._DOP853Kernel, max_steps=100, dense_output=True,
+                rhs, (0.0, 1.0), [0.9, 0.4, 1.0, 0.0, 0.0, 1.0],
+                method=poincare._DOP853Kernel, max_steps=100,
+                forcing=(0.0, 1.0, 0.0, 1.0, 0.0), dense_output=True,
             )
 
 
