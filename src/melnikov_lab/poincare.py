@@ -415,9 +415,7 @@ class _DOP853Kernel(DOP853):
                 t_new = self.t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, error_norm = _attempt(
-                t, y, self.f, h, self._forcing, self._tol, n
-            )
+            y_new, f_new, error_norm = _attempt(t, y, self.f, h, self._forcing, self._tol, n)
             self.nfev += 12
             if error_norm < 1.0:
                 break
