@@ -7,12 +7,12 @@ the subharmonic Melnikov function mark persisting periodic orbits at
 O(epsilon) distance from the unperturbed resonant orbit.
 
 Every flow is one system: the state (x1, x2) and its tangent map, whose
-steps are chosen from the state alone, so stroboscopic_map is its state
-half.  The flows are nearly all of the cost, and a 6-D state is too small
-for numpy to pay for itself: scipy's DOP853 spends its time in per-stage
-array calls.  So scipy.integrate.solve_ivp drives _DOP853Kernel, a DOP853
-whose steps run on Python floats with the tableau and the right-hand side
-written out, under scipy's step-size rule and error norm.  It sums each
+steps are chosen from the state alone, so the state is the map P(z).  The
+flows are nearly all of the cost, and a 6-D state is too small for numpy
+to pay for itself.  So scipy.integrate.solve_ivp drives _DOP853Kernel, a
+DOP853 whose one step() runs the whole flow on Python floats with the
+tableau and the right-hand side written out, under scipy's step-size rule
+and error norm; a rejected attempt skips the tangent stages.  It sums each
 stage left to right where scipy's BLAS dot may not, so its states agree
 with scipy's to round-off, and it takes scipy's steps wherever no
 accept/reject or step-size decision rests on that round-off.  It counts
@@ -41,7 +41,6 @@ from .pendulum import INNER, ForcedSystem, OrbitPoint, orbit_state, wrap_angle
 __all__ = [
     "IntegrationFailure",
     "FixedPointResult",
-    "stroboscopic_map",
     "find_subharmonic",
     "scaling_band",
 ]
@@ -70,15 +69,19 @@ def _dop853_attempt():
 
     attempt(t, y, k1, h, forcing, tol, n) steps y = (x1, x2, p11, p12, p21,
     p22), the state and its tangent map, with k1 its derivative at t and
-    forcing = (eps, beta, delta, omega, theta).  It returns y_new, its
-    derivative f_new at t + h, and scipy's DOP853 error norm over x1 and x2
-    with tol = (atol1, rtol1, atol2, rtol2), divided by sqrt(n) as for n
-    components.  Each stage evaluates the right-hand side inline with the
-    expressions of _variational_map's rhs, and sums its terms in tableau
-    order.  Names are Hairer's: stages k1, ..., k12 with components ks_1,
-    ..., ks_6, weights a_ij and b_i, and the fifth- and third-order error
-    weights e5_i, e3_i.  Only the nonzero entries of the tableau appear; an
-    underscore marks a zero.
+    forcing = (eps, beta, delta, omega, theta).  It returns (error_norm,
+    y_new, f_new): scipy's DOP853 error norm over x1 and x2 with tol =
+    (atol1, rtol1, atol2, rtol2), divided by sqrt(n) as for n components;
+    the new state, and its derivative at t + h.  The state never reads the
+    tangent map, so the 11 new stages of (x1, x2) come first, each keeping
+    its cos x1 in cx2, ..., cx12, then the error norm.  An attempt whose
+    norm is not below 1 is rejected and returns (error_norm, None, None)
+    without computing the tangent stages.  Each stage evaluates the
+    right-hand side inline with the expressions of _variational_map's rhs,
+    and sums its terms in tableau order.  Names are Hairer's: stages k1,
+    ..., k12 with components ks_1, ..., ks_6, weights a_ij and b_i, and the
+    fifth- and third-order error weights e5_i, e3_i.  Only the nonzero
+    entries of the tableau appear; an underscore marks a zero.
     """
     cos, sin = math.cos, math.sin
     A, B = DOP853.A.tolist(), DOP853.B.tolist()
@@ -101,93 +104,43 @@ def _dop853_attempt():
 
     def attempt(t, y, k1, h, forcing, tol, n):
         eps, beta, delta, omega, theta = forcing
-        damping = eps * delta
         y1, y2, y3, y4, y5, y6 = y
         k1_1, k1_2, k1_3, k1_4, k1_5, k1_6 = k1
 
         x1 = y1 + (a21 * k1_1) * h
         x2 = y2 + (a21 * k1_2) * h
-        p11 = y3 + (a21 * k1_3) * h
-        p12 = y4 + (a21 * k1_4) * h
-        p21 = y5 + (a21 * k1_5) * h
-        p22 = y6 + (a21 * k1_6) * h
-        c = cos(x1)
-        k2_1, k2_3, k2_4 = x2, p21, p22
+        cx2, k2_1 = cos(x1), x2
         k2_2 = -sin(x1) + eps * (beta * cos(omega * (t + c2 * h) + theta) - delta * x2)
-        k2_5 = -c * p11 - damping * p21
-        k2_6 = -c * p12 - damping * p22
 
         x1 = y1 + (a31 * k1_1 + a32 * k2_1) * h
         x2 = y2 + (a31 * k1_2 + a32 * k2_2) * h
-        p11 = y3 + (a31 * k1_3 + a32 * k2_3) * h
-        p12 = y4 + (a31 * k1_4 + a32 * k2_4) * h
-        p21 = y5 + (a31 * k1_5 + a32 * k2_5) * h
-        p22 = y6 + (a31 * k1_6 + a32 * k2_6) * h
-        c = cos(x1)
-        k3_1, k3_3, k3_4 = x2, p21, p22
+        cx3, k3_1 = cos(x1), x2
         k3_2 = -sin(x1) + eps * (beta * cos(omega * (t + c3 * h) + theta) - delta * x2)
-        k3_5 = -c * p11 - damping * p21
-        k3_6 = -c * p12 - damping * p22
 
         x1 = y1 + (a41 * k1_1 + a43 * k3_1) * h
         x2 = y2 + (a41 * k1_2 + a43 * k3_2) * h
-        p11 = y3 + (a41 * k1_3 + a43 * k3_3) * h
-        p12 = y4 + (a41 * k1_4 + a43 * k3_4) * h
-        p21 = y5 + (a41 * k1_5 + a43 * k3_5) * h
-        p22 = y6 + (a41 * k1_6 + a43 * k3_6) * h
-        c = cos(x1)
-        k4_1, k4_3, k4_4 = x2, p21, p22
+        cx4, k4_1 = cos(x1), x2
         k4_2 = -sin(x1) + eps * (beta * cos(omega * (t + c4 * h) + theta) - delta * x2)
-        k4_5 = -c * p11 - damping * p21
-        k4_6 = -c * p12 - damping * p22
 
         x1 = y1 + (a51 * k1_1 + a53 * k3_1 + a54 * k4_1) * h
         x2 = y2 + (a51 * k1_2 + a53 * k3_2 + a54 * k4_2) * h
-        p11 = y3 + (a51 * k1_3 + a53 * k3_3 + a54 * k4_3) * h
-        p12 = y4 + (a51 * k1_4 + a53 * k3_4 + a54 * k4_4) * h
-        p21 = y5 + (a51 * k1_5 + a53 * k3_5 + a54 * k4_5) * h
-        p22 = y6 + (a51 * k1_6 + a53 * k3_6 + a54 * k4_6) * h
-        c = cos(x1)
-        k5_1, k5_3, k5_4 = x2, p21, p22
+        cx5, k5_1 = cos(x1), x2
         k5_2 = -sin(x1) + eps * (beta * cos(omega * (t + c5 * h) + theta) - delta * x2)
-        k5_5 = -c * p11 - damping * p21
-        k5_6 = -c * p12 - damping * p22
 
         x1 = y1 + (a61 * k1_1 + a64 * k4_1 + a65 * k5_1) * h
         x2 = y2 + (a61 * k1_2 + a64 * k4_2 + a65 * k5_2) * h
-        p11 = y3 + (a61 * k1_3 + a64 * k4_3 + a65 * k5_3) * h
-        p12 = y4 + (a61 * k1_4 + a64 * k4_4 + a65 * k5_4) * h
-        p21 = y5 + (a61 * k1_5 + a64 * k4_5 + a65 * k5_5) * h
-        p22 = y6 + (a61 * k1_6 + a64 * k4_6 + a65 * k5_6) * h
-        c = cos(x1)
-        k6_1, k6_3, k6_4 = x2, p21, p22
+        cx6, k6_1 = cos(x1), x2
         k6_2 = -sin(x1) + eps * (beta * cos(omega * (t + c6 * h) + theta) - delta * x2)
-        k6_5 = -c * p11 - damping * p21
-        k6_6 = -c * p12 - damping * p22
 
         x1 = y1 + (a71 * k1_1 + a74 * k4_1 + a75 * k5_1 + a76 * k6_1) * h
         x2 = y2 + (a71 * k1_2 + a74 * k4_2 + a75 * k5_2 + a76 * k6_2) * h
-        p11 = y3 + (a71 * k1_3 + a74 * k4_3 + a75 * k5_3 + a76 * k6_3) * h
-        p12 = y4 + (a71 * k1_4 + a74 * k4_4 + a75 * k5_4 + a76 * k6_4) * h
-        p21 = y5 + (a71 * k1_5 + a74 * k4_5 + a75 * k5_5 + a76 * k6_5) * h
-        p22 = y6 + (a71 * k1_6 + a74 * k4_6 + a75 * k5_6 + a76 * k6_6) * h
-        c = cos(x1)
-        k7_1, k7_3, k7_4 = x2, p21, p22
+        cx7, k7_1 = cos(x1), x2
         k7_2 = -sin(x1) + eps * (beta * cos(omega * (t + c7 * h) + theta) - delta * x2)
-        k7_5 = -c * p11 - damping * p21
-        k7_6 = -c * p12 - damping * p22
 
         x1 = y1 + (a81 * k1_1 + a84 * k4_1 + a85 * k5_1 + a86 * k6_1 + a87 * k7_1) * h
         x2 = y2 + (a81 * k1_2 + a84 * k4_2 + a85 * k5_2 + a86 * k6_2 + a87 * k7_2) * h
-        p11 = y3 + (a81 * k1_3 + a84 * k4_3 + a85 * k5_3 + a86 * k6_3 + a87 * k7_3) * h
-        p12 = y4 + (a81 * k1_4 + a84 * k4_4 + a85 * k5_4 + a86 * k6_4 + a87 * k7_4) * h
-        p21 = y5 + (a81 * k1_5 + a84 * k4_5 + a85 * k5_5 + a86 * k6_5 + a87 * k7_5) * h
-        p22 = y6 + (a81 * k1_6 + a84 * k4_6 + a85 * k5_6 + a86 * k6_6 + a87 * k7_6) * h
-        c = cos(x1)
-        k8_1, k8_3, k8_4 = x2, p21, p22
+        cx8, k8_1 = cos(x1), x2
         k8_2 = -sin(x1) + eps * (beta * cos(omega * (t + c8 * h) + theta) - delta * x2)
-        k8_5 = -c * p11 - damping * p21
-        k8_6 = -c * p12 - damping * p22
 
         x1 = y1 + (
             a91 * k1_1 + a94 * k4_1 + a95 * k5_1 + a96 * k6_1 + a97 * k7_1 + a98 * k8_1
@@ -195,23 +148,8 @@ def _dop853_attempt():
         x2 = y2 + (
             a91 * k1_2 + a94 * k4_2 + a95 * k5_2 + a96 * k6_2 + a97 * k7_2 + a98 * k8_2
         ) * h
-        p11 = y3 + (
-            a91 * k1_3 + a94 * k4_3 + a95 * k5_3 + a96 * k6_3 + a97 * k7_3 + a98 * k8_3
-        ) * h
-        p12 = y4 + (
-            a91 * k1_4 + a94 * k4_4 + a95 * k5_4 + a96 * k6_4 + a97 * k7_4 + a98 * k8_4
-        ) * h
-        p21 = y5 + (
-            a91 * k1_5 + a94 * k4_5 + a95 * k5_5 + a96 * k6_5 + a97 * k7_5 + a98 * k8_5
-        ) * h
-        p22 = y6 + (
-            a91 * k1_6 + a94 * k4_6 + a95 * k5_6 + a96 * k6_6 + a97 * k7_6 + a98 * k8_6
-        ) * h
-        c = cos(x1)
-        k9_1, k9_3, k9_4 = x2, p21, p22
+        cx9, k9_1 = cos(x1), x2
         k9_2 = -sin(x1) + eps * (beta * cos(omega * (t + c9 * h) + theta) - delta * x2)
-        k9_5 = -c * p11 - damping * p21
-        k9_6 = -c * p12 - damping * p22
 
         x1 = y1 + (
             a101 * k1_1 + a104 * k4_1 + a105 * k5_1 + a106 * k6_1 + a107 * k7_1
@@ -221,27 +159,8 @@ def _dop853_attempt():
             a101 * k1_2 + a104 * k4_2 + a105 * k5_2 + a106 * k6_2 + a107 * k7_2
             + a108 * k8_2 + a109 * k9_2
         ) * h
-        p11 = y3 + (
-            a101 * k1_3 + a104 * k4_3 + a105 * k5_3 + a106 * k6_3 + a107 * k7_3
-            + a108 * k8_3 + a109 * k9_3
-        ) * h
-        p12 = y4 + (
-            a101 * k1_4 + a104 * k4_4 + a105 * k5_4 + a106 * k6_4 + a107 * k7_4
-            + a108 * k8_4 + a109 * k9_4
-        ) * h
-        p21 = y5 + (
-            a101 * k1_5 + a104 * k4_5 + a105 * k5_5 + a106 * k6_5 + a107 * k7_5
-            + a108 * k8_5 + a109 * k9_5
-        ) * h
-        p22 = y6 + (
-            a101 * k1_6 + a104 * k4_6 + a105 * k5_6 + a106 * k6_6 + a107 * k7_6
-            + a108 * k8_6 + a109 * k9_6
-        ) * h
-        c = cos(x1)
-        k10_1, k10_3, k10_4 = x2, p21, p22
+        cx10, k10_1 = cos(x1), x2
         k10_2 = -sin(x1) + eps * (beta * cos(omega * (t + c10 * h) + theta) - delta * x2)
-        k10_5 = -c * p11 - damping * p21
-        k10_6 = -c * p12 - damping * p22
 
         x1 = y1 + (
             a111 * k1_1 + a114 * k4_1 + a115 * k5_1 + a116 * k6_1 + a117 * k7_1
@@ -251,27 +170,8 @@ def _dop853_attempt():
             a111 * k1_2 + a114 * k4_2 + a115 * k5_2 + a116 * k6_2 + a117 * k7_2
             + a118 * k8_2 + a119 * k9_2 + a1110 * k10_2
         ) * h
-        p11 = y3 + (
-            a111 * k1_3 + a114 * k4_3 + a115 * k5_3 + a116 * k6_3 + a117 * k7_3
-            + a118 * k8_3 + a119 * k9_3 + a1110 * k10_3
-        ) * h
-        p12 = y4 + (
-            a111 * k1_4 + a114 * k4_4 + a115 * k5_4 + a116 * k6_4 + a117 * k7_4
-            + a118 * k8_4 + a119 * k9_4 + a1110 * k10_4
-        ) * h
-        p21 = y5 + (
-            a111 * k1_5 + a114 * k4_5 + a115 * k5_5 + a116 * k6_5 + a117 * k7_5
-            + a118 * k8_5 + a119 * k9_5 + a1110 * k10_5
-        ) * h
-        p22 = y6 + (
-            a111 * k1_6 + a114 * k4_6 + a115 * k5_6 + a116 * k6_6 + a117 * k7_6
-            + a118 * k8_6 + a119 * k9_6 + a1110 * k10_6
-        ) * h
-        c = cos(x1)
-        k11_1, k11_3, k11_4 = x2, p21, p22
+        cx11, k11_1 = cos(x1), x2
         k11_2 = -sin(x1) + eps * (beta * cos(omega * (t + c11 * h) + theta) - delta * x2)
-        k11_5 = -c * p11 - damping * p21
-        k11_6 = -c * p12 - damping * p22
 
         x1 = y1 + (
             a121 * k1_1 + a124 * k4_1 + a125 * k5_1 + a126 * k6_1 + a127 * k7_1
@@ -281,27 +181,8 @@ def _dop853_attempt():
             a121 * k1_2 + a124 * k4_2 + a125 * k5_2 + a126 * k6_2 + a127 * k7_2
             + a128 * k8_2 + a129 * k9_2 + a1210 * k10_2 + a1211 * k11_2
         ) * h
-        p11 = y3 + (
-            a121 * k1_3 + a124 * k4_3 + a125 * k5_3 + a126 * k6_3 + a127 * k7_3
-            + a128 * k8_3 + a129 * k9_3 + a1210 * k10_3 + a1211 * k11_3
-        ) * h
-        p12 = y4 + (
-            a121 * k1_4 + a124 * k4_4 + a125 * k5_4 + a126 * k6_4 + a127 * k7_4
-            + a128 * k8_4 + a129 * k9_4 + a1210 * k10_4 + a1211 * k11_4
-        ) * h
-        p21 = y5 + (
-            a121 * k1_5 + a124 * k4_5 + a125 * k5_5 + a126 * k6_5 + a127 * k7_5
-            + a128 * k8_5 + a129 * k9_5 + a1210 * k10_5 + a1211 * k11_5
-        ) * h
-        p22 = y6 + (
-            a121 * k1_6 + a124 * k4_6 + a125 * k5_6 + a126 * k6_6 + a127 * k7_6
-            + a128 * k8_6 + a129 * k9_6 + a1210 * k10_6 + a1211 * k11_6
-        ) * h
-        c = cos(x1)
-        k12_1, k12_3, k12_4 = x2, p21, p22
+        cx12, k12_1 = cos(x1), x2
         k12_2 = -sin(x1) + eps * (beta * cos(omega * (t + c12 * h) + theta) - delta * x2)
-        k12_5 = -c * p11 - damping * p21
-        k12_6 = -c * p12 - damping * p22
 
         x1 = y1 + h * (
             b1 * k1_1 + b6 * k6_1 + b7 * k7_1 + b8 * k8_1 + b9 * k9_1 + b10 * k10_1
@@ -311,32 +192,7 @@ def _dop853_attempt():
             b1 * k1_2 + b6 * k6_2 + b7 * k7_2 + b8 * k8_2 + b9 * k9_2 + b10 * k10_2
             + b11 * k11_2 + b12 * k12_2
         )
-        p11 = y3 + h * (
-            b1 * k1_3 + b6 * k6_3 + b7 * k7_3 + b8 * k8_3 + b9 * k9_3 + b10 * k10_3
-            + b11 * k11_3 + b12 * k12_3
-        )
-        p12 = y4 + h * (
-            b1 * k1_4 + b6 * k6_4 + b7 * k7_4 + b8 * k8_4 + b9 * k9_4 + b10 * k10_4
-            + b11 * k11_4 + b12 * k12_4
-        )
-        p21 = y5 + h * (
-            b1 * k1_5 + b6 * k6_5 + b7 * k7_5 + b8 * k8_5 + b9 * k9_5 + b10 * k10_5
-            + b11 * k11_5 + b12 * k12_5
-        )
-        p22 = y6 + h * (
-            b1 * k1_6 + b6 * k6_6 + b7 * k7_6 + b8 * k8_6 + b9 * k9_6 + b10 * k10_6
-            + b11 * k11_6 + b12 * k12_6
-        )
-        c = cos(x1)
-        y_new = (x1, x2, p11, p12, p21, p22)
-        f_new = (
-            x2,
-            -sin(x1) + eps * (beta * cos(omega * (t + h) + theta) - delta * x2),
-            p21,
-            p22,
-            -c * p11 - damping * p21,
-            -c * p12 - damping * p22,
-        )
+
 
         atol1, rtol1, atol2, rtol2 = tol
         scale = atol1 + max(abs(y1), abs(x1)) * rtol1
@@ -360,9 +216,159 @@ def _dop853_attempt():
         ) / scale
         sum5 += err5 * err5
         sum3 += err3 * err3
-        if sum5 == 0.0 and sum3 == 0.0:
-            return y_new, f_new, 0.0
-        return y_new, f_new, abs(h) * sum5 / math.sqrt((sum5 + 0.01 * sum3) * n)
+        error_norm = 0.0
+        if sum5 or sum3:
+            error_norm = abs(h) * sum5 / math.sqrt((sum5 + 0.01 * sum3) * n)
+        if not error_norm < 1.0:  # rejected, a NaN norm too
+            return error_norm, None, None
+
+        damping = eps * delta
+        p11 = y3 + (a21 * k1_3) * h
+        p12 = y4 + (a21 * k1_4) * h
+        k2_3 = y5 + (a21 * k1_5) * h
+        k2_4 = y6 + (a21 * k1_6) * h
+        k2_5 = -cx2 * p11 - damping * k2_3
+        k2_6 = -cx2 * p12 - damping * k2_4
+
+        p11 = y3 + (a31 * k1_3 + a32 * k2_3) * h
+        p12 = y4 + (a31 * k1_4 + a32 * k2_4) * h
+        k3_3 = y5 + (a31 * k1_5 + a32 * k2_5) * h
+        k3_4 = y6 + (a31 * k1_6 + a32 * k2_6) * h
+        k3_5 = -cx3 * p11 - damping * k3_3
+        k3_6 = -cx3 * p12 - damping * k3_4
+
+        p11 = y3 + (a41 * k1_3 + a43 * k3_3) * h
+        p12 = y4 + (a41 * k1_4 + a43 * k3_4) * h
+        k4_3 = y5 + (a41 * k1_5 + a43 * k3_5) * h
+        k4_4 = y6 + (a41 * k1_6 + a43 * k3_6) * h
+        k4_5 = -cx4 * p11 - damping * k4_3
+        k4_6 = -cx4 * p12 - damping * k4_4
+
+        p11 = y3 + (a51 * k1_3 + a53 * k3_3 + a54 * k4_3) * h
+        p12 = y4 + (a51 * k1_4 + a53 * k3_4 + a54 * k4_4) * h
+        k5_3 = y5 + (a51 * k1_5 + a53 * k3_5 + a54 * k4_5) * h
+        k5_4 = y6 + (a51 * k1_6 + a53 * k3_6 + a54 * k4_6) * h
+        k5_5 = -cx5 * p11 - damping * k5_3
+        k5_6 = -cx5 * p12 - damping * k5_4
+
+        p11 = y3 + (a61 * k1_3 + a64 * k4_3 + a65 * k5_3) * h
+        p12 = y4 + (a61 * k1_4 + a64 * k4_4 + a65 * k5_4) * h
+        k6_3 = y5 + (a61 * k1_5 + a64 * k4_5 + a65 * k5_5) * h
+        k6_4 = y6 + (a61 * k1_6 + a64 * k4_6 + a65 * k5_6) * h
+        k6_5 = -cx6 * p11 - damping * k6_3
+        k6_6 = -cx6 * p12 - damping * k6_4
+
+        p11 = y3 + (a71 * k1_3 + a74 * k4_3 + a75 * k5_3 + a76 * k6_3) * h
+        p12 = y4 + (a71 * k1_4 + a74 * k4_4 + a75 * k5_4 + a76 * k6_4) * h
+        k7_3 = y5 + (a71 * k1_5 + a74 * k4_5 + a75 * k5_5 + a76 * k6_5) * h
+        k7_4 = y6 + (a71 * k1_6 + a74 * k4_6 + a75 * k5_6 + a76 * k6_6) * h
+        k7_5 = -cx7 * p11 - damping * k7_3
+        k7_6 = -cx7 * p12 - damping * k7_4
+
+        p11 = y3 + (a81 * k1_3 + a84 * k4_3 + a85 * k5_3 + a86 * k6_3 + a87 * k7_3) * h
+        p12 = y4 + (a81 * k1_4 + a84 * k4_4 + a85 * k5_4 + a86 * k6_4 + a87 * k7_4) * h
+        k8_3 = y5 + (a81 * k1_5 + a84 * k4_5 + a85 * k5_5 + a86 * k6_5 + a87 * k7_5) * h
+        k8_4 = y6 + (a81 * k1_6 + a84 * k4_6 + a85 * k5_6 + a86 * k6_6 + a87 * k7_6) * h
+        k8_5 = -cx8 * p11 - damping * k8_3
+        k8_6 = -cx8 * p12 - damping * k8_4
+
+        p11 = y3 + (
+            a91 * k1_3 + a94 * k4_3 + a95 * k5_3 + a96 * k6_3 + a97 * k7_3 + a98 * k8_3
+        ) * h
+        p12 = y4 + (
+            a91 * k1_4 + a94 * k4_4 + a95 * k5_4 + a96 * k6_4 + a97 * k7_4 + a98 * k8_4
+        ) * h
+        k9_3 = y5 + (
+            a91 * k1_5 + a94 * k4_5 + a95 * k5_5 + a96 * k6_5 + a97 * k7_5 + a98 * k8_5
+        ) * h
+        k9_4 = y6 + (
+            a91 * k1_6 + a94 * k4_6 + a95 * k5_6 + a96 * k6_6 + a97 * k7_6 + a98 * k8_6
+        ) * h
+        k9_5 = -cx9 * p11 - damping * k9_3
+        k9_6 = -cx9 * p12 - damping * k9_4
+
+        p11 = y3 + (
+            a101 * k1_3 + a104 * k4_3 + a105 * k5_3 + a106 * k6_3 + a107 * k7_3
+            + a108 * k8_3 + a109 * k9_3
+        ) * h
+        p12 = y4 + (
+            a101 * k1_4 + a104 * k4_4 + a105 * k5_4 + a106 * k6_4 + a107 * k7_4
+            + a108 * k8_4 + a109 * k9_4
+        ) * h
+        k10_3 = y5 + (
+            a101 * k1_5 + a104 * k4_5 + a105 * k5_5 + a106 * k6_5 + a107 * k7_5
+            + a108 * k8_5 + a109 * k9_5
+        ) * h
+        k10_4 = y6 + (
+            a101 * k1_6 + a104 * k4_6 + a105 * k5_6 + a106 * k6_6 + a107 * k7_6
+            + a108 * k8_6 + a109 * k9_6
+        ) * h
+        k10_5 = -cx10 * p11 - damping * k10_3
+        k10_6 = -cx10 * p12 - damping * k10_4
+
+        p11 = y3 + (
+            a111 * k1_3 + a114 * k4_3 + a115 * k5_3 + a116 * k6_3 + a117 * k7_3
+            + a118 * k8_3 + a119 * k9_3 + a1110 * k10_3
+        ) * h
+        p12 = y4 + (
+            a111 * k1_4 + a114 * k4_4 + a115 * k5_4 + a116 * k6_4 + a117 * k7_4
+            + a118 * k8_4 + a119 * k9_4 + a1110 * k10_4
+        ) * h
+        k11_3 = y5 + (
+            a111 * k1_5 + a114 * k4_5 + a115 * k5_5 + a116 * k6_5 + a117 * k7_5
+            + a118 * k8_5 + a119 * k9_5 + a1110 * k10_5
+        ) * h
+        k11_4 = y6 + (
+            a111 * k1_6 + a114 * k4_6 + a115 * k5_6 + a116 * k6_6 + a117 * k7_6
+            + a118 * k8_6 + a119 * k9_6 + a1110 * k10_6
+        ) * h
+        k11_5 = -cx11 * p11 - damping * k11_3
+        k11_6 = -cx11 * p12 - damping * k11_4
+
+        p11 = y3 + (
+            a121 * k1_3 + a124 * k4_3 + a125 * k5_3 + a126 * k6_3 + a127 * k7_3
+            + a128 * k8_3 + a129 * k9_3 + a1210 * k10_3 + a1211 * k11_3
+        ) * h
+        p12 = y4 + (
+            a121 * k1_4 + a124 * k4_4 + a125 * k5_4 + a126 * k6_4 + a127 * k7_4
+            + a128 * k8_4 + a129 * k9_4 + a1210 * k10_4 + a1211 * k11_4
+        ) * h
+        k12_3 = y5 + (
+            a121 * k1_5 + a124 * k4_5 + a125 * k5_5 + a126 * k6_5 + a127 * k7_5
+            + a128 * k8_5 + a129 * k9_5 + a1210 * k10_5 + a1211 * k11_5
+        ) * h
+        k12_4 = y6 + (
+            a121 * k1_6 + a124 * k4_6 + a125 * k5_6 + a126 * k6_6 + a127 * k7_6
+            + a128 * k8_6 + a129 * k9_6 + a1210 * k10_6 + a1211 * k11_6
+        ) * h
+        k12_5 = -cx12 * p11 - damping * k12_3
+        k12_6 = -cx12 * p12 - damping * k12_4
+
+        p11 = y3 + h * (
+            b1 * k1_3 + b6 * k6_3 + b7 * k7_3 + b8 * k8_3 + b9 * k9_3 + b10 * k10_3
+            + b11 * k11_3 + b12 * k12_3
+        )
+        p12 = y4 + h * (
+            b1 * k1_4 + b6 * k6_4 + b7 * k7_4 + b8 * k8_4 + b9 * k9_4 + b10 * k10_4
+            + b11 * k11_4 + b12 * k12_4
+        )
+        p21 = y5 + h * (
+            b1 * k1_5 + b6 * k6_5 + b7 * k7_5 + b8 * k8_5 + b9 * k9_5 + b10 * k10_5
+            + b11 * k11_5 + b12 * k12_5
+        )
+        p22 = y6 + h * (
+            b1 * k1_6 + b6 * k6_6 + b7 * k7_6 + b8 * k8_6 + b9 * k9_6 + b10 * k10_6
+            + b11 * k11_6 + b12 * k12_6
+        )
+        c = cos(x1)
+        return error_norm, (x1, x2, p11, p12, p21, p22), (
+            x2,
+            -sin(x1) + eps * (beta * cos(omega * (t + h) + theta) - delta * x2),
+            p21,
+            p22,
+            -c * p11 - damping * p21,
+            -c * p12 - damping * p22,
+        )
 
     return attempt
 
@@ -371,64 +377,61 @@ _attempt = _dop853_attempt()
 
 
 class _DOP853Kernel(DOP853):
-    """scipy's DOP853 on the pendulum's variational flow, each step on Python floats.
+    """scipy's DOP853 on the pendulum's variational flow, the whole flow in one step().
 
     solve_ivp(rhs, span, y0, method=_DOP853Kernel, max_steps=..., forcing=...)
     integrates the state and tangent map y = (x1, x2, p11, p12, p21, p22)
     under forcing = (eps, beta, delta, omega, theta).  scipy's own set-up
     (first RHS call, initial step, tolerances) runs unchanged on rhs, which
-    must be that same system; the steps then follow rk.py's rule with
-    _attempt in place of its numpy stages and of rhs.  The error norm reads
-    x1 and x2 alone: the tangent components must have atol = inf, which
-    drops them out of scipy's norm too.  A step counts 12 RHS evaluations in
-    nfev, as scipy's do.  After max_steps attempted steps, accepted or not,
-    the next step fails.  No dense output.
+    must be that same system.  Then one step() covers the flow: _step_impl
+    loops on Python floats under rk.py's step-size rule and min_step, with
+    _attempt in place of its numpy stages and of rhs, until t_bound.  So
+    t_old is the flow start, and sol.t holds the two ends alone.  The error
+    norm reads x1 and x2 alone: the tangent components must have atol =
+    inf, which drops them out of scipy's norm too.  A rejected attempt
+    skips the tangent stages.  Each attempt counts 12 RHS evaluations in
+    nfev, as scipy's steps do.  After max_steps attempts, accepted or not,
+    the flow fails.  No dense output.
     """
 
     def __init__(self, fun, t0, y0, t_bound, max_steps, forcing, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
-        self._forcing = forcing
-        self._steps_left = max_steps
-        self._max_steps = max_steps
-        atol = np.broadcast_to(self.atol, (self.n,)).tolist()
-        rtol = np.broadcast_to(self.rtol, (self.n,)).tolist()
-        self._tol = (atol[0], rtol[0], atol[1], rtol[1])
-        self._direction = float(self.direction)
-        self.y = self.y.tolist()
-        self.f = self.f.tolist()
-        self.h_abs = float(self.h_abs)
+        self._max_steps, self._forcing = max_steps, forcing
 
     def _step_impl(self):
-        t, y, n, direction = self.t, self.y, self.n, self._direction
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = min(max(self.h_abs, min_step), self.max_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            if self._steps_left == 0:
-                budget = f"step budget of {self._max_steps} spent"
-                return False, f"{budget} at t = {t:.6g} of {self.t_bound:.6g}"
-            self._steps_left -= 1
-            t_new = t + h_abs * direction
-            if direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            y_new, f_new, error_norm = _attempt(t, y, self.f, h, self._forcing, self._tol, n)
-            self.nfev += 12
-            if error_norm < 1.0:
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**self.error_exponent)
-            rejected = True
-        if error_norm == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = min(_MAX_FACTOR, _SAFETY * error_norm**self.error_exponent)
-        if rejected:
-            factor = min(1.0, factor)
-        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs * factor
-        return True, None
+        t, y, f, h_abs = self.t, self.y.tolist(), self.f.tolist(), float(self.h_abs)
+        t_bound, direction, max_step = self.t_bound, float(self.direction), self.max_step
+        atol, rtol = np.broadcast_to(self.atol, (self.n,)).tolist(), float(self.rtol)
+        tol, n, exponent = (atol[0], rtol, atol[1], rtol), self.n, self.error_exponent
+        attempt, forcing, steps_left = _attempt, self._forcing, self._max_steps
+        try:
+            while direction * (t - t_bound) < 0:
+                min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+                h_abs = min(max(h_abs, min_step), max_step)
+                cap = _MAX_FACTOR
+                while True:
+                    if h_abs < min_step:
+                        return False, self.TOO_SMALL_STEP
+                    if steps_left == 0:
+                        budget = f"step budget of {self._max_steps} spent"
+                        return False, f"{budget} at t = {t:.6g} of {t_bound:.6g}"
+                    steps_left -= 1
+                    t_new = t + h_abs * direction
+                    if direction * (t_new - t_bound) > 0:
+                        t_new = t_bound
+                    h = t_new - t
+                    h_abs = abs(h)
+                    error_norm, y_new, f_new = attempt(t, y, f, h, forcing, tol, n)
+                    if error_norm < 1.0:
+                        break
+                    h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**exponent)
+                    cap = 1.0  # no growth after a rejection
+                h_abs *= min(cap, _SAFETY * error_norm**exponent) if error_norm else cap
+                t, y, f = t_new, y_new, f_new
+            return True, None
+        finally:
+            self.nfev += 12 * (self._max_steps - steps_left)
+            self.t, self.y, self.f, self.h_abs = t, y, f, h_abs
 
     def _dense_output_impl(self):
         raise NotImplementedError("_DOP853Kernel keeps no dense output")
@@ -453,17 +456,18 @@ def _variational_map(sys, eps, m, z, theta_section):
     """P(z) and DP(z) from one DOP853 flow of the state and its tangent map.
 
     Phi' = [[0, 1], [-cos x1, -eps*delta]] Phi with Phi(0) = I, so the
-    final Phi is the Jacobian of the stroboscopic map at z.  solve_ivp
-    takes the steps with _DOP853Kernel, which evaluates this system inline
-    from its forcing option; rhs, the same system, serves scipy's set-up
-    (called with a numpy array).  The tangent components get atol = inf,
-    so they drop out of the error norm and the steps are chosen from
-    (x1, x2) alone.  That norm divides by sqrt(6), so scaling both
-    tolerances by sqrt(2/6) gives back the norm, and with it the steps, of
-    a 2-D flow at _FLOW_TOL: P(z) is that flow's map to round-off.
-    The flow gets _STEPS_PER_UNIT_TIME attempted steps per unit of its
-    duration, counted as at least 2*pi (a fast forcing still needs a few
-    steps per period), then raises IntegrationFailure like any failed
+    final Phi is the Jacobian of the stroboscopic map at z.  solve_ivp runs
+    the flow as one step() of _DOP853Kernel (t_old is the flow start, and
+    sol.y holds its two ends), which evaluates this system inline from its
+    forcing option; rhs, the same system, serves scipy's set-up (called
+    with a numpy array).  The tangent components get atol = inf, so they
+    drop out of the error norm, the steps are chosen from (x1, x2) alone
+    and a rejected attempt skips them.  The norm divides by sqrt(6), so
+    scaling both tolerances by sqrt(2/6) gives back the norm, and with it
+    the steps, of a 2-D flow at _FLOW_TOL: P(z) is that flow's map to
+    round-off.  The flow gets _STEPS_PER_UNIT_TIME attempted steps per unit
+    of its duration, counted as at least 2*pi (a fast forcing still needs a
+    few steps per period), then raises IntegrationFailure like any failed
     flow.  scipy's first-step guess overflows at a huge epsilon; the tiny
     step it then picks fails on its own terms, so numpy's floating-point
     warnings are silenced around it.
@@ -506,19 +510,6 @@ def _variational_map(sys, eps, m, z, theta_section):
     return out[:2], out[2:].reshape(2, 2)
 
 
-def stroboscopic_map(
-    sys: ForcedSystem, eps: float, m: int, start: OrbitPoint, theta_section: float = 0.0
-) -> OrbitPoint:
-    """State after m forcing periods, starting at section phase theta.
-
-    The state half of _variational_map's flow.  The returned angle is
-    unwrapped (winding retained); wrap_angle gives the mod-2pi
-    representative for reporting.
-    """
-    final, _ = _variational_map(sys, eps, m, (start.x1, start.x2), theta_section)
-    return OrbitPoint(float(final[0]), float(final[1]))
-
-
 def _winding(r: Resonance) -> np.ndarray:
     """Advance of (x1, x2) over n periods of the resonant orbit.
 
@@ -530,26 +521,35 @@ def _winding(r: Resonance) -> np.ndarray:
 
 
 def _distance_to_orbit(z, r: Resonance) -> float:
-    from scipy.optimize import minimize_scalar
+    """Distance from z to the unperturbed orbit, angles taken mod 2*pi.
 
+    From the nearest of _ORBIT_SAMPLES orbit points, Newton steps on
+    g(s) = <d, gamma'(s)>, with d = z - gamma(s), gamma' = (x2, -sin x1)
+    and g' = <d, gamma''> - |gamma'|^2, gamma'' = (-sin x1, -x2 cos x1),
+    stay within one sample spacing of it.  g = 0 where |d| is stationary.
+    The steps go on while g' < 0 (|d| convex) and each point's |g| is
+    below half the last one's, so they stop at g's round-off; the distance
+    is |d| at the last point that halved |g| (the first point counts).
+    """
     period = r.orbit.period
-
-    def dist(t):
-        state = orbit_state(r.orbit, t)
-        return np.hypot(wrap_angle(z[0] - state.x1), z[1] - state.x2)
-
-    t = np.linspace(0.0, period, _ORBIT_SAMPLES, endpoint=False)
-    coarse = dist(t)
-    i = int(np.argmin(coarse))
     h = period / _ORBIT_SAMPLES
-    # refine below the coarse-grid resolution; distances are O(eps)
-    res = minimize_scalar(
-        lambda tt: float(dist(tt)),
-        bounds=(t[i] - h, t[i] + h),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(min(res.fun, coarse[i]))
+    grid = np.linspace(0.0, period, _ORBIT_SAMPLES, endpoint=False)
+    state = orbit_state(r.orbit, grid)
+    i = int(np.argmin(np.hypot(wrap_angle(z[0] - state.x1), z[1] - state.x2)))
+    s, g_last = grid[i], math.inf
+    while True:
+        point = orbit_state(r.orbit, s)
+        x1, x2 = point.x1, point.x2
+        d1, d2 = float(wrap_angle(z[0] - x1)), z[1] - x2
+        sin1 = math.sin(x1)
+        g = d1 * x2 - d2 * sin1
+        slope = -d1 * sin1 - d2 * x2 * math.cos(x1) - (x2 * x2 + sin1 * sin1)
+        if abs(g) >= 0.5 * g_last:
+            return distance
+        g_last, distance = abs(g), math.hypot(d1, d2)
+        if not slope < 0.0:
+            return distance
+        s = min(max(s - g / slope, grid[i] - h), grid[i] + h)
 
 
 def _newton(sys, eps, m, z0, theta0, winding):

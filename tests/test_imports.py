@@ -30,9 +30,6 @@ BENCH_FILES = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
 
 # Public functions that only the tests call.
 REFERENCE_ONLY = {
-    # the map itself, the state half of the variational flow, which the tests
-    # check against scipy's own 2-D DOP853
-    "poincare.stroboscopic_map",
     # criterion 5's independent Laurent-coefficient check of the residues; it also
     # keeps contour's jacobi_complex import bound, which perfbench's tracer wraps
     "contour.laurent_probe",

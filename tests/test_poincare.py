@@ -16,7 +16,6 @@ from melnikov_lab.melnikov import (
 )
 from melnikov_lab.pendulum import (
     INNER,
-    OrbitPoint,
     orbit_state,
     pendulum_system,
     wrap_angle,
@@ -30,7 +29,6 @@ from melnikov_lab.poincare import (
     _winding,
     find_subharmonic,
     scaling_band,
-    stroboscopic_map,
 )
 
 
@@ -70,26 +68,24 @@ def system():
 
 class TestStroboscopicMap:
     def test_origin_is_fixed_unforced(self, system):
-        out = stroboscopic_map(system, 0.0, 1, OrbitPoint(0.0, 0.0))
-        assert abs(out.x1) <= 1e-12
-        assert abs(out.x2) <= 1e-12
+        out, _ = _variational_map(system, 0.0, 1, (0.0, 0.0), 0.0)
+        assert np.max(np.abs(out)) <= 1e-12
 
     def test_resonant_orbit_closes_at_eps_zero(self, system, resonance):
         # the m-fold forcing period equals n unperturbed periods
         start = orbit_state(resonance.orbit, 0.8)
-        out = stroboscopic_map(system, 0.0, resonance.m, start)
-        assert out.x1 == pytest.approx(start.x1, abs=1e-9)
-        assert out.x2 == pytest.approx(start.x2, abs=1e-9)
+        out, _ = _variational_map(system, 0.0, resonance.m, (start.x1, start.x2), 0.0)
+        assert out == pytest.approx([start.x1, start.x2], abs=1e-9)
 
     def test_energy_preserved_at_eps_zero(self, system):
-        start = OrbitPoint(1.0, 0.3)
-        out = stroboscopic_map(system, 0.0, 2, start)
-        h = lambda p: 1.0 - math.cos(p.x1) + 0.5 * p.x2**2
+        start = (1.0, 0.3)
+        out, _ = _variational_map(system, 0.0, 2, start, 0.0)
+        h = lambda p: 1.0 - math.cos(p[0]) + 0.5 * p[1] ** 2
         assert h(out) == pytest.approx(h(start), abs=1e-10)
 
     def test_forcing_moves_the_origin(self, system):
-        out = stroboscopic_map(system, 1e-3, 1, OrbitPoint(0.0, 0.0))
-        assert np.hypot(out.x1, out.x2) > 1e-5
+        out, _ = _variational_map(system, 1e-3, 1, (0.0, 0.0), 0.0)
+        assert np.hypot(*out) > 1e-5
 
 
 class TestFindSubharmonic:
@@ -106,11 +102,9 @@ class TestFindSubharmonic:
 
     def test_fixed_point_is_actually_fixed(self, system, resonance):
         res = find_subharmonic(system, 1e-3, resonance, math.pi / 2.0)
-        out = stroboscopic_map(
-            system, 1e-3, resonance.m, res.point, theta_section=math.pi / 2.0
-        )
-        assert out.x1 == pytest.approx(res.point.x1, abs=1e-9)
-        assert out.x2 == pytest.approx(res.point.x2, abs=1e-9)
+        z = (res.point.x1, res.point.x2)
+        out, _ = _variational_map(system, 1e-3, resonance.m, z, math.pi / 2.0)
+        assert out == pytest.approx(z, abs=1e-9)
 
     def test_system_omega_must_be_the_resonance_omega(self, resonance, monkeypatch):
         def no_flow(*args, **kwargs):
@@ -247,8 +241,7 @@ class TestVariationalEngine:
         final, dp = _variational_map(system, eps, resonance.m, z, theta)
 
         def strobe(point):
-            out = stroboscopic_map(system, eps, resonance.m, OrbitPoint(*point), theta)
-            return np.array([out.x1, out.x2])
+            return _variational_map(system, eps, resonance.m, point, theta)[0]
 
         h = 1e-5
         fd = np.zeros((2, 2))
@@ -277,8 +270,6 @@ class TestVariationalEngine:
         z = np.array([start.x1, start.x2]) + offset
         sys_, eps = pendulum_system(1.0, delta, 1.0), 10.0**log_eps
         final, dp = _variational_map(sys_, eps, m, z, theta)
-        out = stroboscopic_map(sys_, eps, m, OrbitPoint(*z), theta)
-        assert np.array_equal(final, [out.x1, out.x2])
         bound = 1e-11
         if m == 5:
             # near the separatrix the map magnifies round-off up to 1e5-fold:
@@ -312,6 +303,26 @@ def _kernel_and_scipy(monkeypatch):
     return pairs
 
 
+def _accepted_steps(monkeypatch):
+    """Record (t, y, h, y_new) of every accepted attempt of the flows that follow.
+
+    One step() covers a whole flow, so sol.t holds its two ends alone; the
+    kernel reads poincare._attempt once per flow, so this wrapper sees each
+    attempt.
+    """
+    steps = []
+    attempt = poincare._attempt
+
+    def recorded(t, y, k1, h, forcing, tol, n):
+        error_norm, y_new, f_new = attempt(t, y, k1, h, forcing, tol, n)
+        if error_norm < 1.0:
+            steps.append((t, y, h, y_new))
+        return error_norm, y_new, f_new
+
+    monkeypatch.setattr(poincare, "_attempt", recorded)
+    return steps
+
+
 def _close(got, want, rel):
     return np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
 
@@ -334,23 +345,40 @@ class TestDOP853Kernel:
     # or the stroboscopic benchmark, does.  So the exact step and nfev
     # comparison rests on the summation order of the BLAS scipy is built
     # with; another BLAS could move one step with no fault in the kernel.
-    @pytest.mark.parametrize("family, m", [("inner", 3), ("rotating+", 1)])
-    def test_kernel_takes_scipys_steps(self, family, m, monkeypatch):
+    # The pinned nfev and final states are those the kernel computed when it
+    # took one step() per accepted step, equal to the last bit.
+    @pytest.mark.parametrize(
+        "family, m, nfev, final",
+        [
+            pytest.param("inner", 3, 1550, [
+                -0.04892190937845814, 0.9565632344958163, -1.895521008741185,
+                -2.1708799882722607, 0.712801290009895, 0.29373800526371047,
+            ], id="inner-3"),
+            pytest.param("rotating+", 1, 626, [
+                7.71248336398013, 1.5469886052407429, 28.94094702118131,
+                42.58077007659269, -17.88126362601142, -26.274230461242972,
+            ], id="rotating+-1"),
+        ],
+    )
+    def test_kernel_takes_scipys_steps(self, family, m, nfev, final, monkeypatch):
         pairs = _kernel_and_scipy(monkeypatch)
+        steps = _accepted_steps(monkeypatch)
         r = solve_resonance(family, 1.0, m, 1)
         start = orbit_state(r.orbit, 0.8)
         z = (0.9, 0.4) if family == INNER else (start.x1, start.x2)
         sys_, eps, theta = pendulum_system(1.0, 0.5, 1.0), 1e-3, math.pi / 2.0
         _variational_map(sys_, eps, m, z, theta)
         ((_, sol, ref),) = pairs
-        assert sol.success and len(sol.t) == len(ref.t)
+        assert sol.success and len(steps) == len(ref.t) - 1
+        assert sol.t.tolist() == [0.0, 2.0 * math.pi * m]
         assert sol.nfev == ref.nfev
         # 12 evaluations per attempted step after scipy's two at the start
-        rejected = (sol.nfev - 2) // 12 - (len(sol.t) - 1)
+        rejected = (sol.nfev - 2) // 12 - len(steps)
         assert rejected > 0
         assert _close(sol.y[:, -1], ref.y[:, -1], 1e-13)
         # the state is scipy's 2-D map too
         assert _close(sol.y[:2, -1], _scipy_map(sys_, eps, m, z, theta).y[:, -1], 1e-13)
+        assert sol.nfev == nfev and sol.y[:, -1].tolist() == final
 
     # The benchmark forces at omega = beta = 1 only, where a misplaced omega
     # or beta in the kernel's inlined forcing would not show.  Over a whole
@@ -376,19 +404,23 @@ class TestDOP853Kernel:
         start = orbit_state(r.orbit, phase * r.orbit.period)
         with pytest.MonkeyPatch.context() as mp:
             pairs = _kernel_and_scipy(mp)
+            steps = _accepted_steps(mp)
             _variational_map(
                 pendulum_system(beta, delta, omega), 10.0**log_eps, m, (start.x1, start.x2), theta
             )
         ((rhs, sol, ref),) = pairs
         assert sol.success and ref.success
         assert abs(sol.nfev - ref.nfev) <= 12
+        # the accepted steps chain the flow's start to its end
+        starts, ends = [list(s[1]) for s in steps], [list(s[3]) for s in steps]
+        assert starts[1:] == ends[:-1]
+        assert starts[0] == sol.y[:, 0].tolist() and ends[-1] == sol.y[:, -1].tolist()
         stages = np.empty((DOP853.n_stages + 1, 6))
-        for i in range(len(sol.t) - 1):
-            t, y, h = sol.t[i], sol.y[:, i], sol.t[i + 1] - sol.t[i]
+        for t, y, h, got in steps:
+            y, got = np.array(y), np.array(got)
             want, _ = rk.rk_step(
                 rhs, t, y, np.asarray(rhs(t, y)), h, DOP853.A, DOP853.B, DOP853.C, stages
             )
-            got = sol.y[:, i + 1]
             assert _close(got[:2], want[:2], 1e-12)
             # the tangent map's round-off scales with its largest entry
             scale = max(1.0, np.max(np.abs(want[2:])))
@@ -426,7 +458,7 @@ class TestDOP853Kernel:
         # one attempt per unit time over 3 periods of 2*pi: ceil(6*pi) = 19
         monkeypatch.setattr(poincare, "_STEPS_PER_UNIT_TIME", 1)
         with pytest.raises(IntegrationFailure, match="step budget of 19 spent"):
-            stroboscopic_map(system, 1e-3, 3, OrbitPoint(0.9, 0.4))
+            _variational_map(system, 1e-3, 3, (0.9, 0.4), 0.0)
 
     def test_no_dense_output(self):
         def rhs(t, y):
@@ -439,6 +471,43 @@ class TestDOP853Kernel:
                 method=poincare._DOP853Kernel, max_steps=100,
                 forcing=(0.0, 1.0, 0.0, 1.0, 0.0), dense_output=True,
             )
+
+
+class TestDistanceToOrbit:
+    # Newton on g(s) = <z - gamma(s), gamma'(s)> ends where g is round-off:
+    # the error of the orbit state times the orbit's speed.  A search that
+    # stops at sqrt(machine eps)*|s|, as Brent's bounded minimum does, leaves
+    # |g| near 1e-8 |gamma'|^2, far above this bound.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([("inner", 3), ("inner", 5), ("rotating+", 1), ("rotating-", 1)]),
+        st.floats(0.0, 1.0),
+        st.floats(-8.0, -2.0),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_nearest_point_zeroes_g_to_round_off(self, family, phase, log_offset, angle):
+        tag, m = family
+        r = solve_resonance(tag, 1.0, m, 1)
+        start = orbit_state(r.orbit, phase * r.orbit.period)
+        offset = 10.0**log_offset
+        z = (start.x1 + offset * math.cos(angle), start.x2 + offset * math.sin(angle))
+        visited = []
+
+        def recorded(family, t):
+            point = orbit_state(family, t)
+            if np.ndim(t) == 0:
+                visited.append(point)
+            return point
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poincare, "orbit_state", recorded)
+            distance = poincare._distance_to_orbit(z, r)
+        assert distance <= offset * (1.0 + 1e-9)
+        d = [(float(wrap_angle(z[0] - p.x1)), z[1] - p.x2, p) for p in visited]
+        d1, d2, p = next(e for e in d if math.hypot(e[0], e[1]) == distance)
+        speed = math.hypot(p.x2, math.sin(p.x1))
+        g = d1 * p.x2 - d2 * math.sin(p.x1)
+        assert abs(g) <= 256.0 * np.finfo(float).eps * speed * max(1.0, *map(abs, z))
 
 
 class TestScalingBand:
