@@ -86,6 +86,10 @@ _N_MAX = 2**20  # the most nodes a quadrature samples before it gives up
 _HOMOCLINIC_HALF = 40.0 + 5.0 * math.log10(1.0 / _QUADRATURE_TOL)
 _RESONANCE_RTOL = 1e-10  # largest |residual| / target that solve_resonance accepts
 _K_PRIME_RANGE = (1e-300, 1.0 - 1e-16)  # searched by the resonance bisection
+# A target whose separatrix estimate k'0 = 4 exp(-target) lies below this is
+# bisected on k'0 (1 +- _SEPARATRIX_BRACKET), which holds the root (_bisect_k_prime).
+_SEPARATRIX_K_PRIME = 1e-3
+_SEPARATRIX_BRACKET = 1e-5
 K_WINDOW = (1e-6, 1.0 - 1e-15)  # moduli that resonance tables and certificates list
 # Rotating moduli below this are not listed.  The bisection ends within one
 # float step of k' near 1, which moves k by 2^-53 / k^2 relative: more than
@@ -185,6 +189,18 @@ def _bisect_k_prime(period, target: float, what: str) -> EllipticModulus:
     bisect for.  Each step costs one AGM descent (period at k = sqrt((1 - k')
     (1 + k')), as from_k_prime forms it) and builds no modulus; the one
     EllipticModulus is built at the returned midpoint.
+
+    Near the separatrix the bisection starts from k'0 = 4 exp(-target).
+    With L = ln(4/k'), K = L + (k'^2/4)(L - 1) + O(k'^4 L) and
+    k K = L - (k'^2/4)(L + 1) + O(k'^4 L) (Abramowitz & Stegun 17.3.26), so
+    the root k' lies within |ln(k'/k'0)| <= k'^2 (L + 1)/4 of k'0: below
+    2.4e-6 for k'0 < 1e-3 (2.3e-6 measured at k' = 1e-3; rounding
+    exp(-target) adds at most 5e-14).  Such a target bisects on the bracket
+    k'0 (1 +- 1e-5), cut below at 1e-300, in 36-38 steps, where
+    [1e-300, 1 - 1e-16] took up to 200 and resolved no k' below ~1e-52.
+    Every other target bisects on [1e-300, 1 - 1e-16].  The bracket ends
+    share the sign of period - target at the range ends, so the loop reads
+    f_lo from the range check either way.
     """
 
     def period_at(k_prime):
@@ -201,6 +217,10 @@ def _bisect_k_prime(period, target: float, what: str) -> EllipticModulus:
             f"periods [{bottom:.6g}, {top:.6g}] reachable for k' in [{lo:g}, {hi!r}]"
         )
     f_lo = top - target
+    k_prime_0 = 4.0 * math.exp(-target)
+    if k_prime_0 < _SEPARATRIX_K_PRIME:
+        lo = max(lo, k_prime_0 * (1.0 - _SEPARATRIX_BRACKET))
+        hi = k_prime_0 * (1.0 + _SEPARATRIX_BRACKET)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
@@ -220,12 +240,13 @@ def solve_resonance(family_tag: str, omega: float, m: int, n: int) -> Optional[R
     m/n > omega; returns None in that case (a valid outcome).  Rotating
     orbits need k*K(k) = pi*m/(n*omega).
     The bisection in k' runs one AGM descent per step and builds one
-    EllipticModulus, at the root.
+    EllipticModulus, at the root; near the separatrix (k' < 1e-3) it starts
+    from k' = 4 exp(-target) and a solve takes 40-42 descents in all.
     Raises ResonanceError, without bisecting, when the target is infinite
     or lies outside the periods that k' in [1e-300, 1 - 1e-16] reaches, and when
-    the solved modulus misses the target by more than 1e-10 relative: the
-    bisection cannot resolve moduli much closer to 1 than k' ~ 1e-52, nor
-    rotating ones much closer to 0 than k ~ 1e-3.
+    the solved modulus misses the target by more than 1e-10 relative: every
+    k' >= 1e-300 resolves, but rotating moduli much closer to 0 than
+    k ~ 1e-3 do not.
     """
     target, period = _resonance_equation(family_tag, omega, m, n)
     if m < 1 or n < 1 or math.gcd(m, n) != 1:

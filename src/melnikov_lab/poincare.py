@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
@@ -606,33 +606,34 @@ def find_subharmonic(
     Runs Newton once from each _melnikov_seeds point and reports the
     converged fixed point nearest the unperturbed orbit, with that
     distance for the epsilon-scaling check, or else the first seed's
-    unconverged result.  The residual and the Floquet multipliers (the
-    eigenvalues of DP) come from the variational flow at the reported
-    point itself; no separate flow runs.  sys.omega must be the
-    resonance's omega.
+    unconverged result.  Only those points are measured against the orbit.
+    The residual and the Floquet multipliers (the eigenvalues of DP) come
+    from the variational flow at the reported point itself; no separate
+    flow runs.  sys.omega must be the resonance's omega.
     """
     if sys.omega != r.omega:
         raise ValueError(f"system omega {sys.omega!r} != resonance omega {r.omega!r}")
     winding = _winding(r)
-    best: Optional[FixedPointResult] = None
+    first = best = None
     for seed in _melnikov_seeds(sys, r, theta0):
-        z, f, converged, dp = _newton(sys, eps, r.m, (seed.x1, seed.x2), theta0, winding)
-        result = FixedPointResult(
-            point=OrbitPoint(float(z[0]), float(z[1])),
-            residual=float(np.linalg.norm(f)),
-            distance_to_unperturbed=_distance_to_orbit(z, r),
-            converged=converged,
-            floquet_multipliers=tuple(np.linalg.eigvals(dp)),
-        )
-        if best is None or (
-            result.converged
-            and (
-                not best.converged
-                or result.distance_to_unperturbed < best.distance_to_unperturbed
-            )
-        ):
-            best = result
-    return best
+        newton = _newton(sys, eps, r.m, (seed.x1, seed.x2), theta0, winding)
+        if first is None:
+            first = newton
+        z, _, converged, _ = newton
+        if converged:
+            distance = _distance_to_orbit(z, r)
+            if best is None or distance < best[0]:
+                best = distance, newton
+    if best is None:
+        best = _distance_to_orbit(first[0], r), first
+    distance, (z, f, converged, dp) = best
+    return FixedPointResult(
+        point=OrbitPoint(float(z[0]), float(z[1])),
+        residual=float(np.linalg.norm(f)),
+        distance_to_unperturbed=distance,
+        converged=converged,
+        floquet_multipliers=tuple(np.linalg.eigvals(dp)),
+    )
 
 
 def scaling_band(eps_list, distances) -> Tuple[bool, List[float]]:

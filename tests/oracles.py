@@ -2,10 +2,11 @@
 independent route to the same quantity.
 
 substitution_check integrates cn^2 by adaptive quadrature on both sides of
-a change of variables; homoclinic_limit_check measures how fast the m/1
-subharmonic curves approach their homoclinic limits; orbit_ode_residual
-and homoclinic_limit_distance test the closed-form orbits against the
-pendulum ODE and against the separatrix.
+a change of variables; full_range_bisection solves a resonance by plain
+bisection over the whole k' range; homoclinic_limit_check measures how fast
+the m/1 subharmonic curves approach their homoclinic limits;
+orbit_ode_residual and homoclinic_limit_distance test the closed-form orbits
+against the pendulum ODE and against the separatrix.
 """
 
 import math
@@ -56,6 +57,30 @@ def substitution_check(mod: EllipticModulus, t_lo: float, t_hi: float) -> float:
     rhs_val, _ = quad(g, s_lo, s_hi, epsabs=_SUBSTITUTION_TOL, epsrel=_SUBSTITUTION_TOL)
     rhs = -rhs_val
     return abs(lhs - rhs)
+
+
+def full_range_bisection(period, target: float, lo: float, hi: float) -> float:
+    """The k' at which bisection on all of [lo, hi] leaves period(k, k') = target.
+
+    The resonance solve's loop with no separatrix bracket: at most 200
+    halvings of [lo, hi], each one AGM descent, so it resolves k' to a float
+    step only down to k' ~ 3e-45 when lo = 1e-300.
+    """
+
+    def period_at(k_prime):
+        return period(math.sqrt((1.0 - k_prime) * (1.0 + k_prime)), k_prime)
+
+    f_lo = period_at(lo) - target
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        f_mid = period_at(mid) - target
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
 
 
 def homoclinic_limit_check(

@@ -158,8 +158,8 @@ class TestMelnikovCommand:
         assert "no resonance" in err
 
     def test_out_of_range_resonance_exits_3(self, capsys):
-        # inner 101/1 at omega = 1 needs k' ~ 1e-69, below what bisection resolves
-        code, out, err = run_cli(capsys, ["melnikov", "--m", "101", "--omega", "1"])
+        # inner 450/1 at omega = 1 needs K = 706.9, past K(k' = 1e-300) = 692.16
+        code, out, err = run_cli(capsys, ["melnikov", "--m", "450", "--omega", "1"])
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "out of range" in err

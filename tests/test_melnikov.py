@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 import melnikov_lab.elliptic as elliptic_module
 import melnikov_lab.melnikov as melnikov_module
-from melnikov_lab.elliptic import EllipticModulus, _complete_K
+from melnikov_lab.elliptic import EllipticModulus, _complementary, _complete_K
 from melnikov_lab.melnikov import (
     K_WINDOW,
     MelnikovCurve,
@@ -28,7 +28,7 @@ from melnikov_lab.melnikov import (
     subharmonic_quadrature,
 )
 from melnikov_lab.pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, pendulum_system
-from oracles import homoclinic_limit_check
+from oracles import full_range_bisection, homoclinic_limit_check
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -80,8 +80,8 @@ class TestSolveResonance:
     @pytest.mark.parametrize(
         "family, omega, m",
         [
-            (INNER, 1.0, 101),  # k' = 3.1e-61 with residual -17.9
-            (INNER, 1.0, 81),  # residual -4.8e-7, 3.8e-9 of the target
+            (INNER, 1.0, 450),  # K = 706.9 lies past K(k' = 1e-300) = 692.16
+            (INNER, 1.0, 441),  # K = 692.7, just past it
             (ROTATING_PLUS, 1e-3, 1),  # k' ~ 4 exp(-3142) underflows
             (ROTATING_MINUS, 1e-3, 2),
         ],
@@ -115,13 +115,41 @@ class TestSolveResonance:
         assert "[2.34067e-08, 692.162]" in message
 
     def test_each_solve_meets_its_target_or_raises(self):
-        # K = ln(4/k') + O(k'^2): m runs k' from 0.1 down past 1e-100
+        # K = ln(4/k') + O(k'^2): m runs k' from 0.1 down past 1e-100, and
+        # every target lies within K(k' = 1e-300), so none may raise (81/1
+        # and 101/1, at k' = 2.2e-55 and 5.0e-69, once did)
         for m in range(2, 151):
-            try:
-                r = solve_resonance(INNER, 1.0, m, 1)
-            except ResonanceError:
-                continue
+            r = solve_resonance(INNER, 1.0, m, 1)
             assert abs(r.residual()) <= 1e-10 * math.pi * m / 2.0
+
+    @PROPERTY
+    @given(
+        st.sampled_from((INNER, ROTATING_PLUS, ROTATING_MINUS)),
+        st.floats(0.5, 2.0),
+        st.integers(1, 400),
+        st.sampled_from((1, 2)),
+    )
+    def test_separatrix_bracket_keeps_the_full_range_root(self, family, omega, m, n):
+        # near the separatrix the bisection starts from k' = 4 exp(-target);
+        # where [1e-300, 1 - 1e-16] resolves the root, it finds the same one
+        assume(math.gcd(m, n) == 1)
+        target, period = melnikov_module._resonance_equation(family, omega, m, n)
+        lo, hi = melnikov_module._K_PRIME_RANGE
+        reachable = period(_complementary(hi), hi) <= target <= period(_complementary(lo), lo)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _, descents = _count_work(monkeypatch)
+            try:
+                r = solve_resonance(family, omega, m, n)
+            except ResonanceError:
+                assert not reachable
+                return
+        if r is None:
+            return
+        assert abs(r.residual()) <= 1e-10 * target
+        if 4.0 * math.exp(-target) < 1e-3:
+            assert len(descents) <= 60
+        if r.modulus.k_prime >= 3e-45:
+            assert r.modulus.k_prime == full_range_bisection(period, target, lo, hi)
 
     @pytest.mark.parametrize("family, m", [(INNER, 3), (ROTATING_PLUS, 1), (ROTATING_MINUS, 1)])
     def test_one_build_per_solve(self, monkeypatch, family, m):
@@ -209,6 +237,10 @@ class TestSubharmonicQuadrature:
             (INNER, 45),  # k' = 8.0e-31; 3.9e-8
             (ROTATING_PLUS, 27),  # k' = 5.8e-37; 1.7e-8
             (ROTATING_MINUS, 27),
+            (ROTATING_PLUS, 38),  # k' = 5.7e-52; 4.1e-14, 2.1e-10 at linear bisection's residual
+            (ROTATING_MINUS, 38),
+            (INNER, 77),  # k' = 1.2e-52; 2.7e-14, 1.0e-9 likewise
+            (INNER, 101),  # k' = 5.0e-69; 2.0e-14, out of range for linear bisection
         ],
     )
     def test_near_separatrix_matches_closed_form(self, family, m):
