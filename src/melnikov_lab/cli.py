@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -262,6 +262,21 @@ _SUBHARMONIC_DEFAULTS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: no prefix matching, and -5e-4 read as a number.
+
+    No prefix matching, so --m cannot reach --m-max where there is no --m.
+    argparse takes only -5 and -.5 for negative numbers and reads -5e-4 as
+    a flag; here exponent notation counts too.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
+
+
 def _add_flags(p, *dests):
     for dest in dests:
         p.add_argument("--" + dest.replace("_", "-"), **_SHARED_FLAGS[dest])
@@ -272,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="melnikov-lab",
         description="Melnikov analysis of the periodically forced damped pendulum",
     )
-    # no prefix matching, so --m cannot reach --m-max where there is no --m
-    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
     system = ("omega", "beta", "delta")
     resonance = ("family", "m", "n")
 

@@ -12,13 +12,14 @@ flows are nearly all of the cost, and a 6-D state is too small for numpy
 to pay for itself.  So scipy.integrate.solve_ivp drives _DOP853Kernel, a
 DOP853 whose one step() runs the whole flow on Python floats with the
 tableau and the right-hand side written out, under scipy's step-size rule
-and error norm; a rejected attempt skips the tangent stages.  It sums each
-stage left to right where scipy's BLAS dot may not, so its states agree
-with scipy's to round-off, and it takes scipy's steps wherever no
-accept/reject or step-size decision rests on that round-off.  It counts
-its own RHS evaluations (sol.nfev), and it gives up after
-_STEPS_PER_UNIT_TIME attempted steps per unit of flow time, where a huge
-epsilon would otherwise shrink the steps without end.
+and error norm.  One copy of the tangent stages runs over both columns of
+the tangent map, and a rejected attempt skips them.  It sums each stage
+left to right where scipy's BLAS dot may not, so its states agree with
+scipy's to round-off, and it takes scipy's steps wherever no accept/reject
+or step-size decision rests on that round-off.  It counts its own RHS
+evaluations (sol.nfev), and it gives up after _STEPS_PER_UNIT_TIME
+attempted steps per unit of flow time, where a huge epsilon would
+otherwise shrink the steps without end.
 """
 
 from __future__ import annotations
@@ -76,12 +77,17 @@ def _dop853_attempt():
     tangent map, so the 11 new stages of (x1, x2) come first, each keeping
     its cos x1 in cx2, ..., cx12, then the error norm.  An attempt whose
     norm is not below 1 is rejected and returns (error_norm, None, None)
-    without computing the tangent stages.  Each stage evaluates the
-    right-hand side inline with the expressions of _variational_map's rhs,
-    and sums its terms in tableau order.  Names are Hairer's: stages k1,
-    ..., k12 with components ks_1, ..., ks_6, weights a_ij and b_i, and the
-    fifth- and third-order error weights e5_i, e3_i.  Only the nonzero
-    entries of the tableau appear; an underscore marks a zero.
+    without computing the tangent stages.  These are written once, for a
+    column (u, v) of the tangent map, u' = v and v' = -cos(x1) u - damping v
+    (damping = eps*delta), and run over (p11, p21), then (p12, p22): stage i
+    has ui = u + (sum_j a_ij kuj) h, kui = v + (sum_j a_ij kvj) h and
+    kvi = -cxi ui - damping kui.  Each stage evaluates the right-hand side
+    inline with the expressions of _variational_map's rhs, and sums its
+    terms in tableau order.  Names are Hairer's: stages k1, ..., k12 with
+    state components ks_1, ks_2 and column components kus, kvs, weights
+    a_ij and b_i, and the fifth- and third-order error weights e5_i, e3_i.
+    Only the nonzero entries of the tableau appear; an underscore marks a
+    zero.
     """
     cos, sin = math.cos, math.sin
     A, B = DOP853.A.tolist(), DOP853.B.tolist()
@@ -193,7 +199,6 @@ def _dop853_attempt():
             + b11 * k11_2 + b12 * k12_2
         )
 
-
         atol1, rtol1, atol2, rtol2 = tol
         scale = atol1 + max(abs(y1), abs(x1)) * rtol1
         err5 = (
@@ -223,143 +228,81 @@ def _dop853_attempt():
             return error_norm, None, None
 
         damping = eps * delta
-        p11 = y3 + (a21 * k1_3) * h
-        p12 = y4 + (a21 * k1_4) * h
-        k2_3 = y5 + (a21 * k1_5) * h
-        k2_4 = y6 + (a21 * k1_6) * h
-        k2_5 = -cx2 * p11 - damping * k2_3
-        k2_6 = -cx2 * p12 - damping * k2_4
+        columns = []
+        for u, v, ku1, kv1 in ((y3, y5, k1_3, k1_5), (y4, y6, k1_4, k1_6)):
+            ui = u + (a21 * ku1) * h
+            ku2 = v + (a21 * kv1) * h
+            kv2 = -cx2 * ui - damping * ku2
 
-        p11 = y3 + (a31 * k1_3 + a32 * k2_3) * h
-        p12 = y4 + (a31 * k1_4 + a32 * k2_4) * h
-        k3_3 = y5 + (a31 * k1_5 + a32 * k2_5) * h
-        k3_4 = y6 + (a31 * k1_6 + a32 * k2_6) * h
-        k3_5 = -cx3 * p11 - damping * k3_3
-        k3_6 = -cx3 * p12 - damping * k3_4
+            ui = u + (a31 * ku1 + a32 * ku2) * h
+            ku3 = v + (a31 * kv1 + a32 * kv2) * h
+            kv3 = -cx3 * ui - damping * ku3
 
-        p11 = y3 + (a41 * k1_3 + a43 * k3_3) * h
-        p12 = y4 + (a41 * k1_4 + a43 * k3_4) * h
-        k4_3 = y5 + (a41 * k1_5 + a43 * k3_5) * h
-        k4_4 = y6 + (a41 * k1_6 + a43 * k3_6) * h
-        k4_5 = -cx4 * p11 - damping * k4_3
-        k4_6 = -cx4 * p12 - damping * k4_4
+            ui = u + (a41 * ku1 + a43 * ku3) * h
+            ku4 = v + (a41 * kv1 + a43 * kv3) * h
+            kv4 = -cx4 * ui - damping * ku4
 
-        p11 = y3 + (a51 * k1_3 + a53 * k3_3 + a54 * k4_3) * h
-        p12 = y4 + (a51 * k1_4 + a53 * k3_4 + a54 * k4_4) * h
-        k5_3 = y5 + (a51 * k1_5 + a53 * k3_5 + a54 * k4_5) * h
-        k5_4 = y6 + (a51 * k1_6 + a53 * k3_6 + a54 * k4_6) * h
-        k5_5 = -cx5 * p11 - damping * k5_3
-        k5_6 = -cx5 * p12 - damping * k5_4
+            ui = u + (a51 * ku1 + a53 * ku3 + a54 * ku4) * h
+            ku5 = v + (a51 * kv1 + a53 * kv3 + a54 * kv4) * h
+            kv5 = -cx5 * ui - damping * ku5
 
-        p11 = y3 + (a61 * k1_3 + a64 * k4_3 + a65 * k5_3) * h
-        p12 = y4 + (a61 * k1_4 + a64 * k4_4 + a65 * k5_4) * h
-        k6_3 = y5 + (a61 * k1_5 + a64 * k4_5 + a65 * k5_5) * h
-        k6_4 = y6 + (a61 * k1_6 + a64 * k4_6 + a65 * k5_6) * h
-        k6_5 = -cx6 * p11 - damping * k6_3
-        k6_6 = -cx6 * p12 - damping * k6_4
+            ui = u + (a61 * ku1 + a64 * ku4 + a65 * ku5) * h
+            ku6 = v + (a61 * kv1 + a64 * kv4 + a65 * kv5) * h
+            kv6 = -cx6 * ui - damping * ku6
 
-        p11 = y3 + (a71 * k1_3 + a74 * k4_3 + a75 * k5_3 + a76 * k6_3) * h
-        p12 = y4 + (a71 * k1_4 + a74 * k4_4 + a75 * k5_4 + a76 * k6_4) * h
-        k7_3 = y5 + (a71 * k1_5 + a74 * k4_5 + a75 * k5_5 + a76 * k6_5) * h
-        k7_4 = y6 + (a71 * k1_6 + a74 * k4_6 + a75 * k5_6 + a76 * k6_6) * h
-        k7_5 = -cx7 * p11 - damping * k7_3
-        k7_6 = -cx7 * p12 - damping * k7_4
+            ui = u + (a71 * ku1 + a74 * ku4 + a75 * ku5 + a76 * ku6) * h
+            ku7 = v + (a71 * kv1 + a74 * kv4 + a75 * kv5 + a76 * kv6) * h
+            kv7 = -cx7 * ui - damping * ku7
 
-        p11 = y3 + (a81 * k1_3 + a84 * k4_3 + a85 * k5_3 + a86 * k6_3 + a87 * k7_3) * h
-        p12 = y4 + (a81 * k1_4 + a84 * k4_4 + a85 * k5_4 + a86 * k6_4 + a87 * k7_4) * h
-        k8_3 = y5 + (a81 * k1_5 + a84 * k4_5 + a85 * k5_5 + a86 * k6_5 + a87 * k7_5) * h
-        k8_4 = y6 + (a81 * k1_6 + a84 * k4_6 + a85 * k5_6 + a86 * k6_6 + a87 * k7_6) * h
-        k8_5 = -cx8 * p11 - damping * k8_3
-        k8_6 = -cx8 * p12 - damping * k8_4
+            ui = u + (a81 * ku1 + a84 * ku4 + a85 * ku5 + a86 * ku6 + a87 * ku7) * h
+            ku8 = v + (a81 * kv1 + a84 * kv4 + a85 * kv5 + a86 * kv6 + a87 * kv7) * h
+            kv8 = -cx8 * ui - damping * ku8
 
-        p11 = y3 + (
-            a91 * k1_3 + a94 * k4_3 + a95 * k5_3 + a96 * k6_3 + a97 * k7_3 + a98 * k8_3
-        ) * h
-        p12 = y4 + (
-            a91 * k1_4 + a94 * k4_4 + a95 * k5_4 + a96 * k6_4 + a97 * k7_4 + a98 * k8_4
-        ) * h
-        k9_3 = y5 + (
-            a91 * k1_5 + a94 * k4_5 + a95 * k5_5 + a96 * k6_5 + a97 * k7_5 + a98 * k8_5
-        ) * h
-        k9_4 = y6 + (
-            a91 * k1_6 + a94 * k4_6 + a95 * k5_6 + a96 * k6_6 + a97 * k7_6 + a98 * k8_6
-        ) * h
-        k9_5 = -cx9 * p11 - damping * k9_3
-        k9_6 = -cx9 * p12 - damping * k9_4
+            ui = u + (
+                a91 * ku1 + a94 * ku4 + a95 * ku5 + a96 * ku6 + a97 * ku7 + a98 * ku8
+            ) * h
+            ku9 = v + (
+                a91 * kv1 + a94 * kv4 + a95 * kv5 + a96 * kv6 + a97 * kv7 + a98 * kv8
+            ) * h
+            kv9 = -cx9 * ui - damping * ku9
 
-        p11 = y3 + (
-            a101 * k1_3 + a104 * k4_3 + a105 * k5_3 + a106 * k6_3 + a107 * k7_3
-            + a108 * k8_3 + a109 * k9_3
-        ) * h
-        p12 = y4 + (
-            a101 * k1_4 + a104 * k4_4 + a105 * k5_4 + a106 * k6_4 + a107 * k7_4
-            + a108 * k8_4 + a109 * k9_4
-        ) * h
-        k10_3 = y5 + (
-            a101 * k1_5 + a104 * k4_5 + a105 * k5_5 + a106 * k6_5 + a107 * k7_5
-            + a108 * k8_5 + a109 * k9_5
-        ) * h
-        k10_4 = y6 + (
-            a101 * k1_6 + a104 * k4_6 + a105 * k5_6 + a106 * k6_6 + a107 * k7_6
-            + a108 * k8_6 + a109 * k9_6
-        ) * h
-        k10_5 = -cx10 * p11 - damping * k10_3
-        k10_6 = -cx10 * p12 - damping * k10_4
+            ui = u + (
+                a101 * ku1 + a104 * ku4 + a105 * ku5 + a106 * ku6 + a107 * ku7
+                + a108 * ku8 + a109 * ku9
+            ) * h
+            ku10 = v + (
+                a101 * kv1 + a104 * kv4 + a105 * kv5 + a106 * kv6 + a107 * kv7
+                + a108 * kv8 + a109 * kv9
+            ) * h
+            kv10 = -cx10 * ui - damping * ku10
 
-        p11 = y3 + (
-            a111 * k1_3 + a114 * k4_3 + a115 * k5_3 + a116 * k6_3 + a117 * k7_3
-            + a118 * k8_3 + a119 * k9_3 + a1110 * k10_3
-        ) * h
-        p12 = y4 + (
-            a111 * k1_4 + a114 * k4_4 + a115 * k5_4 + a116 * k6_4 + a117 * k7_4
-            + a118 * k8_4 + a119 * k9_4 + a1110 * k10_4
-        ) * h
-        k11_3 = y5 + (
-            a111 * k1_5 + a114 * k4_5 + a115 * k5_5 + a116 * k6_5 + a117 * k7_5
-            + a118 * k8_5 + a119 * k9_5 + a1110 * k10_5
-        ) * h
-        k11_4 = y6 + (
-            a111 * k1_6 + a114 * k4_6 + a115 * k5_6 + a116 * k6_6 + a117 * k7_6
-            + a118 * k8_6 + a119 * k9_6 + a1110 * k10_6
-        ) * h
-        k11_5 = -cx11 * p11 - damping * k11_3
-        k11_6 = -cx11 * p12 - damping * k11_4
+            ui = u + (
+                a111 * ku1 + a114 * ku4 + a115 * ku5 + a116 * ku6 + a117 * ku7
+                + a118 * ku8 + a119 * ku9 + a1110 * ku10
+            ) * h
+            ku11 = v + (
+                a111 * kv1 + a114 * kv4 + a115 * kv5 + a116 * kv6 + a117 * kv7
+                + a118 * kv8 + a119 * kv9 + a1110 * kv10
+            ) * h
+            kv11 = -cx11 * ui - damping * ku11
 
-        p11 = y3 + (
-            a121 * k1_3 + a124 * k4_3 + a125 * k5_3 + a126 * k6_3 + a127 * k7_3
-            + a128 * k8_3 + a129 * k9_3 + a1210 * k10_3 + a1211 * k11_3
-        ) * h
-        p12 = y4 + (
-            a121 * k1_4 + a124 * k4_4 + a125 * k5_4 + a126 * k6_4 + a127 * k7_4
-            + a128 * k8_4 + a129 * k9_4 + a1210 * k10_4 + a1211 * k11_4
-        ) * h
-        k12_3 = y5 + (
-            a121 * k1_5 + a124 * k4_5 + a125 * k5_5 + a126 * k6_5 + a127 * k7_5
-            + a128 * k8_5 + a129 * k9_5 + a1210 * k10_5 + a1211 * k11_5
-        ) * h
-        k12_4 = y6 + (
-            a121 * k1_6 + a124 * k4_6 + a125 * k5_6 + a126 * k6_6 + a127 * k7_6
-            + a128 * k8_6 + a129 * k9_6 + a1210 * k10_6 + a1211 * k11_6
-        ) * h
-        k12_5 = -cx12 * p11 - damping * k12_3
-        k12_6 = -cx12 * p12 - damping * k12_4
+            ui = u + (
+                a121 * ku1 + a124 * ku4 + a125 * ku5 + a126 * ku6 + a127 * ku7
+                + a128 * ku8 + a129 * ku9 + a1210 * ku10 + a1211 * ku11
+            ) * h
+            ku12 = v + (
+                a121 * kv1 + a124 * kv4 + a125 * kv5 + a126 * kv6 + a127 * kv7
+                + a128 * kv8 + a129 * kv9 + a1210 * kv10 + a1211 * kv11
+            ) * h
+            kv12 = -cx12 * ui - damping * ku12
 
-        p11 = y3 + h * (
-            b1 * k1_3 + b6 * k6_3 + b7 * k7_3 + b8 * k8_3 + b9 * k9_3 + b10 * k10_3
-            + b11 * k11_3 + b12 * k12_3
-        )
-        p12 = y4 + h * (
-            b1 * k1_4 + b6 * k6_4 + b7 * k7_4 + b8 * k8_4 + b9 * k9_4 + b10 * k10_4
-            + b11 * k11_4 + b12 * k12_4
-        )
-        p21 = y5 + h * (
-            b1 * k1_5 + b6 * k6_5 + b7 * k7_5 + b8 * k8_5 + b9 * k9_5 + b10 * k10_5
-            + b11 * k11_5 + b12 * k12_5
-        )
-        p22 = y6 + h * (
-            b1 * k1_6 + b6 * k6_6 + b7 * k7_6 + b8 * k8_6 + b9 * k9_6 + b10 * k10_6
-            + b11 * k11_6 + b12 * k12_6
-        )
+            columns.append((
+                u + h * (b1 * ku1 + b6 * ku6 + b7 * ku7 + b8 * ku8 + b9 * ku9
+                         + b10 * ku10 + b11 * ku11 + b12 * ku12),
+                v + h * (b1 * kv1 + b6 * kv6 + b7 * kv7 + b8 * kv8 + b9 * kv9
+                         + b10 * kv10 + b11 * kv11 + b12 * kv12),
+            ))
+        (p11, p21), (p12, p22) = columns
         c = cos(x1)
         return error_norm, (x1, x2, p11, p12, p21, p22), (
             x2,

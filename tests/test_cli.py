@@ -371,6 +371,15 @@ class TestVerifyCommand:
         assert doc["simple_zero_hypothesis"]
         assert all(rec["converged"] for rec in doc["results"])
 
+    def test_negative_eps_in_exponent_notation(self, capsys):
+        # argparse alone reads -5e-4 as an unknown flag and exits 2
+        code, out, _ = run_cli(capsys, ["verify", "--m", "3", "--eps", "1e-3", "-5e-4"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert [rec["eps"] for rec in doc["results"]] == [1e-3, -5e-4]
+        assert all(rec["converged"] for rec in doc["results"])
+        assert doc["scaling"]["within_band"]
+
     def test_integration_failure_exits_3(self, capsys, monkeypatch):
         import melnikov_lab.poincare as poincare
 
@@ -402,6 +411,8 @@ class TestUsageErrors:
             ["contour", "--delta", "nan"],
             ["verify", "--eps", "1e-3", "nan"],
             ["verify", "--theta0", "inf"],
+            # -inf may still read as a flag; either way it is a usage error
+            ["verify", "--eps", "-inf"],
         ],
     )
     def test_bad_arguments_exit_2(self, capsys, argv):
@@ -427,6 +438,27 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_negative_exponent_value_reaches_validation(self, capsys):
+        # the value -1e-3 gets _validate's message, not argparse's
+        with pytest.raises(SystemExit) as exc:
+            main(["melnikov", "--omega", "-1e-3"])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == "melnikov-lab: error: omega must be positive\n"
+
+    @pytest.mark.parametrize(
+        "argv, dest, value",
+        [
+            (["verify", "--eps", "-1e-3"], "eps", [-1e-3]),
+            (["verify", "--eps", "1e-3", "-5E+2", "-.5e-1", "-2."], "eps",
+             [1e-3, -5e2, -0.05, -2.0]),
+            (["verify", "--theta0", "-1e-3"], "theta0", -1e-3),
+            (["resonances", "--omega", "-2.5e-1"], "omega", -0.25),
+        ],
+        ids=["eps", "eps-ladder", "theta0", "omega"],
+    )
+    def test_negative_exponent_notation_is_a_value(self, argv, dest, value):
+        assert getattr(build_parser().parse_args(argv), dest) == value
 
     def test_each_subcommand_takes_only_the_flags_it_reads(self):
         system, resonance = {"omega", "beta", "delta"}, {"family", "m", "n"}
