@@ -30,6 +30,8 @@ CASES = (
     ("resonances", "--family", "rotating-", "--omega", "1.2", "--m-max", "7",
      "--n-max", "3", "--format", "json"),
     ("resonances", "--family", "inner", "--m-max", "9"),
+    # inner 1/1 at k = 6.3e-6: a K_WINDOW that starts at 1e-5 drops it
+    ("resonances", "--family", "inner", "--omega", "0.99999999999", "--m-max", "3"),
     ("melnikov", "--family", "inner", "--m", "3", "--n", "1", "--beta", "1",
      "--delta", "1"),
     ("melnikov", "--homoclinic", "--sign", "-1", "--beta", "1", "--delta", "1"),
