@@ -12,7 +12,6 @@ criteria report "inconclusive" rather than a negative.
 from __future__ import annotations
 
 import math
-from typing import List
 
 # called through the module, so a wrapper installed on contour.contour_kernels
 # (perfbench's layer tracer) also sees the certificate's calls
@@ -38,13 +37,6 @@ _EPS_NOTE = (
 # A witness curve is checked where cos(theta) = 1 and where sin(theta) = 1, so
 # both the cos and the sin kernel of its quadrature enter the check.
 _WITNESS_THETAS = (0.0, 0.5 * math.pi)
-
-
-def _sample_resonances(omega: float, m_max: int, n_max: int) -> List[Resonance]:
-    out = []
-    for tag in FAMILIES:
-        out.extend(enumerate_resonances(tag, omega, K_WINDOW, m_max, n_max))
-    return out
 
 
 def _curve_record(r: Resonance, beta, delta, verify_quadrature):
@@ -116,7 +108,9 @@ def build_certificate(
     curve with m <= 5 in k order, and numerically the first contour record
     per family; the rest use the (themselves test-covered) closed forms.
     """
-    resonances = _sample_resonances(omega, m_max, n_max)
+    resonances = [
+        r for tag in FAMILIES for r in enumerate_resonances(tag, omega, K_WINDOW, m_max, n_max)
+    ]
 
     verified = set()
     curve_records = []

@@ -193,10 +193,9 @@ def cmd_verify(args) -> int:
         theta0 = args.theta0
         hypothesis_ok = True
     else:
-        curve = closed_form_subharmonic(r, args.beta, args.delta)
-        analysis = simple_zeros(curve)
-        hypothesis_ok = analysis.has_simple_zero
-        theta0 = analysis.zeros[0].theta if analysis.zeros else 0.0
+        zeros = simple_zeros(closed_form_subharmonic(r, args.beta, args.delta))
+        hypothesis_ok = any(z.simple for z in zeros)
+        theta0 = zeros[0].theta if zeros else 0.0
 
     records = []
     distances, eps_used = [], []
@@ -260,6 +259,8 @@ _SHARED_FLAGS = {
 _SUBHARMONIC_DEFAULTS = {
     dest: _SHARED_FLAGS[dest]["default"] for dest in ("family", "m", "n")
 }
+# melnikov flags that only the homoclinic curve reads: dest -> default.
+_HOMOCLINIC_DEFAULTS = {"sign": 1}
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("melnikov", help="Melnikov curve, quadrature vs closed form")
     _add_flags(p, *system, *resonance, "theta_points", "out", "format")
     p.add_argument("--homoclinic", action="store_true")
-    p.add_argument("--sign", type=int, choices=(-1, 1), default=1)
+    p.add_argument("--sign", type=int, choices=(-1, 1))
     # left unset so _validate can tell a given flag from its default
     p.set_defaults(**dict.fromkeys(_SUBHARMONIC_DEFAULTS))
     p.set_defaults(func=cmd_melnikov)
@@ -344,13 +345,15 @@ def _validate(args) -> None:
         raise SystemExit(_usage_error("omega must be positive"))
     if getattr(args, "beta", 0.0) < 0 or getattr(args, "delta", 0.0) < 0:
         raise SystemExit(_usage_error("beta and delta must be nonnegative"))
-    if getattr(args, "homoclinic", False):
-        given = [d for d in _SUBHARMONIC_DEFAULTS if getattr(args, d) is not None]
+    if args.command == "melnikov":
+        mode, read, unread = ("--homoclinic", _HOMOCLINIC_DEFAULTS, _SUBHARMONIC_DEFAULTS)
+        if not args.homoclinic:
+            mode, read, unread = ("without --homoclinic", unread, read)
+        given = [d for d in unread if getattr(args, d) is not None]
         if given:
             flags = ", ".join("--" + d.replace("_", "-") for d in given)
-            raise SystemExit(_usage_error(f"melnikov --homoclinic does not read {flags}"))
-    elif args.command == "melnikov":
-        for dest, default in _SUBHARMONIC_DEFAULTS.items():
+            raise SystemExit(_usage_error(f"melnikov {mode} does not read {flags}"))
+        for dest, default in read.items():
             if getattr(args, dest) is None:
                 setattr(args, dest, default)
     if hasattr(args, "m") and not getattr(args, "homoclinic", False):

@@ -126,17 +126,13 @@ def residue_terms(r: Resonance) -> Tuple[float, float, float]:
     """(sign, cosh x, sinh x) of the residue closed form of r's contour integral.
 
     x = omega*K' for inner orbits and omega*k*K' for rotating ones; sign is
-    -1 on the rotating- family, else +1.  Raises ResidueOverflowError
-    where cosh x lies beyond the float range.
+    the orbit family's, -1 on rotating- and +1 on the others.  Raises
+    ResidueOverflowError where cosh x lies beyond the float range.
     """
     mod = r.modulus
-    if r.family_tag == INNER:
-        sign, arg = 1.0, r.omega * mod.K_prime
-    else:
-        sign = -1.0 if r.family_tag == ROTATING_MINUS else 1.0
-        arg = r.omega * mod.k * mod.K_prime
+    arg = r.omega * mod.K_prime if r.family_tag == INNER else r.omega * mod.k * mod.K_prime
     try:
-        return sign, math.cosh(arg), math.sinh(arg)
+        return r.orbit.sign, math.cosh(arg), math.sinh(arg)
     except OverflowError:
         raise ResidueOverflowError(
             f"residue closed form of the {r.family_tag} {r.m}/{r.n} resonance at "

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .elliptic import EllipticModulus, _complementary, _complete_K
-from .pendulum import FAMILIES, INNER, ROTATING_MINUS, ForcedSystem, OrbitFamily, orbit_state
+from .pendulum import FAMILIES, INNER, ForcedSystem, OrbitFamily, orbit_state
 
 __all__ = [
     "K_WINDOW",
@@ -39,7 +39,6 @@ __all__ = [
     "MelnikovKernels",
     "MelnikovCurve",
     "MelnikovZero",
-    "ZeroAnalysis",
     "ChaosVerdict",
     "solve_resonance",
     "subharmonic_quadrature",
@@ -278,28 +277,6 @@ def _first_level(n0, cycles):
     return n0
 
 
-def _new_nodes(n, n0):
-    """Indices j of the grid j/n that the call sample_mean(n) evaluates.
-
-    The first call, n = 2*n0, takes all 2*n0 nodes: the even ones are the
-    n0-node level, the odd ones its midpoints.  Every later call takes
-    only the n/2 odd-indexed nodes, the midpoints of the previous level.
-    """
-    return np.arange(n) if n == 2 * n0 else np.arange(1, n, 2)
-
-
-def _level_means(n, n0, block):
-    """sample_mean(n) from a (kernels, nodes) block over the nodes _new_nodes(n, n0).
-
-    Returns the row means; at the first call, n = 2*n0, the pair (over the
-    even nodes, over the odd nodes).  A row sum divided by the node count
-    is np.mean of that row, bit for bit.
-    """
-    if n == 2 * n0:
-        return block[:, 0::2].sum(axis=1) / n0, block[:, 1::2].sum(axis=1) / n0
-    return block.sum(axis=1) / (n // 2)
-
-
 def _trapezoid_doubling(sample_mean, length, tol, n0, n_max):
     """(length * mean(f), nodes, last max |cur - prev|) by nested node doubling.
 
@@ -309,10 +286,11 @@ def _trapezoid_doubling(sample_mean, length, tol, n0, n_max):
     2*n0-node grid, the even nodes being the n0-node level.  After that
     sample_mean(n) is the mean over the n/2 odd-indexed nodes that level
     n adds, the midpoints of the previous level.  Each node is evaluated
-    once and T_2n = (T_n + M_n) / 2.  sample_mean(n) may return arrays;
-    every element must agree.  A level whose value is not finite raises
-    NonConvergenceError at once, as does an n0 beyond n_max / 2, before
-    any sampling.
+    once and T_2n = (T_n + M_n) / 2.  sample_mean(n) may return arrays,
+    as the sampler of _melnikov_kernels (the one caller) returns the three
+    kernels' means; every element must agree.  A level whose value is not
+    finite raises NonConvergenceError at once, as does an n0 beyond
+    n_max / 2, before any sampling.
     """
     n = 2 * n0
     if n > n_max:
@@ -394,20 +372,26 @@ def _melnikov_kernels(
 ) -> MelnikovKernels:
     """The three kernels over a parameter interval of this length by node doubling.
 
-    sample_orbit(s) returns (w, x2, phase) at the parameters s of the
-    nodes _new_nodes(n, n0), where w = x2 * dt/ds is x2 times the
-    derivative of time along s (x2 itself on a real time interval).
+    sample_orbit(s) returns (w, x2, phase) at the nodes s = j*length/n that
+    sample_mean(n) takes: every j < 2*n0 for the first level pair, the odd
+    j after that (see _trapezoid_doubling).  w = x2 * dt/ds is x2 times the
+    derivative of time along s (x2 itself on a real time interval).  Each
+    mean is a row sum over the node count, np.mean's value bit for bit.
     Every kernel must meet the tolerance on its own.
     """
 
     def sample_mean(n):
-        w, x2, phase = sample_orbit(_new_nodes(n, n0) * (length / n))
+        first = n == 2 * n0
+        j = np.arange(n) if first else np.arange(1, n, 2)
+        w, x2, phase = sample_orbit(j * (length / n))
         block = np.empty((3, x2.size), dtype=w.dtype)
         np.cos(phase, out=block[0])
         np.sin(phase, out=block[1])
         np.multiply(w, block[:2], out=block[:2])
         np.multiply(w, x2, out=block[2])
-        return _level_means(n, n0, block)
+        if first:
+            return block[:, 0::2].sum(axis=1) / n0, block[:, 1::2].sum(axis=1) / n0
+        return block.sum(axis=1) / (n // 2)
 
     kernels, nodes, last_diff = _trapezoid_doubling(sample_mean, length, tol, n0, n_max)
     return MelnikovKernels(*kernels.tolist(), nodes, last_diff)
@@ -460,7 +444,7 @@ def closed_form_subharmonic(
         else:
             j2 = 0.0
         return MelnikovCurve(-delta * j1, beta * j2)
-    sign = -1.0 if r.family_tag == ROTATING_MINUS else 1.0
+    sign = r.orbit.sign
     j1 = 8.0 * count * mod.E / mod.k
     if r.n == 1:
         j2 = 2.0 * math.pi / _cosh(mod.k * r.omega * mod.K_prime)
@@ -515,17 +499,8 @@ class MelnikovZero:
     simple: bool
 
 
-@dataclass(frozen=True)
-class ZeroAnalysis:
-    zeros: Tuple[MelnikovZero, ...]
-
-    @property
-    def has_simple_zero(self) -> bool:
-        return any(z.simple for z in self.zeros)
-
-
-def simple_zeros(curve: MelnikovCurve) -> ZeroAnalysis:
-    """All zeros of the curve in [0, 2pi) with simplicity flags.
+def simple_zeros(curve: MelnikovCurve) -> Tuple[MelnikovZero, ...]:
+    """All zeros of the curve in [0, 2pi), in a tuple, with simplicity flags.
 
     Zeros exist iff |const_term| <= |cos_coeff|; at equality the single
     zero is a tangency, reported with simple=False rather than dropped,
@@ -537,15 +512,13 @@ def simple_zeros(curve: MelnikovCurve) -> ZeroAnalysis:
     c, a = curve.const_term, curve.cos_coeff
     scale = max(abs(c), abs(a))
     if abs(a) <= _TANGENCY_TOL * scale:
-        return ZeroAnalysis(())
+        return ()
     if abs(abs(c) - abs(a)) <= _TANGENCY_TOL * scale:
-        return ZeroAnalysis((MelnikovZero(0.0 if c * a < 0 else math.pi, False),))
+        return (MelnikovZero(0.0 if c * a < 0 else math.pi, False),)
     if abs(c) > abs(a):
-        return ZeroAnalysis(())
+        return ()
     theta0 = math.acos(-c / a)
-    return ZeroAnalysis(tuple(
-        MelnikovZero(theta, True) for theta in (theta0, 2.0 * math.pi - theta0)
-    ))
+    return (MelnikovZero(theta0, True), MelnikovZero(2.0 * math.pi - theta0, True))
 
 
 @dataclass(frozen=True)

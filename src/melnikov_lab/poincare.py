@@ -534,7 +534,7 @@ def _melnikov_seeds(sys: ForcedSystem, r: Resonance, theta0: float) -> List[Orbi
     theta* = 0, pi where |M| is least.
     """
     curve = closed_form_subharmonic(r, sys.beta, sys.delta)
-    thetas = [z.theta for z in simple_zeros(curve).zeros]
+    thetas = [z.theta for z in simple_zeros(curve)]
     if not thetas:
         thetas = [min((0.0, math.pi), key=lambda th: abs(curve.evaluate(th)))]
     period = r.orbit.period

@@ -176,8 +176,8 @@ def test_criterion_4_chaos_threshold_consistency():
         verdict = chaos_condition(beta, delta, omega)
         if abs(verdict.ratio - 1.0) < 1e-6:
             continue
-        analysis = simple_zeros(closed_form_homoclinic(+1, beta, delta, omega))
-        assert verdict.holds == analysis.has_simple_zero
+        zeros = simple_zeros(closed_form_homoclinic(+1, beta, delta, omega))
+        assert verdict.holds == any(z.simple for z in zeros)
         checked += 1
     print(f"\nPASS criterion 4: chaos boolean == simple-zero existence on {checked} samples")
 
@@ -277,7 +277,7 @@ def test_criterion_8_stroboscopic_scaling():
     eps_list = [1e-3, 5e-4, 2.5e-4]
 
     sys = pendulum_system(1.0, 0.0, 1.0)
-    assert simple_zeros(closed_form_subharmonic(r, 1.0, 0.0)).has_simple_zero
+    assert any(z.simple for z in simple_zeros(closed_form_subharmonic(r, 1.0, 0.0)))
     distances = []
     for eps in eps_list:
         res = find_subharmonic(sys, eps, r, theta0)
@@ -292,7 +292,7 @@ def test_criterion_8_stroboscopic_scaling():
     coeff = closed_form_subharmonic(r, 1.0, 0.0).cos_coeff
     delta_neg = 2.0 * coeff / (16.0 * (mod.E - mod.k_prime**2 * mod.K))
     curve_neg = closed_form_subharmonic(r, 1.0, delta_neg)
-    assert not simple_zeros(curve_neg).has_simple_zero
+    assert not any(z.simple for z in simple_zeros(curve_neg))
     sys_neg = pendulum_system(1.0, delta_neg, 1.0)
     neg_ok = True
     neg_dists = []

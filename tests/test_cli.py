@@ -144,6 +144,21 @@ class TestMelnikovCommand:
             assert exc.value.code == EXIT_USAGE
             assert "--homoclinic does not read" in capsys.readouterr().err
 
+    def test_subharmonic_rejects_sign(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["melnikov", "--m", "3", "--sign", "-1"])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "melnikov-lab: error: melnikov without --homoclinic does not read --sign\n"
+        )
+
+    def test_homoclinic_sign_defaults_to_plus(self, capsys):
+        argv = ["melnikov", "--homoclinic", "--theta-points", "4"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == EXIT_OK
+        assert out == run_cli(capsys, [*argv, "--sign", "1"])[1]
+        assert out != run_cli(capsys, [*argv, "--sign", "-1"])[1]
+
     def test_subharmonic_flags_keep_their_defaults(self, capsys):
         explicit = ["--family", "inner", "--m", "3", "--n", "1"]
         code, out, _ = run_cli(capsys, ["melnikov", "--theta-points", "4", *explicit])
@@ -156,6 +171,14 @@ class TestMelnikovCommand:
         )
         assert code == EXIT_NUMERIC
         assert "no resonance" in err
+
+    def test_unresolved_resonance_exits_3(self, capsys):
+        # the bisection's root misses k K = pi / 4000 by more than 1e-10 of it
+        code, out, err = run_cli(capsys, ["melnikov", "--family", "rotating+", "--m", "1",
+                                          "--omega", "4000"])
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "residual" in err
 
     def test_out_of_range_resonance_exits_3(self, capsys):
         # inner 450/1 at omega = 1 needs K = 706.9, past K(k' = 1e-300) = 692.16
@@ -370,6 +393,19 @@ class TestVerifyCommand:
         assert doc["theta0"] == 0.5 * math.pi
         assert doc["simple_zero_hypothesis"]
         assert all(rec["converged"] for rec in doc["results"])
+
+    def test_zero_eps_rung_is_recorded_but_not_scaled(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--m", "3", "--eps", "0", "1e-3", "5e-4"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["results"][0] == {
+            "eps": 0.0, "converged": True, "residual": 0.0, "distance": 0.0
+        }
+        assert [rec["eps"] for rec in doc["results"][1:]] == [1e-3, 5e-4]
+        assert all(rec["converged"] for rec in doc["results"])
+        # the scaling ratios cover the two nonzero rungs only
+        assert len(doc["scaling"]["ratios"]) == 2
+        assert doc["scaling"]["within_band"]
 
     def test_negative_eps_in_exponent_notation(self, capsys):
         # argparse alone reads -5e-4 as an unknown flag and exits 2

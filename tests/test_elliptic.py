@@ -137,6 +137,11 @@ class TestEllipticModulus:
             with pytest.raises(ValueError):
                 EllipticModulus.from_k(bad)
 
+    def test_invalid_complementary_modulus(self):
+        for bad in (0.0, 1.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="complementary modulus"):
+                EllipticModulus.from_k_prime(bad)
+
 
 # k' from the smallest the resonance solve searches to the largest below 1
 LOG_K_PRIME = st.floats(-300.0, math.log10(1.0 - 1e-16))

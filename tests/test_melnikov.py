@@ -90,6 +90,12 @@ class TestSolveResonance:
         with pytest.raises(ResonanceError, match="out of range"):
             solve_resonance(family, omega, m, 1)
 
+    def test_unresolved_root_fails_the_residual_check(self):
+        # k K = pi / 4000 lies inside the bracket, but the bisection ends at
+        # k' = 1 - 1e-16 with a residual above 1e-10 of the target
+        with pytest.raises(ResonanceError, match=r"residual -1\.653e-13 .*\(k' = 1\.000e\+00\)"):
+            solve_resonance(ROTATING_PLUS, 4000.0, 1, 1)
+
     @pytest.mark.parametrize("family", [INNER, ROTATING_PLUS, ROTATING_MINUS])
     def test_infinite_target_raises_before_bisecting(self, monkeypatch, family):
         # pi * m / (2 n omega) overflows at omega = 5e-324; an infinite target
@@ -505,37 +511,35 @@ class TestHomoclinic:
 
 class TestSimpleZeros:
     def test_two_simple_zeros(self):
-        analysis = simple_zeros(MelnikovCurve(-1.0, 2.0))
-        assert len(analysis.zeros) == 2
-        assert analysis.has_simple_zero
-        assert all(z.simple for z in analysis.zeros)
-        th = analysis.zeros[0].theta
+        zeros = simple_zeros(MelnikovCurve(-1.0, 2.0))
+        assert isinstance(zeros, tuple)
+        assert len(zeros) == 2
+        assert all(z.simple for z in zeros)
+        th = zeros[0].theta
         assert math.cos(th) == pytest.approx(0.5, abs=1e-12)
 
     def test_no_zero(self):
-        analysis = simple_zeros(MelnikovCurve(-3.0, 2.0))
-        assert len(analysis.zeros) == 0
-        assert not analysis.has_simple_zero
+        zeros = simple_zeros(MelnikovCurve(-3.0, 2.0))
+        assert zeros == ()
 
     def test_tangency_detected(self):
-        analysis = simple_zeros(MelnikovCurve(-2.0, 2.0))
-        assert len(analysis.zeros) == 1
-        assert not analysis.has_simple_zero
-        assert not analysis.zeros[0].simple
-        assert analysis.zeros[0].theta == pytest.approx(0.0)
+        zeros = simple_zeros(MelnikovCurve(-2.0, 2.0))
+        assert len(zeros) == 1
+        assert not zeros[0].simple
+        assert zeros[0].theta == pytest.approx(0.0)
 
     def test_constant_curve(self):
-        assert simple_zeros(MelnikovCurve(-5.0, 0.0)).zeros == ()
+        assert simple_zeros(MelnikovCurve(-5.0, 0.0)) == ()
 
     def test_zeros_do_not_depend_on_the_curve_scale(self):
-        analyses = [simple_zeros(MelnikovCurve(-0.5 * s, s)) for s in (1e-13, 1.0, 1e13)]
-        assert analyses[0] == analyses[1] == analyses[2]
-        assert analyses[0].has_simple_zero
+        zero_sets = [simple_zeros(MelnikovCurve(-0.5 * s, s)) for s in (1e-13, 1.0, 1e13)]
+        assert zero_sets[0] == zero_sets[1] == zero_sets[2]
+        assert any(z.simple for z in zero_sets[0])
 
     def test_small_curve_has_two_simple_zeros(self):
-        analysis = simple_zeros(MelnikovCurve(0.0, 1e-13))
-        assert [z.theta for z in analysis.zeros] == [0.5 * math.pi, 1.5 * math.pi]
-        assert all(z.simple for z in analysis.zeros)
+        zeros = simple_zeros(MelnikovCurve(0.0, 1e-13))
+        assert [z.theta for z in zeros] == [0.5 * math.pi, 1.5 * math.pi]
+        assert all(z.simple for z in zeros)
 
 
 class TestChaosCondition:
@@ -557,7 +561,7 @@ class TestChaosCondition:
             beta = scale * (4.0 / math.pi) * math.cosh(math.pi / 2.0)
             verdict = chaos_condition(beta, 1.0, 1.0)
             zeros = simple_zeros(closed_form_homoclinic(+1, beta, 1.0, 1.0))
-            assert verdict.holds == zeros.has_simple_zero == (scale > 1.0)
+            assert verdict.holds == any(z.simple for z in zeros) == (scale > 1.0)
 
 
 class TestLargeOmega:

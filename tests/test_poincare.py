@@ -182,7 +182,7 @@ class TestMelnikovSeeds:
         r = solve_resonance(family, 1.0, m, 1)
         coeff = closed_form_subharmonic(r, 1.0, 0.0).cos_coeff
         delta = 0.5 * abs(coeff) / -closed_form_subharmonic(r, 0.0, 1.0).const_term
-        zeros = simple_zeros(closed_form_subharmonic(r, 1.0, delta)).zeros
+        zeros = simple_zeros(closed_form_subharmonic(r, 1.0, delta))
         assert [round(math.cos(z.theta), 12) for z in zeros] == [
             math.copysign(0.5, coeff)
         ] * 2
@@ -219,6 +219,24 @@ class TestMelnikovSeeds:
         assert len(flows) == 4
         assert np.linalg.norm(f) <= _RESIDUAL_TOL
         assert converged
+
+    def test_singular_jacobian_stops_after_one_flow(self, system, resonance, monkeypatch):
+        # DP = I makes J = DP - I singular, so no Newton step can be taken
+        flows = []
+
+        def identity_tangent(sys_, eps, m, z, theta0):
+            flows.append(z)
+            return np.array([1e-3, 0.0]), np.eye(2)
+
+        monkeypatch.setattr(poincare, "_variational_map", identity_tangent)
+        z, f, converged, dp = _newton(
+            system, 1e-3, resonance.m, (0.0, 0.0), 0.0, _winding(resonance)
+        )
+        assert len(flows) == 1
+        assert not converged
+        assert np.array_equal(z, [0.0, 0.0])
+        assert np.array_equal(f, [1e-3, 0.0])
+        assert np.array_equal(dp, np.eye(2))
 
     def test_positive_control_takes_few_narrow_flows(self, system, resonance, monkeypatch):
         flows = []
@@ -474,6 +492,11 @@ class TestDOP853Kernel:
 
 
 class TestDistanceToOrbit:
+    def test_stops_where_g_is_not_convex(self, resonance):
+        # the nearest orbit point to the origin is (0, 2k), at s = 0, where
+        # g = 0 and g' = 4k^2 - |gamma'|^2 = 0: the steps stop at once
+        assert poincare._distance_to_orbit((0.0, 0.0), resonance) == 2.0 * resonance.modulus.k
+
     # Newton on g(s) = <z - gamma(s), gamma'(s)> ends where g is round-off:
     # the error of the orbit state times the orbit's speed.  A search that
     # stops at sqrt(machine eps)*|s|, as Brent's bounded minimum does, leaves

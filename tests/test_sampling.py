@@ -8,9 +8,10 @@ free of NaN without clipping its arcsin argument.
 
 The dispatch cuts are pinned bit for bit by derandomized hypothesis
 properties: the Landen descent without arcsin where arcsin(x) == x
-equals the full descent written out here;
-_level_means' row sums over one (3, n) kernel block equal np.mean of each
-kernel over the even and odd nodes; and a scalar theta, which takes
+equals the full descent written out here; the means that
+_melnikov_kernels' sampler hands _trapezoid_doubling equal np.mean of
+each kernel over the even and odd nodes of the first level pair and over
+the new nodes of a later level; and a scalar theta, which takes
 math.cos/sin, gives the array-theta value at that theta.
 """
 
@@ -271,15 +272,34 @@ def test_landen_descent_without_no_op_levels_is_bit_identical(log_kp, fractions)
 )
 def test_level_means_equal_per_kernel_np_mean(dtype, n0, seed, log_scale):
     rng = np.random.default_rng(seed)
-    block = rng.normal(size=(3, 2 * n0)) * 10.0**log_scale
-    if dtype is complex:
-        block = block + 1j * rng.normal(size=(3, 2 * n0))
-    first = melnikov._level_means(2 * n0, n0, block)
-    for means, half in zip(first, (slice(0, None, 2), slice(1, None, 2))):
-        assert np.array_equal(means, [np.mean(kernel[half]) for kernel in block])
-    # a later level: the block holds only the n/2 new nodes
-    later = melnikov._level_means(4 * n0, n0, block)
-    assert np.array_equal(later, [np.mean(kernel) for kernel in block])
+    drawn = []  # (s, w, x2, phase) of each sampler call
+
+    def sample_orbit(s):
+        w, x2, phase = rng.normal(size=(3, s.size))
+        if dtype is complex:
+            w, x2, phase = (a + 1j * rng.normal(size=s.size) for a in (w, x2, phase))
+        drawn.append((s, w * 10.0**log_scale, x2, phase))
+        return drawn[-1][1:]
+
+    def np_means(half=slice(None)):
+        _, w, x2, phase = drawn[-1]
+        return [np.mean(k[half]) for k in (w * np.cos(phase), w * np.sin(phase), w * x2)]
+
+    def checking(sample_mean, length, tol, n0, n_max):
+        even, odd = sample_mean(2 * n0)
+        assert np.array_equal(drawn[-1][0], np.arange(2 * n0) * (length / (2 * n0)))
+        assert np.array_equal(even, np_means(slice(0, None, 2)))
+        assert np.array_equal(odd, np_means(slice(1, None, 2)))
+        # a later level samples only the n/2 new, odd-indexed nodes
+        later = sample_mean(8 * n0)
+        assert np.array_equal(drawn[-1][0], np.arange(1, 8 * n0, 2) * (length / (8 * n0)))
+        assert np.array_equal(later, np_means())
+        return later, 8 * n0, 0.0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(melnikov, "_trapezoid_doubling", checking)
+        melnikov._melnikov_kernels(sample_orbit, 7.0, n0)
+    assert len(drawn) == 2
 
 
 @PROPERTY
