@@ -39,6 +39,12 @@ CASES = (
     # a rotating family with damping, so the tangent map's -eps*delta term counts
     ("verify", "--family", "rotating+", "--m", "1", "--delta", "0.05", "--eps", "1e-3",
      "5e-4"),
+    # forcing at omega != 1 and beta != 1, so the kernel's phase omega * (t + c_i * h)
+    # and its beta both count
+    ("verify", "--m", "3", "--omega", "1.3", "--beta", "0.7", "--delta", "0.01", "--eps",
+     "1e-3", "5e-4"),
+    ("verify", "--family", "rotating-", "--m", "2", "--omega", "1.7", "--beta", "1.4",
+     "--delta", "0.03", "--eps", "1e-3", "5e-4"),
     # exit 3: an infinite resonance target, and a first level past the node cap
     ("melnikov", "--family", "inner", "--m", "5", "--n", "1", "--omega", "5e-324",
      "--beta", "1", "--delta", "1", "--theta-points", "1"),
