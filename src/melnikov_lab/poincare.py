@@ -12,8 +12,9 @@ flows are nearly all of the cost, and a 6-D state is too small for numpy
 to pay for itself.  So scipy.integrate.solve_ivp drives _DOP853Kernel, a
 DOP853 whose one step() runs the whole flow on Python floats with the
 tableau and the right-hand side written out, under scipy's step-size rule
-and error norm.  One copy of the tangent stages runs over both columns of
-the tangent map, and a rejected attempt skips them.  It sums each stage
+and error norm.  One block of stage code runs over the state and then over
+both columns of the tangent map, and a rejected attempt skips the columns.
+Every flow runs forward from t = 0 with no step-size cap.  It sums each stage
 left to right where scipy's BLAS dot may not, so its states agree with
 scipy's to round-off, and it takes scipy's steps wherever no accept/reject
 or step-size decision rests on that round-off.  It counts its own RHS
@@ -73,26 +74,26 @@ def _dop853_attempt():
     forcing = (eps, beta, delta, omega, theta).  It returns (error_norm,
     y_new, f_new): scipy's DOP853 error norm over x1 and x2 with tol =
     (atol1, rtol1, atol2, rtol2), divided by sqrt(n) as for n components;
-    the new state, and its derivative at t + h.  The state never reads the
-    tangent map, so the 11 new stages of (x1, x2) come first, each keeping
-    its cos x1 in cx2, ..., cx12, then the error norm.  An attempt whose
-    norm is not below 1 is rejected and returns (error_norm, None, None)
-    without computing the tangent stages.  These are written once, for a
-    column (u, v) of the tangent map, u' = v and v' = -cos(x1) u - damping v
-    (damping = eps*delta), and run over (p11, p21), then (p12, p22): stage i
-    has ui = u + (sum_j a_ij kuj) h, kui = v + (sum_j a_ij kvj) h and
-    kvi = -cxi ui - damping kui.  Each stage evaluates the right-hand side
-    inline with the expressions of _variational_map's rhs, and sums its
-    terms in tableau order.  Names are Hairer's: stages k1, ..., k12 with
-    state components ks_1, ks_2 and column components kus, kvs, weights
-    a_ij and b_i, and the fifth- and third-order error weights e5_i, e3_i.
-    Only the nonzero entries of the tableau appear; an underscore marks a
-    zero.
+    the new state, and its derivative at t + h.  The state and each column
+    of the tangent map are a pair (u, v) with u' = v, so one block of stage
+    code serves all three: stage i has ui = u + (sum_j a_ij kuj) h and
+    kui = v + (sum_j a_ij kvj) h, and only the acceleration kvi differs.
+    The state pass runs first, over (x1, x2), with kvi = -sin(ui) + eps
+    (fci - delta kui), fci = beta cos(omega (t + ci h) + theta) being the
+    forcing at stage i; it keeps each stage's cos x1 in cxi.  Then comes
+    the error norm: an attempt whose norm is not below 1 is rejected and
+    returns (error_norm, None, None) without the tangent stages.  The two
+    column passes, over (p11, p21) and (p12, p22), have kvi = -cxi ui -
+    damping kui (damping = eps*delta).  Each stage evaluates the right-hand
+    side inline with the expressions of _variational_map's rhs, and sums
+    its terms in tableau order.  Names are Hairer's: stages k1, ..., k12
+    with pair components kus, kvs, weights a_ij and b_i, and the fifth- and
+    third-order error weights e5_i, e3_i.  Only the nonzero entries of the
+    tableau appear; an underscore marks a zero.
     """
     cos, sin = math.cos, math.sin
-    A, B = DOP853.A.tolist(), DOP853.B.tolist()
+    A, B, C = DOP853.A.tolist(), DOP853.B.tolist(), DOP853.C.tolist()[1:]
     E5, E3 = DOP853.E5.tolist(), DOP853.E3.tolist()
-    c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = DOP853.C.tolist()[1:]
     (a21,) = A[1][:1]
     a31, a32 = A[2][:2]
     a41, _, a43 = A[3][:3]
@@ -112,151 +113,64 @@ def _dop853_attempt():
         eps, beta, delta, omega, theta = forcing
         y1, y2, y3, y4, y5, y6 = y
         k1_1, k1_2, k1_3, k1_4, k1_5, k1_6 = k1
-
-        x1 = y1 + (a21 * k1_1) * h
-        x2 = y2 + (a21 * k1_2) * h
-        cx2, k2_1 = cos(x1), x2
-        k2_2 = -sin(x1) + eps * (beta * cos(omega * (t + c2 * h) + theta) - delta * x2)
-
-        x1 = y1 + (a31 * k1_1 + a32 * k2_1) * h
-        x2 = y2 + (a31 * k1_2 + a32 * k2_2) * h
-        cx3, k3_1 = cos(x1), x2
-        k3_2 = -sin(x1) + eps * (beta * cos(omega * (t + c3 * h) + theta) - delta * x2)
-
-        x1 = y1 + (a41 * k1_1 + a43 * k3_1) * h
-        x2 = y2 + (a41 * k1_2 + a43 * k3_2) * h
-        cx4, k4_1 = cos(x1), x2
-        k4_2 = -sin(x1) + eps * (beta * cos(omega * (t + c4 * h) + theta) - delta * x2)
-
-        x1 = y1 + (a51 * k1_1 + a53 * k3_1 + a54 * k4_1) * h
-        x2 = y2 + (a51 * k1_2 + a53 * k3_2 + a54 * k4_2) * h
-        cx5, k5_1 = cos(x1), x2
-        k5_2 = -sin(x1) + eps * (beta * cos(omega * (t + c5 * h) + theta) - delta * x2)
-
-        x1 = y1 + (a61 * k1_1 + a64 * k4_1 + a65 * k5_1) * h
-        x2 = y2 + (a61 * k1_2 + a64 * k4_2 + a65 * k5_2) * h
-        cx6, k6_1 = cos(x1), x2
-        k6_2 = -sin(x1) + eps * (beta * cos(omega * (t + c6 * h) + theta) - delta * x2)
-
-        x1 = y1 + (a71 * k1_1 + a74 * k4_1 + a75 * k5_1 + a76 * k6_1) * h
-        x2 = y2 + (a71 * k1_2 + a74 * k4_2 + a75 * k5_2 + a76 * k6_2) * h
-        cx7, k7_1 = cos(x1), x2
-        k7_2 = -sin(x1) + eps * (beta * cos(omega * (t + c7 * h) + theta) - delta * x2)
-
-        x1 = y1 + (a81 * k1_1 + a84 * k4_1 + a85 * k5_1 + a86 * k6_1 + a87 * k7_1) * h
-        x2 = y2 + (a81 * k1_2 + a84 * k4_2 + a85 * k5_2 + a86 * k6_2 + a87 * k7_2) * h
-        cx8, k8_1 = cos(x1), x2
-        k8_2 = -sin(x1) + eps * (beta * cos(omega * (t + c8 * h) + theta) - delta * x2)
-
-        x1 = y1 + (
-            a91 * k1_1 + a94 * k4_1 + a95 * k5_1 + a96 * k6_1 + a97 * k7_1 + a98 * k8_1
-        ) * h
-        x2 = y2 + (
-            a91 * k1_2 + a94 * k4_2 + a95 * k5_2 + a96 * k6_2 + a97 * k7_2 + a98 * k8_2
-        ) * h
-        cx9, k9_1 = cos(x1), x2
-        k9_2 = -sin(x1) + eps * (beta * cos(omega * (t + c9 * h) + theta) - delta * x2)
-
-        x1 = y1 + (
-            a101 * k1_1 + a104 * k4_1 + a105 * k5_1 + a106 * k6_1 + a107 * k7_1
-            + a108 * k8_1 + a109 * k9_1
-        ) * h
-        x2 = y2 + (
-            a101 * k1_2 + a104 * k4_2 + a105 * k5_2 + a106 * k6_2 + a107 * k7_2
-            + a108 * k8_2 + a109 * k9_2
-        ) * h
-        cx10, k10_1 = cos(x1), x2
-        k10_2 = -sin(x1) + eps * (beta * cos(omega * (t + c10 * h) + theta) - delta * x2)
-
-        x1 = y1 + (
-            a111 * k1_1 + a114 * k4_1 + a115 * k5_1 + a116 * k6_1 + a117 * k7_1
-            + a118 * k8_1 + a119 * k9_1 + a1110 * k10_1
-        ) * h
-        x2 = y2 + (
-            a111 * k1_2 + a114 * k4_2 + a115 * k5_2 + a116 * k6_2 + a117 * k7_2
-            + a118 * k8_2 + a119 * k9_2 + a1110 * k10_2
-        ) * h
-        cx11, k11_1 = cos(x1), x2
-        k11_2 = -sin(x1) + eps * (beta * cos(omega * (t + c11 * h) + theta) - delta * x2)
-
-        x1 = y1 + (
-            a121 * k1_1 + a124 * k4_1 + a125 * k5_1 + a126 * k6_1 + a127 * k7_1
-            + a128 * k8_1 + a129 * k9_1 + a1210 * k10_1 + a1211 * k11_1
-        ) * h
-        x2 = y2 + (
-            a121 * k1_2 + a124 * k4_2 + a125 * k5_2 + a126 * k6_2 + a127 * k7_2
-            + a128 * k8_2 + a129 * k9_2 + a1210 * k10_2 + a1211 * k11_2
-        ) * h
-        cx12, k12_1 = cos(x1), x2
-        k12_2 = -sin(x1) + eps * (beta * cos(omega * (t + c12 * h) + theta) - delta * x2)
-
-        x1 = y1 + h * (
-            b1 * k1_1 + b6 * k6_1 + b7 * k7_1 + b8 * k8_1 + b9 * k9_1 + b10 * k10_1
-            + b11 * k11_1 + b12 * k12_1
-        )
-        x2 = y2 + h * (
-            b1 * k1_2 + b6 * k6_2 + b7 * k7_2 + b8 * k8_2 + b9 * k9_2 + b10 * k10_2
-            + b11 * k11_2 + b12 * k12_2
-        )
-
-        atol1, rtol1, atol2, rtol2 = tol
-        scale = atol1 + max(abs(y1), abs(x1)) * rtol1
-        err5 = (
-            e5_1 * k1_1 + e5_6 * k6_1 + e5_7 * k7_1 + e5_8 * k8_1
-            + e5_9 * k9_1 + e5_10 * k10_1 + e5_11 * k11_1 + e5_12 * k12_1
-        ) / scale
-        err3 = (
-            e3_1 * k1_1 + e3_6 * k6_1 + e3_7 * k7_1 + e3_8 * k8_1
-            + e3_9 * k9_1 + e3_10 * k10_1 + e3_11 * k11_1 + e3_12 * k12_1
-        ) / scale
-        sum5, sum3 = err5 * err5, err3 * err3
-        scale = atol2 + max(abs(y2), abs(x2)) * rtol2
-        err5 = (
-            e5_1 * k1_2 + e5_6 * k6_2 + e5_7 * k7_2 + e5_8 * k8_2
-            + e5_9 * k9_2 + e5_10 * k10_2 + e5_11 * k11_2 + e5_12 * k12_2
-        ) / scale
-        err3 = (
-            e3_1 * k1_2 + e3_6 * k6_2 + e3_7 * k7_2 + e3_8 * k8_2
-            + e3_9 * k9_2 + e3_10 * k10_2 + e3_11 * k11_2 + e3_12 * k12_2
-        ) / scale
-        sum5 += err5 * err5
-        sum3 += err3 * err3
-        error_norm = 0.0
-        if sum5 or sum3:
-            error_norm = abs(h) * sum5 / math.sqrt((sum5 + 0.01 * sum3) * n)
-        if not error_norm < 1.0:  # rejected, a NaN norm too
-            return error_norm, None, None
-
+        fc2, fc3, fc4, fc5, fc6, fc7, fc8, fc9, fc10, fc11, fc12 = [
+            beta * cos(omega * (t + c * h) + theta) for c in C
+        ]
         damping = eps * delta
-        columns = []
-        for u, v, ku1, kv1 in ((y3, y5, k1_3, k1_5), (y4, y6, k1_4, k1_6)):
+        pairs = []
+        for state, u, v, ku1, kv1 in (
+            (True, y1, y2, k1_1, k1_2),
+            (False, y3, y5, k1_3, k1_5),
+            (False, y4, y6, k1_4, k1_6),
+        ):
             ui = u + (a21 * ku1) * h
             ku2 = v + (a21 * kv1) * h
-            kv2 = -cx2 * ui - damping * ku2
+            if state:
+                cx2, kv2 = cos(ui), -sin(ui) + eps * (fc2 - delta * ku2)
+            else:
+                kv2 = -cx2 * ui - damping * ku2
 
             ui = u + (a31 * ku1 + a32 * ku2) * h
             ku3 = v + (a31 * kv1 + a32 * kv2) * h
-            kv3 = -cx3 * ui - damping * ku3
+            if state:
+                cx3, kv3 = cos(ui), -sin(ui) + eps * (fc3 - delta * ku3)
+            else:
+                kv3 = -cx3 * ui - damping * ku3
 
             ui = u + (a41 * ku1 + a43 * ku3) * h
             ku4 = v + (a41 * kv1 + a43 * kv3) * h
-            kv4 = -cx4 * ui - damping * ku4
+            if state:
+                cx4, kv4 = cos(ui), -sin(ui) + eps * (fc4 - delta * ku4)
+            else:
+                kv4 = -cx4 * ui - damping * ku4
 
             ui = u + (a51 * ku1 + a53 * ku3 + a54 * ku4) * h
             ku5 = v + (a51 * kv1 + a53 * kv3 + a54 * kv4) * h
-            kv5 = -cx5 * ui - damping * ku5
+            if state:
+                cx5, kv5 = cos(ui), -sin(ui) + eps * (fc5 - delta * ku5)
+            else:
+                kv5 = -cx5 * ui - damping * ku5
 
             ui = u + (a61 * ku1 + a64 * ku4 + a65 * ku5) * h
             ku6 = v + (a61 * kv1 + a64 * kv4 + a65 * kv5) * h
-            kv6 = -cx6 * ui - damping * ku6
+            if state:
+                cx6, kv6 = cos(ui), -sin(ui) + eps * (fc6 - delta * ku6)
+            else:
+                kv6 = -cx6 * ui - damping * ku6
 
             ui = u + (a71 * ku1 + a74 * ku4 + a75 * ku5 + a76 * ku6) * h
             ku7 = v + (a71 * kv1 + a74 * kv4 + a75 * kv5 + a76 * kv6) * h
-            kv7 = -cx7 * ui - damping * ku7
+            if state:
+                cx7, kv7 = cos(ui), -sin(ui) + eps * (fc7 - delta * ku7)
+            else:
+                kv7 = -cx7 * ui - damping * ku7
 
             ui = u + (a81 * ku1 + a84 * ku4 + a85 * ku5 + a86 * ku6 + a87 * ku7) * h
             ku8 = v + (a81 * kv1 + a84 * kv4 + a85 * kv5 + a86 * kv6 + a87 * kv7) * h
-            kv8 = -cx8 * ui - damping * ku8
+            if state:
+                cx8, kv8 = cos(ui), -sin(ui) + eps * (fc8 - delta * ku8)
+            else:
+                kv8 = -cx8 * ui - damping * ku8
 
             ui = u + (
                 a91 * ku1 + a94 * ku4 + a95 * ku5 + a96 * ku6 + a97 * ku7 + a98 * ku8
@@ -264,7 +178,10 @@ def _dop853_attempt():
             ku9 = v + (
                 a91 * kv1 + a94 * kv4 + a95 * kv5 + a96 * kv6 + a97 * kv7 + a98 * kv8
             ) * h
-            kv9 = -cx9 * ui - damping * ku9
+            if state:
+                cx9, kv9 = cos(ui), -sin(ui) + eps * (fc9 - delta * ku9)
+            else:
+                kv9 = -cx9 * ui - damping * ku9
 
             ui = u + (
                 a101 * ku1 + a104 * ku4 + a105 * ku5 + a106 * ku6 + a107 * ku7
@@ -274,7 +191,10 @@ def _dop853_attempt():
                 a101 * kv1 + a104 * kv4 + a105 * kv5 + a106 * kv6 + a107 * kv7
                 + a108 * kv8 + a109 * kv9
             ) * h
-            kv10 = -cx10 * ui - damping * ku10
+            if state:
+                cx10, kv10 = cos(ui), -sin(ui) + eps * (fc10 - delta * ku10)
+            else:
+                kv10 = -cx10 * ui - damping * ku10
 
             ui = u + (
                 a111 * ku1 + a114 * ku4 + a115 * ku5 + a116 * ku6 + a117 * ku7
@@ -284,7 +204,10 @@ def _dop853_attempt():
                 a111 * kv1 + a114 * kv4 + a115 * kv5 + a116 * kv6 + a117 * kv7
                 + a118 * kv8 + a119 * kv9 + a1110 * kv10
             ) * h
-            kv11 = -cx11 * ui - damping * ku11
+            if state:
+                cx11, kv11 = cos(ui), -sin(ui) + eps * (fc11 - delta * ku11)
+            else:
+                kv11 = -cx11 * ui - damping * ku11
 
             ui = u + (
                 a121 * ku1 + a124 * ku4 + a125 * ku5 + a126 * ku6 + a127 * ku7
@@ -294,15 +217,50 @@ def _dop853_attempt():
                 a121 * kv1 + a124 * kv4 + a125 * kv5 + a126 * kv6 + a127 * kv7
                 + a128 * kv8 + a129 * kv9 + a1210 * kv10 + a1211 * kv11
             ) * h
-            kv12 = -cx12 * ui - damping * ku12
+            if state:
+                cx12, kv12 = cos(ui), -sin(ui) + eps * (fc12 - delta * ku12)
+            else:
+                kv12 = -cx12 * ui - damping * ku12
+            u_new = u + h * (
+                b1 * ku1 + b6 * ku6 + b7 * ku7 + b8 * ku8 + b9 * ku9 + b10 * ku10
+                + b11 * ku11 + b12 * ku12
+            )
+            v_new = v + h * (
+                b1 * kv1 + b6 * kv6 + b7 * kv7 + b8 * kv8 + b9 * kv9 + b10 * kv10
+                + b11 * kv11 + b12 * kv12
+            )
+            pairs.append((u_new, v_new))
+            if not state:
+                continue
 
-            columns.append((
-                u + h * (b1 * ku1 + b6 * ku6 + b7 * ku7 + b8 * ku8 + b9 * ku9
-                         + b10 * ku10 + b11 * ku11 + b12 * ku12),
-                v + h * (b1 * kv1 + b6 * kv6 + b7 * kv7 + b8 * kv8 + b9 * kv9
-                         + b10 * kv10 + b11 * kv11 + b12 * kv12),
-            ))
-        (p11, p21), (p12, p22) = columns
+            atol1, rtol1, atol2, rtol2 = tol
+            scale = atol1 + max(abs(u), abs(u_new)) * rtol1
+            err5 = (
+                e5_1 * ku1 + e5_6 * ku6 + e5_7 * ku7 + e5_8 * ku8
+                + e5_9 * ku9 + e5_10 * ku10 + e5_11 * ku11 + e5_12 * ku12
+            ) / scale
+            err3 = (
+                e3_1 * ku1 + e3_6 * ku6 + e3_7 * ku7 + e3_8 * ku8
+                + e3_9 * ku9 + e3_10 * ku10 + e3_11 * ku11 + e3_12 * ku12
+            ) / scale
+            sum5, sum3 = err5 * err5, err3 * err3
+            scale = atol2 + max(abs(v), abs(v_new)) * rtol2
+            err5 = (
+                e5_1 * kv1 + e5_6 * kv6 + e5_7 * kv7 + e5_8 * kv8
+                + e5_9 * kv9 + e5_10 * kv10 + e5_11 * kv11 + e5_12 * kv12
+            ) / scale
+            err3 = (
+                e3_1 * kv1 + e3_6 * kv6 + e3_7 * kv7 + e3_8 * kv8
+                + e3_9 * kv9 + e3_10 * kv10 + e3_11 * kv11 + e3_12 * kv12
+            ) / scale
+            sum5 += err5 * err5
+            sum3 += err3 * err3
+            error_norm = 0.0
+            if sum5 or sum3:
+                error_norm = abs(h) * sum5 / math.sqrt((sum5 + 0.01 * sum3) * n)
+            if not error_norm < 1.0:  # rejected, a NaN norm too
+                return error_norm, None, None
+        (x1, x2), (p11, p21), (p12, p22) = pairs
         c = cos(x1)
         return error_norm, (x1, x2, p11, p12, p21, p22), (
             x2,
@@ -312,7 +270,6 @@ def _dop853_attempt():
             -c * p11 - damping * p21,
             -c * p12 - damping * p22,
         )
-
     return attempt
 
 
@@ -329,8 +286,9 @@ class _DOP853Kernel(DOP853):
     must be that same system.  Then one step() covers the flow: _step_impl
     loops on Python floats under rk.py's step-size rule and min_step, with
     _attempt in place of its numpy stages and of rhs, until t_bound.  So
-    t_old is the flow start, and sol.t holds the two ends alone.  The error
-    norm reads x1 and x2 alone: the tangent components must have atol =
+    t_old is the flow start, and sol.t holds the two ends alone.  The flow
+    must run forward (t_bound > t0) with no max_step: _step_impl reads
+    neither direction nor max_step.  The error norm reads x1 and x2 alone: the tangent components must have atol =
     inf, which drops them out of scipy's norm too.  A rejected attempt
     skips the tangent stages.  Each attempt counts 12 RHS evaluations in
     nfev, as scipy's steps do.  After max_steps attempts, accepted or not,
@@ -343,14 +301,14 @@ class _DOP853Kernel(DOP853):
 
     def _step_impl(self):
         t, y, f, h_abs = self.t, self.y.tolist(), self.f.tolist(), float(self.h_abs)
-        t_bound, direction, max_step = self.t_bound, float(self.direction), self.max_step
+        t_bound = self.t_bound
         atol, rtol = np.broadcast_to(self.atol, (self.n,)).tolist(), float(self.rtol)
         tol, n, exponent = (atol[0], rtol, atol[1], rtol), self.n, self.error_exponent
         attempt, forcing, steps_left = _attempt, self._forcing, self._max_steps
         try:
-            while direction * (t - t_bound) < 0:
-                min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-                h_abs = min(max(h_abs, min_step), max_step)
+            while t < t_bound:
+                min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
+                h_abs = max(h_abs, min_step)
                 cap = _MAX_FACTOR
                 while True:
                     if h_abs < min_step:
@@ -359,11 +317,10 @@ class _DOP853Kernel(DOP853):
                         budget = f"step budget of {self._max_steps} spent"
                         return False, f"{budget} at t = {t:.6g} of {t_bound:.6g}"
                     steps_left -= 1
-                    t_new = t + h_abs * direction
-                    if direction * (t_new - t_bound) > 0:
+                    t_new = t + h_abs
+                    if t_new > t_bound:
                         t_new = t_bound
-                    h = t_new - t
-                    h_abs = abs(h)
+                    h = h_abs = t_new - t
                     error_norm, y_new, f_new = attempt(t, y, f, h, forcing, tol, n)
                     if error_norm < 1.0:
                         break
