@@ -58,8 +58,11 @@ def _fmt(x) -> str:
 
 def _write(args, text):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit(_usage_error(f"cannot write --out {args.out}: {exc.strerror}"))
     else:
         sys.stdout.write(text)
 
@@ -361,6 +364,8 @@ def _validate(args) -> None:
             raise SystemExit(_usage_error("m and n must be positive"))
         if math.gcd(args.m, args.n) != 1:
             raise SystemExit(_usage_error("m and n must be coprime"))
+    if hasattr(args, "m_max") and (args.m_max < 1 or args.n_max < 1):
+        raise SystemExit(_usage_error("m-max and n-max must be positive"))
     if getattr(args, "theta_points", 1) < 1:
         raise SystemExit(_usage_error("theta-points must be positive"))
     if hasattr(args, "k_min") and not 0.0 < args.k_min < args.k_max < 1.0:

@@ -449,6 +449,10 @@ class TestUsageErrors:
             ["verify", "--theta0", "inf"],
             # -inf may still read as a flag; either way it is a usage error
             ["verify", "--eps", "-inf"],
+            ["resonances", "--m-max", "-3"],
+            ["resonances", "--n-max", "0"],
+            ["certify", "--m-max", "-1", "--delta", "1"],
+            ["certify", "--n-max", "0"],
         ],
     )
     def test_bad_arguments_exit_2(self, capsys, argv):
@@ -456,6 +460,20 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == EXIT_USAGE
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, target, reason",
+        [
+            (["resonances", "--m-max", "3"], "missing/x.csv", "No such file or directory"),
+            (["certify"], ".", "Is a directory"),
+        ],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_output_exits_2(self, tmp_path, command, target, reason):
+        path = tmp_path / target
+        code, out, err = _exit_code(command + ["--out", str(path)])
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"melnikov-lab: error: cannot write --out {path}: {reason}\n"
 
     @pytest.mark.parametrize(
         "argv",
