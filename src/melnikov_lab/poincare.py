@@ -4,7 +4,9 @@ Integrates the fully forced pendulum with an adaptive high-order
 Runge-Kutta scheme, builds the period-2*pi*m/omega stroboscopic map, and
 runs Newton on its fixed-point equation to confirm that simple zeros of
 the subharmonic Melnikov function mark persisting periodic orbits at
-O(epsilon) distance from the unperturbed resonant orbit.
+O(epsilon) distance from the unperturbed resonant orbit.  Newton runs each
+flow only as fine as the step it resolves, from _COARSE_FLOW_TOL down to
+_FLOW_TOL, and declares a fixed point only on a flow at _FLOW_TOL.
 
 Every flow is one system: the state (x1, x2) and its tangent map, whose
 steps are chosen from the state alone, so the state is the map P(z).  The
@@ -18,9 +20,10 @@ Every flow runs forward from t = 0 with no step-size cap.  It sums each stage
 left to right where scipy's BLAS dot may not, so its states agree with
 scipy's to round-off, and it takes scipy's steps wherever no accept/reject
 or step-size decision rests on that round-off.  It counts its own RHS
-evaluations (sol.nfev), and it gives up after _STEPS_PER_UNIT_TIME
-attempted steps per unit of flow time, where a huge epsilon would
-otherwise shrink the steps without end.
+evaluations (sol.nfev), and it gives up after a budget of attempted steps
+per unit of flow time that grows with sqrt(|epsilon| * (beta + delta)) up
+to _STEPS_PER_UNIT_TIME: a huge epsilon would otherwise shrink the steps
+without end, and a fault that spoils the error estimate fails fast.
 """
 
 from __future__ import annotations
@@ -52,13 +55,25 @@ __all__ = [
 # order >= 5 embedded Runge-Kutta pair) of the maps and fixed points.
 # Tangent-map components ride along unchecked (see _variational_map).
 _FLOW_TOL = 1e-12
+# Tolerance of the first flow of a Newton run, and the coarsest of any flow
+# (see _newton); a converged point's flow always runs at _FLOW_TOL.
+_COARSE_FLOW_TOL = 1e-9
 # Attempted steps per unit of flow time before a flow fails (a flow shorter
-# than 2*pi gets 2*pi's worth): about 100x the most that any flow of the
-# tests or the stroboscopic benchmark takes, and the bound on how long a flow
-# whose steps keep shrinking (huge epsilon) runs.
+# than 2*pi gets 2*pi's worth): _STEPS_PER_FORCING times 1 + sqrt(|eps| *
+# (beta + delta)), the forcing's time scale once eps*beta >> 1, but never
+# more than _STEPS_PER_UNIT_TIME.  Every flow of the tests and the
+# stroboscopic benchmark needs at most 10 per unit time, so a kernel fault
+# that spoils the error estimate fails each flow after about 50 attempts per
+# unit time, and a flow whose steps keep shrinking (huge epsilon) stops.
 _STEPS_PER_UNIT_TIME = 1000
-_NEWTON_MAX = 25  # Newton steps per seed, so at most _NEWTON_MAX + 1 flows
+_STEPS_PER_FORCING = 50
+_NEWTON_MAX = 25  # Newton steps per seed (a re-flow at the same z is not one)
 _RESIDUAL_TOL = 1e-10  # map residual that counts as a fixed point
+# The flow after a Newton step s runs at _NEXT_FLOW_TOL * |s| / ||J^-1||
+# (clipped to [_FLOW_TOL, _COARSE_FLOW_TOL]), and a coarse flow resolves its
+# own step when ||J^-1|| tol <= _RESOLVED_STEP * |s| (see _newton)
+_NEXT_FLOW_TOL = 1e-6
+_RESOLVED_STEP = 1e-3
 _ORBIT_SAMPLES = 1024  # coarse grid of the distance-to-orbit search
 _SCALING_BAND = 2.0  # largest max/min of distance/|eps| that scaling_band accepts
 
@@ -342,7 +357,8 @@ class FixedPointResult:
     """A find_subharmonic outcome.
 
     residual is |P(point) - point - winding| and floquet_multipliers are
-    the eigenvalues of DP(point), both from one variational flow at point.
+    the eigenvalues of DP(point), both from one variational flow at point,
+    at _FLOW_TOL when converged (see _newton).
     """
 
     point: OrbitPoint
@@ -352,7 +368,7 @@ class FixedPointResult:
     floquet_multipliers: Tuple[complex, complex]
 
 
-def _variational_map(sys, eps, m, z, theta_section):
+def _variational_map(sys, eps, m, z, theta_section, tol=_FLOW_TOL):
     """P(z) and DP(z) from one DOP853 flow of the state and its tangent map.
 
     Phi' = [[0, 1], [-cos x1, -eps*delta]] Phi with Phi(0) = I, so the
@@ -364,13 +380,15 @@ def _variational_map(sys, eps, m, z, theta_section):
     drop out of the error norm, the steps are chosen from (x1, x2) alone
     and a rejected attempt skips them.  The norm divides by sqrt(6), so
     scaling both tolerances by sqrt(2/6) gives back the norm, and with it
-    the steps, of a 2-D flow at _FLOW_TOL: P(z) is that flow's map to
-    round-off.  The flow gets _STEPS_PER_UNIT_TIME attempted steps per unit
-    of its duration, counted as at least 2*pi (a fast forcing still needs a
-    few steps per period), then raises IntegrationFailure like any failed
-    flow.  scipy's first-step guess overflows at a huge epsilon; the tiny
-    step it then picks fails on its own terms, so numpy's floating-point
-    warnings are silenced around it.
+    the steps, of a 2-D flow at absolute = relative tolerance tol: P(z) is
+    that flow's map to round-off.  tol is _FLOW_TOL but for _newton's
+    coarser flows.  The flow gets min(_STEPS_PER_UNIT_TIME,
+    _STEPS_PER_FORCING * (1 + sqrt(|eps| * (beta + delta)))) attempted
+    steps per unit of its duration, counted as at least 2*pi (a fast
+    forcing still needs a few steps per period), then raises
+    IntegrationFailure like any failed flow.  scipy's first-step guess
+    overflows at a huge epsilon; the tiny step it then picks fails on its
+    own terms, so numpy's floating-point warnings are silenced around it.
     """
     beta, delta, omega = sys.beta, sys.delta, sys.omega
     damping = eps * delta
@@ -390,9 +408,13 @@ def _variational_map(sys, eps, m, z, theta_section):
 
     y0 = np.array([z[0], z[1], 1.0, 0.0, 0.0, 1.0])
     duration = 2.0 * math.pi * m / omega
-    scaled = _FLOW_TOL * math.sqrt(2.0 / y0.size)
+    scaled = tol * math.sqrt(2.0 / y0.size)
     atol = np.full(y0.size, np.inf)
     atol[:2] = scaled
+    per_unit_time = min(
+        _STEPS_PER_UNIT_TIME,
+        _STEPS_PER_FORCING * (1.0 + math.sqrt(abs(eps) * (beta + delta))),
+    )
     with np.errstate(all="ignore"):
         sol = solve_ivp(
             rhs,
@@ -401,7 +423,7 @@ def _variational_map(sys, eps, m, z, theta_section):
             method=_DOP853Kernel,
             rtol=scaled,
             atol=atol,
-            max_steps=math.ceil(_STEPS_PER_UNIT_TIME * max(duration, 2.0 * math.pi)),
+            max_steps=math.ceil(per_unit_time * max(duration, 2.0 * math.pi)),
             forcing=(eps, beta, delta, omega, theta_section),
         )
     if not sol.success:
@@ -453,31 +475,54 @@ def _distance_to_orbit(z, r: Resonance) -> float:
 
 
 def _newton(sys, eps, m, z0, theta0, winding):
-    """Newton on P(z) - z - winding = 0 from z0.
+    """Newton on P(z) - z - winding = 0 from z0, each flow as fine as its step needs.
 
-    Each iteration costs one variational flow, which gives f and
-    J = DP - I together, so _NEWTON_MAX steps take _NEWTON_MAX + 1
-    flows, the last one checking the last step.  Returns (z, f,
-    converged, DP) with f and DP from the variational flow at the
-    returned z: converged once |f| <= _RESIDUAL_TOL, else stopped by a
-    step longer than 2, a singular J or _NEWTON_MAX steps.
+    Each variational flow gives f and J = DP - I together, and with them
+    the step s = J^-1 f.  A flow at tolerance tol moves s by about
+    ||J^-1|| tol, so far from the fixed point a coarse flow serves
+    (inexact Newton with accuracy matching: Dembo, Eisenstat & Steihaug
+    1982; Deuflhard 2004).  The first flow runs at _COARSE_FLOW_TOL, and
+    the flow after step s at clip(_NEXT_FLOW_TOL * |s| / ||J^-1||,
+    _FLOW_TOL, _COARSE_FLOW_TOL), ||J^-1||_2 in closed form.  A flow
+    coarser than _FLOW_TOL with ||J^-1|| tol > _RESOLVED_STEP * |s| has not
+    resolved its step, so it is run again at the same z at that finer
+    tolerance before any step is taken.  Such a re-flow is not a Newton
+    step: at most _NEWTON_MAX steps are taken, the point after the last
+    one checked.  Returns (z, f, converged, DP) with f and DP from the last
+    flow, at the returned z: converged once |f| <= _RESIDUAL_TOL on a flow
+    at _FLOW_TOL, so a converged point's f and DP come from a full-accuracy
+    flow; else stopped by a step longer than 2, a singular J or
+    _NEWTON_MAX steps, and then f and DP may come from a flow as coarse as
+    _COARSE_FLOW_TOL.
     """
     eye = np.eye(2)
     z = np.array(z0, dtype=float)
-    for steps in range(_NEWTON_MAX + 1):
-        final, dp = _variational_map(sys, eps, m, z, theta0)
+    tol, steps = _COARSE_FLOW_TOL, 0
+    while True:
+        final, dp = _variational_map(sys, eps, m, z, theta0, tol)
         f = final - z - winding
-        if np.linalg.norm(f) <= _RESIDUAL_TOL:
+        if tol <= _FLOW_TOL and np.linalg.norm(f) <= _RESIDUAL_TOL:
             return z, f, True, dp
-        if steps == _NEWTON_MAX:
-            break
+        jac = dp - eye
         try:
-            step = np.linalg.solve(dp - eye, f)
+            step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
             break
-        if np.linalg.norm(step) > 2.0:
-            break  # diverging away from the seed neighborhood
+        size = float(np.linalg.norm(step))
+        # ||J^-1||_2 = sigma_max(J) / |det J|, and sigma_max^2 is the larger
+        # root of x^2 - |J|_F^2 x + det^2
+        (a, b), (c, d) = jac.tolist()
+        frobenius, det = a * a + b * b + c * c + d * d, abs(a * d - b * c)
+        gap = max(0.0, (frobenius - 2.0 * det) * (frobenius + 2.0 * det))
+        inv_norm = math.sqrt(0.5 * (frobenius + math.sqrt(gap))) / det if det else math.inf
+        finer = min(_COARSE_FLOW_TOL, max(_FLOW_TOL, _NEXT_FLOW_TOL * size / inv_norm))
+        if tol > _FLOW_TOL and inv_norm * tol > _RESOLVED_STEP * size:
+            tol = finer  # flow the same z again: not a Newton step
+            continue
+        if steps == _NEWTON_MAX or size > 2.0:
+            break  # out of steps, or diverging away from the seed neighborhood
         z = z - step
+        steps, tol = steps + 1, finer
     return z, f, False, dp
 
 

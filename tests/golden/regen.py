@@ -5,8 +5,10 @@ Run from the repository root:
     python tests/golden/regen.py
 
 Each case runs one melnikov-lab argv in-process and records its exit code
-and its parsed stdout in cli_outputs.json.  Regenerate only for a change that
-is meant to move an answer, and say in the change which answers moved.
+and its parsed stdout in cli_outputs.json.  Before it writes, it prints each
+value that differs from the recorded one: its path, the old and the new value
+and their relative change.  Regenerate only for a change that is meant to
+move an answer, and say in the change which answers moved.
 """
 
 import contextlib
@@ -86,7 +88,39 @@ def run(argv):
     return {"argv": list(argv), "exit": code, "output": _parse(out.getvalue())}
 
 
+def _moved(old, new, path):
+    """(path, old, new) for each value of a recorded output that differs in new."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for name in old:
+            yield from _moved(old[name], new[name], f"{path}.{name}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (o, n) in enumerate(zip(old, new)):
+            yield from _moved(o, n, f"{path}[{i}]")
+    elif type(old) is not type(new) or not (old == new or old != old and new != new):
+        yield path, old, new
+
+
+def _relative(old, new):
+    if not all(type(v) in (int, float) for v in (old, new)):
+        return "-"
+    scale = max(abs(old), abs(new))
+    return f"{abs(new - old) / scale:.2g}" if scale else "0"
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parents[1] / "src"))
-    GOLDEN.write_text(json.dumps([run(argv) for argv in CASES], indent=1) + "\n")
+    cases = [run(argv) for argv in CASES]
+    recorded = {}
+    if GOLDEN.exists():
+        recorded = {tuple(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
+    for case in cases:
+        argv = tuple(case["argv"])
+        if argv not in recorded:
+            print(f"{' '.join(argv)}: new case")
+            continue
+        for path, old, new in _moved(recorded.pop(argv), case, " ".join(argv)):
+            print(f"{path}: {old!r} -> {new!r} (relative change {_relative(old, new)})")
+    for argv in recorded:
+        print(f"{' '.join(argv)}: case dropped")
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
     print(f"wrote {len(CASES)} cases to {GOLDEN}")

@@ -3,10 +3,12 @@ independent route to the same quantity.
 
 substitution_check integrates cn^2 by adaptive quadrature on both sides of
 a change of variables; full_range_bisection solves a resonance by plain
-bisection over the whole k' range; homoclinic_limit_check measures how fast
-the m/1 subharmonic curves approach their homoclinic limits;
-orbit_ode_residual and homoclinic_limit_distance test the closed-form orbits
-against the pendulum ODE and against the separatrix.
+bisection over the whole k' range; fixed_tolerance_newton runs the
+fixed-point Newton with every flow at the full tolerance;
+homoclinic_limit_check measures how fast the m/1 subharmonic curves
+approach their homoclinic limits; orbit_ode_residual and
+homoclinic_limit_distance test the closed-form orbits against the pendulum
+ODE and against the separatrix.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from melnikov_lab import poincare
 from melnikov_lab.elliptic import EllipticModulus, jacobi_real
 from melnikov_lab.melnikov import (
     MelnikovCurve,
@@ -81,6 +84,33 @@ def full_range_bisection(period, target: float, lo: float, hi: float) -> float:
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def fixed_tolerance_newton(sys, eps, m, z0, theta0, winding):
+    """poincare._newton's answer with every flow at _FLOW_TOL, one flow per step.
+
+    Newton on P(z) - z - winding = 0 from z0: converged once |f| <=
+    _RESIDUAL_TOL, else stopped by a step longer than 2, a singular J or
+    _NEWTON_MAX steps (the point after the last one checked).  Returns
+    (z, f, converged, DP) with f and DP from the flow at the returned z.
+    """
+    eye = np.eye(2)
+    z = np.array(z0, dtype=float)
+    for steps in range(poincare._NEWTON_MAX + 1):
+        final, dp = poincare._variational_map(sys, eps, m, z, theta0, poincare._FLOW_TOL)
+        f = final - z - winding
+        if np.linalg.norm(f) <= poincare._RESIDUAL_TOL:
+            return z, f, True, dp
+        if steps == poincare._NEWTON_MAX:
+            break
+        try:
+            step = np.linalg.solve(dp - eye, f)
+        except np.linalg.LinAlgError:
+            break
+        if np.linalg.norm(step) > 2.0:
+            break
+        z = z - step
+    return z, f, False, dp
 
 
 def homoclinic_limit_check(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import rk
@@ -30,7 +30,13 @@ from melnikov_lab.poincare import (
     find_subharmonic,
     scaling_band,
 )
+from oracles import fixed_tolerance_newton
 
+
+# Hypothesis phases of the properties that run flows: no shrinking, which
+# under a kernel fault would rerun failing flows for up to five minutes per
+# property; a failure reports the first failing example as drawn
+NO_SHRINK = (Phase.explicit, Phase.generate)
 
 # criterion 8's positive-control ladder on inner 3/1, with the rung that once
 # fell in a Newton gap, and the two rotating 1/1 rungs per direction
@@ -39,6 +45,18 @@ FIXED_POINT_RUNGS = [("inner", 3, eps) for eps in POSITIVE_LADDER] + [
     (family, 1, eps)
     for family in ("rotating+", "rotating-")
     for eps in (1e-3, 1e-3 / math.sqrt(2.0))
+]
+
+# (family, m, beta, delta, eps list): criterion 8's positive control and its
+# damped negative control (delta None), the rotating 1/1 rungs, and verify
+# --m 3 --beta 1e-13, where ||J^-1|| reaches 5.5e9: with no re-flow of a
+# coarse flow that cannot resolve its step, its distances double
+MATCHED_TOL_CASES = [
+    ("inner", 3, 1.0, 0.0, (1e-3, 5e-4, 2.5e-4)),
+    ("inner", 3, 1.0, None, (1e-3, 5e-4)),
+    ("rotating+", 1, 1.0, 0.0, (1e-3, 1e-3 / math.sqrt(2.0))),
+    ("rotating-", 1, 1.0, 0.0, (1e-3, 1e-3 / math.sqrt(2.0))),
+    ("inner", 3, 1e-13, 0.0, (1e-3, 5e-4, 2.5e-4)),
 ]
 
 
@@ -200,23 +218,27 @@ class TestMelnikovSeeds:
         assert max(gaps) <= eps
 
     def test_last_newton_step_is_checked(self, system, resonance, monkeypatch):
-        # the second seed meets _RESIDUAL_TOL on its 4th flow, after 3 steps:
-        # with _NEWTON_MAX = 3 that flow is the last one Newton runs
+        # the second seed meets _RESIDUAL_TOL at the point after its 3rd step:
+        # with _NEWTON_MAX = 3 that point is the last one Newton flows, and
+        # it converges on a flow at _FLOW_TOL
         theta0 = math.pi / 2.0
         monkeypatch.setattr(poincare, "_NEWTON_MAX", 3)
         flows = []
         variational = poincare._variational_map
 
-        def counted(*args):
-            flows.append(args[3])
-            return variational(*args)
+        def counted(sys_, eps, m, z, theta, tol):
+            flows.append((tuple(z), tol))
+            return variational(sys_, eps, m, z, theta, tol)
 
         monkeypatch.setattr(poincare, "_variational_map", counted)
         seed = _melnikov_seeds(system, resonance, theta0)[1]
         z, f, converged, _ = _newton(
             system, 1e-3, resonance.m, (seed.x1, seed.x2), theta0, _winding(resonance)
         )
-        assert len(flows) == 4
+        # a re-flow at the same z is not a step
+        points = [p for i, (p, _) in enumerate(flows) if i == 0 or p != flows[i - 1][0]]
+        assert len(points) == 4 and len(set(points)) == 4
+        assert flows[-1] == (tuple(z), _FLOW_TOL)
         assert np.linalg.norm(f) <= _RESIDUAL_TOL
         assert converged
 
@@ -224,7 +246,7 @@ class TestMelnikovSeeds:
         # DP = I makes J = DP - I singular, so no Newton step can be taken
         flows = []
 
-        def identity_tangent(sys_, eps, m, z, theta0):
+        def identity_tangent(sys_, eps, m, z, theta0, tol):
             flows.append(z)
             return np.array([1e-3, 0.0]), np.eye(2)
 
@@ -242,15 +264,54 @@ class TestMelnikovSeeds:
         flows = []
 
         def counted(rhs, span, y0, **options):
-            flows.append(len(y0))
-            return solve_ivp(rhs, span, y0, **options)
+            sol = solve_ivp(rhs, span, y0, **options)
+            flows.append((len(y0), sol.nfev))
+            return sol
 
         monkeypatch.setattr(poincare, "solve_ivp", counted)
         res = find_subharmonic(system, 1e-3, resonance, math.pi / 2.0)
         assert res.converged
-        # one Newton run per Melnikov zero, one state + tangent-map flow per
-        # iteration, and no other flow
-        assert len(flows) <= 6
+        # one Newton run per Melnikov zero on state + tangent-map flows and no
+        # other flow; all at _FLOW_TOL took 9,360 RHS evaluations in 6 flows
+        assert all(size == 6 for size, _ in flows)
+        assert sum(nfev for _, nfev in flows) <= 8000
+
+    def test_matched_tolerances_keep_the_fixed_tolerance_answers(self, monkeypatch):
+        # each seed's Newton run against the same run with every flow at
+        # _FLOW_TOL: the same converged flags and fixed points, for fewer RHS
+        # evaluations
+        flows = []
+
+        def counted(*args, **options):
+            sol = solve_ivp(*args, **options)
+            flows.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(poincare, "solve_ivp", counted)
+        totals = {_newton: 0, fixed_tolerance_newton: 0}
+        for family, m, beta, delta, eps_list in MATCHED_TOL_CASES:
+            r = solve_resonance(family, 1.0, m, 1)
+            if delta is None:
+                mod = r.modulus
+                coeff = closed_form_subharmonic(r, 1.0, 0.0).cos_coeff
+                delta = 2.0 * coeff / (16.0 * (mod.E - mod.k_prime**2 * mod.K))
+            sys_, theta0 = pendulum_system(beta, delta, 1.0), math.pi / 2.0
+            for eps in eps_list:
+                for seed in _melnikov_seeds(sys_, r, theta0):
+                    runs = []
+                    for newton in totals:
+                        start = len(flows)
+                        z, _, converged, _ = newton(
+                            sys_, eps, m, (seed.x1, seed.x2), theta0, _winding(r)
+                        )
+                        totals[newton] += sum(flows[start:])
+                        distance = poincare._distance_to_orbit(z, r) if converged else None
+                        runs.append((converged, distance))
+                    (converged, got), (want_converged, want) = runs
+                    assert converged == want_converged, (family, beta, delta, eps)
+                    if converged:
+                        assert abs(got - want) <= 1e-9 * want, (family, beta, delta, eps)
+        assert totals[_newton] <= 0.85 * totals[fixed_tolerance_newton], totals.values()
 
 
 class TestVariationalEngine:
@@ -270,7 +331,9 @@ class TestVariationalEngine:
         assert final == pytest.approx(strobe(z), abs=1e-9)
         assert np.max(np.abs(dp - fd)) <= 1e-6
 
-    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @settings(
+        max_examples=24, deadline=None, derandomize=True, database=None, phases=NO_SHRINK
+    )
     @given(
         st.sampled_from([("inner", 3), ("inner", 5), ("rotating+", 1), ("rotating-", 1)]),
         st.floats(0.0, 1.0),
@@ -403,7 +466,9 @@ class TestDOP853Kernel:
     # flow the tangent map magnifies round-off (near the separatrix the final
     # states differ from scipy's by up to 2.4e-9 relative), so each accepted
     # step is replayed with scipy's own stage code from the kernel's state.
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(
+        max_examples=30, deadline=None, derandomize=True, database=None, phases=NO_SHRINK
+    )
     @given(
         st.sampled_from(
             [("inner", 1), ("inner", 3), ("inner", 5), ("rotating+", 1), ("rotating-", 1)]
@@ -477,6 +542,48 @@ class TestDOP853Kernel:
         monkeypatch.setattr(poincare, "_STEPS_PER_UNIT_TIME", 1)
         with pytest.raises(IntegrationFailure, match="step budget of 19 spent"):
             _variational_map(system, 1e-3, 3, (0.9, 0.4), 0.0)
+
+    # The budget only bounds the loop, and the scaled one is never above the
+    # _STEPS_PER_UNIT_TIME it replaced: a flow that succeeds under that alone
+    # must make the same attempts under the scaled one, bit for bit.  Every
+    # flow of these ranges does (400 random ones took at most 163 attempts
+    # per unit time, at eps = 68: 27% of their scaled budget), up to an
+    # epsilon where the forcing sets the time scale.  The scaled flow runs
+    # first, so a kernel fault that spoils the error estimate fails it fast.
+    @settings(
+        max_examples=40, deadline=None, derandomize=True, database=None, phases=NO_SHRINK
+    )
+    @given(
+        st.floats(-6.0, 2.0),
+        st.floats(-0.5, 1.0),
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 1.0),
+        st.tuples(st.floats(-math.pi, math.pi), st.floats(-2.0, 2.0)),
+        st.floats(0.0, 2.0 * math.pi),
+        st.sampled_from([_FLOW_TOL, poincare._COARSE_FLOW_TOL]),
+    )
+    def test_scaled_budget_keeps_every_flow(
+        self, log_eps, log_omega, beta, delta, z, theta, tol
+    ):
+        sys_, eps = pendulum_system(beta, delta, 10.0**log_omega), 10.0**log_eps
+
+        def flow(per_forcing):
+            attempts = []
+            attempt = poincare._attempt
+
+            def recorded(*args):
+                result = attempt(*args)
+                attempts.append((args[0], args[1], args[3], result))
+                return result
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(poincare, "_STEPS_PER_FORCING", per_forcing)
+                mp.setattr(poincare, "_attempt", recorded)
+                final, dp = _variational_map(sys_, eps, 1, z, theta, tol)
+            return attempts, final.tolist(), dp.tolist()
+
+        got = flow(poincare._STEPS_PER_FORCING)
+        assert got == flow(math.inf)  # min(_STEPS_PER_UNIT_TIME, inf)
 
     def test_no_dense_output(self):
         def rhs(t, y):
