@@ -61,8 +61,8 @@ _COARSE_FLOW_TOL = 1e-9
 # Attempted steps per unit of flow time before a flow fails (a flow shorter
 # than 2*pi gets 2*pi's worth): _STEPS_PER_FORCING times 1 + sqrt(|eps| *
 # (beta + delta)), the forcing's time scale once eps*beta >> 1, but never
-# more than _STEPS_PER_UNIT_TIME.  Every flow of the tests and the
-# stroboscopic benchmark needs at most 10 per unit time, so a kernel fault
+# more than _STEPS_PER_UNIT_TIME.  Every flow of the tests at eps <= 1e-2 and
+# of the stroboscopic benchmark needs at most 10 per unit time, so a kernel fault
 # that spoils the error estimate fails each flow after about 50 attempts per
 # unit time, and a flow whose steps keep shrinking (huge epsilon) stops.
 _STEPS_PER_UNIT_TIME = 1000
