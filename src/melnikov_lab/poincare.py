@@ -4,9 +4,11 @@ Integrates the fully forced pendulum with an adaptive high-order
 Runge-Kutta scheme, builds the period-2*pi*m/omega stroboscopic map, and
 runs Newton on its fixed-point equation to confirm that simple zeros of
 the subharmonic Melnikov function mark persisting periodic orbits at
-O(epsilon) distance from the unperturbed resonant orbit.  Newton runs each
-flow only as fine as the step it resolves, from _COARSE_FLOW_TOL down to
-_FLOW_TOL, and declares a fixed point only on a flow at _FLOW_TOL.
+O(epsilon) distance from the unperturbed resonant orbit.  While Newton
+contracts, it runs each flow only as fine as the step it resolves, from
+_COARSE_FLOW_TOL down to _FLOW_TOL, and it declares a fixed point only on a
+flow at _FLOW_TOL; where it does not, it answers as Newton with every flow
+at _FLOW_TOL.
 
 Every flow is one system: the state (x1, x2) and its tangent map, whose
 steps are chosen from the state alone, so the state is the map P(z).  The
@@ -20,10 +22,9 @@ Every flow runs forward from t = 0 with no step-size cap.  It sums each stage
 left to right where scipy's BLAS dot may not, so its states agree with
 scipy's to round-off, and it takes scipy's steps wherever no accept/reject
 or step-size decision rests on that round-off.  It counts its own RHS
-evaluations (sol.nfev), and it gives up after a budget of attempted steps
-per unit of flow time that grows with sqrt(|epsilon| * (beta + delta)) up
-to _STEPS_PER_UNIT_TIME: a huge epsilon would otherwise shrink the steps
-without end, and a fault that spoils the error estimate fails fast.
+evaluations (sol.nfev), and it gives up after _STEPS_PER_UNIT_TIME
+attempted steps per unit of flow time, where a huge epsilon would
+otherwise shrink the steps without end.
 """
 
 from __future__ import annotations
@@ -59,21 +60,25 @@ _FLOW_TOL = 1e-12
 # (see _newton); a converged point's flow always runs at _FLOW_TOL.
 _COARSE_FLOW_TOL = 1e-9
 # Attempted steps per unit of flow time before a flow fails (a flow shorter
-# than 2*pi gets 2*pi's worth): _STEPS_PER_FORCING times 1 + sqrt(|eps| *
-# (beta + delta)), the forcing's time scale once eps*beta >> 1, but never
-# more than _STEPS_PER_UNIT_TIME.  Every flow of the tests at eps <= 1e-2 and
-# of the stroboscopic benchmark needs at most 10 per unit time, so a kernel fault
-# that spoils the error estimate fails each flow after about 50 attempts per
-# unit time, and a flow whose steps keep shrinking (huge epsilon) stops.
+# than 2*pi gets 2*pi's worth): about 100x the most that any flow of the
+# tests or the stroboscopic benchmark takes, and the bound on how long a flow
+# whose steps keep shrinking (huge epsilon) runs.  A flow coarser than
+# _FLOW_TOL gets _COARSE_BUDGET of it: at _COARSE_FLOW_TOL a flow takes
+# about 1000**(-1/8) = 0.42 of the steps it takes at _FLOW_TOL, so one that
+# fits its share shows that the flow at _FLOW_TOL fits the whole.
 _STEPS_PER_UNIT_TIME = 1000
-_STEPS_PER_FORCING = 50
+_COARSE_BUDGET = 0.25
 _NEWTON_MAX = 25  # Newton steps per seed (a re-flow at the same z is not one)
 _RESIDUAL_TOL = 1e-10  # map residual that counts as a fixed point
 # The flow after a Newton step s runs at _NEXT_FLOW_TOL * |s| / ||J^-1||
-# (clipped to [_FLOW_TOL, _COARSE_FLOW_TOL]), and a coarse flow resolves its
-# own step when ||J^-1|| tol <= _RESOLVED_STEP * |s| (see _newton)
+# (at most _COARSE_FLOW_TOL, and _FLOW_TOL below _SNAP times it), a coarse
+# flow resolves its own step when ||J^-1|| tol <= _RESOLVED_STEP * |s|, and
+# Newton keeps matching tolerances while each step is at most _CONTRACTION
+# times the last (see _newton)
 _NEXT_FLOW_TOL = 1e-6
 _RESOLVED_STEP = 1e-3
+_SNAP = 10.0
+_CONTRACTION = 0.5
 _ORBIT_SAMPLES = 1024  # coarse grid of the distance-to-orbit search
 _SCALING_BAND = 2.0  # largest max/min of distance/|eps| that scaling_band accepts
 
@@ -382,13 +387,13 @@ def _variational_map(sys, eps, m, z, theta_section, tol=_FLOW_TOL):
     scaling both tolerances by sqrt(2/6) gives back the norm, and with it
     the steps, of a 2-D flow at absolute = relative tolerance tol: P(z) is
     that flow's map to round-off.  tol is _FLOW_TOL but for _newton's
-    coarser flows.  The flow gets min(_STEPS_PER_UNIT_TIME,
-    _STEPS_PER_FORCING * (1 + sqrt(|eps| * (beta + delta)))) attempted
-    steps per unit of its duration, counted as at least 2*pi (a fast
-    forcing still needs a few steps per period), then raises
-    IntegrationFailure like any failed flow.  scipy's first-step guess
-    overflows at a huge epsilon; the tiny step it then picks fails on its
-    own terms, so numpy's floating-point warnings are silenced around it.
+    coarser flows.  The flow gets _STEPS_PER_UNIT_TIME attempted steps per
+    unit of its duration, counted as at least 2*pi (a fast forcing still
+    needs a few steps per period), _COARSE_BUDGET of that if tol >
+    _FLOW_TOL, then raises IntegrationFailure like any failed flow.
+    scipy's first-step guess overflows at a huge epsilon; the tiny step it
+    then picks fails on its own terms, so numpy's floating-point warnings
+    are silenced around it.
     """
     beta, delta, omega = sys.beta, sys.delta, sys.omega
     damping = eps * delta
@@ -411,10 +416,7 @@ def _variational_map(sys, eps, m, z, theta_section, tol=_FLOW_TOL):
     scaled = tol * math.sqrt(2.0 / y0.size)
     atol = np.full(y0.size, np.inf)
     atol[:2] = scaled
-    per_unit_time = min(
-        _STEPS_PER_UNIT_TIME,
-        _STEPS_PER_FORCING * (1.0 + math.sqrt(abs(eps) * (beta + delta))),
-    )
+    per_unit_time = _STEPS_PER_UNIT_TIME * (_COARSE_BUDGET if tol > _FLOW_TOL else 1.0)
     with np.errstate(all="ignore"):
         sol = solve_ivp(
             rhs,
@@ -479,27 +481,49 @@ def _newton(sys, eps, m, z0, theta0, winding):
 
     Each variational flow gives f and J = DP - I together, and with them
     the step s = J^-1 f.  A flow at tolerance tol moves s by about
-    ||J^-1|| tol, so far from the fixed point a coarse flow serves
-    (inexact Newton with accuracy matching: Dembo, Eisenstat & Steihaug
-    1982; Deuflhard 2004).  The first flow runs at _COARSE_FLOW_TOL, and
-    the flow after step s at clip(_NEXT_FLOW_TOL * |s| / ||J^-1||,
-    _FLOW_TOL, _COARSE_FLOW_TOL), ||J^-1||_2 in closed form.  A flow
-    coarser than _FLOW_TOL with ||J^-1|| tol > _RESOLVED_STEP * |s| has not
-    resolved its step, so it is run again at the same z at that finer
-    tolerance before any step is taken.  Such a re-flow is not a Newton
-    step: at most _NEWTON_MAX steps are taken, the point after the last
+    ||J^-1|| tol, so while Newton contracts a coarse flow serves (inexact
+    Newton with accuracy matching: Dembo, Eisenstat & Steihaug 1982;
+    Deuflhard 2004).  The first flow runs at _COARSE_FLOW_TOL, and the
+    flow after step s at _NEXT_FLOW_TOL * |s| / ||J^-1||, at most
+    _COARSE_FLOW_TOL and, below _SNAP times _FLOW_TOL, _FLOW_TOL itself.
+    A coarse flow with ||J^-1|| tol > _RESOLVED_STEP * |s| has not resolved
+    its step, and one that spends its _COARSE_BUDGET share of the step
+    budget cannot tell whether a flow at _FLOW_TOL fits the whole: either
+    is run again at the same z, at the finer tolerance or at _FLOW_TOL,
+    and such a re-flow is not a Newton step.  A fixed point is declared
+    only on a flow at _FLOW_TOL.
+
+    Where Newton does not contract, which fixed point it finds, if any,
+    rests on every flow's error.  So once a step is longer than
+    _CONTRACTION times the last, every later flow runs at _FLOW_TOL, and
+    if any step so far came from a coarser flow, or a flow at _FLOW_TOL
+    fails off the fixed-tolerance path, Newton starts over from z0: the
+    answer is then that of Newton with every flow at _FLOW_TOL, step for
+    step.  At most _NEWTON_MAX steps are taken, the point after the last
     one checked.  Returns (z, f, converged, DP) with f and DP from the last
-    flow, at the returned z: converged once |f| <= _RESIDUAL_TOL on a flow
-    at _FLOW_TOL, so a converged point's f and DP come from a full-accuracy
-    flow; else stopped by a step longer than 2, a singular J or
-    _NEWTON_MAX steps, and then f and DP may come from a flow as coarse as
-    _COARSE_FLOW_TOL.
+    flow, at the returned z: converged once |f| <= _RESIDUAL_TOL, so a
+    converged point's f and DP come from a flow at _FLOW_TOL; else stopped
+    by a step longer than 2, a singular J or _NEWTON_MAX steps, and then f
+    and DP may come from a flow as coarse as _COARSE_FLOW_TOL.
     """
     eye = np.eye(2)
     z = np.array(z0, dtype=float)
-    tol, steps = _COARSE_FLOW_TOL, 0
+    tol, steps, last = _COARSE_FLOW_TOL, 0, math.inf
+    # matched: tolerances follow the steps; exact: every step so far came
+    # from a flow at _FLOW_TOL, so z is on the fixed-tolerance path
+    matched = exact = True
     while True:
-        final, dp = _variational_map(sys, eps, m, z, theta0, tol)
+        try:
+            final, dp = _variational_map(sys, eps, m, z, theta0, tol)
+        except IntegrationFailure:
+            if tol > _FLOW_TOL:
+                tol = _FLOW_TOL  # past its share: flow the same z in full
+                continue
+            if exact:
+                raise  # as the fixed-tolerance run does
+            matched, exact = False, True  # from z0, as the fixed-tolerance run
+            z, tol, steps = np.array(z0, dtype=float), _FLOW_TOL, 0
+            continue
         f = final - z - winding
         if tol <= _FLOW_TOL and np.linalg.norm(f) <= _RESIDUAL_TOL:
             return z, f, True, dp
@@ -509,20 +533,32 @@ def _newton(sys, eps, m, z0, theta0, winding):
         except np.linalg.LinAlgError:
             break
         size = float(np.linalg.norm(step))
-        # ||J^-1||_2 = sigma_max(J) / |det J|, and sigma_max^2 is the larger
-        # root of x^2 - |J|_F^2 x + det^2
-        (a, b), (c, d) = jac.tolist()
-        frobenius, det = a * a + b * b + c * c + d * d, abs(a * d - b * c)
-        gap = max(0.0, (frobenius - 2.0 * det) * (frobenius + 2.0 * det))
-        inv_norm = math.sqrt(0.5 * (frobenius + math.sqrt(gap))) / det if det else math.inf
-        finer = min(_COARSE_FLOW_TOL, max(_FLOW_TOL, _NEXT_FLOW_TOL * size / inv_norm))
-        if tol > _FLOW_TOL and inv_norm * tol > _RESOLVED_STEP * size:
-            tol = finer  # flow the same z again: not a Newton step
-            continue
+        if matched:
+            # ||J^-1||_F = ||J||_F / |det J| for a 2x2 J
+            (a, b), (c, d) = jac.tolist()
+            det = abs(a * d - b * c)
+            inv_norm = math.sqrt(a * a + b * b + c * c + d * d) / det if det else math.inf
+            finer = min(_COARSE_FLOW_TOL, _NEXT_FLOW_TOL * size / inv_norm)
+            if finer < _SNAP * _FLOW_TOL:
+                finer = _FLOW_TOL
+            if tol > _FLOW_TOL and inv_norm * tol > _RESOLVED_STEP * size:
+                tol = finer  # flow the same z again: not a Newton step
+                continue
         if steps == _NEWTON_MAX or size > 2.0:
             break  # out of steps, or diverging away from the seed neighborhood
-        z = z - step
-        steps, tol = steps + 1, finer
+        if matched and size > _CONTRACTION * last:
+            matched = False  # not contracting: on as the fixed-tolerance run
+            if not exact:
+                exact = True  # from z0
+                z, tol, steps = np.array(z0, dtype=float), _FLOW_TOL, 0
+                continue
+            if tol > _FLOW_TOL:
+                tol = _FLOW_TOL
+                continue
+        exact = exact and tol <= _FLOW_TOL
+        z, steps, last = z - step, steps + 1, size
+        if matched:
+            tol = finer
     return z, f, False, dp
 
 

@@ -260,6 +260,64 @@ class TestMelnikovSeeds:
         assert np.array_equal(f, [1e-3, 0.0])
         assert np.array_equal(dp, np.eye(2))
 
+    def test_run_that_stops_contracting_is_the_fixed_tolerance_run(self, monkeypatch):
+        # rotating+ 1/1's first seed wanders: its third step is longer than
+        # its second, so Newton starts over at _FLOW_TOL and answers exactly
+        # as the fixed-tolerance run, which ends unconverged after 26 flows
+        flows = []
+        variational = poincare._variational_map
+
+        def counted(sys_, eps, m, z, theta, tol):
+            flows.append(tol)
+            return variational(sys_, eps, m, z, theta, tol)
+
+        r = solve_resonance("rotating+", 1.0, 1, 1)
+        sys_, theta0 = pendulum_system(1.0, 0.0, 1.0), math.pi / 2.0
+        seed = _melnikov_seeds(sys_, r, theta0)[0]
+        args = (sys_, 1e-3, 1, (seed.x1, seed.x2), theta0, _winding(r))
+        want = fixed_tolerance_newton(*args)
+        monkeypatch.setattr(poincare, "_variational_map", counted)
+        got = _newton(*args)
+        assert not got[2]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert flows[0] == poincare._COARSE_FLOW_TOL
+        assert flows[-26:] == [_FLOW_TOL] * 26 and len(flows) > 26
+
+    def test_coarse_flow_past_its_share_falls_back(self, system, resonance, monkeypatch):
+        # at 5 attempts per unit time a flow at _FLOW_TOL of this map spends
+        # its budget of 95, and one at _COARSE_FLOW_TOL would fit it: its
+        # share of 24 fails it, so Newton falls back to _FLOW_TOL and fails
+        # as the fixed-tolerance run does
+        monkeypatch.setattr(poincare, "_STEPS_PER_UNIT_TIME", 5)
+        seed = _melnikov_seeds(system, resonance, math.pi / 2.0)[1]
+        args = (system, 1e-3, resonance.m, (seed.x1, seed.x2), math.pi / 2.0)
+        with pytest.raises(IntegrationFailure, match="step budget of 95 spent"):
+            fixed_tolerance_newton(*args, _winding(resonance))
+        with pytest.raises(IntegrationFailure, match="step budget of 95 spent"):
+            _newton(*args, _winding(resonance))
+        monkeypatch.setattr(poincare, "_COARSE_BUDGET", 1.0)
+        _variational_map(*args, poincare._COARSE_FLOW_TOL)
+
+    def test_failure_after_starting_over_is_raised(self, resonance, monkeypatch):
+        # J = I makes each step f itself: the second, from a coarse flow, is
+        # no shorter than the first, so Newton starts over from z0 at
+        # _FLOW_TOL, and the fixed-tolerance run's second flow fails
+        flows = []
+
+        def stub(sys_, eps, m, z, theta0, tol):
+            flows.append((tuple(z), tol))
+            if len(flows) == 4:
+                raise IntegrationFailure("step budget spent")
+            assert len(flows) < 4
+            return z + np.array([1e-3, 0.0]), 2.0 * np.eye(2)
+
+        monkeypatch.setattr(poincare, "_variational_map", stub)
+        with pytest.raises(IntegrationFailure, match="step budget spent"):
+            _newton(None, 1e-3, resonance.m, (0.0, 0.0), 0.0, np.zeros(2))
+        assert [z for z, _ in flows] == [(0.0, 0.0), (-1e-3, 0.0)] * 2
+        assert [tol > _FLOW_TOL for _, tol in flows] == [True, True, False, False]
+
     def test_positive_control_takes_few_narrow_flows(self, system, resonance, monkeypatch):
         flows = []
 
@@ -278,8 +336,10 @@ class TestMelnikovSeeds:
 
     def test_matched_tolerances_keep_the_fixed_tolerance_answers(self, monkeypatch):
         # each seed's Newton run against the same run with every flow at
-        # _FLOW_TOL: the same converged flags and fixed points, for fewer RHS
-        # evaluations
+        # _FLOW_TOL: the same converged flags and fixed points.  A run that
+        # contracts to the end on matched flows takes fewer RHS evaluations;
+        # one that stops contracting answers as the reference, bit for bit,
+        # after the coarse flows it ran before it stopped (at most 3 here)
         flows = []
 
         def counted(*args, **options):
@@ -288,7 +348,7 @@ class TestMelnikovSeeds:
             return sol
 
         monkeypatch.setattr(poincare, "solve_ivp", counted)
-        totals = {_newton: 0, fixed_tolerance_newton: 0}
+        totals = {False: [0, 0], True: [0, 0]}  # by "the same answer, bit for bit"
         for family, m, beta, delta, eps_list in MATCHED_TOL_CASES:
             r = solve_resonance(family, 1.0, m, 1)
             if delta is None:
@@ -298,20 +358,23 @@ class TestMelnikovSeeds:
             sys_, theta0 = pendulum_system(beta, delta, 1.0), math.pi / 2.0
             for eps in eps_list:
                 for seed in _melnikov_seeds(sys_, r, theta0):
-                    runs = []
-                    for newton in totals:
+                    runs, costs = [], []
+                    for newton in (_newton, fixed_tolerance_newton):
                         start = len(flows)
-                        z, _, converged, _ = newton(
-                            sys_, eps, m, (seed.x1, seed.x2), theta0, _winding(r)
+                        runs.append(
+                            newton(sys_, eps, m, (seed.x1, seed.x2), theta0, _winding(r))
                         )
-                        totals[newton] += sum(flows[start:])
-                        distance = poincare._distance_to_orbit(z, r) if converged else None
-                        runs.append((converged, distance))
-                    (converged, got), (want_converged, want) = runs
+                        costs.append(sum(flows[start:]))
+                    (z, _, converged, _), (want_z, _, want_converged, _) = runs
                     assert converged == want_converged, (family, beta, delta, eps)
                     if converged:
+                        got, want = (poincare._distance_to_orbit(p, r) for p in (z, want_z))
                         assert abs(got - want) <= 1e-9 * want, (family, beta, delta, eps)
-        assert totals[_newton] <= 0.85 * totals[fixed_tolerance_newton], totals.values()
+                    same = all(np.array_equal(a, b) for a, b in zip(*runs))
+                    totals[same] = [t + c for t, c in zip(totals[same], costs)]
+        (matched, reference), (fallen_back, its_reference) = totals[False], totals[True]
+        assert matched <= 0.85 * reference, totals
+        assert fallen_back <= 1.1 * its_reference, totals
 
 
 class TestVariationalEngine:
@@ -542,48 +605,6 @@ class TestDOP853Kernel:
         monkeypatch.setattr(poincare, "_STEPS_PER_UNIT_TIME", 1)
         with pytest.raises(IntegrationFailure, match="step budget of 19 spent"):
             _variational_map(system, 1e-3, 3, (0.9, 0.4), 0.0)
-
-    # The budget only bounds the loop, and the scaled one is never above the
-    # _STEPS_PER_UNIT_TIME it replaced: a flow that succeeds under that alone
-    # must make the same attempts under the scaled one, bit for bit.  Every
-    # flow of these ranges does (400 random ones took at most 163 attempts
-    # per unit time, at eps = 68: 27% of their scaled budget), up to an
-    # epsilon where the forcing sets the time scale.  The scaled flow runs
-    # first, so a kernel fault that spoils the error estimate fails it fast.
-    @settings(
-        max_examples=40, deadline=None, derandomize=True, database=None, phases=NO_SHRINK
-    )
-    @given(
-        st.floats(-6.0, 2.0),
-        st.floats(-0.5, 1.0),
-        st.floats(0.0, 3.0),
-        st.floats(0.0, 1.0),
-        st.tuples(st.floats(-math.pi, math.pi), st.floats(-2.0, 2.0)),
-        st.floats(0.0, 2.0 * math.pi),
-        st.sampled_from([_FLOW_TOL, poincare._COARSE_FLOW_TOL]),
-    )
-    def test_scaled_budget_keeps_every_flow(
-        self, log_eps, log_omega, beta, delta, z, theta, tol
-    ):
-        sys_, eps = pendulum_system(beta, delta, 10.0**log_omega), 10.0**log_eps
-
-        def flow(per_forcing):
-            attempts = []
-            attempt = poincare._attempt
-
-            def recorded(*args):
-                result = attempt(*args)
-                attempts.append((args[0], args[1], args[3], result))
-                return result
-
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(poincare, "_STEPS_PER_FORCING", per_forcing)
-                mp.setattr(poincare, "_attempt", recorded)
-                final, dp = _variational_map(sys_, eps, 1, z, theta, tol)
-            return attempts, final.tolist(), dp.tolist()
-
-        got = flow(poincare._STEPS_PER_FORCING)
-        assert got == flow(math.inf)  # min(_STEPS_PER_UNIT_TIME, inf)
 
     def test_no_dense_output(self):
         def rhs(t, y):
