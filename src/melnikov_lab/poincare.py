@@ -16,13 +16,17 @@ flows are nearly all of the cost, and a 6-D state is too small for numpy
 to pay for itself.  So scipy.integrate.solve_ivp drives _DOP853Kernel, a
 DOP853 whose one step() runs the whole flow on Python floats with the
 tableau and the right-hand side written out, under scipy's step-size rule
-and error norm.  One block of stage code runs over the state and then over
-both columns of the tangent map, and a rejected attempt skips the columns.
-Every flow runs forward from t = 0 with no step-size cap.  It sums each stage
-left to right where scipy's BLAS dot may not, so its states agree with
-scipy's to round-off, and it takes scipy's steps wherever no accept/reject
-or step-size decision rests on that round-off.  It counts its own RHS
-evaluations (sol.nfev), and it gives up after _STEPS_PER_UNIT_TIME
+and error norm.  The state and each column of the tangent map are a
+position and its velocity, so the kernel runs DOP853 in Nystrom form: a
+stage's position comes from the accelerations alone, and its velocity is
+formed only where damping needs it.  One block of stage code runs over the
+state and then over both columns of the tangent map, and a rejected
+attempt skips the columns.  Every flow runs forward from t = 0 with no
+step-size cap.  In exact arithmetic this is scipy's method; the kernel sums
+each stage left to right where scipy's BLAS dot may not, so its states
+agree with scipy's to round-off, and it takes scipy's steps wherever no
+accept/reject or step-size decision rests on that round-off.  It counts its
+own RHS evaluations (sol.nfev), and it gives up after _STEPS_PER_UNIT_TIME
 attempted steps per unit of flow time, where a huge epsilon would
 otherwise shrink the steps without end.
 """
@@ -87,33 +91,49 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 def _dop853_attempt():
-    """One DOP853 step attempt of the variational flow, scipy's tableau read once.
+    """One DOP853 step attempt of the variational flow, in Nystrom form.
 
     attempt(t, y, k1, h, forcing, tol, n) steps y = (x1, x2, p11, p12, p21,
     p22), the state and its tangent map, with k1 its derivative at t and
     forcing = (eps, beta, delta, omega, theta).  It returns (error_norm,
     y_new, f_new): scipy's DOP853 error norm over x1 and x2 with tol =
     (atol1, rtol1, atol2, rtol2), divided by sqrt(n) as for n components;
-    the new state, and its derivative at t + h.  The state and each column
-    of the tangent map are a pair (u, v) with u' = v, so one block of stage
-    code serves all three: stage i has ui = u + (sum_j a_ij kuj) h and
-    kui = v + (sum_j a_ij kvj) h, and only the acceleration kvi differs.
-    The state pass runs first, over (x1, x2), with kvi = -sin(ui) + eps
-    (fci - delta kui), fci = beta cos(omega (t + ci h) + theta) being the
-    forcing at stage i; it keeps each stage's cos x1 in cxi.  Then comes
+    the new state, and its derivative at t + h.
+
+    The state and each column of the tangent map are a pair (u, v) with
+    u' = v and v' = g, so one block of stage code serves all three, and
+    only the acceleration gi differs.  A Runge-Kutta method on such a pair
+    is the Nystrom method with abar = A A and bbar = b A (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.14).  Stage i has the position ui = u + h (ci
+    v + h sum_j abar_ij gj), the new pair is (u + h (v + h sum_j bbar_j gj),
+    v + h sum_j b_j gj), and the x1 error terms are h sum_j (e A)_j gj,
+    since sum_j a_ij = ci, sum_j b_j = 1 and sum_j e_j = 0.  So only the
+    damping term needs the stage velocity vi = v + h sum_j a_ij gj, and vi
+    is formed only where damping = eps*delta is not 0.
+
+    The state pass runs first, over (x1, x2), with gi = -sin(ui) + efi -
+    damping vi, efi = eps beta cos(omega (t + ci h) + theta) being the
+    forcing at stage i; it keeps each stage's -cos x1 in ncxi.  Then comes
     the error norm: an attempt whose norm is not below 1 is rejected and
     returns (error_norm, None, None) without the tangent stages.  The two
-    column passes, over (p11, p21) and (p12, p22), have kvi = -cxi ui -
-    damping kui (damping = eps*delta).  Each stage evaluates the right-hand
-    side inline with the expressions of _variational_map's rhs, and sums
-    its terms in tableau order.  Names are Hairer's: stages k1, ..., k12
-    with pair components kus, kvs, weights a_ij and b_i, and the fifth- and
-    third-order error weights e5_i, e3_i.  Only the nonzero entries of the
-    tableau appear; an underscore marks a zero.
+    column passes, over (p11, p21) and (p12, p22), have gi = ncxi ui -
+    damping vi.  Each stage evaluates the right-hand side inline with the
+    expressions of _variational_map's rhs, and sums its terms in tableau
+    order.  Names are Hairer's: weights a_ij, b_i and c_i, and the fifth-
+    and third-order error weights e5_i and e3_i.  A doubled letter marks a
+    Nystrom weight: aa_ij = abar_ij, bb_i = bbar_i, and ee5_i, ee3_i the
+    entries of e5 A and e3 A.  Each is summed exactly from scipy's tableau
+    (math.fsum) and rounded once, so it does not depend on the BLAS.  Only
+    the nonzero weights appear; an underscore marks a zero.
     """
     cos, sin = math.cos, math.sin
     A, B, C = DOP853.A.tolist(), DOP853.B.tolist(), DOP853.C.tolist()[1:]
-    E5, E3 = DOP853.E5.tolist(), DOP853.E3.tolist()
+    E5, E3 = DOP853.E5.tolist()[:12], DOP853.E3.tolist()[:12]
+
+    def times_a(w):
+        return [math.fsum(wj * row[k] for wj, row in zip(w, A)) for k in range(12)]
+
+    AA = [times_a(row) for row in A]
     (a21,) = A[1][:1]
     a31, a32 = A[2][:2]
     a41, _, a43 = A[3][:3]
@@ -125,129 +145,158 @@ def _dop853_attempt():
     a101, _, _, a104, a105, a106, a107, a108, a109 = A[9][:9]
     a111, _, _, a114, a115, a116, a117, a118, a119, a1110 = A[10][:10]
     a121, _, _, a124, a125, a126, a127, a128, a129, a1210, a1211 = A[11][:11]
+    (aa31,) = AA[2][:1]
+    aa41, aa42 = AA[3][:2]
+    aa51, aa52, aa53 = AA[4][:3]
+    aa61, _, aa63, aa64 = AA[5][:4]
+    aa71, _, aa73, aa74, aa75 = AA[6][:5]
+    aa81, _, aa83, aa84, aa85, aa86 = AA[7][:6]
+    aa91, _, aa93, aa94, aa95, aa96, aa97 = AA[8][:7]
+    aa101, _, aa103, aa104, aa105, aa106, aa107, aa108 = AA[9][:8]
+    aa111, _, aa113, aa114, aa115, aa116, aa117, aa118, aa119 = AA[10][:9]
+    aa121, _, aa123, aa124, aa125, aa126, aa127, aa128, aa129, aa1210 = AA[11][:10]
     b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12 = B
-    e5_1, _, _, _, _, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12 = E5[:12]
-    e3_1, _, _, _, _, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, e3_12 = E3[:12]
+    e5_1, _, _, _, _, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12 = E5
+    e3_1, _, _, _, _, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, e3_12 = E3
+    bb1, _, _, bb4, bb5, bb6, bb7, bb8, bb9, bb10, bb11, _ = times_a(B)
+    ee5_1, _, _, ee5_4, ee5_5, ee5_6, ee5_7, ee5_8, ee5_9, ee5_10, ee5_11, _ = times_a(E5)
+    ee3_1, _, _, ee3_4, ee3_5, ee3_6, ee3_7, ee3_8, ee3_9, ee3_10, ee3_11, _ = times_a(E3)
+    c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = C
 
     def attempt(t, y, k1, h, forcing, tol, n):
         eps, beta, delta, omega, theta = forcing
         y1, y2, y3, y4, y5, y6 = y
-        k1_1, k1_2, k1_3, k1_4, k1_5, k1_6 = k1
-        fc2, fc3, fc4, fc5, fc6, fc7, fc8, fc9, fc10, fc11, fc12 = [
-            beta * cos(omega * (t + c * h) + theta) for c in C
-        ]
         damping = eps * delta
+        damped = damping != 0.0
+        ef2, ef3, ef4, ef5, ef6, ef7, ef8, ef9, ef10, ef11, ef12 = [
+            eps * (beta * cos(omega * (t + c * h) + theta)) for c in C
+        ]
         pairs = []
-        for state, u, v, ku1, kv1 in (
-            (True, y1, y2, k1_1, k1_2),
-            (False, y3, y5, k1_3, k1_5),
-            (False, y4, y6, k1_4, k1_6),
+        for state, u, v, g1 in (
+            (True, y1, y2, k1[1]),
+            (False, y3, y5, k1[4]),
+            (False, y4, y6, k1[5]),
         ):
-            ui = u + (a21 * ku1) * h
-            ku2 = v + (a21 * kv1) * h
+            ui = u + h * (c2 * v)
             if state:
-                cx2, kv2 = cos(ui), -sin(ui) + eps * (fc2 - delta * ku2)
+                ncx2, g2 = -cos(ui), ef2 - sin(ui)
             else:
-                kv2 = -cx2 * ui - damping * ku2
+                g2 = ncx2 * ui
+            if damped:
+                g2 -= damping * (v + (a21 * g1) * h)
 
-            ui = u + (a31 * ku1 + a32 * ku2) * h
-            ku3 = v + (a31 * kv1 + a32 * kv2) * h
+            ui = u + h * (c3 * v + h * (aa31 * g1))
             if state:
-                cx3, kv3 = cos(ui), -sin(ui) + eps * (fc3 - delta * ku3)
+                ncx3, g3 = -cos(ui), ef3 - sin(ui)
             else:
-                kv3 = -cx3 * ui - damping * ku3
+                g3 = ncx3 * ui
+            if damped:
+                g3 -= damping * (v + (a31 * g1 + a32 * g2) * h)
 
-            ui = u + (a41 * ku1 + a43 * ku3) * h
-            ku4 = v + (a41 * kv1 + a43 * kv3) * h
+            ui = u + h * (c4 * v + h * (aa41 * g1 + aa42 * g2))
             if state:
-                cx4, kv4 = cos(ui), -sin(ui) + eps * (fc4 - delta * ku4)
+                ncx4, g4 = -cos(ui), ef4 - sin(ui)
             else:
-                kv4 = -cx4 * ui - damping * ku4
+                g4 = ncx4 * ui
+            if damped:
+                g4 -= damping * (v + (a41 * g1 + a43 * g3) * h)
 
-            ui = u + (a51 * ku1 + a53 * ku3 + a54 * ku4) * h
-            ku5 = v + (a51 * kv1 + a53 * kv3 + a54 * kv4) * h
+            ui = u + h * (c5 * v + h * (aa51 * g1 + aa52 * g2 + aa53 * g3))
             if state:
-                cx5, kv5 = cos(ui), -sin(ui) + eps * (fc5 - delta * ku5)
+                ncx5, g5 = -cos(ui), ef5 - sin(ui)
             else:
-                kv5 = -cx5 * ui - damping * ku5
+                g5 = ncx5 * ui
+            if damped:
+                g5 -= damping * (v + (a51 * g1 + a53 * g3 + a54 * g4) * h)
 
-            ui = u + (a61 * ku1 + a64 * ku4 + a65 * ku5) * h
-            ku6 = v + (a61 * kv1 + a64 * kv4 + a65 * kv5) * h
+            ui = u + h * (c6 * v + h * (aa61 * g1 + aa63 * g3 + aa64 * g4))
             if state:
-                cx6, kv6 = cos(ui), -sin(ui) + eps * (fc6 - delta * ku6)
+                ncx6, g6 = -cos(ui), ef6 - sin(ui)
             else:
-                kv6 = -cx6 * ui - damping * ku6
+                g6 = ncx6 * ui
+            if damped:
+                g6 -= damping * (v + (a61 * g1 + a64 * g4 + a65 * g5) * h)
 
-            ui = u + (a71 * ku1 + a74 * ku4 + a75 * ku5 + a76 * ku6) * h
-            ku7 = v + (a71 * kv1 + a74 * kv4 + a75 * kv5 + a76 * kv6) * h
+            ui = u + h * (c7 * v + h * (aa71 * g1 + aa73 * g3 + aa74 * g4 + aa75 * g5))
             if state:
-                cx7, kv7 = cos(ui), -sin(ui) + eps * (fc7 - delta * ku7)
+                ncx7, g7 = -cos(ui), ef7 - sin(ui)
             else:
-                kv7 = -cx7 * ui - damping * ku7
+                g7 = ncx7 * ui
+            if damped:
+                g7 -= damping * (v + (a71 * g1 + a74 * g4 + a75 * g5 + a76 * g6) * h)
 
-            ui = u + (a81 * ku1 + a84 * ku4 + a85 * ku5 + a86 * ku6 + a87 * ku7) * h
-            ku8 = v + (a81 * kv1 + a84 * kv4 + a85 * kv5 + a86 * kv6 + a87 * kv7) * h
-            if state:
-                cx8, kv8 = cos(ui), -sin(ui) + eps * (fc8 - delta * ku8)
-            else:
-                kv8 = -cx8 * ui - damping * ku8
-
-            ui = u + (
-                a91 * ku1 + a94 * ku4 + a95 * ku5 + a96 * ku6 + a97 * ku7 + a98 * ku8
-            ) * h
-            ku9 = v + (
-                a91 * kv1 + a94 * kv4 + a95 * kv5 + a96 * kv6 + a97 * kv7 + a98 * kv8
-            ) * h
-            if state:
-                cx9, kv9 = cos(ui), -sin(ui) + eps * (fc9 - delta * ku9)
-            else:
-                kv9 = -cx9 * ui - damping * ku9
-
-            ui = u + (
-                a101 * ku1 + a104 * ku4 + a105 * ku5 + a106 * ku6 + a107 * ku7
-                + a108 * ku8 + a109 * ku9
-            ) * h
-            ku10 = v + (
-                a101 * kv1 + a104 * kv4 + a105 * kv5 + a106 * kv6 + a107 * kv7
-                + a108 * kv8 + a109 * kv9
-            ) * h
-            if state:
-                cx10, kv10 = cos(ui), -sin(ui) + eps * (fc10 - delta * ku10)
-            else:
-                kv10 = -cx10 * ui - damping * ku10
-
-            ui = u + (
-                a111 * ku1 + a114 * ku4 + a115 * ku5 + a116 * ku6 + a117 * ku7
-                + a118 * ku8 + a119 * ku9 + a1110 * ku10
-            ) * h
-            ku11 = v + (
-                a111 * kv1 + a114 * kv4 + a115 * kv5 + a116 * kv6 + a117 * kv7
-                + a118 * kv8 + a119 * kv9 + a1110 * kv10
-            ) * h
-            if state:
-                cx11, kv11 = cos(ui), -sin(ui) + eps * (fc11 - delta * ku11)
-            else:
-                kv11 = -cx11 * ui - damping * ku11
-
-            ui = u + (
-                a121 * ku1 + a124 * ku4 + a125 * ku5 + a126 * ku6 + a127 * ku7
-                + a128 * ku8 + a129 * ku9 + a1210 * ku10 + a1211 * ku11
-            ) * h
-            ku12 = v + (
-                a121 * kv1 + a124 * kv4 + a125 * kv5 + a126 * kv6 + a127 * kv7
-                + a128 * kv8 + a129 * kv9 + a1210 * kv10 + a1211 * kv11
-            ) * h
-            if state:
-                cx12, kv12 = cos(ui), -sin(ui) + eps * (fc12 - delta * ku12)
-            else:
-                kv12 = -cx12 * ui - damping * ku12
-            u_new = u + h * (
-                b1 * ku1 + b6 * ku6 + b7 * ku7 + b8 * ku8 + b9 * ku9 + b10 * ku10
-                + b11 * ku11 + b12 * ku12
+            ui = u + h * (
+                c8 * v + h * (aa81 * g1 + aa83 * g3 + aa84 * g4 + aa85 * g5 + aa86 * g6)
             )
+            if state:
+                ncx8, g8 = -cos(ui), ef8 - sin(ui)
+            else:
+                g8 = ncx8 * ui
+            if damped:
+                g8 -= damping * (
+                    v + (a81 * g1 + a84 * g4 + a85 * g5 + a86 * g6 + a87 * g7) * h
+                )
+
+            ui = u + h * (c9 * v + h * (
+                aa91 * g1 + aa93 * g3 + aa94 * g4 + aa95 * g5 + aa96 * g6 + aa97 * g7
+            ))
+            if state:
+                ncx9, g9 = -cos(ui), ef9 - sin(ui)
+            else:
+                g9 = ncx9 * ui
+            if damped:
+                g9 -= damping * (v + (
+                    a91 * g1 + a94 * g4 + a95 * g5 + a96 * g6 + a97 * g7 + a98 * g8
+                ) * h)
+
+            ui = u + h * (c10 * v + h * (
+                aa101 * g1 + aa103 * g3 + aa104 * g4 + aa105 * g5 + aa106 * g6
+                + aa107 * g7 + aa108 * g8
+            ))
+            if state:
+                ncx10, g10 = -cos(ui), ef10 - sin(ui)
+            else:
+                g10 = ncx10 * ui
+            if damped:
+                g10 -= damping * (v + (
+                    a101 * g1 + a104 * g4 + a105 * g5 + a106 * g6 + a107 * g7
+                    + a108 * g8 + a109 * g9
+                ) * h)
+
+            ui = u + h * (c11 * v + h * (
+                aa111 * g1 + aa113 * g3 + aa114 * g4 + aa115 * g5 + aa116 * g6
+                + aa117 * g7 + aa118 * g8 + aa119 * g9
+            ))
+            if state:
+                ncx11, g11 = -cos(ui), ef11 - sin(ui)
+            else:
+                g11 = ncx11 * ui
+            if damped:
+                g11 -= damping * (v + (
+                    a111 * g1 + a114 * g4 + a115 * g5 + a116 * g6 + a117 * g7
+                    + a118 * g8 + a119 * g9 + a1110 * g10
+                ) * h)
+
+            ui = u + h * (c12 * v + h * (
+                aa121 * g1 + aa123 * g3 + aa124 * g4 + aa125 * g5 + aa126 * g6
+                + aa127 * g7 + aa128 * g8 + aa129 * g9 + aa1210 * g10
+            ))
+            if state:
+                ncx12, g12 = -cos(ui), ef12 - sin(ui)
+            else:
+                g12 = ncx12 * ui
+            if damped:
+                g12 -= damping * (v + (
+                    a121 * g1 + a124 * g4 + a125 * g5 + a126 * g6 + a127 * g7
+                    + a128 * g8 + a129 * g9 + a1210 * g10 + a1211 * g11
+                ) * h)
+            u_new = u + h * (v + h * (
+                bb1 * g1 + bb4 * g4 + bb5 * g5 + bb6 * g6 + bb7 * g7 + bb8 * g8
+                + bb9 * g9 + bb10 * g10 + bb11 * g11
+            ))
             v_new = v + h * (
-                b1 * kv1 + b6 * kv6 + b7 * kv7 + b8 * kv8 + b9 * kv9 + b10 * kv10
-                + b11 * kv11 + b12 * kv12
+                b1 * g1 + b6 * g6 + b7 * g7 + b8 * g8 + b9 * g9 + b10 * g10
+                + b11 * g11 + b12 * g12
             )
             pairs.append((u_new, v_new))
             if not state:
@@ -255,23 +304,23 @@ def _dop853_attempt():
 
             atol1, rtol1, atol2, rtol2 = tol
             scale = atol1 + max(abs(u), abs(u_new)) * rtol1
-            err5 = (
-                e5_1 * ku1 + e5_6 * ku6 + e5_7 * ku7 + e5_8 * ku8
-                + e5_9 * ku9 + e5_10 * ku10 + e5_11 * ku11 + e5_12 * ku12
+            err5 = h * (
+                ee5_1 * g1 + ee5_4 * g4 + ee5_5 * g5 + ee5_6 * g6 + ee5_7 * g7
+                + ee5_8 * g8 + ee5_9 * g9 + ee5_10 * g10 + ee5_11 * g11
             ) / scale
-            err3 = (
-                e3_1 * ku1 + e3_6 * ku6 + e3_7 * ku7 + e3_8 * ku8
-                + e3_9 * ku9 + e3_10 * ku10 + e3_11 * ku11 + e3_12 * ku12
+            err3 = h * (
+                ee3_1 * g1 + ee3_4 * g4 + ee3_5 * g5 + ee3_6 * g6 + ee3_7 * g7
+                + ee3_8 * g8 + ee3_9 * g9 + ee3_10 * g10 + ee3_11 * g11
             ) / scale
             sum5, sum3 = err5 * err5, err3 * err3
             scale = atol2 + max(abs(v), abs(v_new)) * rtol2
             err5 = (
-                e5_1 * kv1 + e5_6 * kv6 + e5_7 * kv7 + e5_8 * kv8
-                + e5_9 * kv9 + e5_10 * kv10 + e5_11 * kv11 + e5_12 * kv12
+                e5_1 * g1 + e5_6 * g6 + e5_7 * g7 + e5_8 * g8
+                + e5_9 * g9 + e5_10 * g10 + e5_11 * g11 + e5_12 * g12
             ) / scale
             err3 = (
-                e3_1 * kv1 + e3_6 * kv6 + e3_7 * kv7 + e3_8 * kv8
-                + e3_9 * kv9 + e3_10 * kv10 + e3_11 * kv11 + e3_12 * kv12
+                e3_1 * g1 + e3_6 * g6 + e3_7 * g7 + e3_8 * g8
+                + e3_9 * g9 + e3_10 * g10 + e3_11 * g11 + e3_12 * g12
             ) / scale
             sum5 += err5 * err5
             sum3 += err3 * err3
@@ -305,14 +354,15 @@ class _DOP853Kernel(DOP853):
     (first RHS call, initial step, tolerances) runs unchanged on rhs, which
     must be that same system.  Then one step() covers the flow: _step_impl
     loops on Python floats under rk.py's step-size rule and min_step, with
-    _attempt in place of its numpy stages and of rhs, until t_bound.  So
-    t_old is the flow start, and sol.t holds the two ends alone.  The flow
-    must run forward (t_bound > t0) with no max_step: _step_impl reads
-    neither direction nor max_step.  The error norm reads x1 and x2 alone: the tangent components must have atol =
-    inf, which drops them out of scipy's norm too.  A rejected attempt
-    skips the tangent stages.  Each attempt counts 12 RHS evaluations in
-    nfev, as scipy's steps do.  After max_steps attempts, accepted or not,
-    the flow fails.  No dense output.
+    _attempt, DOP853 in Nystrom form, in place of its numpy stages and of
+    rhs, until t_bound.  So t_old is the flow start, and sol.t holds the two
+    ends alone.  The flow must run forward (t_bound > t0) with no max_step:
+    _step_impl reads neither direction nor max_step.  The error norm reads
+    x1 and x2 alone: the tangent components must have atol = inf, which
+    drops them out of scipy's norm too.  A rejected attempt skips the
+    tangent stages.  Each attempt counts 12 RHS evaluations in nfev, as
+    scipy's steps do.  After max_steps attempts, accepted or not, the flow
+    fails.  No dense output.
     """
 
     def __init__(self, fun, t0, y0, t_bound, max_steps, forcing, **options):
@@ -380,8 +430,11 @@ def _variational_map(sys, eps, m, z, theta_section, tol=_FLOW_TOL):
     final Phi is the Jacobian of the stroboscopic map at z.  solve_ivp runs
     the flow as one step() of _DOP853Kernel (t_old is the flow start, and
     sol.y holds its two ends), which evaluates this system inline from its
-    forcing option; rhs, the same system, serves scipy's set-up (called
-    with a numpy array).  The tangent components get atol = inf, so they
+    forcing option, in Nystrom form: x1 and the first row of Phi are
+    positions whose second derivatives need the velocities only through
+    -eps*delta, so an undamped flow never forms a stage velocity.  rhs, the
+    same system, serves scipy's set-up (called with a numpy array).  The
+    tangent components get atol = inf, so they
     drop out of the error norm, the steps are chosen from (x1, x2) alone
     and a rejected attempt skips them.  The norm divides by sqrt(6), so
     scaling both tolerances by sqrt(2/6) gives back the norm, and with it

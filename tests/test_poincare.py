@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,10 @@ from oracles import fixed_tolerance_newton
 # under a kernel fault would rerun failing flows for up to five minutes per
 # property; a failure reports the first failing example as drawn
 NO_SHRINK = (Phase.explicit, Phase.generate)
+
+# Damping coefficients of the properties that run flows: exactly 0 as well as
+# positive, since the kernel forms stage velocities only where eps*delta != 0
+DELTAS = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
 
 # criterion 8's positive-control ladder on inner 3/1, with the rung that once
 # fell in a Newton gap, and the two rotating 1/1 rungs per direction
@@ -402,7 +407,7 @@ class TestVariationalEngine:
         st.floats(0.0, 1.0),
         st.tuples(st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3)),
         st.floats(-5.0, -3.0),
-        st.floats(0.0, 1.0),
+        DELTAS,
         st.floats(0.0, 2.0 * math.pi),
     )
     def test_state_is_the_stroboscopic_map(self, family, phase, offset, log_eps, delta, theta):
@@ -424,12 +429,46 @@ class TestVariationalEngine:
         assert np.max(np.abs(final - want)) <= bound
 
 
-# Columns of each DOP853.A row that the kernel's stage code reads; B, E5 and
-# E3 it reads at stages 1 and 6-12.  Every other entry must be zero.
-KERNEL_A_COLUMNS = {1: {0}, 2: {0, 1}, 3: {0, 2}, 4: {0, 2, 3}} | {
-    s: {0} | set(range(3, s)) for s in range(5, 12)
-}
-KERNEL_WEIGHTS = {0} | set(range(5, 12))
+# Weight names of the kernel's stage code: scipy's a_ij, b_i, c_i, e5_i and
+# e3_i, and the Nystrom weights aa_ij = (A A)_ij, bb_i = (b A)_i, ee5_i =
+# (e5 A)_i and ee3_i = (e3 A)_i
+KERNEL_WEIGHT = re.compile(r"(aa|a|bb|b|c|ee5_|e5_|ee3_|e3_)(\d+)")
+
+
+def _times_a(w):
+    """w A for a row w of scipy's DOP853 weights, each entry one math.fsum."""
+    rows = DOP853.A.tolist()
+    return [math.fsum(wj * row[k] for wj, row in zip(w, rows)) for k in range(12)]
+
+
+def _kernel_weights():
+    """{prefix: {name: value}} of the weights poincare._attempt reads.
+
+    The stage code reads each weight from its closure, so these are the
+    values it computes with.
+    """
+    attempt = poincare._attempt
+    cells = dict(zip(attempt.__code__.co_freevars, attempt.__closure__))
+    weights = {}
+    for name, cell in cells.items():
+        match = KERNEL_WEIGHT.fullmatch(name)
+        if match:
+            weights.setdefault(match[1], {})[name] = cell.cell_contents
+    return weights
+
+
+def _nonzero(prefix, matrix):
+    """{name: entry} of the nonzero entries of a 12x12 matrix, rows and columns from 1."""
+    return {
+        f"{prefix}{i}{j}": x
+        for i, row in enumerate(matrix, 1)
+        for j, x in enumerate(row, 1)
+        if x != 0.0
+    }
+
+
+def _nonzero_weights(prefix, weights):
+    return {f"{prefix}{j}": x for j, x in enumerate(weights, 1) if x != 0.0}
 
 
 def _kernel_and_scipy(monkeypatch):
@@ -473,44 +512,73 @@ def _close(got, want, rel):
 
 class TestDOP853Kernel:
     def test_kernel_reads_every_nonzero_tableau_entry(self):
-        for s, row in enumerate(DOP853.A):
-            assert all(a == 0.0 for j, a in enumerate(row) if j not in KERNEL_A_COLUMNS.get(s, ()))
-        for weights in (DOP853.B, DOP853.E5, DOP853.E3):
-            assert all(w == 0.0 for j, w in enumerate(weights) if j not in KERNEL_WEIGHTS)
+        # the kernel reads exactly the nonzero weights, each at its value, so
+        # every weight it leaves out is exactly 0
+        weights = _kernel_weights()
+        E5, E3 = DOP853.E5.tolist()[:12], DOP853.E3.tolist()[:12]
+        assert DOP853.E5[12] == DOP853.E3[12] == 0.0
+        assert weights["a"] == _nonzero("a", DOP853.A.tolist())
+        assert weights["b"] == _nonzero_weights("b", DOP853.B.tolist())
+        assert weights["e5_"] == _nonzero_weights("e5_", E5)
+        assert weights["e3_"] == _nonzero_weights("e3_", E3)
+        assert weights["c"] == {f"c{i}": c for i, c in enumerate(DOP853.C.tolist()[1:], 2)}
         rule = (poincare._SAFETY, poincare._MIN_FACTOR, poincare._MAX_FACTOR)
         assert rule == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
 
+    def test_nystrom_weights_are_the_exact_products(self):
+        # abar = A A, bbar = b A and the error weights e A, each entry one
+        # correctly rounded sum of the products of scipy's tableau
+        weights = _kernel_weights()
+        abar = [_times_a(row) for row in DOP853.A.tolist()]
+        assert weights["aa"] == _nonzero("aa", abar)
+        assert len(weights["aa"]) == 48
+        assert not any(abar[0]) and not any(abar[1]) and all(any(r) for r in abar[2:])
+        for prefix, row in (
+            ("bb", DOP853.B), ("ee5_", DOP853.E5[:12]), ("ee3_", DOP853.E3[:12])
+        ):
+            assert weights[prefix] == _nonzero_weights(prefix, _times_a(row.tolist()))
+            assert len(weights[prefix]) == 9
+        # stage i's position reads ci v in place of sum_j a_ij v: the exact
+        # row sums of the rounded tableau are ci to 1.8e-15 (stage 10)
+        for row, c in zip(DOP853.A.tolist(), DOP853.C.tolist()):
+            assert abs(math.fsum(row + [-c])) <= 2e-15
+
     # inner 3/1 from the point TestVariationalEngine uses (on its orbit point
-    # the tangent map grows to 290 and magnifies round-off past 1e-13), and
-    # rotating+ 1/1 from its orbit point, both damped.  The kernel sums in
+    # the tangent map grows to 290 and magnifies round-off past 1e-13),
+    # damped and undamped, so both branches of the stage code run, and
+    # rotating+ 1/1 from its orbit point, damped.  The kernel sums in
     # another order than scipy's BLAS dot, so a step decision that rests on
     # round-off can differ (one of 200 random flows took one more rejected
     # step); no decision of these flows, nor of any other flow in the tests
     # or the stroboscopic benchmark, does.  So the exact step and nfev
     # comparison rests on the summation order of the BLAS scipy is built
     # with; another BLAS could move one step with no fault in the kernel.
-    # The pinned nfev and final states are those the kernel computed when it
-    # took one step() per accepted step, equal to the last bit.
+    # The pinned nfev and final states are those the Nystrom kernel
+    # computed, equal to the last bit.
     @pytest.mark.parametrize(
-        "family, m, nfev, final",
+        "family, m, delta, nfev, final",
         [
-            pytest.param("inner", 3, 1550, [
-                -0.04892190937845814, 0.9565632344958163, -1.895521008741185,
-                -2.1708799882722607, 0.712801290009895, 0.29373800526371047,
+            pytest.param("inner", 3, 0.5, 1550, [
+                -0.04892190937845947, 0.9565632344958152, -1.8955210087411818,
+                -2.1708799882722603, 0.7128012900098948, 0.29373800526370897,
             ], id="inner-3"),
-            pytest.param("rotating+", 1, 626, [
-                7.71248336398013, 1.5469886052407429, 28.94094702118131,
-                42.58077007659269, -17.88126362601142, -26.274230461242972,
+            pytest.param("inner", 3, 0.0, 1550, [
+                -0.054615228809960475, 0.9605048288282715, -1.920929344648164,
+                -2.189263053335831, 0.7036584719547221, 0.2813708355947613,
+            ], id="inner-3-undamped"),
+            pytest.param("rotating+", 1, 0.5, 626, [
+                7.712483363980123, 1.546988605240746, 28.940947021181437,
+                42.580770076592884, -17.881263626011457, -26.274230461243,
             ], id="rotating+-1"),
         ],
     )
-    def test_kernel_takes_scipys_steps(self, family, m, nfev, final, monkeypatch):
+    def test_kernel_takes_scipys_steps(self, family, m, delta, nfev, final, monkeypatch):
         pairs = _kernel_and_scipy(monkeypatch)
         steps = _accepted_steps(monkeypatch)
         r = solve_resonance(family, 1.0, m, 1)
         start = orbit_state(r.orbit, 0.8)
         z = (0.9, 0.4) if family == INNER else (start.x1, start.x2)
-        sys_, eps, theta = pendulum_system(1.0, 0.5, 1.0), 1e-3, math.pi / 2.0
+        sys_, eps, theta = pendulum_system(1.0, delta, 1.0), 1e-3, math.pi / 2.0
         _variational_map(sys_, eps, m, z, theta)
         ((_, sol, ref),) = pairs
         assert sol.success and len(steps) == len(ref.t) - 1
@@ -538,7 +606,7 @@ class TestDOP853Kernel:
         ),
         st.floats(0.0, 1.0),
         st.floats(-5.0, -2.0),
-        st.floats(0.0, 1.0),
+        DELTAS,
         st.floats(0.0, 2.0 * math.pi),
         st.floats(0.0, 3.0).filter(lambda b: b != 1.0),
         st.sampled_from([0.5, 2.3]),
