@@ -102,14 +102,15 @@ def _dop853_attempt():
 
     The state and each column of the tangent map are a pair (u, v) with
     u' = v and v' = g, so one block of stage code serves all three, and
-    only the acceleration gi differs.  A Runge-Kutta method on such a pair
-    is the Nystrom method with abar = A A and bbar = b A (Hairer, Norsett &
-    Wanner, Solving ODEs I, II.14).  Stage i has the position ui = u + h (ci
-    v + h sum_j abar_ij gj), the new pair is (u + h (v + h sum_j bbar_j gj),
-    v + h sum_j b_j gj), and the x1 error terms are h sum_j (e A)_j gj,
-    since sum_j a_ij = ci, sum_j b_j = 1 and sum_j e_j = 0.  So only the
-    damping term needs the stage velocity vi = v + h sum_j a_ij gj, and vi
-    is formed only where damping = eps*delta is not 0.
+    only the acceleration gi differs; of k1 it reads the accelerations
+    alone.  A Runge-Kutta method on such a pair is the Nystrom method with
+    abar = A A and bbar = b A (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.14).  Stage i has the position ui = u + h (ci v + h sum_j abar_ij
+    gj), the new pair is (u + h (v + h sum_j bbar_j gj), v + h sum_j b_j
+    gj), and the x1 error terms are h sum_j (e A)_j gj, since
+    sum_j a_ij = ci, sum_j b_j = 1 and sum_j e_j = 0.  So only the damping
+    term needs the stage velocity vi = v + h sum_j a_ij gj, and vi is
+    formed only where damping = eps*delta is not 0.
 
     The state pass runs first, over (x1, x2), with gi = -sin(ui) + efi -
     damping vi, efi = eps beta cos(omega (t + ci h) + theta) being the
@@ -122,9 +123,9 @@ def _dop853_attempt():
     order.  Names are Hairer's: weights a_ij, b_i and c_i, and the fifth-
     and third-order error weights e5_i and e3_i.  A doubled letter marks a
     Nystrom weight: aa_ij = abar_ij, bb_i = bbar_i, and ee5_i, ee3_i the
-    entries of e5 A and e3 A.  Each is summed exactly from scipy's tableau
-    (math.fsum) and rounded once, so it does not depend on the BLAS.  Only
-    the nonzero weights appear; an underscore marks a zero.
+    entries of e5 A and e3 A.  Each is the math.fsum of its products of
+    scipy's weights, a sum rounded once, so it does not depend on the BLAS.
+    Only the nonzero weights appear; an underscore marks a zero.
     """
     cos, sin = math.cos, math.sin
     A, B, C = DOP853.A.tolist(), DOP853.B.tolist(), DOP853.C.tolist()[1:]

@@ -457,18 +457,18 @@ def _kernel_weights():
     return weights
 
 
-def _nonzero(prefix, matrix):
-    """{name: entry} of the nonzero entries of a 12x12 matrix, rows and columns from 1."""
-    return {
-        f"{prefix}{i}{j}": x
-        for i, row in enumerate(matrix, 1)
-        for j, x in enumerate(row, 1)
-        if x != 0.0
-    }
+def _nonzero(prefix, weights):
+    """{name: weight} of the nonzero weights, named as the kernel names them.
 
-
-def _nonzero_weights(prefix, weights):
-    return {f"{prefix}{j}": x for j, x in enumerate(weights, 1) if x != 0.0}
+    Indices count from 1, and a matrix's row index comes before its column.
+    """
+    named = {}
+    for j, w in enumerate(weights, 1):
+        if isinstance(w, list):
+            named |= _nonzero(f"{prefix}{j}", w)
+        elif w != 0.0:
+            named[f"{prefix}{j}"] = w
+    return named
 
 
 def _kernel_and_scipy(monkeypatch):
@@ -518,9 +518,9 @@ class TestDOP853Kernel:
         E5, E3 = DOP853.E5.tolist()[:12], DOP853.E3.tolist()[:12]
         assert DOP853.E5[12] == DOP853.E3[12] == 0.0
         assert weights["a"] == _nonzero("a", DOP853.A.tolist())
-        assert weights["b"] == _nonzero_weights("b", DOP853.B.tolist())
-        assert weights["e5_"] == _nonzero_weights("e5_", E5)
-        assert weights["e3_"] == _nonzero_weights("e3_", E3)
+        assert weights["b"] == _nonzero("b", DOP853.B.tolist())
+        assert weights["e5_"] == _nonzero("e5_", E5)
+        assert weights["e3_"] == _nonzero("e3_", E3)
         assert weights["c"] == {f"c{i}": c for i, c in enumerate(DOP853.C.tolist()[1:], 2)}
         rule = (poincare._SAFETY, poincare._MIN_FACTOR, poincare._MAX_FACTOR)
         assert rule == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
@@ -536,7 +536,7 @@ class TestDOP853Kernel:
         for prefix, row in (
             ("bb", DOP853.B), ("ee5_", DOP853.E5[:12]), ("ee3_", DOP853.E3[:12])
         ):
-            assert weights[prefix] == _nonzero_weights(prefix, _times_a(row.tolist()))
+            assert weights[prefix] == _nonzero(prefix, _times_a(row.tolist()))
             assert len(weights[prefix]) == 9
         # stage i's position reads ci v in place of sum_j a_ij v: the exact
         # row sums of the rounded tableau are ci to 1.8e-15 (stage 10)
