@@ -39,6 +39,20 @@ _EPS_NOTE = (
 _WITNESS_THETAS = (0.0, 0.5 * math.pi)
 
 
+def _record(r: Resonance, **fields):
+    """A witness record: the resonance's (family, m, n, k), then fields."""
+    return {"family": r.family_tag, "m": r.m, "n": r.n, "k": r.modulus.k, **fields}
+
+
+def _proposition(applies, witness):
+    """A proposition's verdict: whether it applies, its status and its witness."""
+    return {
+        "applies": applies,
+        "status": "applies" if applies else "inconclusive",
+        "witness": witness,
+    }
+
+
 def _curve_record(r: Resonance, beta, delta, verify_quadrature):
     """The closed-form curve; a witness is also checked by quadrature if asked.
 
@@ -47,16 +61,13 @@ def _curve_record(r: Resonance, beta, delta, verify_quadrature):
     at theta = 0 and at theta = pi/2.
     """
     curve = closed_form_subharmonic(r, beta, delta)
-    rec = {
-        "family": r.family_tag,
-        "m": r.m,
-        "n": r.n,
-        "k": r.modulus.k,
-        "const_term": curve.const_term,
-        "cos_coeff": curve.cos_coeff,
-        "nonzero": abs(curve.const_term) > 0 or abs(curve.cos_coeff) > 0,
-        "nonconstant": abs(curve.cos_coeff) > 0,
-    }
+    rec = _record(
+        r,
+        const_term=curve.const_term,
+        cos_coeff=curve.cos_coeff,
+        nonzero=abs(curve.const_term) > 0 or abs(curve.cos_coeff) > 0,
+        nonconstant=abs(curve.cos_coeff) > 0,
+    )
     if verify_quadrature and rec["nonconstant" if beta > 0 else "nonzero"]:
         sys = pendulum_system(beta, delta, r.omega)
         quad = subharmonic_quadrature(sys, r, _WITNESS_THETAS)
@@ -80,13 +91,7 @@ def _contour_record(r: Resonance, beta, verify_numeric):
             f"least contour integral {min_abs!r} of the {r.family_tag} {r.m}/{r.n} "
             f"resonance at omega={r.omega!r}, beta={beta!r} overflows the float range"
         )
-    rec = {
-        "family": r.family_tag,
-        "m": r.m,
-        "n": r.n,
-        "k": r.modulus.k,
-        "min_abs_integral": min_abs,
-    }
+    rec = _record(r, min_abs_integral=min_abs)
     if verify_numeric:
         num = contour.contour_kernels(r, contour.default_contour(r)).value(0.0, beta, 0.0)
         closed = contour.contour_integral_closed(r, 0.0, beta)
@@ -128,6 +133,8 @@ def build_certificate(
     applies_4b = beta > 0 and len(nonconstant_witnesses) > 0
     applies_4c = beta > 0
 
+    # after every curve record, so that where both overflow the Melnikov
+    # value is the one reported
     contour_records = []
     if applies_4c:
         seen = set()
@@ -150,25 +157,13 @@ def build_certificate(
             "eps_note": _EPS_NOTE,
         },
         "conventions": {"j1_arg": "n", "hom_phase": "omega-t"},
-        "prop_4a": {
-            "applies": applies_4a,
-            "status": "applies" if applies_4a else "inconclusive",
-            "witness": {
-                "resonances": nonzero_witnesses,
-                # the homoclinic curves' const term is -8 delta, nonzero iff delta > 0
-                "homoclinic_nonzero": delta > 0,
-            },
-        },
-        "prop_4b": {
-            "applies": applies_4b,
-            "status": "applies" if applies_4b else "inconclusive",
-            "witness": {"nonconstant_curves": nonconstant_witnesses},
-        },
-        "prop_4c": {
-            "applies": applies_4c,
-            "status": "applies" if applies_4c else "inconclusive",
-            "witness": {"contour_integrals": contour_records},
-        },
+        "prop_4a": _proposition(applies_4a, {
+            "resonances": nonzero_witnesses,
+            # the homoclinic curves' const term is -8 delta, nonzero iff delta > 0
+            "homoclinic_nonzero": delta > 0,
+        }),
+        "prop_4b": _proposition(applies_4b, {"nonconstant_curves": nonconstant_witnesses}),
+        "prop_4c": _proposition(applies_4c, {"contour_integrals": contour_records}),
         "chaos": {
             "condition_holds": chaos.holds,
             "ratio": chaos.ratio,

@@ -4,31 +4,15 @@ Integrates the fully forced pendulum with an adaptive high-order
 Runge-Kutta scheme, builds the period-2*pi*m/omega stroboscopic map, and
 runs Newton on its fixed-point equation to confirm that simple zeros of
 the subharmonic Melnikov function mark persisting periodic orbits at
-O(epsilon) distance from the unperturbed resonant orbit.  While Newton
-contracts, it runs each flow only as fine as the step it resolves, from
-_COARSE_FLOW_TOL down to _FLOW_TOL, and it declares a fixed point only on a
-flow at _FLOW_TOL; where it does not, it answers as Newton with every flow
-at _FLOW_TOL.
+O(epsilon) distance from the unperturbed resonant orbit.
 
-Every flow is one system: the state (x1, x2) and its tangent map, whose
-steps are chosen from the state alone, so the state is the map P(z).  The
-flows are nearly all of the cost, and a 6-D state is too small for numpy
-to pay for itself.  So scipy.integrate.solve_ivp drives _DOP853Kernel, a
-DOP853 whose one step() runs the whole flow on Python floats with the
-tableau and the right-hand side written out, under scipy's step-size rule
-and error norm.  The state and each column of the tangent map are a
-position and its velocity, so the kernel runs DOP853 in Nystrom form: a
-stage's position comes from the accelerations alone, and its velocity is
-formed only where damping needs it.  One block of stage code runs over the
-state and then over both columns of the tangent map, and a rejected
-attempt skips the columns.  Every flow runs forward from t = 0 with no
-step-size cap.  In exact arithmetic this is scipy's method; the kernel sums
-each stage left to right where scipy's BLAS dot may not, so its states
-agree with scipy's to round-off, and it takes scipy's steps wherever no
-accept/reject or step-size decision rests on that round-off.  It counts its
-own RHS evaluations (sol.nfev), and it gives up after _STEPS_PER_UNIT_TIME
-attempted steps per unit of flow time, where a huge epsilon would
-otherwise shrink the steps without end.
+Every flow is one system, the state (x1, x2) and its tangent map
+(_variational_map).  The flows are nearly all of the cost, and a 6-D state
+is too small for numpy to pay for itself, so scipy.integrate.solve_ivp
+drives _DOP853Kernel, whose one step() runs the whole flow on Python floats
+with _attempt, the DOP853 stages written out (_dop853_attempt).  Newton
+(_newton) runs each flow only as fine as the step it resolves, and answers
+as Newton with every flow at _FLOW_TOL.
 """
 
 from __future__ import annotations
@@ -61,7 +45,7 @@ __all__ = [
 # Tangent-map components ride along unchecked (see _variational_map).
 _FLOW_TOL = 1e-12
 # Tolerance of the first flow of a Newton run, and the coarsest of any flow
-# (see _newton); a converged point's flow always runs at _FLOW_TOL.
+# (see _newton)
 _COARSE_FLOW_TOL = 1e-9
 # Attempted steps per unit of flow time before a flow fails (a flow shorter
 # than 2*pi gets 2*pi's worth): about 100x the most that any flow of the
@@ -74,11 +58,7 @@ _STEPS_PER_UNIT_TIME = 1000
 _COARSE_BUDGET = 0.25
 _NEWTON_MAX = 25  # Newton steps per seed (a re-flow at the same z is not one)
 _RESIDUAL_TOL = 1e-10  # map residual that counts as a fixed point
-# The flow after a Newton step s runs at _NEXT_FLOW_TOL * |s| / ||J^-1||
-# (at most _COARSE_FLOW_TOL, and _FLOW_TOL below _SNAP times it), a coarse
-# flow resolves its own step when ||J^-1|| tol <= _RESOLVED_STEP * |s|, and
-# Newton keeps matching tolerances while each step is at most _CONTRACTION
-# times the last (see _newton)
+# Newton's matching of each flow's tolerance to its step (see _newton)
 _NEXT_FLOW_TOL = 1e-6
 _RESOLVED_STEP = 1e-3
 _SNAP = 10.0
@@ -93,12 +73,13 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 def _dop853_attempt():
     """One DOP853 step attempt of the variational flow, in Nystrom form.
 
-    attempt(t, y, k1, h, forcing, tol, n) steps y = (x1, x2, p11, p12, p21,
+    attempt(t, y, k1, h, forcing, tol) steps y = (x1, x2, p11, p12, p21,
     p22), the state and its tangent map, with k1 its derivative at t and
     forcing = (eps, beta, delta, omega, theta).  It returns (error_norm,
-    y_new, f_new): scipy's DOP853 error norm over x1 and x2 with tol =
-    (atol1, rtol1, atol2, rtol2), divided by sqrt(n) as for n components;
-    the new state, and its derivative at t + h.
+    y_new, f_new): scipy's DOP853 error norm of y with atol = rtol = tol on
+    x1 and x2 and atol = inf on the four tangent components, which add 0
+    to it but count among its 6 components; the new state, and its
+    derivative at t + h.
 
     The state and each column of the tangent map are a pair (u, v) with
     u' = v and v' = g, so one block of stage code serves all three, and
@@ -164,7 +145,7 @@ def _dop853_attempt():
     ee3_1, _, _, ee3_4, ee3_5, ee3_6, ee3_7, ee3_8, ee3_9, ee3_10, ee3_11, _ = times_a(E3)
     c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = C
 
-    def attempt(t, y, k1, h, forcing, tol, n):
+    def attempt(t, y, k1, h, forcing, tol):
         eps, beta, delta, omega, theta = forcing
         y1, y2, y3, y4, y5, y6 = y
         damping = eps * delta
@@ -303,8 +284,7 @@ def _dop853_attempt():
             if not state:
                 continue
 
-            atol1, rtol1, atol2, rtol2 = tol
-            scale = atol1 + max(abs(u), abs(u_new)) * rtol1
+            scale = tol + max(abs(u), abs(u_new)) * tol
             err5 = h * (
                 ee5_1 * g1 + ee5_4 * g4 + ee5_5 * g5 + ee5_6 * g6 + ee5_7 * g7
                 + ee5_8 * g8 + ee5_9 * g9 + ee5_10 * g10 + ee5_11 * g11
@@ -314,7 +294,7 @@ def _dop853_attempt():
                 + ee3_8 * g8 + ee3_9 * g9 + ee3_10 * g10 + ee3_11 * g11
             ) / scale
             sum5, sum3 = err5 * err5, err3 * err3
-            scale = atol2 + max(abs(v), abs(v_new)) * rtol2
+            scale = tol + max(abs(v), abs(v_new)) * tol
             err5 = (
                 e5_1 * g1 + e5_6 * g6 + e5_7 * g7 + e5_8 * g8
                 + e5_9 * g9 + e5_10 * g10 + e5_11 * g11 + e5_12 * g12
@@ -327,7 +307,7 @@ def _dop853_attempt():
             sum3 += err3 * err3
             error_norm = 0.0
             if sum5 or sum3:
-                error_norm = abs(h) * sum5 / math.sqrt((sum5 + 0.01 * sum3) * n)
+                error_norm = abs(h) * sum5 / math.sqrt((sum5 + 0.01 * sum3) * 6)
             if not error_norm < 1.0:  # rejected, a NaN norm too
                 return error_norm, None, None
         (x1, x2), (p11, p21), (p12, p22) = pairs
@@ -355,15 +335,18 @@ class _DOP853Kernel(DOP853):
     (first RHS call, initial step, tolerances) runs unchanged on rhs, which
     must be that same system.  Then one step() covers the flow: _step_impl
     loops on Python floats under rk.py's step-size rule and min_step, with
-    _attempt, DOP853 in Nystrom form, in place of its numpy stages and of
+    _attempt (see _dop853_attempt) in place of its numpy stages and of
     rhs, until t_bound.  So t_old is the flow start, and sol.t holds the two
     ends alone.  The flow must run forward (t_bound > t0) with no max_step:
-    _step_impl reads neither direction nor max_step.  The error norm reads
-    x1 and x2 alone: the tangent components must have atol = inf, which
-    drops them out of scipy's norm too.  A rejected attempt skips the
-    tangent stages.  Each attempt counts 12 RHS evaluations in nfev, as
-    scipy's steps do.  After max_steps attempts, accepted or not, the flow
-    fails.  No dense output.
+    _step_impl reads neither direction nor max_step.  x1 and x2 must have
+    atol = rtol, and the tangent components atol = inf, which drops them
+    out of scipy's norm too: _attempt reads rtol alone.  In exact
+    arithmetic this is scipy's method; _attempt sums each stage left to
+    right where scipy's BLAS dot may not, so the states agree with scipy's
+    to round-off, and the steps are scipy's wherever no accept/reject or
+    step-size decision rests on that round-off.  Each attempt counts 12 RHS
+    evaluations in nfev, as scipy's steps do.  After max_steps attempts,
+    accepted or not, the flow fails.  No dense output.
     """
 
     def __init__(self, fun, t0, y0, t_bound, max_steps, forcing, **options):
@@ -373,8 +356,7 @@ class _DOP853Kernel(DOP853):
     def _step_impl(self):
         t, y, f, h_abs = self.t, self.y.tolist(), self.f.tolist(), float(self.h_abs)
         t_bound = self.t_bound
-        atol, rtol = np.broadcast_to(self.atol, (self.n,)).tolist(), float(self.rtol)
-        tol, n, exponent = (atol[0], rtol, atol[1], rtol), self.n, self.error_exponent
+        tol, exponent = float(self.rtol), self.error_exponent
         attempt, forcing, steps_left = _attempt, self._forcing, self._max_steps
         try:
             while t < t_bound:
@@ -392,7 +374,7 @@ class _DOP853Kernel(DOP853):
                     if t_new > t_bound:
                         t_new = t_bound
                     h = h_abs = t_new - t
-                    error_norm, y_new, f_new = attempt(t, y, f, h, forcing, tol, n)
+                    error_norm, y_new, f_new = attempt(t, y, f, h, forcing, tol)
                     if error_norm < 1.0:
                         break
                     h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**exponent)
@@ -429,25 +411,18 @@ def _variational_map(sys, eps, m, z, theta_section, tol=_FLOW_TOL):
 
     Phi' = [[0, 1], [-cos x1, -eps*delta]] Phi with Phi(0) = I, so the
     final Phi is the Jacobian of the stroboscopic map at z.  solve_ivp runs
-    the flow as one step() of _DOP853Kernel (t_old is the flow start, and
-    sol.y holds its two ends), which evaluates this system inline from its
-    forcing option, in Nystrom form: x1 and the first row of Phi are
-    positions whose second derivatives need the velocities only through
-    -eps*delta, so an undamped flow never forms a stage velocity.  rhs, the
+    the flow as one step() of _DOP853Kernel (sol.y holds its two ends),
+    which evaluates this system inline from its forcing option; rhs, the
     same system, serves scipy's set-up (called with a numpy array).  The
-    tangent components get atol = inf, so they
-    drop out of the error norm, the steps are chosen from (x1, x2) alone
-    and a rejected attempt skips them.  The norm divides by sqrt(6), so
-    scaling both tolerances by sqrt(2/6) gives back the norm, and with it
-    the steps, of a 2-D flow at absolute = relative tolerance tol: P(z) is
-    that flow's map to round-off.  tol is _FLOW_TOL but for _newton's
-    coarser flows.  The flow gets _STEPS_PER_UNIT_TIME attempted steps per
-    unit of its duration, counted as at least 2*pi (a fast forcing still
-    needs a few steps per period), _COARSE_BUDGET of that if tol >
-    _FLOW_TOL, then raises IntegrationFailure like any failed flow.
-    scipy's first-step guess overflows at a huge epsilon; the tiny step it
-    then picks fails on its own terms, so numpy's floating-point warnings
-    are silenced around it.
+    tangent components get atol = inf, so the steps are chosen from
+    (x1, x2) alone.  The norm divides by sqrt(6), so scaling both
+    tolerances by sqrt(2/6) gives back the norm, and with it the steps, of
+    a 2-D flow at absolute = relative tolerance tol: P(z) is that flow's
+    map to round-off.  tol is _FLOW_TOL but for _newton's coarser flows.
+    A flow that spends its step budget (see _STEPS_PER_UNIT_TIME) raises
+    IntegrationFailure like any failed flow.  scipy's first-step guess
+    overflows at a huge epsilon; the tiny step it then picks fails on its
+    own terms, so numpy's floating-point warnings are silenced around it.
     """
     beta, delta, omega = sys.beta, sys.delta, sys.omega
     damping = eps * delta
@@ -541,19 +516,19 @@ def _newton(sys, eps, m, z0, theta0, winding):
     flow after step s at _NEXT_FLOW_TOL * |s| / ||J^-1||, at most
     _COARSE_FLOW_TOL and, below _SNAP times _FLOW_TOL, _FLOW_TOL itself.
     A coarse flow with ||J^-1|| tol > _RESOLVED_STEP * |s| has not resolved
-    its step, and one that spends its _COARSE_BUDGET share of the step
-    budget cannot tell whether a flow at _FLOW_TOL fits the whole: either
-    is run again at the same z, at the finer tolerance or at _FLOW_TOL,
-    and such a re-flow is not a Newton step.  A fixed point is declared
-    only on a flow at _FLOW_TOL.
+    its step, and is run again at the same z at the finer tolerance; a
+    coarse flow that fails is run again at the same z at _FLOW_TOL.
+    Neither re-flow is a Newton step.  A fixed point is declared only on a
+    flow at _FLOW_TOL.
 
     Where Newton does not contract, which fixed point it finds, if any,
     rests on every flow's error.  So once a step is longer than
-    _CONTRACTION times the last, every later flow runs at _FLOW_TOL, and
-    if any step so far came from a coarser flow, or a flow at _FLOW_TOL
-    fails off the fixed-tolerance path, Newton starts over from z0: the
-    answer is then that of Newton with every flow at _FLOW_TOL, step for
-    step.  At most _NEWTON_MAX steps are taken, the point after the last
+    _CONTRACTION times the last, every later flow runs at _FLOW_TOL.
+    Newton goes on in place only if every step so far, the one that
+    stopped it contracting included, came from a flow at _FLOW_TOL; else
+    it starts over from z0, as it does when a flow at _FLOW_TOL fails after
+    a step from a coarser flow.  Either way the answer is that of Newton
+    with every flow at _FLOW_TOL, step for step.  At most _NEWTON_MAX steps are taken, the point after the last
     one checked.  Returns (z, f, converged, DP) with f and DP from the last
     flow, at the returned z: converged once |f| <= _RESIDUAL_TOL, so a
     converged point's f and DP come from a flow at _FLOW_TOL; else stopped
@@ -602,12 +577,9 @@ def _newton(sys, eps, m, z0, theta0, winding):
             break  # out of steps, or diverging away from the seed neighborhood
         if matched and size > _CONTRACTION * last:
             matched = False  # not contracting: on as the fixed-tolerance run
-            if not exact:
-                exact = True  # from z0
+            if not exact or tol > _FLOW_TOL:
+                exact = True  # a step came from a coarse flow: from z0
                 z, tol, steps = np.array(z0, dtype=float), _FLOW_TOL, 0
-                continue
-            if tol > _FLOW_TOL:
-                tol = _FLOW_TOL
                 continue
         exact = exact and tol <= _FLOW_TOL
         z, steps, last = z - step, steps + 1, size

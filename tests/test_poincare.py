@@ -323,6 +323,73 @@ class TestMelnikovSeeds:
         assert [z for z, _ in flows] == [(0.0, 0.0), (-1e-3, 0.0)] * 2
         assert [tol > _FLOW_TOL for _, tol in flows] == [True, True, False, False]
 
+    def test_coarse_step_that_stops_contracting_starts_over(self, resonance, monkeypatch):
+        # J = I makes each step f itself.  The coarse seed flow's step of 1e-7
+        # is unresolved, so z0 flows again at _FLOW_TOL and steps by 1e-3;
+        # the next flow is coarse and its step no shorter, so Newton starts
+        # over from z0 at _FLOW_TOL, though every step so far came from a
+        # flow at _FLOW_TOL, and answers as the fixed-tolerance run
+        flows = []
+
+        def stub(sys_, eps, m, z, theta0, tol):
+            flows.append((tuple(z), tol))
+            f = {
+                ((0.0, 0.0), True): 1e-7,
+                ((0.0, 0.0), False): 1e-3,
+                ((-1e-3, 0.0), True): 1e-3,
+                ((-1e-3, 0.0), False): 1e-12,
+            }[tuple(z), tol > _FLOW_TOL]
+            return z + np.array([f, 0.0]), 2.0 * np.eye(2)
+
+        monkeypatch.setattr(poincare, "_variational_map", stub)
+        args = (None, 1e-3, resonance.m, (0.0, 0.0), 0.0, np.zeros(2))
+        want = fixed_tolerance_newton(*args)
+        flows.clear()
+        got = _newton(*args)
+        assert got[2]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert [z for z, _ in flows] == [(0.0, 0.0)] * 2 + [(-1e-3, 0.0), (0.0, 0.0), (-1e-3, 0.0)]
+        assert [tol > _FLOW_TOL for _, tol in flows] == [True, False, True, False, False]
+
+    @pytest.mark.parametrize("fixed_run_fails", [False, True])
+    def test_failed_full_flow_off_the_fixed_path_starts_over(
+        self, resonance, monkeypatch, fixed_run_fails
+    ):
+        # J = I makes each step f itself.  The coarse seed flow's step of
+        # 1e-5 is resolved and short enough that the next flow runs at
+        # _FLOW_TOL, which fails; that step did not come from a flow at
+        # _FLOW_TOL, so Newton starts over from z0 at _FLOW_TOL and raises
+        # only if a flow of that run fails
+        flows = []
+        fixed_step = 1e-5 if fixed_run_fails else 2e-5
+
+        def stub(sys_, eps, m, z, theta0, tol):
+            flows.append((tuple(z), tol))
+            if z[0] == -1e-5:
+                raise IntegrationFailure("step budget spent")
+            f = (1e-5 if tol > _FLOW_TOL else fixed_step) if z[0] == 0.0 else 1e-12
+            return z + np.array([f, 0.0]), 2.0 * np.eye(2)
+
+        monkeypatch.setattr(poincare, "_variational_map", stub)
+        args = (None, 1e-3, resonance.m, (0.0, 0.0), 0.0, np.zeros(2))
+        if fixed_run_fails:
+            with pytest.raises(IntegrationFailure, match="step budget spent"):
+                _newton(*args)
+        else:
+            want = fixed_tolerance_newton(*args)
+            flows.clear()
+            got = _newton(*args)
+            assert got[2]
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        assert flows == [
+            ((0.0, 0.0), poincare._COARSE_FLOW_TOL),
+            ((-1e-5, 0.0), _FLOW_TOL),
+            ((0.0, 0.0), _FLOW_TOL),
+            ((-fixed_step, 0.0), _FLOW_TOL),
+        ]
+
     def test_positive_control_takes_few_narrow_flows(self, system, resonance, monkeypatch):
         flows = []
 
@@ -496,8 +563,8 @@ def _accepted_steps(monkeypatch):
     steps = []
     attempt = poincare._attempt
 
-    def recorded(t, y, k1, h, forcing, tol, n):
-        error_norm, y_new, f_new = attempt(t, y, k1, h, forcing, tol, n)
+    def recorded(t, y, k1, h, forcing, tol):
+        error_norm, y_new, f_new = attempt(t, y, k1, h, forcing, tol)
         if error_norm < 1.0:
             steps.append((t, y, h, y_new))
         return error_norm, y_new, f_new
