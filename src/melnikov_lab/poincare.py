@@ -528,12 +528,13 @@ def _newton(sys, eps, m, z0, theta0, winding):
     stopped it contracting included, came from a flow at _FLOW_TOL; else
     it starts over from z0, as it does when a flow at _FLOW_TOL fails after
     a step from a coarser flow.  Either way the answer is that of Newton
-    with every flow at _FLOW_TOL, step for step.  At most _NEWTON_MAX steps are taken, the point after the last
-    one checked.  Returns (z, f, converged, DP) with f and DP from the last
-    flow, at the returned z: converged once |f| <= _RESIDUAL_TOL, so a
-    converged point's f and DP come from a flow at _FLOW_TOL; else stopped
-    by a step longer than 2, a singular J or _NEWTON_MAX steps, and then f
-    and DP may come from a flow as coarse as _COARSE_FLOW_TOL.
+    with every flow at _FLOW_TOL, step for step.  At most _NEWTON_MAX
+    steps are taken, the point after the last one checked.  Returns (z, f,
+    converged, DP) with f and DP from the last flow, at the returned z:
+    converged once |f| <= _RESIDUAL_TOL, so a converged point's f and DP
+    come from a flow at _FLOW_TOL; else stopped by a step longer than 2, a
+    singular J or _NEWTON_MAX steps, and then f and DP may come from a flow
+    as coarse as _COARSE_FLOW_TOL.
     """
     eye = np.eye(2)
     z = np.array(z0, dtype=float)

@@ -20,9 +20,12 @@ collect it, and it needs no coverage package.
 """
 
 import ast
+import os
 import sys
 import threading
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "melnikov_lab"
@@ -30,10 +33,6 @@ PACKAGE = ROOT / "src" / "melnikov_lab"
 
 def trace_tier1(pytest_args):
     """Run tier-1 and return (pytest's exit code, {(filename, line) executed})."""
-    import os
-
-    import pytest
-
     prefix = str(PACKAGE) + os.sep
     hits = set()
 
