@@ -24,7 +24,6 @@ from .pendulum import INNER, ROTATING_MINUS, orbit_complex_values
 
 __all__ = [
     "SingleEnclosureViolation",
-    "ResidueOverflowError",
     "ContourSpec",
     "ContourValue",
     "admissible_radius",

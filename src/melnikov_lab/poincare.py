@@ -7,10 +7,10 @@ the subharmonic Melnikov function mark persisting periodic orbits at
 O(epsilon) distance from the unperturbed resonant orbit.
 
 Every flow is one system, the state (x1, x2) and its tangent map
-(_variational_map).  The flows are nearly all of the cost, and a 6-D state
-is too small for numpy to pay for itself, so scipy.integrate.solve_ivp
-drives _DOP853Kernel, whose one step() runs the whole flow on Python floats
-with _attempt, the DOP853 stages written out (_dop853_attempt).  Newton
+(_derivative).  The flows are nearly all of the cost, and a 6-D state is
+too small for numpy to pay for itself, so scipy.integrate.solve_ivp drives
+_DOP853Kernel, whose one step() runs the whole flow on Python floats with
+_attempt, the DOP853 stages written out (_dop853_attempt).  Newton
 (_newton) runs each flow only as fine as the step it resolves, and answers
 as Newton with every flow at _FLOW_TOL.
 """
@@ -33,7 +33,6 @@ from .melnikov import (
 from .pendulum import INNER, ForcedSystem, OrbitPoint, orbit_state, wrap_angle
 
 __all__ = [
-    "IntegrationFailure",
     "FixedPointResult",
     "find_subharmonic",
     "scaling_band",
@@ -70,6 +69,25 @@ _SCALING_BAND = 2.0  # largest max/min of distance/|eps| that scaling_band accep
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
+def _derivative(t, y, forcing):
+    """The variational system at (t, y) under forcing = (eps, beta, delta, omega, theta).
+
+    y = (x1, x2, p11, p12, p21, p22) is the state and its tangent map Phi,
+    with Phi' = [[0, 1], [-cos x1, -eps*delta]] Phi.
+    """
+    eps, beta, delta, omega, theta = forcing
+    x1, x2, p11, p12, p21, p22 = y
+    c, damping = math.cos(x1), eps * delta
+    return [
+        x2,
+        -math.sin(x1) + eps * (beta * math.cos(omega * t + theta) - delta * x2),
+        p21,
+        p22,
+        -c * p11 - damping * p21,
+        -c * p12 - damping * p22,
+    ]
+
+
 def _dop853_attempt():
     """One DOP853 step attempt of the variational flow, in Nystrom form.
 
@@ -79,7 +97,7 @@ def _dop853_attempt():
     y_new, f_new): scipy's DOP853 error norm of y with atol = rtol = tol on
     x1 and x2 and atol = inf on the four tangent components, which add 0
     to it but count among its 6 components; the new state, and its
-    derivative at t + h.
+    derivative at t + h, from _derivative.
 
     The state and each column of the tangent map are a pair (u, v) with
     u' = v and v' = g, so one block of stage code serves all three, and
@@ -100,9 +118,9 @@ def _dop853_attempt():
     returns (error_norm, None, None) without the tangent stages.  The two
     column passes, over (p11, p21) and (p12, p22), have gi = ncxi ui -
     damping vi.  Each stage evaluates the right-hand side inline with the
-    expressions of _variational_map's rhs, and sums its terms in tableau
-    order.  Names are Hairer's: weights a_ij, b_i and c_i, and the fifth-
-    and third-order error weights e5_i and e3_i.  A doubled letter marks a
+    expressions of _derivative, and sums its terms in tableau order.  Names
+    are Hairer's: weights a_ij, b_i and c_i, and the fifth- and third-order
+    error weights e5_i and e3_i.  A doubled letter marks a
     Nystrom weight: aa_ij = abar_ij, bb_i = bbar_i, and ee5_i, ee3_i the
     entries of e5 A and e3 A.  Each is the math.fsum of its products of
     scipy's weights, a sum rounded once, so it does not depend on the BLAS.
@@ -311,15 +329,8 @@ def _dop853_attempt():
             if not error_norm < 1.0:  # rejected, a NaN norm too
                 return error_norm, None, None
         (x1, x2), (p11, p21), (p12, p22) = pairs
-        c = cos(x1)
-        return error_norm, (x1, x2, p11, p12, p21, p22), (
-            x2,
-            -sin(x1) + eps * (beta * cos(omega * (t + h) + theta) - delta * x2),
-            p21,
-            p22,
-            -c * p11 - damping * p21,
-            -c * p12 - damping * p22,
-        )
+        y_new = (x1, x2, p11, p12, p21, p22)
+        return error_norm, y_new, _derivative(t + h, y_new, forcing)
     return attempt
 
 
@@ -329,15 +340,15 @@ _attempt = _dop853_attempt()
 class _DOP853Kernel(DOP853):
     """scipy's DOP853 on the pendulum's variational flow, the whole flow in one step().
 
-    solve_ivp(rhs, span, y0, method=_DOP853Kernel, max_steps=..., forcing=...)
-    integrates the state and tangent map y = (x1, x2, p11, p12, p21, p22)
-    under forcing = (eps, beta, delta, omega, theta).  scipy's own set-up
-    (first RHS call, initial step, tolerances) runs unchanged on rhs, which
-    must be that same system.  Then one step() covers the flow: _step_impl
-    loops on Python floats under rk.py's step-size rule and min_step, with
-    _attempt (see _dop853_attempt) in place of its numpy stages and of
-    rhs, until t_bound.  So t_old is the flow start, and sol.t holds the two
-    ends alone.  The flow must run forward (t_bound > t0) with no max_step:
+    solve_ivp(_derivative, span, y0, method=_DOP853Kernel, max_steps=...,
+    forcing=forcing, args=(forcing,)) integrates the state and tangent map
+    y = (x1, x2, p11, p12, p21, p22) under forcing = (eps, beta, delta,
+    omega, theta).  scipy's own set-up (first RHS call, initial step,
+    tolerances) runs unchanged.  Then one step() covers the flow:
+    _step_impl loops on Python floats under rk.py's step-size rule and
+    min_step, with _attempt (see _dop853_attempt) in place of its numpy
+    stages, until t_bound.  So t_old is the flow start, and sol.t holds the
+    two ends alone.  The flow must run forward (t_bound > t0) with no max_step:
     _step_impl reads neither direction nor max_step.  x1 and x2 must have
     atol = rtol, and the tangent components atol = inf, which drops them
     out of scipy's norm too: _attempt reads rtol alone.  In exact
@@ -409,53 +420,37 @@ class FixedPointResult:
 def _variational_map(sys, eps, m, z, theta_section, tol=_FLOW_TOL):
     """P(z) and DP(z) from one DOP853 flow of the state and its tangent map.
 
-    Phi' = [[0, 1], [-cos x1, -eps*delta]] Phi with Phi(0) = I, so the
-    final Phi is the Jacobian of the stroboscopic map at z.  solve_ivp runs
-    the flow as one step() of _DOP853Kernel (sol.y holds its two ends),
-    which evaluates this system inline from its forcing option; rhs, the
-    same system, serves scipy's set-up (called with a numpy array).  The
-    tangent components get atol = inf, so the steps are chosen from
-    (x1, x2) alone.  The norm divides by sqrt(6), so scaling both
-    tolerances by sqrt(2/6) gives back the norm, and with it the steps, of
-    a 2-D flow at absolute = relative tolerance tol: P(z) is that flow's
-    map to round-off.  tol is _FLOW_TOL but for _newton's coarser flows.
-    A flow that spends its step budget (see _STEPS_PER_UNIT_TIME) raises
-    IntegrationFailure like any failed flow.  scipy's first-step guess
-    overflows at a huge epsilon; the tiny step it then picks fails on its
-    own terms, so numpy's floating-point warnings are silenced around it.
+    The flow of _derivative from Phi(0) = I, so the final Phi is the
+    Jacobian of the stroboscopic map at z.  solve_ivp runs the flow as one
+    step() of _DOP853Kernel (sol.y holds its two ends).  The tangent
+    components get atol = inf, so the steps are chosen from (x1, x2) alone.
+    The norm divides by sqrt(6), so scaling both tolerances by sqrt(2/6)
+    gives back the norm, and with it the steps, of a 2-D flow at absolute =
+    relative tolerance tol: P(z) is that flow's map to round-off.  tol is
+    _FLOW_TOL but for _newton's coarser flows.  A flow that spends its step
+    budget (see _STEPS_PER_UNIT_TIME) raises IntegrationFailure like any
+    failed flow.  scipy's first-step guess overflows at a huge epsilon; the
+    tiny step it then picks fails on its own terms, so numpy's
+    floating-point warnings are silenced around it.
     """
-    beta, delta, omega = sys.beta, sys.delta, sys.omega
-    damping = eps * delta
-
-    def rhs(t, y):
-        x1, x2, p11, p12, p21, p22 = y
-        forcing = eps * (beta * math.cos(omega * t + theta_section) - delta * x2)
-        c = math.cos(x1)
-        return [
-            x2,
-            -math.sin(x1) + forcing,
-            p21,
-            p22,
-            -c * p11 - damping * p21,
-            -c * p12 - damping * p22,
-        ]
-
+    forcing = (eps, sys.beta, sys.delta, sys.omega, theta_section)
     y0 = np.array([z[0], z[1], 1.0, 0.0, 0.0, 1.0])
-    duration = 2.0 * math.pi * m / omega
+    duration = 2.0 * math.pi * m / sys.omega
     scaled = tol * math.sqrt(2.0 / y0.size)
     atol = np.full(y0.size, np.inf)
     atol[:2] = scaled
     per_unit_time = _STEPS_PER_UNIT_TIME * (_COARSE_BUDGET if tol > _FLOW_TOL else 1.0)
     with np.errstate(all="ignore"):
         sol = solve_ivp(
-            rhs,
+            _derivative,
             (0.0, duration),
             y0,
             method=_DOP853Kernel,
             rtol=scaled,
             atol=atol,
             max_steps=math.ceil(per_unit_time * max(duration, 2.0 * math.pi)),
-            forcing=(eps, beta, delta, omega, theta_section),
+            forcing=forcing,
+            args=(forcing,),
         )
     if not sol.success:
         raise IntegrationFailure(sol.message)
@@ -617,10 +612,13 @@ def find_subharmonic(
     unconverged result.  Only those points are measured against the orbit.
     The residual and the Floquet multipliers (the eigenvalues of DP) come
     from the variational flow at the reported point itself; no separate
-    flow runs.  sys.omega must be the resonance's omega.
+    flow runs.  sys.omega must be the resonance's omega, and eps and theta0
+    finite, else ValueError before any flow.
     """
     if sys.omega != r.omega:
         raise ValueError(f"system omega {sys.omega!r} != resonance omega {r.omega!r}")
+    if not (math.isfinite(eps) and math.isfinite(theta0)):
+        raise ValueError(f"eps {eps!r} and theta0 {theta0!r} must be finite")
     winding = _winding(r)
     first = best = None
     for seed in _melnikov_seeds(sys, r, theta0):
@@ -645,7 +643,13 @@ def find_subharmonic(
 
 
 def scaling_band(eps_list, distances) -> Tuple[bool, List[float]]:
-    """First-order persistence check: distance/|eps| within a factor _SCALING_BAND."""
+    """First-order persistence check: distance/|eps| within a factor _SCALING_BAND.
+
+    An eps of 0 has no ratio: ValueError.
+    """
+    for e in eps_list:
+        if e == 0:
+            raise ValueError(f"eps {e!r} has no distance/|eps| ratio")
     ratios = [d / abs(e) for d, e in zip(distances, eps_list)]
     positive = [r for r in ratios if r > 0]
     if not positive:

@@ -37,6 +37,13 @@ CASES = (
     ("melnikov", "--family", "inner", "--m", "3", "--n", "1", "--beta", "1",
      "--delta", "1"),
     ("melnikov", "--homoclinic", "--sign", "-1", "--beta", "1", "--delta", "1"),
+    # a rotating family at n >= 2, an inner 5/1, and the rotating- contour
+    ("melnikov", "--family", "rotating-", "--m", "3", "--n", "2", "--omega", "1.3",
+     "--beta", "0.7", "--delta", "0.2", "--theta-points", "8"),
+    ("melnikov", "--family", "inner", "--m", "5", "--n", "1", "--omega", "1.7",
+     "--beta", "1.4", "--delta", "0.03", "--theta-points", "8"),
+    ("contour", "--family", "rotating-", "--m", "1", "--n", "1", "--omega", "0.8",
+     "--beta", "0.7", "--theta-points", "4"),
     ("verify", "--m", "3", "--eps", "1e-3", "5e-4"),
     # a rotating family with damping, so the tangent map's -eps*delta term counts
     ("verify", "--family", "rotating+", "--m", "1", "--delta", "0.05", "--eps", "1e-3",

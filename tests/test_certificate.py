@@ -13,8 +13,7 @@ import dataclasses
 import pytest
 
 from melnikov_lab.certificate import _contour_record, _curve_record, build_certificate
-from melnikov_lab.contour import ResidueOverflowError
-from melnikov_lab.melnikov import solve_resonance
+from melnikov_lab.melnikov import ResidueOverflowError, solve_resonance
 from melnikov_lab.pendulum import INNER, ROTATING_PLUS
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from melnikov_lab.contour import (
     ContourSpec,
-    ResidueOverflowError,
     SingleEnclosureViolation,
     admissible_radius,
     contour_integral_closed,
@@ -14,7 +13,7 @@ from melnikov_lab.contour import (
     laurent_probe,
 )
 from melnikov_lab.elliptic import EllipticModulus
-from melnikov_lab.melnikov import solve_resonance
+from melnikov_lab.melnikov import ResidueOverflowError, solve_resonance
 from melnikov_lab.pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS
 from oracles import substitution_check
 

@@ -107,6 +107,14 @@ def test_scan_sees_every_module():
     assert {p.name for p in MODULES} >= {"cli.py", "contour.py", "poincare.py"}
 
 
+def test_package_root_binds_only_its_version():
+    # every name has one import path: the module that defines it
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    docstring, *statements = tree.body
+    assert ast.get_docstring(tree) is not None
+    assert [ast.unparse(s) for s in statements] == [f"__version__ = {melnikov_lab.__version__!r}"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -136,6 +137,20 @@ class TestFindSubharmonic:
         monkeypatch.setattr(poincare, "solve_ivp", no_flow)
         with pytest.raises(ValueError, match="omega"):
             find_subharmonic(pendulum_system(1.0, 0.0, 1.05), 1e-3, resonance, math.pi / 2.0)
+
+    @pytest.mark.parametrize(
+        "eps, theta0",
+        [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1e-3, math.inf), (1e-3, math.nan)],
+    )
+    def test_non_finite_eps_or_theta0_flows_nothing(
+        self, system, resonance, eps, theta0, monkeypatch
+    ):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("flowed a non-finite eps or theta0")
+
+        monkeypatch.setattr(poincare, "solve_ivp", no_flow)
+        with pytest.raises(ValueError, match="must be finite"):
+            find_subharmonic(system, eps, resonance, theta0)
 
     def test_newton_gap_rung_converges_in_band(self, system, resonance):
         # eps = 6.8538506e-4 sat between converging rungs but found no fixed
@@ -539,14 +554,21 @@ def _nonzero(prefix, weights):
 
 
 def _kernel_and_scipy(monkeypatch):
-    """Pair each library flow with scipy's own DOP853 on the same rhs and tolerances."""
+    """Pair each library flow with scipy's own DOP853 on the same rhs and tolerances.
+
+    The pairs hold the rhs with forcing bound, as scipy's reference takes it.
+    """
     pairs = []
 
-    def both(rhs, span, y0, method, max_steps, forcing, **tols):
+    def both(rhs, span, y0, method, max_steps, forcing, args, **tols):
+        # scipy's set-up and the kernel see one system
+        assert args == (forcing,)
         sol = solve_ivp(
-            rhs, span, y0, method=method, max_steps=max_steps, forcing=forcing, **tols
+            rhs, span, y0, method=method, max_steps=max_steps, forcing=forcing, args=args,
+            **tols,
         )
-        pairs.append((rhs, sol, solve_ivp(rhs, span, y0, method="DOP853", **tols)))
+        bound = functools.partial(rhs, forcing=forcing)
+        pairs.append((bound, sol, solve_ivp(bound, span, y0, method="DOP853", **tols)))
         return sol
 
     monkeypatch.setattr(poincare, "solve_ivp", both)
@@ -678,7 +700,9 @@ class TestDOP853Kernel:
         st.floats(0.0, 3.0).filter(lambda b: b != 1.0),
         st.sampled_from([0.5, 2.3]),
     )
-    def test_inlined_rhs_is_the_closure(self, family, phase, log_eps, delta, theta, beta, omega):
+    def test_inlined_rhs_is_the_derivative(
+        self, family, phase, log_eps, delta, theta, beta, omega
+    ):
         tag, m = family
         r = solve_resonance(tag, omega, m, 1)
         assume(r is not None)  # inner 1/1 needs omega < 1
@@ -720,9 +744,9 @@ class TestDOP853Kernel:
         def counted(rhs, span, y0, **options):
             calls = []
 
-            def counting(t, y):
+            def counting(t, y, forcing):
                 calls.append(t)
-                return rhs(t, y)
+                return rhs(t, y, forcing)
 
             sol = solve_ivp(counting, span, y0, **options)
             flows.append((sol.nfev, len(calls), len(attempts)))
@@ -741,16 +765,32 @@ class TestDOP853Kernel:
         with pytest.raises(IntegrationFailure, match="step budget of 19 spent"):
             _variational_map(system, 1e-3, 3, (0.9, 0.4), 0.0)
 
-    def test_no_dense_output(self):
-        def rhs(t, y):
-            c = math.cos(y[0])
-            return [y[1], -math.sin(y[0]), y[4], y[5], -c * y[2], -c * y[3]]
+    def test_derivative_serves_the_set_up_and_each_accepted_step(
+        self, system, resonance, monkeypatch
+    ):
+        # scipy's set-up calls _derivative twice (first derivative, first-step
+        # guess); each accepted attempt then calls it once, at its new t, for
+        # the next step's k1, and a rejected attempt not at all
+        steps = _accepted_steps(monkeypatch)
+        calls = []
+        derivative = poincare._derivative
 
+        def counted(t, y, forcing):
+            calls.append(t)
+            return derivative(t, y, forcing)
+
+        monkeypatch.setattr(poincare, "_derivative", counted)
+        _variational_map(system, 1e-3, resonance.m, (0.9, 0.4), math.pi / 2.0)
+        assert steps and len(calls) == 2 + len(steps)
+        assert calls[2:] == [t + h for t, _, h, _ in steps]
+
+    def test_no_dense_output(self):
+        forcing = (0.0, 1.0, 0.0, 1.0, 0.0)
         with pytest.raises(NotImplementedError):
             solve_ivp(
-                rhs, (0.0, 1.0), [0.9, 0.4, 1.0, 0.0, 0.0, 1.0],
+                poincare._derivative, (0.0, 1.0), [0.9, 0.4, 1.0, 0.0, 0.0, 1.0],
                 method=poincare._DOP853Kernel, max_steps=100,
-                forcing=(0.0, 1.0, 0.0, 1.0, 0.0), dense_output=True,
+                forcing=forcing, args=(forcing,), dense_output=True,
             )
 
 
@@ -811,3 +851,8 @@ class TestScalingBand:
     def test_empty_input(self):
         ok, ratios = scaling_band([], [])
         assert ok and ratios == []
+
+    def test_zero_eps_is_named(self):
+        for zero in (0.0, -0.0):
+            with pytest.raises(ValueError, match=rf"eps {zero!r} has no distance/\|eps\| ratio"):
+                scaling_band([zero, 1e-3], [0.0, 1e-4])
