@@ -144,7 +144,9 @@ def cmd_contour(args) -> int:
     r = _resonance(args)
     fractions = (0.05, 0.1, 0.2)
     specs = [default_contour(r, radius_fraction=f) for f in fractions]
-    kernel_sets = [contour_kernels(r, spec) for spec in specs]
+    # a phase omega*t past cosh's range raises NonConvergenceError, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel_sets = [contour_kernels(r, spec) for spec in specs]
     thetas = _theta_grid(args)
     rows = []
     for th in thetas:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .elliptic import EllipticModulus, jacobi_complex
 from .melnikov import MelnikovKernels, Resonance, ResidueOverflowError, _melnikov_kernels
-from .pendulum import INNER, ROTATING_MINUS, orbit_complex_values
+from .pendulum import INNER, orbit_complex_values
 
 __all__ = [
     "SingleEnclosureViolation",
@@ -166,68 +166,26 @@ def contour_integral_closed(r: Resonance, theta: float, beta: float) -> ContourV
     return ContourValue(value)
 
 
-_PROBE_KERNELS = ("cn", "dn", "dn_scaled", "cn2", "cos", "sin", "cos_cn", "sin_cn")
+def laurent_probe(f, mod: EllipticModulus, radii) -> List[Tuple[complex, complex]]:
+    """(residue, constant term) of f(jacobi_complex(t, mod), t) at t = iK', per radius.
 
-
-def laurent_probe(
-    kernel: str,
-    mod: EllipticModulus,
-    radii,
-    omega: float = None,
-) -> List[Tuple[complex, complex]]:
-    """(residue, constant term) of a kernel at its pole, per radius.
-
-    The circle moments (1/2pi) int f(c + r e^{is}) r e^{is} ds and
-    (1/2pi) int f ds pick out the Laurent coefficients a_{-1} and a_0
-    exactly within the annulus of convergence, so values at different
-    radii must agree; disagreement flags an evaluation problem.
-
-    Kernels "cn", "dn", "cn2", "cos", "sin", "cos_cn", "sin_cn" probe at
-    t = iK'; "dn_scaled" probes dn(t/k) at t = i k K'.
+    f takes the Jacobi triple and t, for example
+    lambda tri, t: tri.cn * np.cos(omega * t).  The circle moments
+    (1/2pi) int f(c + r e^{is}) r e^{is} ds and (1/2pi) int f ds pick out
+    the Laurent coefficients a_{-1} and a_0 exactly within the annulus of
+    convergence, so values at different radii must agree; disagreement
+    flags an evaluation problem.
     """
-    if kernel not in _PROBE_KERNELS:
-        raise ValueError(f"unknown probe kernel {kernel!r}")
-    if kernel in ("cos", "sin", "cos_cn", "sin_cn") and omega is None:
-        raise ValueError(f"kernel {kernel!r} needs omega")
-
-    if kernel == "dn_scaled":
-        center = 1j * mod.k * mod.K_prime
-
-        def f(t):
-            return jacobi_complex(t / mod.k, mod).dn
-
-    else:
-        center = 1j * mod.K_prime
-
-        def f(t):
-            tri = jacobi_complex(t, mod) if "cn" in kernel or "dn" in kernel else None
-            if kernel == "cn":
-                return tri.cn
-            if kernel == "dn":
-                return tri.dn
-            if kernel == "cn2":
-                return tri.cn**2
-            if kernel == "cos":
-                return np.cos(omega * t)
-            if kernel == "sin":
-                return np.sin(omega * t)
-            if kernel == "cos_cn":
-                return tri.cn * np.cos(omega * t)
-            return tri.cn * np.sin(omega * t)
-
     out = []
     s = np.linspace(0.0, 2.0 * math.pi, _PROBE_NODES, endpoint=False)
     e = np.exp(1j * s)
-    # dn(t/k) has the rotating orbits' pole lattice, the other kernels the inner one
-    bound = admissible_radius(ROTATING_MINUS if kernel == "dn_scaled" else INNER, mod)
+    bound = admissible_radius(INNER, mod)
     for radius in radii:
         if not 0.0 < radius < bound:
             raise SingleEnclosureViolation(
                 f"probe radius {radius:g} outside admissible annulus (0, {bound:g})"
             )
-        vals = f(center + radius * e)
-        residue = complex(np.mean(vals * radius * e))
-        constant = complex(np.mean(vals))
-        out.append((residue, constant))
+        t = 1j * mod.K_prime + radius * e
+        vals = f(jacobi_complex(t, mod), t)
+        out.append((complex(np.mean(vals * radius * e)), complex(np.mean(vals))))
     return out
-

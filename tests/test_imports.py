@@ -30,8 +30,9 @@ BENCH_FILES = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
 
 # Public functions that only the tests call.
 REFERENCE_ONLY = {
-    # criterion 5's independent Laurent-coefficient check of the residues; it also
-    # keeps contour's jacobi_complex import bound, which perfbench's tracer wraps
+    # criterion 5's independent Laurent-coefficient check of the residues, given
+    # each integrand by its caller; as contour's one caller of jacobi_complex it
+    # keeps that import bound, which perfbench's tracer wraps
     "contour.laurent_probe",
 }
 

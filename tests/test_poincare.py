@@ -856,3 +856,15 @@ class TestScalingBand:
         for zero in (0.0, -0.0):
             with pytest.raises(ValueError, match=rf"eps {zero!r} has no distance/\|eps\| ratio"):
                 scaling_band([zero, 1e-3], [0.0, 1e-4])
+
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(ValueError, match="3 eps values against 2 distances"):
+            scaling_band([1e-3, 5e-4, 2.5e-4], [1e-4, 5e-5])
+
+    def test_nan_eps_raises(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            scaling_band([math.nan, 1e-3], [1e-4, 1e-4])
+
+    def test_nan_distance_raises(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            scaling_band([1e-3, 1e-3], [math.nan, 1e-4])
