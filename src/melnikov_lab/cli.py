@@ -50,6 +50,7 @@ from .pendulum import FAMILIES, pendulum_system
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+_MAX_THETA_POINTS = 2**20
 
 
 def _fmt(x) -> str:
@@ -368,8 +369,8 @@ def _validate(args) -> None:
             raise SystemExit(_usage_error("m and n must be coprime"))
     if hasattr(args, "m_max") and (args.m_max < 1 or args.n_max < 1):
         raise SystemExit(_usage_error("m-max and n-max must be positive"))
-    if getattr(args, "theta_points", 1) < 1:
-        raise SystemExit(_usage_error("theta-points must be positive"))
+    if not 1 <= getattr(args, "theta_points", 1) <= _MAX_THETA_POINTS:
+        raise SystemExit(_usage_error(f"theta-points must lie in [1, {_MAX_THETA_POINTS}]"))
     if hasattr(args, "k_min") and not 0.0 < args.k_min < args.k_max < 1.0:
         raise SystemExit(_usage_error("k window must satisfy 0 < k-min < k-max < 1"))
 

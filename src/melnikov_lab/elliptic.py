@@ -195,8 +195,6 @@ def jacobi_real(t, mod: EllipticModulus) -> JacobiTriple:
     # dn = sqrt(k'^2 + k^2 cn^2) is stable at the quarter period where
     # 1 - k^2 sn^2 cancels catastrophically for k near 1.
     dn = np.sqrt(mod.k_prime**2 + (mod.k * cn) ** 2)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return JacobiTriple(float(sn), float(cn), float(dn))
     return JacobiTriple(sn, cn, dn)
 
 
@@ -209,10 +207,7 @@ def jacobi_am(t, mod: EllipticModulus):
     winding = np.round(t_arr / two_K)
     t_red = t_arr - two_K * winding
     phi = _amplitude_reduced(t_red, mod)
-    out = math.pi * winding + phi
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
+    return math.pi * winding + phi
 
 
 def pole_distance(t, mod: EllipticModulus):
@@ -223,10 +218,7 @@ def pole_distance(t, mod: EllipticModulus):
     du = t_arr.real - two_K * np.round(t_arr.real / two_K)
     v = t_arr.imag - mod.K_prime
     dv = v - two_Kp * np.round(v / two_Kp)
-    out = np.hypot(du, dv)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
+    return np.hypot(du, dv)
 
 
 def jacobi_complex(t, mod: EllipticModulus) -> JacobiTriple:
@@ -251,6 +243,4 @@ def jacobi_complex(t, mod: EllipticModulus) -> JacobiTriple:
     sn = (s * d1 + 1j * c * d * s1 * c1) / denom
     cn = (c * c1 - 1j * s * d * s1 * d1) / denom
     dn = (d * c1 * d1 - 1j * k2 * s * c * s1) / denom
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return JacobiTriple(complex(sn), complex(cn), complex(dn))
     return JacobiTriple(sn, cn, dn)

@@ -558,7 +558,7 @@ def enumerate_resonances(
     m_max: int,
     n_max: int,
 ) -> List[Resonance]:
-    """All coprime (m, n) resonances whose modulus lies in the window.
+    """All coprime (m, n) resonances whose modulus lies in the window, by k then (m, n).
 
     Exhibits a finite sample of the key set; with n_max = 1 the inner
     moduli increase monotonically toward 1 with m.  An (m, n) whose
@@ -566,6 +566,8 @@ def enumerate_resonances(
     skipped unsolved, and the rotating window starts no lower than
     k = 1.1e-3, so moduli too close to 0 or 1 to resolve (which
     solve_resonance reports with ResonanceError) never stop the search.
+    The walk stops m at the first target above the window and n once m_max's
+    target lies below it (targets rise with m and fall with n, rounded too).
     """
     k_lo, k_hi = k_window
     if not 0.0 < k_lo < k_hi < 1.0:
@@ -575,17 +577,21 @@ def enumerate_resonances(
     _, period = _resonance_equation(family_tag, omega, 1, 1)
     edge_lo = period(k_lo, _complementary(k_lo))
     edge_hi = period(k_hi, _complementary(k_hi))
+    if m_max < 1:
+        return []
     found = []
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            if math.gcd(m, n) != 1:
-                continue
+    for n in range(1, n_max + 1):
+        for m in range(1, m_max + 1):
             target, _ = _resonance_equation(family_tag, omega, m, n)
-            if not edge_lo <= target <= edge_hi:
+            if target > edge_hi:
+                break
+            if target < edge_lo or math.gcd(m, n) != 1:
                 continue
             r = solve_resonance(family_tag, omega, m, n)
             if r is not None and k_lo <= r.modulus.k <= k_hi:
                 found.append(r)
-    found.sort(key=lambda r: r.modulus.k)
+        if target < edge_lo:
+            break
+    found.sort(key=lambda r: (r.modulus.k, r.m, r.n))
     return found
 

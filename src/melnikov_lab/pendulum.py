@@ -111,8 +111,6 @@ def orbit_state(family: OrbitFamily, t):
         # dn from the amplitude x1 needs anyway: one Landen pass per sample
         dn = np.sqrt(mod.k_prime**2 + (mod.k * np.cos(am)) ** 2)
         x2 = family.sign * (2.0 / mod.k) * dn
-    if np.ndim(t) == 0:
-        return OrbitPoint(float(x1), float(x2))
     return OrbitPoint(x1, x2)
 
 

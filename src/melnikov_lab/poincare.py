@@ -55,6 +55,9 @@ _COARSE_FLOW_TOL = 1e-9
 # fits its share shows that the flow at _FLOW_TOL fits the whole.
 _STEPS_PER_UNIT_TIME = 1000
 _COARSE_BUDGET = 0.25
+# Cap on a flow's full step budget (2^24 steps, 16,777 time units): 34x the longest
+# flow of the tests (490.9) and 320x that of the benchmark and the 1,008-case grid (52.4)
+_MAX_FLOW_STEPS = 2**24
 _NEWTON_MAX = 25  # Newton steps per seed (a re-flow at the same z is not one)
 _RESIDUAL_TOL = 1e-10  # map residual that counts as a fixed point
 # Newton's matching of each flow's tolerance to its step (see _newton)
@@ -428,10 +431,10 @@ def _variational_map(sys, eps, m, z, theta_section, tol=_FLOW_TOL):
     gives back the norm, and with it the steps, of a 2-D flow at absolute =
     relative tolerance tol: P(z) is that flow's map to round-off.  tol is
     _FLOW_TOL but for _newton's coarser flows.  A flow that spends its step
-    budget (see _STEPS_PER_UNIT_TIME) raises IntegrationFailure like any
-    failed flow.  scipy's first-step guess overflows at a huge epsilon; the
-    tiny step it then picks fails on its own terms, so numpy's
-    floating-point warnings are silenced around it.
+    budget (see _STEPS_PER_UNIT_TIME), or one whose full budget passes
+    _MAX_FLOW_STEPS (not flowed), raises IntegrationFailure.  scipy's first-step
+    guess overflows at a huge epsilon; the tiny step it then picks fails on
+    its own terms, so numpy's floating-point warnings are silenced around it.
     """
     forcing = (eps, sys.beta, sys.delta, sys.omega, theta_section)
     y0 = np.array([z[0], z[1], 1.0, 0.0, 0.0, 1.0])
@@ -439,7 +442,9 @@ def _variational_map(sys, eps, m, z, theta_section, tol=_FLOW_TOL):
     scaled = tol * math.sqrt(2.0 / y0.size)
     atol = np.full(y0.size, np.inf)
     atol[:2] = scaled
-    per_unit_time = _STEPS_PER_UNIT_TIME * (_COARSE_BUDGET if tol > _FLOW_TOL else 1.0)
+    budget = _STEPS_PER_UNIT_TIME * max(duration, 2.0 * math.pi)
+    if budget > _MAX_FLOW_STEPS:
+        raise IntegrationFailure(f"flow of {duration:.6g} passes the {_MAX_FLOW_STEPS}-step cap")
     with np.errstate(all="ignore"):
         sol = solve_ivp(
             _derivative,
@@ -448,7 +453,7 @@ def _variational_map(sys, eps, m, z, theta_section, tol=_FLOW_TOL):
             method=_DOP853Kernel,
             rtol=scaled,
             atol=atol,
-            max_steps=math.ceil(per_unit_time * max(duration, 2.0 * math.pi)),
+            max_steps=math.ceil(budget * (_COARSE_BUDGET if tol > _FLOW_TOL else 1.0)),
             forcing=forcing,
             args=(forcing,),
         )

@@ -446,6 +446,9 @@ class TestUsageErrors:
             ["melnikov", "--m", "2", "--n", "4"],
             ["melnikov", "--m", "0"],
             ["contour", "--theta-points", "0"],
+            # 2^62 points: past numpy's largest array, so a lost bound fails at once
+            ["melnikov", "--theta-points", str(2**62)],
+            ["contour", "--theta-points", str(2**20 + 1)],
             ["resonances", "--k-min", "0"],
             ["resonances", "--k-min", "0.5", "--k-max", "0.2"],
             ["resonances", "--k-max", "1"],
@@ -619,6 +622,21 @@ def test_extreme_omega_exits_3_at_once(argv):
     assert len(err) < 200
 
 
+def test_flow_past_the_step_cap_fails_before_it_runs():
+    # 10^300 + 1 forcing periods: the flow's full step budget passes its cap
+    import melnikov_lab.poincare  # noqa: F401  (scipy.integrate's import is not timed)
+
+    argv = ["verify", "--family", "rotating+", f"--m={10**300 + 1}", f"--n={10**300}",
+            "--omega", "495.51095434752307"]
+    start = time.perf_counter()
+    with _deadline(2.0):
+        code, out, err = _exit_code(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_NUMERIC and out == ""
+    assert err == ("melnikov-lab: integration failure: flow of 1.26802e+298 passes the "
+                   "16777216-step cap\n")
+
+
 # epsilon 1e30 shrinks the flow's steps without end (it hung); at 1e300
 # scipy's first-step guess overflows, which printed three numpy warnings
 HUGE_EPS_ARGV = [["verify", "--m", "3", "--eps", eps] for eps in ("1e30", "1e300")]
@@ -630,6 +648,17 @@ def test_huge_eps_fails_the_flow_in_one_line(argv):
         code, out, err = _exit_code(argv)
     assert code == EXIT_NUMERIC and out == ""
     assert err.startswith("melnikov-lab: integration failure: ") and err.count("\n") == 1
+
+
+# the walk over (m, n) stops at the k window's edges; a rectangle scan never ended
+@pytest.mark.parametrize("argv", [["resonances", "--m-max", "HUGE"],
+                                  ["resonances", "--m-max", "9", "--n-max", "HUGE"],
+                                  ["certify", "--m-max", "HUGE"]], ids=" ".join)
+def test_huge_m_max_or_n_max_lists_what_100_lists(argv):
+    with _deadline(2.0):
+        code, out, err = _exit_code([str(10**400) if a == "HUGE" else a for a in argv])
+    assert code == EXIT_OK
+    assert (out, err) == _exit_code(["100" if a == "HUGE" else a for a in argv])[1:]
 
 
 def test_slowest_inner_resonance_verifies(capsys):

@@ -303,9 +303,9 @@ class TestJacobiReal:
         m = EllipticModulus.from_k_prime(1e-3)
         tri, one = jacobi_real(t, m), jacobi_real(np.array([float(t)]), m)
         for got, ref in zip((tri.sn, tri.cn, tri.dn), (one.sn, one.cn, one.dn)):
-            assert type(got) is float and got == ref[0]
+            assert isinstance(got, float) and got == ref[0]
         am = jacobi_am(t, m)
-        assert type(am) is float and am == jacobi_am(np.array([float(t)]), m)[0]
+        assert isinstance(am, float) and am == jacobi_am(np.array([float(t)]), m)[0]
 
     def test_amplitude_unwrapped(self):
         m = EllipticModulus.from_k(0.7)

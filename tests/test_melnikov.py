@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -649,6 +650,41 @@ class TestEnumerateResonances:
         rs = enumerate_resonances(family, omega, window, 100, 3)
         assert rs == sorted(in_window, key=lambda r: r.modulus.k)
         assert len(solved) == len(in_window)
+
+
+def _rectangle_scan(family, omega, window, m_max, n_max):
+    """(resonances, solved pairs) of every coprime (m, n) <= (m_max, n_max), m-major."""
+    k_lo, k_hi = window
+    if family != INNER:
+        k_lo = max(k_lo, melnikov_module._ROTATING_K_MIN)
+    _, period = melnikov_module._resonance_equation(family, omega, 1, 1)
+    edge_lo, edge_hi = (period(k, _complementary(k)) for k in (k_lo, k_hi))
+    found, solved = [], []
+    for m in range(1, m_max + 1):
+        for n in range(1, n_max + 1):
+            target, _ = melnikov_module._resonance_equation(family, omega, m, n)
+            if math.gcd(m, n) != 1 or not edge_lo <= target <= edge_hi:
+                continue
+            solved.append((m, n))
+            r = solve_resonance(family, omega, m, n)
+            if r is not None and k_lo <= r.modulus.k <= k_hi:
+                found.append(r)
+    return sorted(found, key=lambda r: r.modulus.k), solved
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from([INNER, ROTATING_PLUS, ROTATING_MINUS]),
+       log_omega=st.floats(-2.5, 3.5),
+       window=st.sampled_from([K_WINDOW, (0.05, 0.999), (0.5, 1.0 - 1e-15)]),
+       m_max=st.integers(0, 40), n_max=st.integers(0, 6))
+def test_walk_matches_the_rectangle_scan(family, log_omega, window, m_max, n_max):
+    """The walk that stops at the window's edges solves and lists what the full scan does."""
+    omega = 10.0**log_omega
+    expected, expected_solved = _rectangle_scan(family, omega, window, m_max, n_max)
+    with mock.patch.object(melnikov_module, "solve_resonance", wraps=solve_resonance) as spy:
+        got = enumerate_resonances(family, omega, window, m_max, n_max)
+    assert got == expected
+    assert sorted(c.args[2:] for c in spy.call_args_list) == sorted(expected_solved)
 
 
 class TestHomoclinicLimitCheck:

@@ -16,7 +16,8 @@ inside one that ran each body is read statement by statement.  Code that
 only a subprocess runs (the CLI's __main__ line) never runs here.  It
 exits with pytest's exit code; the trace is only as complete as the tests
 that passed.  It takes about 3x plain tier-1's time; pytest does not
-collect it, and it needs no coverage package.
+collect it, and it needs no coverage package.  tests/traffic_statements.py
+reuses its line trace and its report.
 """
 
 import ast
@@ -31,8 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "melnikov_lab"
 
 
-def trace_tier1(pytest_args):
-    """Run tier-1 and return (pytest's exit code, {(filename, line) executed})."""
+def line_trace(run):
+    """(run(), {(filename, line) executed}) of one call, in every thread it starts."""
     prefix = str(PACKAGE) + os.sep
     hits = set()
 
@@ -49,14 +50,14 @@ def trace_tier1(pytest_args):
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(["-q", "--continue-on-collection-errors", *pytest_args])
+        result = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
     imported = sys.modules.get("melnikov_lab")
     if imported is None or Path(imported.__file__).resolve().parent != PACKAGE:
         sys.exit(f"melnikov_lab was not imported from {PACKAGE}")
-    return int(code), hits
+    return result, hits
 
 
 def _ignored(node, body):
@@ -107,8 +108,8 @@ def unrun(body, lines):
     return spans
 
 
-def main(argv):
-    code, hits = trace_tier1(argv)
+def print_unrun(hits):
+    """Print FILE:FIRST-LAST and the first line of each run of statements not in hits."""
     for path in sorted(PACKAGE.glob("*.py")):
         lines = {line for name, line in hits if name == str(path)}
         source = path.read_text()
@@ -116,6 +117,13 @@ def main(argv):
         for first, last in unrun(ast.parse(source).body, lines):
             where = f"{path.name}:{first}" + (f"-{last}" if last > first else "")
             print(f"{where}  {text[first - 1].strip()}")
+
+
+def main(argv):
+    code, hits = line_trace(
+        lambda: int(pytest.main(["-q", "--continue-on-collection-errors", *argv]))
+    )
+    print_unrun(hits)
     return code
 
 
