@@ -20,7 +20,7 @@ import numpy as np
 
 from .elliptic import EllipticModulus, jacobi_complex
 from .melnikov import MelnikovKernels, Resonance, ResidueOverflowError, _melnikov_kernels
-from .pendulum import INNER, orbit_complex_values
+from .pendulum import INNER, OrbitFamily, orbit_complex_values
 
 __all__ = [
     "SingleEnclosureViolation",
@@ -51,8 +51,8 @@ class ContourSpec:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (cmath.isfinite(self.center) and 0.0 < self.radius < math.inf):
+            raise ValueError("a contour needs a finite center and a finite positive radius")
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,9 @@ class ContourValue:
     value: complex
 
 
-def admissible_radius(family_tag: str, mod: EllipticModulus) -> float:
+def admissible_radius(orbit: OrbitFamily) -> float:
     """Half the minimal pole-lattice spacing of the orbit velocity."""
-    if family_tag == INNER:
-        return min(mod.K, mod.K_prime)
-    return mod.k * min(mod.K, mod.K_prime)
+    return orbit.time_scale * min(orbit.modulus.K, orbit.modulus.K_prime)
 
 
 def default_contour(r: Resonance, radius_fraction: float = 0.25) -> ContourSpec:
@@ -77,20 +75,16 @@ def default_contour(r: Resonance, radius_fraction: float = 0.25) -> ContourSpec:
     which keeps the circle off the lines Re t = 0 and Re t = 2 pi m / omega
     and leaves the value unchanged by periodicity.
     """
-    mod = r.modulus
-    if r.family_tag == INNER:
-        center = 2.0 * mod.K + 1j * mod.K_prime
-    else:
-        center = 4.0 * r.n * mod.k * mod.K + 1j * mod.k * mod.K_prime
-    bound = admissible_radius(r.family_tag, mod)
-    radius = radius_fraction * bound
-    spec = ContourSpec(center=center, radius=radius)
+    mod, s = r.modulus, r.orbit.time_scale
+    shift = 2.0 if r.family_tag == INNER else 4.0 * r.n
+    center = shift * s * mod.K + 1j * s * mod.K_prime
+    spec = ContourSpec(center=center, radius=radius_fraction * admissible_radius(r.orbit))
     _validate_spec(r, spec)
     return spec
 
 
 def _validate_spec(r: Resonance, spec: ContourSpec):
-    bound = admissible_radius(r.family_tag, r.modulus)
+    bound = admissible_radius(r.orbit)
     if spec.radius >= bound:
         raise SingleEnclosureViolation(
             f"radius {spec.radius:g} >= admissible bound {bound:g}"
@@ -124,12 +118,11 @@ def contour_kernels(r: Resonance, spec: ContourSpec, tol: float = 1e-9) -> Melni
 def residue_terms(r: Resonance) -> Tuple[float, float, float]:
     """(sign, cosh x, sinh x) of the residue closed form of r's contour integral.
 
-    x = omega*K' for inner orbits and omega*k*K' for rotating ones; sign is
+    x = omega*s*K', s the orbit's time_scale (1 inner, k rotating); sign is
     the orbit family's, -1 on rotating- and +1 on the others.  Raises
     ResidueOverflowError where cosh x lies beyond the float range.
     """
-    mod = r.modulus
-    arg = r.omega * mod.K_prime if r.family_tag == INNER else r.omega * mod.k * mod.K_prime
+    arg = r.omega * r.orbit.time_scale * r.modulus.K_prime
     try:
         return r.orbit.sign, math.cosh(arg), math.sinh(arg)
     except OverflowError:
@@ -179,7 +172,7 @@ def laurent_probe(f, mod: EllipticModulus, radii) -> List[Tuple[complex, complex
     out = []
     s = np.linspace(0.0, 2.0 * math.pi, _PROBE_NODES, endpoint=False)
     e = np.exp(1j * s)
-    bound = admissible_radius(INNER, mod)
+    bound = admissible_radius(OrbitFamily(INNER, mod))
     for radius in radii:
         if not 0.0 < radius < bound:
             raise SingleEnclosureViolation(

@@ -114,7 +114,7 @@ class Resonance:
         if self.m < 1 or self.n < 1 or math.gcd(self.m, self.n) != 1:
             raise ValueError("m, n must be coprime positive integers")
 
-    @property
+    @cached_property
     def orbit(self) -> OrbitFamily:
         return OrbitFamily(self.family_tag, self.modulus)
 
@@ -125,8 +125,7 @@ class Resonance:
     def residual(self) -> float:
         """Residual of the defining resonance equation."""
         target, _ = _resonance_equation(self.family_tag, self.omega, self.m, self.n)
-        mod = self.modulus
-        return (mod.K if self.family_tag == INNER else mod.k * mod.K) - target
+        return self.orbit.time_scale * self.modulus.K - target
 
     @cached_property
     def kernels(self) -> "MelnikovKernels":
@@ -448,18 +447,12 @@ def closed_form_subharmonic(
     count = r.n if j1_arg == "n" else r.m
     if r.family_tag == INNER:
         j1 = 16.0 * count * (mod.E - mod.k_prime**2 * mod.K)
-        if r.n == 1 and r.m % 2 == 1:
-            j2 = 4.0 * math.pi / _cosh(r.omega * mod.K_prime)
-        else:
-            j2 = 0.0
-        return MelnikovCurve(-delta * j1, beta * j2)
-    sign = r.orbit.sign
-    j1 = 8.0 * count * mod.E / mod.k
-    if r.n == 1:
-        j2 = 2.0 * math.pi / _cosh(mod.k * r.omega * mod.K_prime)
+        amplitude = 4.0 * math.pi if r.n == 1 and r.m % 2 == 1 else 0.0
     else:
-        j2 = 0.0
-    return MelnikovCurve(-delta * j1, sign * beta * j2)
+        j1 = 8.0 * count * mod.E / mod.k
+        amplitude = 2.0 * math.pi if r.n == 1 else 0.0
+    j2 = amplitude / _cosh(r.omega * r.orbit.time_scale * mod.K_prime)
+    return MelnikovCurve(-delta * j1, r.orbit.sign * beta * j2)
 
 
 def homoclinic_quadrature(

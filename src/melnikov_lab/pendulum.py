@@ -87,10 +87,13 @@ class OrbitFamily:
         return -1.0 if self.tag.endswith("-") else 1.0
 
     @property
+    def time_scale(self) -> float:
+        """1 on inner orbits; k on rotating ones, whose Jacobi functions run at t/k."""
+        return 1.0 if self.tag == INNER else self.modulus.k
+
+    @property
     def period(self) -> float:
-        if self.tag == INNER:
-            return 4.0 * self.modulus.K
-        return 2.0 * self.modulus.k * self.modulus.K
+        return (4.0 if self.tag == INNER else 2.0) * self.time_scale * self.modulus.K
 
 
 def orbit_state(family: OrbitFamily, t):

@@ -16,7 +16,7 @@ from melnikov_lab.contour import (
 )
 from melnikov_lab.elliptic import EllipticModulus
 from melnikov_lab.melnikov import ResidueOverflowError, solve_resonance
-from melnikov_lab.pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS
+from melnikov_lab.pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, OrbitFamily
 from oracles import substitution_check
 
 
@@ -31,12 +31,17 @@ def rot_res():
 
 
 class TestContourSpec:
-    def test_validation(self):
+    def test_validation(self, inner_res):
         with pytest.raises(ValueError):
             ContourSpec(center=1j, radius=0.0)
+        for center, radius in ((1j, math.nan), (1j, math.inf), (complex(math.nan, 1.0), 0.1)):
+            with pytest.raises(ValueError):
+                ContourSpec(center=center, radius=radius)
+        with pytest.raises(ValueError):
+            default_contour(inner_res, math.nan)
 
     def test_radius_bound_enforced(self, inner_res):
-        bound = admissible_radius(INNER, inner_res.modulus)
+        bound = admissible_radius(inner_res.orbit)
         spec = ContourSpec(
             center=2.0 * inner_res.modulus.K + 1j * inner_res.modulus.K_prime,
             radius=bound * 1.5,
@@ -54,7 +59,7 @@ class TestContourSpec:
     def test_default_contour_is_admissible(self, inner_res, rot_res):
         for r in (inner_res, rot_res):
             spec = default_contour(r)
-            assert spec.radius < admissible_radius(r.family_tag, r.modulus)
+            assert spec.radius < admissible_radius(r.orbit)
 
 
 class TestContourIntegrals:
@@ -168,7 +173,7 @@ class TestLaurentProbe:
     @given(k=st.floats(0.05, 0.99), fraction=st.floats(0.01, 0.99), omega=st.floats(0.0, 3.0))
     def test_residues_and_constants_over_k_radius_and_omega(self, k, fraction, omega):
         mod = EllipticModulus.from_k(k)
-        radius = fraction * admissible_radius(INNER, mod)
+        radius = fraction * admissible_radius(OrbitFamily(INNER, mod))
         (res_cn, _), = laurent_probe(lambda tri, t: tri.cn, mod, [radius])
         (res_dn, _), = laurent_probe(lambda tri, t: tri.dn, mod, [radius])
         (_, c_cos), = laurent_probe(lambda tri, t: np.cos(omega * t), mod, [radius])

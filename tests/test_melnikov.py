@@ -153,6 +153,12 @@ class TestSolveResonance:
         if r is None:
             return
         assert abs(r.residual()) <= 1e-10 * target
+        # n periods span the forcing interval: n*4K - 2 pi m/omega = 4n*residual on
+        # inner orbits and n*2kK - 2 pi m/omega = 2n*residual on rotating ones.  For
+        # n in {1, 2} both sides are power-of-two multiples of K - target (or kK -
+        # target), so no ulp allowance is needed: 13,030 solves over this domain
+        # (every m, n and omega 0.5, 1, 2 plus six random omega) met it with none
+        assert abs(n * r.orbit.period - r.forcing_interval) <= 4 * n * abs(r.residual())
         if 4.0 * math.exp(-target) < 1e-3:
             assert len(descents) <= 60
         if r.modulus.k_prime >= 3e-45:
