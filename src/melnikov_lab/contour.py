@@ -73,11 +73,17 @@ def default_contour(r: Resonance, radius_fraction: float = 0.25) -> ContourSpec:
     Rotating family: the half-period point is a zero of dn, not a pole, so
     the center sits a whole number of periods along, at i k K' + 4 n k K,
     which keeps the circle off the lines Re t = 0 and Re t = 2 pi m / omega
-    and leaves the value unchanged by periodicity.
+    and leaves the value unchanged by periodicity.  A center past the float
+    range (4 n k K at a huge n) raises ResidueOverflowError.
     """
     mod, s = r.modulus, r.orbit.time_scale
     shift = 2.0 if r.family_tag == INNER else 4.0 * r.n
     center = shift * s * mod.K + 1j * s * mod.K_prime
+    if not cmath.isfinite(center):
+        raise ResidueOverflowError(
+            f"contour center {center!r} of the {r.family_tag} {r.m}/{r.n} resonance at "
+            f"omega={r.omega!r} overflows the float range"
+        )
     spec = ContourSpec(center=center, radius=radius_fraction * admissible_radius(r.orbit))
     _validate_spec(r, spec)
     return spec

@@ -731,6 +731,17 @@ def test_m_past_the_float_range_is_out_of_range(command):
                    "m or n lies past the float range\n")
 
 
+def test_contour_center_past_the_float_range_exits_3():
+    # rotating m/n ~ 1 solves, but the contour's center 4 n k K overflows; the
+    # draws of the property below never reach an n this large with m/n ~ 1
+    n = 5 * 10**307
+    code, out, err = _exit_code(["contour", "--family", "rotating+", "--m", str(n + 1),
+                                 "--n", str(n), "--omega", "1", "--beta", "1", "--delta", "0"])
+    assert code == EXIT_NUMERIC and out == ""
+    assert err.startswith("melnikov-lab: contour center (inf+") and err.count("\n") == 1
+    assert err.endswith("overflows the float range\n")
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate), suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["melnikov", "contour"]), family=st.sampled_from(FAMILIES),

@@ -61,6 +61,13 @@ class TestContourSpec:
             spec = default_contour(r)
             assert spec.radius < admissible_radius(r.orbit)
 
+    def test_default_contour_center_past_the_float_range_is_named(self):
+        # rotating m/n ~ 1 solves, but its center 4 n k K overflows
+        n = 5 * 10**307
+        r = solve_resonance("rotating+", 1.0, n + 1, n)
+        with pytest.raises(ResidueOverflowError, match=r"contour center \(inf\+"):
+            default_contour(r)
+
 
 class TestContourIntegrals:
     def test_inner_matches_closed_form(self, inner_res):

@@ -1,6 +1,9 @@
+import ast
 import functools
+import inspect
 import math
 import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -511,10 +514,17 @@ class TestVariationalEngine:
         assert np.max(np.abs(final - want)) <= bound
 
 
-# Weight names of the kernel's stage code: scipy's a_ij, b_i, c_i, e5_i and
-# e3_i, and the Nystrom weights aa_ij = (A A)_ij, bb_i = (b A)_i, ee5_i =
-# (e5 A)_i and ee3_i = (e3 A)_i
-KERNEL_WEIGHT = re.compile(r"(aa|a|bb|b|c|ee5_|e5_|ee3_|e3_)(\d+)")
+# The sums of the kernel's stage code in source order, each named by the
+# tableau row it reads: stage i's position (abar_i = (A A)_i, from stage 3
+# on, as abar's first two rows are 0) and damping term (a_i), the new pair
+# (bbar = b A, then b), and in the state pass alone the error terms (e5 A,
+# e3 A, e5, e3).  Entry j of row r is named r + j, as aa31 for abar_31 and
+# ee5_4 for (e5 A)_4.
+_STAGE_ROWS = [row for i in range(2, 13) for row in [f"aa{i}", f"a{i}"][i == 2:]]
+PASS_ROWS = {
+    "state": _STAGE_ROWS + ["bb", "b", "ee5_", "ee3_", "e5_", "e3_"],
+    "column": _STAGE_ROWS + ["bb", "b"],
+}
 
 
 def _times_a(w):
@@ -523,24 +533,73 @@ def _times_a(w):
     return [math.fsum(wj * row[k] for wj, row in zip(w, rows)) for k in range(12)]
 
 
-def _kernel_weights():
-    """{prefix: {name: value}} of the weights poincare._attempt reads.
+def _literal_terms(node, sign=1.0):
+    """[(weight, name)] if node is a sum of float-literal * name products, else None.
 
-    The stage code reads each weight from its closure, so these are the
-    values it computes with.
+    A term after a minus counts with its weight negated.
     """
-    attempt = poincare._attempt
-    cells = dict(zip(attempt.__code__.co_freevars, attempt.__closure__))
-    weights = {}
-    for name, cell in cells.items():
-        match = KERNEL_WEIGHT.fullmatch(name)
-        if match:
-            weights.setdefault(match[1], {})[name] = cell.cell_contents
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        left = _literal_terms(node.left, sign)
+        right = _literal_terms(node.right, -sign if isinstance(node.op, ast.Sub) else sign)
+        return None if left is None or right is None else left + right
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        if isinstance(node.right, ast.Name):
+            try:
+                weight = ast.literal_eval(node.left)
+            except ValueError:
+                return None
+            if isinstance(weight, float):
+                return [(sign * weight, node.right.id)]
+    return None
+
+
+def _literal_sums(node):
+    """Each sum of float-literal * name products in node, in source order."""
+    terms = _literal_terms(node)
+    if terms is not None:
+        return [terms]
+    return [s for child in ast.iter_child_nodes(node) for s in _literal_sums(child)]
+
+
+def _kernel_weights():
+    """{pass: {prefix: {name: value}}} of the weight literals of poincare._attempt.
+
+    They are read from the kernel's source with ast, so these are the
+    values it computes with.  Pass "forcing" holds the c_i that multiply h
+    in the stage forcings efi.  Passes "state" and "column" (the loop over
+    the tangent columns) hold the c_i that multiply the velocity (x2, v) in
+    the stage positions, and their sums of weight * gj, named after
+    PASS_ROWS.  Each sum reads its terms in tableau order.  The error
+    norm's 0.01 * sum3 is the one other literal sum.
+    """
+    tree = ast.parse(textwrap.dedent(inspect.getsource(poincare._attempt)))
+    c_terms = {"h": [], "x2": [], "v": []}
+    stage_sums, others = [], []
+    for terms in _literal_sums(tree):
+        names = [name for _, name in terms]
+        if len(terms) == 1 and names[0] in c_terms:
+            c_terms[names[0]].append(terms[0][0])
+        elif all(re.fullmatch(r"g\d+", name) for name in names):
+            stage_sums.append([(w, int(name[1:])) for w, name in terms])
+        else:
+            others.append(terms)
+    assert others == [[(0.01, "sum3")]]
+    c_names = [f"c{i}" for i in range(2, 13)]
+    weights = {"forcing": {"c": dict(zip(c_names, c_terms["h"], strict=True))}}
+    for pass_, velocity in (("state", "x2"), ("column", "v")):
+        rows, named = PASS_ROWS[pass_], {"c": dict(zip(c_names, c_terms[velocity], strict=True))}
+        for row, terms in zip(rows, stage_sums[: len(rows)], strict=True):
+            columns = [j for _, j in terms]
+            assert columns == sorted(set(columns))  # summed in tableau order
+            entries = named.setdefault(row.rstrip("0123456789"), {})
+            entries |= {f"{row}{j}": w for w, j in terms}
+        weights[pass_], stage_sums = named, stage_sums[len(rows):]
+    assert not stage_sums
     return weights
 
 
 def _nonzero(prefix, weights):
-    """{name: weight} of the nonzero weights, named as the kernel names them.
+    """{name: weight} of the nonzero weights, named as _kernel_weights names them.
 
     Indices count from 1, and a matrix's row index comes before its column.
     """
@@ -601,16 +660,19 @@ def _close(got, want, rel):
 
 class TestDOP853Kernel:
     def test_kernel_reads_every_nonzero_tableau_entry(self):
-        # the kernel reads exactly the nonzero weights, each at its value, so
+        # each pass reads exactly the nonzero weights, each at its value, so
         # every weight it leaves out is exactly 0
         weights = _kernel_weights()
         E5, E3 = DOP853.E5.tolist()[:12], DOP853.E3.tolist()[:12]
         assert DOP853.E5[12] == DOP853.E3[12] == 0.0
-        assert weights["a"] == _nonzero("a", DOP853.A.tolist())
-        assert weights["b"] == _nonzero("b", DOP853.B.tolist())
-        assert weights["e5_"] == _nonzero("e5_", E5)
-        assert weights["e3_"] == _nonzero("e3_", E3)
-        assert weights["c"] == {f"c{i}": c for i, c in enumerate(DOP853.C.tolist()[1:], 2)}
+        c = {f"c{i}": c for i, c in enumerate(DOP853.C.tolist()[1:], 2)}
+        assert weights["forcing"]["c"] == c
+        for pass_ in ("state", "column"):
+            assert weights[pass_]["c"] == c
+            assert weights[pass_]["a"] == _nonzero("a", DOP853.A.tolist())
+            assert weights[pass_]["b"] == _nonzero("b", DOP853.B.tolist())
+        assert weights["state"]["e5_"] == _nonzero("e5_", E5)
+        assert weights["state"]["e3_"] == _nonzero("e3_", E3)
         rule = (poincare._SAFETY, poincare._MIN_FACTOR, poincare._MAX_FACTOR)
         assert rule == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
 
@@ -619,14 +681,15 @@ class TestDOP853Kernel:
         # correctly rounded sum of the products of scipy's tableau
         weights = _kernel_weights()
         abar = [_times_a(row) for row in DOP853.A.tolist()]
-        assert weights["aa"] == _nonzero("aa", abar)
-        assert len(weights["aa"]) == 48
         assert not any(abar[0]) and not any(abar[1]) and all(any(r) for r in abar[2:])
-        for prefix, row in (
-            ("bb", DOP853.B), ("ee5_", DOP853.E5[:12]), ("ee3_", DOP853.E3[:12])
-        ):
-            assert weights[prefix] == _nonzero(prefix, _times_a(row.tolist()))
-            assert len(weights[prefix]) == 9
+        for pass_ in ("state", "column"):
+            assert weights[pass_]["aa"] == _nonzero("aa", abar)
+            assert len(weights[pass_]["aa"]) == 48
+        rows = [("state", "bb", DOP853.B), ("column", "bb", DOP853.B)]
+        rows += [("state", "ee5_", DOP853.E5[:12]), ("state", "ee3_", DOP853.E3[:12])]
+        for pass_, prefix, row in rows:
+            assert weights[pass_][prefix] == _nonzero(prefix, _times_a(row.tolist()))
+            assert len(weights[pass_][prefix]) == 9
         # stage i's position reads ci v in place of sum_j a_ij v: the exact
         # row sums of the rounded tableau are ci to 1.8e-15 (stage 10)
         for row, c in zip(DOP853.A.tolist(), DOP853.C.tolist()):
@@ -680,6 +743,51 @@ class TestDOP853Kernel:
         # the state is scipy's 2-D map too
         assert _close(sol.y[:2, -1], _scipy_map(sys_, eps, m, z, theta).y[:, -1], 1e-13)
         assert sol.nfev == nfev and sol.y[:, -1].tolist() == final
+
+    # Whole inner 5/1 flows at omega = 1 pinned to the last bit, as the
+    # kernel computed them while it read its weights from a closure built at
+    # import: the first flow of the undamped Newton run (at
+    # _COARSE_FLOW_TOL from its Melnikov seed), and flows at _FLOW_TOL from
+    # the damped run's seed and, undamped, from the orbit point a sixth of a
+    # period in, where the tangent map grows to 3e4.  Of 40 reorderings of
+    # one stage sum (its second and third terms swapped), 12 move these
+    # pins, and 23 move no bit of 19 flows tried nor of the seed-7
+    # stroboscopic pass.
+    @pytest.mark.parametrize(
+        "delta, start, tol, final, dp",
+        [
+            pytest.param(
+                0.0, "seed", poincare._COARSE_FLOW_TOL,
+                [-2.9524882544706603, -0.1676149727992961],
+                [[0.056850825749676426, 32.46853426607752],
+                 [-0.06128292802323952, -17.409893540731787]],
+                id="coarse-undamped",
+            ),
+            pytest.param(
+                0.2, "seed", _FLOW_TOL,
+                [-3.022955886675487, -0.07165535409887375],
+                [[7.599714038716195, 12.62482032197187],
+                 [14.148972759159923, 23.635359754589572]],
+                id="damped",
+            ),
+            pytest.param(
+                0.0, "orbit", _FLOW_TOL,
+                [-14.280172491985526, -1.3092802498134586],
+                [[28724.308500878178, 28731.542957707927],
+                 [-21710.99808872889, -21716.466149984397]],
+                id="undamped",
+            ),
+        ],
+    )
+    def test_inner_5_flow_keeps_every_bit(self, delta, start, tol, final, dp):
+        r = solve_resonance("inner", 1.0, 5, 1)
+        sys_, theta = pendulum_system(1.0, delta, 1.0), math.pi / 2.0
+        if start == "seed":
+            point = _melnikov_seeds(sys_, r, theta)[0]
+        else:
+            point = orbit_state(r.orbit, r.orbit.period / 6.0)
+        got_final, got_dp = _variational_map(sys_, 1e-3, 5, (point.x1, point.x2), theta, tol)
+        assert got_final.tolist() == final and got_dp.tolist() == dp
 
     # The benchmark forces at omega = beta = 1 only, where a misplaced omega
     # or beta in the kernel's inlined forcing would not show.  Over a whole
