@@ -13,10 +13,11 @@ with time.perf_counter and nothing wrapped.  It prints one JSON line,
 flows and RHS evaluations (counted by wrapping poincare.solve_ivp, as
 tests/answer_digest.py does) and its step attempts and accepted steps
 (counted by wrapping poincare._attempt, which the kernel reads once per
-flow).  Run it alternately on two trees to pair a kernel change: the
-traced perfbench run's poincare.flow_s includes the tracer's own cost, and
-the untraced run times whole items.  Each pass takes about 0.2 s on a
-2-CPU Xeon; pytest does not collect it.
+flow).  Run it alternately on two trees to pair a kernel change: one
+traced perfbench pass per side cannot resolve one, as its poincare.flow_s
+has read 1.6x apart for the same work, and the untraced run times whole
+items.  Each pass takes about 0.15 s on a 2-CPU Xeon; pytest does not
+collect it.
 """
 
 import json
@@ -73,7 +74,8 @@ def main(passes):
         start = time.perf_counter()
         run_pass()
         times.append(time.perf_counter() - start)
-    return {"passes": passes, "median_s": statistics.median(times), "best_s": min(times)} | counts
+    timing = {"passes": passes, "median_s": statistics.median(times), "best_s": min(times)}
+    return timing | counts
 
 
 if __name__ == "__main__":

@@ -520,7 +520,7 @@ class TestVariationalEngine:
 # (bbar = b A, then b), and in the state pass alone the error terms (e5 A,
 # e3 A, e5, e3).  Entry j of row r is named r + j, as aa31 for abar_31 and
 # ee5_4 for (e5 A)_4.
-_STAGE_ROWS = [row for i in range(2, 13) for row in [f"aa{i}", f"a{i}"][i == 2:]]
+_STAGE_ROWS = [row for i in range(2, 13) for row in ([f"aa{i}"] if i > 2 else []) + [f"a{i}"]]
 PASS_ROWS = {
     "state": _STAGE_ROWS + ["bb", "b", "ee5_", "ee3_", "e5_", "e3_"],
     "column": _STAGE_ROWS + ["bb", "b"],
