@@ -509,9 +509,15 @@ def simple_zeros(curve: MelnikovCurve) -> Tuple[MelnikovZero, ...]:
     so certificates can tell "no zero" from "degenerate zero".  Every
     other zero has |slope| >= 1e-6 |cos_coeff| and is simple.  Both tests
     are relative to max(|const_term|, |cos_coeff|), so a curve and its
-    scaled copies have the same zeros.
+    scaled copies have the same zeros.  A coefficient that is not finite
+    (an m or n near the float range overflows the closed form, and at
+    delta = 0 its const_term is -0 * inf = nan) raises ResidueOverflowError.
     """
     c, a = curve.const_term, curve.cos_coeff
+    if not (math.isfinite(c) and math.isfinite(a)):
+        raise ResidueOverflowError(
+            f"Melnikov curve coefficients {c!r} and {a!r} overflow the float range"
+        )
     scale = max(abs(c), abs(a))
     if abs(a) <= _TANGENCY_TOL * scale:
         return ()

@@ -8,12 +8,12 @@ O(epsilon) distance from the unperturbed resonant orbit.
 
 Every flow is one system, the state (x1, x2) and its tangent map
 (_derivative).  The flows are nearly all of the cost, and a 6-D state is
-too small for numpy to pay for itself, so scipy.integrate.solve_ivp drives
-_DOP853Kernel, whose one step() runs the whole flow on Python floats with
-_attempt, the DOP853 stages written out with the tableau's weights as
-float literals (_dop853_attempt).  Newton (_newton) runs each flow only as
-fine as the step it resolves, and answers as Newton with every flow at
-_FLOW_TOL.
+too small for numpy to pay for itself, so one function, _dop853_flow, runs
+a whole flow on Python floats: scipy's DOP853 set-up and step-size loop,
+with the stages written out and the tableau's weights as float literals.
+scipy.integrate.solve_ivp reaches it through _DOP853Kernel, whose one
+step() is the flow.  Newton (_newton) runs each flow only as fine as the
+step it resolves, and answers as Newton with every flow at _FLOW_TOL.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import OdeSolver, solve_ivp
 
 from .melnikov import (
     IntegrationFailure,
@@ -69,8 +69,14 @@ _CONTRACTION = 0.5
 _ORBIT_SAMPLES = 1024  # coarse grid of the distance-to-orbit search
 _SCALING_BAND = 2.0  # largest max/min of distance/|eps| that scaling_band accepts
 
-# scipy's DOP853 step-size rule (scipy/integrate/_ivp/rk.py)
+# scipy's DOP853 step-size rule (scipy/integrate/_ivp/rk.py), its error
+# estimator being of order 7
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 8
+# scipy's first-step guess (scipy/integrate/_ivp/common.py): the RMS norm's
+# divisor over the 6 components, and the exponent of the second guess
+_RMS = 6**0.5
+_GUESS_EXPONENT = 1 / 8
 
 
 def _derivative(t, y, forcing):
@@ -92,36 +98,51 @@ def _derivative(t, y, forcing):
     ]
 
 
-def _dop853_attempt():
-    """One DOP853 step attempt of the variational flow, in Nystrom form.
+def _dop853_flow(t, y, t_bound, forcing, tol, max_steps):
+    """The variational flow from (t, y) to t_bound by DOP853, on Python floats.
 
-    attempt(t, y, k1, h, forcing, tol) steps y = (x1, x2, p11, p12, p21,
-    p22), the state and its tangent map, with k1 its derivative at t and
-    forcing = (eps, beta, delta, omega, theta).  It returns (error_norm,
-    y_new, f_new): scipy's DOP853 error norm of y with atol = rtol = tol on
-    x1 and x2 and atol = inf on the four tangent components, which add 0
-    to it but count among its 6 components; the new state, and its
-    derivative at t + h, from _derivative.
+    y = (x1, x2, p11, p12, p21, p22) is the state and its tangent map
+    under forcing = (eps, beta, delta, omega, theta), and the flow must run
+    forward (t_bound > t).  It is scipy's DOP853 (scipy.integrate.DOP853,
+    with its rk.py step-size rule and min_step) with atol = rtol = tol on x1
+    and x2 and atol = inf on the four tangent components, which add 0 to the
+    error norm but count among its 6 components, no max_step and no dense
+    output.  Returns (t, y, f, h_abs, attempts, accepted, message): the
+    final time, state, derivative and next step size, the step attempts
+    made and those accepted, and message None if the flow reached t_bound,
+    else why it stopped.  After max_steps attempts, accepted or not, it
+    stops; max_steps = 0 returns the set-up itself.  It evaluates the
+    right-hand side 2 + 12 * attempts times, 2 of them by _derivative.
 
-    The state and each column of the tangent map are a pair (u, v) with
-    u' = v and v' = g, and of k1 the attempt reads the accelerations alone.
-    A Runge-Kutta method on such a pair is the Nystrom method with
-    abar = A A and bbar = b A (Hairer, Norsett & Wanner, Solving ODEs I,
-    II.14).  Stage i has the position ui = u + h (ci v + h sum_j abar_ij
-    gj), the new pair is (u + h (v + h sum_j bbar_j gj), v + h sum_j b_j
-    gj), and the x1 error terms are h sum_j (e A)_j gj, since
-    sum_j a_ij = ci, sum_j b_j = 1 and sum_j e_j = 0.  So only the damping
-    term needs the stage velocity vi = v + h sum_j a_ij gj, and vi is
-    formed only where damping = eps*delta is not 0.
+    The set-up is scipy's: f(t) from _derivative, then scipy's first-step
+    guess (Hairer, Norsett & Wanner, Solving ODEs I, II.4), which calls
+    _derivative once more.  Its scale, norms and step sizes are computed
+    with numpy, as scipy computes them, so the guess is scipy's bit for bit
+    on any BLAS, and where it overflows (a huge epsilon) it keeps numpy's
+    inf and nan, with numpy's warnings silenced, and the tiny step it picks
+    fails the flow on the step-size rule's own terms.
+
+    Each attempt runs the stages in Nystrom form.  The state and each
+    column of the tangent map are a pair (u, v) with u' = v and v' = g, and
+    of the first stage an attempt reads the accelerations alone.  A
+    Runge-Kutta method on such a pair is the Nystrom method with abar = A A
+    and bbar = b A (Hairer, Norsett & Wanner, Solving ODEs I, II.14).  Stage
+    i has the position ui = u + h (ci v + h sum_j abar_ij gj), the new pair
+    is (u + h (v + h sum_j bbar_j gj), v + h sum_j b_j gj), and the x1 error
+    terms are h sum_j (e A)_j gj, since sum_j a_ij = ci, sum_j b_j = 1 and
+    sum_j e_j = 0.  So only the damping term needs the stage velocity vi =
+    v + h sum_j a_ij gj, and vi is formed only where damping = eps*delta is
+    not 0.
 
     The state pass runs first, over (x1, x2), with gi = -sin(ui) + efi -
     damping vi, efi = eps beta cos(omega (t + ci h) + theta) being the
     forcing at stage i; it keeps each stage's -cos x1 in ncxi.  Then comes
-    the error norm: an attempt whose norm is not below 1 is rejected and
-    returns (error_norm, None, None) without the tangent stages.  Then one
-    loop runs the two columns, (p11, p21) and (p12, p22), with gi = ncxi ui
-    - damping vi.  Each stage evaluates the right-hand side inline with the
-    expressions of _derivative, and sums its terms in tableau order.
+    the error norm, and a rejected attempt goes no further.  An accepted one
+    runs one loop over the two columns, (p11, p21) and (p12, p22), with gi =
+    ncxi ui - damping vi, and then the next step's first stage, the three
+    accelerations of _derivative at t + h.  Each stage, and that first
+    stage, evaluates the right-hand side inline with the expressions of
+    _derivative, and each stage sums its terms in tableau order.
 
     The weights are float literals, the nonzero ones alone.  Stage i reads
     c_i, then abar_ij in its position and a_ij in its damping term; the new
@@ -132,164 +153,202 @@ def _dop853_attempt():
     of the math.fsum of its products of scipy's weights, a sum rounded once,
     so none depends on the BLAS; the tests read them back from this source.
     """
+    eps, beta, delta, omega, theta = forcing
+    f = _derivative(t, y, forcing)
+    with np.errstate(all="ignore"):
+        y0, f0 = np.array(y), np.array(f)
+        scale = np.array([tol, tol, math.inf, math.inf, math.inf, math.inf]) + np.abs(y0) * tol
+        d0 = np.linalg.norm(y0 / scale) / _RMS
+        d1 = np.linalg.norm(f0 / scale) / _RMS
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, t_bound - t)
+        f1 = np.array(_derivative(t + h0, y0 + h0 * f0, forcing))
+        d2 = np.linalg.norm((f1 - f0) / scale) / _RMS / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** _GUESS_EXPONENT
+        h_abs = float(min(100 * h0, h1, t_bound - t))
     cos, sin = math.cos, math.sin
-
-    def attempt(t, y, k1, h, forcing, tol):
-        eps, beta, delta, omega, theta = forcing
-        x1, x2, p11, p12, p21, p22 = y
-        damping = eps * delta
-        damped = damping != 0.0
-        ef2 = eps * (beta * cos(omega * (t + 0.05260015195876773 * h) + theta))
-        ef3 = eps * (beta * cos(omega * (t + 0.0789002279381516 * h) + theta))
-        ef4 = eps * (beta * cos(omega * (t + 0.1183503419072274 * h) + theta))
-        ef5 = eps * (beta * cos(omega * (t + 0.2816496580927726 * h) + theta))
-        ef6 = eps * (beta * cos(omega * (t + 0.3333333333333333 * h) + theta))
-        ef7 = eps * (beta * cos(omega * (t + 0.25 * h) + theta))
-        ef8 = eps * (beta * cos(omega * (t + 0.3076923076923077 * h) + theta))
-        ef9 = eps * (beta * cos(omega * (t + 0.6512820512820513 * h) + theta))
-        ef10 = eps * (beta * cos(omega * (t + 0.6 * h) + theta))
-        ef11 = eps * (beta * cos(omega * (t + 0.8571428571428571 * h) + theta))
-        ef12 = eps * (beta * cos(omega * (t + 1.0 * h) + theta))
-        g1 = k1[1]
-        ui = x1 + h * (0.05260015195876773 * x2)
-        ncx2, g2 = -cos(ui), ef2 - sin(ui)
-        if damped:
-            g2 -= damping * (x2 + (0.05260015195876773 * g1) * h)
-        ui = x1 + h * (0.0789002279381516 * x2 + h * (0.003112622984346139 * g1))
-        ncx3, g3 = -cos(ui), ef3 - sin(ui)
-        if damped:
-            g3 -= damping * (x2 + (0.0197250569845379 * g1 + 0.0591751709536137 * g2) * h)
-        ui = x1 + h * (0.1183503419072274 * x2 + h * (
-            0.0017508504286947032 * g1 + 0.00525255128608411 * g2
-        ))
-        ncx4, g4 = -cos(ui), ef4 - sin(ui)
-        if damped:
-            g4 -= damping * (x2 + (0.02958758547680685 * g1 + 0.08876275643042054 * g3) * h)
-        ui = x1 + h * (0.2816496580927726 * x2 + h * (
-            0.009915816237971966 * g1 - 0.05234336665618132 * g2 + 0.0820908153700972 * g3
-        ))
-        ncx5, g5 = -cos(ui), ef5 - sin(ui)
-        if damped:
-            g5 -= damping * (x2 + (
-                0.2413651341592667 * g1 - 0.8845494793282861 * g3 + 0.924834003261792 * g4
-            ) * h)
-        ui = x1 + h * (0.3333333333333333 * x2 + h * (
-            0.03533793130488635 * g1 - 0.09581915952175495 * g3 + 0.11603678377242414 * g4
-        ))
-        ncx6, g6 = -cos(ui), ef6 - sin(ui)
-        if damped:
-            g6 -= damping * (x2 + (
-                0.037037037037037035 * g1 + 0.17082860872947386 * g4 + 0.12546768756682242 * g5
-            ) * h)
-        ui = x1 + h * (0.25 * x2 + h * (
-            0.018920483189113914 * g1 - 0.03815245266364542 * g3 + 0.05268745617004205 * g4
-            - 0.00220548669551055 * g5
-        ))
-        ncx7, g7 = -cos(ui), ef7 - sin(ui)
-        if damped:
-            g7 -= damping * (x2 + (
-                0.037109375 * g1 + 0.17025221101954405 * g4 + 0.06021653898045596 * g5
-                - 0.017578125 * g6
-            ) * h)
-        ui = x1 + h * (0.3076923076923077 * x2 + h * (
-            0.03067021189623757 * g1 - 0.07975482628537982 * g3 + 0.0979912056772412 * g4
-            - 0.0014238754814449106 * g5 - 0.00014543770014516837 * g6
-        ))
-        ncx8, g8 = -cos(ui), ef8 - sin(ui)
-        if damped:
-            g8 -= damping * (x2 + (
-                0.03709200011850479 * g1 + 0.17038392571223998 * g4 + 0.10726203044637328 * g5
-                - 0.015319437748624402 * g6 + 0.008273789163814023 * g7
-            ) * h)
-        ui = x1 + h * (0.6512820512820513 * x2 + h * (
-            -0.1522908972762203 * g1 + 0.4696608773351988 * g3 - 0.0681414047027935 * g4
-            + 0.010711857531715552 * g5 + 0.3119698547460422 * g6 - 0.35982613247286355 * g7
-        ))
-        ncx9, g9 = -cos(ui), ef9 - sin(ui)
-        if damped:
-            g9 -= damping * (x2 + (
-                0.6241109587160757 * g1 - 3.3608926294469414 * g4 - 0.868219346841726 * g5
-                + 27.59209969944671 * g6 + 20.154067550477894 * g7 - 43.48988418106996 * g8
-            ) * h)
-        ui = x1 + h * (0.6 * x2 + h * (
-            -0.11020716722377497 * g1 + 0.30128953154727944 * g3 + 0.078657353495164 * g4
-            + 0.030838873981239086 * g5 - 0.31960414755130306 * g6 - 0.6851760518136165 * g7
-            + 0.8842016075650119 * g8
-        ))
-        ncx10, g10 = -cos(ui), ef10 - sin(ui)
-        if damped:
-            g10 -= damping * (x2 + (
-                0.47766253643826434 * g1 - 2.4881146199716677 * g4 - 0.590290826836843 * g5
-                + 21.230051448181193 * g6 + 15.279233632882423 * g7 - 33.28821096898486 * g8
-                - 0.020331201708508627 * g9
-            ) * h)
-        ui = x1 + h * (0.8571428571428571 * x2 + h * (
-            0.3721894995071433 * g1 - 0.5050736261155677 * g3 - 0.461498746485582 * g4
-            - 0.06518509348541879 * g5 + 4.098038403866566 * g6 + 3.8922102844072426 * g7
-            - 7.025278165955342 * g8 + 0.06194438303648047 * g9
-        ))
-        ncx11, g11 = -cos(ui), ef11 - sin(ui)
-        if damped:
-            g11 -= damping * (x2 + (
-                -0.9371424300859873 * g1 + 5.186372428844064 * g4 + 1.0914373489967295 * g5
-                - 8.149787010746927 * g6 - 18.52006565999696 * g7 + 22.739487099350505 * g8
-                + 2.4936055526796523 * g9 - 3.0467644718982196 * g10
-            ) * h)
-        ui = x1 + h * (1.0 * x2 + h * (
-            -0.7650750098382325 * g1 + 0.8347994820739503 * g3 + 1.7559441441931138 * g4
-            + 0.23253698859550637 * g5 + 11.903719357881844 * g6 - 1.9034949405460369 * g7
-            - 10.951226401858365 * g8 + 1.3530625395360725 * g9 - 1.9602661600378632 * g10
-        ))
-        ncx12, g12 = -cos(ui), ef12 - sin(ui)
-        if damped:
-            g12 -= damping * (x2 + (
-                2.273310147516538 * g1 - 10.53449546673725 * g4 - 2.0008720582248625 * g5
-                - 17.9589318631188 * g6 + 27.94888452941996 * g7 - 2.8589982771350235 * g8
-                - 8.87285693353063 * g9 + 12.360567175794303 * g10 + 0.6433927460157636 * g11
-            ) * h)
-        x1_new = x1 + h * (x2 + h * (
-            0.054293734116568765 * g1 + 3.3306690738754696e-16 * g4
-            - 1.3877787807814457e-17 * g5 + 2.96687526183494 * g6 + 1.4186384244858758 * g7
-            - 4.016218126161174 * g8 + 0.10850859975965009 * g9 - 0.06086437986500637 * g10
-            + 0.028766485829147193 * g11
-        ))
-        x2_new = x2 + h * (
-            0.054293734116568765 * g1 + 4.450312892752409 * g6 + 1.8915178993145003 * g7
-            - 5.801203960010585 * g8 + 0.3111643669578199 * g9 - 0.1521609496625161 * g10
-            + 0.20136540080403034 * g11 + 0.04471061572777259 * g12
-        )
-        scale = tol + max(abs(x1), abs(x1_new)) * tol
-        err5 = h * (
-            -0.18865188001798794 * g1 + 0.9962151331241325 * g4 + 0.23599761577747433 * g5
-            - 2.854630682350912 * g6 - 4.082808827933706 * g7 + 6.038341535948958 * g8
-            + 0.39584534789657555 * g9 - 0.5259249995299615 * g10 - 0.014383242914573597 * g11
-        ) / scale
-        err3 = h * (
-            -0.4538545734291735 * g1 + 2.698758502261862 * g4 + 0.6812767760191378 * g5
-            - 16.885342816594818 * g6 - 13.987876814514605 * g7 + 27.96175549233409 * g8
-            + 0.30423338505811987 * g9 - 0.3335239499192925 * g10 + 0.014573998784681819 * g11
-        ) / scale
-        sum5, sum3 = err5 * err5, err3 * err3
-        scale = tol + max(abs(x2), abs(x2_new)) * tol
-        err5 = (
-            0.01312004499419488 * g1 - 1.2251564463762044 * g6 - 0.4957589496572502 * g7
-            + 1.6643771824549864 * g8 - 0.35032884874997366 * g9 + 0.3341791187130175 * g10
-            + 0.08192320648511571 * g11 - 0.022355307863886294 * g12
-        ) / scale
-        err3 = (
-            -0.18980075407240762 * g1 + 4.450312892752409 * g6 + 1.8915178993145003 * g7
-            - 5.801203960010585 * g8 - 0.4226823213237919 * g9 - 0.1521609496625161 * g10
-            + 0.20136540080403034 * g11 + 0.02265179219836082 * g12
-        ) / scale
-        sum5 += err5 * err5
-        sum3 += err3 * err3
-        error_norm = 0.0
-        if sum5 or sum3:
-            error_norm = abs(h) * sum5 / math.sqrt((sum5 + 0.01 * sum3) * 6)
-        if not error_norm < 1.0:  # rejected, a NaN norm too
-            return error_norm, None, None
+    x1, x2, p11, p12, p21, p22 = y
+    a, a1, a2 = f[1], f[4], f[5]  # the first stage's accelerations
+    damping = eps * delta
+    damped = damping != 0.0
+    attempts = accepted = 0
+    message = None
+    while t < t_bound:
+        min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        cap = _MAX_FACTOR
+        while True:
+            if h_abs < min_step:
+                message = OdeSolver.TOO_SMALL_STEP
+                break
+            if attempts == max_steps:
+                message = f"step budget of {max_steps} spent at t = {t:.6g} of {t_bound:.6g}"
+                break
+            attempts += 1
+            t_new = t + h_abs
+            if t_new > t_bound:
+                t_new = t_bound
+            h = h_abs = t_new - t
+            ef2 = eps * (beta * cos(omega * (t + 0.05260015195876773 * h) + theta))
+            ef3 = eps * (beta * cos(omega * (t + 0.0789002279381516 * h) + theta))
+            ef4 = eps * (beta * cos(omega * (t + 0.1183503419072274 * h) + theta))
+            ef5 = eps * (beta * cos(omega * (t + 0.2816496580927726 * h) + theta))
+            ef6 = eps * (beta * cos(omega * (t + 0.3333333333333333 * h) + theta))
+            ef7 = eps * (beta * cos(omega * (t + 0.25 * h) + theta))
+            ef8 = eps * (beta * cos(omega * (t + 0.3076923076923077 * h) + theta))
+            ef9 = eps * (beta * cos(omega * (t + 0.6512820512820513 * h) + theta))
+            ef10 = eps * (beta * cos(omega * (t + 0.6 * h) + theta))
+            ef11 = eps * (beta * cos(omega * (t + 0.8571428571428571 * h) + theta))
+            ef12 = eps * (beta * cos(omega * (t + 1.0 * h) + theta))
+            g1 = a
+            ui = x1 + h * (0.05260015195876773 * x2)
+            ncx2, g2 = -cos(ui), ef2 - sin(ui)
+            if damped:
+                g2 -= damping * (x2 + (0.05260015195876773 * g1) * h)
+            ui = x1 + h * (0.0789002279381516 * x2 + h * (0.003112622984346139 * g1))
+            ncx3, g3 = -cos(ui), ef3 - sin(ui)
+            if damped:
+                g3 -= damping * (x2 + (0.0197250569845379 * g1 + 0.0591751709536137 * g2) * h)
+            ui = x1 + h * (0.1183503419072274 * x2 + h * (
+                0.0017508504286947032 * g1 + 0.00525255128608411 * g2
+            ))
+            ncx4, g4 = -cos(ui), ef4 - sin(ui)
+            if damped:
+                g4 -= damping * (x2 + (0.02958758547680685 * g1 + 0.08876275643042054 * g3) * h)
+            ui = x1 + h * (0.2816496580927726 * x2 + h * (
+                0.009915816237971966 * g1 - 0.05234336665618132 * g2 + 0.0820908153700972 * g3
+            ))
+            ncx5, g5 = -cos(ui), ef5 - sin(ui)
+            if damped:
+                g5 -= damping * (x2 + (
+                    0.2413651341592667 * g1 - 0.8845494793282861 * g3 + 0.924834003261792 * g4
+                ) * h)
+            ui = x1 + h * (0.3333333333333333 * x2 + h * (
+                0.03533793130488635 * g1 - 0.09581915952175495 * g3 + 0.11603678377242414 * g4
+            ))
+            ncx6, g6 = -cos(ui), ef6 - sin(ui)
+            if damped:
+                g6 -= damping * (x2 + (
+                    0.037037037037037035 * g1 + 0.17082860872947386 * g4 + 0.12546768756682242 * g5
+                ) * h)
+            ui = x1 + h * (0.25 * x2 + h * (
+                0.018920483189113914 * g1 - 0.03815245266364542 * g3 + 0.05268745617004205 * g4
+                - 0.00220548669551055 * g5
+            ))
+            ncx7, g7 = -cos(ui), ef7 - sin(ui)
+            if damped:
+                g7 -= damping * (x2 + (
+                    0.037109375 * g1 + 0.17025221101954405 * g4 + 0.06021653898045596 * g5
+                    - 0.017578125 * g6
+                ) * h)
+            ui = x1 + h * (0.3076923076923077 * x2 + h * (
+                0.03067021189623757 * g1 - 0.07975482628537982 * g3 + 0.0979912056772412 * g4
+                - 0.0014238754814449106 * g5 - 0.00014543770014516837 * g6
+            ))
+            ncx8, g8 = -cos(ui), ef8 - sin(ui)
+            if damped:
+                g8 -= damping * (x2 + (
+                    0.03709200011850479 * g1 + 0.17038392571223998 * g4 + 0.10726203044637328 * g5
+                    - 0.015319437748624402 * g6 + 0.008273789163814023 * g7
+                ) * h)
+            ui = x1 + h * (0.6512820512820513 * x2 + h * (
+                -0.1522908972762203 * g1 + 0.4696608773351988 * g3 - 0.0681414047027935 * g4
+                + 0.010711857531715552 * g5 + 0.3119698547460422 * g6 - 0.35982613247286355 * g7
+            ))
+            ncx9, g9 = -cos(ui), ef9 - sin(ui)
+            if damped:
+                g9 -= damping * (x2 + (
+                    0.6241109587160757 * g1 - 3.3608926294469414 * g4 - 0.868219346841726 * g5
+                    + 27.59209969944671 * g6 + 20.154067550477894 * g7 - 43.48988418106996 * g8
+                ) * h)
+            ui = x1 + h * (0.6 * x2 + h * (
+                -0.11020716722377497 * g1 + 0.30128953154727944 * g3 + 0.078657353495164 * g4
+                + 0.030838873981239086 * g5 - 0.31960414755130306 * g6 - 0.6851760518136165 * g7
+                + 0.8842016075650119 * g8
+            ))
+            ncx10, g10 = -cos(ui), ef10 - sin(ui)
+            if damped:
+                g10 -= damping * (x2 + (
+                    0.47766253643826434 * g1 - 2.4881146199716677 * g4 - 0.590290826836843 * g5
+                    + 21.230051448181193 * g6 + 15.279233632882423 * g7 - 33.28821096898486 * g8
+                    - 0.020331201708508627 * g9
+                ) * h)
+            ui = x1 + h * (0.8571428571428571 * x2 + h * (
+                0.3721894995071433 * g1 - 0.5050736261155677 * g3 - 0.461498746485582 * g4
+                - 0.06518509348541879 * g5 + 4.098038403866566 * g6 + 3.8922102844072426 * g7
+                - 7.025278165955342 * g8 + 0.06194438303648047 * g9
+            ))
+            ncx11, g11 = -cos(ui), ef11 - sin(ui)
+            if damped:
+                g11 -= damping * (x2 + (
+                    -0.9371424300859873 * g1 + 5.186372428844064 * g4 + 1.0914373489967295 * g5
+                    - 8.149787010746927 * g6 - 18.52006565999696 * g7 + 22.739487099350505 * g8
+                    + 2.4936055526796523 * g9 - 3.0467644718982196 * g10
+                ) * h)
+            ui = x1 + h * (1.0 * x2 + h * (
+                -0.7650750098382325 * g1 + 0.8347994820739503 * g3 + 1.7559441441931138 * g4
+                + 0.23253698859550637 * g5 + 11.903719357881844 * g6 - 1.9034949405460369 * g7
+                - 10.951226401858365 * g8 + 1.3530625395360725 * g9 - 1.9602661600378632 * g10
+            ))
+            ncx12, g12 = -cos(ui), ef12 - sin(ui)
+            if damped:
+                g12 -= damping * (x2 + (
+                    2.273310147516538 * g1 - 10.53449546673725 * g4 - 2.0008720582248625 * g5
+                    - 17.9589318631188 * g6 + 27.94888452941996 * g7 - 2.8589982771350235 * g8
+                    - 8.87285693353063 * g9 + 12.360567175794303 * g10 + 0.6433927460157636 * g11
+                ) * h)
+            x1_new = x1 + h * (x2 + h * (
+                0.054293734116568765 * g1 + 3.3306690738754696e-16 * g4
+                - 1.3877787807814457e-17 * g5 + 2.96687526183494 * g6 + 1.4186384244858758 * g7
+                - 4.016218126161174 * g8 + 0.10850859975965009 * g9 - 0.06086437986500637 * g10
+                + 0.028766485829147193 * g11
+            ))
+            x2_new = x2 + h * (
+                0.054293734116568765 * g1 + 4.450312892752409 * g6 + 1.8915178993145003 * g7
+                - 5.801203960010585 * g8 + 0.3111643669578199 * g9 - 0.1521609496625161 * g10
+                + 0.20136540080403034 * g11 + 0.04471061572777259 * g12
+            )
+            scale = tol + max(abs(x1), abs(x1_new)) * tol
+            err5 = h * (
+                -0.18865188001798794 * g1 + 0.9962151331241325 * g4 + 0.23599761577747433 * g5
+                - 2.854630682350912 * g6 - 4.082808827933706 * g7 + 6.038341535948958 * g8
+                + 0.39584534789657555 * g9 - 0.5259249995299615 * g10 - 0.014383242914573597 * g11
+            ) / scale
+            err3 = h * (
+                -0.4538545734291735 * g1 + 2.698758502261862 * g4 + 0.6812767760191378 * g5
+                - 16.885342816594818 * g6 - 13.987876814514605 * g7 + 27.96175549233409 * g8
+                + 0.30423338505811987 * g9 - 0.3335239499192925 * g10 + 0.014573998784681819 * g11
+            ) / scale
+            sum5, sum3 = err5 * err5, err3 * err3
+            scale = tol + max(abs(x2), abs(x2_new)) * tol
+            err5 = (
+                0.01312004499419488 * g1 - 1.2251564463762044 * g6 - 0.4957589496572502 * g7
+                + 1.6643771824549864 * g8 - 0.35032884874997366 * g9 + 0.3341791187130175 * g10
+                + 0.08192320648511571 * g11 - 0.022355307863886294 * g12
+            ) / scale
+            err3 = (
+                -0.18980075407240762 * g1 + 4.450312892752409 * g6 + 1.8915178993145003 * g7
+                - 5.801203960010585 * g8 - 0.4226823213237919 * g9 - 0.1521609496625161 * g10
+                + 0.20136540080403034 * g11 + 0.02265179219836082 * g12
+            ) / scale
+            sum5 += err5 * err5
+            sum3 += err3 * err3
+            error_norm = 0.0
+            if sum5 or sum3:
+                error_norm = abs(h) * sum5 / math.sqrt((sum5 + 0.01 * sum3) * 6)
+            if error_norm < 1.0:
+                break
+            # rejected, a NaN norm too
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            cap = 1.0  # no growth after a rejection
+        if message is not None:
+            break
+        h_abs *= min(cap, _SAFETY * error_norm**_ERROR_EXPONENT) if error_norm else cap
         columns = []
-        for u, v, g1 in ((p11, p21, k1[4]), (p12, p22, k1[5])):
+        for u, v, g1 in ((p11, p21, a1), (p12, p22, a2)):
             g2 = ncx2 * (u + h * (0.05260015195876773 * v))
             if damped:
                 g2 -= damping * (v + (0.05260015195876773 * g1) * h)
@@ -392,76 +451,41 @@ def _dop853_attempt():
             )
             columns.append((u_new, v_new))
         (p11, p21), (p12, p22) = columns
-        y_new = (x1_new, x2_new, p11, p12, p21, p22)
-        return error_norm, y_new, _derivative(t + h, y_new, forcing)
-    return attempt
+        x1, x2 = x1_new, x2_new
+        c = cos(x1)
+        a = -sin(x1) + eps * (beta * cos(omega * (t + h) + theta) - delta * x2)
+        a1 = -c * p11 - damping * p21
+        a2 = -c * p12 - damping * p22
+        t = t_new
+        accepted += 1
+    y = (x1, x2, p11, p12, p21, p22)
+    return t, y, [x2, a, p21, p22, a1, a2], h_abs, attempts, accepted, message
 
 
-_attempt = _dop853_attempt()
+class _DOP853Kernel(OdeSolver):
+    """solve_ivp's handle on _dop853_flow: one step() runs the whole flow.
 
-
-class _DOP853Kernel(DOP853):
-    """scipy's DOP853 on the pendulum's variational flow, the whole flow in one step().
-
-    solve_ivp(_derivative, span, y0, method=_DOP853Kernel, max_steps=...,
-    forcing=forcing, args=(forcing,)) integrates the state and tangent map
-    y = (x1, x2, p11, p12, p21, p22) under forcing = (eps, beta, delta,
-    omega, theta).  scipy's own set-up (first RHS call, initial step,
-    tolerances) runs unchanged.  Then one step() covers the flow:
-    _step_impl loops on Python floats under rk.py's step-size rule and
-    min_step, with _attempt (see _dop853_attempt) in place of its numpy
-    stages, until t_bound.  So t_old is the flow start, and sol.t holds the
-    two ends alone.  The flow must run forward (t_bound > t0) with no max_step:
-    _step_impl reads neither direction nor max_step.  x1 and x2 must have
-    atol = rtol, and the tangent components atol = inf, which drops them
-    out of scipy's norm too: _attempt reads rtol alone.  In exact
-    arithmetic this is scipy's method; _attempt sums each stage left to
-    right where scipy's BLAS dot may not, so the states agree with scipy's
-    to round-off, and the steps are scipy's wherever no accept/reject or
-    step-size decision rests on that round-off.  Each attempt counts 12 RHS
-    evaluations in nfev, as scipy's steps do.  After max_steps attempts,
-    accepted or not, the flow fails.  No dense output.
+    solve_ivp(_derivative, (t0, t_bound), y0, method=_DOP853Kernel,
+    tol=tol, max_steps=max_steps, forcing=forcing, args=(forcing,)) returns
+    _dop853_flow's flow of the state and tangent map y0 under forcing, with
+    sol.t holding the flow's two ends alone, nfev its 2 + 12 * attempts RHS
+    evaluations, and its message where it stops short of t_bound.  The
+    flow evaluates _derivative itself and never calls fun.  This class is
+    kept only so that flows run through solve_ivp, where the benchmark's
+    tracer counts them; OdeSolver's dense output raises NotImplementedError.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, max_steps, forcing, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self._max_steps, self._forcing = max_steps, forcing
+    def __init__(self, fun, t0, y0, t_bound, vectorized, tol, max_steps, forcing):
+        super().__init__(fun, t0, y0, t_bound, vectorized)
+        self._flow_args = forcing, tol, max_steps
 
     def _step_impl(self):
-        t, y, f, h_abs = self.t, self.y.tolist(), self.f.tolist(), float(self.h_abs)
-        t_bound = self.t_bound
-        tol, exponent = float(self.rtol), self.error_exponent
-        attempt, forcing, steps_left = _attempt, self._forcing, self._max_steps
-        try:
-            while t < t_bound:
-                min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
-                h_abs = max(h_abs, min_step)
-                cap = _MAX_FACTOR
-                while True:
-                    if h_abs < min_step:
-                        return False, self.TOO_SMALL_STEP
-                    if steps_left == 0:
-                        budget = f"step budget of {self._max_steps} spent"
-                        return False, f"{budget} at t = {t:.6g} of {t_bound:.6g}"
-                    steps_left -= 1
-                    t_new = t + h_abs
-                    if t_new > t_bound:
-                        t_new = t_bound
-                    h = h_abs = t_new - t
-                    error_norm, y_new, f_new = attempt(t, y, f, h, forcing, tol)
-                    if error_norm < 1.0:
-                        break
-                    h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**exponent)
-                    cap = 1.0  # no growth after a rejection
-                h_abs *= min(cap, _SAFETY * error_norm**exponent) if error_norm else cap
-                t, y, f = t_new, y_new, f_new
-            return True, None
-        finally:
-            self.nfev += 12 * (self._max_steps - steps_left)
-            self.t, self.y, self.f, self.h_abs = t, y, f, h_abs
-
-    def _dense_output_impl(self):
-        raise NotImplementedError("_DOP853Kernel keeps no dense output")
+        t, y, _, _, attempts, _, message = _dop853_flow(
+            self.t, self.y.tolist(), self.t_bound, *self._flow_args
+        )
+        self.t, self.y = t, np.array(y)
+        self.nfev += 2 + 12 * attempts
+        return message is None, message
 
 
 @dataclass(frozen=True)
@@ -485,38 +509,33 @@ def _variational_map(sys, eps, m, z, theta_section, tol=_FLOW_TOL):
 
     The flow of _derivative from Phi(0) = I, so the final Phi is the
     Jacobian of the stroboscopic map at z.  solve_ivp runs the flow as one
-    step() of _DOP853Kernel (sol.y holds its two ends).  The tangent
-    components get atol = inf, so the steps are chosen from (x1, x2) alone.
-    The norm divides by sqrt(6), so scaling both tolerances by sqrt(2/6)
-    gives back the norm, and with it the steps, of a 2-D flow at absolute =
-    relative tolerance tol: P(z) is that flow's map to round-off.  tol is
-    _FLOW_TOL but for _newton's coarser flows.  A flow that spends its step
-    budget (see _STEPS_PER_UNIT_TIME), or one whose full budget passes
-    _MAX_FLOW_STEPS (not flowed), raises IntegrationFailure.  scipy's first-step
-    guess overflows at a huge epsilon; the tiny step it then picks fails on
-    its own terms, so numpy's floating-point warnings are silenced around it.
+    step() of _DOP853Kernel (sol.y holds its two ends), that is, as one
+    _dop853_flow.  The tangent components get atol = inf, so the steps are
+    chosen from (x1, x2) alone.  The norm divides by sqrt(6), so scaling
+    both tolerances by sqrt(2/6) gives back the norm, and with it the steps,
+    of a 2-D flow at absolute = relative tolerance tol: P(z) is that flow's
+    map to round-off.  tol is _FLOW_TOL but for _newton's coarser flows.  A
+    flow that spends its step budget (see _STEPS_PER_UNIT_TIME), or one
+    whose full budget passes _MAX_FLOW_STEPS (not flowed), raises
+    IntegrationFailure, and so does one whose step falls below min_step, as
+    at a huge epsilon, where the first-step guess overflows to a tiny step.
     """
     forcing = (eps, sys.beta, sys.delta, sys.omega, theta_section)
     y0 = np.array([z[0], z[1], 1.0, 0.0, 0.0, 1.0])
     duration = 2.0 * math.pi * m / sys.omega
-    scaled = tol * math.sqrt(2.0 / y0.size)
-    atol = np.full(y0.size, np.inf)
-    atol[:2] = scaled
     budget = _STEPS_PER_UNIT_TIME * max(duration, 2.0 * math.pi)
     if budget > _MAX_FLOW_STEPS:
         raise IntegrationFailure(f"flow of {duration:.6g} passes the {_MAX_FLOW_STEPS}-step cap")
-    with np.errstate(all="ignore"):
-        sol = solve_ivp(
-            _derivative,
-            (0.0, duration),
-            y0,
-            method=_DOP853Kernel,
-            rtol=scaled,
-            atol=atol,
-            max_steps=math.ceil(budget * (_COARSE_BUDGET if tol > _FLOW_TOL else 1.0)),
-            forcing=forcing,
-            args=(forcing,),
-        )
+    sol = solve_ivp(
+        _derivative,
+        (0.0, duration),
+        y0,
+        method=_DOP853Kernel,
+        tol=tol * math.sqrt(2.0 / y0.size),
+        max_steps=math.ceil(budget * (_COARSE_BUDGET if tol > _FLOW_TOL else 1.0)),
+        forcing=forcing,
+        args=(forcing,),
+    )
     if not sol.success:
         raise IntegrationFailure(sol.message)
     out = sol.y[:, -1]

@@ -2,29 +2,45 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/flow_timing.py [PASSES]
+    PYTHONPATH=src python tests/flow_timing.py [ROUNDS]
+    PYTHONPATH=src python tests/flow_timing.py --against OTHER_SRC [ROUNDS]
 
-It answers perfbench/workloads.py's seed-7 stroboscopic items in process,
-with the workload's own item generator and answer call: one warm-up pass,
-which also counts the work, then PASSES timed passes (default 5), timed
-with time.perf_counter and nothing wrapped.  It prints one JSON line,
-{"passes", "median_s", "best_s", "flows", "attempts", "accepted",
-"rhs_evals"}: the median and the best pass time, and the warm-up pass's
-flows and RHS evaluations (counted by wrapping poincare.solve_ivp, as
-tests/answer_digest.py does) and its step attempts and accepted steps
-(counted by wrapping poincare._attempt, which the kernel reads once per
-flow).  Run it alternately on two trees to pair a kernel change: one
-traced perfbench pass per side cannot resolve one, as its poincare.flow_s
-has read 1.6x apart for the same work, and the untraced run times whole
-items.  Each pass takes about 0.15 s on a 2-CPU Xeon; pytest does not
-collect it.
+Alone, it answers perfbench/workloads.py's seed-7 stroboscopic items in
+process, with the workload's own item generator and answer call: one
+warm-up pass, which also counts the work, then ROUNDS timed passes
+(default 5), timed with time.perf_counter and nothing wrapped.  It prints
+one JSON line, {"passes", "median_s", "best_s", "flows", "attempts",
+"accepted", "rhs_evals"}: the median and the best pass time, and the
+warm-up pass's flows, step attempts and accepted steps, read from each
+poincare._dop853_flow call's own counts, and its RHS evaluations (counted
+by wrapping poincare.solve_ivp, as tests/answer_digest.py does).
+
+With --against, OTHER_SRC is another tree's src directory, whose
+melnikov_lab is imported under the alias other_melnikov_lab.  One pass
+records every poincare._variational_map call (P(z) and DP(z) of one flow)
+of this tree; each call's (P, DP) must be bit-equal on the other tree, or
+both must raise the same message.  Then ROUNDS rounds (default 10) run
+every recorded call through both trees, alternating which runs first, and
+it prints {"rounds", "calls", "median_s", "other_median_s", "ratio_median",
+"faster_rounds"}: the median flow time of the calls per side, the median
+over rounds of this tree's time over the other's, and the rounds this tree
+was faster in.  One process times both trees on the same calls, without
+the items' Newton bookkeeping, which the traced poincare.flow_s of one
+perfbench pass per side cannot do: it has read 1.6x apart for the same
+work.  A pass takes about 0.15 s on a 2-CPU Xeon; pytest does not collect
+this file, and tests/test_poincare.py pins the counts of its pass.
 """
 
+import argparse
+import importlib
+import importlib.util
 import json
 import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -32,6 +48,7 @@ import workloads  # noqa: E402
 from melnikov_lab import poincare  # noqa: E402
 
 SEED = 7
+ALIAS = "other_melnikov_lab"
 
 
 def run_pass():
@@ -41,33 +58,33 @@ def run_pass():
 
 def counted_pass():
     """{flows, attempts, accepted, rhs_evals} of one pass."""
-    nfevs, attempts = [], []
-    solve_ivp, attempt = poincare.solve_ivp, poincare._attempt
+    counts, nfevs = [], []
+    flow, solve_ivp = poincare._dop853_flow, poincare.solve_ivp
 
-    def counted_flow(*args, **kwargs):
+    def counted_flow(*args):
+        result = flow(*args)
+        counts.append(result[4:6])  # attempts, accepted
+        return result
+
+    def counted_solve(*args, **kwargs):
         sol = solve_ivp(*args, **kwargs)
         nfevs.append(sol.nfev)
         return sol
 
-    def counted_attempt(*args):
-        result = attempt(*args)
-        attempts.append(result[0] < 1.0)
-        return result
-
-    poincare.solve_ivp, poincare._attempt = counted_flow, counted_attempt
+    poincare._dop853_flow, poincare.solve_ivp = counted_flow, counted_solve
     try:
         run_pass()
     finally:
-        poincare.solve_ivp, poincare._attempt = solve_ivp, attempt
+        poincare._dop853_flow, poincare.solve_ivp = flow, solve_ivp
     return {
-        "flows": len(nfevs),
-        "attempts": len(attempts),
-        "accepted": sum(attempts),
+        "flows": len(counts),
+        "attempts": sum(attempts for attempts, _ in counts),
+        "accepted": sum(accepted for _, accepted in counts),
         "rhs_evals": sum(nfevs),
     }
 
 
-def main(passes):
+def timed_passes(passes):
     counts = counted_pass()
     times = []
     for _ in range(passes):
@@ -78,5 +95,94 @@ def main(passes):
     return timing | counts
 
 
+def other_poincare(src):
+    """The poincare module of the melnikov_lab package under src, imported as ALIAS."""
+    package = Path(src).resolve() / "melnikov_lab"
+    spec = importlib.util.spec_from_file_location(
+        ALIAS, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[ALIAS] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{ALIAS}.poincare")
+
+
+def _outcome(variational_map, args):
+    """(P, DP) of one call, or (exception class name, message) if it raises."""
+    try:
+        return variational_map(*args)
+    except Exception as exc:  # each tree raises its own IntegrationFailure class
+        return type(exc).__name__, str(exc)
+
+
+def recorded_calls():
+    """[(args, outcome)] of every _variational_map call of one pass."""
+    calls = []
+    variational_map = poincare._variational_map
+
+    def recording(sys_, eps, m, z, theta, tol):
+        args = (sys_, eps, m, np.array(z), theta, tol)
+        try:
+            result = variational_map(*args)
+        except Exception as exc:
+            calls.append((args, (type(exc).__name__, str(exc))))
+            raise
+        calls.append((args, result))
+        return result
+
+    poincare._variational_map = recording
+    try:
+        run_pass()
+    finally:
+        poincare._variational_map = variational_map
+    return calls
+
+
+def _same(got, want):
+    if isinstance(want[0], str):
+        return got == want
+    return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def _time_calls(variational_map, calls):
+    start = time.perf_counter()
+    for args, _ in calls:
+        _outcome(variational_map, args)
+    return time.perf_counter() - start
+
+
+def paired_rounds(src, rounds):
+    other = other_poincare(src)
+    calls = recorded_calls()
+    for args, outcome in calls:
+        assert _same(_outcome(other._variational_map, args), outcome), args
+    sides = (poincare._variational_map, other._variational_map)
+    for variational_map in sides:  # warm-up
+        _time_calls(variational_map, calls)
+    times = [], []
+    for i in range(rounds):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            times[side].append(_time_calls(sides[side], calls))
+    ratios = [this / that for this, that in zip(*times)]
+    return {
+        "rounds": rounds,
+        "calls": len(calls),
+        "median_s": statistics.median(times[0]),
+        "other_median_s": statistics.median(times[1]),
+        "ratio_median": statistics.median(ratios),
+        "faster_rounds": sum(ratio < 1.0 for ratio in ratios),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rounds", nargs="?", type=int, default=None)
+    parser.add_argument("--against", metavar="OTHER_SRC")
+    args = parser.parse_args(argv)
+    if args.against:
+        return paired_rounds(args.against, 10 if args.rounds is None else args.rounds)
+    return timed_passes(5 if args.rounds is None else args.rounds)
+
+
 if __name__ == "__main__":
-    print(json.dumps(main(int(sys.argv[1]) if len(sys.argv) > 1 else 5)))
+    print(json.dumps(main()))

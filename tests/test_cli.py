@@ -742,6 +742,21 @@ def test_contour_center_past_the_float_range_exits_3():
     assert err.endswith("overflows the float range\n")
 
 
+@pytest.mark.parametrize("theta0", [[], ["--theta0", "0.5"]], ids=["seeded", "theta0"])
+def test_verify_past_the_float_range_exits_3(theta0):
+    # the same resonance: the closed-form damping coefficient 8nE/k overflows,
+    # and at delta = 0 its term is -0 * inf = nan, which simple_zeros divided
+    # by (a ZeroDivisionError traceback, exit 1); verify seeds Newton from
+    # that curve itself, or through _melnikov_seeds when --theta0 is given
+    n = 5 * 10**307
+    argv = ["verify", "--family", "rotating+", "--m", str(n + 1), "--n", str(n),
+            "--omega", "1"] + theta0
+    with _deadline(2.0):
+        code, out, err = _exit_code(argv)
+    assert code == EXIT_NUMERIC and out == ""
+    assert err == "melnikov-lab: Melnikov curve coefficients nan and 0.0 overflow the float range\n"
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate), suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["melnikov", "contour"]), family=st.sampled_from(FAMILIES),

@@ -1,13 +1,16 @@
 import ast
 import functools
 import inspect
+import itertools
 import math
 import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+import scipy.integrate
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import rk
@@ -562,9 +565,10 @@ def _literal_sums(node):
 
 
 def _kernel_weights():
-    """{pass: {prefix: {name: value}}} of the weight literals of poincare._attempt.
+    """{pass: {prefix: {name: value}}} of the weight literals of poincare._dop853_flow.
 
-    They are read from the kernel's source with ast, so these are the
+    They are read with ast from the source of the flow's step loop (its
+    set-up, the first-step guess, comes before the loop), so these are the
     values it computes with.  Pass "forcing" holds the c_i that multiply h
     in the stage forcings efi.  Passes "state" and "column" (the loop over
     the tangent columns) hold the c_i that multiply the velocity (x2, v) in
@@ -572,10 +576,11 @@ def _kernel_weights():
     PASS_ROWS.  Each sum reads its terms in tableau order.  The error
     norm's 0.01 * sum3 is the one other literal sum.
     """
-    tree = ast.parse(textwrap.dedent(inspect.getsource(poincare._attempt)))
+    tree = ast.parse(textwrap.dedent(inspect.getsource(poincare._dop853_flow)))
+    (loop,) = [node for node in tree.body[0].body if isinstance(node, ast.While)]
     c_terms = {"h": [], "x2": [], "v": []}
     stage_sums, others = [], []
-    for terms in _literal_sums(tree):
+    for terms in _literal_sums(loop):
         names = [name for _, name in terms]
         if len(terms) == 1 and names[0] in c_terms:
             c_terms[names[0]].append(terms[0][0])
@@ -612,45 +617,55 @@ def _nonzero(prefix, weights):
     return named
 
 
+def _scipy_tolerances(tol):
+    """scipy's rtol and atol for a flow at tol: atol = inf on the tangent map."""
+    return {"rtol": tol, "atol": [tol, tol] + [math.inf] * 4}
+
+
 def _kernel_and_scipy(monkeypatch):
     """Pair each library flow with scipy's own DOP853 on the same rhs and tolerances.
 
-    The pairs hold the rhs with forcing bound, as scipy's reference takes it.
+    The pairs hold the rhs with forcing bound, as scipy's reference takes
+    it, the library's and scipy's solutions, and the flow's arguments to
+    poincare._dop853_flow, (t0, y0, t_bound, forcing, tol, max_steps).
     """
     pairs = []
 
-    def both(rhs, span, y0, method, max_steps, forcing, args, **tols):
-        # scipy's set-up and the kernel see one system
-        assert args == (forcing,)
-        sol = solve_ivp(
-            rhs, span, y0, method=method, max_steps=max_steps, forcing=forcing, args=args,
-            **tols,
-        )
+    def both(rhs, span, y0, **options):
+        sol = solve_ivp(rhs, span, y0, **options)
+        forcing, tol = options["forcing"], options["tol"]
         bound = functools.partial(rhs, forcing=forcing)
-        pairs.append((bound, sol, solve_ivp(bound, span, y0, method="DOP853", **tols)))
+        ref = solve_ivp(bound, span, y0, method="DOP853", **_scipy_tolerances(tol))
+        flow = (span[0], y0.tolist(), span[1], forcing, tol, options["max_steps"])
+        pairs.append((bound, sol, ref, flow))
         return sol
 
     monkeypatch.setattr(poincare, "solve_ivp", both)
     return pairs
 
 
-def _accepted_steps(monkeypatch):
-    """Record (t, y, h, y_new) of every accepted attempt of the flows that follow.
+def _accepted_steps(t0, y0, t_bound, forcing, tol, max_attempts=None):
+    """(t, y, h, y_new, f_new) of each accepted step of a flow, read through the flow itself.
 
-    One step() covers a whole flow, so sol.t holds its two ends alone; the
-    kernel reads poincare._attempt once per flow, so this wrapper sees each
-    attempt.
+    One solve_ivp step() covers a whole flow, so sol.t holds its two ends
+    alone.  So the flow runs again under a budget of k attempts for k = 1,
+    2, ... until it reaches t_bound, or up to max_attempts: where attempt k
+    is accepted, it steps from the state that a budget of k - 1 ends at to
+    the one that a budget of k ends at, and f_new is the derivative the
+    flow computed there.  The flows take k(k + 1)/2 attempts in all.
     """
-    steps = []
-    attempt = poincare._attempt
-
-    def recorded(t, y, k1, h, forcing, tol):
-        error_norm, y_new, f_new = attempt(t, y, k1, h, forcing, tol)
-        if error_norm < 1.0:
-            steps.append((t, y, h, y_new))
-        return error_norm, y_new, f_new
-
-    monkeypatch.setattr(poincare, "_attempt", recorded)
+    steps, t, y = [], t0, tuple(y0)
+    budgets = itertools.count(1) if max_attempts is None else range(1, max_attempts + 1)
+    for budget in budgets:
+        t_new, y_new, f_new, _, _, accepted, message = poincare._dop853_flow(
+            t0, y0, t_bound, forcing, tol, budget
+        )
+        if accepted > len(steps):
+            steps.append((t, y, t_new - t, y_new, f_new))
+        if message is None:
+            break
+        assert message.startswith(f"step budget of {budget} spent")
+        t, y = t_new, y_new
     return steps
 
 
@@ -675,6 +690,9 @@ class TestDOP853Kernel:
         assert weights["state"]["e3_"] == _nonzero("e3_", E3)
         rule = (poincare._SAFETY, poincare._MIN_FACTOR, poincare._MAX_FACTOR)
         assert rule == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+        order = DOP853.error_estimator_order
+        assert poincare._ERROR_EXPONENT == -1 / (order + 1)
+        assert poincare._GUESS_EXPONENT == 1 / (order + 1)
 
     def test_nystrom_weights_are_the_exact_products(self):
         # abar = A A, bbar = b A and the error weights e A, each entry one
@@ -726,19 +744,21 @@ class TestDOP853Kernel:
     )
     def test_kernel_takes_scipys_steps(self, family, m, delta, nfev, final, monkeypatch):
         pairs = _kernel_and_scipy(monkeypatch)
-        steps = _accepted_steps(monkeypatch)
         r = solve_resonance(family, 1.0, m, 1)
         start = orbit_state(r.orbit, 0.8)
         z = (0.9, 0.4) if family == INNER else (start.x1, start.x2)
         sys_, eps, theta = pendulum_system(1.0, delta, 1.0), 1e-3, math.pi / 2.0
         _variational_map(sys_, eps, m, z, theta)
-        ((_, sol, ref),) = pairs
-        assert sol.success and len(steps) == len(ref.t) - 1
+        ((_, sol, ref, flow),) = pairs
+        # the flow that solve_ivp ran, with its own counts
+        _, y, _, _, attempts, accepted, message = poincare._dop853_flow(*flow)
+        assert message is None and list(y) == sol.y[:, -1].tolist()
+        assert sol.success and accepted == len(ref.t) - 1
         assert sol.t.tolist() == [0.0, 2.0 * math.pi * m]
         assert sol.nfev == ref.nfev
-        # 12 evaluations per attempted step after scipy's two at the start
-        rejected = (sol.nfev - 2) // 12 - len(steps)
-        assert rejected > 0
+        # 12 evaluations per attempted step after the set-up's two
+        assert sol.nfev == 2 + 12 * attempts
+        assert attempts - accepted > 0  # rejected steps
         assert _close(sol.y[:, -1], ref.y[:, -1], 1e-13)
         # the state is scipy's 2-D map too
         assert _close(sol.y[:2, -1], _scipy_map(sys_, eps, m, z, theta).y[:, -1], 1e-13)
@@ -793,7 +813,10 @@ class TestDOP853Kernel:
     # or beta in the kernel's inlined forcing would not show.  Over a whole
     # flow the tangent map magnifies round-off (near the separatrix the final
     # states differ from scipy's by up to 2.4e-9 relative), so each accepted
-    # step is replayed with scipy's own stage code from the kernel's state.
+    # step is replayed with scipy's own stage code from the kernel's state:
+    # those of the flow's first 40 attempts (all of them in the shorter
+    # flows), since reading a flow's steps one budget at a time costs as
+    # many attempts as the square of its own.
     @settings(
         max_examples=30, deadline=None, derandomize=True, database=None, phases=NO_SHRINK
     )
@@ -817,19 +840,23 @@ class TestDOP853Kernel:
         start = orbit_state(r.orbit, phase * r.orbit.period)
         with pytest.MonkeyPatch.context() as mp:
             pairs = _kernel_and_scipy(mp)
-            steps = _accepted_steps(mp)
             _variational_map(
                 pendulum_system(beta, delta, omega), 10.0**log_eps, m, (start.x1, start.x2), theta
             )
-        ((rhs, sol, ref),) = pairs
+        ((rhs, sol, ref, flow),) = pairs
         assert sol.success and ref.success
         assert abs(sol.nfev - ref.nfev) <= 12
-        # the accepted steps chain the flow's start to its end
+        steps = _accepted_steps(*flow[:5], max_attempts=40)
+        # the accepted steps chain the flow's start to its end, or to the
+        # end of its first 40 attempts
         starts, ends = [list(s[1]) for s in steps], [list(s[3]) for s in steps]
-        assert starts[1:] == ends[:-1]
-        assert starts[0] == sol.y[:, 0].tolist() and ends[-1] == sol.y[:, -1].tolist()
+        assert starts[1:] == ends[:-1] and starts[0] == sol.y[:, 0].tolist()
+        _, final, _, _, _, accepted, _ = poincare._dop853_flow(*flow)
+        assert len(steps) == min(accepted, len(steps)) > 0
+        if len(steps) == accepted:
+            assert ends[-1] == sol.y[:, -1].tolist() == list(final)
         stages = np.empty((DOP853.n_stages + 1, 6))
-        for t, y, h, got in steps:
+        for t, y, h, got, _ in steps:
             y, got = np.array(y), np.array(got)
             want, _ = rk.rk_step(
                 rhs, t, y, np.asarray(rhs(t, y)), h, DOP853.A, DOP853.B, DOP853.C, stages
@@ -839,33 +866,73 @@ class TestDOP853Kernel:
             scale = max(1.0, np.max(np.abs(want[2:])))
             assert np.max(np.abs(got[2:] - want[2:])) <= 1e-12 * scale
 
+    # The flow's own set-up against scipy's DOP853 constructor, with a budget
+    # of 0 attempts, after which the flow returns its first derivative and
+    # step as set up (the step raised to min_step, as the step-size loop
+    # raises it first).  Random states and forcings, at both flow tolerances,
+    # over durations from far shorter than the first-step guess (about 0.02
+    # at _FLOW_TOL) up; at epsilon = 1e300 the guess overflows (h0 = 0, then
+    # d2 = 0/0), and must keep numpy's inf and nan where a float port raised
+    # ZeroDivisionError.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+        st.floats(1e-8, 10.0),
+        DELTAS,
+        st.floats(-3.0, 3.0),
+        st.floats(0.0, 3.0),
+        st.floats(-2.0 * math.pi, 2.0 * math.pi),
+        st.sampled_from([_FLOW_TOL, poincare._COARSE_FLOW_TOL]),
+        st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+        st.floats(-8.0, 2.0),
+    )
+    @example([0.9, 0.4, 1.0, 0.0, 0.0, 1.0], 1e300, 0.0, 1.0, 1.0, 0.0, _FLOW_TOL, 0.0, 1.0)
+    @example([0.9, 0.4, 1.0, 0.0, 0.0, 1.0], 1e300, 0.3, 1.0, 1.0, 2.0, _FLOW_TOL, 0.0, 1.0)
+    def test_set_up_is_scipys(
+        self, y0, eps, delta, beta, omega, theta, tol, t0, log_duration
+    ):
+        forcing, tol = (eps, beta, delta, omega, theta), tol * math.sqrt(2.0 / 6.0)
+        t_bound = t0 + 10.0**log_duration
+        assume(t_bound > t0)
+        rhs = functools.partial(poincare._derivative, forcing=forcing)
+        with np.errstate(all="ignore"):
+            ref = DOP853(rhs, t0, np.array(y0), t_bound, **_scipy_tolerances(tol))
+        t, y, f, h_abs, attempts, accepted, message = poincare._dop853_flow(
+            t0, y0, t_bound, forcing, tol, 0
+        )
+        assert (t, list(y), attempts, accepted) == (t0, y0, 0, 0)
+        assert message.startswith("step budget of 0 spent")
+        np.testing.assert_array_equal(f, ref.f)
+        min_step = 10.0 * abs(math.nextafter(t0, math.inf) - t0)
+        assert h_abs == max(float(ref.h_abs), min_step)
+
     def test_nfev_is_every_rhs_call(self, system, resonance, monkeypatch):
-        # scipy's set-up calls the RHS twice (first derivative, first-step
+        # the set-up calls _derivative twice (first derivative, first-step
         # guess); each attempted step then evaluates 12 stages inline
-        flows, attempts = [], []
-        attempt = poincare._attempt
+        flows, calls, nfevs = [], [], []
+        flow, derivative = poincare._dop853_flow, poincare._derivative
 
-        def counted_attempt(*args):
-            attempts.append(args[0])
-            return attempt(*args)
+        def counted_flow(*args):
+            result = flow(*args)
+            flows.append(result[4])  # attempts
+            return result
 
-        def counted(rhs, span, y0, **options):
-            calls = []
+        def counted(t, y, forcing):
+            calls.append(t)
+            return derivative(t, y, forcing)
 
-            def counting(t, y, forcing):
-                calls.append(t)
-                return rhs(t, y, forcing)
-
-            sol = solve_ivp(counting, span, y0, **options)
-            flows.append((sol.nfev, len(calls), len(attempts)))
+        def solved(*args, **options):
+            sol = solve_ivp(*args, **options)
+            nfevs.append(sol.nfev)
             return sol
 
-        monkeypatch.setattr(poincare, "_attempt", counted_attempt)
-        monkeypatch.setattr(poincare, "solve_ivp", counted)
+        monkeypatch.setattr(poincare, "_dop853_flow", counted_flow)
+        monkeypatch.setattr(poincare, "_derivative", counted)
+        monkeypatch.setattr(poincare, "solve_ivp", solved)
         _variational_map(system, 1e-3, resonance.m, (0.9, 0.4), math.pi / 2.0)
-        ((nfev, calls, steps),) = flows
-        assert calls == 2 and steps > 0
-        assert nfev == calls + 12 * steps
+        ((attempts,), (nfev,)) = flows, nfevs
+        assert len(calls) == 2 and calls[0] == 0.0 and attempts > 0
+        assert nfev == len(calls) + 12 * attempts
 
     def test_spent_step_budget_fails_the_flow(self, system, monkeypatch):
         # one attempt per unit time over 3 periods of 2*pi: ceil(6*pi) = 19
@@ -873,33 +940,79 @@ class TestDOP853Kernel:
         with pytest.raises(IntegrationFailure, match="step budget of 19 spent"):
             _variational_map(system, 1e-3, 3, (0.9, 0.4), 0.0)
 
-    def test_derivative_serves_the_set_up_and_each_accepted_step(
-        self, system, resonance, monkeypatch
-    ):
-        # scipy's set-up calls _derivative twice (first derivative, first-step
-        # guess); each accepted attempt then calls it once, at its new t, for
-        # the next step's k1, and a rejected attempt not at all
-        steps = _accepted_steps(monkeypatch)
-        calls = []
+    # (t0, y0, t_bound, forcing, tol): two forcing periods from t0 = 0.3 with
+    # beta != omega, so that the two cannot trade places unseen, and two
+    # coarse steps from t0 = -0.1 to 0.01, the second across t = 0, where
+    # h = t_bound - t rounds so that t + h misses t_new = t_bound in its
+    # last bits and the forcing's phase omega*t + theta, near 1.5, turns
+    # that into another cosine; each undamped and damped
+    FIRST_STAGE_FLOWS = [
+        (0.3, [0.9, 0.4, 1.0, 0.0, 0.0, 1.0], 0.3 + 4.0 * math.pi / 1.3,
+         (0.05, 0.7, delta, 1.3, 0.4), _FLOW_TOL)
+        for delta in (0.0, 0.4)
+    ] + [
+        (-0.1, [0.1, 0.05, 1.0, 0.0, 0.0, 1.0], 0.01,
+         (1.0, 2.0, delta, 10.0, 1.4), poincare._COARSE_FLOW_TOL * math.sqrt(2.0 / 6.0))
+        for delta in (0.0, 0.4)
+    ]
+
+    def test_derivative_serves_the_set_up_and_each_accepted_step(self, monkeypatch):
+        # the set-up calls _derivative twice, first at t0; each accepted step
+        # then computes the next step's first stage inline, and that is
+        # _derivative at t + h, bit for bit, not at t_new
         derivative = poincare._derivative
+        off_t_new = 0
+        for t0, y0, t_bound, forcing, tol in self.FIRST_STAGE_FLOWS:
+            calls = []
 
-        def counted(t, y, forcing):
-            calls.append(t)
-            return derivative(t, y, forcing)
+            def counted(t, y, forcing):
+                calls.append(t)
+                return derivative(t, y, forcing)
 
-        monkeypatch.setattr(poincare, "_derivative", counted)
-        _variational_map(system, 1e-3, resonance.m, (0.9, 0.4), math.pi / 2.0)
-        assert steps and len(calls) == 2 + len(steps)
-        assert calls[2:] == [t + h for t, _, h, _ in steps]
+            with monkeypatch.context() as mp:
+                mp.setattr(poincare, "_derivative", counted)
+                *_, attempts, accepted, message = poincare._dop853_flow(
+                    t0, y0, t_bound, forcing, tol, 10**4
+                )
+            assert message is None and len(calls) == 2 and calls[0] == t0
+            steps = _accepted_steps(t0, y0, t_bound, forcing, tol)
+            assert len(steps) == accepted <= attempts
+            ends = [t for t, *_ in steps[1:]] + [t_bound]
+            for (t, _, h, y_new, f_new), t_new in zip(steps, ends):
+                assert f_new == derivative(t + h, y_new, forcing)
+                off_t_new += t + h != t_new
+        assert off_t_new > 0
 
     def test_no_dense_output(self):
         forcing = (0.0, 1.0, 0.0, 1.0, 0.0)
         with pytest.raises(NotImplementedError):
             solve_ivp(
                 poincare._derivative, (0.0, 1.0), [0.9, 0.4, 1.0, 0.0, 0.0, 1.0],
-                method=poincare._DOP853Kernel, max_steps=100,
+                method=poincare._DOP853Kernel, tol=1e-6, max_steps=100,
                 forcing=forcing, args=(forcing,), dense_output=True,
             )
+
+    def test_only_solve_ivp_comes_from_scipy_integrate(self):
+        # the benchmark's tracer counts flows by wrapping poincare.solve_ivp;
+        # DOP853 itself, set-up and steps, is the library's own code
+        assert poincare.solve_ivp is scipy.integrate.solve_ivp
+        imported = {
+            (node.module, alias.name)
+            for path in Path(poincare.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and "scipy.integrate" in (node.module or "")
+            for alias in node.names
+        }
+        assert imported == {("scipy.integrate", "OdeSolver"), ("scipy.integrate", "solve_ivp")}
+
+    def test_seed_7_stroboscopic_pass_counts(self):
+        # tests/flow_timing.py's counts of the benchmark's seed-7 pass, read
+        # from each flow's own attempts and accepted steps
+        import flow_timing
+
+        assert flow_timing.counted_pass() == {
+            "flows": 164, "attempts": 11013, "accepted": 9209, "rhs_evals": 132484,
+        }
 
 
 class TestDistanceToOrbit:
