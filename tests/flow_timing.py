@@ -107,12 +107,12 @@ def other_poincare(src):
     return importlib.import_module(f"{ALIAS}.poincare")
 
 
-def _outcome(variational_map, args):
-    """(P, DP) of one call, or (exception class name, message) if it raises."""
+def _outcome(module, args):
+    """(P, DP) of one _variational_map call of a poincare module, or its failure's message."""
     try:
-        return variational_map(*args)
-    except Exception as exc:  # each tree raises its own IntegrationFailure class
-        return type(exc).__name__, str(exc)
+        return module._variational_map(*args)
+    except module.IntegrationFailure as exc:  # each tree has its own class
+        return "IntegrationFailure", str(exc)
 
 
 def recorded_calls():
@@ -124,8 +124,8 @@ def recorded_calls():
         args = (sys_, eps, m, np.array(z), theta, tol)
         try:
             result = variational_map(*args)
-        except Exception as exc:
-            calls.append((args, (type(exc).__name__, str(exc))))
+        except poincare.IntegrationFailure as exc:
+            calls.append((args, ("IntegrationFailure", str(exc))))
             raise
         calls.append((args, result))
         return result
@@ -144,21 +144,22 @@ def _same(got, want):
     return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
-def _time_calls(variational_map, calls):
+def _time_calls(module, calls):
     start = time.perf_counter()
     for args, _ in calls:
-        _outcome(variational_map, args)
+        _outcome(module, args)
     return time.perf_counter() - start
 
 
 def paired_rounds(src, rounds):
     other = other_poincare(src)
     calls = recorded_calls()
-    for args, outcome in calls:
-        assert _same(_outcome(other._variational_map, args), outcome), args
-    sides = (poincare._variational_map, other._variational_map)
-    for variational_map in sides:  # warm-up
-        _time_calls(variational_map, calls)
+    for i, (args, outcome) in enumerate(calls):
+        if not _same(_outcome(other, args), outcome):
+            raise RuntimeError(f"call {i} of {len(calls)} differs between the trees: {args}")
+    sides = (poincare, other)
+    for module in sides:  # warm-up
+        _time_calls(module, calls)
     times = [], []
     for i in range(rounds):
         for side in (0, 1) if i % 2 == 0 else (1, 0):
