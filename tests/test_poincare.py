@@ -1,7 +1,6 @@
 import ast
 import functools
 import inspect
-import itertools
 import math
 import re
 import textwrap
@@ -644,29 +643,48 @@ def _kernel_and_scipy(monkeypatch):
     return pairs
 
 
-def _accepted_steps(t0, y0, t_bound, forcing, tol, max_attempts=None):
-    """(t, y, h, y_new, f_new) of each accepted step of a flow, read through the flow itself.
+@functools.cache
+def _recording_flow():
+    """poincare._dop853_flow compiled from its source with one call appended to its step loop.
+
+    The copy takes one more argument, record, and calls record(t_new,
+    y_new, f_new) at the end of each accepted step, after the flow has
+    moved to t_new; it runs in a copy of poincare's globals.
+    """
+    tree = ast.parse(textwrap.dedent(inspect.getsource(poincare._dop853_flow)))
+    func = tree.body[0]
+    (loop,) = [node for node in func.body if isinstance(node, ast.While)]
+    assert ast.unparse(loop.body[-1]) == "accepted += 1"
+    record = "record(t, (x1, x2, p11, p12, p21, p22), [x2, a, p21, p22, a1, a2])"
+    loop.body.append(ast.parse(record).body[0])
+    func.args.args.append(ast.arg("record"))
+    namespace = dict(vars(poincare))
+    exec(compile(ast.fix_missing_locations(tree), poincare.__file__, "exec"), namespace)
+    return namespace[func.name]
+
+
+def _accepted_steps(t0, y0, t_bound, forcing, tol, max_steps=10**4):
+    """(t, y, h, y_new, f_new) of each accepted step of a flow, and the flow's result.
 
     One solve_ivp step() covers a whole flow, so sol.t holds its two ends
-    alone.  So the flow runs again under a budget of k attempts for k = 1,
-    2, ... until it reaches t_bound, or up to max_attempts: where attempt k
-    is accepted, it steps from the state that a budget of k - 1 ends at to
-    the one that a budget of k ends at, and f_new is the derivative the
-    flow computed there.  The flows take k(k + 1)/2 attempts in all.
+    alone.  So the flow runs again in _recording_flow's copy, which hands
+    over each accepted step as it takes it: it steps from the state at t to
+    y_new at t + h, h being the time it advances, and f_new is the
+    derivative the flow computed there.  The copy's result, (t, y, f,
+    h_abs, attempts, accepted, message), must be poincare._dop853_flow's
+    bit for bit.
     """
     steps, t, y = [], t0, tuple(y0)
-    budgets = itertools.count(1) if max_attempts is None else range(1, max_attempts + 1)
-    for budget in budgets:
-        t_new, y_new, f_new, _, _, accepted, message = poincare._dop853_flow(
-            t0, y0, t_bound, forcing, tol, budget
-        )
-        if accepted > len(steps):
-            steps.append((t, y, t_new - t, y_new, f_new))
-        if message is None:
-            break
-        assert message.startswith(f"step budget of {budget} spent")
+
+    def record(t_new, y_new, f_new):
+        nonlocal t, y
+        steps.append((t, y, t_new - t, y_new, f_new))
         t, y = t_new, y_new
-    return steps
+
+    result = _recording_flow()(t0, y0, t_bound, forcing, tol, max_steps, record)
+    assert result == poincare._dop853_flow(t0, y0, t_bound, forcing, tol, max_steps)
+    assert result[5] == len(steps)
+    return steps, result
 
 
 def _close(got, want, rel):
@@ -813,10 +831,8 @@ class TestDOP853Kernel:
     # or beta in the kernel's inlined forcing would not show.  Over a whole
     # flow the tangent map magnifies round-off (near the separatrix the final
     # states differ from scipy's by up to 2.4e-9 relative), so each accepted
-    # step is replayed with scipy's own stage code from the kernel's state:
-    # those of the flow's first 40 attempts (all of them in the shorter
-    # flows), since reading a flow's steps one budget at a time costs as
-    # many attempts as the square of its own.
+    # step, the last one cut to t_bound among them, is replayed with scipy's
+    # own stage code from the kernel's state.
     @settings(
         max_examples=30, deadline=None, derandomize=True, database=None, phases=NO_SHRINK
     )
@@ -846,15 +862,11 @@ class TestDOP853Kernel:
         ((rhs, sol, ref, flow),) = pairs
         assert sol.success and ref.success
         assert abs(sol.nfev - ref.nfev) <= 12
-        steps = _accepted_steps(*flow[:5], max_attempts=40)
-        # the accepted steps chain the flow's start to its end, or to the
-        # end of its first 40 attempts
-        starts, ends = [list(s[1]) for s in steps], [list(s[3]) for s in steps]
-        assert starts[1:] == ends[:-1] and starts[0] == sol.y[:, 0].tolist()
-        _, final, _, _, _, accepted, _ = poincare._dop853_flow(*flow)
-        assert len(steps) == min(accepted, len(steps)) > 0
-        if len(steps) == accepted:
-            assert ends[-1] == sol.y[:, -1].tolist() == list(final)
+        steps, (t_final, final, *_, message) = _accepted_steps(*flow)
+        # the accepted steps chain the flow's start to its end
+        assert message is None and steps and t_final == flow[2]
+        assert list(steps[0][1]) == sol.y[:, 0].tolist()
+        assert list(steps[-1][3]) == sol.y[:, -1].tolist() == list(final)
         stages = np.empty((DOP853.n_stages + 1, 6))
         for t, y, h, got, _ in steps:
             y, got = np.array(y), np.array(got)
@@ -975,9 +987,20 @@ class TestDOP853Kernel:
                     t0, y0, t_bound, forcing, tol, 10**4
                 )
             assert message is None and len(calls) == 2 and calls[0] == t0
-            steps = _accepted_steps(t0, y0, t_bound, forcing, tol)
+            steps, _ = _accepted_steps(t0, y0, t_bound, forcing, tol)
             assert len(steps) == accepted <= attempts
             ends = [t for t, *_ in steps[1:]] + [t_bound]
+            # the library's flow under a budget of k attempts ends where
+            # the copy's last accepted step within them ends, for every k
+            for budget in range(1, attempts + 1):
+                t_k, y_k, f_k, *_, accepted_k, _ = poincare._dop853_flow(
+                    t0, y0, t_bound, forcing, tol, budget
+                )
+                if accepted_k:
+                    _, _, _, y_new, f_new = steps[accepted_k - 1]
+                    assert (t_k, y_k, f_k) == (ends[accepted_k - 1], y_new, f_new)
+                else:
+                    assert (t_k, y_k) == (t0, tuple(y0))
             for (t, _, h, y_new, f_new), t_new in zip(steps, ends):
                 assert f_new == derivative(t + h, y_new, forcing)
                 off_t_new += t + h != t_new
