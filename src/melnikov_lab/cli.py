@@ -41,6 +41,7 @@ from .melnikov import (
     closed_form_subharmonic,
     enumerate_resonances,
     homoclinic_quadrature,
+    resonance_candidates,
     simple_zeros,
     solve_resonance,
     subharmonic_quadrature,
@@ -51,6 +52,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 _MAX_THETA_POINTS = 2**20
+# (m, n) pairs whose targets one request may compare with its k window (see
+# resonance_candidates): at about 0.09 ms a pair, some 12 s of a walk
+_MAX_RESONANCES = 2**17
 
 
 def _fmt(x) -> str:
@@ -373,6 +377,16 @@ def _validate(args) -> None:
         raise SystemExit(_usage_error(f"theta-points must lie in [1, {_MAX_THETA_POINTS}]"))
     if hasattr(args, "k_min") and not 0.0 < args.k_min < args.k_max < 1.0:
         raise SystemExit(_usage_error("k window must satisfy 0 < k-min < k-max < 1"))
+    if hasattr(args, "m_max"):
+        window = (args.k_min, args.k_max) if hasattr(args, "k_min") else K_WINDOW
+        families = (args.family,) if hasattr(args, "family") else FAMILIES
+        count = 0
+        for tag in families:
+            left = _MAX_RESONANCES - count
+            count += resonance_candidates(tag, args.omega, window, args.m_max, args.n_max, left)
+        if count > _MAX_RESONANCES:
+            message = f"more than {_MAX_RESONANCES} (m, n) pairs to check; lower them"
+            raise SystemExit(_usage_error(f"--m-max and --n-max give {message}"))
 
 
 def _usage_error(message: str) -> int:

@@ -48,6 +48,7 @@ __all__ = [
     "simple_zeros",
     "chaos_condition",
     "enumerate_resonances",
+    "resonance_candidates",
 ]
 
 
@@ -550,6 +551,65 @@ def chaos_condition(beta: float, delta: float, omega: float) -> ChaosVerdict:
     return ChaosVerdict(ratio > 1.0, ratio, threshold)
 
 
+def _walk(family_tag: str, omega: float, k_window: Tuple[float, float], m_max: int, n_max: int):
+    """(k_lo, k_hi, edge_lo, edge_hi, ranges) of enumerate_resonances' walk.
+
+    The window as the walk reads it, its edges' targets, and an iterator of
+    (n, m_lo, m_hi): the m whose m/n target the walk computes, for each n.
+    The m/n target is unit * m / n, unit being the 1/1 one, so it lies
+    between the edges only where n edge_lo / unit <= m <= n edge_hi / unit.
+    Each range reaches one m past both ends, beyond the rounding of any
+    target while n edge_hi / unit < 2^50, and holds at least one m; n stops
+    at the first whose range starts past m_max.  Where unit is 0 (2 omega
+    overflows) every target is 0, below the window, and there is no range.
+    """
+    k_lo, k_hi = k_window
+    if not 0.0 < k_lo < k_hi < 1.0:
+        raise ValueError("k window must satisfy 0 < k_lo < k_hi < 1")
+    if family_tag != INNER:
+        k_lo = max(k_lo, _ROTATING_K_MIN)
+    unit, period = _resonance_equation(family_tag, omega, 1, 1)
+    edge_lo = period(k_lo, _complementary(k_lo))
+    edge_hi = period(k_hi, _complementary(k_hi))
+
+    def ranges():
+        if m_max < 1 or not unit:
+            return
+        lo, hi = edge_lo / unit, edge_hi / unit  # m per unit n at the edges
+        for n in range(1, n_max + 1):
+            m_lo, m_hi = n * lo, n * hi
+            if m_lo > m_max + 1:
+                return
+            m_hi = m_max if m_hi >= m_max else min(m_max, math.floor(m_hi) + 1)
+            yield n, max(1, math.ceil(m_lo) - 1), m_hi
+
+    return k_lo, k_hi, edge_lo, edge_hi, ranges()
+
+
+def resonance_candidates(
+    family_tag: str,
+    omega: float,
+    k_window: Tuple[float, float],
+    m_max: int,
+    n_max: int,
+    limit: int,
+) -> int:
+    """How many (m, n) targets enumerate_resonances computes, counted up to limit.
+
+    Counted from the closed-form targets, with nothing solved: each n of
+    the walk costs O(1) and adds at least 1, so the count stops within
+    limit + 1 values of n, once it passes limit.  The walk's own cost is
+    about the count's, so a request that keeps its count within a bound
+    also bounds its walk.
+    """
+    count = 0
+    for _, m_lo, m_hi in _walk(family_tag, omega, k_window, m_max, n_max)[-1]:
+        count += m_hi - m_lo + 1
+        if count > limit:
+            break
+    return count
+
+
 def enumerate_resonances(
     family_tag: str,
     omega: float,
@@ -565,22 +625,16 @@ def enumerate_resonances(
     skipped unsolved, and the rotating window starts no lower than
     k = 1.1e-3, so moduli too close to 0 or 1 to resolve (which
     solve_resonance reports with ResonanceError) never stop the search.
-    The walk stops m at the first target above the window and n once m_max's
-    target lies below it (targets rise with m and fall with n, rounded too).
+    For each n the walk computes the targets of the m that _walk's closed
+    form places around the window, and stops m at the first target above
+    it (targets rise with m and fall with n, rounded too); n stops once
+    every target lies below the window.  resonance_candidates counts the
+    targets it computes before any is solved.
     """
-    k_lo, k_hi = k_window
-    if not 0.0 < k_lo < k_hi < 1.0:
-        raise ValueError("k window must satisfy 0 < k_lo < k_hi < 1")
-    if family_tag != INNER:
-        k_lo = max(k_lo, _ROTATING_K_MIN)
-    _, period = _resonance_equation(family_tag, omega, 1, 1)
-    edge_lo = period(k_lo, _complementary(k_lo))
-    edge_hi = period(k_hi, _complementary(k_hi))
-    if m_max < 1:
-        return []
+    k_lo, k_hi, edge_lo, edge_hi, ranges = _walk(family_tag, omega, k_window, m_max, n_max)
     found = []
-    for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
+    for n, m_lo, m_hi in ranges:
+        for m in range(m_lo, m_hi + 1):
             target, _ = _resonance_equation(family_tag, omega, m, n)
             if target > edge_hi:
                 break
@@ -589,8 +643,6 @@ def enumerate_resonances(
             r = solve_resonance(family_tag, omega, m, n)
             if r is not None and k_lo <= r.modulus.k <= k_hi:
                 found.append(r)
-        if target < edge_lo:
-            break
     found.sort(key=lambda r: (r.modulus.k, r.m, r.n))
     return found
 

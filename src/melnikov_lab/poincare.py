@@ -13,7 +13,10 @@ a whole flow on Python floats: scipy's DOP853 set-up and step-size loop,
 with the stages written out and the tableau's weights as float literals.
 scipy.integrate.solve_ivp reaches it through _DOP853Kernel, whose one
 step() is the flow.  Newton (_newton) runs each flow only as fine as the
-step it resolves, and answers as Newton with every flow at _FLOW_TOL.
+step it resolves, and answers as Newton with every flow at _FLOW_TOL
+(_fixed_tolerance_run); a run that stops contracting and starts over from
+its seed takes the Newton step along the orbit normal first, and falls
+back to the plain run only where that does not converge.
 """
 
 from __future__ import annotations
@@ -588,6 +591,44 @@ def _distance_to_orbit(z, r: Resonance) -> float:
         s = min(max(s - g / slope, grid[i] - h), grid[i] + h)
 
 
+def _fixed_tolerance_run(sys, eps, m, z, theta0, winding, flow, steps=0, projected=False):
+    """Newton from z with every flow at _FLOW_TOL, flow = (P(z), DP(z)) being z's own.
+
+    steps counts the steps already taken to z, of at most _NEWTON_MAX.
+    With projected, the first step is the Newton step projected onto the
+    normal n = grad H = (sin x1, x2) at z, s = (v.f)/(v.J n) n with v =
+    (x2, -sin x1) along the orbit, and the later steps are plain; where
+    v.J n is 0 or not finite there is no such step, and it returns None.
+    Else returns (z, f, converged, DP) as _newton does.
+    """
+    eye = np.eye(2)
+    while True:
+        final, dp = flow
+        f = final - z - winding
+        if np.linalg.norm(f) <= _RESIDUAL_TOL:
+            return z, f, True, dp
+        jac = dp - eye
+        if projected:
+            (a, b), (c, d) = jac.tolist()
+            x1, x2 = z.tolist()
+            sin1 = math.sin(x1)
+            along = x2 * (a * sin1 + b * x2) - sin1 * (c * sin1 + d * x2)  # v.J n
+            if along == 0.0 or not math.isfinite(along):
+                return None
+            f1, f2 = f.tolist()
+            step = (x2 * f1 - sin1 * f2) / along * np.array([sin1, x2])
+        else:
+            try:
+                step = np.linalg.solve(jac, f)
+            except np.linalg.LinAlgError:
+                break
+        if steps == _NEWTON_MAX or np.linalg.norm(step) > 2.0:
+            break
+        z, steps, projected = z - step, steps + 1, False
+        flow = _variational_map(sys, eps, m, z, theta0, _FLOW_TOL)
+    return z, f, False, dp
+
+
 def _newton(sys, eps, m, z0, theta0, winding):
     """Newton on P(z) - z - winding = 0 from z0, each flow as fine as its step needs.
 
@@ -606,13 +647,20 @@ def _newton(sys, eps, m, z0, theta0, winding):
 
     Where Newton does not contract, which fixed point it finds, if any,
     rests on every flow's error.  So once a step is longer than
-    _CONTRACTION times the last, every later flow runs at _FLOW_TOL.
-    Newton goes on in place only if every step so far, the one that
-    stopped it contracting included, came from a flow at _FLOW_TOL; else
-    it starts over from z0, as it does when a flow at _FLOW_TOL fails after
-    a step from a coarser flow.  Either way the answer is that of Newton
-    with every flow at _FLOW_TOL, step for step.  At most _NEWTON_MAX
-    steps are taken, the point after the last one checked.  Returns (z, f,
+    _CONTRACTION times the last, every later flow runs at _FLOW_TOL
+    (_fixed_tolerance_run).  If every step so far, the one that stopped it
+    contracting included, came from a flow at _FLOW_TOL, Newton goes on in
+    place, as Newton with every flow at _FLOW_TOL from z0, step for step.
+    Else it starts over from z0.  The fixed point sits O(eps) off z0, its
+    part along the normal n = grad H fixed at first order but its part
+    along the orbit only at O(eps^2) (Guckenheimer & Holmes 1983, Ch. 4;
+    Yagasaki 1996), so a plain step from z0 can crawl along the orbit.  The
+    run that starts over therefore takes the Newton step projected onto n
+    first, and answers as that run where it converges; where it does not,
+    or one of its later flows fails, the plain run from z0 follows, reusing
+    z0's flow.  A flow at _FLOW_TOL that fails after a step from a coarser
+    flow starts over as the plain run alone.  At most _NEWTON_MAX steps are
+    taken, the point after the last one checked.  Returns (z, f,
     converged, DP) with f and DP from the last flow, at the returned z:
     converged once |f| <= _RESIDUAL_TOL, so a converged point's f and DP
     come from a flow at _FLOW_TOL; else stopped by a step longer than 2, a
@@ -620,23 +668,22 @@ def _newton(sys, eps, m, z0, theta0, winding):
     as coarse as _COARSE_FLOW_TOL.
     """
     eye = np.eye(2)
-    z = np.array(z0, dtype=float)
-    tol, steps, last = _COARSE_FLOW_TOL, 0, math.inf
-    # matched: tolerances follow the steps; exact: every step so far came
-    # from a flow at _FLOW_TOL, so z is on the fixed-tolerance path
-    matched = exact = True
+    start = np.array(z0, dtype=float)
+    z, tol, steps, last = start, _COARSE_FLOW_TOL, 0, math.inf
+    exact = True  # every step so far came from a flow at _FLOW_TOL
+    args = sys, eps, m
     while True:
         try:
-            final, dp = _variational_map(sys, eps, m, z, theta0, tol)
+            flow = _variational_map(*args, z, theta0, tol)
         except IntegrationFailure:
             if tol > _FLOW_TOL:
                 tol = _FLOW_TOL  # past its share: flow the same z in full
                 continue
             if exact:
                 raise  # as the fixed-tolerance run does
-            matched, exact = False, True  # from z0, as the fixed-tolerance run
-            z, tol, steps = np.array(z0, dtype=float), _FLOW_TOL, 0
-            continue
+            flow = _variational_map(*args, start, theta0, _FLOW_TOL)
+            return _fixed_tolerance_run(*args, start, theta0, winding, flow)
+        final, dp = flow
         f = final - z - winding
         if tol <= _FLOW_TOL and np.linalg.norm(f) <= _RESIDUAL_TOL:
             return z, f, True, dp
@@ -646,29 +693,31 @@ def _newton(sys, eps, m, z0, theta0, winding):
         except np.linalg.LinAlgError:
             break
         size = float(np.linalg.norm(step))
-        if matched:
-            # ||J^-1||_F = ||J||_F / |det J| for a 2x2 J
-            (a, b), (c, d) = jac.tolist()
-            det = abs(a * d - b * c)
-            inv_norm = math.sqrt(a * a + b * b + c * c + d * d) / det if det else math.inf
-            finer = min(_COARSE_FLOW_TOL, _NEXT_FLOW_TOL * size / inv_norm)
-            if finer < _SNAP * _FLOW_TOL:
-                finer = _FLOW_TOL
-            if tol > _FLOW_TOL and inv_norm * tol > _RESOLVED_STEP * size:
-                tol = finer  # flow the same z again: not a Newton step
-                continue
+        # ||J^-1||_F = ||J||_F / |det J| for a 2x2 J
+        (a, b), (c, d) = jac.tolist()
+        det = abs(a * d - b * c)
+        inv_norm = math.sqrt(a * a + b * b + c * c + d * d) / det if det else math.inf
+        finer = min(_COARSE_FLOW_TOL, _NEXT_FLOW_TOL * size / inv_norm)
+        if finer < _SNAP * _FLOW_TOL:
+            finer = _FLOW_TOL
+        if tol > _FLOW_TOL and inv_norm * tol > _RESOLVED_STEP * size:
+            tol = finer  # flow the same z again: not a Newton step
+            continue
         if steps == _NEWTON_MAX or size > 2.0:
             break  # out of steps, or diverging away from the seed neighborhood
-        if matched and size > _CONTRACTION * last:
-            matched = False  # not contracting: on as the fixed-tolerance run
-            if not exact or tol > _FLOW_TOL:
-                exact = True  # a step came from a coarse flow: from z0
-                z, tol, steps = np.array(z0, dtype=float), _FLOW_TOL, 0
-                continue
+        if size > _CONTRACTION * last:  # not contracting
+            if exact and tol <= _FLOW_TOL:
+                return _fixed_tolerance_run(*args, z, theta0, winding, flow, steps)
+            flow = _variational_map(*args, start, theta0, _FLOW_TOL)
+            try:
+                run = _fixed_tolerance_run(*args, start, theta0, winding, flow, projected=True)
+            except IntegrationFailure:
+                run = None
+            if run is None or not run[2]:
+                run = _fixed_tolerance_run(*args, start, theta0, winding, flow)
+            return run
         exact = exact and tol <= _FLOW_TOL
-        z, steps, last = z - step, steps + 1, size
-        if matched:
-            tol = finer
+        z, steps, last, tol = z - step, steps + 1, size, finer
     return z, f, False, dp
 
 

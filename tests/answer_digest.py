@@ -10,8 +10,9 @@ own item generators and answer calls, and prints {"stroboscopic",
 
 - stroboscopic: the seed-7 pass of find_subharmonic items, with its flows
   and RHS evaluations counted by wrapping poincare.solve_ivp, as
-  tests/subharmonic_grid.py does, and the md5 of the answers with each
-  item's flows and evaluations;
+  tests/subharmonic_grid.py does, the md5 of the answers with each item's
+  flows and evaluations, and answers_md5, the md5 of the answers alone
+  (a change to Newton's path that keeps every answer keeps it);
 - certify_grid: the md5 of the certificates of seeds 1 and 7, each
   serialised with json.dumps(sort_keys=True);
 - oracle_sweep: the md5 of the oracle answers of seeds 1 and 7, each complex
@@ -72,6 +73,9 @@ def stroboscopic(seed=7):
         "flows": len(flows),
         "rhs_evals": sum(flows),
         "md5": _md5(answers),
+        "answers_md5": _md5(
+            [{k: v for k, v in a.items() if k not in ("flows", "rhs_evals")} for a in answers]
+        ),
     }
 
 

@@ -4,7 +4,8 @@ independent route to the same quantity.
 substitution_check integrates cn^2 by adaptive quadrature on both sides of
 a change of variables; full_range_bisection solves a resonance by plain
 bisection over the whole k' range; fixed_tolerance_newton runs the
-fixed-point Newton with every flow at the full tolerance;
+fixed-point Newton with every flow at the full tolerance, from a plain or
+a normal first step;
 homoclinic_limit_check measures how fast the m/1 subharmonic curves
 approach their homoclinic limits; orbit_ode_residual and
 homoclinic_limit_distance test the closed-form orbits against the pendulum
@@ -19,6 +20,7 @@ from scipy.integrate import quad
 from melnikov_lab import poincare
 from melnikov_lab.elliptic import EllipticModulus, jacobi_real
 from melnikov_lab.melnikov import (
+    IntegrationFailure,
     MelnikovCurve,
     closed_form_homoclinic,
     closed_form_subharmonic,
@@ -86,14 +88,31 @@ def full_range_bisection(period, target: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def fixed_tolerance_newton(sys, eps, m, z0, theta0, winding):
+def fixed_tolerance_newton(sys, eps, m, z0, theta0, winding, start="plain"):
     """poincare._newton's answer with every flow at _FLOW_TOL, one flow per step.
 
     Newton on P(z) - z - winding = 0 from z0: converged once |f| <=
     _RESIDUAL_TOL, else stopped by a step longer than 2, a singular J or
     _NEWTON_MAX steps (the point after the last one checked).  Returns
     (z, f, converged, DP) with f and DP from the flow at the returned z.
+
+    start "plain" takes Newton steps throughout.  start "projected" first
+    takes the Newton step projected onto the normal n = grad H =
+    (sin x1, x2) at z0: with v = (x2, -sin x1) along the orbit, the step
+    c n that solves v.(J c n) = v.f, where v.J n is nonzero and finite,
+    else the plain step.  start "projected, then plain", the run with which
+    _newton starts over, answers as the projected run where it converges;
+    where that run ends unconverged or one of its later flows fails, it
+    answers as the plain run, each run flowing z0 itself.
     """
+    if start == "projected, then plain":
+        try:
+            run = fixed_tolerance_newton(sys, eps, m, z0, theta0, winding, "projected")
+            if run[2]:
+                return run
+        except IntegrationFailure:
+            pass
+        start = "plain"
     eye = np.eye(2)
     z = np.array(z0, dtype=float)
     for steps in range(poincare._NEWTON_MAX + 1):
@@ -103,10 +122,19 @@ def fixed_tolerance_newton(sys, eps, m, z0, theta0, winding):
             return z, f, True, dp
         if steps == poincare._NEWTON_MAX:
             break
-        try:
-            step = np.linalg.solve(dp - eye, f)
-        except np.linalg.LinAlgError:
-            break
+        jac = dp - eye
+        x1, x2 = z.tolist()
+        sin1 = math.sin(x1)
+        (a, b), (c, d) = jac.tolist()
+        along = x2 * (a * sin1 + b * x2) - sin1 * (c * sin1 + d * x2)
+        if start == "projected" and steps == 0 and along != 0.0 and math.isfinite(along):
+            f1, f2 = f.tolist()
+            step = (x2 * f1 - sin1 * f2) / along * np.array([sin1, x2])
+        else:
+            try:
+                step = np.linalg.solve(jac, f)
+            except np.linalg.LinAlgError:
+                break
         if np.linalg.norm(step) > 2.0:
             break
         z = z - step

@@ -661,6 +661,24 @@ def test_huge_m_max_or_n_max_lists_what_100_lists(argv):
     assert (out, err) == _exit_code(["100" if a == "HUGE" else a for a in argv])[1:]
 
 
+# with a huge m_max every n has some m in the window, so the walk never ended;
+# a request whose (m, n) pairs to check pass 2^17 is refused before any solve
+@pytest.mark.parametrize("argv", [
+    ["certify", f"--m-max={5 * 10**307 + 1}", f"--n-max={5 * 10**307}"],
+    ["certify", "--m-max", "1000", "--n-max", "1000"],
+    ["certify", "--omega", "5e-324", "--n-max", str(10**12)],
+    ["resonances", "--m-max", "1000", "--n-max", "1000"],
+], ids=lambda argv: " ".join(a[:24] for a in argv))
+def test_huge_resonance_window_exits_2_at_once(argv):
+    start = time.perf_counter()
+    with _deadline(2.0):
+        code, out, err = _exit_code(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err == ("melnikov-lab: error: --m-max and --n-max give more than 131072 (m, n) "
+                   "pairs to check; lower them\n")
+
+
 def test_slowest_inner_resonance_verifies(capsys):
     # inner 1/1 near the smallest omega it solves at (0.01276): each flow lasts
     # 491 time units and takes up to 4,032 attempted steps

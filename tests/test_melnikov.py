@@ -23,6 +23,7 @@ from melnikov_lab.melnikov import (
     closed_form_homoclinic,
     closed_form_subharmonic,
     enumerate_resonances,
+    resonance_candidates,
     homoclinic_quadrature,
     simple_zeros,
     solve_resonance,
@@ -703,3 +704,23 @@ class TestHomoclinicLimitCheck:
             ROTATING_PLUS, 1.0, 1.0, 1.0, [1, 3], np.linspace(0, 2 * math.pi, 32)
         )
         assert gaps[0] > gaps[1] > 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from([INNER, ROTATING_PLUS, ROTATING_MINUS]),
+       log_omega=st.floats(-2.5, 3.5),
+       window=st.sampled_from([K_WINDOW, (0.05, 0.999), (0.5, 1.0 - 1e-15)]),
+       m_max=st.integers(0, 40), n_max=st.integers(0, 6))
+def test_candidates_count_the_walks_targets(family, log_omega, window, m_max, n_max):
+    """The closed-form count is the walk's targets, give or take 2 per n, and stops past limit."""
+    omega = 10.0**log_omega
+    equation = melnikov_module._resonance_equation
+    with mock.patch.object(melnikov_module, "solve_resonance", return_value=None), \
+            mock.patch.object(melnikov_module, "_resonance_equation", wraps=equation) as spy:
+        enumerate_resonances(family, omega, window, m_max, n_max)
+    computed = spy.call_count - 1  # the 1/1 target that scales the walk
+    count = resonance_candidates(family, omega, window, m_max, n_max, 10**9)
+    assert computed <= count <= computed + 2 * n_max
+    half = count // 2
+    capped = resonance_candidates(family, omega, window, m_max, n_max, half)
+    assert (capped > half) == (count > half)

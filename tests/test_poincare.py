@@ -287,8 +287,10 @@ class TestMelnikovSeeds:
 
     def test_run_that_stops_contracting_is_the_fixed_tolerance_run(self, monkeypatch):
         # rotating+ 1/1's first seed wanders: its third step is longer than
-        # its second, so Newton starts over at _FLOW_TOL and answers exactly
-        # as the fixed-tolerance run, which ends unconverged after 26 flows
+        # its second, so Newton starts over at _FLOW_TOL from a normal first
+        # step and answers exactly as that reference, which converges.  The
+        # plain fixed-tolerance run from the seed ends unconverged after 26
+        # flows, crawling along the orbit
         flows = []
         variational = poincare._variational_map
 
@@ -300,14 +302,57 @@ class TestMelnikovSeeds:
         sys_, theta0 = pendulum_system(1.0, 0.0, 1.0), math.pi / 2.0
         seed = _melnikov_seeds(sys_, r, theta0)[0]
         args = (sys_, 1e-3, 1, (seed.x1, seed.x2), theta0, _winding(r))
-        want = fixed_tolerance_newton(*args)
+        want = fixed_tolerance_newton(*args, start="projected, then plain")
+        assert np.array_equal(want[0], fixed_tolerance_newton(*args, start="projected")[0])
         monkeypatch.setattr(poincare, "_variational_map", counted)
+        plain = fixed_tolerance_newton(*args)
+        assert not plain[2] and len(flows) == 26
+        flows.clear()
         got = _newton(*args)
-        assert not got[2]
+        assert got[2]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         assert flows[0] == poincare._COARSE_FLOW_TOL
-        assert flows[-26:] == [_FLOW_TOL] * 26 and len(flows) > 26
+        assert flows[-5:] == [_FLOW_TOL] * 5 and flows[-6] > _FLOW_TOL
+
+    def test_projected_run_that_fails_gives_the_plain_answer(self, monkeypatch):
+        # rotating- 2/1 at omega 0.6: the seed's matched run stops
+        # contracting, its projected run from z0 ends unconverged and the
+        # plain run from z0 converges, reusing z0's flow.  Newton answers as
+        # that plain run, bit for bit, where the projected run alone would
+        # lose the fixed point
+        flows = []
+        variational = poincare._variational_map
+
+        def counted(sys_, eps, m, z, theta, tol):
+            flows.append((tuple(z), tol))
+            return variational(sys_, eps, m, z, theta, tol)
+
+        r = solve_resonance("rotating-", 0.6, 2, 1)
+        sys_, theta0 = pendulum_system(1.0, 0.0, 0.6), 4.0
+        runs = []
+        for seed in _melnikov_seeds(sys_, r, theta0):
+            args = (sys_, 5e-4, 2, (seed.x1, seed.x2), theta0, _winding(r))
+            projected = fixed_tolerance_newton(*args, start="projected")
+            plain = fixed_tolerance_newton(*args)
+            if not projected[2] and plain[2]:
+                runs.append((args, plain))
+        assert len(runs) == 1
+        (args, plain), z0 = runs[0], runs[0][0][3]
+        monkeypatch.setattr(poincare, "_variational_map", counted)
+        got = _newton(*args)
+        for a, b in zip(got, plain):
+            assert np.array_equal(a, b)
+        # one flow of z0 at _FLOW_TOL serves both runs, the projected one
+        # stepping along the normal (sin x1, x2) first
+        assert flows[0] == (z0, poincare._COARSE_FLOW_TOL)
+        starts = [i for i, flow in enumerate(flows) if flow == (z0, _FLOW_TOL)]
+        assert len(starts) == 1
+        (x1, x2), step = z0, np.subtract(flows[starts[0] + 1][0], z0)
+        normal = (math.sin(x1), x2)
+        cross = step[0] * normal[1] - step[1] * normal[0]
+        assert abs(cross) <= 1e-15 * math.hypot(*z0) * math.hypot(*normal)
+        assert flows[-1] == (tuple(plain[0]), _FLOW_TOL)
 
     def test_coarse_flow_past_its_share_falls_back(self, system, resonance, monkeypatch):
         # at 5 attempts per unit time a flow at _FLOW_TOL of this map spends
@@ -372,6 +417,47 @@ class TestMelnikovSeeds:
         assert [z for z, _ in flows] == [(0.0, 0.0)] * 2 + [(-1e-3, 0.0), (0.0, 0.0), (-1e-3, 0.0)]
         assert [tol > _FLOW_TOL for _, tol in flows] == [True, False, True, False, False]
 
+    def test_failed_flow_of_the_projected_run_falls_back(self, resonance, monkeypatch):
+        # J = [[1, 1], [0, 1]] makes each plain step f itself, and at z0 =
+        # (0, 1) the projected one (0, f1).  The coarse steps do not shrink,
+        # so Newton starts over from z0; the projected run's second flow
+        # fails, and the plain run from z0's flow converges
+        flows = []
+
+        def stub(sys_, eps, m, z, theta0, tol):
+            flows.append((tuple(z), tol > _FLOW_TOL))
+            if z[1] != 1.0:
+                raise IntegrationFailure("step budget spent")
+            f = 1e-12 if z[0] and tol == _FLOW_TOL else 1e-3
+            return z + np.array([f, 0.0]), np.array([[2.0, 1.0], [0.0, 2.0]])
+
+        monkeypatch.setattr(poincare, "_variational_map", stub)
+        args = (None, 1e-3, resonance.m, (0.0, 1.0), 0.0, np.zeros(2))
+        want = fixed_tolerance_newton(*args, start="projected, then plain")
+        flows.clear()
+        got = _newton(*args)
+        assert got[2]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert flows == [((0.0, 1.0), True), ((-1e-3, 1.0), True), ((0.0, 1.0), False),
+                         ((0.0, 1.0 - 1e-3), False), ((-1e-3, 1.0), False)]
+
+    def test_singular_jacobian_ends_a_fixed_tolerance_run(self, resonance, monkeypatch):
+        # J = I makes each step f itself, and Newton starts over from z0 =
+        # (0, 0), where no projected step exists; the plain run's second
+        # flow has DP = I, a singular J, which ends it unconverged there
+        def stub(sys_, eps, m, z, theta0, tol):
+            dp = np.eye(2) if z[0] and tol == _FLOW_TOL else 2.0 * np.eye(2)
+            return z + np.array([1e-3, 0.0]), dp
+
+        monkeypatch.setattr(poincare, "_variational_map", stub)
+        args = (None, 1e-3, resonance.m, (0.0, 0.0), 0.0, np.zeros(2))
+        got = _newton(*args)
+        assert not got[2]
+        for a, b in zip(got, fixed_tolerance_newton(*args)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got[0], [-1e-3, 0.0]) and np.array_equal(got[3], np.eye(2))
+
     @pytest.mark.parametrize("fixed_run_fails", [False, True])
     def test_failed_full_flow_off_the_fixed_path_starts_over(
         self, resonance, monkeypatch, fixed_run_fails
@@ -430,17 +516,21 @@ class TestMelnikovSeeds:
         # each seed's Newton run against the same run with every flow at
         # _FLOW_TOL: the same converged flags and fixed points.  A run that
         # contracts to the end on matched flows takes fewer RHS evaluations;
-        # one that stops contracting answers as the reference, bit for bit,
-        # after the coarse flows it ran before it stopped (at most 3 here)
+        # one that stops contracting answers as its reference bit for bit,
+        # after the coarse flows it ran before it stopped (at most 3 here):
+        # the plain run where it goes on in place, the projected-first one
+        # where it starts over from the seed (a reference whose runs each
+        # flow the seed, where Newton shares that flow between them)
         flows = []
 
         def counted(*args, **options):
             sol = solve_ivp(*args, **options)
-            flows.append(sol.nfev)
+            flows.append((tuple(args[2][:2]), sol.nfev))
             return sol
 
         monkeypatch.setattr(poincare, "solve_ivp", counted)
         totals = {False: [0, 0], True: [0, 0]}  # by "the same answer, bit for bit"
+        started_over = 0
         for family, m, beta, delta, eps_list in MATCHED_TOL_CASES:
             r = solve_resonance(family, 1.0, m, 1)
             if delta is None:
@@ -450,20 +540,26 @@ class TestMelnikovSeeds:
             sys_, theta0 = pendulum_system(beta, delta, 1.0), math.pi / 2.0
             for eps in eps_list:
                 for seed in _melnikov_seeds(sys_, r, theta0):
-                    runs, costs = [], []
-                    for newton in (_newton, fixed_tolerance_newton):
-                        start = len(flows)
-                        runs.append(
-                            newton(sys_, eps, m, (seed.x1, seed.x2), theta0, _winding(r))
-                        )
-                        costs.append(sum(flows[start:]))
-                    (z, _, converged, _), (want_z, _, want_converged, _) = runs
-                    assert converged == want_converged, (family, beta, delta, eps)
-                    if converged:
-                        got, want = (poincare._distance_to_orbit(p, r) for p in (z, want_z))
-                        assert abs(got - want) <= 1e-9 * want, (family, beta, delta, eps)
-                    same = all(np.array_equal(a, b) for a, b in zip(*runs))
-                    totals[same] = [t + c for t, c in zip(totals[same], costs)]
+                    args = (sys_, eps, m, (seed.x1, seed.x2), theta0, _winding(r))
+                    flows.clear()
+                    got = _newton(*args)
+                    points, cost = [p for p, _ in flows], sum(n for _, n in flows)
+                    # a run starts over if it flows the seed again after a step
+                    moved = [p != points[0] for p in points]
+                    restart = True in moved and points[0] in points[moved.index(True):]
+                    started_over += restart
+                    flows.clear()
+                    start = "projected, then plain" if restart else "plain"
+                    want = fixed_tolerance_newton(*args, start=start)
+                    same = all(np.array_equal(a, b) for a, b in zip(got, want))
+                    assert same or not restart, (family, beta, delta, eps)
+                    assert got[2] == want[2], (family, beta, delta, eps)
+                    if got[2]:
+                        got_d, want_d = (poincare._distance_to_orbit(z, r) for z in (got[0], want[0]))
+                        assert abs(got_d - want_d) <= 1e-9 * want_d, (family, beta, delta, eps)
+                    want_cost = sum(n for _, n in flows)
+                    totals[same] = [totals[same][0] + cost, totals[same][1] + want_cost]
+        assert started_over == 6
         (matched, reference), (fallen_back, its_reference) = totals[False], totals[True]
         assert matched <= 0.85 * reference, totals
         assert fallen_back <= 1.1 * its_reference, totals
@@ -1034,7 +1130,7 @@ class TestDOP853Kernel:
         import flow_timing
 
         assert flow_timing.counted_pass() == {
-            "flows": 164, "attempts": 11013, "accepted": 9209, "rhs_evals": 132484,
+            "flows": 123, "attempts": 8954, "accepted": 7497, "rhs_evals": 107694,
         }
 
 
