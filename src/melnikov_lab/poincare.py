@@ -116,10 +116,10 @@ def _dop853_flow(t, y, t_bound, forcing, tol, max_steps):
     else why it stopped.  _DOP853Kernel reads t, y, attempts and message
     alone: f, h_abs and accepted are returned for the tests, which check
     the set-up against scipy's and count the accepted steps, and for
-    tests/flow_timing.py's counts, not as part of the solver.  After
-    max_steps attempts, accepted or not, it stops; max_steps = 0 returns
-    the set-up itself.  It evaluates the right-hand side 2 + 12 * attempts
-    times, 2 of them by _derivative.
+    tests/oracles.py's counted_flows, which counts the tests' flows, not as
+    part of the solver.  After max_steps attempts, accepted or not, it
+    stops; max_steps = 0 returns the set-up itself.  It evaluates the
+    right-hand side 2 + 12 * attempts times, 2 of them by _derivative.
 
     The set-up is scipy's: f(t) from _derivative, then scipy's first-step
     guess (Hairer, Norsett & Wanner, Solving ODEs I, II.4), which calls

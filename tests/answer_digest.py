@@ -9,8 +9,9 @@ own item generators and answer calls, and prints {"stroboscopic",
 "certify_grid", "oracle_sweep", "cli_cold"}:
 
 - stroboscopic: the seed-7 pass of find_subharmonic items, with its flows
-  and RHS evaluations counted by wrapping poincare.solve_ivp, as
-  tests/subharmonic_grid.py does, the md5 of the answers with each item's
+  and RHS evaluations read from each poincare._dop853_flow call's own
+  attempts (tests/oracles.py's counted_flows, as tests/subharmonic_grid.py
+  counts them), the md5 of the answers with each item's
   flows and evaluations, and answers_md5, the md5 of the answers alone
   (a change to Newton's path that keeps every answer keeps it);
 - certify_grid: the md5 of the certificates of seeds 1 and 7, each
@@ -18,17 +19,15 @@ own item generators and answer calls, and prints {"stroboscopic",
 - oracle_sweep: the md5 of the oracle answers of seeds 1 and 7, each complex
   value written as [real, imag];
 - cli_cold: the md5 of the cli_cold argv of seeds 1 and 7, each run through
-  melnikov_lab.cli.main in process, as tests/traffic_statements.py runs
-  them, kept as {code, stdout, stderr}.
+  melnikov_lab.cli.main in process by tests/golden/regen.py's call, kept
+  as {code, stdout, stderr}.
 
 Run it on two trees: a change that keeps every answer bit for bit prints
 the same line.  It takes about 2 s on a 2-CPU Xeon; pytest does not
 collect it.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import sys
 from pathlib import Path
@@ -36,7 +35,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
-from melnikov_lab import poincare  # noqa: E402
+from golden.regen import call  # noqa: E402
+from oracles import counted_flows  # noqa: E402
 
 
 def _complex_pair(z):
@@ -50,28 +50,18 @@ def _md5(records):
 
 def stroboscopic(seed=7):
     """{items, flows, rhs_evals, md5} of one stroboscopic pass."""
-    flows = []
-    solve_ivp = poincare.solve_ivp
-
-    def counted(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        flows.append(sol.nfev)
-        return sol
-
-    poincare.solve_ivp = counted
     answers = []
-    try:
+    with counted_flows() as flows:
         for item in workloads.strobo_items(seed):
             start = len(flows)
             answer = workloads.answer_strobo(item)
-            answer["flows"], answer["rhs_evals"] = len(flows) - start, sum(flows[start:])
+            answer["flows"] = len(flows) - start
+            answer["rhs_evals"] = sum(flow.nfev for flow in flows[start:])
             answers.append(answer)
-    finally:
-        poincare.solve_ivp = solve_ivp
     return {
         "items": len(answers),
         "flows": len(flows),
-        "rhs_evals": sum(flows),
+        "rhs_evals": sum(flow.nfev for flow in flows),
         "md5": _md5(answers),
         "answers_md5": _md5(
             [{k: v for k, v in a.items() if k not in ("flows", "rhs_evals")} for a in answers]
@@ -95,21 +85,13 @@ def oracle_sweep(seeds=(1, 7)):
     return {"items": len(answers), "md5": _md5(answers)}
 
 
-def _cli(argv):
-    from melnikov_lab.cli import main
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
 def cli_cold(seeds=(1, 7)):
     """{runs, md5} of the cli_cold argv of seeds, run in process."""
-    outputs = [_cli(item["argv"]) for seed in seeds for item in workloads.cli_items(seed)]
+    outputs = [
+        dict(zip(("code", "stdout", "stderr"), call(item["argv"])))
+        for seed in seeds
+        for item in workloads.cli_items(seed)
+    ]
     return {"runs": len(outputs), "md5": _md5(outputs)}
 
 

@@ -11,9 +11,9 @@ warm-up pass, which also counts the work, then ROUNDS timed passes
 (default 5), timed with time.perf_counter and nothing wrapped.  It prints
 one JSON line, {"passes", "median_s", "best_s", "flows", "attempts",
 "accepted", "rhs_evals"}: the median and the best pass time, and the
-warm-up pass's flows, step attempts and accepted steps, read from each
-poincare._dop853_flow call's own counts, and its RHS evaluations (counted
-by wrapping poincare.solve_ivp, as tests/answer_digest.py does).
+warm-up pass's flows, step attempts, accepted steps and RHS evaluations,
+read from each poincare._dop853_flow call's own counts
+(tests/oracles.py's counted_flows, as tests/answer_digest.py reads them).
 
 With --against, OTHER_SRC is another tree's src directory, whose
 melnikov_lab is imported under the alias other_melnikov_lab.  One pass
@@ -46,6 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
 from melnikov_lab import poincare  # noqa: E402
+from oracles import counted_flows  # noqa: E402
 
 SEED = 7
 ALIAS = "other_melnikov_lab"
@@ -58,29 +59,13 @@ def run_pass():
 
 def counted_pass():
     """{flows, attempts, accepted, rhs_evals} of one pass."""
-    counts, nfevs = [], []
-    flow, solve_ivp = poincare._dop853_flow, poincare.solve_ivp
-
-    def counted_flow(*args):
-        result = flow(*args)
-        counts.append(result[4:6])  # attempts, accepted
-        return result
-
-    def counted_solve(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        nfevs.append(sol.nfev)
-        return sol
-
-    poincare._dop853_flow, poincare.solve_ivp = counted_flow, counted_solve
-    try:
+    with counted_flows() as flows:
         run_pass()
-    finally:
-        poincare._dop853_flow, poincare.solve_ivp = flow, solve_ivp
     return {
-        "flows": len(counts),
-        "attempts": sum(attempts for attempts, _ in counts),
-        "accepted": sum(accepted for _, accepted in counts),
-        "rhs_evals": sum(nfevs),
+        "flows": len(flows),
+        "attempts": sum(flow.attempts for flow in flows),
+        "accepted": sum(flow.accepted for flow in flows),
+        "rhs_evals": sum(flow.nfev for flow in flows),
     }
 
 

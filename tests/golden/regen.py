@@ -54,6 +54,9 @@ CASES = (
      "1e-3", "5e-4"),
     ("verify", "--family", "rotating-", "--m", "2", "--omega", "1.7", "--beta", "1.4",
      "--delta", "0.03", "--eps", "1e-3", "5e-4"),
+    # the weak-twist ladder: Newton cannot place a point that the forcing moves by
+    # about 1e-16, so it goes on in place at _FLOW_TOL after a resolving re-flow
+    ("verify", "--m", "3", "--beta", "1e-13", "--eps", "1e-3", "5e-4", "2.5e-4"),
     # exit 3: an infinite resonance target, and a first level past the node cap
     ("melnikov", "--family", "inner", "--m", "5", "--n", "1", "--omega", "5e-324",
      "--beta", "1", "--delta", "1", "--theta-points", "1"),
@@ -85,14 +88,23 @@ def _parse(stdout):
     return [{name: _cell(str(v)) for name, v in rec.items()} for rec in records]
 
 
-def run(argv):
-    """{argv, exit, output} of one in-process melnikov-lab call."""
+def call(argv):
+    """(exit code, stdout, stderr) of one in-process melnikov-lab call, usage errors included."""
     from melnikov_lab.cli import main
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
-    return {"argv": list(argv), "exit": code, "output": _parse(out.getvalue())}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(argv):
+    """{argv, exit, output} of one in-process melnikov-lab call."""
+    code, out, _ = call(argv)
+    return {"argv": list(argv), "exit": code, "output": _parse(out)}
 
 
 def _moved(old, new, path):

@@ -5,13 +5,16 @@ substitution_check integrates cn^2 by adaptive quadrature on both sides of
 a change of variables; full_range_bisection solves a resonance by plain
 bisection over the whole k' range; fixed_tolerance_newton runs the
 fixed-point Newton with every flow at the full tolerance, from a plain or
-a normal first step;
+a normal first step; counted_flows records every stroboscopic flow that
+runs inside it;
 homoclinic_limit_check measures how fast the m/1 subharmonic curves
 approach their homoclinic limits; orbit_ode_residual and
 homoclinic_limit_distance test the closed-form orbits against the pendulum
 ODE and against the separatrix.
 """
 
+import collections
+import contextlib
 import math
 
 import numpy as np
@@ -139,6 +142,35 @@ def fixed_tolerance_newton(sys, eps, m, z0, theta0, winding, start="plain"):
             break
         z = z - step
     return z, f, False, dp
+
+
+Flow = collections.namedtuple("Flow", "start attempts accepted nfev message")
+
+
+@contextlib.contextmanager
+def counted_flows():
+    """A list that gains one Flow per poincare._dop853_flow call made inside the block.
+
+    Every stroboscopic flow is one _dop853_flow call, so a Flow reads the
+    call's own counts: start, the (x1, x2) it starts from; the step
+    attempts and accepted steps; nfev, its 2 + 12 * attempts RHS
+    evaluations (solve_ivp's sol.nfev); and message, None where the flow
+    reached t_bound, else why it stopped.  The name is restored on exit.
+    """
+    flows = []
+    flow = poincare._dop853_flow
+
+    def counted(t, y, t_bound, forcing, tol, max_steps):
+        result = flow(t, y, t_bound, forcing, tol, max_steps)
+        *_, attempts, accepted, message = result
+        flows.append(Flow(tuple(y[:2]), attempts, accepted, 2 + 12 * attempts, message))
+        return result
+
+    poincare._dop853_flow = counted
+    try:
+        yield flows
+    finally:
+        poincare._dop853_flow = flow
 
 
 def homoclinic_limit_check(

@@ -7,8 +7,9 @@ Run from the repository root:
 The grid is omega in {0.6, 0.8, 1, 1.2, 1.4}; inner 1/1 (omega < 1 only),
 3/1 and 5/1 and rotating+- 1/1, 2/1 and 3/1; beta 1; delta in {0, 0.2};
 theta0 in {0, pi/2, 2, 4}; eps in {1e-3, 5e-4, 2.5e-4}.  Each case is one
-find_subharmonic call.  Flows and RHS evaluations are counted by wrapping
-poincare.solve_ivp.  The script prints one JSON line, {"cases",
+find_subharmonic call.  Flows and RHS evaluations are read from each
+poincare._dop853_flow call's own attempts (tests/oracles.py's
+counted_flows).  The script prints one JSON line, {"cases",
 "converged", "flows", "rhs_evals"}, and writes every case to OUT.json:
 its inputs, the converged flag, the distance to the unperturbed orbit and
 its flows and RHS evaluations.  Run it on two trees and compare the two
@@ -25,6 +26,7 @@ import sys
 from melnikov_lab import poincare
 from melnikov_lab.melnikov import solve_resonance
 from melnikov_lab.pendulum import pendulum_system
+from oracles import counted_flows
 
 OMEGAS = (0.6, 0.8, 1.0, 1.2, 1.4)
 RESONANCES = [("inner", m) for m in (1, 3, 5)] + [
@@ -38,17 +40,8 @@ _NEAR = 1e-6  # relative move of a converged distance that compare counts as nea
 
 def run_grid():
     """Every case of the grid, as a list of dicts in a fixed order."""
-    flows = []
-    solve_ivp = poincare.solve_ivp
-
-    def counted(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        flows.append(sol.nfev)
-        return sol
-
-    poincare.solve_ivp = counted
     cases = []
-    try:
+    with counted_flows() as flows:
         for omega in OMEGAS:
             for family, m in RESONANCES:
                 r = solve_resonance(family, omega, m, 1)
@@ -65,10 +58,9 @@ def run_grid():
                                 "delta": delta, "theta0": theta0, "eps": eps,
                                 "converged": res.converged,
                                 "distance": res.distance_to_unperturbed,
-                                "flows": len(flows), "rhs_evals": sum(flows),
+                                "flows": len(flows),
+                                "rhs_evals": sum(flow.nfev for flow in flows),
                             })
-    finally:
-        poincare.solve_ivp = solve_ivp
     return cases
 
 

@@ -11,13 +11,13 @@ import sys
 import time
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import melnikov_lab
+from golden.regen import call
 from melnikov_lab.certificate import build_certificate
 from melnikov_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from melnikov_lab.melnikov import K_WINDOW
@@ -427,14 +427,17 @@ class TestVerifyCommand:
     def test_integration_failure_exits_3(self, capsys, monkeypatch):
         import melnikov_lab.poincare as poincare
 
-        def collapsed(*args, **kwargs):
-            return SimpleNamespace(success=False, message="step size collapsed")
+        flow = poincare._dop853_flow
 
-        monkeypatch.setattr(poincare, "solve_ivp", collapsed)
+        def spent(t, y, t_bound, forcing, tol, max_steps):
+            # the flow's own failure: its set-up, stopped by a budget of 0
+            return flow(t, y, t_bound, forcing, tol, 0)
+
+        monkeypatch.setattr(poincare, "_dop853_flow", spent)
         code, out, err = run_cli(capsys, ["verify", "--m", "3", "--eps", "1e-3"])
         assert code == EXIT_NUMERIC
         assert out == ""
-        assert "integration failure" in err
+        assert "integration failure: step budget of 0 spent" in err
 
 
 class TestUsageErrors:
@@ -588,15 +591,9 @@ def _exit_code(argv):
     A warning is raised as an exception here, and escapes main: from a shell
     it would print lines of its own.
     """
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+        return call(argv)
 
 
 # omega = 5e-324 overflows the resonance target to inf; omega >= 2e306 the

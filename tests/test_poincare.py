@@ -37,7 +37,7 @@ from melnikov_lab.poincare import (
     find_subharmonic,
     scaling_band,
 )
-from oracles import fixed_tolerance_newton
+from oracles import counted_flows, fixed_tolerance_newton
 
 
 # Hypothesis phases of the properties that run flows: no shrinking, which
@@ -136,10 +136,10 @@ class TestFindSubharmonic:
         assert out == pytest.approx(z, abs=1e-9)
 
     def test_system_omega_must_be_the_resonance_omega(self, resonance, monkeypatch):
-        def no_flow(*args, **kwargs):
+        def no_flow(*args):
             raise AssertionError("flowed a system off the resonance's omega")
 
-        monkeypatch.setattr(poincare, "solve_ivp", no_flow)
+        monkeypatch.setattr(poincare, "_dop853_flow", no_flow)
         with pytest.raises(ValueError, match="omega"):
             find_subharmonic(pendulum_system(1.0, 0.0, 1.05), 1e-3, resonance, math.pi / 2.0)
 
@@ -150,10 +150,10 @@ class TestFindSubharmonic:
     def test_non_finite_eps_or_theta0_flows_nothing(
         self, system, resonance, eps, theta0, monkeypatch
     ):
-        def no_flow(*args, **kwargs):
+        def no_flow(*args):
             raise AssertionError("flowed a non-finite eps or theta0")
 
-        monkeypatch.setattr(poincare, "solve_ivp", no_flow)
+        monkeypatch.setattr(poincare, "_dop853_flow", no_flow)
         with pytest.raises(ValueError, match="must be finite"):
             find_subharmonic(system, eps, resonance, theta0)
 
@@ -496,23 +496,15 @@ class TestMelnikovSeeds:
             ((-fixed_step, 0.0), _FLOW_TOL),
         ]
 
-    def test_positive_control_takes_few_narrow_flows(self, system, resonance, monkeypatch):
-        flows = []
-
-        def counted(rhs, span, y0, **options):
-            sol = solve_ivp(rhs, span, y0, **options)
-            flows.append((len(y0), sol.nfev))
-            return sol
-
-        monkeypatch.setattr(poincare, "solve_ivp", counted)
-        res = find_subharmonic(system, 1e-3, resonance, math.pi / 2.0)
+    def test_positive_control_takes_few_narrow_flows(self, system, resonance):
+        with counted_flows() as flows:
+            res = find_subharmonic(system, 1e-3, resonance, math.pi / 2.0)
         assert res.converged
-        # one Newton run per Melnikov zero on state + tangent-map flows and no
-        # other flow; all at _FLOW_TOL took 9,360 RHS evaluations in 6 flows
-        assert all(size == 6 for size, _ in flows)
-        assert sum(nfev for _, nfev in flows) <= 8000
+        # one Newton run per Melnikov zero on state + tangent-map flows, each
+        # one _dop853_flow; all at _FLOW_TOL took 9,360 RHS evaluations in 6 flows
+        assert sum(flow.nfev for flow in flows) <= 8000
 
-    def test_matched_tolerances_keep_the_fixed_tolerance_answers(self, monkeypatch):
+    def test_matched_tolerances_keep_the_fixed_tolerance_answers(self):
         # each seed's Newton run against the same run with every flow at
         # _FLOW_TOL: the same converged flags and fixed points.  A run that
         # contracts to the end on matched flows takes fewer RHS evaluations;
@@ -521,14 +513,6 @@ class TestMelnikovSeeds:
         # the plain run where it goes on in place, the projected-first one
         # where it starts over from the seed (a reference whose runs each
         # flow the seed, where Newton shares that flow between them)
-        flows = []
-
-        def counted(*args, **options):
-            sol = solve_ivp(*args, **options)
-            flows.append((tuple(args[2][:2]), sol.nfev))
-            return sol
-
-        monkeypatch.setattr(poincare, "solve_ivp", counted)
         totals = {False: [0, 0], True: [0, 0]}  # by "the same answer, bit for bit"
         started_over = 0
         for family, m, beta, delta, eps_list in MATCHED_TOL_CASES:
@@ -541,23 +525,23 @@ class TestMelnikovSeeds:
             for eps in eps_list:
                 for seed in _melnikov_seeds(sys_, r, theta0):
                     args = (sys_, eps, m, (seed.x1, seed.x2), theta0, _winding(r))
-                    flows.clear()
-                    got = _newton(*args)
-                    points, cost = [p for p, _ in flows], sum(n for _, n in flows)
+                    with counted_flows() as flows:
+                        got = _newton(*args)
+                    points, cost = [f.start for f in flows], sum(f.nfev for f in flows)
                     # a run starts over if it flows the seed again after a step
                     moved = [p != points[0] for p in points]
                     restart = True in moved and points[0] in points[moved.index(True):]
                     started_over += restart
-                    flows.clear()
                     start = "projected, then plain" if restart else "plain"
-                    want = fixed_tolerance_newton(*args, start=start)
+                    with counted_flows() as flows:
+                        want = fixed_tolerance_newton(*args, start=start)
                     same = all(np.array_equal(a, b) for a, b in zip(got, want))
                     assert same or not restart, (family, beta, delta, eps)
                     assert got[2] == want[2], (family, beta, delta, eps)
                     if got[2]:
                         got_d, want_d = (poincare._distance_to_orbit(z, r) for z in (got[0], want[0]))
                         assert abs(got_d - want_d) <= 1e-9 * want_d, (family, beta, delta, eps)
-                    want_cost = sum(n for _, n in flows)
+                    want_cost = sum(f.nfev for f in flows)
                     totals[same] = [totals[same][0] + cost, totals[same][1] + want_cost]
         assert started_over == 6
         (matched, reference), (fallen_back, its_reference) = totals[False], totals[True]
@@ -1017,13 +1001,8 @@ class TestDOP853Kernel:
     def test_nfev_is_every_rhs_call(self, system, resonance, monkeypatch):
         # the set-up calls _derivative twice (first derivative, first-step
         # guess); each attempted step then evaluates 12 stages inline
-        flows, calls, nfevs = [], [], []
-        flow, derivative = poincare._dop853_flow, poincare._derivative
-
-        def counted_flow(*args):
-            result = flow(*args)
-            flows.append(result[4])  # attempts
-            return result
+        calls, nfevs = [], []
+        derivative = poincare._derivative
 
         def counted(t, y, forcing):
             calls.append(t)
@@ -1034,13 +1013,13 @@ class TestDOP853Kernel:
             nfevs.append(sol.nfev)
             return sol
 
-        monkeypatch.setattr(poincare, "_dop853_flow", counted_flow)
         monkeypatch.setattr(poincare, "_derivative", counted)
         monkeypatch.setattr(poincare, "solve_ivp", solved)
-        _variational_map(system, 1e-3, resonance.m, (0.9, 0.4), math.pi / 2.0)
-        ((attempts,), (nfev,)) = flows, nfevs
-        assert len(calls) == 2 and calls[0] == 0.0 and attempts > 0
-        assert nfev == len(calls) + 12 * attempts
+        with counted_flows() as flows:
+            _variational_map(system, 1e-3, resonance.m, (0.9, 0.4), math.pi / 2.0)
+        ((flow,), (nfev,)) = flows, nfevs
+        assert len(calls) == 2 and calls[0] == 0.0 and flow.attempts > 0
+        assert nfev == len(calls) + 12 * flow.attempts
 
     def test_spent_step_budget_fails_the_flow(self, system, monkeypatch):
         # one attempt per unit time over 3 periods of 2*pi: ceil(6*pi) = 19
