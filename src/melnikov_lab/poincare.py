@@ -651,21 +651,20 @@ def _newton(sys, eps, m, z0, theta0, winding):
     (_fixed_tolerance_run).  If every step so far, the one that stopped it
     contracting included, came from a flow at _FLOW_TOL, Newton goes on in
     place, as Newton with every flow at _FLOW_TOL from z0, step for step.
-    Else it starts over from z0.  The fixed point sits O(eps) off z0, its
-    part along the normal n = grad H fixed at first order but its part
+    Else it starts over from z0, as it does where a flow at _FLOW_TOL fails
+    after a step from a coarser flow.  The fixed point sits O(eps) off z0,
+    its part along the normal n = grad H fixed at first order but its part
     along the orbit only at O(eps^2) (Guckenheimer & Holmes 1983, Ch. 4;
-    Yagasaki 1996), so a plain step from z0 can crawl along the orbit.  The
-    run that starts over therefore takes the Newton step projected onto n
-    first, and answers as that run where it converges; where it does not,
-    or one of its later flows fails, the plain run from z0 follows, reusing
-    z0's flow.  A flow at _FLOW_TOL that fails after a step from a coarser
-    flow starts over as the plain run alone.  At most _NEWTON_MAX steps are
-    taken, the point after the last one checked.  Returns (z, f,
-    converged, DP) with f and DP from the last flow, at the returned z:
-    converged once |f| <= _RESIDUAL_TOL, so a converged point's f and DP
-    come from a flow at _FLOW_TOL; else stopped by a step longer than 2, a
-    singular J or _NEWTON_MAX steps, and then f and DP may come from a flow
-    as coarse as _COARSE_FLOW_TOL.
+    Yagasaki 1996), so a plain step from z0 can crawl along the orbit.  So
+    every run that starts over takes the Newton step projected onto n first,
+    and answers as that run where it converges; where it does not, or one of
+    its later flows fails, the plain run from z0 follows, reusing z0's flow.
+    At most _NEWTON_MAX steps are taken, the point after the last one
+    checked.  Returns (z, f, converged, DP) with f and DP from the last
+    flow, at the returned z: converged once |f| <= _RESIDUAL_TOL, so a
+    converged point's f and DP come from a flow at _FLOW_TOL; else stopped
+    by a step longer than 2, a singular J or _NEWTON_MAX steps, and then f
+    and DP may come from a flow as coarse as _COARSE_FLOW_TOL.
     """
     eye = np.eye(2)
     start = np.array(z0, dtype=float)
@@ -681,8 +680,7 @@ def _newton(sys, eps, m, z0, theta0, winding):
                 continue
             if exact:
                 raise  # as the fixed-tolerance run does
-            flow = _variational_map(*args, start, theta0, _FLOW_TOL)
-            return _fixed_tolerance_run(*args, start, theta0, winding, flow)
+            break
         final, dp = flow
         f = final - z - winding
         if tol <= _FLOW_TOL and np.linalg.norm(f) <= _RESIDUAL_TOL:
@@ -691,7 +689,7 @@ def _newton(sys, eps, m, z0, theta0, winding):
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
-            break
+            return z, f, False, dp
         size = float(np.linalg.norm(step))
         # ||J^-1||_F = ||J||_F / |det J| for a 2x2 J
         (a, b), (c, d) = jac.tolist()
@@ -704,21 +702,21 @@ def _newton(sys, eps, m, z0, theta0, winding):
             tol = finer  # flow the same z again: not a Newton step
             continue
         if steps == _NEWTON_MAX or size > 2.0:
-            break  # out of steps, or diverging away from the seed neighborhood
+            return z, f, False, dp  # out of steps, or diverging away from the seed neighborhood
         if size > _CONTRACTION * last:  # not contracting
             if exact and tol <= _FLOW_TOL:
                 return _fixed_tolerance_run(*args, z, theta0, winding, flow, steps)
-            flow = _variational_map(*args, start, theta0, _FLOW_TOL)
-            try:
-                run = _fixed_tolerance_run(*args, start, theta0, winding, flow, projected=True)
-            except IntegrationFailure:
-                run = None
-            if run is None or not run[2]:
-                run = _fixed_tolerance_run(*args, start, theta0, winding, flow)
-            return run
+            break
         exact = exact and tol <= _FLOW_TOL
         z, steps, last, tol = z - step, steps + 1, size, finer
-    return z, f, False, dp
+    flow = _variational_map(*args, start, theta0, _FLOW_TOL)
+    try:
+        run = _fixed_tolerance_run(*args, start, theta0, winding, flow, projected=True)
+    except IntegrationFailure:
+        run = None
+    if run is None or not run[2]:
+        run = _fixed_tolerance_run(*args, start, theta0, winding, flow)
+    return run
 
 
 def _melnikov_seeds(sys: ForcedSystem, r: Resonance, theta0: float) -> List[OrbitPoint]:

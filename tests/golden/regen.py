@@ -55,7 +55,12 @@ CASES = (
     ("verify", "--family", "rotating-", "--m", "2", "--omega", "1.7", "--beta", "1.4",
      "--delta", "0.03", "--eps", "1e-3", "5e-4"),
     # the weak-twist ladder: Newton cannot place a point that the forcing moves by
-    # about 1e-16, so it goes on in place at _FLOW_TOL after a resolving re-flow
+    # about 1e-16, so it goes on in place at _FLOW_TOL after a resolving re-flow.
+    # It pins where Newton stops along the weak-twist direction, which rests on
+    # Newton's path: residuals 6.0-6.1e-11 and distances 2.9e-12 here, against
+    # 1.5-2.5e-12 and 1.6e-13 when the same runs start over from the seed.  A
+    # change to Newton's path that keeps the map can move it; read its
+    # regeneration as that, not as a moved answer
     ("verify", "--m", "3", "--beta", "1e-13", "--eps", "1e-3", "5e-4", "2.5e-4"),
     # exit 3: an infinite resonance target, and a first level past the node cap
     ("melnikov", "--family", "inner", "--m", "5", "--n", "1", "--omega", "5e-324",

@@ -103,10 +103,12 @@ def fixed_tolerance_newton(sys, eps, m, z0, theta0, winding, start="plain"):
     takes the Newton step projected onto the normal n = grad H =
     (sin x1, x2) at z0: with v = (x2, -sin x1) along the orbit, the step
     c n that solves v.(J c n) = v.f, where v.J n is nonzero and finite,
-    else the plain step.  start "projected, then plain", the run with which
-    _newton starts over, answers as the projected run where it converges;
-    where that run ends unconverged or one of its later flows fails, it
-    answers as the plain run, each run flowing z0 itself.
+    else the plain step.  start "projected, then plain" is the one run
+    with which _newton starts over, after a step that stops it contracting
+    or a flow at _FLOW_TOL that fails after a step from a coarser flow: it
+    answers as the projected run where it converges; where that run ends
+    unconverged or one of its later flows fails, it answers as the plain
+    run, each run flowing z0 itself.
     """
     if start == "projected, then plain":
         try:
@@ -144,7 +146,7 @@ def fixed_tolerance_newton(sys, eps, m, z0, theta0, winding, start="plain"):
     return z, f, False, dp
 
 
-Flow = collections.namedtuple("Flow", "start attempts accepted nfev message")
+Flow = collections.namedtuple("Flow", "start attempts accepted nfev message args result")
 
 
 @contextlib.contextmanager
@@ -154,16 +156,19 @@ def counted_flows():
     Every stroboscopic flow is one _dop853_flow call, so a Flow reads the
     call's own counts: start, the (x1, x2) it starts from; the step
     attempts and accepted steps; nfev, its 2 + 12 * attempts RHS
-    evaluations (solve_ivp's sol.nfev); and message, None where the flow
-    reached t_bound, else why it stopped.  The name is restored on exit.
+    evaluations (solve_ivp's sol.nfev); message, None where the flow
+    reached t_bound, else why it stopped; args, the call's (t, y, t_bound,
+    forcing, tol, max_steps); and result, its (t, y, f, h_abs, attempts,
+    accepted, message).  The name is restored on exit.
     """
     flows = []
     flow = poincare._dop853_flow
 
-    def counted(t, y, t_bound, forcing, tol, max_steps):
-        result = flow(t, y, t_bound, forcing, tol, max_steps)
+    def counted(*args):
+        result = flow(*args)
         *_, attempts, accepted, message = result
-        flows.append(Flow(tuple(y[:2]), attempts, accepted, 2 + 12 * attempts, message))
+        start = tuple(args[1][:2])
+        flows.append(Flow(start, attempts, accepted, 2 + 12 * attempts, message, args, result))
         return result
 
     poincare._dop853_flow = counted

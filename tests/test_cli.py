@@ -19,15 +19,9 @@ from hypothesis import strategies as st
 import melnikov_lab
 from golden.regen import call
 from melnikov_lab.certificate import build_certificate
-from melnikov_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
+from melnikov_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser
 from melnikov_lab.melnikov import K_WINDOW
 from melnikov_lab.pendulum import FAMILIES
-
-
-def run_cli(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def parse_csv(text):
@@ -36,8 +30,8 @@ def parse_csv(text):
 
 
 class TestResonancesCommand:
-    def test_inner_n1_table(self, capsys):
-        code, out, _ = run_cli(capsys, ["resonances", "--omega", "1.0", "--m-max", "9"])
+    def test_inner_n1_table(self):
+        code, out, _ = call(["resonances", "--omega", "1.0", "--m-max", "9"])
         assert code == EXIT_OK
         header, rows = parse_csv(out)
         assert header == ["family", "m", "n", "k", "period", "omega_check"]
@@ -48,27 +42,24 @@ class TestResonancesCommand:
         # full precision survives the round trip
         assert all(len(r[3].split("e")[0].rstrip("0")) >= 10 for r in rows)
 
-    def test_empty_result_is_success(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["resonances", "--omega", "50.0", "--m-max", "3"]
-        )
+    def test_empty_result_is_success(self):
+        code, out, _ = call(["resonances", "--omega", "50.0", "--m-max", "3"])
         assert code == EXIT_OK
         _, rows = parse_csv(out)
         assert rows == []
 
-    def test_out_of_window_resonance_is_skipped(self, capsys):
+    def test_out_of_window_resonance_is_skipped(self):
         # k K = 1000 pi needs k' ~ 4 exp(-3142): outside every k window
-        code, out, _ = run_cli(
-            capsys,
+        code, out, _ = call(
             ["resonances", "--family", "rotating+", "--omega", "1e-3", "--m-max", "2"],
         )
         assert code == EXIT_OK
         _, rows = parse_csv(out)
         assert rows == []
 
-    def test_unresolvable_moduli_do_not_stop_the_table(self, capsys):
+    def test_unresolvable_moduli_do_not_stop_the_table(self):
         # inner m >= 79 at omega = 1 lies beyond what the bisection resolves
-        code, out, _ = run_cli(capsys, ["resonances", "--omega", "1.0", "--m-max", "100"])
+        code, out, _ = call(["resonances", "--omega", "1.0", "--m-max", "100"])
         assert code == EXIT_OK
         _, rows = parse_csv(out)
         assert [int(r[1]) for r in rows] == list(range(2, 12))
@@ -80,26 +71,22 @@ class TestResonancesCommand:
             ["certify", "--beta", "1", "--delta", "1", "--omega", "2500"],
         ],
     )
-    def test_unresolvably_small_rotating_moduli_are_skipped(self, capsys, argv):
+    def test_unresolvably_small_rotating_moduli_are_skipped(self, argv):
         # rotating+ 1/1 at k ~ 5e-4 (omega = 4000) and 1/2 at k ~ 4e-4
         # (omega = 2500) lie below what the k' bisection resolves
-        code, _, err = run_cli(capsys, argv)
+        code, _, err = call(argv)
         assert code == EXIT_OK
         assert "melnikov-lab:" not in err
 
-    def test_json_format(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["resonances", "--m-max", "3", "--format", "json"]
-        )
+    def test_json_format(self):
+        code, out, _ = call(["resonances", "--m-max", "3", "--format", "json"])
         assert code == EXIT_OK
         records = json.loads(out)
         assert all(rec["family"] == "inner" for rec in records)
 
-    def test_output_file(self, capsys, tmp_path):
+    def test_output_file(self, tmp_path):
         target = tmp_path / "resonances.csv"
-        code, out, _ = run_cli(
-            capsys, ["resonances", "--m-max", "3", "--out", str(target)]
-        )
+        code, out, _ = call(["resonances", "--m-max", "3", "--out", str(target)])
         assert code == EXIT_OK
         assert out == ""
         header, _ = parse_csv(target.read_text())
@@ -107,9 +94,8 @@ class TestResonancesCommand:
 
 
 class TestMelnikovCommand:
-    def test_subharmonic_agreement(self, capsys):
-        code, out, err = run_cli(
-            capsys,
+    def test_subharmonic_agreement(self):
+        code, out, err = call(
             [
                 "melnikov", "--family", "inner", "--m", "3", "--n", "1",
                 "--beta", "1", "--delta", "1", "--theta-points", "8",
@@ -122,9 +108,8 @@ class TestMelnikovCommand:
         assert all(abs(float(r[3])) <= 1e-8 for r in rows)
         assert "sup |quadrature - closed_form|" in err
 
-    def test_homoclinic_agreement(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
+    def test_homoclinic_agreement(self):
+        code, out, _ = call(
             [
                 "melnikov", "--homoclinic", "--sign", "-1", "--beta", "1",
                 "--delta", "1", "--theta-points", "8",
@@ -136,61 +121,55 @@ class TestMelnikovCommand:
         # sign -1 flips the cosine coefficient: theta = 0 below -8*delta
         assert float(rows[0][2]) < -8.0
 
-    def test_homoclinic_rejects_resonance_flags(self, capsys):
+    def test_homoclinic_rejects_resonance_flags(self):
         # the homoclinic curve reads no resonance, even a flag at its default value
         for flags in (["--m", "2", "--n", "4"], ["--m", "3"], ["--family", "inner"]):
-            with pytest.raises(SystemExit) as exc:
-                main(["melnikov", "--homoclinic", *flags])
-            assert exc.value.code == EXIT_USAGE
-            assert "--homoclinic does not read" in capsys.readouterr().err
+            code, _, err = call(["melnikov", "--homoclinic", *flags])
+            assert code == EXIT_USAGE
+            assert "--homoclinic does not read" in err
 
-    def test_subharmonic_rejects_sign(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["melnikov", "--m", "3", "--sign", "-1"])
-        assert exc.value.code == EXIT_USAGE
-        assert capsys.readouterr().err == (
+    def test_subharmonic_rejects_sign(self):
+        code, _, err = call(["melnikov", "--m", "3", "--sign", "-1"])
+        assert code == EXIT_USAGE
+        assert err == (
             "melnikov-lab: error: melnikov without --homoclinic does not read --sign\n"
         )
 
-    def test_homoclinic_sign_defaults_to_plus(self, capsys):
+    def test_homoclinic_sign_defaults_to_plus(self):
         argv = ["melnikov", "--homoclinic", "--theta-points", "4"]
-        code, out, _ = run_cli(capsys, argv)
+        code, out, _ = call(argv)
         assert code == EXIT_OK
-        assert out == run_cli(capsys, [*argv, "--sign", "1"])[1]
-        assert out != run_cli(capsys, [*argv, "--sign", "-1"])[1]
+        assert out == call([*argv, "--sign", "1"])[1]
+        assert out != call([*argv, "--sign", "-1"])[1]
 
-    def test_subharmonic_flags_keep_their_defaults(self, capsys):
+    def test_subharmonic_flags_keep_their_defaults(self):
         explicit = ["--family", "inner", "--m", "3", "--n", "1"]
-        code, out, _ = run_cli(capsys, ["melnikov", "--theta-points", "4", *explicit])
+        code, out, _ = call(["melnikov", "--theta-points", "4", *explicit])
         assert code == EXIT_OK
-        assert out == run_cli(capsys, ["melnikov", "--theta-points", "4"])[1]
+        assert out == call(["melnikov", "--theta-points", "4"])[1]
 
-    def test_unsolvable_resonance_exits_3(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["melnikov", "--family", "inner", "--m", "1", "--n", "2"]
-        )
+    def test_unsolvable_resonance_exits_3(self):
+        code, _, err = call(["melnikov", "--family", "inner", "--m", "1", "--n", "2"])
         assert code == EXIT_NUMERIC
         assert "no resonance" in err
 
-    def test_unresolved_resonance_exits_3(self, capsys):
+    def test_unresolved_resonance_exits_3(self):
         # the bisection's root misses k K = pi / 4000 by more than 1e-10 of it
-        code, out, err = run_cli(capsys, ["melnikov", "--family", "rotating+", "--m", "1",
-                                          "--omega", "4000"])
+        code, out, err = call(["melnikov", "--family", "rotating+", "--m", "1",
+                               "--omega", "4000"])
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "residual" in err
 
-    def test_out_of_range_resonance_exits_3(self, capsys):
+    def test_out_of_range_resonance_exits_3(self):
         # inner 450/1 at omega = 1 needs K = 706.9, past K(k' = 1e-300) = 692.16
-        code, out, err = run_cli(capsys, ["melnikov", "--m", "450", "--omega", "1"])
+        code, out, err = call(["melnikov", "--m", "450", "--omega", "1"])
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "out of range" in err
 
-    def test_theta_points_rows(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["melnikov", "--m", "3", "--theta-points", "4"]
-        )
+    def test_theta_points_rows(self):
+        code, out, _ = call(["melnikov", "--m", "3", "--theta-points", "4"])
         assert code == EXIT_OK
         _, rows = parse_csv(out)
         assert len(rows) == 4
@@ -208,19 +187,19 @@ class TestLargeOmega:
             ["certify", "--omega", "500", "--beta", "0"],
         ],
     )
-    def test_exits_0_or_3(self, capsys, argv):
-        code, out, _ = run_cli(capsys, argv)
+    def test_exits_0_or_3(self, argv):
+        code, out, _ = call(argv)
         assert code in (EXIT_OK, EXIT_NUMERIC)
         if code == EXIT_OK and argv[0] == "certify":
             assert json.loads(out)["chaos"]["threshold"] == math.inf
 
-    def test_overflowing_quadrature_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, ["melnikov", "--beta", "1e308", "--delta", "1e308"])
+    def test_overflowing_quadrature_exits_3(self):
+        code, _, err = call(["melnikov", "--beta", "1e308", "--delta", "1e308"])
         assert code == EXIT_NUMERIC
         assert "Melnikov value nan at beta=1e+308" in err
 
-    def test_overflowing_contour_exits_3(self, capsys):
-        code, out, err = run_cli(capsys, ["contour", "--beta", "1e308"])
+    def test_overflowing_contour_exits_3(self):
+        code, out, err = call(["contour", "--beta", "1e308"])
         assert code == EXIT_NUMERIC and out == ""
         assert "residue closed form (inf+nanj)" in err
 
@@ -231,8 +210,8 @@ class TestLargeOmega:
         [["contour"], ["melnikov", "--m", "3"], ["certify"], ["certify", "--delta", "1"]],
         ids=" ".join,
     )
-    def test_overflow_prints_one_line(self, capsys, argv):
-        code, out, err = run_cli(capsys, [*argv, "--beta", "1e308"])
+    def test_overflow_prints_one_line(self, argv):
+        code, out, err = call([*argv, "--beta", "1e308"])
         assert code == EXIT_NUMERIC and out == ""
         assert err.startswith("melnikov-lab: ") and err.count("\n") == 1
         assert "overflows the float range" in err
@@ -245,30 +224,28 @@ class TestLargeOmega:
                 " overflows the float range\n"
             )
 
-    def test_overflowing_certificate_residue_exits_3(self, capsys):
+    def test_overflowing_certificate_residue_exits_3(self):
         # inner 461/1 at omega = 460 has omega K' ~ 1733, past cosh's range
-        code, out, err = run_cli(
-            capsys, ["certify", "--omega", "460", "--m-max", "461", "--n-max", "1"]
-        )
+        code, out, err = call(["certify", "--omega", "460", "--m-max", "461", "--n-max", "1"])
         assert code == EXIT_NUMERIC and out == ""
         assert "inner 461/1" in err and "overflows" in err
 
-    def test_overflowing_residue_exits_3(self, capsys, monkeypatch):
+    def test_overflowing_residue_exits_3(self, monkeypatch):
         from melnikov_lab import cli
         from melnikov_lab.melnikov import MelnikovKernels
 
         # the numeric kernels fail first at this resonance; skip them to reach the residue
         zero = MelnikovKernels(0j, 0j, 0j, 128, 0.0)
         monkeypatch.setattr(cli, "contour_kernels", lambda r, spec: zero)
-        code, out, err = run_cli(
-            capsys, ["contour", "--m", "501", "--omega", "460", "--theta-points", "2"]
+        code, out, err = call(
+            ["contour", "--m", "501", "--omega", "460", "--theta-points", "2"]
         )
         assert code == EXIT_NUMERIC and out == ""
         assert "overflows" in err
 
 
 class TestContourCommand:
-    def test_pole_proximity_exits_3(self, capsys, monkeypatch):
+    def test_pole_proximity_exits_3(self, monkeypatch):
         import melnikov_lab.cli as cli
         from melnikov_lab.elliptic import PoleProximityError
 
@@ -276,15 +253,14 @@ class TestContourCommand:
             raise PoleProximityError("argument within pole clearance")
 
         monkeypatch.setattr(cli, "contour_kernels", at_pole)
-        code, out, err = run_cli(capsys, ["contour", "--m", "3"])
+        code, out, err = call(["contour", "--m", "3"])
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "pole" in err
 
-    def test_three_radii_match_closed_form(self, capsys):
+    def test_three_radii_match_closed_form(self):
         for family in ("rotating+", "inner"):
-            code, out, _ = run_cli(
-                capsys,
+            code, out, _ = call(
                 [
                     "contour", "--family", family, "--m", "2", "--n", "1",
                     "--theta-points", "4",
@@ -303,10 +279,8 @@ class TestContourCommand:
 
 
 class TestCertifyCommand:
-    def test_certificate_document(self, capsys):
-        code, out, err = run_cli(
-            capsys, ["certify", "--beta", "1", "--delta", "1", "--m-max", "5"]
-        )
+    def test_certificate_document(self):
+        code, out, err = call(["certify", "--beta", "1", "--delta", "1", "--m-max", "5"])
         assert code == EXIT_OK
         cert = json.loads(out)
         assert cert["schema"] == "melnikov-cert/1"
@@ -322,17 +296,15 @@ class TestCertifyCommand:
         cert = build_certificate(1.0, delta, 1.0)
         assert json.loads(json.dumps(cert)) == cert
 
-    def test_unresolvable_moduli_do_not_stop_the_certificate(self, capsys):
+    def test_unresolvable_moduli_do_not_stop_the_certificate(self):
         # rotating 8/1 at omega = 0.2 needs k' ~ 1e-54, beyond the bisection
-        code, out, _ = run_cli(capsys, ["certify", "--omega", "0.2"])
+        code, out, _ = call(["certify", "--omega", "0.2"])
         assert code == EXIT_OK
         assert json.loads(out)["prop_4b"]["status"] == "applies"
 
-    def test_no_resonance_leaves_every_proposition_inconclusive(self, capsys):
+    def test_no_resonance_leaves_every_proposition_inconclusive(self):
         # at omega = 0.01 every resonant modulus lies beyond K_WINDOW
-        code, out, err = run_cli(
-            capsys, ["certify", "--beta", "1", "--delta", "1", "--omega", "0.01"]
-        )
+        code, out, err = call(["certify", "--beta", "1", "--delta", "1", "--omega", "0.01"])
         assert code == EXIT_OK
         cert = json.loads(out)
         assert cert["prop_4c"]["witness"]["contour_integrals"] == []
@@ -340,20 +312,16 @@ class TestCertifyCommand:
             assert cert[prop]["status"] == "inconclusive"
         assert "prop 4c: inconclusive" in err
 
-    def test_zero_forcing_is_inconclusive(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["certify", "--beta", "0", "--delta", "1", "--m-max", "5"]
-        )
+    def test_zero_forcing_is_inconclusive(self):
+        code, out, _ = call(["certify", "--beta", "0", "--delta", "1", "--m-max", "5"])
         assert code == EXIT_OK
         cert = json.loads(out)
         assert cert["prop_4a"]["status"] == "applies"
         assert cert["prop_4b"]["status"] == "inconclusive"
         assert cert["prop_4c"]["status"] == "inconclusive"
 
-    def test_zero_damping_chaos(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["certify", "--beta", "1", "--delta", "0", "--m-max", "5"]
-        )
+    def test_zero_damping_chaos(self):
+        code, out, _ = call(["certify", "--beta", "1", "--delta", "0", "--m-max", "5"])
         assert code == EXIT_OK
         cert = json.loads(out)
         assert cert["prop_4a"]["status"] == "inconclusive"
@@ -362,9 +330,8 @@ class TestCertifyCommand:
 
 
 class TestVerifyCommand:
-    def test_scaling_document(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
+    def test_scaling_document(self):
+        code, out, _ = call(
             [
                 "verify", "--family", "inner", "--m", "3", "--n", "1",
                 "--beta", "1", "--delta", "0",
@@ -379,9 +346,8 @@ class TestVerifyCommand:
         assert doc["scaling"]["within_band"]
         assert not doc["scaling"]["hypothesis_violated"]
 
-    def test_explicit_theta0(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
+    def test_explicit_theta0(self):
+        code, out, _ = call(
             [
                 "verify", "--m", "3", "--delta", "0",
                 "--theta0", str(math.pi / 2.0), "--eps", "1e-3",
@@ -391,19 +357,17 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["theta0"] == pytest.approx(math.pi / 2.0)
 
-    def test_small_beta_seeds_at_a_simple_zero(self, capsys):
+    def test_small_beta_seeds_at_a_simple_zero(self):
         # the beta = 1 curve scaled by 1e-13 has the same simple zeros
-        code, out, _ = run_cli(
-            capsys, ["verify", "--m", "3", "--beta", "1e-13", "--eps", "1e-3", "5e-4"]
-        )
+        code, out, _ = call(["verify", "--m", "3", "--beta", "1e-13", "--eps", "1e-3", "5e-4"])
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["theta0"] == 0.5 * math.pi
         assert doc["simple_zero_hypothesis"]
         assert all(rec["converged"] for rec in doc["results"])
 
-    def test_zero_eps_rung_is_recorded_but_not_scaled(self, capsys):
-        code, out, _ = run_cli(capsys, ["verify", "--m", "3", "--eps", "0", "1e-3", "5e-4"])
+    def test_zero_eps_rung_is_recorded_but_not_scaled(self):
+        code, out, _ = call(["verify", "--m", "3", "--eps", "0", "1e-3", "5e-4"])
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["results"][0] == {
@@ -415,16 +379,16 @@ class TestVerifyCommand:
         assert len(doc["scaling"]["ratios"]) == 2
         assert doc["scaling"]["within_band"]
 
-    def test_negative_eps_in_exponent_notation(self, capsys):
+    def test_negative_eps_in_exponent_notation(self):
         # argparse alone reads -5e-4 as an unknown flag and exits 2
-        code, out, _ = run_cli(capsys, ["verify", "--m", "3", "--eps", "1e-3", "-5e-4"])
+        code, out, _ = call(["verify", "--m", "3", "--eps", "1e-3", "-5e-4"])
         assert code == EXIT_OK
         doc = json.loads(out)
         assert [rec["eps"] for rec in doc["results"]] == [1e-3, -5e-4]
         assert all(rec["converged"] for rec in doc["results"])
         assert doc["scaling"]["within_band"]
 
-    def test_integration_failure_exits_3(self, capsys, monkeypatch):
+    def test_integration_failure_exits_3(self, monkeypatch):
         import melnikov_lab.poincare as poincare
 
         flow = poincare._dop853_flow
@@ -434,7 +398,7 @@ class TestVerifyCommand:
             return flow(t, y, t_bound, forcing, tol, 0)
 
         monkeypatch.setattr(poincare, "_dop853_flow", spent)
-        code, out, err = run_cli(capsys, ["verify", "--m", "3", "--eps", "1e-3"])
+        code, out, err = call(["verify", "--m", "3", "--eps", "1e-3"])
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "integration failure: step budget of 0 spent" in err
@@ -469,11 +433,10 @@ class TestUsageErrors:
             ["certify", "--n-max", "0"],
         ],
     )
-    def test_bad_arguments_exit_2(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == EXIT_USAGE
-        assert "error" in capsys.readouterr().err
+    def test_bad_arguments_exit_2(self, argv):
+        code, _, err = call(argv)
+        assert code == EXIT_USAGE
+        assert "error" in err
 
     @pytest.mark.parametrize(
         "command, target, reason",
@@ -500,19 +463,17 @@ class TestUsageErrors:
             ["verify", "--theta-points", "0"],
         ],
     )
-    def test_unread_flags_exit_2(self, capsys, argv):
+    def test_unread_flags_exit_2(self, argv):
         # argparse rejects a flag the subcommand does not read, before validation
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == EXIT_USAGE
-        assert "unrecognized arguments" in capsys.readouterr().err
+        code, _, err = call(argv)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in err
 
-    def test_negative_exponent_value_reaches_validation(self, capsys):
+    def test_negative_exponent_value_reaches_validation(self):
         # the value -1e-3 gets _validate's message, not argparse's
-        with pytest.raises(SystemExit) as exc:
-            main(["melnikov", "--omega", "-1e-3"])
-        assert exc.value.code == EXIT_USAGE
-        assert capsys.readouterr().err == "melnikov-lab: error: omega must be positive\n"
+        code, _, err = call(["melnikov", "--omega", "-1e-3"])
+        assert code == EXIT_USAGE
+        assert err == "melnikov-lab: error: omega must be positive\n"
 
     @pytest.mark.parametrize(
         "argv, dest, value",
@@ -552,10 +513,9 @@ class TestUsageErrors:
         args = build_parser().parse_args(["resonances"])
         assert (args.k_min, args.k_max) == K_WINDOW
 
-    def test_unknown_subcommand(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == EXIT_USAGE
+    def test_unknown_subcommand(self):
+        code, _, _ = call(["frobnicate"])
+        assert code == EXIT_USAGE
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -676,17 +636,17 @@ def test_huge_resonance_window_exits_2_at_once(argv):
                    "pairs to check; lower them\n")
 
 
-def test_slowest_inner_resonance_verifies(capsys):
+def test_slowest_inner_resonance_verifies():
     # inner 1/1 near the smallest omega it solves at (0.01276): each flow lasts
     # 491 time units and takes up to 4,032 attempted steps
     argv = ["verify", "--m", "1", "--omega", "0.0128", "--eps", "1e-3"]
-    code, out, _ = run_cli(capsys, argv)
+    code, out, _ = call(argv)
     assert code == EXIT_OK
     assert math.isfinite(json.loads(out)["results"][0]["residual"])
 
 
-def test_infinite_resonance_target_is_skipped_in_tables(capsys):
-    code, out, _ = run_cli(capsys, ["resonances", "--family", "inner", "--omega", "5e-324"])
+def test_infinite_resonance_target_is_skipped_in_tables():
+    code, out, _ = call(["resonances", "--family", "inner", "--omega", "5e-324"])
     assert code == EXIT_OK
     header, rows = parse_csv(out)
     assert header[0] == "family" and rows == []

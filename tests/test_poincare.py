@@ -458,15 +458,26 @@ class TestMelnikovSeeds:
             assert np.array_equal(a, b)
         assert np.array_equal(got[0], [-1e-3, 0.0]) and np.array_equal(got[3], np.eye(2))
 
-    @pytest.mark.parametrize("fixed_run_fails", [False, True])
+    # ids by whether the run that starts over from z0 = (0, 0) fails
+    @pytest.mark.parametrize(
+        "z0, fixed_run_fails, last",
+        [
+            pytest.param((0.0, 0.0), False, (-2e-5, 0.0), id="False"),
+            pytest.param((0.0, 0.0), True, (-1e-5, 0.0), id="True"),
+            pytest.param((0.0, 1.0), False, (0.0, 1.0 - 2e-5), id="projected-step"),
+        ],
+    )
     def test_failed_full_flow_off_the_fixed_path_starts_over(
-        self, resonance, monkeypatch, fixed_run_fails
+        self, resonance, monkeypatch, z0, fixed_run_fails, last
     ):
-        # J = I makes each step f itself.  The coarse seed flow's step of
-        # 1e-5 is resolved and short enough that the next flow runs at
-        # _FLOW_TOL, which fails; that step did not come from a flow at
-        # _FLOW_TOL, so Newton starts over from z0 at _FLOW_TOL and raises
-        # only if a flow of that run fails
+        # J = [[1, 1], [0, 1]] makes each plain step f itself, and the
+        # projected one (0, f1) at z0 = (0, 1); at z0 = (0, 0) there is none.
+        # The coarse seed flow's step of 1e-5 is resolved and short enough
+        # that the next flow runs at _FLOW_TOL, which fails; that step did not
+        # come from a flow at _FLOW_TOL, so Newton starts over from z0 at
+        # _FLOW_TOL as the projected-then-plain run, and raises only if a
+        # flow of that run fails.  At z0 = (0, 1) that run converges at
+        # (0, 1 - 2e-5), and the plain run alone at (-2e-5, 1)
         flows = []
         fixed_step = 1e-5 if fixed_run_fails else 2e-5
 
@@ -474,26 +485,28 @@ class TestMelnikovSeeds:
             flows.append((tuple(z), tol))
             if z[0] == -1e-5:
                 raise IntegrationFailure("step budget spent")
-            f = (1e-5 if tol > _FLOW_TOL else fixed_step) if z[0] == 0.0 else 1e-12
-            return z + np.array([f, 0.0]), 2.0 * np.eye(2)
+            f = (1e-5 if tol > _FLOW_TOL else fixed_step) if tuple(z) == z0 else 1e-12
+            return z + np.array([f, 0.0]), np.array([[2.0, 1.0], [0.0, 2.0]])
 
         monkeypatch.setattr(poincare, "_variational_map", stub)
-        args = (None, 1e-3, resonance.m, (0.0, 0.0), 0.0, np.zeros(2))
+        args = (None, 1e-3, resonance.m, z0, 0.0, np.zeros(2))
         if fixed_run_fails:
             with pytest.raises(IntegrationFailure, match="step budget spent"):
                 _newton(*args)
         else:
-            want = fixed_tolerance_newton(*args)
+            plain = fixed_tolerance_newton(*args)
+            assert plain[2] and np.array_equal(plain[0], [-2e-5, z0[1]])
+            want = fixed_tolerance_newton(*args, start="projected, then plain")
             flows.clear()
             got = _newton(*args)
-            assert got[2]
+            assert got[2] and np.array_equal(got[0], last)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
         assert flows == [
-            ((0.0, 0.0), poincare._COARSE_FLOW_TOL),
-            ((-1e-5, 0.0), _FLOW_TOL),
-            ((0.0, 0.0), _FLOW_TOL),
-            ((-fixed_step, 0.0), _FLOW_TOL),
+            (z0, poincare._COARSE_FLOW_TOL),
+            ((-1e-5, z0[1]), _FLOW_TOL),
+            (z0, _FLOW_TOL),
+            (last, _FLOW_TOL),
         ]
 
     def test_positive_control_takes_few_narrow_flows(self, system, resonance):
@@ -701,26 +714,15 @@ def _scipy_tolerances(tol):
     return {"rtol": tol, "atol": [tol, tol] + [math.inf] * 4}
 
 
-def _kernel_and_scipy(monkeypatch):
-    """Pair each library flow with scipy's own DOP853 on the same rhs and tolerances.
+def _scipy_reference(flow):
+    """(rhs, sol): scipy's own DOP853 over a counted flow's span at its tolerances.
 
-    The pairs hold the rhs with forcing bound, as scipy's reference takes
-    it, the library's and scipy's solutions, and the flow's arguments to
-    poincare._dop853_flow, (t0, y0, t_bound, forcing, tol, max_steps).
+    rhs is poincare._derivative with the flow's forcing bound, as scipy's
+    reference takes it, and sol runs from the flow's (t0, y0) to its t_bound.
     """
-    pairs = []
-
-    def both(rhs, span, y0, **options):
-        sol = solve_ivp(rhs, span, y0, **options)
-        forcing, tol = options["forcing"], options["tol"]
-        bound = functools.partial(rhs, forcing=forcing)
-        ref = solve_ivp(bound, span, y0, method="DOP853", **_scipy_tolerances(tol))
-        flow = (span[0], y0.tolist(), span[1], forcing, tol, options["max_steps"])
-        pairs.append((bound, sol, ref, flow))
-        return sol
-
-    monkeypatch.setattr(poincare, "solve_ivp", both)
-    return pairs
+    t0, y0, t_bound, forcing, tol, _ = flow.args
+    rhs = functools.partial(poincare._derivative, forcing=forcing)
+    return rhs, solve_ivp(rhs, (t0, t_bound), y0, method="DOP853", **_scipy_tolerances(tol))
 
 
 @functools.cache
@@ -840,27 +842,24 @@ class TestDOP853Kernel:
             ], id="rotating+-1"),
         ],
     )
-    def test_kernel_takes_scipys_steps(self, family, m, delta, nfev, final, monkeypatch):
-        pairs = _kernel_and_scipy(monkeypatch)
+    def test_kernel_takes_scipys_steps(self, family, m, delta, nfev, final):
         r = solve_resonance(family, 1.0, m, 1)
         start = orbit_state(r.orbit, 0.8)
         z = (0.9, 0.4) if family == INNER else (start.x1, start.x2)
         sys_, eps, theta = pendulum_system(1.0, delta, 1.0), 1e-3, math.pi / 2.0
-        _variational_map(sys_, eps, m, z, theta)
-        ((_, sol, ref, flow),) = pairs
-        # the flow that solve_ivp ran, with its own counts
-        _, y, _, _, attempts, accepted, message = poincare._dop853_flow(*flow)
-        assert message is None and list(y) == sol.y[:, -1].tolist()
-        assert sol.success and accepted == len(ref.t) - 1
-        assert sol.t.tolist() == [0.0, 2.0 * math.pi * m]
-        assert sol.nfev == ref.nfev
-        # 12 evaluations per attempted step after the set-up's two
-        assert sol.nfev == 2 + 12 * attempts
-        assert attempts - accepted > 0  # rejected steps
-        assert _close(sol.y[:, -1], ref.y[:, -1], 1e-13)
+        with counted_flows() as flows:
+            _variational_map(sys_, eps, m, z, theta)
+        (flow,) = flows
+        _, ref = _scipy_reference(flow)
+        t, y = flow.result[0], np.array(flow.result[1])
+        assert flow.message is None and t == 2.0 * math.pi * m
+        assert flow.accepted == len(ref.t) - 1
+        assert flow.nfev == ref.nfev  # 2 + 12 * attempts, scipy's own count
+        assert flow.attempts - flow.accepted > 0  # rejected steps
+        assert _close(y, ref.y[:, -1], 1e-13)
         # the state is scipy's 2-D map too
-        assert _close(sol.y[:2, -1], _scipy_map(sys_, eps, m, z, theta).y[:, -1], 1e-13)
-        assert sol.nfev == nfev and sol.y[:, -1].tolist() == final
+        assert _close(y[:2], _scipy_map(sys_, eps, m, z, theta).y[:, -1], 1e-13)
+        assert flow.nfev == nfev and y.tolist() == final
 
     # Whole inner 5/1 flows at omega = 1 pinned to the last bit, as the
     # kernel computed them while it read its weights from a closure built at
@@ -934,19 +933,20 @@ class TestDOP853Kernel:
         r = solve_resonance(tag, omega, m, 1)
         assume(r is not None)  # inner 1/1 needs omega < 1
         start = orbit_state(r.orbit, phase * r.orbit.period)
-        with pytest.MonkeyPatch.context() as mp:
-            pairs = _kernel_and_scipy(mp)
+        with counted_flows() as flows:
             _variational_map(
                 pendulum_system(beta, delta, omega), 10.0**log_eps, m, (start.x1, start.x2), theta
             )
-        ((rhs, sol, ref, flow),) = pairs
-        assert sol.success and ref.success
-        assert abs(sol.nfev - ref.nfev) <= 12
-        steps, (t_final, final, *_, message) = _accepted_steps(*flow)
+        (flow,) = flows
+        rhs, ref = _scipy_reference(flow)
+        assert flow.message is None and ref.success
+        assert abs(flow.nfev - ref.nfev) <= 12
+        _, y0, t_bound, *_ = flow.args
+        steps, (t_final, final, *_, message) = _accepted_steps(*flow.args)
         # the accepted steps chain the flow's start to its end
-        assert message is None and steps and t_final == flow[2]
-        assert list(steps[0][1]) == sol.y[:, 0].tolist()
-        assert list(steps[-1][3]) == sol.y[:, -1].tolist() == list(final)
+        assert message is None and steps and t_final == t_bound
+        assert list(steps[0][1]) == y0
+        assert list(steps[-1][3]) == list(flow.result[1]) == list(final)
         stages = np.empty((DOP853.n_stages + 1, 6))
         for t, y, h, got, _ in steps:
             y, got = np.array(y), np.array(got)
@@ -1001,7 +1001,7 @@ class TestDOP853Kernel:
     def test_nfev_is_every_rhs_call(self, system, resonance, monkeypatch):
         # the set-up calls _derivative twice (first derivative, first-step
         # guess); each attempted step then evaluates 12 stages inline
-        calls, nfevs = [], []
+        calls, sols = [], []
         derivative = poincare._derivative
 
         def counted(t, y, forcing):
@@ -1009,17 +1009,19 @@ class TestDOP853Kernel:
             return derivative(t, y, forcing)
 
         def solved(*args, **options):
-            sol = solve_ivp(*args, **options)
-            nfevs.append(sol.nfev)
-            return sol
+            sols.append(solve_ivp(*args, **options))
+            return sols[-1]
 
         monkeypatch.setattr(poincare, "_derivative", counted)
         monkeypatch.setattr(poincare, "solve_ivp", solved)
         with counted_flows() as flows:
             _variational_map(system, 1e-3, resonance.m, (0.9, 0.4), math.pi / 2.0)
-        ((flow,), (nfev,)) = flows, nfevs
+        ((flow,), (sol,)) = flows, sols
         assert len(calls) == 2 and calls[0] == 0.0 and flow.attempts > 0
-        assert nfev == len(calls) + 12 * flow.attempts
+        assert sol.success and sol.nfev == len(calls) + 12 * flow.attempts
+        # one step() runs the whole flow: sol holds its two ends and its final y
+        assert sol.t.tolist() == [0.0, flow.result[0]] == [0.0, 2.0 * math.pi * resonance.m]
+        assert sol.y[:, -1].tolist() == list(flow.result[1])
 
     def test_spent_step_budget_fails_the_flow(self, system, monkeypatch):
         # one attempt per unit time over 3 periods of 2*pi: ceil(6*pi) = 19
