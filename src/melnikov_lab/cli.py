@@ -13,7 +13,7 @@ Each subcommand takes only the flags it reads.
 Exit codes: 0 success (empty results included), 2 usage error,
 3 numerical non-convergence / integration failure / unsolvable or
 out-of-range resonance / argument at a Jacobi pole / residue closed form
-beyond the float range.
+or verify's distance/|eps| ratio beyond the float range.
 """
 
 from __future__ import annotations

@@ -76,7 +76,11 @@ class ResonanceError(RuntimeError):
 
 
 class ResidueOverflowError(OverflowError):
-    """A Melnikov or contour value, or a residue closed form, lies beyond the float range."""
+    """A number beyond the float range.
+
+    A Melnikov or contour value, a residue closed form, or a scaling ratio
+    distance/|eps| (poincare.scaling_band).
+    """
 
 
 # Both quadratures stop where every kernel has |cur - prev| <= this * (1 + |cur|).

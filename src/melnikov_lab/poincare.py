@@ -30,6 +30,7 @@ from scipy.integrate import OdeSolver, solve_ivp
 
 from .melnikov import (
     IntegrationFailure,
+    ResidueOverflowError,
     Resonance,
     closed_form_subharmonic,
     simple_zeros,
@@ -780,16 +781,24 @@ def find_subharmonic(
 def scaling_band(eps_list, distances) -> Tuple[bool, List[float]]:
     """First-order persistence check: distance/|eps| within a factor _SCALING_BAND.
 
-    Unequal lengths, an eps of 0 (no ratio) or a non-finite eps or distance: ValueError.
+    Unequal lengths, an eps of 0 (no ratio) or a non-finite eps or distance:
+    ValueError.  A ratio past the float range (a distance over a subnormal
+    eps): ResidueOverflowError, naming the rung.
     """
     if len(eps_list) != len(distances):
         raise ValueError(f"{len(eps_list)} eps values against {len(distances)} distances")
+    ratios = []
     for e, d in zip(eps_list, distances):
         if e == 0:
             raise ValueError(f"eps {e!r} has no distance/|eps| ratio")
         if not (math.isfinite(e) and math.isfinite(d)):
             raise ValueError(f"eps {e!r} and distance {d!r} must be finite")
-    ratios = [d / abs(e) for d, e in zip(distances, eps_list)]
+        ratio = d / abs(e)
+        if math.isinf(ratio):
+            raise ResidueOverflowError(
+                f"distance/|eps| of the eps {e!r} rung (distance {d!r}) overflows the float range"
+            )
+        ratios.append(ratio)
     positive = [r for r in ratios if r > 0]
     if not positive:
         return True, ratios

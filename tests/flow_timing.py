@@ -18,17 +18,18 @@ read from each poincare._dop853_flow call's own counts
 With --against, OTHER_SRC is another tree's src directory, whose
 melnikov_lab is imported under the alias other_melnikov_lab.  One pass
 records every poincare._variational_map call (P(z) and DP(z) of one flow)
-of this tree; each call's (P, DP) must be bit-equal on the other tree, or
-both must raise the same message.  Then ROUNDS rounds (default 10) run
-every recorded call through both trees, alternating which runs first, and
-it prints {"rounds", "calls", "median_s", "other_median_s", "ratio_median",
-"faster_rounds"}: the median flow time of the calls per side, the median
-over rounds of this tree's time over the other's, and the rounds this tree
-was faster in.  One process times both trees on the same calls, without
-the items' Newton bookkeeping, which the traced poincare.flow_s of one
-perfbench pass per side cannot do: it has read 1.6x apart for the same
-work.  A pass takes about 0.15 s on a 2-CPU Xeon; pytest does not collect
-this file, and tests/test_poincare.py pins the counts of its pass.
+of this tree with tests/oracles.py's recorded_maps; each call's (P, DP)
+must be bit-equal on the other tree, or both must raise the same message.
+Then ROUNDS rounds (default 10) run every recorded call through both trees,
+alternating which runs first, and it prints {"rounds", "calls", "median_s",
+"other_median_s", "ratio_median", "faster_rounds"}: the median flow time of
+the calls per side, the median over rounds of this tree's time over the
+other's, and the rounds this tree was faster in.  One process times both
+trees on the same calls, without the items' Newton bookkeeping, which the
+traced poincare.flow_s of one perfbench pass per side cannot do: it has
+read 1.6x apart for the same work.  A pass takes about 0.15 s on a 2-CPU
+Xeon; pytest does not collect this file, and tests/test_poincare.py pins
+the counts of its pass.
 """
 
 import argparse
@@ -46,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
 from melnikov_lab import poincare  # noqa: E402
-from oracles import counted_flows  # noqa: E402
+from oracles import counted_flows, recorded_maps  # noqa: E402
 
 SEED = 7
 ALIAS = "other_melnikov_lab"
@@ -93,39 +94,23 @@ def other_poincare(src):
 
 
 def _outcome(module, args):
-    """(P, DP) of one _variational_map call of a poincare module, or its failure's message."""
+    """(P, DP) of one _variational_map call of a poincare module, or the failure it raised."""
     try:
         return module._variational_map(*args)
     except module.IntegrationFailure as exc:  # each tree has its own class
-        return "IntegrationFailure", str(exc)
+        return exc
 
 
 def recorded_calls():
     """[(args, outcome)] of every _variational_map call of one pass."""
-    calls = []
-    variational_map = poincare._variational_map
-
-    def recording(sys_, eps, m, z, theta, tol):
-        args = (sys_, eps, m, np.array(z), theta, tol)
-        try:
-            result = variational_map(*args)
-        except poincare.IntegrationFailure as exc:
-            calls.append((args, ("IntegrationFailure", str(exc))))
-            raise
-        calls.append((args, result))
-        return result
-
-    poincare._variational_map = recording
-    try:
+    with recorded_maps() as maps:
         run_pass()
-    finally:
-        poincare._variational_map = variational_map
-    return calls
+    return [(call.args, call.outcome) for call in maps]
 
 
 def _same(got, want):
-    if isinstance(want[0], str):
-        return got == want
+    if isinstance(got, Exception) or isinstance(want, Exception):
+        return type(got).__name__ == type(want).__name__ and str(got) == str(want)
     return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 

@@ -6,7 +6,8 @@ a change of variables; full_range_bisection solves a resonance by plain
 bisection over the whole k' range; fixed_tolerance_newton runs the
 fixed-point Newton with every flow at the full tolerance, from a plain or
 a normal first step; counted_flows records every stroboscopic flow that
-runs inside it;
+runs inside it, and recorded_maps every stroboscopic map, or answers it
+from a stub;
 homoclinic_limit_check measures how fast the m/1 subharmonic curves
 approach their homoclinic limits; orbit_ode_residual and
 homoclinic_limit_distance test the closed-form orbits against the pendulum
@@ -176,6 +177,42 @@ def counted_flows():
         yield flows
     finally:
         poincare._dop853_flow = flow
+
+
+MapCall = collections.namedtuple("MapCall", "z tol args outcome")
+
+
+@contextlib.contextmanager
+def recorded_maps(stub=None):
+    """A list that gains one MapCall per poincare._variational_map call made inside the block.
+
+    The map's counterpart of counted_flows.  A MapCall holds the call's z
+    as a tuple of floats and its tol; args, the call's (sys, eps, m, z,
+    theta, tol) with z copied to a float array; and outcome, the (P, DP) the
+    call returned or the IntegrationFailure it raised, which is raised
+    again.  Given stub(z, tol), the stub answers in place of the flow.  The
+    name is restored on exit.
+    """
+    calls = []
+    variational_map = poincare._variational_map
+
+    def recorded(sys, eps, m, z, theta, tol=poincare._FLOW_TOL):
+        z = np.array(z, dtype=float)
+        args = (sys, eps, m, z, theta, tol)
+        head = (tuple(z.tolist()), tol, args)
+        try:
+            outcome = variational_map(*args) if stub is None else stub(z, tol)
+        except IntegrationFailure as exc:
+            calls.append(MapCall(*head, exc))
+            raise
+        calls.append(MapCall(*head, outcome))
+        return outcome
+
+    poincare._variational_map = recorded
+    try:
+        yield calls
+    finally:
+        poincare._variational_map = variational_map
 
 
 def homoclinic_limit_check(

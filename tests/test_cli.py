@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -121,20 +122,6 @@ class TestMelnikovCommand:
         # sign -1 flips the cosine coefficient: theta = 0 below -8*delta
         assert float(rows[0][2]) < -8.0
 
-    def test_homoclinic_rejects_resonance_flags(self):
-        # the homoclinic curve reads no resonance, even a flag at its default value
-        for flags in (["--m", "2", "--n", "4"], ["--m", "3"], ["--family", "inner"]):
-            code, _, err = call(["melnikov", "--homoclinic", *flags])
-            assert code == EXIT_USAGE
-            assert "--homoclinic does not read" in err
-
-    def test_subharmonic_rejects_sign(self):
-        code, _, err = call(["melnikov", "--m", "3", "--sign", "-1"])
-        assert code == EXIT_USAGE
-        assert err == (
-            "melnikov-lab: error: melnikov without --homoclinic does not read --sign\n"
-        )
-
     def test_homoclinic_sign_defaults_to_plus(self):
         argv = ["melnikov", "--homoclinic", "--theta-points", "4"]
         code, out, _ = call(argv)
@@ -147,26 +134,6 @@ class TestMelnikovCommand:
         code, out, _ = call(["melnikov", "--theta-points", "4", *explicit])
         assert code == EXIT_OK
         assert out == call(["melnikov", "--theta-points", "4"])[1]
-
-    def test_unsolvable_resonance_exits_3(self):
-        code, _, err = call(["melnikov", "--family", "inner", "--m", "1", "--n", "2"])
-        assert code == EXIT_NUMERIC
-        assert "no resonance" in err
-
-    def test_unresolved_resonance_exits_3(self):
-        # the bisection's root misses k K = pi / 4000 by more than 1e-10 of it
-        code, out, err = call(["melnikov", "--family", "rotating+", "--m", "1",
-                               "--omega", "4000"])
-        assert code == EXIT_NUMERIC
-        assert out == ""
-        assert "residual" in err
-
-    def test_out_of_range_resonance_exits_3(self):
-        # inner 450/1 at omega = 1 needs K = 706.9, past K(k' = 1e-300) = 692.16
-        code, out, err = call(["melnikov", "--m", "450", "--omega", "1"])
-        assert code == EXIT_NUMERIC
-        assert out == ""
-        assert "out of range" in err
 
     def test_theta_points_rows(self):
         code, out, _ = call(["melnikov", "--m", "3", "--theta-points", "4"])
@@ -192,43 +159,6 @@ class TestLargeOmega:
         assert code in (EXIT_OK, EXIT_NUMERIC)
         if code == EXIT_OK and argv[0] == "certify":
             assert json.loads(out)["chaos"]["threshold"] == math.inf
-
-    def test_overflowing_quadrature_exits_3(self):
-        code, _, err = call(["melnikov", "--beta", "1e308", "--delta", "1e308"])
-        assert code == EXIT_NUMERIC
-        assert "Melnikov value nan at beta=1e+308" in err
-
-    def test_overflowing_contour_exits_3(self):
-        code, out, err = call(["contour", "--beta", "1e308"])
-        assert code == EXIT_NUMERIC and out == ""
-        assert "residue closed form (inf+nanj)" in err
-
-    # a numpy warning would be raised as an exception here, and escape main
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "argv",
-        [["contour"], ["melnikov", "--m", "3"], ["certify"], ["certify", "--delta", "1"]],
-        ids=" ".join,
-    )
-    def test_overflow_prints_one_line(self, argv):
-        code, out, err = call([*argv, "--beta", "1e308"])
-        assert code == EXIT_NUMERIC and out == ""
-        assert err.startswith("melnikov-lab: ") and err.count("\n") == 1
-        assert "overflows the float range" in err
-        if argv[0] == "certify":
-            # the least contour integral overflows too, but the curve records
-            # are built first, so the Melnikov value is the one reported
-            delta = 1.0 if "--delta" in argv else 0.0
-            assert err == (
-                f"melnikov-lab: Melnikov value inf at beta=1e+308, delta={delta}"
-                " overflows the float range\n"
-            )
-
-    def test_overflowing_certificate_residue_exits_3(self):
-        # inner 461/1 at omega = 460 has omega K' ~ 1733, past cosh's range
-        code, out, err = call(["certify", "--omega", "460", "--m-max", "461", "--n-max", "1"])
-        assert code == EXIT_NUMERIC and out == ""
-        assert "inner 461/1" in err and "overflows" in err
 
     def test_overflowing_residue_exits_3(self, monkeypatch):
         from melnikov_lab import cli
@@ -469,12 +399,6 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "unrecognized arguments" in err
 
-    def test_negative_exponent_value_reaches_validation(self):
-        # the value -1e-3 gets _validate's message, not argparse's
-        code, _, err = call(["melnikov", "--omega", "-1e-3"])
-        assert code == EXIT_USAGE
-        assert err == "melnikov-lab: error: omega must be positive\n"
-
     @pytest.mark.parametrize(
         "argv, dest, value",
         [
@@ -512,11 +436,6 @@ class TestUsageErrors:
     def test_k_window_defaults_are_the_library_window(self):
         args = build_parser().parse_args(["resonances"])
         assert (args.k_min, args.k_max) == K_WINDOW
-
-    def test_unknown_subcommand(self):
-        code, _, _ = call(["frobnicate"])
-        assert code == EXIT_USAGE
-
 
 def test_import_leaves_scipy_integrate_unloaded():
     src = str(Path(melnikov_lab.__file__).resolve().parents[1])
@@ -556,55 +475,119 @@ def _exit_code(argv):
         return call(argv)
 
 
-# omega = 5e-324 overflows the resonance target to inf; omega >= 2e306 the
-# homoclinic cycle count, toward which the first level doubled forever
-# (1e306 printed a 309-digit node count)
-EXIT_3_ARGV = [
-    ["melnikov", "--family", "inner", "--m", "5", "--n", "1", "--omega", "5e-324",
-     "--beta", "1", "--delta", "1", "--theta-points", "1"],
-    ["melnikov", "--homoclinic", "--omega", "3e306"],
-    ["melnikov", "--homoclinic", "--omega", "1e306"],
-    ["melnikov", "--homoclinic", "--omega", "1e308"],
+def _failure(argv, code, stderr, seconds=5.0):
+    return pytest.param(argv, code, stderr, seconds, id=" ".join(a[:24] for a in argv))
+
+
+N_PAST_FLOAT = 5 * 10**307  # rotating m/n = (n + 1)/n ~ 1 solves at this n
+
+# Every failing argv: its exit code, its stderr, where each ... stands for any
+# text, and its wall-time bound in seconds.  Stdout stays empty, and stderr is
+# one "melnikov-lab: " line except where argparse prints its usage line first.
+FAILURES = [
+    # the homoclinic curve reads no resonance, even a flag at its default value
+    *(_failure(["melnikov", "--homoclinic", *flags], EXIT_USAGE, "...--homoclinic does not read...")
+      for flags in (["--m", "2", "--n", "4"], ["--m", "3"], ["--family", "inner"])),
+    _failure(["melnikov", "--m", "3", "--sign", "-1"], EXIT_USAGE,
+             "melnikov-lab: error: melnikov without --homoclinic does not read --sign\n"),
+    # the value -1e-3 gets _validate's message, not argparse's
+    _failure(["melnikov", "--omega", "-1e-3"], EXIT_USAGE,
+             "melnikov-lab: error: omega must be positive\n"),
+    _failure(["frobnicate"], EXIT_USAGE, "usage: ...invalid choice: 'frobnicate'..."),
+    _failure(["melnikov", "--family", "inner", "--m", "1", "--n", "2"], EXIT_NUMERIC,
+             "...no resonance..."),
+    # the bisection's root misses k K = pi / 4000 by more than 1e-10 of it
+    _failure(["melnikov", "--family", "rotating+", "--m", "1", "--omega", "4000"], EXIT_NUMERIC,
+             "...residual..."),
+    # inner 450/1 at omega = 1 needs K = 706.9, past K(k' = 1e-300) = 692.16
+    _failure(["melnikov", "--m", "450", "--omega", "1"], EXIT_NUMERIC, "...out of range..."),
+    # beta = 1e308 overflows the Melnikov values and the residue closed form
+    _failure(["melnikov", "--beta", "1e308", "--delta", "1e308"], EXIT_NUMERIC,
+             "...Melnikov value nan at beta=1e+308..."),
+    _failure(["contour", "--beta", "1e308"], EXIT_NUMERIC,
+             "...residue closed form (inf+nanj)...overflows the float range..."),
+    _failure(["melnikov", "--m", "3", "--beta", "1e308"], EXIT_NUMERIC,
+             "...overflows the float range..."),
+    # the least contour integral overflows too, but the curve records are
+    # built first, so the Melnikov value is the one reported
+    *(_failure([*argv, "--beta", "1e308"], EXIT_NUMERIC,
+               f"melnikov-lab: Melnikov value inf at beta=1e+308, delta={delta} overflows the"
+               " float range\n")
+      for argv, delta in ((["certify"], "0.0"), (["certify", "--delta", "1"], "1.0"))),
+    # inner 461/1 at omega = 460 has omega K' ~ 1733, past cosh's range
+    _failure(["certify", "--omega", "460", "--m-max", "461", "--n-max", "1"], EXIT_NUMERIC,
+             "...inner 461/1...overflows..."),
+    # omega = 5e-324 overflows the resonance target to inf; omega >= 2e306 the
+    # homoclinic cycle count, toward which the first level doubled forever
+    # (1e306 printed a 309-digit node count)
+    _failure(["melnikov", "--family", "inner", "--m", "5", "--n", "1", "--omega", "5e-324",
+              "--beta", "1", "--delta", "1", "--theta-points", "1"], EXIT_NUMERIC,
+             "melnikov-lab: inner 5/1 resonance at omega=5e-324 is out of range: target inf"
+             " lies outside the periods [1.5708, 692.162] reachable for k' in [1e-300,"
+             " 0.9999999999999999]\n", 1.0),
+    *(_failure(["melnikov", "--homoclinic", "--omega", omega], EXIT_NUMERIC,
+               "melnikov-lab: non-convergence: quadrature not converged at 4194304 nodes: last"
+               " max |cur - prev| = inf, tolerance 1.0e-10 * (1 + |cur|)\n", 1.0)
+      for omega in ("3e306", "1e306", "1e308")),
+    # past the float range, m or n leaves no resonance to solve
+    *(_failure([command, f"--m={10**400}"], EXIT_NUMERIC,
+               "melnikov-lab: inner resonance at omega=1.0 is out of range: m or n lies past"
+               " the float range\n")
+      for command in ("melnikov", "contour", "verify")),
+    # rotating m/n ~ 1 solves, but the contour's center 4 n k K overflows; the
+    # draws of test_huge_m_or_n_exits_0_2_or_3 never reach an n this large with m/n ~ 1
+    _failure(["contour", "--family", "rotating+", "--m", str(N_PAST_FLOAT + 1),
+              "--n", str(N_PAST_FLOAT), "--omega", "1", "--beta", "1", "--delta", "0"],
+             EXIT_NUMERIC, "melnikov-lab: contour center (inf+...overflows the float range\n"),
+    # the same resonance: the closed-form damping coefficient 8nE/k overflows,
+    # and at delta = 0 its term is -0 * inf = nan, which simple_zeros divided
+    # by (a ZeroDivisionError traceback, exit 1); verify seeds Newton from
+    # that curve itself, or through _melnikov_seeds when --theta0 is given
+    *(_failure(["verify", *theta0, "--family", "rotating+", "--m", str(N_PAST_FLOAT + 1),
+                "--n", str(N_PAST_FLOAT), "--omega", "1"], EXIT_NUMERIC,
+               "melnikov-lab: Melnikov curve coefficients nan and 0.0 overflow the float range\n",
+               2.0)
+      for theta0 in ([], ["--theta0", "0.5"])),
+    # 10^300 + 1 forcing periods: the flow's full step budget passes its cap
+    _failure(["verify", "--family", "rotating+", f"--m={10**300 + 1}", f"--n={10**300}",
+              "--omega", "495.51095434752307"], EXIT_NUMERIC,
+             "melnikov-lab: integration failure: flow of 1.26802e+298 passes the 16777216-step"
+             " cap\n", 1.0),
+    # epsilon 1e30 shrinks the flow's steps without end (it hung); at 1e300
+    # scipy's first-step guess overflows, which printed three numpy warnings
+    *(_failure(["verify", "--m", "3", "--eps", eps], EXIT_NUMERIC,
+               "melnikov-lab: integration failure: ...")
+      for eps in ("1e30", "1e300")),
+    # the distance over a subnormal eps overflows: the ratio printed as Infinity,
+    # which is not JSON, and the run exited 0
+    _failure(["verify", "--eps", "5e-324"], EXIT_NUMERIC,
+             "melnikov-lab: distance/|eps| of the eps 5e-324 rung (distance ...) overflows the"
+             " float range\n"),
+    # with a huge m_max every n has some m in the window, so the walk never ended;
+    # a request whose (m, n) pairs to check pass 2^17 is refused before any solve
+    *(_failure(argv, EXIT_USAGE,
+               "melnikov-lab: error: --m-max and --n-max give more than 131072 (m, n) pairs to"
+               " check; lower them\n", 1.0)
+      for argv in (["certify", f"--m-max={N_PAST_FLOAT + 1}", f"--n-max={N_PAST_FLOAT}"],
+                   ["certify", "--m-max", "1000", "--n-max", "1000"],
+                   ["certify", "--omega", "5e-324", "--n-max", str(10**12)],
+                   ["resonances", "--m-max", "1000", "--n-max", "1000"])),
 ]
 
 
-@pytest.mark.parametrize("argv", EXIT_3_ARGV, ids=" ".join)
-def test_extreme_omega_exits_3_at_once(argv):
-    start = time.perf_counter()
-    with _deadline(2.0):
-        code, out, err = _exit_code(argv)
-    assert time.perf_counter() - start < 1.0
-    assert code == EXIT_NUMERIC and out == ""
-    assert err.startswith("melnikov-lab: ") and err.count("\n") == 1
-    assert len(err) < 200
-
-
-def test_flow_past_the_step_cap_fails_before_it_runs():
-    # 10^300 + 1 forcing periods: the flow's full step budget passes its cap
+@pytest.mark.parametrize("argv, code, stderr, seconds", FAILURES)
+def test_failing_argv_exits_as_pinned(argv, code, stderr, seconds):
     import melnikov_lab.poincare  # noqa: F401  (scipy.integrate's import is not timed)
 
-    argv = ["verify", "--family", "rotating+", f"--m={10**300 + 1}", f"--n={10**300}",
-            "--omega", "495.51095434752307"]
     start = time.perf_counter()
-    with _deadline(2.0):
-        code, out, err = _exit_code(argv)
-    assert time.perf_counter() - start < 1.0
-    assert code == EXIT_NUMERIC and out == ""
-    assert err == ("melnikov-lab: integration failure: flow of 1.26802e+298 passes the "
-                   "16777216-step cap\n")
-
-
-# epsilon 1e30 shrinks the flow's steps without end (it hung); at 1e300
-# scipy's first-step guess overflows, which printed three numpy warnings
-HUGE_EPS_ARGV = [["verify", "--m", "3", "--eps", eps] for eps in ("1e30", "1e300")]
-
-
-@pytest.mark.parametrize("argv", HUGE_EPS_ARGV, ids=" ".join)
-def test_huge_eps_fails_the_flow_in_one_line(argv):
-    with _deadline(5.0):
-        code, out, err = _exit_code(argv)
-    assert code == EXIT_NUMERIC and out == ""
-    assert err.startswith("melnikov-lab: integration failure: ") and err.count("\n") == 1
+    with _deadline(seconds):
+        exit_code, out, err = _exit_code(argv)
+    assert time.perf_counter() - start < seconds
+    assert (exit_code, out) == (code, "")
+    pattern = ".*".join(re.escape(part) for part in stderr.split("..."))
+    assert re.fullmatch(pattern, err, re.DOTALL), err
+    if not stderr.startswith("usage: "):
+        assert err.startswith("melnikov-lab: ") and err.count("\n") == 1
 
 
 # the walk over (m, n) stops at the k window's edges; a rectangle scan never ended
@@ -616,24 +599,6 @@ def test_huge_m_max_or_n_max_lists_what_100_lists(argv):
         code, out, err = _exit_code([str(10**400) if a == "HUGE" else a for a in argv])
     assert code == EXIT_OK
     assert (out, err) == _exit_code(["100" if a == "HUGE" else a for a in argv])[1:]
-
-
-# with a huge m_max every n has some m in the window, so the walk never ended;
-# a request whose (m, n) pairs to check pass 2^17 is refused before any solve
-@pytest.mark.parametrize("argv", [
-    ["certify", f"--m-max={5 * 10**307 + 1}", f"--n-max={5 * 10**307}"],
-    ["certify", "--m-max", "1000", "--n-max", "1000"],
-    ["certify", "--omega", "5e-324", "--n-max", str(10**12)],
-    ["resonances", "--m-max", "1000", "--n-max", "1000"],
-], ids=lambda argv: " ".join(a[:24] for a in argv))
-def test_huge_resonance_window_exits_2_at_once(argv):
-    start = time.perf_counter()
-    with _deadline(2.0):
-        code, out, err = _exit_code(argv)
-    assert time.perf_counter() - start < 1.0
-    assert code == EXIT_USAGE and out == ""
-    assert err == ("melnikov-lab: error: --m-max and --n-max give more than 131072 (m, n) "
-                   "pairs to check; lower them\n")
 
 
 def test_slowest_inner_resonance_verifies():
@@ -680,8 +645,8 @@ def _argv(draw, command):
 
 @pytest.mark.parametrize("command", ["resonances", "melnikov", "contour", "certify"])
 # No shrinking: every hanging draw it tried would cost the full alarm.
-@settings(max_examples=8, deadline=None, derandomize=True, database=None,
-          phases=(Phase.explicit, Phase.generate), suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=8, phases=(Phase.explicit, Phase.generate),
+          suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_argv_exits_0_2_or_3(command, data):
     argv = data.draw(_argv(command), label="argv")
@@ -698,42 +663,8 @@ HUGE_OR_SMALL = st.one_of(st.integers(1, 20), st.integers(10**300, 10**400))
 HUGE = 10**400
 
 
-@pytest.mark.parametrize("command", ["melnikov", "contour", "verify"])
-def test_m_past_the_float_range_is_out_of_range(command):
-    code, out, err = _exit_code([command, f"--m={HUGE}"])
-    assert code == EXIT_NUMERIC and out == ""
-    assert err == ("melnikov-lab: inner resonance at omega=1.0 is out of range: "
-                   "m or n lies past the float range\n")
-
-
-def test_contour_center_past_the_float_range_exits_3():
-    # rotating m/n ~ 1 solves, but the contour's center 4 n k K overflows; the
-    # draws of the property below never reach an n this large with m/n ~ 1
-    n = 5 * 10**307
-    code, out, err = _exit_code(["contour", "--family", "rotating+", "--m", str(n + 1),
-                                 "--n", str(n), "--omega", "1", "--beta", "1", "--delta", "0"])
-    assert code == EXIT_NUMERIC and out == ""
-    assert err.startswith("melnikov-lab: contour center (inf+") and err.count("\n") == 1
-    assert err.endswith("overflows the float range\n")
-
-
-@pytest.mark.parametrize("theta0", [[], ["--theta0", "0.5"]], ids=["seeded", "theta0"])
-def test_verify_past_the_float_range_exits_3(theta0):
-    # the same resonance: the closed-form damping coefficient 8nE/k overflows,
-    # and at delta = 0 its term is -0 * inf = nan, which simple_zeros divided
-    # by (a ZeroDivisionError traceback, exit 1); verify seeds Newton from
-    # that curve itself, or through _melnikov_seeds when --theta0 is given
-    n = 5 * 10**307
-    argv = ["verify", "--family", "rotating+", "--m", str(n + 1), "--n", str(n),
-            "--omega", "1"] + theta0
-    with _deadline(2.0):
-        code, out, err = _exit_code(argv)
-    assert code == EXIT_NUMERIC and out == ""
-    assert err == "melnikov-lab: Melnikov curve coefficients nan and 0.0 overflow the float range\n"
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None,
-          phases=(Phase.explicit, Phase.generate), suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, phases=(Phase.explicit, Phase.generate),
+          suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["melnikov", "contour"]), family=st.sampled_from(FAMILIES),
        m=HUGE_OR_SMALL, n=HUGE_OR_SMALL,
        omega=st.sampled_from([5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308]))

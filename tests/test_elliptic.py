@@ -148,7 +148,7 @@ LOG_K_PRIME = st.floats(-300.0, math.log10(1.0 - 1e-16))
 EPS = 2.0**-52
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@settings(max_examples=10)
 @given(LOG_K_PRIME, st.floats(-1.0, 1.0))
 @example(math.log10(0.01), 0.3)  # a Landen chain that once ran to its 63-level cap
 @example(math.log10(0.5), 0.999)
@@ -190,7 +190,7 @@ def test_descent_values_match_mpmath(log_kp, fraction):
     assert cn_err <= 16 * EPS and am_err <= 16 * EPS
 
 
-@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@settings(max_examples=6)
 @given(LOG_K_PRIME, st.floats(1.0, 16.0))
 @example(-300.0, 15.99)
 @example(math.log10(1.0 - 1e-16), 14.8)

@@ -32,7 +32,7 @@ from melnikov_lab.melnikov import (
 from melnikov_lab.pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, pendulum_system
 from oracles import full_range_bisection, homoclinic_limit_check
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=60)
 
 
 def _count_work(monkeypatch):
@@ -679,7 +679,7 @@ def _rectangle_scan(family, omega, window, m_max, n_max):
     return sorted(found, key=lambda r: r.modulus.k), solved
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(family=st.sampled_from([INNER, ROTATING_PLUS, ROTATING_MINUS]),
        log_omega=st.floats(-2.5, 3.5),
        window=st.sampled_from([K_WINDOW, (0.05, 0.999), (0.5, 1.0 - 1e-15)]),
@@ -706,7 +706,7 @@ class TestHomoclinicLimitCheck:
         assert gaps[0] > gaps[1] > 0.0
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(family=st.sampled_from([INNER, ROTATING_PLUS, ROTATING_MINUS]),
        log_omega=st.floats(-2.5, 3.5),
        window=st.sampled_from([K_WINDOW, (0.05, 0.999), (0.5, 1.0 - 1e-15)]),

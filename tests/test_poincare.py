@@ -17,6 +17,7 @@ from scipy.integrate._ivp import rk
 from melnikov_lab import poincare
 from melnikov_lab.melnikov import (
     IntegrationFailure,
+    ResidueOverflowError,
     closed_form_subharmonic,
     simple_zeros,
     solve_resonance,
@@ -37,7 +38,7 @@ from melnikov_lab.poincare import (
     find_subharmonic,
     scaling_band,
 )
-from oracles import counted_flows, fixed_tolerance_newton
+from oracles import counted_flows, fixed_tolerance_newton, recorded_maps
 
 
 # Hypothesis phases of the properties that run flows: no shrinking, which
@@ -248,18 +249,12 @@ class TestMelnikovSeeds:
         # it converges on a flow at _FLOW_TOL
         theta0 = math.pi / 2.0
         monkeypatch.setattr(poincare, "_NEWTON_MAX", 3)
-        flows = []
-        variational = poincare._variational_map
-
-        def counted(sys_, eps, m, z, theta, tol):
-            flows.append((tuple(z), tol))
-            return variational(sys_, eps, m, z, theta, tol)
-
-        monkeypatch.setattr(poincare, "_variational_map", counted)
         seed = _melnikov_seeds(system, resonance, theta0)[1]
-        z, f, converged, _ = _newton(
-            system, 1e-3, resonance.m, (seed.x1, seed.x2), theta0, _winding(resonance)
-        )
+        with recorded_maps() as maps:
+            z, f, converged, _ = _newton(
+                system, 1e-3, resonance.m, (seed.x1, seed.x2), theta0, _winding(resonance)
+            )
+        flows = [(call.z, call.tol) for call in maps]
         # a re-flow at the same z is not a step
         points = [p for i, (p, _) in enumerate(flows) if i == 0 or p != flows[i - 1][0]]
         assert len(points) == 4 and len(set(points)) == 4
@@ -267,67 +262,48 @@ class TestMelnikovSeeds:
         assert np.linalg.norm(f) <= _RESIDUAL_TOL
         assert converged
 
-    def test_singular_jacobian_stops_after_one_flow(self, system, resonance, monkeypatch):
+    def test_singular_jacobian_stops_after_one_flow(self, system, resonance):
         # DP = I makes J = DP - I singular, so no Newton step can be taken
-        flows = []
-
-        def identity_tangent(sys_, eps, m, z, theta0, tol):
-            flows.append(z)
-            return np.array([1e-3, 0.0]), np.eye(2)
-
-        monkeypatch.setattr(poincare, "_variational_map", identity_tangent)
-        z, f, converged, dp = _newton(
-            system, 1e-3, resonance.m, (0.0, 0.0), 0.0, _winding(resonance)
-        )
-        assert len(flows) == 1
+        with recorded_maps(lambda z, tol: (np.array([1e-3, 0.0]), np.eye(2))) as maps:
+            z, f, converged, dp = _newton(
+                system, 1e-3, resonance.m, (0.0, 0.0), 0.0, _winding(resonance)
+            )
+        assert len(maps) == 1
         assert not converged
         assert np.array_equal(z, [0.0, 0.0])
         assert np.array_equal(f, [1e-3, 0.0])
         assert np.array_equal(dp, np.eye(2))
 
-    def test_run_that_stops_contracting_is_the_fixed_tolerance_run(self, monkeypatch):
+    def test_run_that_stops_contracting_is_the_fixed_tolerance_run(self):
         # rotating+ 1/1's first seed wanders: its third step is longer than
         # its second, so Newton starts over at _FLOW_TOL from a normal first
         # step and answers exactly as that reference, which converges.  The
         # plain fixed-tolerance run from the seed ends unconverged after 26
         # flows, crawling along the orbit
-        flows = []
-        variational = poincare._variational_map
-
-        def counted(sys_, eps, m, z, theta, tol):
-            flows.append(tol)
-            return variational(sys_, eps, m, z, theta, tol)
-
         r = solve_resonance("rotating+", 1.0, 1, 1)
         sys_, theta0 = pendulum_system(1.0, 0.0, 1.0), math.pi / 2.0
         seed = _melnikov_seeds(sys_, r, theta0)[0]
         args = (sys_, 1e-3, 1, (seed.x1, seed.x2), theta0, _winding(r))
         want = fixed_tolerance_newton(*args, start="projected, then plain")
         assert np.array_equal(want[0], fixed_tolerance_newton(*args, start="projected")[0])
-        monkeypatch.setattr(poincare, "_variational_map", counted)
-        plain = fixed_tolerance_newton(*args)
-        assert not plain[2] and len(flows) == 26
-        flows.clear()
-        got = _newton(*args)
+        with recorded_maps() as maps:
+            plain = fixed_tolerance_newton(*args)
+        assert not plain[2] and len(maps) == 26
+        with recorded_maps() as maps:
+            got = _newton(*args)
         assert got[2]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+        flows = [call.tol for call in maps]
         assert flows[0] == poincare._COARSE_FLOW_TOL
         assert flows[-5:] == [_FLOW_TOL] * 5 and flows[-6] > _FLOW_TOL
 
-    def test_projected_run_that_fails_gives_the_plain_answer(self, monkeypatch):
+    def test_projected_run_that_fails_gives_the_plain_answer(self):
         # rotating- 2/1 at omega 0.6: the seed's matched run stops
         # contracting, its projected run from z0 ends unconverged and the
         # plain run from z0 converges, reusing z0's flow.  Newton answers as
         # that plain run, bit for bit, where the projected run alone would
         # lose the fixed point
-        flows = []
-        variational = poincare._variational_map
-
-        def counted(sys_, eps, m, z, theta, tol):
-            flows.append((tuple(z), tol))
-            return variational(sys_, eps, m, z, theta, tol)
-
         r = solve_resonance("rotating-", 0.6, 2, 1)
         sys_, theta0 = pendulum_system(1.0, 0.0, 0.6), 4.0
         runs = []
@@ -339,10 +315,11 @@ class TestMelnikovSeeds:
                 runs.append((args, plain))
         assert len(runs) == 1
         (args, plain), z0 = runs[0], runs[0][0][3]
-        monkeypatch.setattr(poincare, "_variational_map", counted)
-        got = _newton(*args)
+        with recorded_maps() as maps:
+            got = _newton(*args)
         for a, b in zip(got, plain):
             assert np.array_equal(a, b)
+        flows = [(call.z, call.tol) for call in maps]
         # one flow of z0 at _FLOW_TOL serves both runs, the projected one
         # stepping along the normal (sin x1, x2) first
         assert flows[0] == (z0, poincare._COARSE_FLOW_TOL)
@@ -369,35 +346,30 @@ class TestMelnikovSeeds:
         monkeypatch.setattr(poincare, "_COARSE_BUDGET", 1.0)
         _variational_map(*args, poincare._COARSE_FLOW_TOL)
 
-    def test_failure_after_starting_over_is_raised(self, resonance, monkeypatch):
+    def test_failure_after_starting_over_is_raised(self, resonance):
         # J = I makes each step f itself: the second, from a coarse flow, is
         # no shorter than the first, so Newton starts over from z0 at
         # _FLOW_TOL, and the fixed-tolerance run's second flow fails
-        flows = []
-
-        def stub(sys_, eps, m, z, theta0, tol):
-            flows.append((tuple(z), tol))
-            if len(flows) == 4:
+        def stub(z, tol):
+            if z[0] and tol == _FLOW_TOL:
                 raise IntegrationFailure("step budget spent")
-            assert len(flows) < 4
             return z + np.array([1e-3, 0.0]), 2.0 * np.eye(2)
 
-        monkeypatch.setattr(poincare, "_variational_map", stub)
-        with pytest.raises(IntegrationFailure, match="step budget spent"):
-            _newton(None, 1e-3, resonance.m, (0.0, 0.0), 0.0, np.zeros(2))
-        assert [z for z, _ in flows] == [(0.0, 0.0), (-1e-3, 0.0)] * 2
-        assert [tol > _FLOW_TOL for _, tol in flows] == [True, True, False, False]
+        args = (None, 1e-3, resonance.m, (0.0, 0.0), 0.0, np.zeros(2))
+        with recorded_maps(stub) as maps:
+            with pytest.raises(IntegrationFailure, match="step budget spent"):
+                _newton(*args)
+        assert [call.z for call in maps] == [(0.0, 0.0), (-1e-3, 0.0)] * 2
+        assert [call.tol > _FLOW_TOL for call in maps] == [True, True, False, False]
+        assert isinstance(maps[-1].outcome, IntegrationFailure)
 
-    def test_coarse_step_that_stops_contracting_starts_over(self, resonance, monkeypatch):
+    def test_coarse_step_that_stops_contracting_starts_over(self, resonance):
         # J = I makes each step f itself.  The coarse seed flow's step of 1e-7
         # is unresolved, so z0 flows again at _FLOW_TOL and steps by 1e-3;
         # the next flow is coarse and its step no shorter, so Newton starts
         # over from z0 at _FLOW_TOL, though every step so far came from a
         # flow at _FLOW_TOL, and answers as the fixed-tolerance run
-        flows = []
-
-        def stub(sys_, eps, m, z, theta0, tol):
-            flows.append((tuple(z), tol))
+        def stub(z, tol):
             f = {
                 ((0.0, 0.0), True): 1e-7,
                 ((0.0, 0.0), False): 1e-3,
@@ -406,55 +378,57 @@ class TestMelnikovSeeds:
             }[tuple(z), tol > _FLOW_TOL]
             return z + np.array([f, 0.0]), 2.0 * np.eye(2)
 
-        monkeypatch.setattr(poincare, "_variational_map", stub)
         args = (None, 1e-3, resonance.m, (0.0, 0.0), 0.0, np.zeros(2))
-        want = fixed_tolerance_newton(*args)
-        flows.clear()
-        got = _newton(*args)
+        with recorded_maps(stub):
+            want = fixed_tolerance_newton(*args)
+        with recorded_maps(stub) as maps:
+            got = _newton(*args)
         assert got[2]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-        assert [z for z, _ in flows] == [(0.0, 0.0)] * 2 + [(-1e-3, 0.0), (0.0, 0.0), (-1e-3, 0.0)]
-        assert [tol > _FLOW_TOL for _, tol in flows] == [True, False, True, False, False]
+        assert [call.z for call in maps] == [
+            (0.0, 0.0), (0.0, 0.0), (-1e-3, 0.0), (0.0, 0.0), (-1e-3, 0.0)
+        ]
+        assert [call.tol > _FLOW_TOL for call in maps] == [True, False, True, False, False]
 
-    def test_failed_flow_of_the_projected_run_falls_back(self, resonance, monkeypatch):
+    def test_failed_flow_of_the_projected_run_falls_back(self, resonance):
         # J = [[1, 1], [0, 1]] makes each plain step f itself, and at z0 =
         # (0, 1) the projected one (0, f1).  The coarse steps do not shrink,
         # so Newton starts over from z0; the projected run's second flow
         # fails, and the plain run from z0's flow converges
-        flows = []
-
-        def stub(sys_, eps, m, z, theta0, tol):
-            flows.append((tuple(z), tol > _FLOW_TOL))
+        def stub(z, tol):
             if z[1] != 1.0:
                 raise IntegrationFailure("step budget spent")
             f = 1e-12 if z[0] and tol == _FLOW_TOL else 1e-3
             return z + np.array([f, 0.0]), np.array([[2.0, 1.0], [0.0, 2.0]])
 
-        monkeypatch.setattr(poincare, "_variational_map", stub)
         args = (None, 1e-3, resonance.m, (0.0, 1.0), 0.0, np.zeros(2))
-        want = fixed_tolerance_newton(*args, start="projected, then plain")
-        flows.clear()
-        got = _newton(*args)
+        with recorded_maps(stub):
+            want = fixed_tolerance_newton(*args, start="projected, then plain")
+        with recorded_maps(stub) as maps:
+            got = _newton(*args)
         assert got[2]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-        assert flows == [((0.0, 1.0), True), ((-1e-3, 1.0), True), ((0.0, 1.0), False),
-                         ((0.0, 1.0 - 1e-3), False), ((-1e-3, 1.0), False)]
+        assert [(call.z, call.tol > _FLOW_TOL) for call in maps] == [
+            ((0.0, 1.0), True), ((-1e-3, 1.0), True), ((0.0, 1.0), False),
+            ((0.0, 1.0 - 1e-3), False), ((-1e-3, 1.0), False),
+        ]
 
-    def test_singular_jacobian_ends_a_fixed_tolerance_run(self, resonance, monkeypatch):
+    def test_singular_jacobian_ends_a_fixed_tolerance_run(self, resonance):
         # J = I makes each step f itself, and Newton starts over from z0 =
         # (0, 0), where no projected step exists; the plain run's second
         # flow has DP = I, a singular J, which ends it unconverged there
-        def stub(sys_, eps, m, z, theta0, tol):
+        def stub(z, tol):
             dp = np.eye(2) if z[0] and tol == _FLOW_TOL else 2.0 * np.eye(2)
             return z + np.array([1e-3, 0.0]), dp
 
-        monkeypatch.setattr(poincare, "_variational_map", stub)
         args = (None, 1e-3, resonance.m, (0.0, 0.0), 0.0, np.zeros(2))
-        got = _newton(*args)
+        with recorded_maps(stub):
+            got = _newton(*args)
+            want = fixed_tolerance_newton(*args)
         assert not got[2]
-        for a, b in zip(got, fixed_tolerance_newton(*args)):
+        for a, b in zip(got, want):
             assert np.array_equal(a, b)
         assert np.array_equal(got[0], [-1e-3, 0.0]) and np.array_equal(got[3], np.eye(2))
 
@@ -468,7 +442,7 @@ class TestMelnikovSeeds:
         ],
     )
     def test_failed_full_flow_off_the_fixed_path_starts_over(
-        self, resonance, monkeypatch, z0, fixed_run_fails, last
+        self, resonance, z0, fixed_run_fails, last
     ):
         # J = [[1, 1], [0, 1]] makes each plain step f itself, and the
         # projected one (0, f1) at z0 = (0, 1); at z0 = (0, 0) there is none.
@@ -478,31 +452,30 @@ class TestMelnikovSeeds:
         # _FLOW_TOL as the projected-then-plain run, and raises only if a
         # flow of that run fails.  At z0 = (0, 1) that run converges at
         # (0, 1 - 2e-5), and the plain run alone at (-2e-5, 1)
-        flows = []
         fixed_step = 1e-5 if fixed_run_fails else 2e-5
 
-        def stub(sys_, eps, m, z, theta0, tol):
-            flows.append((tuple(z), tol))
+        def stub(z, tol):
             if z[0] == -1e-5:
                 raise IntegrationFailure("step budget spent")
             f = (1e-5 if tol > _FLOW_TOL else fixed_step) if tuple(z) == z0 else 1e-12
             return z + np.array([f, 0.0]), np.array([[2.0, 1.0], [0.0, 2.0]])
 
-        monkeypatch.setattr(poincare, "_variational_map", stub)
         args = (None, 1e-3, resonance.m, z0, 0.0, np.zeros(2))
         if fixed_run_fails:
-            with pytest.raises(IntegrationFailure, match="step budget spent"):
-                _newton(*args)
+            with recorded_maps(stub) as maps:
+                with pytest.raises(IntegrationFailure, match="step budget spent"):
+                    _newton(*args)
         else:
-            plain = fixed_tolerance_newton(*args)
+            with recorded_maps(stub):
+                plain = fixed_tolerance_newton(*args)
+                want = fixed_tolerance_newton(*args, start="projected, then plain")
             assert plain[2] and np.array_equal(plain[0], [-2e-5, z0[1]])
-            want = fixed_tolerance_newton(*args, start="projected, then plain")
-            flows.clear()
-            got = _newton(*args)
+            with recorded_maps(stub) as maps:
+                got = _newton(*args)
             assert got[2] and np.array_equal(got[0], last)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
-        assert flows == [
+        assert [(call.z, call.tol) for call in maps] == [
             (z0, poincare._COARSE_FLOW_TOL),
             ((-1e-5, z0[1]), _FLOW_TOL),
             (z0, _FLOW_TOL),
@@ -579,9 +552,7 @@ class TestVariationalEngine:
         assert final == pytest.approx(strobe(z), abs=1e-9)
         assert np.max(np.abs(dp - fd)) <= 1e-6
 
-    @settings(
-        max_examples=24, deadline=None, derandomize=True, database=None, phases=NO_SHRINK
-    )
+    @settings(max_examples=24, phases=NO_SHRINK)
     @given(
         st.sampled_from([("inner", 3), ("inner", 5), ("rotating+", 1), ("rotating-", 1)]),
         st.floats(0.0, 1.0),
@@ -912,9 +883,7 @@ class TestDOP853Kernel:
     # states differ from scipy's by up to 2.4e-9 relative), so each accepted
     # step, the last one cut to t_bound among them, is replayed with scipy's
     # own stage code from the kernel's state.
-    @settings(
-        max_examples=30, deadline=None, derandomize=True, database=None, phases=NO_SHRINK
-    )
+    @settings(max_examples=30, phases=NO_SHRINK)
     @given(
         st.sampled_from(
             [("inner", 1), ("inner", 3), ("inner", 5), ("rotating+", 1), ("rotating-", 1)]
@@ -966,7 +935,7 @@ class TestDOP853Kernel:
     # at _FLOW_TOL) up; at epsilon = 1e300 the guess overflows (h0 = 0, then
     # d2 = 0/0), and must keep numpy's inf and nan where a float port raised
     # ZeroDivisionError.
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(
         st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
         st.floats(1e-8, 10.0),
@@ -1125,7 +1094,7 @@ class TestDistanceToOrbit:
     # the error of the orbit state times the orbit's speed.  A search that
     # stops at sqrt(machine eps)*|s|, as Brent's bounded minimum does, leaves
     # |g| near 1e-8 |gamma'|^2, far above this bound.
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(
         st.sampled_from([("inner", 3), ("inner", 5), ("rotating+", 1), ("rotating-", 1)]),
         st.floats(0.0, 1.0),
@@ -1189,3 +1158,8 @@ class TestScalingBand:
     def test_nan_distance_raises(self):
         with pytest.raises(ValueError, match="must be finite"):
             scaling_band([1e-3, 1e-3], [math.nan, 1e-4])
+
+    def test_ratio_past_the_float_range_names_its_rung(self):
+        # a distance over a subnormal eps: verify wrote the ratio inf as Infinity, not JSON
+        with pytest.raises(ResidueOverflowError, match=r"eps 5e-324 rung \(distance 1e-12\)"):
+            scaling_band([1e-3, 5e-324], [1e-4, 1e-12])

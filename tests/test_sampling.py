@@ -35,7 +35,7 @@ from melnikov_lab.pendulum import (
 )
 
 THETAS = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=30)
 
 CASES = [
     (INNER, 1.0, 3, 1),

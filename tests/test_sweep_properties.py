@@ -26,7 +26,7 @@ from melnikov_lab.melnikov import (
 from melnikov_lab.pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, pendulum_system
 
 THETAS = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=50)
 
 omegas = st.floats(0.5, 2.0)
 amplitudes = st.floats(0.0, 2.0)
