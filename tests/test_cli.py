@@ -160,6 +160,21 @@ class TestLargeOmega:
         if code == EXIT_OK and argv[0] == "certify":
             assert json.loads(out)["chaos"]["threshold"] == math.inf
 
+    def test_overflowing_contour_exits_3(self):
+        code, out, err = call(["contour", "--beta", "1e308"])
+        assert code == EXIT_NUMERIC and out == ""
+        assert "residue closed form (inf+nanj)" in err
+
+    # a numpy warning would be raised as an exception here, and escape main;
+    # the other overflowing argvs are rows of FAILURES
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [["contour"]], ids=" ".join)
+    def test_overflow_prints_one_line(self, argv):
+        code, out, err = call([*argv, "--beta", "1e308"])
+        assert code == EXIT_NUMERIC and out == ""
+        assert err.startswith("melnikov-lab: ") and err.count("\n") == 1
+        assert "residue closed form (inf+nanj)" in err and "overflows the float range" in err
+
     def test_overflowing_residue_exits_3(self, monkeypatch):
         from melnikov_lab import cli
         from melnikov_lab.melnikov import MelnikovKernels
@@ -504,8 +519,7 @@ FAILURES = [
     # beta = 1e308 overflows the Melnikov values and the residue closed form
     _failure(["melnikov", "--beta", "1e308", "--delta", "1e308"], EXIT_NUMERIC,
              "...Melnikov value nan at beta=1e+308..."),
-    _failure(["contour", "--beta", "1e308"], EXIT_NUMERIC,
-             "...residue closed form (inf+nanj)...overflows the float range..."),
+    # contour --beta 1e308 is pinned in TestLargeOmega
     _failure(["melnikov", "--m", "3", "--beta", "1e308"], EXIT_NUMERIC,
              "...overflows the float range..."),
     # the least contour integral overflows too, but the curve records are
@@ -575,6 +589,8 @@ FAILURES = [
 ]
 
 
+# a numpy warning would be raised as an exception here, and escape main
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, code, stderr, seconds", FAILURES)
 def test_failing_argv_exits_as_pinned(argv, code, stderr, seconds):
     import melnikov_lab.poincare  # noqa: F401  (scipy.integrate's import is not timed)
