@@ -10,7 +10,8 @@ Subcommands emit plot-ready CSV/JSON tables or JSON documents:
 
 Each subcommand takes only the flags it reads.
 
-Exit codes: 0 success (empty results included), 2 usage error,
+Exit codes: 0 success (empty results included), 2 usage error or a
+failed write to --out or stdout,
 3 numerical non-convergence / integration failure / unsolvable or
 out-of-range resonance / argument at a Jacobi pole / residue closed form
 or verify's distance/|eps| ratio beyond the float range.
@@ -19,6 +20,7 @@ or verify's distance/|eps| ratio beyond the float range.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -68,8 +70,15 @@ def _write(args, text):
                 fh.write(text)
         except OSError as exc:
             raise SystemExit(_usage_error(f"cannot write --out {args.out}: {exc.strerror}"))
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # drop what stdout still buffers, or the interpreter's exit flush fails on it again
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        raise SystemExit(_usage_error(f"cannot write stdout: {exc.strerror}"))
 
 
 def _emit(args, header, rows):
@@ -199,13 +208,11 @@ def cmd_verify(args) -> int:
 
     r = _resonance(args)
     sys_ = pendulum_system(args.beta, args.delta, args.omega)
+    zeros = simple_zeros(closed_form_subharmonic(r, args.beta, args.delta))
+    hypothesis_ok = any(z.simple for z in zeros)
+    theta0 = zeros[0].theta if zeros else 0.0
     if args.theta0 is not None:
         theta0 = args.theta0
-        hypothesis_ok = True
-    else:
-        zeros = simple_zeros(closed_form_subharmonic(r, args.beta, args.delta))
-        hypothesis_ok = any(z.simple for z in zeros)
-        theta0 = zeros[0].theta if zeros else 0.0
 
     records = []
     distances, eps_used = [], []

@@ -5,9 +5,9 @@ substitution_check integrates cn^2 by adaptive quadrature on both sides of
 a change of variables; full_range_bisection solves a resonance by plain
 bisection over the whole k' range; fixed_tolerance_newton runs the
 fixed-point Newton with every flow at the full tolerance, from a plain or
-a normal first step; counted_flows records every stroboscopic flow that
-runs inside it, and recorded_maps every stroboscopic map, or answers it
-from a stub;
+a normal first step; recorded records every call of a library callable,
+or answers it from a stub, and counted_flows, recorded_maps and time_size
+read the stroboscopic flows, the maps and the orbit samples it records;
 homoclinic_limit_check measures how fast the m/1 subharmonic curves
 approach their homoclinic limits; orbit_ode_residual and
 homoclinic_limit_distance test the closed-form orbits against the pendulum
@@ -147,12 +147,56 @@ def fixed_tolerance_newton(sys, eps, m, z0, theta0, winding, start="plain"):
     return z, f, False, dp
 
 
-Flow = collections.namedtuple("Flow", "start attempts accepted nfev message args result")
+Call = collections.namedtuple("Call", "args kwargs outcome")
 
 
 @contextlib.contextmanager
+def recorded(owner, name, stub=None, read=Call):
+    """A list that gains one record per owner.name call made inside the block.
+
+    owner is a module or a class, and name one of its own attributes (a
+    classmethod such as EllipticModulus._build too).  Inside the block
+    owner.name answers from stub, given one, else from the original, and
+    each call appends read(args, kwargs, outcome), a Call by default:
+    outcome is the value returned or the exception raised, which is raised
+    again.  On exit owner.name is the very object it was on entry.
+    """
+    found = vars(owner)[name]
+    answer = stub or getattr(owner, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        try:
+            outcome = answer(*args, **kwargs)
+        except Exception as exc:
+            calls.append(read(args, kwargs, exc))
+            raise
+        calls.append(read(args, kwargs, outcome))
+        return outcome
+
+    bound = isinstance(found, (classmethod, staticmethod))
+    setattr(owner, name, staticmethod(wrapper) if bound else wrapper)
+    try:
+        yield calls
+    finally:
+        setattr(owner, name, found)
+
+
+def time_size(args, kwargs, outcome):
+    """A read for recorded: the size of the time array an orbit sampler (family, t) took."""
+    return np.size(args[1])
+
+
+Flow = collections.namedtuple("Flow", "start attempts accepted nfev message args result")
+
+
+def _flow(args, kwargs, result):
+    *_, attempts, accepted, message = result
+    return Flow(tuple(args[1][:2]), attempts, accepted, 2 + 12 * attempts, message, args, result)
+
+
 def counted_flows():
-    """A list that gains one Flow per poincare._dop853_flow call made inside the block.
+    """recorded(poincare, "_dop853_flow"), each call recorded as a Flow.
 
     Every stroboscopic flow is one _dop853_flow call, so a Flow reads the
     call's own counts: start, the (x1, x2) it starts from; the step
@@ -160,59 +204,39 @@ def counted_flows():
     evaluations (solve_ivp's sol.nfev); message, None where the flow
     reached t_bound, else why it stopped; args, the call's (t, y, t_bound,
     forcing, tol, max_steps); and result, its (t, y, f, h_abs, attempts,
-    accepted, message).  The name is restored on exit.
+    accepted, message).
     """
-    flows = []
-    flow = poincare._dop853_flow
-
-    def counted(*args):
-        result = flow(*args)
-        *_, attempts, accepted, message = result
-        start = tuple(args[1][:2])
-        flows.append(Flow(start, attempts, accepted, 2 + 12 * attempts, message, args, result))
-        return result
-
-    poincare._dop853_flow = counted
-    try:
-        yield flows
-    finally:
-        poincare._dop853_flow = flow
+    return recorded(poincare, "_dop853_flow", read=_flow)
 
 
 MapCall = collections.namedtuple("MapCall", "z tol args outcome")
 
 
-@contextlib.contextmanager
+def _map_args(args, kwargs):
+    """A _variational_map call's (sys, eps, m, z, theta, tol), z copied to a float array."""
+    sys, eps, m, z, theta, tol = (*args, kwargs.get("tol", poincare._FLOW_TOL))[:6]
+    return sys, eps, m, np.array(z, dtype=float), theta, tol
+
+
 def recorded_maps(stub=None):
-    """A list that gains one MapCall per poincare._variational_map call made inside the block.
+    """recorded(poincare, "_variational_map"), each call recorded as a MapCall.
 
     The map's counterpart of counted_flows.  A MapCall holds the call's z
     as a tuple of floats and its tol; args, the call's (sys, eps, m, z,
     theta, tol) with z copied to a float array; and outcome, the (P, DP) the
-    call returned or the IntegrationFailure it raised, which is raised
-    again.  Given stub(z, tol), the stub answers in place of the flow.  The
-    name is restored on exit.
+    call returned or the IntegrationFailure it raised.  Given stub(z, tol),
+    the stub answers in place of the flow.
     """
-    calls = []
-    variational_map = poincare._variational_map
 
-    def recorded(sys, eps, m, z, theta, tol=poincare._FLOW_TOL):
-        z = np.array(z, dtype=float)
-        args = (sys, eps, m, z, theta, tol)
-        head = (tuple(z.tolist()), tol, args)
-        try:
-            outcome = variational_map(*args) if stub is None else stub(z, tol)
-        except IntegrationFailure as exc:
-            calls.append(MapCall(*head, exc))
-            raise
-        calls.append(MapCall(*head, outcome))
-        return outcome
+    def answer(*args, **kwargs):
+        _, _, _, z, _, tol = _map_args(args, kwargs)
+        return stub(z, tol)
 
-    poincare._variational_map = recorded
-    try:
-        yield calls
-    finally:
-        poincare._variational_map = variational_map
+    def read(args, kwargs, outcome):
+        args = _map_args(args, kwargs)
+        return MapCall(tuple(args[3].tolist()), args[5], args, outcome)
+
+    return recorded(poincare, "_variational_map", None if stub is None else answer, read)
 
 
 def homoclinic_limit_check(

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -19,10 +20,16 @@ from hypothesis import strategies as st
 
 import melnikov_lab
 from golden.regen import call
+from melnikov_lab import cli, poincare  # so no timed call pays scipy.integrate's import
 from melnikov_lab.certificate import build_certificate
-from melnikov_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser
-from melnikov_lab.melnikov import K_WINDOW
+from melnikov_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
+from melnikov_lab.elliptic import PoleProximityError
+from melnikov_lab.melnikov import K_WINDOW, MelnikovKernels
 from melnikov_lab.pendulum import FAMILIES
+from oracles import recorded
+
+SRC = str(Path(melnikov_lab.__file__).resolve().parents[1])
+SUBPROCESS_PYTHONPATH = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
 
 
 def parse_csv(text):
@@ -175,30 +182,24 @@ class TestLargeOmega:
         assert err.startswith("melnikov-lab: ") and err.count("\n") == 1
         assert "residue closed form (inf+nanj)" in err and "overflows the float range" in err
 
-    def test_overflowing_residue_exits_3(self, monkeypatch):
-        from melnikov_lab import cli
-        from melnikov_lab.melnikov import MelnikovKernels
-
+    def test_overflowing_residue_exits_3(self):
         # the numeric kernels fail first at this resonance; skip them to reach the residue
         zero = MelnikovKernels(0j, 0j, 0j, 128, 0.0)
-        monkeypatch.setattr(cli, "contour_kernels", lambda r, spec: zero)
-        code, out, err = call(
-            ["contour", "--m", "501", "--omega", "460", "--theta-points", "2"]
-        )
+        with recorded(cli, "contour_kernels", lambda r, spec: zero):
+            code, out, err = call(
+                ["contour", "--m", "501", "--omega", "460", "--theta-points", "2"]
+            )
         assert code == EXIT_NUMERIC and out == ""
         assert "overflows" in err
 
 
 class TestContourCommand:
-    def test_pole_proximity_exits_3(self, monkeypatch):
-        import melnikov_lab.cli as cli
-        from melnikov_lab.elliptic import PoleProximityError
-
+    def test_pole_proximity_exits_3(self):
         def at_pole(*args, **kwargs):
             raise PoleProximityError("argument within pole clearance")
 
-        monkeypatch.setattr(cli, "contour_kernels", at_pole)
-        code, out, err = call(["contour", "--m", "3"])
+        with recorded(cli, "contour_kernels", at_pole):
+            code, out, err = call(["contour", "--m", "3"])
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "pole" in err
@@ -237,9 +238,16 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize("delta", [1.0, 0.0])
     def test_certificate_holds_only_json_values(self, delta):
-        # plain json.dumps, as the CLI writes it
+        # plain json.dumps, as the CLI writes it.  Python's json reads Infinity,
+        # which strict parsers reject: at delta = 0 the chaos ratio is inf, the
+        # exception README names, and every other value is strict JSON, which
+        # allow_nan=False refuses to write otherwise
         cert = build_certificate(1.0, delta, 1.0)
         assert json.loads(json.dumps(cert)) == cert
+        if delta == 0.0:
+            assert cert["chaos"]["ratio"] == math.inf
+            cert = dict(cert, chaos=dict(cert["chaos"], ratio=0.0))
+        json.dumps(cert, allow_nan=False)
 
     def test_unresolvable_moduli_do_not_stop_the_certificate(self):
         # rotating 8/1 at omega = 0.2 needs k' ~ 1e-54, beyond the bisection
@@ -302,6 +310,14 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["theta0"] == pytest.approx(math.pi / 2.0)
 
+    def test_theta0_leaves_the_hypothesis_check(self):
+        # at delta = 1 the inner 3/1 curve has no simple zero, whatever the section phase
+        for theta0 in ([], ["--theta0", str(math.pi / 2.0)]):
+            code, out, _ = call(["verify", "--m", "3", "--delta", "1", "--eps", "0", *theta0])
+            doc = json.loads(out)
+            assert code == EXIT_OK and not doc["simple_zero_hypothesis"]
+            assert doc["scaling"]["hypothesis_violated"]
+
     def test_small_beta_seeds_at_a_simple_zero(self):
         # the beta = 1 curve scaled by 1e-13 has the same simple zeros
         code, out, _ = call(["verify", "--m", "3", "--beta", "1e-13", "--eps", "1e-3", "5e-4"])
@@ -333,17 +349,15 @@ class TestVerifyCommand:
         assert all(rec["converged"] for rec in doc["results"])
         assert doc["scaling"]["within_band"]
 
-    def test_integration_failure_exits_3(self, monkeypatch):
-        import melnikov_lab.poincare as poincare
-
+    def test_integration_failure_exits_3(self):
         flow = poincare._dop853_flow
 
         def spent(t, y, t_bound, forcing, tol, max_steps):
             # the flow's own failure: its set-up, stopped by a budget of 0
             return flow(t, y, t_bound, forcing, tol, 0)
 
-        monkeypatch.setattr(poincare, "_dop853_flow", spent)
-        code, out, err = call(["verify", "--m", "3", "--eps", "1e-3"])
+        with recorded(poincare, "_dop853_flow", spent):
+            code, out, err = call(["verify", "--m", "3", "--eps", "1e-3"])
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "integration failure: step budget of 0 spent" in err
@@ -396,6 +410,28 @@ class TestUsageErrors:
         code, out, err = _exit_code(command + ["--out", str(path)])
         assert code == EXIT_USAGE and out == ""
         assert err == f"melnikov-lab: error: cannot write --out {path}: {reason}\n"
+
+    def test_unwritable_stdout_exits_2(self):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(BrokenPipe()), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(["resonances", "--m-max", "3"])
+        assert exc.value.code == EXIT_USAGE
+        assert err.getvalue() == "melnikov-lab: error: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_exits_2_with_one_line(self):
+        # stdout buffered, so anything the failed write leaves the exit's flush meets again
+        env = dict(os.environ, PYTHONPATH=SUBPROCESS_PYTHONPATH, PYTHONUNBUFFERED="")
+        argv = [sys.executable, "-m", "melnikov_lab.cli", "resonances", "--m-max", "3"]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == "melnikov-lab: error: cannot write stdout: No space left on device\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -453,9 +489,7 @@ class TestUsageErrors:
         assert (args.k_min, args.k_max) == K_WINDOW
 
 def test_import_leaves_scipy_integrate_unloaded():
-    src = str(Path(melnikov_lab.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=SUBPROCESS_PYTHONPATH)
     code = "import sys, melnikov_lab.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -555,8 +589,8 @@ FAILURES = [
              EXIT_NUMERIC, "melnikov-lab: contour center (inf+...overflows the float range\n"),
     # the same resonance: the closed-form damping coefficient 8nE/k overflows,
     # and at delta = 0 its term is -0 * inf = nan, which simple_zeros divided
-    # by (a ZeroDivisionError traceback, exit 1); verify seeds Newton from
-    # that curve itself, or through _melnikov_seeds when --theta0 is given
+    # by (a ZeroDivisionError traceback, exit 1); verify reads its simple-zero
+    # hypothesis from that curve whether or not --theta0 is given
     *(_failure(["verify", *theta0, "--family", "rotating+", "--m", str(N_PAST_FLOAT + 1),
                 "--n", str(N_PAST_FLOAT), "--omega", "1"], EXIT_NUMERIC,
                "melnikov-lab: Melnikov curve coefficients nan and 0.0 overflow the float range\n",
@@ -593,8 +627,6 @@ FAILURES = [
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, code, stderr, seconds", FAILURES)
 def test_failing_argv_exits_as_pinned(argv, code, stderr, seconds):
-    import melnikov_lab.poincare  # noqa: F401  (scipy.integrate's import is not timed)
-
     start = time.perf_counter()
     with _deadline(seconds):
         exit_code, out, err = _exit_code(argv)

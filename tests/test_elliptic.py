@@ -16,6 +16,7 @@ from melnikov_lab.elliptic import (
     jacobi_complex,
     jacobi_real,
 )
+from oracles import recorded
 
 
 def K_quadrature(k):
@@ -106,18 +107,12 @@ class TestEllipticModulus:
         fresh = EllipticModulus.from_k_prime(0.6)
         assert (comp.K, comp.E, comp.K_prime) == (fresh.K, fresh.E, fresh.K_prime)
 
-    def test_jacobi_functions_and_complement_reuse_the_two_descents(self, monkeypatch):
-        calls = []
-
-        def counting_descent(b, c, levels=None):
-            calls.append(b)
-            return _descent(b, c, levels)
-
-        monkeypatch.setattr(elliptic_module, "_descent", counting_descent)
-        m = EllipticModulus.from_k_prime(0.036)
-        jacobi_real(0.4, m)
-        jacobi_am(0.4, m)
-        jacobi_complex(0.4 + 0.3j, m)
+    def test_jacobi_functions_and_complement_reuse_the_two_descents(self):
+        with recorded(elliptic_module, "_descent") as calls:
+            m = EllipticModulus.from_k_prime(0.036)
+            jacobi_real(0.4, m)
+            jacobi_am(0.4, m)
+            jacobi_complex(0.4 + 0.3j, m)
         assert len(calls) == 2
 
     def test_from_k_prime_high_modulus(self):

@@ -15,6 +15,10 @@ same holds for a public dataclass field, property or method that no library
 module and no ``perfbench/*.py`` file reads as an attribute (or, in
 perfbench, names in a string, as its tracer's TARGETS do), unless open work
 is to read it (UNREAD_ATTRIBUTES).
+
+A test file other than tests/oracles.py replaces no library callable by
+hand: it calls setattr only on an _UPPER_CASE constant and imports no
+unittest.mock, so oracles.recorded stays the one way to watch or stub one.
 """
 
 import ast
@@ -27,6 +31,7 @@ import melnikov_lab
 PACKAGE = Path(melnikov_lab.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCH_FILES = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # Public functions that only the tests call.
 REFERENCE_ONLY = {
@@ -282,3 +287,36 @@ def test_attribute_scan_flags_an_unread_field():
     }
     bench = [ast.parse("TARGETS = (('lib', 'Plain', 'traced'),)\nspare = point.spare\n")]
     assert _unread_attributes(trees, bench) == {"Point.y", "Point.scaled"}
+
+
+def _hand_replacements(tree):
+    """Lines of each setattr whose name is no _UPPER_CASE literal and each unittest.mock import."""
+    lines = set()
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if getattr(func, "id", getattr(func, "attr", "")) == "setattr":
+            name = getattr(node.args[1], "value", None) if len(node.args) == 3 else None
+            if not (isinstance(name, str) and name.lstrip("_").isupper()):
+                lines.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            if any(f"{prefix}{alias.name}.".startswith("unittest.mock.") for alias in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_tests_replace_library_callables_only_through_recorded():
+    scans = {path.name: _hand_replacements(ast.parse(path.read_text())) for path in TEST_FILES}
+    found = {name: lines for name, lines in scans.items() if lines and name != "oracles.py"}
+    assert "oracles.py" in scans and not found, f"replaced outside oracles.recorded: {found}"
+
+
+def test_replacement_scan_flags_a_hand_patch():
+    tree = ast.parse(
+        "from unittest import mock\nimport unittest.mock as um\nfrom unittest.mock import patch\n"
+        "import unittest, mockito\nmonkeypatch.setattr(poincare, '_NEWTON_MAX', 3)\n"
+        "setattr(poincare, '_dop853_flow', stub)\nmp.setattr(poincare, name, stub)\n"
+        "monkeypatch.setattr('melnikov_lab.poincare._COARSE_BUDGET', 1.0)\n"
+        "monkeypatch.setattr(run, 'SRC', path)\n"
+    )
+    assert _hand_replacements(tree) == [1, 2, 3, 6, 7, 8]

@@ -1,5 +1,5 @@
+import contextlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,27 +30,17 @@ from melnikov_lab.melnikov import (
     subharmonic_quadrature,
 )
 from melnikov_lab.pendulum import INNER, ROTATING_MINUS, ROTATING_PLUS, pendulum_system
-from oracles import full_range_bisection, homoclinic_limit_check
+from oracles import full_range_bisection, homoclinic_limit_check, recorded, time_size
 
 PROPERTY = settings(max_examples=60)
 
 
-def _count_work(monkeypatch):
-    """Record the k' of every EllipticModulus._build and count every AGM descent."""
-    builds, descents = [], []
-    build, descent = EllipticModulus._build, elliptic_module._descent
-
-    def counting_build(cls, k, k_prime):
-        builds.append(k_prime)
-        return build(k, k_prime)
-
-    def counting_descent(b, c, levels=None):
-        descents.append(b)
-        return descent(b, c, levels)
-
-    monkeypatch.setattr(EllipticModulus, "_build", classmethod(counting_build))
-    monkeypatch.setattr(elliptic_module, "_descent", counting_descent)
-    return builds, descents
+@contextlib.contextmanager
+def _count_work():
+    """The recorded calls of EllipticModulus._build and of the AGM descent inside the block."""
+    with recorded(EllipticModulus, "_build") as builds, \
+            recorded(elliptic_module, "_descent") as descents:
+        yield builds, descents
 
 
 class TestSolveResonance:
@@ -99,20 +89,20 @@ class TestSolveResonance:
             solve_resonance(ROTATING_PLUS, 4000.0, 1, 1)
 
     @pytest.mark.parametrize("family", [INNER, ROTATING_PLUS, ROTATING_MINUS])
-    def test_infinite_target_raises_before_bisecting(self, monkeypatch, family):
+    def test_infinite_target_raises_before_bisecting(self, family):
         # pi * m / (2 n omega) overflows at omega = 5e-324; an infinite target
         # once met both the bracket check and the residual test
-        builds, descents = _count_work(monkeypatch)
-        with pytest.raises(ResonanceError, match="target inf lies outside"):
+        with _count_work() as (builds, descents), \
+                pytest.raises(ResonanceError, match="target inf lies outside"):
             solve_resonance(family, 5e-324, 5, 1)
         assert builds == [] and len(descents) == 2
 
     @pytest.mark.parametrize("omega", [1e-3, 1e9])
-    def test_unbracketed_target_raises_before_bisecting(self, monkeypatch, omega):
+    def test_unbracketed_target_raises_before_bisecting(self, omega):
         # k K = pi / omega lies above k K(k' = 1e-300) = 692 at omega = 1e-3 and
         # below k K(k' = 1 - 1e-16) = 2.3e-8 at omega = 1e9
-        builds, descents = _count_work(monkeypatch)
-        with pytest.raises(ResonanceError, match="out of range") as exc:
+        with _count_work() as (builds, descents), \
+                pytest.raises(ResonanceError, match="out of range") as exc:
             solve_resonance(ROTATING_PLUS, omega, 1, 1)
         assert len(builds) <= 2
         # one descent per bracket end, and no bisection step
@@ -144,8 +134,7 @@ class TestSolveResonance:
         target, period = melnikov_module._resonance_equation(family, omega, m, n)
         lo, hi = melnikov_module._K_PRIME_RANGE
         reachable = period(_complementary(hi), hi) <= target <= period(_complementary(lo), lo)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            _, descents = _count_work(monkeypatch)
+        with _count_work() as (_, descents):
             try:
                 r = solve_resonance(family, omega, m, n)
             except ResonanceError:
@@ -166,11 +155,11 @@ class TestSolveResonance:
             assert r.modulus.k_prime == full_range_bisection(period, target, lo, hi)
 
     @pytest.mark.parametrize("family, m", [(INNER, 3), (ROTATING_PLUS, 1), (ROTATING_MINUS, 1)])
-    def test_one_build_per_solve(self, monkeypatch, family, m):
+    def test_one_build_per_solve(self, family, m):
         # each bisection step evaluates K alone; the modulus is built at the root
-        builds, descents = _count_work(monkeypatch)
-        r = solve_resonance(family, 1.0, m, 1)
-        assert builds == [r.modulus.k_prime]
+        with _count_work() as (builds, descents):
+            r = solve_resonance(family, 1.0, m, 1)
+        assert [call.args[1] for call in builds] == [r.modulus.k_prime]
         assert len(descents) <= 64
 
     @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
@@ -312,17 +301,10 @@ class TestNodeDoubling:
             _trapezoid_doubling(sample_mean, 1.0, 1e-10, n0=64, n_max=2**20)
         assert calls == [128] and exc.value.nodes == 128
 
-    def test_overflowing_parameters_stop_at_the_first_level(self, monkeypatch):
+    def test_overflowing_parameters_stop_at_the_first_level(self):
         r = solve_resonance(INNER, 1.0, 3, 1)
-        calls = []
-        original = melnikov_module.orbit_state
-
-        def counting(family, t):
-            calls.append(np.size(t))
-            return original(family, t)
-
-        monkeypatch.setattr(melnikov_module, "orbit_state", counting)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with recorded(melnikov_module, "orbit_state", read=time_size) as calls, \
+                np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ResidueOverflowError):
                 subharmonic_quadrature(pendulum_system(1e308, 1e308, 1.0), r, [0.0, 1.0])
         assert calls == [128]
@@ -330,17 +312,15 @@ class TestNodeDoubling:
 
 class TestNonFiniteTheta:
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
-    def test_rejected_before_sampling(self, monkeypatch, theta):
-        def no_doubling(*args, **kwargs):
-            raise AssertionError("sampled a non-finite theta")
-
-        monkeypatch.setattr(melnikov_module, "_trapezoid_doubling", no_doubling)
+    def test_rejected_before_sampling(self, theta):
         sys = pendulum_system(1.0, 0.5, 1.0)
         r = solve_resonance(INNER, 1.0, 3, 1)
-        with pytest.raises(ValueError, match="theta must be finite"):
-            subharmonic_quadrature(sys, r, theta)
-        with pytest.raises(ValueError, match="theta must be finite"):
-            homoclinic_quadrature(sys, 1, theta)
+        with recorded(melnikov_module, "_trapezoid_doubling") as doublings:
+            with pytest.raises(ValueError, match="theta must be finite"):
+                subharmonic_quadrature(sys, r, theta)
+            with pytest.raises(ValueError, match="theta must be finite"):
+                homoclinic_quadrature(sys, 1, theta)
+        assert not doublings, "sampled a non-finite theta"
 
 
 class TestAliasing:
@@ -372,56 +352,43 @@ class TestAliasing:
             _trapezoid_doubling(sampler, 1.0, 1e-10, n0=2**20, n_max=2**20)
 
 
-def test_system_omega_must_be_the_resonance_omega(monkeypatch):
-    def no_orbit(*args, **kwargs):
-        raise AssertionError("sampled the orbit")
-
-    monkeypatch.setattr(melnikov_module, "orbit_state", no_orbit)
+def test_system_omega_must_be_the_resonance_omega():
     r = solve_resonance(ROTATING_PLUS, 1.2, 1, 1)
-    with pytest.raises(ValueError, match="omega"):
+    with recorded(melnikov_module, "orbit_state") as calls, \
+            pytest.raises(ValueError, match="omega"):
         subharmonic_quadrature(pendulum_system(1.0, 0.0, 1.0), r, 0.0)
+    assert not calls, "sampled the orbit"
 
 
 class TestKernelsOncePerResonance:
     """A Resonance integrates its kernels on first use; every theta reuses them."""
 
-    def _count_points(self, monkeypatch):
-        points = []
-        original = melnikov_module.orbit_state
-
-        def counting(family, t):
-            points.append(np.size(t))
-            return original(family, t)
-
-        monkeypatch.setattr(melnikov_module, "orbit_state", counting)
-        return points
-
     @pytest.mark.parametrize("case", [(INNER, 1.0, 3, 1), (ROTATING_MINUS, 0.8, 3, 2)])
-    def test_eight_scalar_thetas_sample_the_orbit_once(self, monkeypatch, case):
+    def test_eight_scalar_thetas_sample_the_orbit_once(self, case):
         r = solve_resonance(*case)
-        points = self._count_points(monkeypatch)
         sys = pendulum_system(0.7, 1.3, r.omega)
-        values = [subharmonic_quadrature(sys, r, th) for th in np.linspace(0.0, 6.0, 8)]
+        with recorded(melnikov_module, "orbit_state", read=time_size) as points:
+            values = [subharmonic_quadrature(sys, r, th) for th in np.linspace(0.0, 6.0, 8)]
         assert sum(points) == r.kernels.nodes
-        first_pass = list(points)
-        subharmonic_quadrature(sys, r, np.linspace(0.0, 6.0, 8))
-        assert points == first_pass
+        with recorded(melnikov_module, "orbit_state") as second_pass:
+            subharmonic_quadrature(sys, r, np.linspace(0.0, 6.0, 8))
+        assert second_pass == []
         assert all(isinstance(v, float) for v in values)
 
-    def test_systems_share_one_kernel_triple(self, monkeypatch):
+    def test_systems_share_one_kernel_triple(self):
         r = solve_resonance(INNER, 1.0, 5, 1)
         ker = r.kernels
-        points = self._count_points(monkeypatch)
         thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-        for beta, delta in [(1.0, 0.0), (0.0, 1.0), (0.3, 2.5), (1e3, 1e-3)]:
-            sys = pendulum_system(beta, delta, r.omega)
-            expected = (
-                beta * (ker.cos_kernel * np.cos(thetas) - ker.sin_kernel * np.sin(thetas))
-                - delta * ker.damping_kernel
-            )
-            assert np.array_equal(subharmonic_quadrature(sys, r, thetas), expected)
-            closed = closed_form_subharmonic(r, beta, delta).evaluate(thetas)
-            assert np.max(np.abs(expected - closed)) <= 1e-8 * (1.0 + beta + delta)
+        with recorded(melnikov_module, "orbit_state") as points:
+            for beta, delta in [(1.0, 0.0), (0.0, 1.0), (0.3, 2.5), (1e3, 1e-3)]:
+                sys = pendulum_system(beta, delta, r.omega)
+                expected = (
+                    beta * (ker.cos_kernel * np.cos(thetas) - ker.sin_kernel * np.sin(thetas))
+                    - delta * ker.damping_kernel
+                )
+                assert np.array_equal(subharmonic_quadrature(sys, r, thetas), expected)
+                closed = closed_form_subharmonic(r, beta, delta).evaluate(thetas)
+                assert np.max(np.abs(expected - closed)) <= 1e-8 * (1.0 + beta + delta)
         assert points == [] and r.kernels is ker
 
     def test_other_omega_raises_with_cached_kernels(self):
@@ -632,7 +599,7 @@ class TestEnumerateResonances:
     @pytest.mark.parametrize(
         "family, omega", [(INNER, 1.0), (ROTATING_PLUS, 0.2), (ROTATING_MINUS, 1e-3)]
     )
-    def test_skips_out_of_window_targets_unsolved(self, monkeypatch, family, omega):
+    def test_skips_out_of_window_targets_unsolved(self, family, omega):
         # each case has (m, n) whose moduli solve_resonance cannot resolve
         window = (0.05, 0.999)
         in_window = []
@@ -647,14 +614,8 @@ class TestEnumerateResonances:
                 if r is not None and window[0] <= r.modulus.k <= window[1]:
                     in_window.append(r)
 
-        solved = []
-
-        def recording(*args):
-            solved.append(solve_resonance(*args))
-            return solved[-1]
-
-        monkeypatch.setattr(melnikov_module, "solve_resonance", recording)
-        rs = enumerate_resonances(family, omega, window, 100, 3)
+        with recorded(melnikov_module, "solve_resonance") as solved:
+            rs = enumerate_resonances(family, omega, window, 100, 3)
         assert rs == sorted(in_window, key=lambda r: r.modulus.k)
         assert len(solved) == len(in_window)
 
@@ -688,10 +649,10 @@ def test_walk_matches_the_rectangle_scan(family, log_omega, window, m_max, n_max
     """The walk that stops at the window's edges solves and lists what the full scan does."""
     omega = 10.0**log_omega
     expected, expected_solved = _rectangle_scan(family, omega, window, m_max, n_max)
-    with mock.patch.object(melnikov_module, "solve_resonance", wraps=solve_resonance) as spy:
+    with recorded(melnikov_module, "solve_resonance") as solved:
         got = enumerate_resonances(family, omega, window, m_max, n_max)
     assert got == expected
-    assert sorted(c.args[2:] for c in spy.call_args_list) == sorted(expected_solved)
+    assert sorted(call.args[2:] for call in solved) == sorted(expected_solved)
 
 
 class TestHomoclinicLimitCheck:
@@ -714,11 +675,10 @@ class TestHomoclinicLimitCheck:
 def test_candidates_count_the_walks_targets(family, log_omega, window, m_max, n_max):
     """The closed-form count is the walk's targets, give or take 2 per n, and stops past limit."""
     omega = 10.0**log_omega
-    equation = melnikov_module._resonance_equation
-    with mock.patch.object(melnikov_module, "solve_resonance", return_value=None), \
-            mock.patch.object(melnikov_module, "_resonance_equation", wraps=equation) as spy:
+    with recorded(melnikov_module, "solve_resonance", lambda *args: None), \
+            recorded(melnikov_module, "_resonance_equation") as equations:
         enumerate_resonances(family, omega, window, m_max, n_max)
-    computed = spy.call_count - 1  # the 1/1 target that scales the walk
+    computed = len(equations) - 1  # the 1/1 target that scales the walk
     count = resonance_candidates(family, omega, window, m_max, n_max, 10**9)
     assert computed <= count <= computed + 2 * n_max
     half = count // 2

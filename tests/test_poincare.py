@@ -38,7 +38,7 @@ from melnikov_lab.poincare import (
     find_subharmonic,
     scaling_band,
 )
-from oracles import counted_flows, fixed_tolerance_newton, recorded_maps
+from oracles import counted_flows, fixed_tolerance_newton, recorded, recorded_maps
 
 
 # Hypothesis phases of the properties that run flows: no shrinking, which
@@ -136,27 +136,19 @@ class TestFindSubharmonic:
         out, _ = _variational_map(system, 1e-3, resonance.m, z, math.pi / 2.0)
         assert out == pytest.approx(z, abs=1e-9)
 
-    def test_system_omega_must_be_the_resonance_omega(self, resonance, monkeypatch):
-        def no_flow(*args):
-            raise AssertionError("flowed a system off the resonance's omega")
-
-        monkeypatch.setattr(poincare, "_dop853_flow", no_flow)
-        with pytest.raises(ValueError, match="omega"):
+    def test_system_omega_must_be_the_resonance_omega(self, resonance):
+        with counted_flows() as flows, pytest.raises(ValueError, match="omega"):
             find_subharmonic(pendulum_system(1.0, 0.0, 1.05), 1e-3, resonance, math.pi / 2.0)
+        assert not flows, "flowed a system off the resonance's omega"
 
     @pytest.mark.parametrize(
         "eps, theta0",
         [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1e-3, math.inf), (1e-3, math.nan)],
     )
-    def test_non_finite_eps_or_theta0_flows_nothing(
-        self, system, resonance, eps, theta0, monkeypatch
-    ):
-        def no_flow(*args):
-            raise AssertionError("flowed a non-finite eps or theta0")
-
-        monkeypatch.setattr(poincare, "_dop853_flow", no_flow)
-        with pytest.raises(ValueError, match="must be finite"):
+    def test_non_finite_eps_or_theta0_flows_nothing(self, system, resonance, eps, theta0):
+        with counted_flows() as flows, pytest.raises(ValueError, match="must be finite"):
             find_subharmonic(system, eps, resonance, theta0)
+        assert not flows, "flowed a non-finite eps or theta0"
 
     def test_newton_gap_rung_converges_in_band(self, system, resonance):
         # eps = 6.8538506e-4 sat between converging rungs but found no fixed
@@ -967,26 +959,14 @@ class TestDOP853Kernel:
         min_step = 10.0 * abs(math.nextafter(t0, math.inf) - t0)
         assert h_abs == max(float(ref.h_abs), min_step)
 
-    def test_nfev_is_every_rhs_call(self, system, resonance, monkeypatch):
+    def test_nfev_is_every_rhs_call(self, system, resonance):
         # the set-up calls _derivative twice (first derivative, first-step
         # guess); each attempted step then evaluates 12 stages inline
-        calls, sols = [], []
-        derivative = poincare._derivative
-
-        def counted(t, y, forcing):
-            calls.append(t)
-            return derivative(t, y, forcing)
-
-        def solved(*args, **options):
-            sols.append(solve_ivp(*args, **options))
-            return sols[-1]
-
-        monkeypatch.setattr(poincare, "_derivative", counted)
-        monkeypatch.setattr(poincare, "solve_ivp", solved)
-        with counted_flows() as flows:
+        with recorded(poincare, "_derivative") as calls, \
+                recorded(poincare, "solve_ivp") as sols, counted_flows() as flows:
             _variational_map(system, 1e-3, resonance.m, (0.9, 0.4), math.pi / 2.0)
-        ((flow,), (sol,)) = flows, sols
-        assert len(calls) == 2 and calls[0] == 0.0 and flow.attempts > 0
+        ((flow,), ((_, _, sol),)) = flows, sols
+        assert len(calls) == 2 and calls[0].args[0] == 0.0 and flow.attempts > 0
         assert sol.success and sol.nfev == len(calls) + 12 * flow.attempts
         # one step() runs the whole flow: sol holds its two ends and its final y
         assert sol.t.tolist() == [0.0, flow.result[0]] == [0.0, 2.0 * math.pi * resonance.m]
@@ -1014,25 +994,18 @@ class TestDOP853Kernel:
         for delta in (0.0, 0.4)
     ]
 
-    def test_derivative_serves_the_set_up_and_each_accepted_step(self, monkeypatch):
+    def test_derivative_serves_the_set_up_and_each_accepted_step(self):
         # the set-up calls _derivative twice, first at t0; each accepted step
         # then computes the next step's first stage inline, and that is
         # _derivative at t + h, bit for bit, not at t_new
         derivative = poincare._derivative
         off_t_new = 0
         for t0, y0, t_bound, forcing, tol in self.FIRST_STAGE_FLOWS:
-            calls = []
-
-            def counted(t, y, forcing):
-                calls.append(t)
-                return derivative(t, y, forcing)
-
-            with monkeypatch.context() as mp:
-                mp.setattr(poincare, "_derivative", counted)
+            with recorded(poincare, "_derivative") as calls:
                 *_, attempts, accepted, message = poincare._dop853_flow(
                     t0, y0, t_bound, forcing, tol, 10**4
                 )
-            assert message is None and len(calls) == 2 and calls[0] == t0
+            assert message is None and len(calls) == 2 and calls[0].args[0] == t0
             steps, _ = _accepted_steps(t0, y0, t_bound, forcing, tol)
             assert len(steps) == accepted <= attempts
             ends = [t for t, *_ in steps[1:]] + [t_bound]
@@ -1107,17 +1080,9 @@ class TestDistanceToOrbit:
         start = orbit_state(r.orbit, phase * r.orbit.period)
         offset = 10.0**log_offset
         z = (start.x1 + offset * math.cos(angle), start.x2 + offset * math.sin(angle))
-        visited = []
-
-        def recorded(family, t):
-            point = orbit_state(family, t)
-            if np.ndim(t) == 0:
-                visited.append(point)
-            return point
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(poincare, "orbit_state", recorded)
+        with recorded(poincare, "orbit_state") as calls:
             distance = poincare._distance_to_orbit(z, r)
+        visited = [call.outcome for call in calls if np.ndim(call.args[1]) == 0]
         assert distance <= offset * (1.0 + 1e-9)
         d = [(float(wrap_angle(z[0] - p.x1)), z[1] - p.x2, p) for p in visited]
         d1, d2, p = next(e for e in d if math.hypot(e[0], e[1]) == distance)

@@ -15,6 +15,7 @@ the new nodes of a later level; and a scalar theta, which takes
 math.cos/sin, gives the array-theta value at that theta.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from melnikov_lab.pendulum import (
     orbit_state,
     pendulum_system,
 )
+from oracles import recorded, time_size
 
 THETAS = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
 PROPERTY = settings(max_examples=30)
@@ -49,33 +51,20 @@ ALIGNED = [(INNER, 1.0, 3, 1), (INNER, 1.3, 5, 1), (ROTATING_PLUS, 1.0, 2, 1),
            (ROTATING_MINUS, 0.9, 1, 1)]
 
 
-def _record_levels(monkeypatch, module):
-    """Level sizes n that module's _trapezoid_doubling passes to its sampler."""
-    levels = []
-    original = module._trapezoid_doubling
+@contextlib.contextmanager
+def _levels():
+    """A list of the level sizes n that melnikov's _trapezoid_doubling passes to its sampler."""
+    levels, doubling = [], melnikov._trapezoid_doubling
 
-    def recording(sample_mean, *args, **kwargs):
+    def recording(sample_mean, *args):
         def sample(n):
             levels.append(n)
             return sample_mean(n)
 
-        return original(sample, *args, **kwargs)
+        return doubling(sample, *args)
 
-    monkeypatch.setattr(module, "_trapezoid_doubling", recording)
-    return levels
-
-
-def _count_points(monkeypatch, module, name):
-    """Sizes of the time arrays module passes to its orbit sampler name."""
-    points = []
-    original = getattr(module, name)
-
-    def counting(family, t):
-        points.append(np.size(t))
-        return original(family, t)
-
-    monkeypatch.setattr(module, name, counting)
-    return points
+    with recorded(melnikov, "_trapezoid_doubling", recording):
+        yield levels
 
 
 def _close(nested, direct):
@@ -83,56 +72,52 @@ def _close(nested, direct):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_subharmonic_samples_each_node_once(monkeypatch, case):
+def test_subharmonic_samples_each_node_once(case):
     family, omega, m, n = case
     r = melnikov.solve_resonance(family, omega, m, n)
-    levels = _record_levels(monkeypatch, melnikov)
-    points = _count_points(monkeypatch, melnikov, "orbit_state")
-    melnikov.subharmonic_quadrature(pendulum_system(1.0, 0.5, omega), r, THETAS)
+    with _levels() as levels, recorded(melnikov, "orbit_state", read=time_size) as points:
+        melnikov.subharmonic_quadrature(pendulum_system(1.0, 0.5, omega), r, THETAS)
     assert levels[0] == 2 * 64 and len(points) == len(levels)
     assert sum(points) == levels[-1]
 
 
 @pytest.mark.parametrize("case", ALIGNED)
-def test_contour_samples_each_node_once(monkeypatch, case):
+def test_contour_samples_each_node_once(case):
     r = melnikov.solve_resonance(*case)
     spec = contour.default_contour(r)
-    levels = _record_levels(monkeypatch, melnikov)
-    points = _count_points(monkeypatch, contour, "orbit_complex_values")
-    contour.contour_kernels(r, spec, tol=1e-12)
+    with _levels() as levels, recorded(contour, "orbit_complex_values", read=time_size) as points:
+        contour.contour_kernels(r, spec, tol=1e-12)
     assert levels[0] == 2 * 64 and len(points) == len(levels)
     assert sum(points) == levels[-1]
 
 
-def test_subharmonic_stopping_at_two_n0_samples_the_orbit_once(monkeypatch):
+def test_subharmonic_stopping_at_two_n0_samples_the_orbit_once():
     r = melnikov.solve_resonance(INNER, 1.0, 3, 1)
-    levels = _record_levels(monkeypatch, melnikov)
-    points = _count_points(monkeypatch, melnikov, "orbit_state")
-    melnikov.subharmonic_quadrature(pendulum_system(1.0, 0.5, 1.0), r, THETAS)
+    with _levels() as levels, recorded(melnikov, "orbit_state", read=time_size) as points:
+        melnikov.subharmonic_quadrature(pendulum_system(1.0, 0.5, 1.0), r, THETAS)
     assert levels == [2 * 64] and points == [2 * 64]
 
 
-def test_homoclinic_stopping_at_two_n0_samples_the_separatrix_once(monkeypatch):
-    levels = _record_levels(monkeypatch, melnikov)
-    melnikov.homoclinic_quadrature(pendulum_system(1.0, 0.5, 1.0), 1, THETAS)
+def test_homoclinic_stopping_at_two_n0_samples_the_separatrix_once():
+    with _levels() as levels:
+        melnikov.homoclinic_quadrature(pendulum_system(1.0, 0.5, 1.0), 1, THETAS)
     assert levels == [2 * 512]
 
 
-def test_contour_stopping_at_two_n0_samples_the_orbit_once(monkeypatch):
+def test_contour_stopping_at_two_n0_samples_the_orbit_once():
     r = melnikov.solve_resonance(*ALIGNED[0])
-    levels = _record_levels(monkeypatch, melnikov)
-    points = _count_points(monkeypatch, contour, "orbit_complex_values")
-    contour.contour_kernels(r, contour.default_contour(r))
+    with _levels() as levels, recorded(contour, "orbit_complex_values", read=time_size) as points:
+        contour.contour_kernels(r, contour.default_contour(r))
     assert levels == [2 * 64] and points == [2 * 64]
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_subharmonic_equals_direct_trapezoid(monkeypatch, case):
+def test_subharmonic_equals_direct_trapezoid(case):
     family, omega, m, n = case
     r = melnikov.solve_resonance(family, omega, m, n)
     sys = pendulum_system(0.7, 1.3, omega)
-    levels = _record_levels(monkeypatch, melnikov)
-    nested = melnikov.subharmonic_quadrature(sys, r, THETAS)
+    with _levels() as levels:
+        nested = melnikov.subharmonic_quadrature(sys, r, THETAS)
 
     length = r.forcing_interval
     t = np.linspace(0.0, length, levels[-1], endpoint=False)
@@ -143,10 +128,10 @@ def test_subharmonic_equals_direct_trapezoid(monkeypatch, case):
 
 
 @pytest.mark.parametrize("sign, omega", [(1, 1.0), (-1, 1.4), (1, 0.6)])
-def test_homoclinic_equals_direct_trapezoid(monkeypatch, sign, omega):
+def test_homoclinic_equals_direct_trapezoid(sign, omega):
     sys = pendulum_system(1.1, 0.4, omega)
-    levels = _record_levels(monkeypatch, melnikov)
-    nested = melnikov.homoclinic_quadrature(sys, sign, THETAS)
+    with _levels() as levels:
+        nested = melnikov.homoclinic_quadrature(sys, sign, THETAS)
 
     tol, n = 1e-10, levels[-1]
     half = 40.0 + 5.0 * math.log10(1.0 / tol)
@@ -160,11 +145,11 @@ def test_homoclinic_equals_direct_trapezoid(monkeypatch, sign, omega):
 
 
 @pytest.mark.parametrize("case", ALIGNED)
-def test_contour_kernels_equal_direct_trapezoid(monkeypatch, case):
+def test_contour_kernels_equal_direct_trapezoid(case):
     r = melnikov.solve_resonance(*case)
     spec = contour.default_contour(r)
-    levels = _record_levels(monkeypatch, melnikov)
-    ker = contour.contour_kernels(r, spec, tol=1e-12)
+    with _levels() as levels:
+        ker = contour.contour_kernels(r, spec, tol=1e-12)
     nested = np.array([ker.cos_kernel, ker.sin_kernel, ker.damping_kernel])
 
     e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, levels[-1], endpoint=False))
@@ -296,8 +281,7 @@ def test_level_means_equal_per_kernel_np_mean(dtype, n0, seed, log_scale):
         assert np.array_equal(later, np_means())
         return later, 8 * n0, 0.0
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(melnikov, "_trapezoid_doubling", checking)
+    with recorded(melnikov, "_trapezoid_doubling", checking):
         melnikov._melnikov_kernels(sample_orbit, 7.0, n0)
     assert len(drawn) == 2
 
